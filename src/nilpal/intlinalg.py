@@ -212,3 +212,111 @@ def invariant_factors(a):
         if d[i][i]:
             out.append(d[i][i])
     return out
+
+
+def _unit(a):
+    return a == 1 or a == -1
+
+
+def _quotient(a, b):
+    """Exact a / b: an int when b is +-1, else a Fraction."""
+    return a * b if _unit(b) else Fraction(a, b)
+
+
+class PivotSolver:
+    """Exact solver for a full-column-rank sparse system E x = t.
+
+    `columns` are the columns of E as dicts {row: nonzero int}.  Sparse
+    Gaussian elimination, run once, picks one pivot row per column and
+    keeps the factors L and U of the square submatrix E_P on those rows.
+    Each step takes the sparsest remaining column that has a +-1 entry and
+    pivots on that entry in the shortest row, so that the factors stay
+    integral.  When no remaining column has one, the sparsest column
+    pivots on the entry of its shortest row, and the factors carry
+    Fractions from there on.
+
+    `solve(t)` reads only the pivot entries of t and returns the unique x
+    with (E x)_P == t_P.  It does not check the other rows: a caller that
+    needs E x == t checks its residual.
+    """
+
+    def __init__(self, columns):
+        rows = {}
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                rows.setdefault(i, {})[j] = v
+        holders = [set(col) for col in columns]  # column -> rows with an entry in it
+        left = set(range(len(columns)))
+        self.rows, self.cols, self.pivots = [], [], []
+        urows, lcols = [], []  # per step: rest of the pivot row; [(row, factor)]
+        while left:
+            by_count = sorted(left, key=lambda j: (len(holders[j]), j))
+            if not holders[by_count[0]]:
+                raise ValueError("matrix does not have full column rank")
+            c = next((j for j in by_count if any(_unit(rows[i][j]) for i in holders[j])),
+                     by_count[0])
+            units = [i for i in holders[c] if _unit(rows[i][c])]
+            p = min(units or holders[c], key=lambda i: (len(rows[i]), i))
+            prow = rows.pop(p)
+            a = prow.pop(c)
+            for j in prow:
+                holders[j].discard(p)
+            holders[c].discard(p)
+            mults = []
+            for i in holders[c]:
+                row = rows[i]
+                f = _quotient(row.pop(c), a)
+                mults.append((i, f))
+                for j, v in prow.items():
+                    nv = row.get(j, 0) - f * v
+                    if nv:
+                        row[j] = nv
+                        holders[j].add(i)
+                    elif j in row:
+                        del row[j]
+                        holders[j].discard(i)
+            holders[c] = set()
+            left.discard(c)
+            self.rows.append(p)
+            self.cols.append(c)
+            self.pivots.append(a)
+            urows.append(prow)
+            lcols.append(mults)
+        step_of_row = {p: s for s, p in enumerate(self.rows)}
+        step_of_col = {c: s for s, c in enumerate(self.cols)}
+        # Forward: step s subtracts f * t[s] from each later pivot row.
+        self._lower = [[(step_of_row[i], f) for i, f in mults if i in step_of_row]
+                       for mults in lcols]
+        # Backward, by column: x[cols[s]] feeds the earlier pivot rows.
+        self._upper = [[] for _ in self.rows]
+        for s, prow in enumerate(urows):
+            for j, v in prow.items():
+                self._upper[step_of_col[j]].append((s, v))
+        self.nonunit_pivots = sum(1 for a in self.pivots if not _unit(a))
+
+    def solve(self, t):
+        """The x with (E x)_P == t_P, as ints, or None if x is not integral.
+
+        `t` maps rows to values; absent rows read as 0.
+        """
+        v = [t.get(p, 0) for p in self.rows]
+        m = len(v)
+        for s in range(m):
+            vs = v[s]
+            if vs:
+                for s2, f in self._lower[s]:
+                    v[s2] -= f * vs
+        x = [0] * m
+        for s in range(m - 1, -1, -1):
+            vs = v[s]
+            if vs:
+                xs = _quotient(vs, self.pivots[s])
+                x[self.cols[s]] = xs
+                for s2, u in self._upper[s]:
+                    v[s2] -= u * xs
+        for j, xj in enumerate(x):
+            if type(xj) is not int:
+                if xj.denominator != 1:
+                    return None
+                x[j] = int(xj)
+        return x

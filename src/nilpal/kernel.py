@@ -30,9 +30,13 @@ def poly_inv(a, table, m, k):
     r = {i: c for i, c in a.items() if i != 0}
     out = {0: 1}
     for _ in range(k):
-        # out <- 1 - r*out; r*out never has a constant term
-        out = {i: -c for i, c in poly_mul(r, out, table, m).items()}
-        out[0] = 1
+        # out <- 1 - r*out; r*out never has a constant term.  The j-th
+        # iterate is sum_{i<=j} (-r)^i, fixed once (-r)^(j+1) truncates to 0.
+        nxt = {i: -c for i, c in poly_mul(r, out, table, m).items()}
+        nxt[0] = 1
+        if nxt == out:
+            break
+        out = nxt
     return out
 
 

@@ -17,12 +17,22 @@ from functools import lru_cache
 from itertools import product
 
 from nilpal import kernel
-from nilpal.intlinalg import mat_mul, mat_vec, smith_normal_form
+from nilpal.intlinalg import PivotSolver
 from nilpal.words import Letter, Word, parse_word
 
 
 class InternalError(RuntimeError):
-    """An internal invariant failed; indicates a bug, not bad input."""
+    """An internal invariant failed; indicates a bug, not bad input.
+
+    Keyword arguments are kept in `context` and appended to the message,
+    so the failure can be read without a rerun.
+    """
+
+    def __init__(self, message, **context):
+        self.context = context
+        if context:
+            message += " (" + ", ".join(f"{k}={v}" for k, v in context.items()) + ")"
+        super().__init__(message)
 
 
 def _mobius(d):
@@ -137,9 +147,7 @@ class HallBasis:
             self.weight_offset.append(pos)
             pos += len(level)
         self._monos_ready = False
-        self._elt_polys = None
-        self._geninv_polys = None
-        self._iota_polys = None
+        self._lifts = {}
         self._peel = {}
         self._deg_offset = [0]
         for w in range(k + 1):
@@ -201,100 +209,140 @@ class HallBasis:
         ) if mo else 0
 
     def geninv_poly(self, i):
-        if self._geninv_polys is None:
-            self._geninv_polys = {}
-        poly = self._geninv_polys.get(i)
+        """Series of x_i^-1."""
+        return self._lift(i - 1, True, False)
+
+    def _lift(self, idx, inverse, flip):
+        """Series of basis element idx, or of its inverse, cached per basis.
+
+        `flip` lifts the element with every generator inverted (the map
+        behind `bar`).  No series inverse is taken: [a,b]^-1 = [b,a], and
+        a bracket is built from the cached series of its halves and their
+        inverses.
+        """
+        key = (idx, inverse, flip)
+        poly = self._lifts.get(key)
         if poly is None:
-            poly = self.inv(self.gen_poly(i))
-            self._geninv_polys[i] = poly
+            c = self.elements[idx]
+            if c.gen is not None and inverse == flip:
+                poly = self.gen_poly(c.gen)
+            elif c.gen is not None:
+                # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
+                poly = {self._mono_index_of((c.gen,) * d): (-1) ** d for d in range(self.k + 1)}
+            else:
+                a, b = c.left.index, c.right.index
+                if inverse:
+                    a, b = b, a
+                poly = self.mul(
+                    self.mul(self._lift(a, True, flip), self._lift(b, True, flip)),
+                    self.mul(self._lift(a, False, flip), self._lift(b, False, flip)),
+                )
+            self._lifts[key] = poly
         return poly
 
     def elt_poly(self, idx):
-        if self._elt_polys is None:
-            self._elt_polys = [None] * len(self.elements)
-        poly = self._elt_polys[idx]
-        if poly is None:
-            c = self.elements[idx]
-            if c.gen is not None:
-                poly = self.gen_poly(c.gen)
-            else:
-                poly = self.comm(self.elt_poly(c.left.index), self.elt_poly(c.right.index))
-            self._elt_polys[idx] = poly
-        return poly
+        return self._lift(idx, False, False)
 
     def iota_poly(self, idx):
         """Series of the basis element with every generator inverted."""
-        if self._iota_polys is None:
-            self._iota_polys = [None] * len(self.elements)
-        poly = self._iota_polys[idx]
-        if poly is None:
-            c = self.elements[idx]
-            if c.gen is not None:
-                poly = self.geninv_poly(c.gen)
-            else:
-                poly = self.comm(self.iota_poly(c.left.index), self.iota_poly(c.right.index))
-            self._iota_polys[idx] = poly
-        return poly
+        return self._lift(idx, False, True)
 
-    def _peel_solver(self, w):
-        """Left inverse of the degree-w Lie coordinate matrix."""
-        solver = self._peel.get(w)
-        if solver is None:
-            level = self.by_weight[w - 1]
-            m = len(level)
-            nmono = self.n**w
-            off = self._deg_offset[w]
-            emat = [[0] * m for _ in range(nmono)]
-            for j, c in enumerate(level):
-                for i, coeff in self.elt_poly(c.index).items():
-                    if off <= i < off + nmono:
-                        emat[i - off][j] = coeff
-            u, d, _v = smith_normal_form(emat)
-            if any(d[i][i] != 1 for i in range(m)):
-                raise InternalError(f"weight-{w} layer is not unimodularly solvable")
-            linv = mat_mul(_v, u[:m])
-            solver = (linv, emat, off, nmono)
-            self._peel[w] = solver
-        return solver
+    def _product(self, factors):
+        """Product of the series in `factors`, left to right."""
+        out = None
+        for f in factors:
+            out = f if out is None else self.mul(out, f)
+        return {0: 1} if out is None else out
 
-    def ordered_block_poly(self, w, coeffs):
-        """Series of the ordered product of the weight-w block with exponents."""
-        out = {0: 1}
-        start = self.weight_offset[w - 1]
+    def _add_linear(self, poly, start, coeffs, flip=False):
+        """poly + sum_j coeffs[j] * (series of basis element start+j - 1)."""
+        out = dict(poly)
         for j, e in enumerate(coeffs):
             if e:
-                out = self.mul(out, self.pow(self.elt_poly(start + j), e))
-        return out
+                for i, c in self._lift(start + j, False, flip).items():
+                    if i:
+                        out[i] = out.get(i, 0) + e * c
+        return {i: c for i, c in out.items() if c}
+
+    def lie_columns(self, w):
+        """Degree-w parts of the weight-w basis series: the columns of the
+        Lie-coordinate matrix, as dicts {monomial index: coefficient}."""
+        off, end = self._deg_offset[w], self._deg_offset[w + 1]
+        start = self.weight_offset[w - 1]
+        return [
+            {i: c for i, c in self.elt_poly(start + j).items() if off <= i < end}
+            for j in range(len(self.by_weight[w - 1]))
+        ]
+
+    def _degree_terms(self, poly, w):
+        off, end = self._deg_offset[w], self._deg_offset[w + 1]
+        return sum(1 for i in poly if off <= i < end)
+
+    def _peel_solver(self, w):
+        """Pivot solver of the degree-w Lie-coordinate matrix."""
+        solver = self._peel.get(w)
+        if solver is None:
+            solver = self._peel[w] = PivotSolver(self.lie_columns(w))
+        return solver
+
+    def ordered_block_poly(self, w, coeffs, flip=False, reverse=False):
+        """Series of the ordered product of the weight-w block with exponents.
+
+        `reverse` multiplies the factors in reverse order; `flip` lifts each
+        factor with every generator inverted.  For 2w > k any product of two
+        series of lowest degree >= w vanishes, so the block is the sum
+        1 + sum_j coeffs[j] * (series_j - 1) in either order.
+        """
+        start = self.weight_offset[w - 1]
+        if 2 * w > self.k:
+            return self._add_linear({0: 1}, start, coeffs, flip)
+        order = range(len(coeffs) - 1, -1, -1) if reverse else range(len(coeffs))
+        factors = []
+        for j in order:
+            e = coeffs[j]
+            if e:
+                poly = self._lift(start + j, e < 0, flip)
+                factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
+        return self._product(factors)
 
     def element_from_poly(self, poly):
-        """Recover Hall exponents of a group series; verifies exactness."""
+        """Recover Hall exponents of a group series; verifies exactness.
+
+        Weight by weight, the lowest remaining degree w of the series r is
+        a Lie element: its Hall coordinates x solve E x = t, with t the
+        degree-w part of r.  The pivot solver reads x off the pivot entries
+        of t, and r is divided on the left by the weight-w block.  That
+        leaves t - E x as the degree-w part of r, so an empty degree-w part
+        proves E x == t, and a non-Lie t can never pass.  For 2w > k any
+        product of two series of lowest degree >= w vanishes, so the block
+        is 1 + sum x_j (elt_j - 1) and dividing by it is a subtraction.
+        """
+        n, k = self.n, self.k
         if poly.get(0) != 1:
-            raise InternalError("series has constant term != 1")
+            raise InternalError("series has constant term != 1",
+                                n=n, k=k, weight=0, residual_terms=len(poly))
         exps = [0] * len(self.elements)
         r = poly
-        for w in range(1, self.k + 1):
-            off = self._deg_offset[w]
-            nmono = self.n**w
-            t = [0] * nmono
-            seen = False
-            for i, c in r.items():
-                if off <= i < off + nmono:
-                    t[i - off] = c
-                    seen = True
-            if not seen:
-                continue
-            if not self.by_weight[w - 1]:
-                raise InternalError(f"degree-{w} terms outside the group image")
-            linv, emat, _, _ = self._peel_solver(w)
-            x = mat_vec(linv, t)
-            for row, tv in zip(emat, t):
-                if sum(rv * xv for rv, xv in zip(row, x) if xv) != tv:
-                    raise InternalError(f"degree-{w} component is not a Lie element")
+        for w in range(1, k + 1):
+            x = self._peel_solver(w).solve(r)
+            if x is None:
+                raise InternalError(f"degree-{w} coordinates are not integral",
+                                    n=n, k=k, weight=w, residual_terms=self._degree_terms(r, w))
             start = self.weight_offset[w - 1]
             exps[start:start + len(x)] = x
-            r = self.mul(self.inv(self.ordered_block_poly(w, x)), r)
+            if any(x):
+                neg = [-xj for xj in x]
+                if 2 * w > k:
+                    r = self._add_linear(r, start, neg)
+                else:
+                    r = self.mul(self.ordered_block_poly(w, neg, reverse=True), r)
+            residual = self._degree_terms(r, w)
+            if residual:
+                raise InternalError(f"degree-{w} component is not a Lie element",
+                                    n=n, k=k, weight=w, residual_terms=residual)
         if r != {0: 1}:
-            raise InternalError("series does not collapse to the normal form")
+            raise InternalError("series does not collapse to the normal form",
+                                n=n, k=k, weight=k, residual_terms=len(r) - 1)
         return NilElement(self, poly, tuple(exps))
 
     # -- element builders -------------------------------------------------
@@ -314,11 +362,11 @@ class HallBasis:
         exps = tuple(exps)
         if len(exps) != len(self.elements):
             raise ValueError("exponent vector has wrong length")
-        poly = {0: 1}
-        for w in range(1, self.k + 1):
-            block = exps[self.weight_slice(w)]
-            if any(block):
-                poly = self.mul(poly, self.ordered_block_poly(w, block))
+        poly = self._product(
+            self.ordered_block_poly(w, exps[self.weight_slice(w)])
+            for w in range(1, self.k + 1)
+            if any(exps[self.weight_slice(w)])
+        )
         return NilElement(self, poly, exps)
 
     def from_word(self, w):
@@ -432,13 +480,14 @@ def bar(g):
     For any word w, bar(collect(w)) == collect(reverse_word(w)).
     """
     basis = g.basis
-    poly = {0: 1}
-    for w in range(1, basis.k + 1):
-        start = basis.weight_offset[w - 1]
-        for j, e in enumerate(g.exponents[basis.weight_slice(w)]):
-            if e:
-                poly = basis.mul(poly, basis.pow(basis.iota_poly(start + j), e))
-    return basis.element_from_poly(basis.inv(poly))
+    # bar(g) = (prod_j iota(c_j)^e_j)^-1: the blocks in reverse order, each
+    # with its factors reversed and its exponents negated.
+    poly = basis._product(
+        basis.ordered_block_poly(w, [-e for e in g.weight_block(w)], flip=True, reverse=True)
+        for w in range(basis.k, 0, -1)
+        if any(g.weight_block(w))
+    )
+    return basis.element_from_poly(poly)
 
 
 def weight(g):

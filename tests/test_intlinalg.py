@@ -1,6 +1,11 @@
 import random
 
+from fractions import Fraction
+
+import pytest
+
 from nilpal.intlinalg import (
+    PivotSolver,
     det,
     eye,
     inv_unimodular,
@@ -109,3 +114,49 @@ def test_lattice_solve():
 def test_invariant_factors():
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert invariant_factors([[1, 2], [0, 2]]) == [1, 2]
+
+
+def _columns(a):
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
+
+
+def test_pivot_solver_recovers_integer_solutions():
+    rng = random.Random(11)
+    tried = 0
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 4)
+        a = rand_matrix(rng, rows, cols, span=3)
+        if len(invariant_factors(a)) < cols:
+            continue
+        tried += 1
+        solver = PivotSolver(_columns(a))
+        assert len(solver.rows) == cols
+        x = [rng.randint(-5, 5) for _ in range(cols)]
+        t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
+        assert solver.solve(t) == x
+    assert tried > 50
+
+
+def test_pivot_solver_fraction_path():
+    # Pivots 2, then 2 - 4 * 4 / 2 = -6: the second step runs on Fractions.
+    solver = PivotSolver(_columns([[2, 4], [4, 2]]))
+    assert solver.nonunit_pivots == 2
+    assert solver.solve({0: 2 - 16, 1: 4 - 8}) == [1, -4]
+    assert solver.solve({0: 1, 1: 0}) is None
+    # x = 1/2 on a single column of 2s is rejected, not rounded.
+    half = PivotSolver(_columns([[2], [2]]))
+    assert half.solve({0: 1, 1: 1}) is None
+    assert half.solve({0: Fraction(4), 1: 4}) == [2]
+
+
+def test_pivot_solver_prefers_unit_pivots():
+    # The shortest row of column 0 holds a 2; the unit in row 1 wins.
+    a = [[2, 0], [1, 1], [0, 1]]
+    assert PivotSolver(_columns(a)).nonunit_pivots == 0
+
+
+def test_pivot_solver_rejects_rank_deficient():
+    with pytest.raises(ValueError):
+        PivotSolver(_columns([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        PivotSolver([{0: 1}, {}])

@@ -45,6 +45,38 @@ def test_inverse_is_two_sided():
         assert poly_mul(inv, a, table, m) == {0: 1}
 
 
+def test_inverse_stops_once_iterate_repeats(monkeypatch):
+    # r of lowest degree d >= 2: the geometric series is exact after
+    # floor(k/d) products, and one more product shows the repeat.
+    from nilpal import kernel
+
+    rng = random.Random(8)
+    k = 7
+    basis = hall_basis(2, k)
+    basis._ensure_monos()
+    table, m = basis._table, basis._mono_count
+    counted = []
+
+    def counting_mul(a, b, table, m):
+        counted.append(1)
+        return poly_mul(a, b, table, m)
+
+    for d in (2, 3, 4):
+        low = basis._deg_offset[d]
+        for _ in range(10):
+            a = {0: 1}
+            for _ in range(rng.randint(1, 8)):
+                a[rng.randrange(low, m)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            monkeypatch.setattr(kernel, "poly_mul", counting_mul)
+            counted.clear()
+            inv = kernel.poly_inv(a, table, m, k)
+            monkeypatch.undo()
+            assert poly_mul(a, inv, table, m) == {0: 1}
+            assert poly_mul(inv, a, table, m) == {0: 1}
+            lowest = min(len(basis._monos[i]) for i in a if i)
+            assert len(counted) == k // lowest + 1
+
+
 def test_pow_matches_iteration():
     rng = random.Random(7)
     basis = hall_basis(2, 3)

@@ -3,7 +3,11 @@ from itertools import permutations, product
 
 import pytest
 
+from nilpal import intlinalg
+from nilpal.intlinalg import invariant_factors
 from nilpal.nilpotent import (
+    HallBasis,
+    InternalError,
     bar,
     collect,
     commutator,
@@ -302,3 +306,108 @@ def test_collector_agrees_with_truncated_rep_rank3():
             assert rep.evaluate(u) == rep.evaluate(nf)
             prod = element_as_word(multiply(collect(u, basis), collect(v, basis)))
             assert rep.evaluate(concat(u, v)) == rep.evaluate(prod)
+
+
+# -- normal-form recovery (the peel) -----------------------------------------
+
+def _mono(basis, *letters):
+    basis._ensure_monos()
+    return basis._mono_index_of(letters)
+
+
+@pytest.mark.parametrize("n,k,letters", [(2, 4, (1, 2)), (2, 3, (1, 2)), (1, 3, (1, 1))])
+def test_peel_rejects_non_lie_layer(n, k, letters):
+    # X1 X2 alone is not a Lie element.  At (2,4) weight 2 peels with a
+    # series product (2w <= k), at (2,3) with the linear update (2w > k).
+    # In rank 1 no basis element has weight 2 at all.
+    basis = hall_basis(n, k)
+    with pytest.raises(InternalError, match="degree-2 component is not a Lie element") as err:
+        basis.element_from_poly({0: 1, _mono(basis, *letters): 1})
+    assert err.value.context == {"n": n, "k": k, "weight": 2, "residual_terms": 1}
+    assert f"n={n}, k={k}, weight=2, residual_terms=1" in str(err.value)
+
+
+def test_peel_rejects_non_lie_layer_above_weight_one():
+    # A valid element times 1 + X1 X1 X2: the defect sits at weight 3 of
+    # a series whose lower layers peel normally.
+    basis = hall_basis(2, 3)
+    g = basis.from_text("x1^2 x2 [x2,x1]^-1")
+    bad = basis.mul(g.poly, {0: 1, _mono(basis, 1, 1, 2): 1})
+    with pytest.raises(InternalError) as err:
+        basis.element_from_poly(bad)
+    assert err.value.context["weight"] == 3
+    assert err.value.context["residual_terms"] >= 1
+
+
+def test_peel_rejects_constant_term():
+    basis = hall_basis(2, 3)
+    with pytest.raises(InternalError, match="constant term") as err:
+        basis.element_from_poly({0: 2, _mono(basis, 1): 1})
+    assert err.value.context == {"n": 2, "k": 3, "weight": 0, "residual_terms": 2}
+
+
+def test_peel_rejects_non_integral_coordinates():
+    # Half of the series of [x2,x1] at degree 2: a Lie element, but with
+    # coordinate 1/2.
+    from fractions import Fraction
+
+    basis = hall_basis(2, 3)
+    half = {i: Fraction(c, 2) for i, c in basis.lie_columns(2)[0].items()}
+    with pytest.raises(InternalError, match="not integral") as err:
+        basis.element_from_poly({0: 1, **half})
+    assert err.value.context == {"n": 2, "k": 3, "weight": 2, "residual_terms": 2}
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 5), (4, 4), (2, 8)])
+def test_lie_layers_are_unimodular(n, k):
+    # The Lie elements of each degree are a direct summand of the free
+    # module on the monomials, so every layer's Lie-coordinate matrix has
+    # witt_count(n, w) invariant factors, all 1.
+    basis = hall_basis(n, k)
+    for w in range(1, k + 1):
+        cols = basis.lie_columns(w)
+        monos = sorted({i for col in cols for i in col})
+        matrix = [[col.get(i, 0) for col in cols] for i in monos]
+        assert invariant_factors(matrix) == [1] * witt_count(n, w)
+
+
+def _round_trips(basis, rng, cases):
+    m = len(basis.elements)
+    for case in range(cases):
+        # A dense vector first, then sparse ones that reach the top layers
+        # with few factors.
+        density = 1.0 if case == 0 else 0.1
+        exps = tuple(rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(m))
+        g = basis.from_exponents(exps)
+        assert basis.element_from_poly(g.poly).exponents == exps
+        inv = invert(g)
+        assert invert(inv) == g
+        assert multiply(g, inv).is_identity()
+        assert bar(bar(g)) == g
+        assert bar(inv) == invert(bar(g))
+
+
+def test_round_trips_at_3_6():
+    basis = hall_basis(3, 6)
+    _round_trips(basis, random.Random(36), 6)
+    # With unit pivots first, no layer of this rung needs a Fraction.
+    assert all(basis._peel_solver(w).nonunit_pivots == 0 for w in range(1, 7))
+
+
+def test_round_trips_through_fraction_pivots(monkeypatch):
+    # With unit pivots preferred no rung of the ladder needs a non-unit
+    # one.  Built while no entry counts as a unit, the solvers of (2,7)
+    # take the shortest row of the sparsest column instead, which puts
+    # entries other than +-1 on the weight-7 diagonal, so every peel of a
+    # series with a weight-7 part runs the Fraction path.
+    basis = HallBasis(2, 7)
+    monkeypatch.setattr(intlinalg, "_unit", lambda a: False)
+    for w in range(1, 8):
+        basis._peel_solver(w)
+    monkeypatch.undo()
+    assert any(abs(a) != 1 for a in basis._peel[7].pivots)
+    _round_trips(basis, random.Random(27), 12)
+    for word in ("x1 x2^-1 x1 x2 x2 x1^-1 x2", "[x1,x2,x2,x1,x1,x2,x1]^3"):
+        g = basis.from_text(word)
+        assert any(g.weight_block(7))
+        assert basis.from_exponents(g.exponents) == g
