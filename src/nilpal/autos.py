@@ -69,7 +69,7 @@ class Endo:
         self.basis = basis
         self.images = images
         self._abel = None
-        self._img_polys = None
+        self._img_polys = {}
 
     @property
     def abel_matrix(self):
@@ -91,19 +91,29 @@ class Endo:
         )
         return f"Endo({body})"
 
-    def _image_poly(self, idx):
-        if self._img_polys is None:
-            self._img_polys = [None] * len(self.basis.elements)
-        poly = self._img_polys[idx]
+    def _image_poly(self, idx, inverse=False):
+        """Series of the image of basis element idx, or of its inverse.
+
+        A generator's image inverts through its normal form; a bracket's
+        image is the bracket of the images, and [a,b]^-1 = [b,a].
+        """
+        key = (idx, inverse)
+        poly = self._img_polys.get(key)
         if poly is None:
-            c = self.basis.elements[idx]
+            basis = self.basis
+            c = basis.elements[idx]
             if c.gen is not None:
-                poly = self.images[c.gen - 1].poly
+                g = self.images[c.gen - 1]
+                poly = basis.inverse_poly(g.exponents) if inverse else g.poly
             else:
-                poly = self.basis.comm(
-                    self._image_poly(c.left.index), self._image_poly(c.right.index)
+                a, b = c.left.index, c.right.index
+                if inverse:
+                    a, b = b, a
+                poly = basis.comm(
+                    self._image_poly(a), self._image_poly(b),
+                    self._image_poly(a, True), self._image_poly(b, True),
                 )
-            self._img_polys[idx] = poly
+            self._img_polys[key] = poly
         return poly
 
     def apply(self, g):
@@ -113,7 +123,7 @@ class Endo:
         poly = {0: 1}
         for idx, e in enumerate(g.exponents):
             if e:
-                poly = basis.mul(poly, basis.pow(self._image_poly(idx), e))
+                poly = basis.mul(poly, basis.pow(self._image_poly(idx, e < 0), abs(e)))
         return basis.element_from_poly(poly)
 
     def __call__(self, g):
@@ -254,12 +264,11 @@ def _epa_linear_lift(basis, minv):
     images = []
     for i in range(1, n + 1):
         beta = [(minv[i - 1][j] - (1 if j == i - 1 else 0)) // 2 for j in range(n)]
-        poly = {0: 1}
-        for j in range(n, 0, -1):
-            poly = basis.mul(poly, basis.pow(basis.gen_poly(j), beta[j - 1]))
-        poly = basis.mul(poly, basis.gen_poly(i))
-        for j in range(1, n + 1):
-            poly = basis.mul(poly, basis.pow(basis.gen_poly(j), beta[j - 1]))
+        # x_n^b_n ... x_1^b_1 * x_i * x_1^b_1 ... x_n^b_n
+        poly = basis.mul(
+            basis.mul(basis.ordered_block_poly(1, beta, reverse=True), basis.gen_poly(i)),
+            basis.ordered_block_poly(1, beta),
+        )
         images.append(basis.element_from_poly(poly))
     return Endo(basis, images)
 
@@ -268,10 +277,8 @@ def _ordered_linear_lift(basis, minv):
     n = basis.n
     images = []
     for i in range(n):
-        poly = {0: 1}
-        for j in range(1, n + 1):
-            poly = basis.mul(poly, basis.pow(basis.gen_poly(j), minv[i][j - 1]))
-        images.append(basis.element_from_poly(poly))
+        # x_1^m_i1 ... x_n^m_in
+        images.append(basis.element_from_poly(basis.ordered_block_poly(1, minv[i])))
     return Endo(basis, images)
 
 

@@ -93,7 +93,7 @@ def build_parser():
     p = sub.add_parser("verify", parents=[shared], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
 
-    p = sub.add_parser("info", parents=[shared], help="show the selected kernel backend")
+    p = sub.add_parser("info", parents=[shared], help="show the kernel backend")
     return parser
 
 

@@ -12,9 +12,7 @@ equality decides group equality; normal-form exponents are recovered weight
 by weight, which doubles as a consistency check on every constructed element.
 """
 
-from array import array
 from functools import lru_cache
-from itertools import product
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
@@ -146,12 +144,9 @@ class HallBasis:
         for level in self.by_weight:
             self.weight_offset.append(pos)
             pos += len(level)
-        self._monos_ready = False
+        self.shape = kernel.SeriesShape(n, k)
         self._lifts = {}
         self._peel = {}
-        self._deg_offset = [0]
-        for w in range(k + 1):
-            self._deg_offset.append(self._deg_offset[-1] + n**w)
 
     def __repr__(self):
         return f"HallBasis(n={self.n}, k={self.k}, size={len(self.elements)})"
@@ -162,51 +157,18 @@ class HallBasis:
 
     # -- truncated-series machinery -------------------------------------
 
-    def _ensure_monos(self):
-        if self._monos_ready:
-            return
-        n, k = self.n, self.k
-        monos = [()]
-        for w in range(1, k + 1):
-            monos.extend(product(range(1, n + 1), repeat=w))
-        index = {mo: i for i, mo in enumerate(monos)}
-        m = len(monos)
-        table = array("i", bytes(4 * m * m))
-        for i, a in enumerate(monos):
-            base = i * m
-            for j, b in enumerate(monos):
-                if len(a) + len(b) <= k:
-                    table[base + j] = index[a + b]
-                else:
-                    table[base + j] = -1
-        self._monos = monos
-        self._mono_count = m
-        self._table = table
-        self._monos_ready = True
-
     def mul(self, a, b):
-        self._ensure_monos()
-        return kernel.poly_mul(a, b, self._table, self._mono_count)
-
-    def inv(self, a):
-        self._ensure_monos()
-        return kernel.poly_inv(a, self._table, self._mono_count, self.k)
+        return kernel.poly_mul(a, b, self.shape)
 
     def pow(self, a, e):
-        self._ensure_monos()
-        return kernel.poly_pow(a, e, self._table, self._mono_count, self.k)
+        return kernel.poly_pow(a, e, self.shape)
 
-    def comm(self, a, b):
-        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+    def comm(self, a, b, a_inv, b_inv):
+        """Series of [a, b] = a^-1 b^-1 a b, given the inverse series."""
+        return self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
 
     def gen_poly(self, i):
-        self._ensure_monos()
-        return {0: 1, self._mono_index_of((i,)): 1}
-
-    def _mono_index_of(self, mo):
-        return self._deg_offset[len(mo)] + sum(
-            (c - 1) * self.n**p for p, c in enumerate(reversed(mo))
-        ) if mo else 0
+        return {0: 1, self.shape.index((i,)): 1}
 
     def geninv_poly(self, i):
         """Series of x_i^-1."""
@@ -228,14 +190,14 @@ class HallBasis:
                 poly = self.gen_poly(c.gen)
             elif c.gen is not None:
                 # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
-                poly = {self._mono_index_of((c.gen,) * d): (-1) ** d for d in range(self.k + 1)}
+                poly = {self.shape.index((c.gen,) * d): (-1) ** d for d in range(self.k + 1)}
             else:
                 a, b = c.left.index, c.right.index
                 if inverse:
                     a, b = b, a
-                poly = self.mul(
-                    self.mul(self._lift(a, True, flip), self._lift(b, True, flip)),
-                    self.mul(self._lift(a, False, flip), self._lift(b, False, flip)),
+                poly = self.comm(
+                    self._lift(a, False, flip), self._lift(b, False, flip),
+                    self._lift(a, True, flip), self._lift(b, True, flip),
                 )
             self._lifts[key] = poly
         return poly
@@ -267,7 +229,7 @@ class HallBasis:
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series: the columns of the
         Lie-coordinate matrix, as dicts {monomial index: coefficient}."""
-        off, end = self._deg_offset[w], self._deg_offset[w + 1]
+        off, end = self.shape.offset[w], self.shape.offset[w + 1]
         start = self.weight_offset[w - 1]
         return [
             {i: c for i, c in self.elt_poly(start + j).items() if off <= i < end}
@@ -275,7 +237,7 @@ class HallBasis:
         ]
 
     def _degree_terms(self, poly, w):
-        off, end = self._deg_offset[w], self._deg_offset[w + 1]
+        off, end = self.shape.offset[w], self.shape.offset[w + 1]
         return sum(1 for i in poly if off <= i < end)
 
     def _peel_solver(self, w):
@@ -304,6 +266,20 @@ class HallBasis:
                 poly = self._lift(start + j, e < 0, flip)
                 factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
         return self._product(factors)
+
+    def inverse_poly(self, exps, flip=False):
+        """Series of the inverse of the element with Hall exponents `exps`.
+
+        The blocks in reverse order, each with its factors reversed and its
+        exponents negated, so no series inverse is taken.  `flip` lifts
+        every factor with every generator inverted (the map behind `bar`).
+        """
+        return self._product(
+            self.ordered_block_poly(w, [-e for e in exps[self.weight_slice(w)]],
+                                    flip=flip, reverse=True)
+            for w in range(self.k, 0, -1)
+            if any(exps[self.weight_slice(w)])
+        )
 
     def element_from_poly(self, poly):
         """Recover Hall exponents of a group series; verifies exactness.
@@ -348,7 +324,6 @@ class HallBasis:
     # -- element builders -------------------------------------------------
 
     def one(self):
-        self._ensure_monos()
         return NilElement(self, {0: 1}, (0,) * len(self.elements))
 
     def generator(self, i):
@@ -450,17 +425,20 @@ def multiply(a, b):
 
 
 def invert(a):
-    return a.basis.element_from_poly(a.basis.inv(a.poly))
+    return a.basis.element_from_poly(a.basis.inverse_poly(a.exponents))
 
 
 def power(a, e):
-    return a.basis.element_from_poly(a.basis.pow(a.poly, e))
+    basis = a.basis
+    poly = basis.inverse_poly(a.exponents) if e < 0 else a.poly
+    return basis.element_from_poly(basis.pow(poly, abs(e)))
 
 
 def commutator(a, b):
     """[a, b] = a^-1 b^-1 a b."""
     basis = _same_basis(a, b)
-    return basis.element_from_poly(basis.comm(a.poly, b.poly))
+    return basis.element_from_poly(basis.comm(
+        a.poly, b.poly, basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)))
 
 
 def left_normed(elements):
@@ -479,15 +457,8 @@ def bar(g):
 
     For any word w, bar(collect(w)) == collect(reverse_word(w)).
     """
-    basis = g.basis
-    # bar(g) = (prod_j iota(c_j)^e_j)^-1: the blocks in reverse order, each
-    # with its factors reversed and its exponents negated.
-    poly = basis._product(
-        basis.ordered_block_poly(w, [-e for e in g.weight_block(w)], flip=True, reverse=True)
-        for w in range(basis.k, 0, -1)
-        if any(g.weight_block(w))
-    )
-    return basis.element_from_poly(poly)
+    # bar(g) = (prod_j iota(c_j)^e_j)^-1
+    return g.basis.element_from_poly(g.basis.inverse_poly(g.exponents, flip=True))
 
 
 def weight(g):

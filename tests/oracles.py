@@ -5,6 +5,9 @@ built from scratch with plain integer matrix loops, so agreement between the
 two paths is meaningful evidence of correctness.
 """
 
+from array import array
+from itertools import product
+
 
 def mat_eye(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
@@ -83,3 +86,35 @@ class TruncatedWordRep:
             mat = self.gen[let.index] if let.sign > 0 else self.geninv[let.index]
             out = mat_mul(out, mat)
         return out
+
+
+def monomial_table(n, k):
+    """Monomials of degree <= k in letters 1..n and their product table.
+
+    Monomials are letter tuples, degree-major and lexicographic within a
+    degree (the numbering of the series kernel).  table[i*m + j] is the
+    index of monomial i followed by monomial j, or -1 above degree k.
+    """
+    monos = [()]
+    for w in range(1, k + 1):
+        monos.extend(product(range(1, n + 1), repeat=w))
+    index = {mo: i for i, mo in enumerate(monos)}
+    m = len(monos)
+    table = array("i", bytes(4 * m * m))
+    for i, a in enumerate(monos):
+        base = i * m
+        for j, b in enumerate(monos):
+            table[base + j] = index[a + b] if len(a) + len(b) <= k else -1
+    return monos, table
+
+
+def table_poly_mul(a, b, table, m):
+    """Truncated series product by looking every monomial pair up."""
+    out = {}
+    for ia, ca in a.items():
+        base = ia * m
+        for ib, cb in b.items():
+            idx = table[base + ib]
+            if idx >= 0:
+                out[idx] = out.get(idx, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}

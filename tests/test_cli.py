@@ -149,3 +149,12 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "kernel" in proc.stdout
+
+
+def test_info_reports_pure_kernel(capsys):
+    code, out, _ = run_cli(capsys, "--format", "kv", "info")
+    assert code == 0
+    assert out == "kernel=pure\n"
+    code, out, _ = run_cli(capsys, "info")
+    assert code == 0
+    assert out == "kernel: pure\n"

@@ -1,17 +1,13 @@
-"""Kernel parity: the compiled extension must agree with the pure fallback."""
+"""Series kernel: products against the monomial-table oracle, inverses, powers."""
 
 import random
 
 import pytest
 
-from nilpal import _kernel_py
-from nilpal.kernel import BACKEND, poly_inv, poly_mul, poly_pow
-from nilpal.nilpotent import hall_basis
+from oracles import monomial_table, table_poly_mul
 
-try:
-    from nilpal import _speedups
-except ImportError:
-    _speedups = None
+from nilpal.kernel import BACKEND, SeriesShape, poly_inv, poly_mul, poly_pow
+from nilpal.nilpotent import hall_basis
 
 
 def rand_poly(rng, m, k, terms):
@@ -21,28 +17,38 @@ def rand_poly(rng, m, k, terms):
     return {i: c for i, c in poly.items() if c} | {0: 1}
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(5)
-    basis = hall_basis(3, 4)
-    basis._ensure_monos()
-    table, m = basis._table, basis._mono_count
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (4, 5), (2, 8)])
+def test_poly_mul_matches_table_oracle(n, k):
+    rng = random.Random(100 * n + k)
+    monos, table = monomial_table(n, k)
+    m = len(monos)
+    by_degree = [[i for i, mo in enumerate(monos) if len(mo) == d] for d in range(k + 1)]
+    shape = SeriesShape(n, k)
+    assert [shape.index(mo) for mo in monos] == list(range(m))
+
+    def rand_series():
+        # Degrees drawn uniformly, so that products below degree k are
+        # common; the constant term is 0, 1 or another integer.
+        poly = {}
+        for _ in range(rng.randint(0, 25)):
+            poly[rng.choice(by_degree[rng.randint(1, k)])] = rng.randint(-50, 50)
+        poly[0] = rng.choice([0, 1, 1, -1, 2, -3])
+        return {i: c for i, c in poly.items() if c}
+
     for _ in range(200):
-        a = rand_poly(rng, m, 4, rng.randint(0, 25))
-        b = rand_poly(rng, m, 4, rng.randint(0, 25))
-        assert _speedups.poly_mul(a, b, table, m) == _kernel_py.poly_mul(a, b, table, m)
+        a, b = rand_series(), rand_series()
+        assert poly_mul(a, b, shape) == table_poly_mul(a, b, table, m)
 
 
 def test_inverse_is_two_sided():
     rng = random.Random(6)
-    basis = hall_basis(2, 5)
-    basis._ensure_monos()
-    table, m = basis._table, basis._mono_count
+    shape = hall_basis(2, 5).shape
+    m = shape.offset[-1]
     for _ in range(50):
         a = rand_poly(rng, m, 5, rng.randint(0, 10))
-        inv = poly_inv(a, table, m, 5)
-        assert poly_mul(a, inv, table, m) == {0: 1}
-        assert poly_mul(inv, a, table, m) == {0: 1}
+        inv = poly_inv(a, shape)
+        assert poly_mul(a, inv, shape) == {0: 1}
+        assert poly_mul(inv, a, shape) == {0: 1}
 
 
 def test_inverse_stops_once_iterate_repeats(monkeypatch):
@@ -52,45 +58,43 @@ def test_inverse_stops_once_iterate_repeats(monkeypatch):
 
     rng = random.Random(8)
     k = 7
-    basis = hall_basis(2, k)
-    basis._ensure_monos()
-    table, m = basis._table, basis._mono_count
+    shape = hall_basis(2, k).shape
+    m = shape.offset[-1]
     counted = []
 
-    def counting_mul(a, b, table, m):
+    def counting_mul(a, b, shape):
         counted.append(1)
-        return poly_mul(a, b, table, m)
+        return poly_mul(a, b, shape)
 
     for d in (2, 3, 4):
-        low = basis._deg_offset[d]
+        low = shape.offset[d]
         for _ in range(10):
             a = {0: 1}
             for _ in range(rng.randint(1, 8)):
                 a[rng.randrange(low, m)] = rng.choice([-3, -2, -1, 1, 2, 3])
             monkeypatch.setattr(kernel, "poly_mul", counting_mul)
             counted.clear()
-            inv = kernel.poly_inv(a, table, m, k)
+            inv = kernel.poly_inv(a, shape)
             monkeypatch.undo()
-            assert poly_mul(a, inv, table, m) == {0: 1}
-            assert poly_mul(inv, a, table, m) == {0: 1}
-            lowest = min(len(basis._monos[i]) for i in a if i)
+            assert poly_mul(a, inv, shape) == {0: 1}
+            assert poly_mul(inv, a, shape) == {0: 1}
+            lowest = min(shape.dr[i][0] for i in a if i)
             assert len(counted) == k // lowest + 1
 
 
 def test_pow_matches_iteration():
     rng = random.Random(7)
-    basis = hall_basis(2, 3)
-    basis._ensure_monos()
-    table, m = basis._table, basis._mono_count
+    shape = hall_basis(2, 3).shape
+    m = shape.offset[-1]
     for _ in range(40):
         a = rand_poly(rng, m, 3, rng.randint(0, 6))
         e = rng.randint(-6, 6)
         expected = {0: 1}
-        base = a if e >= 0 else poly_inv(a, table, m, 3)
+        base = a if e >= 0 else poly_inv(a, shape)
         for _ in range(abs(e)):
-            expected = poly_mul(expected, base, table, m)
-        assert poly_pow(a, e, table, m, 3) == expected
+            expected = poly_mul(expected, base, shape)
+        assert poly_pow(a, e, shape) == expected
 
 
 def test_backend_reports():
-    assert BACKEND in ("compiled", "pure")
+    assert BACKEND == "pure"

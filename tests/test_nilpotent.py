@@ -311,8 +311,7 @@ def test_collector_agrees_with_truncated_rep_rank3():
 # -- normal-form recovery (the peel) -----------------------------------------
 
 def _mono(basis, *letters):
-    basis._ensure_monos()
-    return basis._mono_index_of(letters)
+    return basis.shape.index(letters)
 
 
 @pytest.mark.parametrize("n,k,letters", [(2, 4, (1, 2)), (2, 3, (1, 2)), (1, 3, (1, 1))])
