@@ -14,7 +14,6 @@ composition is the ordered matrix product.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 from nilpal.foxring import PreconditionError, bglm_residue
@@ -175,6 +174,69 @@ def endo_power(e, m):
 
 
 # ---------------------------------------------------------------------------
+# per-basis derived values
+
+def _memo(basis, key, build):
+    """Value kept on the basis under `key`; `build()` makes it on first use."""
+    value = basis.memo.get(key)
+    if value is None:
+        value = basis.memo[key] = build()
+    return value
+
+
+def _comm3(basis, a, b, c):
+    """The element [x_a, x_b, x_c]."""
+    return _memo(basis, ("comm3", a, b, c), lambda: left_normed(
+        [basis.generator(a), basis.generator(b), basis.generator(c)]))
+
+
+def _phi2_defect(basis, a, b, i):
+    """[x_a,x_b,x_i] [x_a,x_b,x_b] [x_a,x_b,x_a]."""
+    return _memo(basis, ("phi2_defect", a, b, i), lambda: multiply(
+        multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)), _comm3(basis, a, b, a)))
+
+
+def _step3_table(basis):
+    """(U, K) with U[j] = wt3(z_j bar(z_j)) and K[l][j] = wt3([x_{l+1}, z_j])
+    over the weight-2 basis elements z_j, as lists of weight-3 exponents."""
+    def build():
+        n, start = basis.n, basis.weight_offset[1]
+        zs = []
+        for j in range(len(basis.by_weight[1])):
+            exps = [0] * len(basis.elements)
+            exps[start + j] = 1
+            zs.append(basis.from_exponents(exps))
+        u = [list(multiply(z, bar(z)).weight_block(3)) for z in zs]
+        kk = [[list(commutator(basis.generator(l), z).weight_block(3)) for z in zs]
+              for l in range(1, n + 1)]
+        return u, kk
+
+    return _memo(basis, ("step3_table",), build)
+
+
+def _step3_rows(basis, i, alpha):
+    """Lattice rows of the weight-2 witness exponents at step 3.
+
+    With q1 = x^alpha and f0 = bar(q1) x_i q1, row j is
+    wt3(bar(q1 z_j) x_i q1 z_j) - wt3(f0).  Modulo gamma_3, bar(z_j) is
+    z_j^-1, so u_j = z_j bar(z_j) is central and
+    bar(q1 z_j) x_i q1 z_j = u_j f0 [f0, z_j].  The commutator is central
+    and bilinear in ab(f0) = e_i + 2 alpha, so row j is
+    U[j] + sum_l (delta_il + 2 alpha_l) K[l][j] over the per-basis table.
+    """
+    u, kk = _step3_table(basis)
+    coeffs = [2 * a for a in alpha]
+    coeffs[i - 1] += 1
+    rows = []
+    for j, row in enumerate(u):
+        for c, k_row in zip(coeffs, kk):
+            if c:
+                row = [r + c * v for r, v in zip(row, k_row[j])]
+        rows.append(list(row))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # palindromic witnesses
 
 def solve_conjugator(g, i, min_weight=1):
@@ -215,18 +277,8 @@ def solve_conjugator(g, i, min_weight=1):
     else:
         m3 = len(basis.by_weight[2])
         target = vec_sub(list(g.weight_block(3)), list(f0.weight_block(3)))
-        rows = []
-        n_beta = 0
-        if min_weight <= 2:
-            f0_w3 = list(f0.weight_block(3))
-            start2 = basis.weight_offset[1]
-            for j in range(len(basis.by_weight[1])):
-                exps = [0] * nelem
-                exps[start2 + j] = 1
-                q1z = multiply(q1, basis.from_exponents(exps))
-                fz = multiply(multiply(bar(q1z), xi), q1z)
-                rows.append(vec_sub(list(fz.weight_block(3)), f0_w3))
-                n_beta += 1
+        rows = _step3_rows(basis, i, alpha) if min_weight <= 2 else []
+        n_beta = len(rows)
         for j in range(m3):
             row = [0] * m3
             row[j] = 2
@@ -238,9 +290,11 @@ def solve_conjugator(g, i, min_weight=1):
         delta = sol[n_beta:]
         q = basis.from_exponents(tuple(alpha) + tuple(beta) + tuple(delta))
     if multiply(multiply(bar(q), xi), q) != g:
-        raise InternalError("witness verification failed")
+        raise InternalError("witness verification failed",
+                            n=n, k=k, i=i, min_weight=min_weight)
     if not (q.is_identity() or weight(q) >= min_weight):
-        raise InternalError("witness violates the weight bound")
+        raise InternalError("witness violates the weight bound",
+                            n=n, k=k, i=i, min_weight=min_weight)
     return q
 
 
@@ -311,13 +365,15 @@ def inverse_with_factors(e):
             if palindromic:
                 q = solve_conjugator(phi.images[i - 1], i, min_weight=level)
                 if q is None:
-                    raise InternalError(f"missing level-{level} witness")
+                    raise InternalError(f"missing level-{level} witness",
+                                        n=n, k=k, i=i, level=level)
                 qinv = invert(q)
                 images.append(multiply(multiply(bar(qinv), basis.generator(i)), qinv))
             else:
                 r = multiply(invert(basis.generator(i)), phi.images[i - 1])
                 if not r.is_identity() and weight(r) < level:
-                    raise InternalError(f"residue escaped weight {level}")
+                    raise InternalError(f"residue escaped weight {level}",
+                                        n=n, k=k, i=i, level=level)
                 images.append(multiply(basis.generator(i), invert(r)))
         psi = Endo(basis, images)
         factors.append(psi)
@@ -394,20 +450,6 @@ def render_symbol(sym):
     if sym.exponent != 1:
         body += f"^{sym.exponent}"
     return body
-
-
-@lru_cache(maxsize=None)
-def _comm3(basis, a, b, c):
-    """The element [x_a, x_b, x_c]."""
-    return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
-
-
-@lru_cache(maxsize=None)
-def _phi2_defect(basis, a, b, i):
-    """[x_a,x_b,x_i] [x_a,x_b,x_b] [x_a,x_b,x_a]."""
-    return multiply(
-        multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)), _comm3(basis, a, b, a)
-    )
 
 
 def _base_generator(sym, basis):
@@ -728,25 +770,12 @@ def tameness_residue(e):
     for i in range(1, basis.n + 1):
         defect = multiply(invert(basis.generator(i)), e.images[i - 1])
         lifts1.append(element_as_word(defect))
-        lifts2.append(_reversed_lift(defect))
+        lifts2.append(element_as_word(defect, reverse=True))
     r1 = bglm_residue(lifts1)
     r2 = bglm_residue(lifts2)
     if r1 != r2:
         raise InternalError("obstruction depends on the free lift")
     return r1
-
-
-def _reversed_lift(g):
-    """Alternative free preimage: central factors multiplied in reverse order."""
-    out = Word((), g.basis.n)
-    for c, e in zip(reversed(g.basis.elements), reversed(g.exponents)):
-        if e:
-            w = c.as_word(g.basis.n)
-            if e < 0:
-                w = w.inverse()
-            for _ in range(abs(e)):
-                out = out * w
-    return out
 
 
 def verify_tame_factorization(which, basis, indices=None):

@@ -147,6 +147,9 @@ class HallBasis:
         self.shape = kernel.SeriesShape(n, k)
         self._lifts = {}
         self._peel = {}
+        # derived values other modules compute once per basis, keyed by a
+        # tuple that starts with the caller's name for them
+        self.memo = {}
 
     def __repr__(self):
         return f"HallBasis(n={self.n}, k={self.k}, size={len(self.elements)})"
@@ -505,10 +508,17 @@ def render_element(g):
     return " * ".join(parts) if parts else "1"
 
 
-def element_as_word(g):
-    """Some free word collecting to g (basis expansion of the normal form)."""
+def element_as_word(g, reverse=False):
+    """Some free word collecting to g (basis expansion of the normal form).
+
+    `reverse` multiplies the factors in reverse basis order; that word is
+    another preimage only when the factors commute (g central).
+    """
+    factors = list(zip(g.basis.elements, g.exponents))
+    if reverse:
+        factors.reverse()
     out = Word((), g.basis.n)
-    for c, e in zip(g.basis.elements, g.exponents):
+    for c, e in factors:
         if e:
             w = c.as_word(g.basis.n)
             if e < 0:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from nilpal.autos import (
+    _comm3,
     compose_symbols,
     decompose_bglm,
     endo_power,
@@ -129,8 +130,8 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
                 rhs = x
                 for (a, b), p in ps.items():
                     za = left_normed([basis.generator(a), basis.generator(b), x])
-                    zb = commutator_gen3(basis, a, b, b)
-                    zc = commutator_gen3(basis, a, b, a)
+                    zb = _comm3(basis, a, b, b)
+                    zc = _comm3(basis, a, b, a)
                     rhs = multiply(rhs, power(multiply(multiply(za, zb), zc), p))
                 lhs = multiply(multiply(u, x), bar(u))
                 result.cases += 1
@@ -141,10 +142,6 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
 
 def commutator_gen(basis, a, b):
     return left_normed([basis.generator(a), basis.generator(b)])
-
-
-def commutator_gen3(basis, a, b, c):
-    return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
 
 
 def suite_foxtable(rank=3, step=None, seed=0, cases=None):

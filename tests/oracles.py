@@ -1,8 +1,10 @@
-"""Independent matrix oracles for cross-checking the collector.
+"""Independent oracles for cross-checking the collector and the solvers.
 
-Deliberately shares no code with the package engine: the representations are
-built from scratch with plain integer matrix loops, so agreement between the
-two paths is meaningful evidence of correctness.
+The matrix oracles deliberately share no code with the package engine: the
+representations are built from scratch with plain integer matrix loops, so
+agreement between the two paths is meaningful evidence of correctness.
+`product_step3_rows` uses the engine's group operations, but not the
+closed-form row table it checks.
 """
 
 from array import array
@@ -118,3 +120,27 @@ def table_poly_mul(a, b, table, m):
             if idx >= 0:
                 out[idx] = out.get(idx, 0) + ca * cb
     return {k: c for k, c in out.items() if c}
+
+
+def product_step3_rows(basis, i, alpha):
+    """Step-3 witness lattice rows by group products, one per weight-2 z_j.
+
+    Row j is wt3(bar(q1 z_j) x_i q1 z_j) - wt3(bar(q1) x_i q1) with
+    q1 = x^alpha: the direct construction that `solve_conjugator` used to
+    run on every call.
+    """
+    from nilpal.nilpotent import bar, multiply
+
+    nelem = len(basis.elements)
+    xi = basis.generator(i)
+    q1 = basis.from_exponents(tuple(alpha) + (0,) * (nelem - basis.n))
+    f0_w3 = multiply(multiply(bar(q1), xi), q1).weight_block(3)
+    start = basis.weight_offset[1]
+    rows = []
+    for j in range(len(basis.by_weight[1])):
+        exps = [0] * nelem
+        exps[start + j] = 1
+        q1z = multiply(q1, basis.from_exponents(exps))
+        fz_w3 = multiply(multiply(bar(q1z), xi), q1z).weight_block(3)
+        rows.append([a - b for a, b in zip(fz_w3, f0_w3)])
+    return rows

@@ -1,8 +1,10 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from oracles import product_step3_rows
 
+from nilpal import autos, nilpotent
 from nilpal.autos import (
     Decomposition,
     Endo,
@@ -40,6 +42,7 @@ from nilpal.autos import (
 )
 from nilpal.foxring import PreconditionError
 from nilpal.nilpotent import (
+    InternalError,
     bar,
     collect,
     element_as_word,
@@ -227,6 +230,70 @@ def test_solve_conjugator_min_weight():
     assert solve_conjugator(g, 1, min_weight=2) is None
 
 
+def test_step3_rows_match_products():
+    # the closed-form rows against the direct group-product construction,
+    # for every i and every alpha in a box
+    for n, r in ((2, 2), (3, 2), (4, 1)):
+        basis = hall_basis(n, 3)
+        for i in range(1, n + 1):
+            for a in product(range(-r, r + 1), repeat=n):
+                assert autos._step3_rows(basis, i, list(a)) == product_step3_rows(basis, i, a)
+    # rank 1: no weight-2 elements, so the table and the rows are empty
+    basis = hall_basis(1, 3)
+    assert autos._step3_table(basis) == ([], [[]])
+    for a in range(-2, 3):
+        assert autos._step3_rows(basis, 1, [a]) == product_step3_rows(basis, 1, (a,)) == []
+
+
+def _conjugate(q, i):
+    return multiply(multiply(bar(q), q.basis.generator(i)), q)
+
+
+def test_solve_conjugator_multiply_count(monkeypatch):
+    # after warm-up a step-3 call builds no rows from group products: one
+    # multiply pair for f0 and one for the final check
+    basis = hall_basis(3, 3)
+    q = basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 7 + (1,))
+    g = _conjugate(q, 2)
+    assert solve_conjugator(g, 2) is not None
+    calls = []
+    real = nilpotent.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(autos, "multiply", counting)
+    monkeypatch.setattr(nilpotent, "multiply", counting)
+    found = solve_conjugator(g, 2, min_weight=1)
+    assert found is not None and len(calls) <= 4
+
+
+def test_solve_conjugator_verification_failure_context(monkeypatch):
+    basis = hall_basis(3, 3)
+    g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
+    real = autos.lattice_solve
+
+    def wrong(rows, target):
+        # a unit step in a weight-3 exponent moves the value by 2 e_j
+        sol = real(rows, target)
+        return sol[:-1] + [sol[-1] + 1]
+
+    monkeypatch.setattr(autos, "lattice_solve", wrong)
+    with pytest.raises(InternalError, match="witness verification failed") as err:
+        solve_conjugator(g, 2)
+    assert err.value.context == {"n": 3, "k": 3, "i": 2, "min_weight": 1}
+
+
+def test_solve_conjugator_weight_bound_context(monkeypatch):
+    basis = hall_basis(3, 3)
+    g = _conjugate(basis.from_exponents((0, 0, 0, 1, 0, 0, 1) + (0,) * 7), 1)
+    monkeypatch.setattr(autos, "weight", lambda q: 1)
+    with pytest.raises(InternalError, match="violates the weight bound") as err:
+        solve_conjugator(g, 1, min_weight=2)
+    assert err.value.context == {"n": 3, "k": 3, "i": 1, "min_weight": 2}
+
+
 # -- inverse ---------------------------------------------------------------------
 
 def test_inverse_examples():
@@ -250,6 +317,24 @@ def test_inverse_round_trip_epa():
         assert len(factors) == k
         for f in factors:
             assert palindromic_witnesses(f) is not None
+
+
+def test_inverse_missing_witness_context(monkeypatch):
+    # a wrong palindromic linear lift leaves phi = e, and e's weight-1
+    # defect has no weight-2 witness
+    basis = hall_basis(2, 3)
+    monkeypatch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
+    with pytest.raises(InternalError, match="missing level-2 witness") as err:
+        inverse_with_factors(make_generator(mu(1, 2), basis))
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
+
+
+def test_inverse_escaped_residue_context(monkeypatch):
+    basis = hall_basis(2, 3)
+    monkeypatch.setattr(autos, "_ordered_linear_lift", lambda b, minv: identity_endo(b))
+    with pytest.raises(InternalError, match="residue escaped weight 2") as err:
+        inverse_with_factors(make_endo(basis, ["x1 x2", "x2"]))
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
 def test_inverse_general_route():
@@ -562,6 +647,23 @@ def test_tameness_residue_lift_independent():
     from nilpal.foxring import bglm_residue
     one = parse_word("1", 3)
     assert bglm_residue([lift, one, one]) == bglm_residue([lift * pad, one, one])
+
+
+def test_tameness_residue_compares_both_lifts(monkeypatch):
+    basis = hall_basis(3, 3)
+    e = make_generator(phi2(1, 2, 3), basis)
+    seen = []
+
+    def residue(lifts):
+        seen.append(lifts)
+        return len(seen)
+
+    monkeypatch.setattr(autos, "bglm_residue", residue)
+    with pytest.raises(InternalError, match="depends on the free lift"):
+        tameness_residue(e)
+    forward, backward = seen
+    assert forward != backward
+    assert [collect(w, basis) for w in forward] == [collect(w, basis) for w in backward]
 
 
 def test_doubled_central_normal_instance_is_palindromic():

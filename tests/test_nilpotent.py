@@ -263,6 +263,17 @@ def test_element_as_word_collects_back():
         assert collect(element_as_word(g), basis) == g
 
 
+def test_reversed_element_word_of_central_element():
+    # the weight-3 factors commute at step 3, so either order collects to g
+    basis = hall_basis(3, 3)
+    g = basis.from_exponents((0,) * 6 + (1, -2, 0, 0, 3, 0, 0, 1))
+    forward, backward = element_as_word(g), element_as_word(g, reverse=True)
+    assert forward != backward
+    assert collect(forward, basis) == collect(backward, basis) == g
+    one_factor = basis.from_exponents((0,) * 6 + (0, 0, 2, 0, 0, 0, 0, 0))
+    assert element_as_word(one_factor, reverse=True) == element_as_word(one_factor)
+
+
 # -- matrix oracles -----------------------------------------------------------
 
 def test_collector_agrees_with_heisenberg():
