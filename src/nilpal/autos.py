@@ -162,15 +162,17 @@ def is_automorphism(e):
 def endo_power(e, m):
     if m < 0:
         return endo_power(inverse(e), -m)
-    out = identity_endo(e.basis)
+    if m == 0:
+        return identity_endo(e.basis)
+    out = None
     sq = e
-    while m:
+    while True:
         if m & 1:
-            out = compose(out, sq)
+            out = sq if out is None else compose(out, sq)
         m >>= 1
-        if m:
-            sq = compose(sq, sq)
-    return out
+        if not m:
+            return out
+        sq = compose(sq, sq)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +277,23 @@ def solve_conjugator(g, i, min_weight=1):
     elif k == 2:
         q = q1
     else:
-        m3 = len(basis.by_weight[2])
+        m2, m3 = len(basis.by_weight[1]), len(basis.by_weight[2])
         target = vec_sub(list(g.weight_block(3)), list(f0.weight_block(3)))
-        rows = _step3_rows(basis, i, alpha) if min_weight <= 2 else []
-        n_beta = len(rows)
-        for j in range(m3):
-            row = [0] * m3
-            row[j] = 2
-            rows.append(row)
-        sol = lattice_solve(rows, target)
-        if sol is None:
-            return None
-        beta = sol[:n_beta] + [0] * (len(basis.by_weight[1]) - n_beta)
-        delta = sol[n_beta:]
+        if min_weight >= 3:
+            # the lattice is 2*I, so delta = target / 2 when it is even
+            if any(v % 2 for v in target):
+                return None
+            beta, delta = [0] * m2, [v // 2 for v in target]
+        else:
+            rows = _step3_rows(basis, i, alpha)
+            for j in range(m3):
+                row = [0] * m3
+                row[j] = 2
+                rows.append(row)
+            sol = lattice_solve(rows, target)
+            if sol is None:
+                return None
+            beta, delta = sol[:m2], sol[m2:]
         q = basis.from_exponents(tuple(alpha) + tuple(beta) + tuple(delta))
     if multiply(multiply(bar(q), xi), q) != g:
         raise InternalError("witness verification failed",
@@ -353,7 +359,7 @@ def inverse_with_factors(e):
     palindromic = basis.k <= 3 and palindromic_witnesses(e) is not None
     if palindromic:
         if any((minv[r][c] - (1 if r == c else 0)) % 2 for r in range(n) for c in range(n)):
-            raise InternalError("inverse matrix lost the parity structure")
+            raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
     else:
         psi = _ordered_linear_lift(basis, minv)
@@ -379,7 +385,8 @@ def inverse_with_factors(e):
         factors.append(psi)
         phi = compose(phi, psi)
     if phi != identity_endo(basis):
-        raise InternalError("inverse iteration did not terminate at the identity")
+        raise InternalError("inverse iteration did not terminate at the identity",
+                            n=n, k=k, factors=len(factors))
     inv = factors[0]
     for f in factors[1:]:
         inv = compose(inv, f)
@@ -513,6 +520,18 @@ def _base_generator(sym, basis):
 
 
 def make_generator(sym, basis):
+    """The automorphism of `sym` in `basis`.
+
+    A negative power of a generator other than `inner` is a power of the
+    generator's inverse, whose images are kept in `basis.memo`: the set of
+    such generators is finite, and `inverse` verifies each one once.  Only
+    the images are kept, so the series caches of the `Endo` are dropped
+    with it.
+    """
+    if sym.exponent < 0 and sym.tag != "inner":
+        images = _memo(basis, ("generator_inverse", sym.tag, sym.params),
+                       lambda: inverse(_base_generator(sym, basis)).images)
+        return endo_power(Endo(basis, images), -sym.exponent)
     base = _base_generator(sym, basis)
     if sym.exponent == 1:
         return base
@@ -520,10 +539,11 @@ def make_generator(sym, basis):
 
 
 def compose_symbols(symbols, basis):
-    out = identity_endo(basis)
+    out = None
     for sym in symbols:
-        out = compose(out, make_generator(sym, basis))
-    return out
+        e = make_generator(sym, basis)
+        out = e if out is None else compose(out, e)
+    return identity_endo(basis) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +604,8 @@ def _palindromic_factorization(e):
         inv_signs = [signs[inv_perm[j] - 1] for j in range(n)]
         omega_inv = _signed_perm_endo(basis, tuple(inv_perm), inv_signs)
         if compose(omega, omega_inv) != identity_endo(basis):
-            raise InternalError("signed permutation inversion failed")
+            raise InternalError("signed permutation inversion failed",
+                                n=n, k=basis.k, perm=perm, signs=signs)
         eps = compose(e, omega_inv)
         if palindromic_witnesses(eps) is not None:
             return eps, omega
@@ -724,7 +745,8 @@ def decompose_central(e):
         return Decomposition((), False, tuple(diagnostics))
     dec = Decomposition(tuple(factors), True)
     if dec.compose(basis) != e:
-        raise InternalError("central decomposition failed to recompose")
+        raise InternalError("central decomposition failed to recompose",
+                            n=basis.n, k=basis.k, factors=len(factors))
     return dec
 
 
@@ -743,7 +765,8 @@ def quotient_rank_q(n):
     m3 = len(basis.by_weight[2])
     expected = [1] * (m3 - q) + [2] * q
     if factors != expected:
-        raise InternalError(f"lattice invariants {factors} disagree with q={q}")
+        raise InternalError(f"lattice invariants {factors} disagree with q={q}",
+                            n=n, k=3)
     return q
 
 
@@ -774,7 +797,8 @@ def tameness_residue(e):
     r1 = bglm_residue(lifts1)
     r2 = bglm_residue(lifts2)
     if r1 != r2:
-        raise InternalError("obstruction depends on the free lift")
+        raise InternalError("obstruction depends on the free lift",
+                            n=basis.n, k=basis.k)
     return r1
 
 
@@ -927,7 +951,8 @@ def decompose_bglm(e):
             factors.extend(emit(coeff))
     dec = Decomposition(tuple(factors), True)
     if dec.compose(basis) != e:
-        raise InternalError("decomposition failed to recompose")
+        raise InternalError("decomposition failed to recompose",
+                            n=basis.n, k=basis.k, factors=len(factors))
     return dec
 
 

@@ -187,6 +187,80 @@ def test_render_symbols():
     assert render_symbol(inner(c)) == "inner([x2,x1]^-2)"
 
 
+def all_symbols(n, exponent=1):
+    """Every generator symbol of rank n except `inner`."""
+    r = range(1, n + 1)
+    syms = [mu(i, j, exponent) for i, j in permutations(r, 2)]
+    syms += [t(i, exponent) for i in r] + [alpha(j, exponent) for j in range(1, n)]
+    syms += [sigma(p, exponent) for p in permutations(r)]
+    syms += [phi2(a, b, i, exponent) for a, b in permutations(r, 2) for i in r]
+    syms += [phi3(a, b, c, i, exponent)
+             for a, b in permutations(r, 2) for c in r for i in r]
+    syms += [psi(a, i, exponent) for a, i in permutations(r, 2)]
+    return syms
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 4)])
+def test_negative_powers_match_fresh_inverses(n, k):
+    basis = hall_basis(n, k)
+    for m in (1, 2, 3):
+        for pos, neg in zip(all_symbols(n, m), all_symbols(n, -m)):
+            assert make_generator(neg, basis) == inverse(make_generator(pos, basis)), neg
+
+
+def test_generator_inverse_built_once_per_symbol(monkeypatch):
+    basis = hall_basis(3, 3)
+    monkeypatch.setattr(basis, "memo", {})
+    calls = []
+    real = autos.inverse_with_factors
+
+    def counting(e):
+        calls.append(1)
+        return real(e)
+
+    monkeypatch.setattr(autos, "inverse_with_factors", counting)
+    syms = [mu(1, 2, -1), phi2(2, 1, 3, -2), mu(1, 2, -3), psi(1, 2),
+            phi2(2, 1, 3, -1), mu(2, 1, -1), mu(1, 2, -1)]
+    e = compose_symbols(syms, basis)
+    assert len(calls) == 3
+    assert compose_symbols(syms, basis) == e
+    assert len(calls) == 3
+
+
+def test_invalid_negative_symbol_raises_every_time():
+    basis = hall_basis(2, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="a != b"):
+            make_generator(phi2(1, 1, 2, -1), basis)
+        with pytest.raises(ValueError, match="unknown generator tag"):
+            make_generator(autos.GeneratorSymbol("nu", (1, 2), -1), basis)
+    assert ("generator_inverse", "phi2", (1, 1, 2)) not in basis.memo
+
+
+def test_compose_symbols_skips_the_identity(monkeypatch):
+    basis = hall_basis(2, 3)
+    assert compose_symbols([], basis) == identity_endo(basis)
+    assert endo_power(make_generator(mu(1, 2), basis), 0) == identity_endo(basis)
+    syms = [mu(1, 2), phi2(2, 1, 1), t(2)]
+    gens = [make_generator(s, basis) for s in syms]
+    calls = []
+    real = autos.compose
+
+    def counting(e1, e2):
+        calls.append(1)
+        return real(e1, e2)
+
+    monkeypatch.setattr(autos, "compose", counting)
+    e = compose_symbols(syms, basis)
+    assert len(calls) == 2
+    # x^5 = x * x^4: two squarings and one product
+    p5 = endo_power(gens[0], 5)
+    assert len(calls) == 5
+    monkeypatch.undo()
+    assert e == real(real(gens[0], gens[1]), gens[2])
+    assert p5 == real(gens[0], real(real(gens[0], gens[0]), real(gens[0], gens[0])))
+
+
 # -- solve_conjugator -----------------------------------------------------------
 
 def test_solve_conjugator_examples():
@@ -337,6 +411,21 @@ def test_inverse_escaped_residue_context(monkeypatch):
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
+def test_inverse_nontermination_context(monkeypatch):
+    # witnesses of weight >= 2 replaced by the identity leave phi = e
+    real = autos.solve_conjugator
+
+    def no_higher(g, i, min_weight=1):
+        return real(g, i) if min_weight == 1 else g.basis.from_exponents(
+            (0,) * len(g.basis.elements))
+
+    monkeypatch.setattr(autos, "solve_conjugator", no_higher)
+    basis = hall_basis(2, 3)
+    with pytest.raises(InternalError, match="did not terminate") as err:
+        inverse_with_factors(make_generator(phi2(2, 1, 1), basis))
+    assert err.value.context == {"n": 2, "k": 3, "factors": 3}
+
+
 def test_inverse_general_route():
     rng = random.Random(34)
     for _ in range(30):
@@ -447,6 +536,21 @@ def test_decompose_central_round_trip_random():
         assert dec.compose(basis) == e
 
 
+def test_recompose_failure_context(monkeypatch):
+    basis = hall_basis(2, 3)
+    e = compose_symbols([phi2(2, 1, 1), phi3(2, 1, 2, 2)], basis)
+    monkeypatch.setattr(autos, "compose_symbols", lambda syms, b: identity_endo(b))
+    with pytest.raises(InternalError, match="central decomposition failed") as err:
+        decompose_central(e)
+    assert err.value.context == {"n": 2, "k": 3, "factors": 2}
+    # the inner-square generator is obstruction-free: two bglm factors
+    inner_square = make_endo(basis, ["x1 [x2,x1,x1]^2", "x2 [x2,x1,x2]^2"])
+    monkeypatch.setattr(autos, "decompose_central", lambda e: Decomposition((), True))
+    with pytest.raises(InternalError, match="^decomposition failed") as err:
+        decompose_bglm(inner_square)
+    assert err.value.context == {"n": 2, "k": 3, "factors": 2}
+
+
 def test_decompose_central_requires_central():
     basis = hall_basis(2, 3)
     with pytest.raises(PreconditionError):
@@ -459,6 +563,13 @@ def test_quotient_rank():
     assert quotient_rank_q(4) == 14
     with pytest.raises(ValueError):
         quotient_rank_q(1)
+
+
+def test_quotient_rank_invariants_context(monkeypatch):
+    monkeypatch.setattr(autos, "invariant_factors", lambda rows: [])
+    with pytest.raises(InternalError, match="disagree with q=1") as err:
+        quotient_rank_q(2)
+    assert err.value.context == {"n": 2, "k": 3}
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -659,8 +770,9 @@ def test_tameness_residue_compares_both_lifts(monkeypatch):
         return len(seen)
 
     monkeypatch.setattr(autos, "bglm_residue", residue)
-    with pytest.raises(InternalError, match="depends on the free lift"):
+    with pytest.raises(InternalError, match="depends on the free lift") as err:
         tameness_residue(e)
+    assert err.value.context == {"n": 3, "k": 3}
     forward, backward = seen
     assert forward != backward
     assert [collect(w, basis) for w in forward] == [collect(w, basis) for w in backward]

@@ -1,4 +1,5 @@
-"""Properties of the palindromic witness solver over generated inputs."""
+"""Properties of the palindromic witness solver, the layered inverse and
+the generator symbols over generated inputs."""
 
 import pytest
 
@@ -6,7 +7,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from nilpal.autos import solve_conjugator  # noqa: E402
+from nilpal.autos import (  # noqa: E402
+    GeneratorSymbol,
+    compose,
+    compose_symbols,
+    identity_endo,
+    inverse_with_factors,
+    palindromic_witnesses,
+    solve_conjugator,
+)
 from nilpal.nilpotent import bar, hall_basis, multiply, weight  # noqa: E402
 
 
@@ -55,3 +64,53 @@ def test_odd_parity_has_no_witness(case, j):
     j = min(j, basis.n)
     g = multiply(conjugate(q, i), basis.generator(j))
     assert solve_conjugator(g, i) is None
+
+
+@st.composite
+def symbols(draw, n, families=("mu", "t", "alpha", "sigma", "phi2", "phi3", "psi")):
+    """A valid generator symbol of rank n other than `inner`, exponent in
+    [-3, 3]."""
+    tag = draw(st.sampled_from(families))
+    idx = st.integers(1, n)
+    pair = st.lists(idx, min_size=2, max_size=2, unique=True)
+    if tag in ("mu", "psi"):
+        params = tuple(draw(pair))
+    elif tag == "t":
+        params = (draw(idx),)
+    elif tag == "alpha":
+        params = (draw(st.integers(1, n - 1)),)
+    elif tag == "sigma":
+        params = tuple(draw(st.permutations(range(1, n + 1))))
+    elif tag == "phi2":
+        params = (*draw(pair), draw(idx))
+    else:
+        params = (*draw(pair), draw(idx), draw(idx))
+    return GeneratorSymbol(tag, params, draw(st.integers(-3, 3)))
+
+
+@st.composite
+def symbol_lists(draw, **kw):
+    n = draw(st.sampled_from((2, 3)))
+    return hall_basis(n, 3), draw(st.lists(symbols(n, **kw), max_size=4))
+
+
+@given(symbol_lists(families=("mu", "t", "phi2", "phi3", "psi")))
+def test_inverse_round_trips_on_elementary_palindromic(case):
+    basis, syms = case
+    e = compose_symbols(syms, basis)
+    assert palindromic_witnesses(e) is not None
+    inv, factors = inverse_with_factors(e)
+    one = identity_endo(basis)
+    assert compose(e, inv) == one
+    assert compose(inv, e) == one
+    assert len(factors) == basis.k
+    for f in factors:
+        assert palindromic_witnesses(f) is not None
+
+
+@given(symbol_lists())
+def test_symbols_then_reversed_negated_symbols_is_identity(case):
+    basis, syms = case
+    back = [GeneratorSymbol(s.tag, s.params, -s.exponent) for s in reversed(syms)]
+    e = compose_symbols(syms, basis)
+    assert compose(e, compose_symbols(back, basis)) == identity_endo(basis)
