@@ -56,7 +56,7 @@ class UndecidedError(ValueError):
 class Endo:
     """Endomorphism given by the images of the generators."""
 
-    __slots__ = ("basis", "images", "_abel", "_img_polys")
+    __slots__ = ("basis", "images", "_abel", "_basis_images")
 
     def __init__(self, basis, images):
         images = tuple(images)
@@ -68,7 +68,7 @@ class Endo:
         self.basis = basis
         self.images = images
         self._abel = None
-        self._img_polys = {}
+        self._basis_images = {}
 
     @property
     def abel_matrix(self):
@@ -90,40 +90,50 @@ class Endo:
         )
         return f"Endo({body})"
 
-    def _image_poly(self, idx, inverse=False):
-        """Series of the image of basis element idx, or of its inverse.
+    def _image(self, idx, inverse=False):
+        """Image of basis element idx, or of its inverse: an exponent tuple
+        where the basis has an exponent law, else a series.
 
         A generator's image inverts through its normal form; a bracket's
         image is the bracket of the images, and [a,b]^-1 = [b,a].
         """
         key = (idx, inverse)
-        poly = self._img_polys.get(key)
-        if poly is None:
+        img = self._basis_images.get(key)
+        if img is None:
             basis = self.basis
+            law = basis.law
             c = basis.elements[idx]
             if c.gen is not None:
                 g = self.images[c.gen - 1]
-                poly = basis.inverse_poly(g.exponents) if inverse else g.poly
+                if law is not None:
+                    img = law.inv(g.exponents) if inverse else g.exponents
+                else:
+                    img = basis.inverse_poly(g.exponents) if inverse else g.poly
             else:
                 a, b = c.left.index, c.right.index
                 if inverse:
                     a, b = b, a
-                poly = basis.comm(
-                    self._image_poly(a), self._image_poly(b),
-                    self._image_poly(a, True), self._image_poly(b, True),
-                )
-            self._img_polys[key] = poly
-        return poly
+                img = (basis if law is None else law).comm(
+                    self._image(a), self._image(b), self._image(a, True), self._image(b, True))
+            self._basis_images[key] = img
+        return img
 
     def apply(self, g):
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
         basis = self.basis
-        poly = {0: 1}
+        law = basis.law
+        ops = basis if law is None else law
+        out = None
         for idx, e in enumerate(g.exponents):
             if e:
-                poly = basis.mul(poly, basis.pow(self._image_poly(idx, e < 0), abs(e)))
-        return basis.element_from_poly(poly)
+                f = ops.pow(self._image(idx, e < 0), abs(e))
+                out = f if out is None else ops.mul(out, f)
+        if out is None:
+            return basis.one()
+        if law is None:
+            return basis.element_from_poly(out)
+        return NilElement(basis, None, out)
 
     def __call__(self, g):
         return self.apply(g)
@@ -267,8 +277,7 @@ def solve_conjugator(g, i, min_weight=1):
     alpha = [v // 2 for v in doubled]
     if min_weight >= 2 and any(alpha):
         return None
-    nelem = len(basis.elements)
-    q1 = basis.from_exponents(tuple(alpha) + (0,) * (nelem - n))
+    q1 = _linear_element(basis, alpha)
     f0 = multiply(multiply(bar(q1), xi), q1)
     if k == 1:
         q = q1
@@ -318,28 +327,25 @@ def palindromic_witnesses(e):
 # ---------------------------------------------------------------------------
 # inverse
 
+def _linear_element(basis, coeffs):
+    """x_1^c_1 ... x_n^c_n."""
+    return basis.from_exponents(tuple(coeffs) + (0,) * (len(basis.elements) - basis.n))
+
+
 def _epa_linear_lift(basis, minv):
     """Palindromic linear automorphism with abelianization matrix minv."""
     n = basis.n
     images = []
     for i in range(1, n + 1):
-        beta = [(minv[i - 1][j] - (1 if j == i - 1 else 0)) // 2 for j in range(n)]
-        # x_n^b_n ... x_1^b_1 * x_i * x_1^b_1 ... x_n^b_n
-        poly = basis.mul(
-            basis.mul(basis.ordered_block_poly(1, beta, reverse=True), basis.gen_poly(i)),
-            basis.ordered_block_poly(1, beta),
-        )
-        images.append(basis.element_from_poly(poly))
+        # bar(q) x_i q with q = x_1^b_1 ... x_n^b_n
+        q = _linear_element(basis, [(minv[i - 1][j] - (1 if j == i - 1 else 0)) // 2
+                                    for j in range(n)])
+        images.append(multiply(multiply(bar(q), basis.generator(i)), q))
     return Endo(basis, images)
 
 
 def _ordered_linear_lift(basis, minv):
-    n = basis.n
-    images = []
-    for i in range(n):
-        # x_1^m_i1 ... x_n^m_in
-        images.append(basis.element_from_poly(basis.ordered_block_poly(1, minv[i])))
-    return Endo(basis, images)
+    return Endo(basis, [_linear_element(basis, row) for row in minv])
 
 
 def inverse_with_factors(e):
@@ -525,7 +531,7 @@ def make_generator(sym, basis):
     A negative power of a generator other than `inner` is a power of the
     generator's inverse, whose images are kept in `basis.memo`: the set of
     such generators is finite, and `inverse` verifies each one once.  Only
-    the images are kept, so the series caches of the `Endo` are dropped
+    the images are kept, so the image caches of the `Endo` are dropped
     with it.
     """
     if sym.exponent < 0 and sym.tag != "inner":
@@ -698,6 +704,43 @@ def _central_rows(basis, i):
         rows.append(row)
         labels.append(("phi3", c.left.left.gen, c.left.right.gen, c.right.gen))
     return rows, labels
+
+
+def _parity_mask(vec):
+    return sum(1 << j for j, v in enumerate(vec) if v % 2)
+
+
+def _reduce_mod2(echelon, mask):
+    """mask reduced by GF(2) rows with distinct leading bits, largest first."""
+    for row in echelon:
+        mask = min(mask, mask ^ row)
+    return mask
+
+
+def _central_parity(basis, i):
+    """GF(2) echelon form of `_central_rows(basis, i)` as bit masks, with
+    distinct leading bits, largest first: the phi2 rows mod 2, since the
+    doubled phi3 rows vanish mod 2."""
+    def build():
+        echelon = []
+        for row in _central_rows(basis, i)[0]:
+            mask = _reduce_mod2(echelon, _parity_mask(row))
+            if mask:
+                echelon.append(mask)
+                echelon.sort(reverse=True)
+        return echelon
+
+    return _memo(basis, ("central_parity", i), build)
+
+
+def _in_central_lattice(basis, i, vec):
+    """Whether vec is in the lattice of `_central_rows(basis, i)`.
+
+    The lattice contains 2Z^m3 (the phi3 rows), so vec is in it iff vec
+    mod 2 is in the GF(2) span of the rows: subtracting the rows of that
+    span leaves an even vector.
+    """
+    return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))
 
 
 def _lattice_diagnostics(rows, target):
@@ -933,11 +976,13 @@ def decompose_bglm(e):
         raise PreconditionError(
             "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
         )
-    central_dec = decompose_central(e)
-    if not central_dec.residual_trivial:
-        raise PreconditionError(
-            "not central palindromic: " + "; ".join(central_dec.diagnostics)
-        )
+    diagnostics = [
+        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_rows(basis, i)[0], defect))
+        for i, defect in enumerate(defects, start=1)
+        if not _in_central_lattice(basis, i, defect)
+    ]
+    if diagnostics:
+        raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
     fams = _bglm_families(basis)
     target = []
     for vec in defects:

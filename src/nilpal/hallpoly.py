@@ -1,0 +1,238 @@
+"""The group law on Hall exponent vectors at step <= 3 (Hall polynomials).
+
+P. Hall (*Nilpotent groups*, 1957) showed that each Hall coordinate of a
+product x*y is an integer-valued polynomial in the coordinates of x and y,
+of weighted degree at most the coordinate's weight, where the variable of a
+basis element weighs that element's weight.  The same holds for the
+coordinates of bar(x).  Deep Thought (Leedham-Green and Soicher, 1998)
+computes these polynomials symbolically; here they are derived from the
+series model instead.
+
+An integer-valued polynomial has integer coefficients in the binomial basis
+prod_v C(x_v, d_v).  If its support lies in the down-closed set of exponent
+vectors d of weighted degree <= w, the coefficient of d is the finite
+difference sum_{e <= d} (-1)^{|d|-|e|} prod_v C(d_v, e_v) f(e), which reads
+only values at points of that same set.  So one series product per lattice
+point of weighted degree <= k, each one checked by the peel, fixes every
+product polynomial exactly (a point where one factor is the identity needs
+no product); `bar` gets its own polynomials the same way.
+The inverse needs no polynomial of its own: the product polynomial of
+coordinate c is y_c plus terms in x and in the y of lower weight, so
+P(x, y) = 0 is solved for y weight by weight.
+
+After the derivation, every polynomial is compared with the series model
+at extra points with negative entries (`CHECK_POINTS`), and a mismatch
+raises `InternalError` naming the coordinate.  No check point has an entry
+in 0..k-1, where some binomial C(x, d) with d <= k vanishes, so a change to
+any single coefficient is caught at every check point.
+
+The polynomials are compiled into one Python function per operation, which
+turns a group operation into a single evaluation on tuples of integers.
+"""
+
+from itertools import product
+from math import comb, factorial
+from random import Random
+
+from nilpal.nilpotent import InternalError
+
+# the paper's algorithms all run at step <= 3; higher steps keep the series
+MAX_STEP = 3
+CHECK_POINTS = 4
+
+
+def _points(weights, top):
+    """Exponent vectors over variables of the given weights with weighted
+    degree <= top, each as a tuple of (variable, count) with count > 0."""
+    out = [()]
+
+    def extend(prefix, start, budget):
+        for v in range(start, len(weights)):
+            for count in range(1, budget // weights[v] + 1):
+                point = prefix + ((v, count),)
+                out.append(point)
+                extend(point, v + 1, budget - count * weights[v])
+
+    extend((), 0, top)
+    return out
+
+
+def _differences(points, values):
+    """Binomial-basis coefficients, one vector per point, of the vector
+    function with `values` on the down-closed set `points`."""
+    at = dict(zip(points, values))
+    out = []
+    for d in points:
+        acc = [0] * len(values[0])
+        for sub in product(*(range(c + 1) for _, c in d)):
+            coef = 1
+            for (_, c), s in zip(d, sub):
+                coef *= (-1) ** (c - s) * comb(c, s)
+            value = at[tuple((v, s) for (v, _), s in zip(d, sub) if s)]
+            acc = [a + coef * f for a, f in zip(acc, value)]
+        out.append(acc)
+    return out
+
+
+def _fit(weights, top, sample):
+    """Per output coordinate, the terms [(coefficient, point)] of the
+    polynomial taking the value sample(point) at each point of weighted
+    degree <= top, a point given as a dense exponent tuple."""
+    nvars = len(weights)
+    points = _points(weights, top)
+    values = []
+    for point in points:
+        dense = [0] * nvars
+        for v, c in point:
+            dense[v] = c
+        values.append(sample(tuple(dense)))
+    coeffs = _differences(points, values)
+    return [
+        [(vec[c], point) for point, vec in zip(points, coeffs) if vec[c]]
+        for c in range(len(values[0]))
+    ]
+
+
+# -- compiling polynomials to Python -----------------------------------------
+
+def _factor(name, count):
+    """Local holding C(name, count)."""
+    return name if count == 1 else f"{name}_{count}"
+
+
+def _binomial_line(name, count):
+    numerator = " * ".join([name] + [f"({name} - {j})" for j in range(1, count)])
+    return f"    {name}_{count} = {numerator} // {factorial(count)}"
+
+
+def _expr(terms, names):
+    parts = []
+    for coef, point in terms:
+        mono = "*".join(_factor(names[v], c) for v, c in point) or "1"
+        parts.append(mono if coef == 1 else f"-{mono}" if coef == -1 else f"{coef}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _binomials(terms, names, variables):
+    """Lines defining the binomial locals that `terms` use, over `variables`."""
+    used = sorted({(v, c) for _, point in terms for v, c in point if c > 1 and v in variables})
+    return [_binomial_line(names[v], c) for v, c in used]
+
+
+def _source(name, args, names, outputs):
+    """Source of `def name(args)` returning the tuple of polynomials."""
+    m = len(outputs)
+    lines = [f"def {name}({', '.join(args)}):"]
+    for a in args:
+        lines.append(f"    {''.join(f'{a}{i}, ' for i in range(m))}= {a}")
+    every = [t for terms in outputs for t in terms]
+    lines += _binomials(every, names, range(len(names)))
+    lines.append(f"    return ({''.join(_expr(t, names) + ', ' for t in outputs)})")
+    return "\n".join(lines)
+
+
+def _inverse_source(basis, mul_terms):
+    """Source of `def inv(x)`: solves mul(x, y) == 1 for y weight by weight.
+
+    Each product polynomial must be y_c plus terms in x and in the y of
+    lower weight; anything else raises.
+    """
+    m = len(basis.elements)
+    names = [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)]
+    lines = ["def inv(x):", f"    {''.join(f'x{i}, ' for i in range(m))}= x"]
+    lines += _binomials([t for terms in mul_terms for t in terms], names, range(m))
+    for w in range(1, basis.k + 1):
+        block = basis.weight_slice(w)
+        for c in range(block.start, block.stop):
+            rest = [t for t in mul_terms[c] if t != (1, ((m + c, 1),))]
+            if len(rest) == len(mul_terms[c]) or any(
+                    v >= m + block.start for _, point in rest for v, _ in point):
+                raise InternalError("product polynomial is not unitriangular",
+                                    n=basis.n, k=basis.k, coordinate=c)
+            lines.append(f"    y{c} = -({_expr(rest, names)})")
+        later = [t for terms in mul_terms[block.stop:] for t in terms]
+        lines += _binomials(later, names, range(m + block.start, m + block.stop))
+    lines.append(f"    return ({''.join(f'y{i}, ' for i in range(m))})")
+    return "\n".join(lines)
+
+
+class HallLaw:
+    """The group law of one basis on exponent tuples.
+
+    `mul`, `inv` and `bar` are compiled polynomials; `source` holds their
+    Python text.
+    """
+
+    def __init__(self, basis, mul_terms, bar_terms):
+        m = len(basis.elements)
+        xs = [f"x{i}" for i in range(m)]
+        ys = [f"y{i}" for i in range(m)]
+        self.source = "\n\n".join((
+            _source("mul", ("x", "y"), xs + ys, mul_terms),
+            _inverse_source(basis, mul_terms),
+            _source("bar", ("x",), xs, bar_terms),
+        ))
+        namespace = {}
+        exec(compile(self.source, f"<hall law n={basis.n} k={basis.k}>", "exec"), namespace)
+        self.mul = namespace["mul"]
+        self.inv = namespace["inv"]
+        self.bar = namespace["bar"]
+        self.one = (0,) * m
+
+    def pow(self, x, e):
+        """x^e by repeated squaring."""
+        if e < 0:
+            x, e = self.inv(x), -e
+        out = None
+        while e:
+            if e & 1:
+                out = x if out is None else self.mul(out, x)
+            e >>= 1
+            if e:
+                x = self.mul(x, x)
+        return self.one if out is None else out
+
+    def comm(self, a, b, a_inv, b_inv):
+        """[a, b] = a^-1 b^-1 a b, given the inverses."""
+        return self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
+
+
+def derive(basis):
+    """The `HallLaw` of a basis, derived from and then checked against the
+    series model.  `HallBasis.law` asks for it only up to step MAX_STEP."""
+    n, k = basis.n, basis.k
+    m = len(basis.elements)
+    weights = [c.weight for c in basis.elements]
+
+    def series(poly):
+        return basis.element_from_poly(poly).exponents
+
+    def series_mul(xy):
+        return series(basis.mul(basis.exponents_poly(xy[:m]), basis.exponents_poly(xy[m:])))
+
+    def product_sample(xy):
+        # 1 * y = y and x * 1 = x hold in any group: only points with both
+        # factors nontrivial need a series product
+        x, y = xy[:m], xy[m:]
+        return y if not any(x) else x if not any(y) else series_mul(xy)
+
+    def series_bar(x):
+        return series(basis.inverse_poly(x, flip=True))
+
+    law = HallLaw(basis, _fit(weights * 2, k, product_sample), _fit(weights, k, series_bar))
+    rng = Random(1000 * n + k)
+    entries = (-2, -1, k, k + 1)  # no C(v, d) with d <= k vanishes at these
+    for _ in range(CHECK_POINTS):
+        x = tuple(rng.choice(entries) for _ in range(m))
+        y = tuple(rng.choice(entries) for _ in range(m))
+        checks = (
+            ("multiply", law.mul(x, y), series_mul(x + y)),
+            ("invert", law.inv(x), series(basis.inverse_poly(x))),
+            ("bar", law.bar(x), series_bar(x)),
+        )
+        for op, got, want in checks:
+            if got != want:
+                c = next(c for c in range(m) if got[c] != want[c])
+                raise InternalError(f"derived {op} polynomial disagrees with the series model",
+                                    n=n, k=k, coordinate=c)
+    return law

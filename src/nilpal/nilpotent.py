@@ -9,10 +9,16 @@ Arithmetic runs in a faithful truncated-series model: x_i maps to 1 + X_i in
 integer polynomials over noncommuting X_1..X_n, discarding all terms of
 degree > k.  A word is trivial in the group iff its series is 1, so series
 equality decides group equality; normal-form exponents are recovered weight
-by weight, which doubles as a consistency check on every constructed element.
+by weight, which doubles as a consistency check on every element built from
+a series.
+
+At step <= 3 the group operations run on exponent vectors instead, by the
+Hall polynomials that `hallpoly` derives from the series model once per
+basis (`HallBasis.law`); `collect` and text input stay on the series path.
 """
 
-from functools import lru_cache
+import operator
+from functools import cached_property, lru_cache
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
@@ -134,7 +140,8 @@ class HallBasis:
             expected = witt_count(n, w)
             if len(level) != expected:
                 raise InternalError(
-                    f"weight-{w} layer has {len(level)} elements, expected {expected}"
+                    f"weight-{w} layer has {len(level)} elements, expected {expected}",
+                    n=n, k=k, weight=w,
                 )
         self.elements = [c for level in self.by_weight for c in level]
         for i, c in enumerate(self.elements):
@@ -208,10 +215,6 @@ class HallBasis:
     def elt_poly(self, idx):
         return self._lift(idx, False, False)
 
-    def iota_poly(self, idx):
-        """Series of the basis element with every generator inverted."""
-        return self._lift(idx, False, True)
-
     def _product(self, factors):
         """Product of the series in `factors`, left to right."""
         out = None
@@ -270,6 +273,14 @@ class HallBasis:
                 factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
         return self._product(factors)
 
+    def exponents_poly(self, exps):
+        """Series of the element with Hall exponents `exps`."""
+        return self._product(
+            self.ordered_block_poly(w, exps[self.weight_slice(w)])
+            for w in range(1, self.k + 1)
+            if any(exps[self.weight_slice(w)])
+        )
+
     def inverse_poly(self, exps, flip=False):
         """Series of the inverse of the element with Hall exponents `exps`.
 
@@ -324,6 +335,19 @@ class HallBasis:
                                 n=n, k=k, weight=k, residual_terms=len(r) - 1)
         return NilElement(self, poly, tuple(exps))
 
+    @cached_property
+    def law(self):
+        """The group law on exponent vectors (`hallpoly.HallLaw`), derived
+        on first use and kept in `memo`; None above `hallpoly.MAX_STEP`."""
+        from nilpal import hallpoly  # imported here: hallpoly imports this module
+
+        if self.k > hallpoly.MAX_STEP:
+            return None
+        law = self.memo.get(("hall_law",))
+        if law is None:
+            law = self.memo[("hall_law",)] = hallpoly.derive(self)
+        return law
+
     # -- element builders -------------------------------------------------
 
     def one(self):
@@ -334,18 +358,15 @@ class HallBasis:
             raise ValueError(f"generator index {i} out of range 1..{self.n}")
         exps = [0] * len(self.elements)
         exps[i - 1] = 1
-        return NilElement(self, self.gen_poly(i), tuple(exps))
+        return NilElement(self, None, tuple(exps))
 
     def from_exponents(self, exps):
-        exps = tuple(exps)
+        # the exponent law would carry a float or a fixed-width integer
+        # through its polynomials unchecked
+        exps = tuple(map(operator.index, exps))
         if len(exps) != len(self.elements):
             raise ValueError("exponent vector has wrong length")
-        poly = self._product(
-            self.ordered_block_poly(w, exps[self.weight_slice(w)])
-            for w in range(1, self.k + 1)
-            if any(exps[self.weight_slice(w)])
-        )
-        return NilElement(self, poly, exps)
+        return NilElement(self, None, exps)
 
     def from_word(self, w):
         return collect(w, self)
@@ -362,16 +383,23 @@ def hall_basis(n, k):
 class NilElement:
     """Canonical element of a free nilpotent group.
 
-    Two elements are equal iff their Hall exponent vectors are equal; the
-    cached series is an equivalent canonical form and makes comparison cheap.
+    Two elements are equal iff their Hall exponent vectors are equal.  The
+    series is built from the exponents when first asked for, unless the
+    element was made from one.
     """
 
-    __slots__ = ("basis", "poly", "exponents")
+    __slots__ = ("basis", "_poly", "exponents")
 
     def __init__(self, basis, poly, exponents):
         self.basis = basis
-        self.poly = poly
+        self._poly = poly
         self.exponents = exponents
+
+    @property
+    def poly(self):
+        if self._poly is None:
+            self._poly = self.basis.exponents_poly(self.exponents)
+        return self._poly
 
     def __eq__(self, other):
         return (
@@ -396,7 +424,7 @@ class NilElement:
         return invert(self)
 
     def is_identity(self):
-        return self.poly == {0: 1}
+        return not any(self.exponents)
 
     def abelianization(self):
         return self.exponents[: self.basis.n]
@@ -424,15 +452,25 @@ def collect(word, basis):
 
 def multiply(a, b):
     basis = _same_basis(a, b)
+    law = basis.law
+    if law is not None:
+        return NilElement(basis, None, law.mul(a.exponents, b.exponents))
     return basis.element_from_poly(basis.mul(a.poly, b.poly))
 
 
 def invert(a):
-    return a.basis.element_from_poly(a.basis.inverse_poly(a.exponents))
+    basis = a.basis
+    law = basis.law
+    if law is not None:
+        return NilElement(basis, None, law.inv(a.exponents))
+    return basis.element_from_poly(basis.inverse_poly(a.exponents))
 
 
 def power(a, e):
     basis = a.basis
+    law = basis.law
+    if law is not None:
+        return NilElement(basis, None, law.pow(a.exponents, e))
     poly = basis.inverse_poly(a.exponents) if e < 0 else a.poly
     return basis.element_from_poly(basis.pow(poly, abs(e)))
 
@@ -440,6 +478,10 @@ def power(a, e):
 def commutator(a, b):
     """[a, b] = a^-1 b^-1 a b."""
     basis = _same_basis(a, b)
+    law = basis.law
+    if law is not None:
+        x, y = a.exponents, b.exponents
+        return NilElement(basis, None, law.comm(x, y, law.inv(x), law.inv(y)))
     return basis.element_from_poly(basis.comm(
         a.poly, b.poly, basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)))
 
@@ -460,8 +502,12 @@ def bar(g):
 
     For any word w, bar(collect(w)) == collect(reverse_word(w)).
     """
+    basis = g.basis
+    law = basis.law
+    if law is not None:
+        return NilElement(basis, None, law.bar(g.exponents))
     # bar(g) = (prod_j iota(c_j)^e_j)^-1
-    return g.basis.element_from_poly(g.basis.inverse_poly(g.exponents, flip=True))
+    return basis.element_from_poly(basis.inverse_poly(g.exponents, flip=True))
 
 
 def weight(g):

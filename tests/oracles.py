@@ -4,7 +4,10 @@ The matrix oracles deliberately share no code with the package engine: the
 representations are built from scratch with plain integer matrix loops, so
 agreement between the two paths is meaningful evidence of correctness.
 `product_step3_rows` uses the engine's group operations, but not the
-closed-form row table it checks.
+closed-form row table it checks.  The `series_*` functions are the group
+operations of the truncated-series model, each result recovered by the
+self-checking peel: the path every basis of step > 3 runs, and the oracle
+for the exponent law of the lower steps.
 """
 
 from array import array
@@ -144,3 +147,54 @@ def product_step3_rows(basis, i, alpha):
         fz_w3 = multiply(multiply(bar(q1z), xi), q1z).weight_block(3)
         rows.append([a - b for a, b in zip(fz_w3, f0_w3)])
     return rows
+
+
+def gf2_rank(rows):
+    """Rank over GF(2) of integer rows, by Gaussian elimination on lists."""
+    rows = [[v % 2 for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def series_multiply(a, b):
+    basis = a.basis
+    return basis.element_from_poly(basis.mul(a.poly, b.poly))
+
+
+def series_invert(a):
+    basis = a.basis
+    return basis.element_from_poly(basis.inverse_poly(a.exponents))
+
+
+def series_bar(a):
+    basis = a.basis
+    return basis.element_from_poly(basis.inverse_poly(a.exponents, flip=True))
+
+
+def series_power(a, e):
+    basis = a.basis
+    poly = basis.inverse_poly(a.exponents) if e < 0 else a.poly
+    return basis.element_from_poly(basis.pow(poly, abs(e)))
+
+
+def series_apply(endo, g):
+    """endo(g), substituting the image series into a free word for g."""
+    from nilpal.nilpotent import element_as_word
+
+    basis = g.basis
+    images = [img.poly for img in endo.images]
+    inverses = [basis.inverse_poly(img.exponents) for img in endo.images]
+    poly = {0: 1}
+    for let in element_as_word(g).letters:
+        factor = images if let.sign > 0 else inverses
+        poly = basis.mul(poly, factor[let.index - 1])
+    return basis.element_from_poly(poly)

@@ -2,11 +2,10 @@ import random
 from itertools import permutations, product
 
 import pytest
-from oracles import product_step3_rows
+from oracles import gf2_rank, product_step3_rows
 
 from nilpal import autos, nilpotent
 from nilpal.autos import (
-    Decomposition,
     Endo,
     NotAutomorphismError,
     UndecidedError,
@@ -41,6 +40,7 @@ from nilpal.autos import (
     verify_tame_factorization,
 )
 from nilpal.foxring import PreconditionError
+from nilpal.intlinalg import lattice_solve
 from nilpal.nilpotent import (
     InternalError,
     bar,
@@ -545,7 +545,6 @@ def test_recompose_failure_context(monkeypatch):
     assert err.value.context == {"n": 2, "k": 3, "factors": 2}
     # the inner-square generator is obstruction-free: two bglm factors
     inner_square = make_endo(basis, ["x1 [x2,x1,x1]^2", "x2 [x2,x1,x2]^2"])
-    monkeypatch.setattr(autos, "decompose_central", lambda e: Decomposition((), True))
     with pytest.raises(InternalError, match="^decomposition failed") as err:
         decompose_bglm(inner_square)
     assert err.value.context == {"n": 2, "k": 3, "factors": 2}
@@ -570,6 +569,20 @@ def test_quotient_rank_invariants_context(monkeypatch):
     with pytest.raises(InternalError, match="disagree with q=1") as err:
         quotient_rank_q(2)
     assert err.value.context == {"n": 2, "k": 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi2_rows_mod_2_have_rank_m3_minus_q(n):
+    # the lattice has index 2^q over 2Z^m3, so the phi2 rows span a
+    # GF(2) space of dimension m3 - q
+    basis = hall_basis(n, 3)
+    m3 = len(basis.by_weight[2])
+    q = quotient_rank_q(n)
+    for i in range(1, n + 1):
+        rows, labels = autos._central_rows(basis, i)
+        phi2_rows = [row for row, label in zip(rows, labels) if label[0] == "phi2"]
+        assert gf2_rank(phi2_rows) == m3 - q
+        assert len(autos._central_parity(basis, i)) == m3 - q
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -664,6 +677,49 @@ def test_decompose_bglm_rejects_obstructed():
     e = make_generator(phi2(2, 1, 1), basis)  # b == i: obstruction nonzero
     with pytest.raises(PreconditionError):
         decompose_bglm(e)
+
+
+@pytest.mark.parametrize("n,texts,message", [
+    (2, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]"],
+     "not central palindromic: x1: class 1: residue 1 mod 2; x2: class 1: residue 1 mod 2"),
+    (3, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"],
+     "not central palindromic: x1: class 5: residue 1 mod 2; x2: class 3: residue 1 mod 2"),
+])
+def test_decompose_bglm_rejects_non_palindromic(monkeypatch, n, texts, message):
+    # obstruction-free but outside the palindromic lattice: the message
+    # carries the same diagnostics as decompose_central
+    basis = hall_basis(n, 3)
+    e = make_endo(basis, texts)
+    assert tameness_residue(e).is_zero()
+    central = decompose_central(e)
+    assert not central.residual_trivial
+    assert message == "not central palindromic: " + "; ".join(central.diagnostics)
+
+    def no_central(e):
+        raise AssertionError("decompose_bglm needs no central decomposition")
+
+    monkeypatch.setattr(autos, "decompose_central", no_central)
+    with pytest.raises(PreconditionError) as err:
+        decompose_bglm(e)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_central_lattice_membership_matches_lattice_solve(n):
+    basis = hall_basis(n, 3)
+    m3 = len(basis.by_weight[2])
+    rng = random.Random(n)
+    for i in range(1, n + 1):
+        rows, _ = autos._central_rows(basis, i)
+        for trial in range(40):
+            # lattice points, and lattice points moved by one unit vector
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m3)]
+            if trial % 2:
+                vec[rng.randrange(m3)] += 1
+            inside = lattice_solve(rows, vec) is not None
+            assert inside or trial % 2
+            assert autos._in_central_lattice(basis, i, vec) == inside
 
 
 # -- files ------------------------------------------------------------------------------

@@ -1,0 +1,145 @@
+"""The exponent-vector group law at step <= 3 against the series model."""
+
+import random
+
+import pytest
+from oracles import series_apply, series_bar, series_invert, series_multiply, series_power
+
+from nilpal import hallpoly, kernel
+from nilpal.autos import Endo, compose, make_generator, mu, phi2
+from nilpal.nilpotent import (
+    HallBasis,
+    InternalError,
+    bar,
+    commutator,
+    hall_basis,
+    invert,
+    multiply,
+    power,
+)
+
+LAW_BASES = [(1, 3), (2, 2), (2, 3), (3, 3), (4, 2), (4, 3)]
+
+
+def rand_element(rng, basis, span=3):
+    return basis.from_exponents(rng.randint(-span, span) for _ in basis.elements)
+
+
+@pytest.mark.parametrize("n,k", LAW_BASES)
+def test_group_ops_match_the_series_model(n, k):
+    basis = hall_basis(n, k)
+    assert basis.law is not None
+    rng = random.Random(100 * n + k)
+    for _ in range(25):
+        g, h = rand_element(rng, basis), rand_element(rng, basis)
+        assert multiply(g, h) == series_multiply(g, h)
+        assert invert(g) == series_invert(g)
+        assert bar(g) == series_bar(g)
+        e = rng.randint(-4, 4)
+        assert power(g, e) == series_power(g, e)
+        assert commutator(g, h) == series_multiply(
+            series_multiply(series_invert(g), series_invert(h)), series_multiply(g, h))
+
+
+@pytest.mark.parametrize("n,k", LAW_BASES)
+def test_endo_apply_matches_the_series_model(n, k):
+    basis = hall_basis(n, k)
+    rng = random.Random(200 * n + k)
+    for _ in range(4):
+        e = Endo(basis, [rand_element(rng, basis, 2) for _ in range(n)])
+        for _ in range(5):
+            g = rand_element(rng, basis)
+            assert e.apply(g) == series_apply(e, g)
+
+
+def test_group_ops_run_no_series_product(monkeypatch):
+    basis = hall_basis(3, 3)
+    e = compose(make_generator(mu(1, 2), basis), make_generator(phi2(2, 1, 3), basis))
+    g = basis.from_exponents(range(-6, 8))
+    h = basis.from_exponents(range(7, -7, -1))
+    calls = []
+    monkeypatch.setattr(kernel, "poly_mul", lambda *args: calls.append(args))
+    for out in (multiply(g, h), invert(g), bar(g), power(g, -5), commutator(g, h), e.apply(g)):
+        assert len(out.exponents) == 14
+    assert calls == []
+
+
+def test_law_is_kept_per_basis_and_gated_by_step():
+    basis = HallBasis(2, 3)
+    law = basis.law
+    assert basis.memo[("hall_law",)] is law
+    assert basis.law is law
+    assert HallBasis(2, 4).law is None
+
+
+def test_elements_build_their_series_on_demand():
+    basis = HallBasis(2, 3)
+    g = basis.from_exponents((2, -1, 3, 0, -2))
+    assert g._poly is None
+    assert basis.element_from_poly(g.poly) == g
+    assert g.poly is g.poly
+
+
+def test_from_exponents_takes_integers_only():
+    basis = hall_basis(2, 3)
+    with pytest.raises(TypeError):
+        basis.from_exponents((1.0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        basis.from_exponents((1, 0))
+
+
+def test_large_entries_and_powers():
+    basis = hall_basis(3, 3)
+    rng = random.Random(5)
+    g = rand_element(rng, basis, 10**9)
+    h = rand_element(rng, basis, 10**9)
+    assert multiply(g, h) == series_multiply(g, h)
+    assert invert(g) == series_invert(g)
+    assert bar(g) == series_bar(g)
+    big = 10**6 + 3
+    assert power(h, big) == series_power(h, big)
+
+
+def _perturbed_fit(which, coordinate):
+    """`hallpoly._fit` with one coefficient of one coordinate changed in the
+    `which`-th fit (0: product, 1: bar); the linear term of y_c is kept so
+    that the product stays solvable."""
+    real = hallpoly._fit
+    seen = []
+
+    def fit(weights, top, sample):
+        terms = real(weights, top, sample)
+        if len(seen) == which:
+            m = len(terms)
+            col = terms[coordinate]
+            j = next(j for j, (_, point) in enumerate(col) if point != ((m + coordinate, 1),))
+            coef, point = col[j]
+            col[j] = (coef + 1, point)
+        seen.append(1)
+        return terms
+
+    return fit
+
+
+@pytest.mark.parametrize("which,op", [(0, "multiply"), (1, "bar")])
+@pytest.mark.parametrize("coordinate", range(14))
+def test_changed_coefficient_fails_the_check(monkeypatch, which, op, coordinate):
+    monkeypatch.setattr(hallpoly, "_fit", _perturbed_fit(which, coordinate))
+    with pytest.raises(InternalError, match=f"derived {op} polynomial disagrees") as err:
+        hallpoly.derive(HallBasis(3, 3))
+    assert err.value.context == {"n": 3, "k": 3, "coordinate": coordinate}
+
+
+def test_unsolvable_product_polynomial_raises(monkeypatch):
+    real = hallpoly._fit
+
+    def fit(weights, top, sample):
+        terms = real(weights, top, sample)
+        terms[3] = [(2, point) if point == ((5 + 3, 1),) else (c, point)
+                    for c, point in terms[3]]
+        return terms
+
+    monkeypatch.setattr(hallpoly, "_fit", fit)
+    with pytest.raises(InternalError, match="not unitriangular") as err:
+        hallpoly.derive(HallBasis(2, 3))
+    assert err.value.context == {"n": 2, "k": 3, "coordinate": 3}

@@ -71,6 +71,15 @@ def test_basis_validation():
         hall_basis(2, 0)
 
 
+def test_witt_count_mismatch_context(monkeypatch):
+    from nilpal import nilpotent
+
+    monkeypatch.setattr(nilpotent, "witt_count", lambda n, w: 99)
+    with pytest.raises(InternalError, match="weight-1 layer has 2 elements, expected 99") as err:
+        HallBasis(2, 3)
+    assert err.value.context == {"n": 2, "k": 3, "weight": 1}
+
+
 # -- collect ----------------------------------------------------------------
 
 def test_collect_examples():

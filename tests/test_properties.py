@@ -1,5 +1,6 @@
-"""Properties of the palindromic witness solver, the layered inverse and
-the generator symbols over generated inputs."""
+"""Properties of the group law, the word grammar, the palindromic witness
+solver, the layered inverse and the generator symbols over generated
+inputs."""
 
 import pytest
 
@@ -16,7 +17,71 @@ from nilpal.autos import (  # noqa: E402
     palindromic_witnesses,
     solve_conjugator,
 )
-from nilpal.nilpotent import bar, hall_basis, multiply, weight  # noqa: E402
+from nilpal.nilpotent import (  # noqa: E402
+    bar,
+    collect,
+    hall_basis,
+    invert,
+    multiply,
+    render_element,
+    weight,
+)
+from nilpal.words import reverse_word, word_from_ints  # noqa: E402
+
+# (2,5) runs on the series path, the others on the exponent law
+WORD_BASES = [(2, 3), (3, 3), (4, 2), (2, 5)]
+LAW_BASES = [(2, 3), (3, 3), (4, 2), (4, 3)]
+
+
+@st.composite
+def elements(draw, bases, count=1, span=4):
+    """`count` elements of one basis drawn from `bases`, exponents in
+    [-span, span]."""
+    basis = hall_basis(*draw(st.sampled_from(bases)))
+    size = len(basis.elements)
+    vec = st.lists(st.integers(-span, span), min_size=size, max_size=size)
+    return [basis.from_exponents(draw(vec)) for _ in range(count)]
+
+
+@st.composite
+def words(draw, bases):
+    basis = hall_basis(*draw(st.sampled_from(bases)))
+    n = basis.n
+    letters = st.integers(-n, n).filter(bool)
+    return basis, word_from_ints(draw(st.lists(letters, max_size=14)), n)
+
+
+@given(elements(LAW_BASES, count=3))
+def test_multiply_is_associative(gs):
+    a, b, c = gs
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@given(elements(LAW_BASES))
+def test_inverse_is_two_sided(gs):
+    (g,) = gs
+    assert multiply(g, invert(g)).is_identity()
+    assert multiply(invert(g), g).is_identity()
+    assert invert(invert(g)) == g
+
+
+@given(elements(LAW_BASES, count=2))
+def test_bar_is_an_involutive_anti_automorphism(gs):
+    g, h = gs
+    assert bar(bar(g)) == g
+    assert bar(multiply(g, h)) == multiply(bar(h), bar(g))
+
+
+@given(words(WORD_BASES))
+def test_bar_reverses_words(case):
+    basis, w = case
+    assert bar(collect(w, basis)) == collect(reverse_word(w), basis)
+
+
+@given(elements(WORD_BASES))
+def test_render_parse_round_trip(gs):
+    (g,) = gs
+    assert g.basis.from_text(render_element(g)) == g
 
 
 def conjugate(q, i):
