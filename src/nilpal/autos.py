@@ -16,15 +16,15 @@ composition is the ordered matrix product.
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from nilpal.foxring import PreconditionError, bglm_residue
+from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
 from nilpal.intlinalg import (
     det,
     inv_unimodular,
     invariant_factors,
+    lattice_factors,
     lattice_solve,
     mat_vec,
-    smith_normal_form,
-    transpose,
+    solve_from_smith,
     vec_sub,
 )
 from nilpal.nilpotent import (
@@ -678,6 +678,9 @@ def _require_step3(basis):
 
 
 def _weight3_defects(e):
+    """Weight-3 blocks of the defects x_i^-1 e(x_i); PreconditionError
+    unless every defect is central (weight >= 3, so its lifts lie in
+    gamma_3 of the free group)."""
     basis = e.basis
     out = []
     for i in range(1, basis.n + 1):
@@ -688,22 +691,31 @@ def _weight3_defects(e):
     return out
 
 
+def _central_lattice(basis, i):
+    """(rows, labels, Smith factors) of the lattice of defects reachable at
+    generator i: the phi2 family and doubled weight-3 basis vectors (phi3
+    family).  The factors serve `solve_from_smith` and the diagnostics."""
+    def build():
+        m3 = len(basis.by_weight[2])
+        rows = []
+        labels = []
+        for a in range(1, basis.n + 1):
+            for b in range(1, a):
+                rows.append(list(_phi2_defect(basis, a, b, i).weight_block(3)))
+                labels.append(("phi2", a, b))
+        for j, c in enumerate(basis.by_weight[2]):
+            row = [0] * m3
+            row[j] = 2
+            rows.append(row)
+            labels.append(("phi3", c.left.left.gen, c.left.right.gen, c.right.gen))
+        return rows, labels, lattice_factors(rows)
+
+    return _memo(basis, ("central_lattice", i), build)
+
+
 def _central_rows(basis, i):
-    """Lattice rows of the defects reachable at generator i: the phi2 family
-    and doubled weight-3 basis vectors (phi3 family)."""
-    m3 = len(basis.by_weight[2])
-    rows = []
-    labels = []
-    for a in range(1, basis.n + 1):
-        for b in range(1, a):
-            rows.append(list(_phi2_defect(basis, a, b, i).weight_block(3)))
-            labels.append(("phi2", a, b))
-    for j, c in enumerate(basis.by_weight[2]):
-        row = [0] * m3
-        row[j] = 2
-        rows.append(row)
-        labels.append(("phi3", c.left.left.gen, c.left.right.gen, c.right.gen))
-    return rows, labels
+    """Rows and labels of `_central_lattice(basis, i)`."""
+    return _central_lattice(basis, i)[:2]
 
 
 def _parity_mask(vec):
@@ -743,11 +755,13 @@ def _in_central_lattice(basis, i, vec):
     return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))
 
 
-def _lattice_diagnostics(rows, target):
-    u, d, _ = smith_normal_form(transpose(rows))
+def _lattice_diagnostics(factors, target):
+    """Why `target` is outside a lattice, read from its Smith factors
+    (u, d, v) = `lattice_factors(rows)`."""
+    u, d, v = factors
     c = mat_vec(u, target)
     out = []
-    ncols = len(rows)
+    ncols = len(v)
     nrows = len(target)
     r = min(nrows, ncols)
     for j in range(r):
@@ -773,10 +787,10 @@ def decompose_central(e):
     factors = []
     diagnostics = []
     for i in range(1, basis.n + 1):
-        rows, labels = _central_rows(basis, i)
-        sol = lattice_solve(rows, defects[i - 1])
+        _, labels, smith = _central_lattice(basis, i)
+        sol = solve_from_smith(smith, defects[i - 1])
         if sol is None:
-            diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(rows, defects[i - 1])))
+            diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(smith, defects[i - 1])))
             continue
         for coeff, label in zip(sol, labels):
             if coeff:
@@ -821,28 +835,73 @@ def tameness_necessary(e):
 
     True when the derivative sum of the image defects vanishes in the
     truncated group ring; any automorphism induced from the free group
-    satisfies this.  The result does not depend on the chosen free lifts,
-    which is asserted by evaluating two different ones.
+    satisfies this.  The result does not depend on the chosen free lifts.
     """
     return tameness_residue(e).is_zero()
 
 
+def _fox_table(basis):
+    """T[i-1][j]: the i-th Fox derivative of the free word of the weight-3
+    basis element c_j, as sparse entries (r, s, v) of its quadratic part.
+
+    Built once per basis and checked then: every derivative of a word in
+    gamma_3 has zero constant and linear parts, and on the all-ones defect
+    (the product of every c_j) the derivative of the lift in basis order
+    and of the lift in reversed order both equal the column sum of T.
+    """
+    def build():
+        n, k = basis.n, basis.k
+        cs = basis.by_weight[2]
+        table = []
+        for i in range(1, n + 1):
+            row = []
+            for j, c in enumerate(cs):
+                d = fox_derivative(c.as_word(n), i)
+                if d.const or any(d.lin):
+                    raise InternalError("Fox derivative of a weight-3 basis element "
+                                        "has a constant or linear part",
+                                        n=n, k=k, i=i, coordinate=basis.weight_offset[2] + j)
+                row.append(d.quad)
+            table.append(row)
+        ones = basis.from_exponents((0,) * basis.weight_offset[2] + (1,) * len(cs))
+        lifts = (element_as_word(ones), element_as_word(ones, reverse=True))
+        for i, row in enumerate(table, start=1):
+            total = RingElemModR(n, quad=[[sum(q[r][s] for q in row) for s in range(n)]
+                                          for r in range(n)])
+            if any(fox_derivative(w, i) != total for w in lifts):
+                raise InternalError("obstruction depends on the free lift", n=n, k=k, i=i)
+        return [[[(r, s, v) for r, qr in enumerate(q) for s, v in enumerate(qr) if v]
+                 for q in row] for row in table]
+
+    return _memo(basis, ("fox_table",), build)
+
+
+def _residue_of_defects(basis, defects):
+    """sum_i sum_j e_ij T[i-1][j] over the weight-3 defects e_i of `_fox_table`."""
+    n = basis.n
+    quad = [[0] * n for _ in range(n)]
+    for row, defect in zip(_fox_table(basis), defects):
+        for entries, e in zip(row, defect):
+            if e:
+                for r, s, v in entries:
+                    quad[r][s] += e * v
+    return RingElemModR(n, quad=quad)
+
+
 def tameness_residue(e):
+    """The sum over i of the i-th Fox derivatives of free lifts of the
+    defects x_i^-1 e(x_i), in the quotient ring of `foxring`.
+
+    Each defect is central, so it is a product of weight-3 basis elements
+    c_j^e_ij, and its lift lies in gamma_3 of the free group.  For u, v in
+    gamma_3, d(uv) = d(u) + d(v) + (u - 1) d(v) with u - 1 of augmentation
+    degree 3, so the last term dies, and d(c^-1) = -d(c): the derivative is
+    additive on gamma_3.  The residue is therefore the linear form
+    sum_ij e_ij T[i-1][j] of `_fox_table`, whatever lift is chosen.
+    """
     basis = e.basis
     _require_step3(basis)
-    _weight3_defects(e)  # central precondition
-    lifts1 = []
-    lifts2 = []
-    for i in range(1, basis.n + 1):
-        defect = multiply(invert(basis.generator(i)), e.images[i - 1])
-        lifts1.append(element_as_word(defect))
-        lifts2.append(element_as_word(defect, reverse=True))
-    r1 = bglm_residue(lifts1)
-    r2 = bglm_residue(lifts2)
-    if r1 != r2:
-        raise InternalError("obstruction depends on the free lift",
-                            n=basis.n, k=basis.k)
-    return r1
+    return _residue_of_defects(basis, _weight3_defects(e))
 
 
 def verify_tame_factorization(which, basis, indices=None):
@@ -886,6 +945,15 @@ def verify_tame_factorization(which, basis, indices=None):
 
 # ---------------------------------------------------------------------------
 # decomposition over the tameness-compatible families
+
+def _bglm_lattice(basis):
+    """`_bglm_families(basis)` and the Smith factors of their stacked rows."""
+    def build():
+        fams = _bglm_families(basis)
+        return fams, lattice_factors([row for _, row, _ in fams])
+
+    return _memo(basis, ("bglm_lattice",), build)
+
 
 def _bglm_families(basis):
     """Canonical generator families spanning the obstruction-free central
@@ -966,7 +1034,7 @@ def decompose_bglm(e):
     if basis.n < 2:
         raise ValueError("need rank >= 2")
     defects = _weight3_defects(e)
-    residue = tameness_residue(e)
+    residue = _residue_of_defects(basis, defects)
     if not residue.is_zero():
         diag = [f"square defect (x{i}-1)^2: {residue.pair(i, i)}"
                 for i in range(1, basis.n + 1) if residue.pair(i, i)]
@@ -977,17 +1045,17 @@ def decompose_bglm(e):
             "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
         )
     diagnostics = [
-        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_rows(basis, i)[0], defect))
+        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[2], defect))
         for i, defect in enumerate(defects, start=1)
         if not _in_central_lattice(basis, i, defect)
     ]
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
-    fams = _bglm_families(basis)
+    fams, smith = _bglm_lattice(basis)
     target = []
     for vec in defects:
         target.extend(vec)
-    sol = lattice_solve([row for _, row, _ in fams], target)
+    sol = solve_from_smith(smith, target)
     if sol is None:
         return Decomposition((), False, ("defect outside the generated lattice",))
     factors = []

@@ -150,28 +150,52 @@ def embed(w):
     return out
 
 
-def _letter_derivative(let, j, n):
-    if let.index != j:
-        return ring_zero(n)
-    if let.sign > 0:
-        return ring_one(n)
-    # d(x^-1) = -x^-1 d(x)
-    return negate(_letter_elem(let, n))
-
-
 def fox_derivative(w, j):
     """j-th Fox derivative of a word, evaluated in the quotient ring.
 
-    Left-to-right product rule: d(uv) = d(u) + u d(v), with d(x_i) = [i == j].
+    Left-to-right product rule: d(uv) = d(u) + u d(v), with d(x_i) = [i == j]
+    and d(x_i^-1) = -x_i^-1 d(x_i).  The prefix (augmentation 1, linear part
+    `lin`, quadratic part `quad`) and the running sum are updated in place:
+    a letter x_a^s multiplies the prefix by 1 + s (x_a - 1) plus, for
+    s = -1, (x_a - 1)^2, and the linear times linear cross term lands in the
+    quadratic part.  A letter x_j adds the prefix before that update, a
+    letter x_j^-1 subtracts it after.
     """
-    if not 1 <= j <= w.rank:
-        raise ValueError(f"derivative index {j} out of range 1..{w.rank}")
-    out = ring_zero(w.rank)
-    prefix = ring_one(w.rank)
+    n = w.rank
+    if not 1 <= j <= n:
+        raise ValueError(f"derivative index {j} out of range 1..{n}")
+    lin = [0] * n
+    quad = [[0] * n for _ in range(n)]
+    out_const = 0
+    out_lin = [0] * n
+    out_quad = [[0] * n for _ in range(n)]
+
+    def accumulate(sign):
+        nonlocal out_const
+        out_const += sign
+        for r in range(n):
+            out_lin[r] += sign * lin[r]
+            row, out_row = quad[r], out_quad[r]
+            for c in range(n):
+                out_row[c] += sign * row[c]
+
     for let in w.letters:
-        out = add(out, mul(prefix, _letter_derivative(let, j, w.rank)))
-        prefix = mul(prefix, _letter_elem(let, w.rank))
-    return out
+        a, s = let.index - 1, let.sign
+        if s > 0 and a == j - 1:
+            accumulate(1)
+        # prefix * (1 + s (x_a - 1)): the cross term s lin (x_a - 1)
+        for r in range(n):
+            v = lin[r]
+            if v:
+                quad[r][a] += s * v
+                if r != a:
+                    quad[a][r] += s * v
+        lin[a] += s
+        if s < 0:
+            quad[a][a] += 1
+            if a == j - 1:
+                accumulate(-1)
+    return RingElemModR(n, out_const, out_lin, out_quad)
 
 
 def render_ring(a):
@@ -267,10 +291,17 @@ def check_fox_table(n):
 # tameness obstruction
 
 def _in_gamma3(w):
-    """Exact membership of a free word in the third lower-central term."""
-    from nilpal.nilpotent import collect, hall_basis
+    """Exact membership of a free word in the third lower-central term: its
+    image in the step-2 group, folded letter by letter on the exponent law,
+    is trivial."""
+    from nilpal.nilpotent import hall_basis, invert, multiply
 
-    return collect(w, hall_basis(w.rank, 2)).is_identity()
+    basis = hall_basis(w.rank, 2)
+    out = basis.one()
+    for let in w.letters:
+        g = basis.generator(let.index)
+        out = multiply(out, g if let.sign > 0 else invert(g))
+    return out.is_identity()
 
 
 def bglm_residue(ws):

@@ -174,11 +174,19 @@ def smith_normal_form(a):
 
 def solve_integer(a, b):
     """One integer solution x of a*x == b, or None if none exists."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [0] * ncols if not any(b) else None
-    u, d, v = smith_normal_form(a)
+    if not a:
+        return [] if not any(b) else None
+    return solve_from_smith(smith_normal_form(a), b)
+
+
+def solve_from_smith(factors, b):
+    """One integer solution x of a*x == b from the Smith factors
+    (u, d, v) = smith_normal_form(a), or None if none exists.
+
+    Factor a once, then solve for as many right-hand sides as needed.
+    """
+    u, d, v = factors
+    nrows, ncols = len(u), len(v)
     c = mat_vec(u, b)
     y = [0] * ncols
     for i in range(min(nrows, ncols)):
@@ -194,6 +202,12 @@ def solve_integer(a, b):
     return mat_vec(v, y)
 
 
+def lattice_factors(rows):
+    """Smith factors of the nonempty `rows` taken as columns, the system
+    that `lattice_solve(rows, target)` solves."""
+    return smith_normal_form(transpose(rows))
+
+
 def lattice_solve(rows, target):
     """Coefficients t with sum(t[i]*rows[i]) == target, or None.
 
@@ -201,7 +215,7 @@ def lattice_solve(rows, target):
     """
     if not rows:
         return [] if not any(target) else None
-    return solve_integer(transpose(rows), target)
+    return solve_from_smith(lattice_factors(rows), target)
 
 
 def invariant_factors(a):

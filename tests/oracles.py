@@ -7,7 +7,10 @@ agreement between the two paths is meaningful evidence of correctness.
 closed-form row table it checks.  The `series_*` functions are the group
 operations of the truncated-series model, each result recovered by the
 self-checking peel: the path every basis of step > 3 runs, and the oracle
-for the exponent law of the lower steps.
+for the exponent law of the lower steps.  `ring_fox_derivative` and
+`word_tameness_residue` are the ring-product Fox derivative and the
+two-lift word path of the tameness residue, the references for
+`foxring.fox_derivative` and the per-basis table of `autos`.
 """
 
 from array import array
@@ -198,3 +201,39 @@ def series_apply(endo, g):
         factor = images if let.sign > 0 else inverses
         poly = basis.mul(poly, factor[let.index - 1])
     return basis.element_from_poly(poly)
+
+
+def ring_fox_derivative(w, j):
+    """j-th Fox derivative by ring products: each letter multiplies the
+    prefix and adds prefix * d(letter) through `foxring.mul`/`add`, three
+    ring elements per letter."""
+    from nilpal.foxring import _letter_elem, add, mul, negate, ring_one, ring_zero
+
+    n = w.rank
+    if not 1 <= j <= n:
+        raise ValueError(f"derivative index {j} out of range 1..{n}")
+    out = ring_zero(n)
+    prefix = ring_one(n)
+    for let in w.letters:
+        if let.index == j:
+            # d(x) = 1, d(x^-1) = -x^-1
+            step = ring_one(n) if let.sign > 0 else negate(_letter_elem(let, n))
+            out = add(out, mul(prefix, step))
+        prefix = mul(prefix, _letter_elem(let, n))
+    return out
+
+
+def word_tameness_residue(e):
+    """The tameness residue of a central automorphism at step 3 on free
+    words: the Fox-derivative sum of the defect lifts, evaluated on two
+    lifts (basis order and reversed basis order) that must agree."""
+    from nilpal.foxring import bglm_residue
+    from nilpal.nilpotent import element_as_word, invert, multiply
+
+    basis = e.basis
+    defects = [multiply(invert(basis.generator(i)), img)
+               for i, img in enumerate(e.images, start=1)]
+    r1 = bglm_residue([element_as_word(d) for d in defects])
+    r2 = bglm_residue([element_as_word(d, reverse=True) for d in defects])
+    assert r1 == r2, "obstruction depends on the free lift"
+    return r1

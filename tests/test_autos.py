@@ -2,9 +2,9 @@ import random
 from itertools import permutations, product
 
 import pytest
-from oracles import gf2_rank, product_step3_rows
+from oracles import gf2_rank, product_step3_rows, word_tameness_residue
 
-from nilpal import autos, nilpotent
+from nilpal import autos, intlinalg, nilpotent
 from nilpal.autos import (
     Endo,
     NotAutomorphismError,
@@ -39,9 +39,10 @@ from nilpal.autos import (
     tameness_residue,
     verify_tame_factorization,
 )
-from nilpal.foxring import PreconditionError
-from nilpal.intlinalg import lattice_solve
+from nilpal.foxring import _TABLE_ROWS, PreconditionError, mul, ring_delta, ring_zero
+from nilpal.intlinalg import lattice_solve, solve_from_smith
 from nilpal.nilpotent import (
+    HallBasis,
     InternalError,
     bar,
     collect,
@@ -816,22 +817,155 @@ def test_tameness_residue_lift_independent():
     assert bglm_residue([lift, one, one]) == bglm_residue([lift * pad, one, one])
 
 
+def _all_ones(basis):
+    """The product of every weight-3 basis element."""
+    m3 = len(basis.by_weight[2])
+    return basis.from_exponents((0,) * basis.weight_offset[2] + (1,) * m3)
+
+
 def test_tameness_residue_compares_both_lifts(monkeypatch):
-    basis = hall_basis(3, 3)
-    e = make_generator(phi2(1, 2, 3), basis)
+    # a derivative that tells the basis-order and reversed lifts of the
+    # all-ones defect apart fails the build-time check of the Fox table
+    basis = HallBasis(3, 3)  # not the cached basis, so the table is built here
+    ones = _all_ones(basis)
+    forward = element_as_word(ones)
+    backward = element_as_word(ones, reverse=True)
+    assert forward != backward and collect(forward, basis) == collect(backward, basis)
+    real = autos.fox_derivative
     seen = []
 
-    def residue(lifts):
-        seen.append(lifts)
-        return len(seen)
+    def skewed(w, j):
+        seen.append(w)
+        d = real(w, j)
+        return d + mul(ring_delta(1, 3), ring_delta(2, 3)) if w == backward else d
 
-    monkeypatch.setattr(autos, "bglm_residue", residue)
+    monkeypatch.setattr(autos, "fox_derivative", skewed)
     with pytest.raises(InternalError, match="depends on the free lift") as err:
-        tameness_residue(e)
-    assert err.value.context == {"n": 3, "k": 3}
-    forward, backward = seen
-    assert forward != backward
-    assert [collect(w, basis) for w in forward] == [collect(w, basis) for w in backward]
+        tameness_residue(make_generator(phi2(1, 2, 3), basis))
+    assert err.value.context == {"n": 3, "k": 3, "i": 1}
+    assert forward in seen and backward in seen
+    assert ("fox_table",) not in basis.memo
+
+
+def test_fox_table_rejects_constant_or_linear_parts(monkeypatch):
+    basis = HallBasis(3, 3)
+    j = 2
+    word = basis.by_weight[2][j].as_word(3)
+    real = autos.fox_derivative
+
+    def shifted(w, i):
+        d = real(w, i)
+        return d + ring_delta(1, 3) if (w, i) == (word, 2) else d
+
+    monkeypatch.setattr(autos, "fox_derivative", shifted)
+    with pytest.raises(InternalError, match="constant or linear part") as err:
+        tameness_residue(identity_endo(basis))
+    assert err.value.context == {"n": 3, "k": 3, "i": 2,
+                                 "coordinate": basis.weight_offset[2] + j}
+    assert ("fox_table",) not in basis.memo
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fox_table_matches_closed_forms(n):
+    # every entry whose basis element contains x_i is a row of the
+    # derivative table of `foxring`; the others are zero
+    basis = hall_basis(n, 3)
+    table = autos._fox_table(basis)
+    index = {c.render(): j for j, c in enumerate(basis.by_weight[2])}
+    checked = set()
+    for name, letters, pattern, expected in _TABLE_ROWS:
+        for assign in permutations(range(1, n + 1), len(letters)):
+            env = dict(zip(letters, assign))
+            j = index.get("[" + ",".join(f"x{env[s]}" for s in pattern) + "]")
+            if j is None:  # not a basis element
+                continue
+            i = env["i"]
+            want = ring_zero(n)
+            if expected is not None:
+                sign, u, v = expected
+                want = mul(ring_delta(env[u], n), ring_delta(env[v], n))
+                if sign < 0:
+                    want = -want
+            got = [[0] * n for _ in range(n)]
+            for r, c, v in table[i - 1][j]:
+                got[r][c] = v
+            assert tuple(map(tuple, got)) == want.quad, (name, env)
+            checked.add((i, j))
+    for i in range(1, n + 1):
+        for j, c in enumerate(basis.by_weight[2]):
+            if (i, j) not in checked:
+                assert i not in (c.left.left.gen, c.left.right.gen, c.right.gen)
+                assert table[i - 1][j] == []
+
+
+def test_tameness_residue_rank_one():
+    basis = hall_basis(1, 3)
+    e = identity_endo(basis)
+    assert tameness_residue(e) == word_tameness_residue(e) == ring_zero(1)
+
+
+def test_decompose_bglm_computes_defects_once(monkeypatch):
+    basis = hall_basis(3, 3)
+    e = compose_symbols([phi2(2, 1, 3), phi3(3, 1, 2, 2)], basis)
+    calls = []
+    real = autos._weight3_defects
+
+    def counting(e):
+        calls.append(1)
+        return real(e)
+
+    monkeypatch.setattr(autos, "_weight3_defects", counting)
+    assert decompose_bglm(e).residual_trivial
+    assert len(calls) == 1
+
+
+def test_warm_decompositions_run_no_smith_form(monkeypatch):
+    basis = hall_basis(3, 3)
+    central = compose_symbols([phi2(2, 1, 3, 2), phi3(3, 1, 2, 1, -1)], basis)
+    tame = compose_symbols([phi2(2, 1, 3), phi3(3, 1, 2, 2)], basis)
+    outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
+    message = "not central palindromic: x1: class 5: residue 1 mod 2; x2: class 3: residue 1 mod 2"
+
+    def run():
+        assert decompose_central(central).compose(basis) == central
+        assert decompose_bglm(tame).compose(basis) == tame
+        assert not decompose_central(outside).residual_trivial
+        with pytest.raises(PreconditionError) as err:
+            decompose_bglm(outside)
+        assert str(err.value) == message
+
+    run()
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    run()
+    assert calls == []
+
+
+def test_cached_lattice_solve_matches_lattice_solve():
+    rng = random.Random(7)
+    lattices = []
+    for n in (2, 3):
+        basis = hall_basis(n, 3)
+        for i in range(1, n + 1):
+            rows, _, smith = autos._central_lattice(basis, i)
+            lattices.append((rows, smith))
+        fams, smith = autos._bglm_lattice(basis)
+        lattices.append(([row for _, row, _ in fams], smith))
+    for rows, factors in lattices:
+        dim = len(rows[0])
+        for trial in range(40):
+            # lattice points, and lattice points moved by one unit vector
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
+            if trial % 2:
+                vec[rng.randrange(dim)] += 1
+            assert solve_from_smith(factors, vec) == lattice_solve(rows, vec)
 
 
 def test_doubled_central_normal_instance_is_palindromic():

@@ -1,12 +1,13 @@
 """Properties of the group law, the word grammar, the palindromic witness
-solver, the layered inverse and the generator symbols over generated
-inputs."""
+solver, the layered inverse, the generator symbols and the Fox-derivative
+tameness residue over generated inputs."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracles import ring_fox_derivative, word_tameness_residue  # noqa: E402
 
 from nilpal.autos import (  # noqa: E402
     GeneratorSymbol,
@@ -16,7 +17,9 @@ from nilpal.autos import (  # noqa: E402
     inverse_with_factors,
     palindromic_witnesses,
     solve_conjugator,
+    tameness_residue,
 )
+from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
     bar,
     collect,
@@ -26,7 +29,7 @@ from nilpal.nilpotent import (  # noqa: E402
     render_element,
     weight,
 )
-from nilpal.words import reverse_word, word_from_ints  # noqa: E402
+from nilpal.words import reverse_word, word_commutator, word_from_ints  # noqa: E402
 
 # (2,5) runs on the series path, the others on the exponent law
 WORD_BASES = [(2, 3), (3, 3), (4, 2), (2, 5)]
@@ -179,3 +182,53 @@ def test_symbols_then_reversed_negated_symbols_is_identity(case):
     back = [GeneratorSymbol(s.tag, s.params, -s.exponent) for s in reversed(syms)]
     e = compose_symbols(syms, basis)
     assert compose(e, compose_symbols(back, basis)) == identity_endo(basis)
+
+
+@st.composite
+def central_automorphisms(draw):
+    """A product of up to four phi2, phi3 and psi symbols at (2,3), (3,3) or
+    (4,3), led half the time by a phi2(a, b, i) with i in {a, b}, whose
+    tameness residue is nonzero."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    syms = draw(st.lists(symbols(n, families=("phi2", "phi3", "psi")), max_size=4))
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        i = draw(st.sampled_from((a, b)))
+        syms.insert(0, GeneratorSymbol("phi2", (a, b, i), draw(st.sampled_from((-2, -1, 1, 2)))))
+    return compose_symbols(syms, hall_basis(n, 3))
+
+
+@given(central_automorphisms())
+def test_tameness_residue_matches_the_free_word_path(e):
+    assert tameness_residue(e) == word_tameness_residue(e)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-n, n).filter(bool), max_size=40))))
+def test_fox_derivative_matches_ring_products(case):
+    n, ints = case
+    w = word_from_ints(ints, n)
+    for j in range(1, n + 1):
+        assert fox_derivative(w, j) == ring_fox_derivative(w, j)
+
+
+@st.composite
+def commutator_words(draw):
+    """(depth, w) at rank 1-4: w is a word (depth 0), a commutator [u, v]
+    of words, in gamma_2 (depth 1), or [[u, v], t], in gamma_3 (depth 2)."""
+    n = draw(st.integers(1, 4))
+    part = st.lists(st.integers(-n, n).filter(bool), max_size=6).map(
+        lambda ints: word_from_ints(ints, n))
+    depth = draw(st.integers(0, 2))
+    w = draw(part)
+    for _ in range(depth):
+        w = word_commutator(w, draw(part))
+    return depth, w
+
+
+@given(commutator_words())
+def test_in_gamma3_matches_collect(case):
+    depth, w = case
+    inside = _in_gamma3(w)
+    assert inside == collect(w, hall_basis(w.rank, 2)).is_identity()
+    assert inside or depth < 2
