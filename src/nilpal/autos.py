@@ -22,7 +22,6 @@ from nilpal.intlinalg import (
     inv_unimodular,
     invariant_factors,
     lattice_factors,
-    lattice_solve,
     mat_vec,
     solve_from_smith,
     vec_sub,
@@ -248,6 +247,52 @@ def _step3_rows(basis, i, alpha):
     return rows
 
 
+def _parity_mask(vec):
+    return sum(1 << j for j, v in enumerate(vec) if v % 2)
+
+
+def _reduce_mod2(echelon, mask, combo=0):
+    """Reduce a parity mask by a `_mod2_echelon`, adding up the combos of
+    the echelon rows it uses."""
+    for row, row_combo in echelon:
+        if mask ^ row < mask:
+            mask, combo = mask ^ row, combo ^ row_combo
+    return mask, combo
+
+
+def _mod2_echelon(rows):
+    """GF(2) echelon of integer rows: (mask, combo) pairs, leading bits of
+    mask distinct and largest first; mask is the parity of the sum of the
+    rows whose indices are the bits of combo."""
+    echelon = []
+    for j, row in enumerate(rows):
+        mask, combo = _reduce_mod2(echelon, _parity_mask(row), 1 << j)
+        if mask:
+            echelon = sorted(echelon + [(mask, combo)], reverse=True)
+    return echelon
+
+
+def _solve_mod2(echelon, rows, target):
+    """(beta, delta) with target = sum_j beta_j rows[j] + 2 delta, or None
+    when target is outside the lattice of the rows and 2Z^m.  The echelon
+    is `_mod2_echelon` of rows congruent to `rows` mod 2, and beta, a bit
+    mask, sums the combos of the echelon rows that reduce target mod 2."""
+    rest, beta = _reduce_mod2(echelon, _parity_mask(target))
+    if rest:
+        return None
+    for j, row in enumerate(rows):
+        if beta >> j & 1:
+            target = vec_sub(target, row)
+    return beta, [v // 2 for v in target]
+
+
+def _witness_echelon(basis, i):
+    """`_mod2_echelon` of the step-3 witness rows of generator i.  The
+    rows mod 2 are U[j] + K[i-1][j] for every alpha, so alpha = 0 serves."""
+    return _memo(basis, ("witness_echelon", i),
+                 lambda: _mod2_echelon(_step3_rows(basis, i, [0] * basis.n)))
+
+
 # ---------------------------------------------------------------------------
 # palindromic witnesses
 
@@ -286,23 +331,14 @@ def solve_conjugator(g, i, min_weight=1):
     elif k == 2:
         q = q1
     else:
-        m2, m3 = len(basis.by_weight[1]), len(basis.by_weight[2])
-        target = vec_sub(list(g.weight_block(3)), list(f0.weight_block(3)))
-        if min_weight >= 3:
-            # the lattice is 2*I, so delta = target / 2 when it is even
-            if any(v % 2 for v in target):
-                return None
-            beta, delta = [0] * m2, [v // 2 for v in target]
-        else:
-            rows = _step3_rows(basis, i, alpha)
-            for j in range(m3):
-                row = [0] * m3
-                row[j] = 2
-                rows.append(row)
-            sol = lattice_solve(rows, target)
-            if sol is None:
-                return None
-            beta, delta = sol[:m2], sol[m2:]
+        # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
+        rows = _step3_rows(basis, i, alpha) if min_weight <= 2 else []
+        sol = _solve_mod2(_witness_echelon(basis, i) if rows else [], rows,
+                          vec_sub(list(g.weight_block(3)), list(f0.weight_block(3))))
+        if sol is None:
+            return None
+        mask, delta = sol
+        beta = [mask >> j & 1 for j in range(len(basis.by_weight[1]))]
         q = basis.from_exponents(tuple(alpha) + tuple(beta) + tuple(delta))
     if multiply(multiply(bar(q), xi), q) != g:
         raise InternalError("witness verification failed",
@@ -718,41 +754,15 @@ def _central_rows(basis, i):
     return _central_lattice(basis, i)[:2]
 
 
-def _parity_mask(vec):
-    return sum(1 << j for j, v in enumerate(vec) if v % 2)
-
-
-def _reduce_mod2(echelon, mask):
-    """mask reduced by GF(2) rows with distinct leading bits, largest first."""
-    for row in echelon:
-        mask = min(mask, mask ^ row)
-    return mask
-
-
 def _central_parity(basis, i):
-    """GF(2) echelon form of `_central_rows(basis, i)` as bit masks, with
-    distinct leading bits, largest first: the phi2 rows mod 2, since the
-    doubled phi3 rows vanish mod 2."""
-    def build():
-        echelon = []
-        for row in _central_rows(basis, i)[0]:
-            mask = _reduce_mod2(echelon, _parity_mask(row))
-            if mask:
-                echelon.append(mask)
-                echelon.sort(reverse=True)
-        return echelon
-
-    return _memo(basis, ("central_parity", i), build)
+    """`_mod2_echelon` of `_central_rows(basis, i)`."""
+    return _memo(basis, ("central_parity", i), lambda: _mod2_echelon(_central_rows(basis, i)[0]))
 
 
 def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the lattice of `_central_rows(basis, i)`.
-
-    The lattice contains 2Z^m3 (the phi3 rows), so vec is in it iff vec
-    mod 2 is in the GF(2) span of the rows: subtracting the rows of that
-    span leaves an even vector.
-    """
-    return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))
+    """Whether vec is in the lattice of `_central_rows(basis, i)`, which
+    contains 2Z^m3 (the phi3 rows)."""
+    return _solve_mod2(_central_parity(basis, i), _central_rows(basis, i)[0], vec) is not None
 
 
 def _lattice_diagnostics(factors, target):

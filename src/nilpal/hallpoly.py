@@ -34,6 +34,7 @@ from itertools import product
 from math import comb, factorial
 from random import Random
 
+from nilpal import kernel
 from nilpal.nilpotent import InternalError
 
 # the paper's algorithms all run at step <= 3; higher steps keep the series
@@ -217,7 +218,7 @@ def derive(basis):
         return y if not any(x) else x if not any(y) else series_mul(xy)
 
     def series_bar(x):
-        return series(basis.inverse_poly(x, flip=True))
+        return series(kernel.poly_reverse(basis.exponents_poly(x), basis.shape))
 
     law = HallLaw(basis, _fit(weights * 2, k, product_sample), _fit(weights, k, series_bar))
     rng = Random(1000 * n + k)

@@ -19,9 +19,10 @@ class SeriesShape:
     the index of monomial i followed by the rank-0 monomial of degree e,
     for e <= k - degree: monomial i times monomial j is
     rowbase[i][d_j] + r_j, and it is truncated when d_j >= len(rowbase[i]).
+    `reverse[i]` is the index of monomial i with its letters reversed.
     """
 
-    __slots__ = ("n", "k", "offset", "dr", "rowbase")
+    __slots__ = ("n", "k", "offset", "dr", "rowbase", "reverse")
 
     def __init__(self, n, k):
         self.n = n
@@ -34,6 +35,9 @@ class SeriesShape:
         self.rowbase = [
             tuple(offset[d + e] + r * n**e for e in range(k - d + 1)) for d, r in self.dr
         ]
+        # the base-n digits of a rank are its letters; reverse their order
+        self.reverse = [offset[d] + sum(r // n**p % n * n ** (d - 1 - p) for p in range(d))
+                        for d, r in self.dr]
 
     def index(self, letters):
         """Index of the monomial with the given letters (each in 1..n)."""
@@ -77,6 +81,13 @@ def poly_mul(a, b, shape):
                 idx = row[db] + rb
                 out[idx] = out.get(idx, 0) + ca * cb
     return {i: c for i, c in out.items() if c}
+
+
+def poly_reverse(a, shape):
+    """a with the letters of every monomial reversed.  Word reversal is an
+    anti-automorphism of the series ring that fixes each 1 + X_i."""
+    rev = shape.reverse
+    return {rev[i]: c for i, c in a.items()}
 
 
 def poly_inv(a, shape):

@@ -177,27 +177,18 @@ class HallBasis:
         """Series of [a, b] = a^-1 b^-1 a b, given the inverse series."""
         return self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
 
-    def gen_poly(self, i):
-        return {0: 1, self.shape.index((i,)): 1}
-
-    def geninv_poly(self, i):
-        """Series of x_i^-1."""
-        return self._lift(i - 1, True, False)
-
-    def _lift(self, idx, inverse, flip):
+    def _lift(self, idx, inverse):
         """Series of basis element idx, or of its inverse, cached per basis.
 
-        `flip` lifts the element with every generator inverted (the map
-        behind `bar`).  No series inverse is taken: [a,b]^-1 = [b,a], and
-        a bracket is built from the cached series of its halves and their
-        inverses.
+        No series inverse is taken: [a,b]^-1 = [b,a], and a bracket is
+        built from the cached series of its halves and their inverses.
         """
-        key = (idx, inverse, flip)
+        key = (idx, inverse)
         poly = self._lifts.get(key)
         if poly is None:
             c = self.elements[idx]
-            if c.gen is not None and inverse == flip:
-                poly = self.gen_poly(c.gen)
+            if c.gen is not None and not inverse:
+                poly = {0: 1, self.shape.index((c.gen,)): 1}
             elif c.gen is not None:
                 # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
                 poly = {self.shape.index((c.gen,) * d): (-1) ** d for d in range(self.k + 1)}
@@ -205,15 +196,10 @@ class HallBasis:
                 a, b = c.left.index, c.right.index
                 if inverse:
                     a, b = b, a
-                poly = self.comm(
-                    self._lift(a, False, flip), self._lift(b, False, flip),
-                    self._lift(a, True, flip), self._lift(b, True, flip),
-                )
+                poly = self.comm(self._lift(a, False), self._lift(b, False),
+                                 self._lift(a, True), self._lift(b, True))
             self._lifts[key] = poly
         return poly
-
-    def elt_poly(self, idx):
-        return self._lift(idx, False, False)
 
     def _product(self, factors):
         """Product of the series in `factors`, left to right."""
@@ -222,12 +208,12 @@ class HallBasis:
             out = f if out is None else self.mul(out, f)
         return {0: 1} if out is None else out
 
-    def _add_linear(self, poly, start, coeffs, flip=False):
+    def _add_linear(self, poly, start, coeffs):
         """poly + sum_j coeffs[j] * (series of basis element start+j - 1)."""
         out = dict(poly)
         for j, e in enumerate(coeffs):
             if e:
-                for i, c in self._lift(start + j, False, flip).items():
+                for i, c in self._lift(start + j, False).items():
                     if i:
                         out[i] = out.get(i, 0) + e * c
         return {i: c for i, c in out.items() if c}
@@ -238,7 +224,7 @@ class HallBasis:
         off, end = self.shape.offset[w], self.shape.offset[w + 1]
         start = self.weight_offset[w - 1]
         return [
-            {i: c for i, c in self.elt_poly(start + j).items() if off <= i < end}
+            {i: c for i, c in self._lift(start + j, False).items() if off <= i < end}
             for j in range(len(self.by_weight[w - 1]))
         ]
 
@@ -253,23 +239,22 @@ class HallBasis:
             solver = self._peel[w] = PivotSolver(self.lie_columns(w))
         return solver
 
-    def ordered_block_poly(self, w, coeffs, flip=False, reverse=False):
+    def ordered_block_poly(self, w, coeffs, reverse=False):
         """Series of the ordered product of the weight-w block with exponents.
 
-        `reverse` multiplies the factors in reverse order; `flip` lifts each
-        factor with every generator inverted.  For 2w > k any product of two
-        series of lowest degree >= w vanishes, so the block is the sum
-        1 + sum_j coeffs[j] * (series_j - 1) in either order.
+        `reverse` multiplies the factors in reverse order.  For 2w > k any
+        product of two series of lowest degree >= w vanishes, so the block
+        is the sum 1 + sum_j coeffs[j] * (series_j - 1) in either order.
         """
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
-            return self._add_linear({0: 1}, start, coeffs, flip)
+            return self._add_linear({0: 1}, start, coeffs)
         order = range(len(coeffs) - 1, -1, -1) if reverse else range(len(coeffs))
         factors = []
         for j in order:
             e = coeffs[j]
             if e:
-                poly = self._lift(start + j, e < 0, flip)
+                poly = self._lift(start + j, e < 0)
                 factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
         return self._product(factors)
 
@@ -281,16 +266,14 @@ class HallBasis:
             if any(exps[self.weight_slice(w)])
         )
 
-    def inverse_poly(self, exps, flip=False):
+    def inverse_poly(self, exps):
         """Series of the inverse of the element with Hall exponents `exps`.
 
         The blocks in reverse order, each with its factors reversed and its
-        exponents negated, so no series inverse is taken.  `flip` lifts
-        every factor with every generator inverted (the map behind `bar`).
+        exponents negated, so no series inverse is taken.
         """
         return self._product(
-            self.ordered_block_poly(w, [-e for e in exps[self.weight_slice(w)]],
-                                    flip=flip, reverse=True)
+            self.ordered_block_poly(w, [-e for e in exps[self.weight_slice(w)]], reverse=True)
             for w in range(self.k, 0, -1)
             if any(exps[self.weight_slice(w)])
         )
@@ -445,8 +428,7 @@ def collect(word, basis):
         raise ValueError(f"word rank {word.rank} != basis rank {basis.n}")
     poly = {0: 1}
     for let in word.letters:
-        factor = basis.gen_poly(let.index) if let.sign > 0 else basis.geninv_poly(let.index)
-        poly = basis.mul(poly, factor)
+        poly = basis.mul(poly, basis._lift(let.index - 1, let.sign < 0))
     return basis.element_from_poly(poly)
 
 
@@ -498,16 +480,13 @@ def left_normed(elements):
 
 
 def bar(g):
-    """Element reversal: invert every generator, then invert the result.
-
-    For any word w, bar(collect(w)) == collect(reverse_word(w)).
-    """
+    """Element reversal: bar(collect(w)) == collect(reverse_word(w)) for
+    any word w.  Above step 3 it reverses the monomials of g's series."""
     basis = g.basis
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.bar(g.exponents))
-    # bar(g) = (prod_j iota(c_j)^e_j)^-1
-    return basis.element_from_poly(basis.inverse_poly(g.exponents, flip=True))
+    return basis.element_from_poly(kernel.poly_reverse(g.poly, basis.shape))
 
 
 def weight(g):

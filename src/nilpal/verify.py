@@ -25,6 +25,7 @@ from nilpal.foxring import check_fox_table
 from nilpal.nilpotent import (
     bar,
     collect,
+    commutator,
     hall_basis,
     invert,
     left_normed,
@@ -123,7 +124,7 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
             ps = {ab: rng.randint(-2, 2) for ab in pairs}
             u = basis.one()
             for (a, b), p in ps.items():
-                u = multiply(u, power(commutator_gen(basis, a, b), p))
+                u = multiply(u, power(commutator(basis.generator(a), basis.generator(b)), p))
             targets = [basis.generator(i) for i in range(1, n + 1)]
             targets.append(collect(_random_word(rng, n, 6), basis))
             for x in targets:
@@ -138,10 +139,6 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
                 if lhs != rhs:
                     result.failures.append(f"n={n} p={sorted(ps.items())}")
     return result
-
-
-def commutator_gen(basis, a, b):
-    return left_normed([basis.generator(a), basis.generator(b)])
 
 
 def suite_foxtable(rank=3, step=None, seed=0, cases=None):
@@ -190,7 +187,8 @@ def suite_thm58_n2(rank=None, step=None, seed=0, cases=None):
     basis = hall_basis(2, 3)
     result = SuiteResult("thm5.8-n2", 0)
     gen = compose_symbols([phi3(2, 1, 1, 1), phi3(2, 1, 2, 2)], basis)
-    conj = make_generator(inner(power(commutator_gen(basis, 1, 2), 2)), basis)
+    x1, x2 = basis.generator(1), basis.generator(2)
+    conj = make_generator(inner(power(commutator(x1, x2), 2)), basis)
     result.cases += 1
     if gen != conj:
         result.failures.append("generator differs from the inner conjugation")

@@ -7,7 +7,9 @@ agreement between the two paths is meaningful evidence of correctness.
 closed-form row table it checks.  The `series_*` functions are the group
 operations of the truncated-series model, each result recovered by the
 self-checking peel: the path every basis of step > 3 runs, and the oracle
-for the exponent law of the lower steps.  `ring_fox_derivative` and
+for the exponent law of the lower steps.  `series_bar` collects the
+reversed free word of its input, so it shares no code with either `bar`
+path.  `ring_fox_derivative` and
 `word_tameness_residue` are the ring-product Fox derivative and the
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
@@ -179,8 +181,22 @@ def series_invert(a):
 
 
 def series_bar(a):
+    """bar by its definition: collect(reverse_word(element_as_word(a))).
+
+    That word is the reversed words of the factors c_j^e_j of a in reverse
+    order; each factor is collected as the reversed word of c_j raised to
+    e_j, so large exponents build no long word.
+    """
+    from nilpal.nilpotent import collect
+    from nilpal.words import reverse_word
+
     basis = a.basis
-    return basis.element_from_poly(basis.inverse_poly(a.exponents, flip=True))
+    out = basis.one()
+    for c, e in reversed(list(zip(basis.elements, a.exponents))):
+        if e:
+            rev = collect(reverse_word(c.as_word(basis.n)), basis)
+            out = series_multiply(out, series_power(rev, e))
+    return out
 
 
 def series_power(a, e):

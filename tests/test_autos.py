@@ -347,17 +347,79 @@ def test_solve_conjugator_multiply_count(monkeypatch):
 def test_solve_conjugator_verification_failure_context(monkeypatch):
     basis = hall_basis(3, 3)
     g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
-    real = autos.lattice_solve
+    real = autos._solve_mod2
 
-    def wrong(rows, target):
-        # a unit step in a weight-3 exponent moves the value by 2 e_j
-        sol = real(rows, target)
-        return sol[:-1] + [sol[-1] + 1]
+    def wrong(echelon, rows, target):
+        # flipping beta_1 moves the value by the first row, which is odd
+        beta, delta = real(echelon, rows, target)
+        return beta ^ 1, delta
 
-    monkeypatch.setattr(autos, "lattice_solve", wrong)
+    monkeypatch.setattr(autos, "_solve_mod2", wrong)
     with pytest.raises(InternalError, match="witness verification failed") as err:
         solve_conjugator(g, 2)
     assert err.value.context == {"n": 3, "k": 3, "i": 2, "min_weight": 1}
+
+
+def test_witness_mod2_solve_matches_lattice_solve():
+    # the mod-2 solve over the echelon built at alpha = 0 against a Smith
+    # form solve of rows + 2I, on lattice points and points moved by one
+    # unit vector, for every i and alpha in a box
+    for n, r in ((2, 2), (3, 2), (4, 1)):
+        basis = hall_basis(n, 3)
+        m3 = len(basis.by_weight[2])
+        rng = random.Random(n)
+        for i in range(1, n + 1):
+            echelon = autos._witness_echelon(basis, i)
+            parity = [autos._parity_mask(row) for row in autos._step3_rows(basis, i, [0] * n)]
+            for a in product(range(-r, r + 1), repeat=n):
+                rows = autos._step3_rows(basis, i, list(a))
+                assert [autos._parity_mask(row) for row in rows] == parity
+                doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
+                for shift in (False, True):
+                    coeffs = [rng.randint(-2, 2) for _ in rows + doubled]
+                    vec = [sum(c * row[j] for c, row in zip(coeffs, rows + doubled))
+                           for j in range(m3)]
+                    if shift:
+                        vec[rng.randrange(m3)] += 1
+                    sol = autos._solve_mod2(echelon, rows, vec)
+                    found = lattice_solve(rows + doubled, vec) is not None
+                    assert (sol is not None) == found
+                    assert found or shift
+                    if sol is not None:
+                        beta, delta = sol
+                        assert beta >> len(rows) == 0
+                        picked = [row for j, row in enumerate(rows) if beta >> j & 1]
+                        assert [sum(row[j] for row in picked) + 2 * d
+                                for j, d in enumerate(delta)] == vec
+
+
+def test_warm_solve_conjugator_runs_no_smith_form(monkeypatch):
+    basis = hall_basis(3, 3)
+    # (witness exponents, i): witnesses of weight 1, 2 and 3
+    cases = [
+        ((1, 0, -1, 2, 0, 1) + (0,) * 8, 2),
+        ((0, 0, 0, 1, -1, 2) + (0,) * 8, 3),
+        ((0,) * 6 + (1, 0, -3) + (0,) * 5, 1),
+    ]
+
+    def run():
+        for level, (exps, i) in enumerate(cases, start=1):
+            g = _conjugate(basis.from_exponents(exps), i)
+            for min_weight in (1, 2, 3):
+                found = solve_conjugator(g, i, min_weight=min_weight)
+                assert (found is not None) == (min_weight <= level)
+
+    run()
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    run()
+    assert calls == []
 
 
 def test_solve_conjugator_weight_bound_context(monkeypatch):
@@ -583,7 +645,12 @@ def test_phi2_rows_mod_2_have_rank_m3_minus_q(n):
         rows, labels = autos._central_rows(basis, i)
         phi2_rows = [row for row, label in zip(rows, labels) if label[0] == "phi2"]
         assert gf2_rank(phi2_rows) == m3 - q
-        assert len(autos._central_parity(basis, i)) == m3 - q
+        echelon = autos._central_parity(basis, i)
+        assert len(echelon) == m3 - q
+        # each echelon row is the parity of the sum of the rows it records
+        for mask, combo in echelon:
+            picked = [row for j, row in enumerate(rows) if combo >> j & 1]
+            assert autos._parity_mask([sum(col) for col in zip(*picked)]) == mask
 
 
 # -- tameness -----------------------------------------------------------------------

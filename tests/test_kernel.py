@@ -1,12 +1,13 @@
 """Series kernel: products against the monomial-table oracle, inverses, powers."""
 
 import random
+from itertools import product
 
 import pytest
 
 from oracles import monomial_table, table_poly_mul
 
-from nilpal.kernel import BACKEND, SeriesShape, poly_inv, poly_mul, poly_pow
+from nilpal.kernel import BACKEND, SeriesShape, poly_inv, poly_mul, poly_pow, poly_reverse
 from nilpal.nilpotent import hall_basis
 
 
@@ -38,6 +39,22 @@ def test_poly_mul_matches_table_oracle(n, k):
     for _ in range(200):
         a, b = rand_series(), rand_series()
         assert poly_mul(a, b, shape) == table_poly_mul(a, b, table, m)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2)])
+def test_reverse_reverses_letters(n, k):
+    shape = SeriesShape(n, k)
+    for d in range(k + 1):
+        for word in product(range(1, n + 1), repeat=d):
+            assert shape.reverse[shape.index(word)] == shape.index(word[::-1])
+    # an anti-automorphism: the reverse of a product is the product of the
+    # reverses in the other order
+    rng = random.Random(n + k)
+    terms = min(5, len(shape.dr))
+    a = {i: rng.randint(1, 3) for i in rng.sample(range(len(shape.dr)), terms)}
+    b = {i: rng.randint(-3, -1) for i in rng.sample(range(len(shape.dr)), terms)}
+    assert poly_reverse(poly_mul(a, b, shape), shape) == poly_mul(
+        poly_reverse(b, shape), poly_reverse(a, shape), shape)
 
 
 def test_inverse_is_two_sided():

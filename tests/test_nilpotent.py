@@ -24,7 +24,7 @@ from nilpal.nilpotent import (
 )
 from nilpal.words import concat, parse_word, reverse_word, word_from_ints
 
-from oracles import TruncatedWordRep, heisenberg_matrix
+from oracles import TruncatedWordRep, heisenberg_matrix, series_bar
 
 
 def rand_word(rng, n, max_len=12):
@@ -150,6 +150,20 @@ def test_bar_matches_word_reversal():
         basis = hall_basis(n, k)
         u = rand_word(rng, n)
         assert bar(collect(u, basis)) == collect(reverse_word(u), basis)
+
+
+@pytest.mark.parametrize("n,k", [(2, 5), (3, 5), (4, 4), (3, 6), (2, 8), (4, 5)])
+def test_bar_by_reversal_on_the_ladder(n, k):
+    # above step 3 bar reverses the monomials of the series; check it
+    # against collecting the reversed word, and against series_bar on
+    # elements whose series come from exponents
+    basis = hall_basis(n, k)
+    rng = random.Random(10 * n + k)
+    for _ in range(2):
+        u = rand_word(rng, n)
+        assert bar(collect(u, basis)) == collect(reverse_word(u), basis)
+        g = basis.from_exponents([rng.randint(-2, 2) for _ in basis.elements])
+        assert bar(g) == series_bar(g)
 
 
 def test_bar_involution_and_antihomomorphism():
