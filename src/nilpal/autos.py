@@ -20,7 +20,6 @@ from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
 from nilpal.intlinalg import (
     det,
     inv_unimodular,
-    invariant_factors,
     lattice_factors,
     mat_vec,
     solve_from_smith,
@@ -655,14 +654,16 @@ def _palindromic_factorization(e):
 
 
 def _pi_level(e):
+    """Largest level with witnesses of that weight for every generator; e
+    already has witnesses (`palindromic_witnesses`), so the answer is >= 1."""
     basis = e.basis
-    for level in range(basis.k, 0, -1):
+    for level in range(basis.k, 1, -1):
         if all(
             solve_conjugator(e.images[i - 1], i, min_weight=level) is not None
             for i in range(1, basis.n + 1)
         ):
             return level
-    return None
+    return 1
 
 
 def classify(e):
@@ -821,18 +822,17 @@ def quotient_rank_q(n):
     """Index exponent q of the palindromic defect lattice at step 3.
 
     Computed by the closed formula n(n^2-1)/3 - n(n-1)/2 and cross-checked
-    against the Smith form of the lattice itself.
+    against the lattice itself: it contains 2Z^m3, so its invariant factors
+    are m3 - q ones, one per row of its cached GF(2) echelon, and q twos.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
     q = n * (n * n - 1) // 3 - n * (n - 1) // 2
     basis = hall_basis(n, 3)
-    rows, _ = _central_rows(basis, n)
-    factors = invariant_factors(rows)
     m3 = len(basis.by_weight[2])
-    expected = [1] * (m3 - q) + [2] * q
-    if factors != expected:
-        raise InternalError(f"lattice invariants {factors} disagree with q={q}",
+    ones = len(_central_parity(basis, n))
+    if ones != m3 - q:
+        raise InternalError(f"lattice invariants 1^{ones} 2^{m3 - ones} disagree with q={q}",
                             n=n, k=3)
     return q
 

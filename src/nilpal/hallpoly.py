@@ -4,9 +4,9 @@ P. Hall (*Nilpotent groups*, 1957) showed that each Hall coordinate of a
 product x*y is an integer-valued polynomial in the coordinates of x and y,
 of weighted degree at most the coordinate's weight, where the variable of a
 basis element weighs that element's weight.  The same holds for the
-coordinates of bar(x).  Deep Thought (Leedham-Green and Soicher, 1998)
-computes these polynomials symbolically; here they are derived from the
-series model instead.
+coordinates of x^-1 and of bar(x).  Deep Thought (Leedham-Green and
+Soicher, 1998) computes these polynomials symbolically; here they are
+derived from the series model instead.
 
 An integer-valued polynomial has integer coefficients in the binomial basis
 prod_v C(x_v, d_v).  If its support lies in the down-closed set of exponent
@@ -15,10 +15,9 @@ difference sum_{e <= d} (-1)^{|d|-|e|} prod_v C(d_v, e_v) f(e), which reads
 only values at points of that same set.  So one series product per lattice
 point of weighted degree <= k, each one checked by the peel, fixes every
 product polynomial exactly (a point where one factor is the identity needs
-no product); `bar` gets its own polynomials the same way.
-The inverse needs no polynomial of its own: the product polynomial of
-coordinate c is y_c plus terms in x and in the y of lower weight, so
-P(x, y) = 0 is solved for y weight by weight.
+no product).  The inverse and `bar` get their own polynomials the same way,
+one series inverse or reversal per point; all three are compiled by one
+generator.
 
 After the derivation, every polynomial is compared with the series model
 at extra points with negative entries (`CHECK_POINTS`), and a mismatch
@@ -114,46 +113,15 @@ def _expr(terms, names):
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _binomials(terms, names, variables):
-    """Lines defining the binomial locals that `terms` use, over `variables`."""
-    used = sorted({(v, c) for _, point in terms for v, c in point if c > 1 and v in variables})
-    return [_binomial_line(names[v], c) for v, c in used]
-
-
 def _source(name, args, names, outputs):
     """Source of `def name(args)` returning the tuple of polynomials."""
     m = len(outputs)
     lines = [f"def {name}({', '.join(args)}):"]
     for a in args:
         lines.append(f"    {''.join(f'{a}{i}, ' for i in range(m))}= {a}")
-    every = [t for terms in outputs for t in terms]
-    lines += _binomials(every, names, range(len(names)))
+    used = sorted({(v, c) for terms in outputs for _, point in terms for v, c in point if c > 1})
+    lines += [_binomial_line(names[v], c) for v, c in used]
     lines.append(f"    return ({''.join(_expr(t, names) + ', ' for t in outputs)})")
-    return "\n".join(lines)
-
-
-def _inverse_source(basis, mul_terms):
-    """Source of `def inv(x)`: solves mul(x, y) == 1 for y weight by weight.
-
-    Each product polynomial must be y_c plus terms in x and in the y of
-    lower weight; anything else raises.
-    """
-    m = len(basis.elements)
-    names = [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)]
-    lines = ["def inv(x):", f"    {''.join(f'x{i}, ' for i in range(m))}= x"]
-    lines += _binomials([t for terms in mul_terms for t in terms], names, range(m))
-    for w in range(1, basis.k + 1):
-        block = basis.weight_slice(w)
-        for c in range(block.start, block.stop):
-            rest = [t for t in mul_terms[c] if t != (1, ((m + c, 1),))]
-            if len(rest) == len(mul_terms[c]) or any(
-                    v >= m + block.start for _, point in rest for v, _ in point):
-                raise InternalError("product polynomial is not unitriangular",
-                                    n=basis.n, k=basis.k, coordinate=c)
-            lines.append(f"    y{c} = -({_expr(rest, names)})")
-        later = [t for terms in mul_terms[block.stop:] for t in terms]
-        lines += _binomials(later, names, range(m + block.start, m + block.stop))
-    lines.append(f"    return ({''.join(f'y{i}, ' for i in range(m))})")
     return "\n".join(lines)
 
 
@@ -164,13 +132,13 @@ class HallLaw:
     Python text.
     """
 
-    def __init__(self, basis, mul_terms, bar_terms):
+    def __init__(self, basis, mul_terms, inv_terms, bar_terms):
         m = len(basis.elements)
         xs = [f"x{i}" for i in range(m)]
         ys = [f"y{i}" for i in range(m)]
         self.source = "\n\n".join((
             _source("mul", ("x", "y"), xs + ys, mul_terms),
-            _inverse_source(basis, mul_terms),
+            _source("inv", ("x",), xs, inv_terms),
             _source("bar", ("x",), xs, bar_terms),
         ))
         namespace = {}
@@ -217,10 +185,14 @@ def derive(basis):
         x, y = xy[:m], xy[m:]
         return y if not any(x) else x if not any(y) else series_mul(xy)
 
+    def series_inv(x):
+        return series(basis.inverse_poly(x))
+
     def series_bar(x):
         return series(kernel.poly_reverse(basis.exponents_poly(x), basis.shape))
 
-    law = HallLaw(basis, _fit(weights * 2, k, product_sample), _fit(weights, k, series_bar))
+    law = HallLaw(basis, _fit(weights * 2, k, product_sample),
+                  _fit(weights, k, series_inv), _fit(weights, k, series_bar))
     rng = Random(1000 * n + k)
     entries = (-2, -1, k, k + 1)  # no C(v, d) with d <= k vanishes at these
     for _ in range(CHECK_POINTS):
@@ -228,7 +200,7 @@ def derive(basis):
         y = tuple(rng.choice(entries) for _ in range(m))
         checks = (
             ("multiply", law.mul(x, y), series_mul(x + y)),
-            ("invert", law.inv(x), series(basis.inverse_poly(x))),
+            ("invert", law.inv(x), series_inv(x)),
             ("bar", law.bar(x), series_bar(x)),
         )
         for op, got, want in checks:

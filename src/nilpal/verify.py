@@ -281,4 +281,8 @@ def run_suite(name, rank=None, step=None, seed=0, cases=None):
         kwargs["step"] = step
     if cases is not None:
         kwargs["cases"] = cases
-    return fn(**kwargs)
+    result = fn(**kwargs)
+    if not result.cases:
+        # a suite that checks nothing must not report PASS
+        raise ValueError(f"suite {name} ran no cases at rank={rank} step={step} cases={cases}")
+    return result

@@ -519,6 +519,23 @@ def test_classify_mu():
     assert flags.pi_level == 1
 
 
+def test_classify_searches_level_1_once(monkeypatch):
+    # 3 level-1 witnesses, then one failed search each at levels 3 and 2;
+    # the level-1 witnesses are not searched again
+    basis = hall_basis(3, 3)
+    e = make_generator(mu(1, 2), basis)
+    calls = []
+    real = autos.solve_conjugator
+
+    def counting(g, i, min_weight=1):
+        calls.append((i, min_weight))
+        return real(g, i, min_weight)
+
+    monkeypatch.setattr(autos, "solve_conjugator", counting)
+    assert classify(e).pi_level == 1
+    assert calls == [(1, 1), (2, 1), (3, 1), (1, 3), (1, 2)]
+
+
 def test_classify_pi_element():
     basis = hall_basis(2, 3)
     e = make_endo(basis, ["x1 [x2,x1,x1]^2", "x2"])
@@ -628,10 +645,20 @@ def test_quotient_rank():
 
 
 def test_quotient_rank_invariants_context(monkeypatch):
-    monkeypatch.setattr(autos, "invariant_factors", lambda rows: [])
+    monkeypatch.setattr(autos, "_central_parity", lambda basis, i: [])
     with pytest.raises(InternalError, match="disagree with q=1") as err:
         quotient_rank_q(2)
     assert err.value.context == {"n": 2, "k": 3}
+
+
+def test_warm_quotient_rank_runs_no_smith_form(monkeypatch):
+    # the invariants come from the cached GF(2) echelon, not a fresh Smith form
+    quotient_rank_q(4)
+    calls = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: calls.append(1) or real(a))
+    assert quotient_rank_q(4) == 14
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -136,6 +136,13 @@ def test_verify_flags_after_subcommand(capsys):
     assert "suite=foxtable" in out and "rank=3" in out
 
 
+def test_verify_with_no_cases_exits_1(capsys):
+    code, out, err = run_cli(capsys, "--format", "kv", "verify", "prop3.3", "--rank", "1")
+    assert code == 1
+    assert out == ""
+    assert "suite prop3.3 ran no cases at rank=1" in err
+
+
 def test_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "--rank", "2", "auto", "classify", "/does/not/exist")

@@ -100,46 +100,30 @@ def test_large_entries_and_powers():
     assert power(h, big) == series_power(h, big)
 
 
+# the sample functions of `hallpoly.derive` whose fits are perturbed, by the
+# index that the test ids carry
+FITTED = ("product_sample", "series_bar", "series_inv")
+
+
 def _perturbed_fit(which, coordinate):
-    """`hallpoly._fit` with one coefficient of one coordinate changed in the
-    `which`-th fit (0: product, 1: bar); the linear term of y_c is kept so
-    that the product stays solvable."""
+    """`hallpoly._fit` with the first coefficient of one coordinate changed
+    in the fit of the sample function FITTED[which]."""
     real = hallpoly._fit
-    seen = []
 
     def fit(weights, top, sample):
         terms = real(weights, top, sample)
-        if len(seen) == which:
-            m = len(terms)
-            col = terms[coordinate]
-            j = next(j for j, (_, point) in enumerate(col) if point != ((m + coordinate, 1),))
-            coef, point = col[j]
-            col[j] = (coef + 1, point)
-        seen.append(1)
+        if sample.__name__ == FITTED[which]:
+            coef, point = terms[coordinate][0]
+            terms[coordinate][0] = (coef + 1, point)
         return terms
 
     return fit
 
 
-@pytest.mark.parametrize("which,op", [(0, "multiply"), (1, "bar")])
+@pytest.mark.parametrize("which,op", [(0, "multiply"), (1, "bar"), (2, "invert")])
 @pytest.mark.parametrize("coordinate", range(14))
 def test_changed_coefficient_fails_the_check(monkeypatch, which, op, coordinate):
     monkeypatch.setattr(hallpoly, "_fit", _perturbed_fit(which, coordinate))
     with pytest.raises(InternalError, match=f"derived {op} polynomial disagrees") as err:
         hallpoly.derive(HallBasis(3, 3))
     assert err.value.context == {"n": 3, "k": 3, "coordinate": coordinate}
-
-
-def test_unsolvable_product_polynomial_raises(monkeypatch):
-    real = hallpoly._fit
-
-    def fit(weights, top, sample):
-        terms = real(weights, top, sample)
-        terms[3] = [(2, point) if point == ((5 + 3, 1),) else (c, point)
-                    for c, point in terms[3]]
-        return terms
-
-    monkeypatch.setattr(hallpoly, "_fit", fit)
-    with pytest.raises(InternalError, match="not unitriangular") as err:
-        hallpoly.derive(HallBasis(2, 3))
-    assert err.value.context == {"n": 2, "k": 3, "coordinate": 3}

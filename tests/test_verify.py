@@ -37,6 +37,22 @@ def test_unknown_suite():
         run_suite("nope")
 
 
+@pytest.mark.parametrize(
+    "name,kwargs,given",
+    [
+        ("prop3.3", {"rank": 1}, "rank=1 step=None cases=None"),
+        ("jacobi", {"rank": 2}, "rank=2 step=None cases=None"),
+        ("lemma5.3", {"rank": 1}, "rank=1 step=None cases=None"),
+        ("lemma4.2", {"rank": 1}, "rank=1 step=None cases=None"),
+        ("prop3.1", {"cases": 0}, "rank=None step=None cases=0"),
+        ("foxtable", {"rank": 0}, "rank=0 step=None cases=None"),
+    ],
+)
+def test_suite_with_no_cases_is_refused(name, kwargs, given):
+    with pytest.raises(ValueError, match=f"suite {name} ran no cases at {given}"):
+        run_suite(name, **kwargs)
+
+
 def test_registry_complete():
     assert set(SUITES) == {
         "lemma2.5", "prop2.8", "jacobi", "lemma4.2", "foxtable",
