@@ -37,6 +37,35 @@ def _cases():
                     "auto", op, f"fixtures/r{rank}_{name}.auto"]
     cases["auto-classify-step4"] = [
         "--rank", "2", "--step", "4", "auto", "classify", "fixtures/r2_mu12.auto"]
+    # eval and compose: words with negative exponents and weight-2 letters,
+    # a non-automorphism, and step 4 (series path)
+    r2_word = "x1^-2 x2 [x1,x2]^3 x2^-1 [x2,x1,x1]^-2 x1"
+    r3_word = "x3^-1 [x1,x2]^-2 x2^2 [x3,x1]^5 [x2,x3,x1] x1^-3 [x2,x3]"
+    for name in ("mu12", "witness", "notauto", "wild", "inner_sq"):
+        cases[f"auto-eval-r2-{name}"] = [
+            "--rank", "2", "--step", "3", "auto", "eval", f"fixtures/r2_{name}.auto", r2_word]
+    for name in ("mu_phi2", "witness", "phi2_wild", "phi3_psi", "odd"):
+        cases[f"auto-eval-r3-{name}"] = [
+            "--rank", "3", "--step", "3", "--format", "kv",
+            "auto", "eval", f"fixtures/r3_{name}.auto", r3_word]
+    for names in (("mu12", "witness"), ("witness", "notauto", "inner_sq"),
+                  ("transvection", "wild", "mu12", "odd")):
+        cases[f"auto-compose-r2-{'-'.join(names)}"] = [
+            "--rank", "2", "--step", "3", "auto", "compose",
+            *(f"fixtures/r2_{name}.auto" for name in names)]
+    for names in (("mu_phi2", "phi3_psi"), ("witness", "swap", "phi2_wild"),
+                  ("transvection", "odd", "mu_phi2", "ia_weight2")):
+        cases[f"auto-compose-r3-{'-'.join(names)}"] = [
+            "--rank", "3", "--step", "3", "--format", "kv", "auto", "compose",
+            *(f"fixtures/r3_{name}.auto" for name in names)]
+    cases["auto-eval-step4"] = [
+        "--rank", "2", "--step", "4", "auto", "eval", "fixtures/r2_mu12.auto",
+        "x1^-1 [x1,x2,x2]^2 x2^3 [x2,x1]^-1 [x2,x1,x1,x1]"]
+    cases["auto-compose-step4"] = [
+        "--rank", "2", "--step", "4", "auto", "compose",
+        "fixtures/r2_mu12.auto", "fixtures/r2_witness.auto", "fixtures/r2_wild.auto"]
+    cases["auto-eval-usage"] = [
+        "--rank", "2", "--step", "3", "auto", "eval", "fixtures/r2_mu12.auto"]
     cases["normalize-r2-s5"] = [
         "--rank", "2", "--step", "5", "normalize",
         "x2 x1^-1 [x2,x1,x1,x2] x2^3 x1 [x1,x2]^-2"]
