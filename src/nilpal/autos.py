@@ -89,49 +89,68 @@ class Endo:
         return f"Endo({body})"
 
     def _image(self, idx, inverse=False):
-        """Image of basis element idx, or of its inverse: an exponent tuple
-        where the basis has an exponent law, else a series.
+        """Image of basis element idx: an exponent tuple at step <= 3, else
+        a series, or above step 3 the series of its inverse.
 
-        A generator's image inverts through its normal form; a bracket's
-        image is the bracket of the images, and [a,b]^-1 = [b,a].
+        A generator's image is given (and inverts through its normal form);
+        a bracket's image is the bracket of the images, and [a,b]^-1 = [b,a].
         """
         key = (idx, inverse)
         img = self._basis_images.get(key)
         if img is None:
             basis = self.basis
-            law = basis.law
             c = basis.elements[idx]
-            if c.gen is not None:
+            if basis.k <= 3:
+                img = (self.images[c.gen - 1].exponents if c.gen is not None
+                       else basis.law.comm(self._image(c.left.index), self._image(c.right.index)))
+            elif c.gen is not None:
                 g = self.images[c.gen - 1]
-                if law is not None:
-                    img = law.inv(g.exponents) if inverse else g.exponents
-                else:
-                    img = basis.inverse_poly(g.exponents) if inverse else g.poly
+                img = basis.inverse_poly(g.exponents) if inverse else g.poly
             else:
                 a, b = c.left.index, c.right.index
                 if inverse:
                     a, b = b, a
-                img = (basis if law is None else law).comm(
-                    self._image(a), self._image(b), self._image(a, True), self._image(b, True))
+                img = basis.comm(self._image(a), self._image(b),
+                                 self._image(a, True), self._image(b, True))
             self._basis_images[key] = img
         return img
 
     def apply(self, g):
+        """The image of g.
+
+        At step <= 3, [gamma_2, gamma_2] lies in gamma_4 = 1, so gamma_2 is
+        abelian and its Hall coordinates add: g = x_1^g_1 ... x_n^g_n * t
+        with t in gamma_2 maps to the image of the head times the integer
+        sum of g_j * (image of basis element j) over j > n.
+        """
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
         basis = self.basis
-        law = basis.law
-        ops = basis if law is None else law
+        exps = g.exponents
+        if basis.k <= 3:
+            law, n = basis.law, basis.n
+            out = None
+            for idx in range(n):
+                e = exps[idx]
+                if e:
+                    f = law.pow(self._image(idx), e)
+                    out = f if out is None else law.mul(out, f)
+            tail = None
+            for idx in range(n, len(exps)):
+                e = exps[idx]
+                if e:
+                    img = self._image(idx)
+                    tail = ([e * v for v in img] if tail is None
+                            else [t + e * v for t, v in zip(tail, img)])
+            if tail is not None:
+                out = tuple(tail) if out is None else law.mul(out, tail)
+            return basis.one() if out is None else NilElement(basis, None, out)
         out = None
-        for idx, e in enumerate(g.exponents):
+        for idx, e in enumerate(exps):
             if e:
-                f = ops.pow(self._image(idx, e < 0), abs(e))
-                out = f if out is None else ops.mul(out, f)
-        if out is None:
-            return basis.one()
-        if law is None:
-            return basis.element_from_poly(out)
-        return NilElement(basis, None, out)
+                f = basis.pow(self._image(idx, e < 0), abs(e))
+                out = f if out is None else basis.mul(out, f)
+        return basis.one() if out is None else basis.element_from_poly(out)
 
     def __call__(self, g):
         return self.apply(g)
@@ -560,23 +579,38 @@ def _base_generator(sym, basis):
     raise ValueError(f"unknown generator tag {tag!r}")
 
 
+def _kept_generator(sym, basis):
+    """The automorphism of `sym` without its exponent (`inner` excluded),
+    or its inverse when the exponent is negative, kept in `basis.memo`."""
+    key = (sym.tag, sym.params)
+    if basis.k > 3:
+        # the image tables hold series here: keep the inverse's images only
+        if sym.exponent >= 0:
+            return _base_generator(sym, basis)
+        return Endo(basis, _memo(basis, ("generator_inverse",) + key,
+                                 lambda: inverse(_base_generator(sym, basis)).images))
+    base = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
+    if sym.exponent >= 0:
+        return base
+    return _memo(basis, ("generator_inverse",) + key, lambda: inverse(base))
+
+
 def make_generator(sym, basis):
     """The automorphism of `sym` in `basis`.
 
-    A negative power of a generator other than `inner` is a power of the
-    generator's inverse, whose images are kept in `basis.memo`: the set of
-    such generators is finite, and `inverse` verifies each one once.  Only
-    the images are kept, so the image caches of the `Endo` are dropped
-    with it.
+    A generator other than `inner` and its inverse are kept in
+    `basis.memo` per (tag, params), so `inverse` verifies each inverse
+    once; the set of such symbols is finite.  At step <= 3 the `Endo` is
+    kept with its image table: at most m + n exponent tuples (the n
+    images and one image per basis element, m of them).  Above step 3 the
+    table holds series, so only the inverse's images are kept.  A power
+    other than +-1 is composed afresh on every call.
     """
-    if sym.exponent < 0 and sym.tag != "inner":
-        images = _memo(basis, ("generator_inverse", sym.tag, sym.params),
-                       lambda: inverse(_base_generator(sym, basis)).images)
-        return endo_power(Endo(basis, images), -sym.exponent)
-    base = _base_generator(sym, basis)
-    if sym.exponent == 1:
-        return base
-    return endo_power(base, sym.exponent)
+    if sym.tag == "inner":
+        base, exponent = _base_generator(sym, basis), sym.exponent
+    else:
+        base, exponent = _kept_generator(sym, basis), abs(sym.exponent)
+    return base if exponent == 1 else endo_power(base, exponent)
 
 
 def compose_symbols(symbols, basis):

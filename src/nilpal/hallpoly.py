@@ -16,8 +16,10 @@ only values at points of that same set.  So one series product per lattice
 point of weighted degree <= k, each one checked by the peel, fixes every
 product polynomial exactly (a point where one factor is the identity needs
 no product).  The inverse and `bar` get their own polynomials the same way,
-one series inverse or reversal per point; all three are compiled by one
-generator.
+one series inverse or reversal per point.  The commutator [x, y] is a
+product of such polynomials, so it is one too; its samples come from the
+fitted `mul` and `inv` and need no series at all.  All four are compiled
+by one generator.
 
 After the derivation, every polynomial is compared with the series model
 at extra points with negative entries (`CHECK_POINTS`), and a mismatch
@@ -65,10 +67,12 @@ def _differences(points, values):
     for d in points:
         acc = [0] * len(values[0])
         for sub in product(*(range(c + 1) for _, c in d)):
+            value = at[tuple((v, s) for (v, _), s in zip(d, sub) if s)]
+            if not any(value):
+                continue
             coef = 1
             for (_, c), s in zip(d, sub):
                 coef *= (-1) ** (c - s) * comb(c, s)
-            value = at[tuple((v, s) for (v, _), s in zip(d, sub) if s)]
             acc = [a + coef * f for a, f in zip(acc, value)]
         out.append(acc)
     return out
@@ -128,25 +132,26 @@ def _source(name, args, names, outputs):
 class HallLaw:
     """The group law of one basis on exponent tuples.
 
-    `mul`, `inv` and `bar` are compiled polynomials; `source` holds their
-    Python text.
+    `mul`, `inv`, `bar` and `comm` ([x, y] = x^-1 y^-1 x y) are compiled
+    polynomials, added one at a time by `add`; `source` holds their Python
+    text.
     """
 
-    def __init__(self, basis, mul_terms, inv_terms, bar_terms):
+    def __init__(self, basis):
         m = len(basis.elements)
-        xs = [f"x{i}" for i in range(m)]
-        ys = [f"y{i}" for i in range(m)]
-        self.source = "\n\n".join((
-            _source("mul", ("x", "y"), xs + ys, mul_terms),
-            _source("inv", ("x",), xs, inv_terms),
-            _source("bar", ("x",), xs, bar_terms),
-        ))
-        namespace = {}
-        exec(compile(self.source, f"<hall law n={basis.n} k={basis.k}>", "exec"), namespace)
-        self.mul = namespace["mul"]
-        self.inv = namespace["inv"]
-        self.bar = namespace["bar"]
+        self._names = {"x": [f"x{i}" for i in range(m)], "y": [f"y{i}" for i in range(m)]}
+        self._label = f"<hall law n={basis.n} k={basis.k}>"
+        self.source = ""
         self.one = (0,) * m
+
+    def add(self, name, args, terms):
+        """Compile `def name(args)` from one term list per coordinate."""
+        names = [v for a in args for v in self._names[a]]
+        text = _source(name, args, names, terms)
+        namespace = {}
+        exec(compile(text, self._label, "exec"), namespace)
+        setattr(self, name, namespace[name])
+        self.source += ("\n\n" if self.source else "") + text
 
     def pow(self, x, e):
         """x^e by repeated squaring."""
@@ -161,10 +166,6 @@ class HallLaw:
                 x = self.mul(x, x)
         return self.one if out is None else out
 
-    def comm(self, a, b, a_inv, b_inv):
-        """[a, b] = a^-1 b^-1 a b, given the inverses."""
-        return self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
-
 
 def derive(basis):
     """The `HallLaw` of a basis, derived from and then checked against the
@@ -176,14 +177,15 @@ def derive(basis):
     def series(poly):
         return basis.element_from_poly(poly).exponents
 
-    def series_mul(xy):
-        return series(basis.mul(basis.exponents_poly(xy[:m]), basis.exponents_poly(xy[m:])))
-
     def product_sample(xy):
         # 1 * y = y and x * 1 = x hold in any group: only points with both
         # factors nontrivial need a series product
         x, y = xy[:m], xy[m:]
-        return y if not any(x) else x if not any(y) else series_mul(xy)
+        if not any(x):
+            return y
+        if not any(y):
+            return x
+        return series(basis.mul(basis.exponents_poly(x), basis.exponents_poly(y)))
 
     def series_inv(x):
         return series(basis.inverse_poly(x))
@@ -191,17 +193,31 @@ def derive(basis):
     def series_bar(x):
         return series(kernel.poly_reverse(basis.exponents_poly(x), basis.shape))
 
-    law = HallLaw(basis, _fit(weights * 2, k, product_sample),
-                  _fit(weights, k, series_inv), _fit(weights, k, series_bar))
+    def commutator_sample(xy):
+        # [x, y] = (y x)^-1 (x y), exact since the fitted mul and inv
+        # already agree with the series model; [1, y] = [x, 1] = 1
+        x, y = xy[:m], xy[m:]
+        if not any(x) or not any(y):
+            return law.one
+        return law.mul(law.inv(law.mul(y, x)), law.mul(x, y))
+
+    law = HallLaw(basis)
+    law.add("mul", ("x", "y"), _fit(weights * 2, k, product_sample))
+    law.add("inv", ("x",), _fit(weights, k, series_inv))
+    law.add("bar", ("x",), _fit(weights, k, series_bar))
+    law.add("comm", ("x", "y"), _fit(weights * 2, k, commutator_sample))
     rng = Random(1000 * n + k)
     entries = (-2, -1, k, k + 1)  # no C(v, d) with d <= k vanishes at these
     for _ in range(CHECK_POINTS):
         x = tuple(rng.choice(entries) for _ in range(m))
         y = tuple(rng.choice(entries) for _ in range(m))
+        px, py = basis.exponents_poly(x), basis.exponents_poly(y)
+        ix, iy = basis.inverse_poly(x), basis.inverse_poly(y)
         checks = (
-            ("multiply", law.mul(x, y), series_mul(x + y)),
-            ("invert", law.inv(x), series_inv(x)),
-            ("bar", law.bar(x), series_bar(x)),
+            ("multiply", law.mul(x, y), series(basis.mul(px, py))),
+            ("invert", law.inv(x), series(ix)),
+            ("bar", law.bar(x), series(kernel.poly_reverse(px, basis.shape))),
+            ("commutator", law.comm(x, y), series(basis.comm(px, py, ix, iy))),
         )
         for op, got, want in checks:
             if got != want:

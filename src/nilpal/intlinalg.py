@@ -5,6 +5,7 @@ exact at arbitrary precision.  The Smith normal form carries its unimodular
 transforms, which is what the lattice-membership solvers need.
 """
 
+import operator
 from fractions import Fraction
 
 Matrix = list
@@ -17,13 +18,12 @@ def eye(n):
 def mat_mul(a, b):
     if not a:
         return []
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     bt = list(zip(*b)) if b else []
-    return [[sum(arow[t] * bcol[t] for t in range(inner)) for bcol in bt] for arow in a]
+    return [[sum(map(operator.mul, arow, bcol)) for bcol in bt] for arow in a]
 
 
 def mat_vec(a, v):
-    return [sum(row[t] * v[t] for t in range(len(v))) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def vec_sub(u, v):
@@ -60,30 +60,45 @@ def det(a):
 
 
 def inv_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    Integer row reduction of [a | I]: Euclid's algorithm down each column
+    makes a triangular with pivots whose product is +-det(a), then back
+    substitution over the unit pivots clears the columns upward.
+    """
     n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    units = True
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    out = []
-    for row in work:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
+        while True:
+            live = [r for r in range(col, n) if work[r][col]]
+            if not live:
+                raise ValueError("matrix is singular")
+            piv = min(live, key=lambda r: abs(work[r][col]))
+            work[col], work[piv] = work[piv], work[col]
+            prow = work[col]
+            done = True
+            for r in live:
+                x = work[r][col] if r != col else 0
+                if x:
+                    f = x // prow[col]
+                    work[r] = [u - f * v for u, v in zip(work[r], prow)]
+                    done = done and not work[r][col]
+            if done:
+                break
+        # a non-unit pivot: keep reducing, so that a singular matrix says so
+        units = units and abs(work[col][col]) == 1
+    if not units:
+        raise ValueError("matrix is not unimodular")
+    for col in range(n - 1, -1, -1):
+        prow = work[col]
+        if prow[col] < 0:
+            prow = work[col] = [-v for v in prow]
+        for r in range(col):
+            x = work[r][col]
+            if x:
+                work[r] = [u - x * v for u, v in zip(work[r], prow)]
+    return [row[n:] for row in work]
 
 
 def smith_normal_form(a):

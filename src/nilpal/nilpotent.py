@@ -462,8 +462,7 @@ def commutator(a, b):
     basis = _same_basis(a, b)
     law = basis.law
     if law is not None:
-        x, y = a.exponents, b.exponents
-        return NilElement(basis, None, law.comm(x, y, law.inv(x), law.inv(y)))
+        return NilElement(basis, None, law.comm(a.exponents, b.exponents))
     return basis.element_from_poly(basis.comm(
         a.poly, b.poly, basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)))
 

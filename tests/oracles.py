@@ -13,6 +13,8 @@ path.  `ring_fox_derivative` and
 `word_tameness_residue` are the ring-product Fox derivative and the
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
+`fraction_inv_unimodular` is Gauss-Jordan over Fractions, the reference
+for the integer row reduction of `intlinalg.inv_unimodular`.
 """
 
 from array import array
@@ -31,6 +33,36 @@ def mat_mul(a, b):
         [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(m)]
         for i in range(n)
     ]
+
+
+def fraction_inv_unimodular(a):
+    """Inverse of an integer matrix with determinant +-1 by Gauss-Jordan
+    over Fractions; the reference for `intlinalg.inv_unimodular`."""
+    from fractions import Fraction
+
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        work[col], work[piv] = work[piv], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    out = []
+    for row in work:
+        ints = []
+        for x in row[n:]:
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular")
+            ints.append(int(x))
+        out.append(ints)
+    return out
 
 
 def heisenberg_matrix(word):

@@ -228,6 +228,38 @@ def test_generator_inverse_built_once_per_symbol(monkeypatch):
     assert len(calls) == 3
 
 
+def test_generators_are_kept_with_their_image_tables():
+    basis = nilpotent.HallBasis(3, 3)
+    m12 = make_generator(mu(1, 2), basis)
+    assert make_generator(mu(1, 2), basis) is m12
+    inv = make_generator(mu(1, 2, -1), basis)
+    assert make_generator(mu(1, 2, -1), basis) is inv
+    assert basis.memo[("generator", "mu", (1, 2))] is m12
+    assert basis.memo[("generator_inverse", "mu", (1, 2))] is inv
+    # the image table stays with the kept map: one exponent tuple per basis
+    # element used, none for an inverse
+    m12.apply(basis.from_exponents((-1) ** i * (i + 1) for i in range(14)))
+    assert make_generator(mu(1, 2), basis)._basis_images == m12._basis_images
+    assert sorted(m12._basis_images) == [(i, False) for i in range(14)]
+    assert all(len(img) == 14 for img in m12._basis_images.values())
+    # powers other than +-1 and inner maps are built afresh
+    assert make_generator(mu(1, 2, 2), basis) is not make_generator(mu(1, 2, 2), basis)
+    x = basis.generator(1)
+    assert make_generator(inner(x), basis) is not make_generator(inner(x), basis)
+    assert make_generator(inner(x, -1), basis) == inverse(make_generator(inner(x), basis))
+    assert not any(key[1] == "inner" for key in basis.memo if key[0].startswith("generator"))
+
+
+def test_step4_generators_keep_inverse_images_only():
+    basis = nilpotent.HallBasis(3, 4)
+    m12 = make_generator(mu(1, 2), basis)
+    assert make_generator(mu(1, 2), basis) is not m12
+    inv = make_generator(mu(1, 2, -1), basis)
+    assert basis.memo[("generator_inverse", "mu", (1, 2))] == inv.images
+    assert make_generator(mu(1, 2, -1), basis) is not inv
+    assert not any(key[0] == "generator" for key in basis.memo)
+
+
 def test_invalid_negative_symbol_raises_every_time():
     basis = hall_basis(2, 3)
     for _ in range(2):

@@ -41,6 +41,14 @@ def test_group_ops_match_the_series_model(n, k):
             series_multiply(series_invert(g), series_invert(h)), series_multiply(g, h))
 
 
+def gamma2_heavy(rng, basis, span=5):
+    """An element with small linear part and entries in [-span, span] on
+    the basis elements of weight >= 2."""
+    n = basis.n
+    return basis.from_exponents([rng.randint(-1, 1) for _ in range(n)]
+                                + [rng.randint(-span, span) for _ in basis.elements[n:]])
+
+
 @pytest.mark.parametrize("n,k", LAW_BASES)
 def test_endo_apply_matches_the_series_model(n, k):
     basis = hall_basis(n, k)
@@ -50,6 +58,27 @@ def test_endo_apply_matches_the_series_model(n, k):
         for _ in range(5):
             g = rand_element(rng, basis)
             assert e.apply(g) == series_apply(e, g)
+        for _ in range(3):
+            g = gamma2_heavy(rng, basis)
+            assert e.apply(g) == series_apply(e, g)
+        f = Endo(basis, [gamma2_heavy(rng, basis, 2) for _ in range(n)])
+        composed = compose(e, f)
+        assert composed.images == tuple(series_apply(f, img) for img in e.images)
+        g = gamma2_heavy(rng, basis)
+        assert composed.apply(g) == series_apply(f, series_apply(e, g))
+
+
+def test_endo_apply_shortcut_is_gated_by_step_not_by_law(monkeypatch):
+    # with a law at step 4, gamma_2 is not abelian: apply keeps the series
+    monkeypatch.setattr(hallpoly, "MAX_STEP", 4)
+    basis = HallBasis(2, 4)
+    assert basis.law is not None
+    rng = random.Random(24)
+    e = Endo(basis, [rand_element(rng, basis, 2) for _ in range(2)])
+    for _ in range(3):
+        g = gamma2_heavy(rng, basis, 3)
+        assert e.apply(g) == series_apply(e, g)
+    assert all(not isinstance(img, tuple) for img in e._basis_images.values())
 
 
 def test_group_ops_run_no_series_product(monkeypatch):
@@ -102,25 +131,27 @@ def test_large_entries_and_powers():
 
 # the sample functions of `hallpoly.derive` whose fits are perturbed, by the
 # index that the test ids carry
-FITTED = ("product_sample", "series_bar", "series_inv")
+FITTED = ("product_sample", "series_bar", "series_inv", "commutator_sample")
 
 
 def _perturbed_fit(which, coordinate):
     """`hallpoly._fit` with the first coefficient of one coordinate changed
-    in the fit of the sample function FITTED[which]."""
+    in the fit of the sample function FITTED[which]; a coordinate with no
+    term (a linear coordinate of the commutator) gets the constant 1."""
     real = hallpoly._fit
 
     def fit(weights, top, sample):
         terms = real(weights, top, sample)
         if sample.__name__ == FITTED[which]:
-            coef, point = terms[coordinate][0]
-            terms[coordinate][0] = (coef + 1, point)
+            coef, point = terms[coordinate][0] if terms[coordinate] else (0, ())
+            terms[coordinate][:1] = [(coef + 1, point)]
         return terms
 
     return fit
 
 
-@pytest.mark.parametrize("which,op", [(0, "multiply"), (1, "bar"), (2, "invert")])
+@pytest.mark.parametrize("which,op", [(0, "multiply"), (1, "bar"), (2, "invert"),
+                                      (3, "commutator")])
 @pytest.mark.parametrize("coordinate", range(14))
 def test_changed_coefficient_fails_the_check(monkeypatch, which, op, coordinate):
     monkeypatch.setattr(hallpoly, "_fit", _perturbed_fit(which, coordinate))

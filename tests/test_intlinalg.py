@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import fraction_inv_unimodular
 
 from nilpal.intlinalg import (
     PivotSolver,
@@ -63,6 +64,64 @@ def test_inv_unimodular():
         assert mat_mul(m, inv) == eye(n)
         assert mat_mul(inv, m) == eye(n)
         built += 1
+
+
+def rand_unimodular(rng, n, steps=12):
+    """A random product of elementary matrices and a sign change."""
+    m = eye(n)
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            f = rng.randint(-3, 3)
+            for col in range(n):
+                m[i][col] += f * m[j][col]
+    i = rng.randrange(n)
+    m[i] = [-v for v in m[i]]
+    rng.shuffle(m)
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_inv_unimodular_matches_the_fraction_oracle(n):
+    rng = random.Random(20 + n)
+    for _ in range(40):
+        m = rand_unimodular(rng, n)
+        assert inv_unimodular(m) == fraction_inv_unimodular(m)
+
+
+@pytest.mark.parametrize("m,message", [
+    ([[0]], "singular"),
+    ([[2, 0], [0, 0]], "singular"),
+    ([[0, 0], [0, 2]], "singular"),
+    ([[1, 2], [2, 4]], "singular"),
+    ([[2, 4, 1], [3, 6, 5], [1, 2, 7]], "singular"),
+    ([[2]], "not unimodular"),
+    ([[2, 0], [0, 1]], "not unimodular"),
+    ([[1, 2], [3, 4]], "not unimodular"),
+    ([[4, 6], [6, 4]], "not unimodular"),
+    ([[2, 1, 0], [0, 3, 1], [1, 0, 2]], "not unimodular"),
+])
+def test_inv_unimodular_errors_match_the_fraction_oracle(m, message):
+    for inv in (inv_unimodular, fraction_inv_unimodular):
+        with pytest.raises(ValueError, match=f"matrix is {message}"):
+            inv(m)
+
+
+def test_inv_unimodular_error_classes_on_random_matrices():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = rand_matrix(rng, n, n, span=2)
+        outs = []
+        for inv in (inv_unimodular, fraction_inv_unimodular):
+            try:
+                outs.append(inv(m))
+            except ValueError as exc:
+                outs.append(str(exc))
+        assert outs[0] == outs[1], m
+        seen.add(outs[0] if isinstance(outs[0], str) else "inverse")
+    assert seen == {"matrix is singular", "matrix is not unimodular", "inverse"}
 
 
 def test_smith_normal_form_properties():

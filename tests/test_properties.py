@@ -1,4 +1,4 @@
-"""Properties of the group law, the word grammar, the palindromic witness
+"""Properties of the group law, endomorphisms, the word grammar, the palindromic witness
 solver, the layered inverse, the generator symbols and the Fox-derivative
 tameness residue over generated inputs."""
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from oracles import ring_fox_derivative, word_tameness_residue  # noqa: E402
 
 from nilpal.autos import (  # noqa: E402
+    Endo,
     GeneratorSymbol,
     compose,
     compose_symbols,
@@ -73,6 +74,34 @@ def test_bar_is_an_involutive_anti_automorphism(gs):
     g, h = gs
     assert bar(bar(g)) == g
     assert bar(multiply(g, h)) == multiply(bar(h), bar(g))
+
+
+@st.composite
+def endo_cases(draw, bases, maps=1, points=1, span=4):
+    """`maps` endomorphisms of one basis drawn from `bases`, with images
+    exponents in [-2, 2], and `points` elements with exponents in
+    [-span, span]."""
+    basis = hall_basis(*draw(st.sampled_from(bases)))
+    size = len(basis.elements)
+
+    def vec(bound):
+        return basis.from_exponents(
+            draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size)))
+
+    endos = [Endo(basis, [vec(2) for _ in range(basis.n)]) for _ in range(maps)]
+    return endos, [vec(span) for _ in range(points)]
+
+
+@given(endo_cases(LAW_BASES, points=2))
+def test_endo_apply_is_a_homomorphism(case):
+    (e,), (g, h) = case
+    assert e.apply(multiply(g, h)) == multiply(e.apply(g), e.apply(h))
+
+
+@given(endo_cases(LAW_BASES, maps=2))
+def test_compose_applies_first_then_second(case):
+    (e1, e2), (g,) = case
+    assert compose(e1, e2).apply(g) == e2.apply(e1.apply(g))
 
 
 @given(words(WORD_BASES))
