@@ -89,11 +89,12 @@ class Endo:
         return f"Endo({body})"
 
     def _image(self, idx, inverse=False):
-        """Image of basis element idx: an exponent tuple at step <= 3, else
-        a series, or above step 3 the series of its inverse.
+        """Image of basis element idx: an exponent tuple at step <= 3;
+        above step 3 the series of the image, or of its inverse.
 
-        A generator's image is given (and inverts through its normal form);
-        a bracket's image is the bracket of the images, and [a,b]^-1 = [b,a].
+        A generator's image is given, and its inverse series comes from its
+        normal form; a bracket's image is the bracket of the images, and
+        [a,b]^-1 = [b,a].
         """
         key = (idx, inverse)
         img = self._basis_images.get(key)

@@ -1,6 +1,6 @@
-"""Properties of the group law, endomorphisms, the word grammar, the palindromic witness
-solver, the layered inverse, the generator symbols and the Fox-derivative
-tameness residue over generated inputs."""
+"""Properties of the group law, endomorphisms, the word grammar, the
+palindromic witness solver, the layered inverse, the generator symbols and
+the Fox-derivative tameness residue over generated inputs."""
 
 import pytest
 
@@ -78,7 +78,7 @@ def test_bar_is_an_involutive_anti_automorphism(gs):
 
 @st.composite
 def endo_cases(draw, bases, maps=1, points=1, span=4):
-    """`maps` endomorphisms of one basis drawn from `bases`, with images
+    """`maps` endomorphisms of one basis drawn from `bases`, with image
     exponents in [-2, 2], and `points` elements with exponents in
     [-span, span]."""
     basis = hall_basis(*draw(st.sampled_from(bases)))
