@@ -51,6 +51,15 @@ class UndecidedError(ValueError):
     """The requested decision procedure is only complete for step <= 3."""
 
 
+def _gamma2_is_abelian(basis):
+    """Whether [gamma_2, gamma_2] = 1: it lies in gamma_4, which is trivial
+    at step <= 3.  There the Hall coordinates of gamma_2 add, and `Endo`
+    maps them linearly.  Decided by the step alone, never by whether the
+    basis has an exponent law, which `hallpoly.MAX_STEP` could grant above
+    step 3."""
+    return basis.k <= 3
+
+
 class Endo:
     """Endomorphism given by the images of the generators."""
 
@@ -88,59 +97,69 @@ class Endo:
         )
         return f"Endo({body})"
 
-    def _image(self, idx, inverse=False):
-        """Image of basis element idx: an exponent tuple at step <= 3;
-        above step 3 the series of the image, or of its inverse.
+    def _vector_image(self, idx):
+        """Exponent tuple of the image of basis element idx, where gamma_2
+        is abelian.  A bracket's image is the commutator of the images of
+        its halves."""
+        img = self._basis_images.get(idx)
+        if img is None:
+            basis = self.basis
+            c = basis.elements[idx]
+            img = self._basis_images[idx] = (
+                self.images[c.gen - 1].exponents if c.gen is not None
+                else basis.law.comm(self._vector_image(c.left.index),
+                                    self._vector_image(c.right.index)))
+        return img
 
-        A generator's image is given, and its inverse series comes from its
-        normal form; a bracket's image is the bracket of the images, and
-        [a,b]^-1 = [b,a].
+    def _series_image(self, idx, inverse):
+        """Series of the image of basis element idx, or of its inverse.
+
+        A generator's inverse series comes from its normal form; a
+        bracket's image is the bracket of the images, and [a,b]^-1 = [b,a].
         """
         key = (idx, inverse)
         img = self._basis_images.get(key)
         if img is None:
             basis = self.basis
             c = basis.elements[idx]
-            if basis.k <= 3:
-                img = (self.images[c.gen - 1].exponents if c.gen is not None
-                       else basis.law.comm(self._image(c.left.index), self._image(c.right.index)))
-            elif c.gen is not None:
+            if c.gen is not None:
                 g = self.images[c.gen - 1]
                 img = basis.inverse_poly(g.exponents) if inverse else g.poly
             else:
                 a, b = c.left.index, c.right.index
                 if inverse:
                     a, b = b, a
-                img = basis.comm(self._image(a), self._image(b),
-                                 self._image(a, True), self._image(b, True))
+                img = basis.comm(self._series_image(a, False), self._series_image(b, False),
+                                 self._series_image(a, True), self._series_image(b, True))
             self._basis_images[key] = img
         return img
 
     def apply(self, g):
         """The image of g.
 
-        At step <= 3, [gamma_2, gamma_2] lies in gamma_4 = 1, so gamma_2 is
-        abelian and its Hall coordinates add: g = x_1^g_1 ... x_n^g_n * t
-        with t in gamma_2 maps to the image of the head times the integer
-        sum of g_j * (image of basis element j) over j > n.
+        Where gamma_2 is abelian, g = x_1^g_1 ... x_n^g_n * t with t in
+        gamma_2 maps to the image of the head times the integer sum of
+        g_j * (image of basis element j) over j > n.  Elsewhere the series
+        of the images of the basis elements, or of their inverses, are
+        multiplied.
         """
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
         basis = self.basis
         exps = g.exponents
-        if basis.k <= 3:
+        if _gamma2_is_abelian(basis):
             law, n = basis.law, basis.n
             out = None
             for idx in range(n):
                 e = exps[idx]
                 if e:
-                    f = law.pow(self._image(idx), e)
+                    f = law.pow(self._vector_image(idx), e)
                     out = f if out is None else law.mul(out, f)
             tail = None
             for idx in range(n, len(exps)):
                 e = exps[idx]
                 if e:
-                    img = self._image(idx)
+                    img = self._vector_image(idx)
                     tail = ([e * v for v in img] if tail is None
                             else [t + e * v for t, v in zip(tail, img)])
             if tail is not None:
@@ -149,7 +168,7 @@ class Endo:
         out = None
         for idx, e in enumerate(exps):
             if e:
-                f = basis.pow(self._image(idx, e < 0), abs(e))
+                f = basis.pow(self._series_image(idx, e < 0), abs(e))
                 out = f if out is None else basis.mul(out, f)
         return basis.one() if out is None else basis.element_from_poly(out)
 
@@ -580,37 +599,25 @@ def _base_generator(sym, basis):
     raise ValueError(f"unknown generator tag {tag!r}")
 
 
-def _kept_generator(sym, basis):
-    """The automorphism of `sym` without its exponent (`inner` excluded),
-    or its inverse when the exponent is negative, kept in `basis.memo`."""
-    key = (sym.tag, sym.params)
-    if basis.k > 3:
-        # the image tables hold series here: keep the inverse's images only
-        if sym.exponent >= 0:
-            return _base_generator(sym, basis)
-        return Endo(basis, _memo(basis, ("generator_inverse",) + key,
-                                 lambda: inverse(_base_generator(sym, basis)).images))
-    base = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
-    if sym.exponent >= 0:
-        return base
-    return _memo(basis, ("generator_inverse",) + key, lambda: inverse(base))
-
-
 def make_generator(sym, basis):
     """The automorphism of `sym` in `basis`.
 
-    A generator other than `inner` and its inverse are kept in
-    `basis.memo` per (tag, params), so `inverse` verifies each inverse
-    once; the set of such symbols is finite.  At step <= 3 the `Endo` is
-    kept with its image table: at most m + n exponent tuples (the n
-    images and one image per basis element, m of them).  Above step 3 the
-    table holds series, so only the inverse's images are kept.  A power
-    other than +-1 is composed afresh on every call.
+    A generator other than `inner`, and its inverse once asked for, are
+    kept in `basis.memo` per (tag, params) with their image tables, so
+    `inverse` verifies each inverse once and every later `compose` reuses
+    the images it already computed.  The set of such symbols is finite,
+    and a table holds at most one image per basis element (and, above
+    step 3, one per inverse).  A power other than +-1 is composed afresh
+    on every call.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
     else:
-        base, exponent = _kept_generator(sym, basis), abs(sym.exponent)
+        key = (sym.tag, sym.params)
+        forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
+        base = (forward if sym.exponent >= 0 else
+                _memo(basis, ("generator_inverse",) + key, lambda: inverse(forward)))
+        exponent = abs(sym.exponent)
     return base if exponent == 1 else endo_power(base, exponent)
 
 

@@ -240,7 +240,7 @@ def test_generators_are_kept_with_their_image_tables():
     # element used, none for an inverse
     m12.apply(basis.from_exponents((-1) ** i * (i + 1) for i in range(14)))
     assert make_generator(mu(1, 2), basis)._basis_images == m12._basis_images
-    assert sorted(m12._basis_images) == [(i, False) for i in range(14)]
+    assert sorted(m12._basis_images) == list(range(14))
     assert all(len(img) == 14 for img in m12._basis_images.values())
     # powers other than +-1 and inner maps are built afresh
     assert make_generator(mu(1, 2, 2), basis) is not make_generator(mu(1, 2, 2), basis)
@@ -250,14 +250,17 @@ def test_generators_are_kept_with_their_image_tables():
     assert not any(key[1] == "inner" for key in basis.memo if key[0].startswith("generator"))
 
 
-def test_step4_generators_keep_inverse_images_only():
+def test_step4_generators_are_kept_with_their_image_tables():
+    # the series path keeps its generators by the same rule
     basis = nilpotent.HallBasis(3, 4)
     m12 = make_generator(mu(1, 2), basis)
-    assert make_generator(mu(1, 2), basis) is not m12
+    assert make_generator(mu(1, 2), basis) is m12
     inv = make_generator(mu(1, 2, -1), basis)
-    assert basis.memo[("generator_inverse", "mu", (1, 2))] == inv.images
-    assert make_generator(mu(1, 2, -1), basis) is not inv
-    assert not any(key[0] == "generator" for key in basis.memo)
+    assert make_generator(mu(1, 2, -1), basis) is inv
+    assert basis.memo[("generator", "mu", (1, 2))] is m12
+    assert basis.memo[("generator_inverse", "mu", (1, 2))] is inv
+    assert compose(m12, inv).images == tuple(basis.generator(i) for i in (1, 2, 3))
+    assert inv._basis_images
 
 
 def test_invalid_negative_symbol_raises_every_time():
