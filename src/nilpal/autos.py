@@ -607,8 +607,8 @@ def make_generator(sym, basis):
     `inverse` verifies each inverse once and every later `compose` reuses
     the images it already computed.  The set of such symbols is finite,
     and a table holds at most one image per basis element (and, above
-    step 3, one per inverse).  A power other than +-1 is composed afresh
-    on every call.
+    step 3, one per inverse of a basis element).  A power other than +-1
+    is composed afresh on every call.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
