@@ -112,65 +112,46 @@ class Endo:
         return img
 
     def _series_image(self, idx, inverse):
-        """Series of the image of basis element idx, or of its inverse.
+        """Series of the image of basis element idx, or of its inverse,
+        from the series of the generator images and their inverses."""
+        return self.basis.bracket_series(idx, inverse, self._generator_image, self._basis_images)
 
-        A generator's inverse series comes from its normal form; a
-        bracket's image is the bracket of the images, and [a,b]^-1 = [b,a].
-        """
-        key = (idx, inverse)
-        img = self._basis_images.get(key)
-        if img is None:
-            basis = self.basis
-            c = basis.elements[idx]
-            if c.gen is not None:
-                g = self.images[c.gen - 1]
-                img = basis.inverse_poly(g.exponents) if inverse else g.poly
-            else:
-                a, b = c.left.index, c.right.index
-                if inverse:
-                    a, b = b, a
-                img = basis.comm(self._series_image(a, False), self._series_image(b, False),
-                                 self._series_image(a, True), self._series_image(b, True))
-            self._basis_images[key] = img
-        return img
+    def _generator_image(self, gen, inverse):
+        g = self.images[gen - 1]
+        return self.basis.inverse_poly(g.exponents) if inverse else g.poly
 
     def apply(self, g):
         """The image of g.
 
         Where gamma_2 is abelian, g = x_1^g_1 ... x_n^g_n * t with t in
         gamma_2 maps to the image of the head times the integer sum of
-        g_j * (image of basis element j) over j > n.  Elsewhere the series
-        of the images of the basis elements, or of their inverses, are
-        multiplied.
+        g_j * (image of basis element j) over j > n.  Elsewhere it is the
+        series of g with each basis element's series replaced by that of
+        its image (`HallBasis.exponents_poly`), peeled.
         """
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
         basis = self.basis
         exps = g.exponents
-        if _gamma2_is_abelian(basis):
-            law, n = basis.law, basis.n
-            out = None
-            for idx in range(n):
-                e = exps[idx]
-                if e:
-                    f = law.pow(self._vector_image(idx), e)
-                    out = f if out is None else law.mul(out, f)
-            tail = None
-            for idx in range(n, len(exps)):
-                e = exps[idx]
-                if e:
-                    img = self._vector_image(idx)
-                    tail = ([e * v for v in img] if tail is None
-                            else [t + e * v for t, v in zip(tail, img)])
-            if tail is not None:
-                out = tuple(tail) if out is None else law.mul(out, tail)
-            return basis.one() if out is None else NilElement(basis, None, out)
+        if not _gamma2_is_abelian(basis):
+            return basis.element_from_poly(basis.exponents_poly(exps, self._series_image))
+        law, n = basis.law, basis.n
         out = None
-        for idx, e in enumerate(exps):
+        for idx in range(n):
+            e = exps[idx]
             if e:
-                f = basis.pow(self._series_image(idx, e < 0), abs(e))
-                out = f if out is None else basis.mul(out, f)
-        return basis.one() if out is None else basis.element_from_poly(out)
+                f = law.pow(self._vector_image(idx), e)
+                out = f if out is None else law.mul(out, f)
+        tail = None
+        for idx in range(n, len(exps)):
+            e = exps[idx]
+            if e:
+                img = self._vector_image(idx)
+                tail = ([e * v for v in img] if tail is None
+                        else [t + e * v for t, v in zip(tail, img)])
+        if tail is not None:
+            out = tuple(tail) if out is None else law.mul(out, tail)
+        return basis.one() if out is None else NilElement(basis, None, out)
 
     def __call__(self, g):
         return self.apply(g)
@@ -263,8 +244,9 @@ def _step3_table(basis):
     return _memo(basis, ("step3_table",), build)
 
 
-def _step3_rows(basis, i, alpha):
-    """Lattice rows of the weight-2 witness exponents at step 3.
+def _step3_row(basis, i, alpha):
+    """Lattice row j of the weight-2 witness exponents at step 3, as a
+    function of j.
 
     With q1 = x^alpha and f0 = bar(q1) x_i q1, row j is
     wt3(bar(q1 z_j) x_i q1 z_j) - wt3(f0).  Modulo gamma_3, bar(z_j) is
@@ -276,13 +258,15 @@ def _step3_rows(basis, i, alpha):
     u, kk = _step3_table(basis)
     coeffs = [2 * a for a in alpha]
     coeffs[i - 1] += 1
-    rows = []
-    for j, row in enumerate(u):
-        for c, k_row in zip(coeffs, kk):
-            if c:
-                row = [r + c * v for r, v in zip(row, k_row[j])]
-        rows.append(list(row))
-    return rows
+    terms = [(c, k_row) for c, k_row in zip(coeffs, kk) if c]
+
+    def row(j):
+        out = list(u[j])
+        for c, k_row in terms:
+            out = [r + c * v for r, v in zip(out, k_row[j])]
+        return out
+
+    return row
 
 
 def _parity_mask(vec):
@@ -310,25 +294,26 @@ def _mod2_echelon(rows):
     return echelon
 
 
-def _solve_mod2(echelon, rows, target):
-    """(beta, delta) with target = sum_j beta_j rows[j] + 2 delta, or None
+def _solve_mod2(echelon, row, target):
+    """(beta, delta) with target = sum_j beta_j row(j) + 2 delta, or None
     when target is outside the lattice of the rows and 2Z^m.  The echelon
-    is `_mod2_echelon` of rows congruent to `rows` mod 2, and beta, a bit
-    mask, sums the combos of the echelon rows that reduce target mod 2."""
+    is `_mod2_echelon` of rows congruent to the rows row(j) mod 2, and
+    beta, a bit mask, sums the combos of the echelon rows that reduce
+    target mod 2; only the rows whose bit is set are built."""
     rest, beta = _reduce_mod2(echelon, _parity_mask(target))
     if rest:
         return None
-    for j, row in enumerate(rows):
+    for j in range(beta.bit_length()):
         if beta >> j & 1:
-            target = vec_sub(target, row)
+            target = vec_sub(target, row(j))
     return beta, [v // 2 for v in target]
 
 
 def _witness_echelon(basis, i):
     """`_mod2_echelon` of the step-3 witness rows of generator i.  The
     rows mod 2 are U[j] + K[i-1][j] for every alpha, so alpha = 0 serves."""
-    return _memo(basis, ("witness_echelon", i),
-                 lambda: _mod2_echelon(_step3_rows(basis, i, [0] * basis.n)))
+    return _memo(basis, ("witness_echelon", i), lambda: _mod2_echelon(
+        map(_step3_row(basis, i, [0] * basis.n), range(len(basis.by_weight[1])))))
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +355,8 @@ def solve_conjugator(g, i, min_weight=1):
         q = q1
     else:
         # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
-        rows = _step3_rows(basis, i, alpha) if min_weight <= 2 else []
-        sol = _solve_mod2(_witness_echelon(basis, i) if rows else [], rows,
+        echelon = _witness_echelon(basis, i) if min_weight <= 2 else []
+        sol = _solve_mod2(echelon, _step3_row(basis, i, alpha),
                           vec_sub(list(g.weight_block(3)), list(f0.weight_block(3))))
         if sol is None:
             return None
@@ -803,9 +788,10 @@ def _central_parity(basis, i):
 
 
 def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the lattice of `_central_rows(basis, i)`, which
-    contains 2Z^m3 (the phi3 rows)."""
-    return _solve_mod2(_central_parity(basis, i), _central_rows(basis, i)[0], vec) is not None
+    """Whether vec is in the lattice of `_central_rows(basis, i)`.  It
+    contains 2Z^m3 (the phi3 rows), so parity decides: vec is in it iff
+    vec mod 2 is in the span of the rows mod 2."""
+    return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))[0]
 
 
 def _lattice_diagnostics(factors, target):

@@ -130,26 +130,6 @@ def mul(a, b):
     )
 
 
-def _letter_elem(let, n):
-    lin = [0] * n
-    if let.sign > 0:
-        lin[let.index - 1] = 1
-        return RingElemModR(n, const=1, lin=lin)
-    # x^-1 = 1 - (x-1) + (x-1)^2 after truncation
-    lin[let.index - 1] = -1
-    quad = [[0] * n for _ in range(n)]
-    quad[let.index - 1][let.index - 1] = 1
-    return RingElemModR(n, const=1, lin=lin, quad=quad)
-
-
-def embed(w):
-    """Ring image of a word; multiplicative, with augmentation 1."""
-    out = ring_one(w.rank)
-    for let in w.letters:
-        out = mul(out, _letter_elem(let, w.rank))
-    return out
-
-
 def fox_derivative(w, j):
     """j-th Fox derivative of a word, evaluated in the quotient ring.
 
@@ -292,16 +272,10 @@ def check_fox_table(n):
 
 def _in_gamma3(w):
     """Exact membership of a free word in the third lower-central term: its
-    image in the step-2 group, folded letter by letter on the exponent law,
-    is trivial."""
-    from nilpal.nilpotent import hall_basis, invert, multiply
+    image in the step-2 group is trivial."""
+    from nilpal.nilpotent import collect, hall_basis
 
-    basis = hall_basis(w.rank, 2)
-    out = basis.one()
-    for let in w.letters:
-        g = basis.generator(let.index)
-        out = multiply(out, g if let.sign > 0 else invert(g))
-    return out.is_identity()
+    return collect(w, hall_basis(w.rank, 2)).is_identity()
 
 
 def bglm_residue(ws):

@@ -187,13 +187,6 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def solve_integer(a, b):
-    """One integer solution x of a*x == b, or None if none exists."""
-    if not a:
-        return [] if not any(b) else None
-    return solve_from_smith(smith_normal_form(a), b)
-
-
 def solve_from_smith(factors, b):
     """One integer solution x of a*x == b from the Smith factors
     (u, d, v) = smith_normal_form(a), or None if none exists.
@@ -231,16 +224,6 @@ def lattice_solve(rows, target):
     if not rows:
         return [] if not any(target) else None
     return solve_from_smith(lattice_factors(rows), target)
-
-
-def invariant_factors(a):
-    """Nonzero diagonal of the Smith form of a."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
 
 
 def _unit(a):

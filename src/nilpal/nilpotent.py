@@ -12,17 +12,17 @@ equality decides group equality; normal-form exponents are recovered weight
 by weight, which doubles as a consistency check on every element built from
 a series.
 
-At step <= 3 the group operations run on exponent vectors instead, by the
-Hall polynomials that `hallpoly` derives from the series model once per
-basis (`HallBasis.law`); `collect` and text input stay on the series path.
+At step <= 3 the group operations and `collect` run on exponent vectors
+instead, by the Hall polynomials that `hallpoly` derives from the series
+model once per basis (`HallBasis.law`).
 """
 
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
-from nilpal.words import Letter, Word, parse_word
+from nilpal.words import Letter, Word, parse_word, word_commutator
 
 
 class InternalError(RuntimeError):
@@ -105,9 +105,7 @@ class BasicCommutator:
         """Expand to a reduced free-group word."""
         if self.gen is not None:
             return Word((Letter(self.gen, 1),), rank)
-        u = self.left.as_word(rank)
-        v = self.right.as_word(rank)
-        return u.inverse() * v.inverse() * u * v
+        return word_commutator(self.left.as_word(rank), self.right.as_word(rank))
 
 
 def _build_elements(n, k):
@@ -173,33 +171,35 @@ class HallBasis:
     def pow(self, a, e):
         return kernel.poly_pow(a, e, self.shape)
 
-    def comm(self, a, b, a_inv, b_inv):
-        """Series of [a, b] = a^-1 b^-1 a b, given the inverse series."""
-        return self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
+    def bracket_series(self, idx, inverse, leaf, cache):
+        """Series of basis element idx, or of its inverse, from the series
+        `leaf(gen, inverse)` of the generators, kept in `cache`: its lift,
+        or its image under an endomorphism (`autos.Endo`).  No series
+        inverse is taken: [a,b] = a^-1 b^-1 a b and [a,b]^-1 = [b,a]."""
+        key = (idx, inverse)
+        poly = cache.get(key)
+        if poly is None:
+            c = self.elements[idx]
+            if c.gen is not None:
+                poly = leaf(c.gen, inverse)
+            else:
+                left, right = (c.right, c.left) if inverse else (c.left, c.right)
+                a_inv, b_inv, a, b = [self.bracket_series(half.index, inv, leaf, cache)
+                                      for inv in (True, False) for half in (left, right)]
+                poly = self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
+            cache[key] = poly
+        return poly
+
+    def _generator_series(self, gen, inverse):
+        """1 + X_i, or x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k."""
+        top, sign = (self.k, -1) if inverse else (1, 1)
+        return {self.shape.index((gen,) * d): sign**d for d in range(top + 1)}
 
     def _lift(self, idx, inverse):
         """Series of basis element idx, or of its inverse, cached per basis.
-
-        No series inverse is taken: [a,b]^-1 = [b,a], and a bracket is
-        built from the cached series of its halves and their inverses.
-        """
-        key = (idx, inverse)
-        poly = self._lifts.get(key)
-        if poly is None:
-            c = self.elements[idx]
-            if c.gen is not None and not inverse:
-                poly = {0: 1, self.shape.index((c.gen,)): 1}
-            elif c.gen is not None:
-                # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
-                poly = {self.shape.index((c.gen,) * d): (-1) ** d for d in range(self.k + 1)}
-            else:
-                a, b = c.left.index, c.right.index
-                if inverse:
-                    a, b = b, a
-                poly = self.comm(self._lift(a, False), self._lift(b, False),
-                                 self._lift(a, True), self._lift(b, True))
-            self._lifts[key] = poly
-        return poly
+        The peel asks for lifts on every call, so a hit skips the recursion."""
+        return (self._lifts.get((idx, inverse))
+                or self.bracket_series(idx, inverse, self._generator_series, self._lifts))
 
     def _product(self, factors):
         """Product of the series in `factors`, left to right."""
@@ -208,12 +208,13 @@ class HallBasis:
             out = f if out is None else self.mul(out, f)
         return {0: 1} if out is None else out
 
-    def _add_linear(self, poly, start, coeffs):
-        """poly + sum_j coeffs[j] * (series of basis element start+j - 1)."""
+    def _add_linear(self, poly, start, coeffs, lift=None):
+        """poly + sum_j coeffs[j] * (lift(start+j, False) - 1)."""
+        lift = lift or self._lift
         out = dict(poly)
         for j, e in enumerate(coeffs):
             if e:
-                for i, c in self._lift(start + j, False).items():
+                for i, c in lift(start + j, False).items():
                     if i:
                         out[i] = out.get(i, 0) + e * c
         return {i: c for i, c in out.items() if c}
@@ -239,29 +240,38 @@ class HallBasis:
             solver = self._peel[w] = PivotSolver(self.lie_columns(w))
         return solver
 
-    def ordered_block_poly(self, w, coeffs, reverse=False):
+    def ordered_block_poly(self, w, coeffs, reverse=False, lift=None):
         """Series of the ordered product of the weight-w block with exponents.
 
-        `reverse` multiplies the factors in reverse order.  For 2w > k any
-        product of two series of lowest degree >= w vanishes, so the block
-        is the sum 1 + sum_j coeffs[j] * (series_j - 1) in either order.
+        `reverse` multiplies the factors in reverse order; `lift` gives
+        their series (`exponents_poly`).  For 2w > k any product of two
+        series of lowest degree >= w vanishes, so the block is the sum
+        1 + sum_j coeffs[j] * (series_j - 1) in either order.
         """
+        lift = lift or self._lift
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
-            return self._add_linear({0: 1}, start, coeffs)
+            return self._add_linear({0: 1}, start, coeffs, lift)
         order = range(len(coeffs) - 1, -1, -1) if reverse else range(len(coeffs))
         factors = []
         for j in order:
             e = coeffs[j]
             if e:
-                poly = self._lift(start + j, e < 0)
+                poly = lift(start + j, e < 0)
                 factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
         return self._product(factors)
 
-    def exponents_poly(self, exps):
-        """Series of the element with Hall exponents `exps`."""
+    def exponents_poly(self, exps, lift=None):
+        """Series of the element with Hall exponents `exps`.
+
+        With `lift(idx, inverse)` the series of phi(c_idx)^(+-1) for an
+        endomorphism phi, it is the series of phi of that element: phi maps
+        gamma_w into gamma_w, so phi(c_j) - 1 has lowest degree >= w for
+        c_j of weight w, and for 2w > k the weight-w block of images is the
+        same linear sum that the peel subtracts.
+        """
         return self._product(
-            self.ordered_block_poly(w, exps[self.weight_slice(w)])
+            self.ordered_block_poly(w, exps[self.weight_slice(w)], lift=lift)
             for w in range(1, self.k + 1)
             if any(exps[self.weight_slice(w)])
         )
@@ -330,6 +340,13 @@ class HallBasis:
         if law is None:
             law = self.memo[("hall_law",)] = hallpoly.derive(self)
         return law
+
+    @cached_property
+    def _letter_vectors(self):
+        """Exponent tuple of each letter x_i^+-1, keyed by its `Letter`."""
+        zeros = (0,) * len(self.elements)
+        return {Letter(i, s): zeros[:i - 1] + (s,) + zeros[i:]
+                for i in range(1, self.n + 1) for s in (1, -1)}
 
     # -- element builders -------------------------------------------------
 
@@ -423,13 +440,16 @@ def _same_basis(a, b):
 
 
 def collect(word, basis):
-    """Canonical normal form of the image of a free word."""
+    """Canonical normal form of the image of a free word: its letters
+    folded by the exponent law, or else by the series product and peeled."""
     if word.rank != basis.n:
         raise ValueError(f"word rank {word.rank} != basis rank {basis.n}")
-    poly = {0: 1}
-    for let in word.letters:
-        poly = basis.mul(poly, basis._lift(let.index - 1, let.sign < 0))
-    return basis.element_from_poly(poly)
+    law = basis.law
+    if law is not None:
+        vectors = map(basis._letter_vectors.__getitem__, word.letters)
+        return NilElement(basis, None, reduce(law.mul, vectors, law.one))
+    lifts = (basis._lift(let.index - 1, let.sign < 0) for let in word.letters)
+    return basis.element_from_poly(reduce(basis.mul, lifts, {0: 1}))
 
 
 def multiply(a, b):
@@ -463,8 +483,9 @@ def commutator(a, b):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.comm(a.exponents, b.exponents))
-    return basis.element_from_poly(basis.comm(
-        a.poly, b.poly, basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)))
+    return basis.element_from_poly(basis.mul(
+        basis.mul(basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)),
+        basis.mul(a.poly, b.poly)))
 
 
 def left_normed(elements):
@@ -541,12 +562,9 @@ def element_as_word(g, reverse=False):
     factors = list(zip(g.basis.elements, g.exponents))
     if reverse:
         factors.reverse()
-    out = Word((), g.basis.n)
+    letters = []
     for c, e in factors:
         if e:
             w = c.as_word(g.basis.n)
-            if e < 0:
-                w = w.inverse()
-            for _ in range(abs(e)):
-                out = out * w
-    return out
+            letters.extend((w if e > 0 else w.inverse()).letters * abs(e))
+    return Word(letters, g.basis.n)

@@ -113,10 +113,7 @@ def is_word_palindrome(w):
 def word_power(w, e):
     if e < 0:
         return word_power(invert_word(w), -e)
-    out = Word((), w.rank)
-    for _ in range(e):
-        out = concat(out, w)
-    return out
+    return Word(w.letters * e, w.rank)
 
 
 def word_commutator(u, v):
@@ -217,12 +214,12 @@ class _Parser:
         return tok
 
     def parse_word(self, stop_kinds):
-        acc = Word((), self.rank)
+        letters = []
         while True:
             kind, _, _ = self.peek()
             if kind in stop_kinds or kind == "END":
-                return acc
-            acc = concat(acc, self.parse_factor())
+                return Word(letters, self.rank)
+            letters.extend(self.parse_factor().letters)
 
     def parse_factor(self):
         atom = self.parse_atom()

@@ -7,14 +7,18 @@ agreement between the two paths is meaningful evidence of correctness.
 closed-form row table it checks.  The `series_*` functions are the group
 operations of the truncated-series model, each result recovered by the
 self-checking peel: the path every basis of step > 3 runs, and the oracle
-for the exponent law of the lower steps.  `series_bar` collects the
-reversed free word of its input, so it shares no code with either `bar`
-path.  `ring_fox_derivative` and
+for the exponent law of the lower steps.  `series_collect` folds a word's
+letters by the series product, and `series_bar` runs it on the reversed
+free word of its input, so it shares no code with either `bar` path and
+never runs on the law.  `ring_fox_derivative`, with the ring image
+`embed` of a word, and
 `word_tameness_residue` are the ring-product Fox derivative and the
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
 `fraction_inv_unimodular` is Gauss-Jordan over Fractions, the reference
 for the integer row reduction of `intlinalg.inv_unimodular`.
+`solve_integer` and `invariant_factors` are Smith-form solves and
+invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
 
 from array import array
@@ -63,6 +67,23 @@ def fraction_inv_unimodular(a):
             ints.append(int(x))
         out.append(ints)
     return out
+
+
+def solve_integer(a, b):
+    """One integer solution x of a*x == b, or None if none exists."""
+    from nilpal.intlinalg import smith_normal_form, solve_from_smith
+
+    if not a:
+        return [] if not any(b) else None
+    return solve_from_smith(smith_normal_form(a), b)
+
+
+def invariant_factors(a):
+    """Nonzero diagonal of the Smith form of a."""
+    from nilpal.intlinalg import smith_normal_form
+
+    _, d, _ = smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
 
 
 def heisenberg_matrix(word):
@@ -212,6 +233,15 @@ def series_invert(a):
     return basis.element_from_poly(basis.inverse_poly(a.exponents))
 
 
+def series_collect(word, basis):
+    """collect on the series path at every step: the letters' series
+    multiplied left to right, then peeled."""
+    poly = {0: 1}
+    for let in word.letters:
+        poly = basis.mul(poly, basis._lift(let.index - 1, let.sign < 0))
+    return basis.element_from_poly(poly)
+
+
 def series_bar(a):
     """bar by its definition: collect(reverse_word(element_as_word(a))).
 
@@ -219,14 +249,13 @@ def series_bar(a):
     order; each factor is collected as the reversed word of c_j raised to
     e_j, so large exponents build no long word.
     """
-    from nilpal.nilpotent import collect
     from nilpal.words import reverse_word
 
     basis = a.basis
     out = basis.one()
     for c, e in reversed(list(zip(basis.elements, a.exponents))):
         if e:
-            rev = collect(reverse_word(c.as_word(basis.n)), basis)
+            rev = series_collect(reverse_word(c.as_word(basis.n)), basis)
             out = series_multiply(out, series_power(rev, e))
     return out
 
@@ -251,11 +280,36 @@ def series_apply(endo, g):
     return basis.element_from_poly(poly)
 
 
+def _letter_elem(let, n):
+    """Ring image of one letter."""
+    from nilpal.foxring import RingElemModR
+
+    lin = [0] * n
+    if let.sign > 0:
+        lin[let.index - 1] = 1
+        return RingElemModR(n, const=1, lin=lin)
+    # x^-1 = 1 - (x-1) + (x-1)^2 after truncation
+    lin[let.index - 1] = -1
+    quad = [[0] * n for _ in range(n)]
+    quad[let.index - 1][let.index - 1] = 1
+    return RingElemModR(n, const=1, lin=lin, quad=quad)
+
+
+def embed(w):
+    """Ring image of a word; multiplicative, with augmentation 1."""
+    from nilpal.foxring import mul, ring_one
+
+    out = ring_one(w.rank)
+    for let in w.letters:
+        out = mul(out, _letter_elem(let, w.rank))
+    return out
+
+
 def ring_fox_derivative(w, j):
     """j-th Fox derivative by ring products: each letter multiplies the
     prefix and adds prefix * d(letter) through `foxring.mul`/`add`, three
     ring elements per letter."""
-    from nilpal.foxring import _letter_elem, add, mul, negate, ring_one, ring_zero
+    from nilpal.foxring import add, mul, negate, ring_one, ring_zero
 
     n = w.rank
     if not 1 <= j <= n:

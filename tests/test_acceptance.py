@@ -30,7 +30,6 @@ from nilpal.autos import (
     verify_tame_factorization,
 )
 from nilpal.foxring import bglm_condition, bglm_residue
-from nilpal.intlinalg import invariant_factors
 from nilpal.nilpotent import (
     bar,
     collect,
@@ -42,7 +41,7 @@ from nilpal.nilpotent import (
 from nilpal.verify import run_suite
 from nilpal.words import parse_word, word_from_ints
 
-from oracles import TruncatedWordRep, heisenberg_matrix
+from oracles import TruncatedWordRep, heisenberg_matrix, invariant_factors
 
 
 def _report(criterion, detail):

@@ -340,6 +340,11 @@ def test_solve_conjugator_min_weight():
     assert solve_conjugator(g, 1, min_weight=2) is None
 
 
+def step3_rows(basis, i, alpha):
+    """Every row of `autos._step3_row(basis, i, alpha)`."""
+    return list(map(autos._step3_row(basis, i, alpha), range(len(basis.by_weight[1]))))
+
+
 def test_step3_rows_match_products():
     # the closed-form rows against the direct group-product construction,
     # for every i and every alpha in a box
@@ -347,12 +352,12 @@ def test_step3_rows_match_products():
         basis = hall_basis(n, 3)
         for i in range(1, n + 1):
             for a in product(range(-r, r + 1), repeat=n):
-                assert autos._step3_rows(basis, i, list(a)) == product_step3_rows(basis, i, a)
+                assert step3_rows(basis, i, list(a)) == product_step3_rows(basis, i, a)
     # rank 1: no weight-2 elements, so the table and the rows are empty
     basis = hall_basis(1, 3)
     assert autos._step3_table(basis) == ([], [[]])
     for a in range(-2, 3):
-        assert autos._step3_rows(basis, 1, [a]) == product_step3_rows(basis, 1, (a,)) == []
+        assert step3_rows(basis, 1, [a]) == product_step3_rows(basis, 1, (a,)) == []
 
 
 def _conjugate(q, i):
@@ -384,9 +389,9 @@ def test_solve_conjugator_verification_failure_context(monkeypatch):
     g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
     real = autos._solve_mod2
 
-    def wrong(echelon, rows, target):
+    def wrong(echelon, row, target):
         # flipping beta_1 moves the value by the first row, which is odd
-        beta, delta = real(echelon, rows, target)
+        beta, delta = real(echelon, row, target)
         return beta ^ 1, delta
 
     monkeypatch.setattr(autos, "_solve_mod2", wrong)
@@ -405,9 +410,9 @@ def test_witness_mod2_solve_matches_lattice_solve():
         rng = random.Random(n)
         for i in range(1, n + 1):
             echelon = autos._witness_echelon(basis, i)
-            parity = [autos._parity_mask(row) for row in autos._step3_rows(basis, i, [0] * n)]
+            parity = [autos._parity_mask(row) for row in step3_rows(basis, i, [0] * n)]
             for a in product(range(-r, r + 1), repeat=n):
-                rows = autos._step3_rows(basis, i, list(a))
+                rows = step3_rows(basis, i, list(a))
                 assert [autos._parity_mask(row) for row in rows] == parity
                 doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
                 for shift in (False, True):
@@ -416,7 +421,7 @@ def test_witness_mod2_solve_matches_lattice_solve():
                            for j in range(m3)]
                     if shift:
                         vec[rng.randrange(m3)] += 1
-                    sol = autos._solve_mod2(echelon, rows, vec)
+                    sol = autos._solve_mod2(echelon, rows.__getitem__, vec)
                     found = lattice_solve(rows + doubled, vec) is not None
                     assert (sol is not None) == found
                     assert found or shift

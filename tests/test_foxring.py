@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import embed
 
 from nilpal.foxring import (
     PreconditionError,
@@ -9,7 +10,6 @@ from nilpal.foxring import (
     bglm_condition,
     bglm_residue,
     check_fox_table,
-    embed,
     fox_derivative,
     mul,
     negate,

@@ -11,12 +11,14 @@ from nilpal.nilpotent import (
     HallBasis,
     InternalError,
     bar,
+    collect,
     commutator,
     hall_basis,
     invert,
     multiply,
     power,
 )
+from nilpal.words import parse_word
 
 LAW_BASES = [(1, 3), (2, 2), (2, 3), (3, 3), (4, 2), (4, 3)]
 
@@ -68,6 +70,32 @@ def test_endo_apply_matches_the_series_model(n, k):
         assert composed.apply(g) == series_apply(f, series_apply(e, g))
 
 
+def top_heavy(rng, basis, span=2):
+    """An element with every entry in [-span, span], no zero entry on
+    the basis elements of weight w with 2w > k, and a negative one there."""
+    exps = [rng.randint(-span, span) for _ in basis.elements]
+    for c in basis.elements:
+        if 2 * c.weight > basis.k:
+            exps[c.index] = rng.choice([-span, -1, 1, span])
+    exps[-1] = -1
+    return basis.from_exponents(exps)
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 4), (2, 5)])
+def test_endo_apply_above_step3_matches_the_series_model(n, k):
+    # the blocks of weight w with 2w > k are linear sums of image series
+    basis = hall_basis(n, k)
+    rng = random.Random(300 * n + k)
+    e = Endo(basis, [rand_element(rng, basis, 1) for _ in range(n)])
+    f = Endo(basis, [top_heavy(rng, basis, 1) for _ in range(n)])
+    for _ in range(2):
+        g = top_heavy(rng, basis)
+        assert e.apply(g) == series_apply(e, g)
+        assert f.apply(g) == series_apply(f, g)
+    composed = compose(e, f)
+    assert composed.images == tuple(series_apply(f, img) for img in e.images)
+
+
 def test_endo_apply_shortcut_is_gated_by_step_not_by_law(monkeypatch):
     # with a law at step 4, gamma_2 is not abelian: apply keeps the series
     monkeypatch.setattr(hallpoly, "MAX_STEP", 4)
@@ -86,9 +114,11 @@ def test_group_ops_run_no_series_product(monkeypatch):
     e = compose(make_generator(mu(1, 2), basis), make_generator(phi2(2, 1, 3), basis))
     g = basis.from_exponents(range(-6, 8))
     h = basis.from_exponents(range(7, -7, -1))
+    word = parse_word("x1^3 x2^-1 [x3, x1, x2]^-2 x3 x1^-1", 3)
     calls = []
     monkeypatch.setattr(kernel, "poly_mul", lambda *args: calls.append(args))
-    for out in (multiply(g, h), invert(g), bar(g), power(g, -5), commutator(g, h), e.apply(g)):
+    for out in (multiply(g, h), invert(g), bar(g), power(g, -5), commutator(g, h), e.apply(g),
+                collect(word, basis)):
         assert len(out.exponents) == 14
     assert calls == []
 

@@ -3,19 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import fraction_inv_unimodular
+from oracles import fraction_inv_unimodular, invariant_factors, solve_integer
 
 from nilpal.intlinalg import (
     PivotSolver,
     det,
     eye,
     inv_unimodular,
-    invariant_factors,
     lattice_solve,
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_integer,
 )
 
 

@@ -4,7 +4,6 @@ from itertools import permutations, product
 import pytest
 
 from nilpal import intlinalg
-from nilpal.intlinalg import invariant_factors
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -24,7 +23,7 @@ from nilpal.nilpotent import (
 )
 from nilpal.words import concat, parse_word, reverse_word, word_from_ints
 
-from oracles import TruncatedWordRep, heisenberg_matrix, series_bar
+from oracles import TruncatedWordRep, heisenberg_matrix, invariant_factors, series_bar
 
 
 def rand_word(rng, n, max_len=12):

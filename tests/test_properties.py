@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import ring_fox_derivative, word_tameness_residue  # noqa: E402
+from oracles import ring_fox_derivative, series_collect, word_tameness_residue  # noqa: E402
 
 from nilpal.autos import (  # noqa: E402
     Endo,
@@ -102,6 +102,14 @@ def test_endo_apply_is_a_homomorphism(case):
 def test_compose_applies_first_then_second(case):
     (e1, e2), (g,) = case
     assert compose(e1, e2).apply(g) == e2.apply(e1.apply(g))
+
+
+@pytest.mark.parametrize("n,k", LAW_BASES)
+@given(data=st.data())
+def test_collect_on_the_law_matches_the_series_fold(n, k, data):
+    basis = hall_basis(n, k)
+    w = word_from_ints(data.draw(st.lists(st.integers(-n, n).filter(bool), max_size=24)), n)
+    assert collect(w, basis) == series_collect(w, basis)
 
 
 @given(words(WORD_BASES))
@@ -259,5 +267,5 @@ def commutator_words(draw):
 def test_in_gamma3_matches_collect(case):
     depth, w = case
     inside = _in_gamma3(w)
-    assert inside == collect(w, hall_basis(w.rank, 2)).is_identity()
+    assert inside == series_collect(w, hall_basis(w.rank, 2)).is_identity()
     assert inside or depth < 2

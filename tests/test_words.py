@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from nilpal import words
+from nilpal.nilpotent import element_as_word, hall_basis
 from nilpal.words import (
     Letter,
     RankError,
@@ -97,3 +99,28 @@ def test_reduce_function():
     letters = [Letter(1, 1), Letter(2, 1), Letter(2, -1)]
     assert reduce(letters, 2) == w([1], 2)
     assert reduce([], 2) == w([], 2)
+
+
+LONG = 50000
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_word(f"x1^{LONG}", 2),
+    lambda: parse_word("x1 x2 " * (LONG // 2), 2),
+    lambda: parse_word(f"(x1 x2 x1^-1)^{LONG} x1 x2^-1", 2),
+    lambda: element_as_word(hall_basis(2, 2).from_exponents((LONG, 0, 0))),
+    lambda: element_as_word(hall_basis(2, 2).from_exponents((0, 0, -LONG // 4))),
+], ids=["power", "flat", "cancelling-power", "element-power", "element-bracket"])
+def test_long_words_are_reduced_in_linear_work(monkeypatch, build):
+    # every reduction walks its input once; a word built by appending to
+    # a growing word walks it once per factor, quadratic in its length
+    walked = [0]
+    real = words._reduced
+
+    def counting(letters):
+        walked[0] += len(letters)
+        assert walked[0] <= 4 * LONG + 100, "word reduced once per factor"
+        return real(letters)
+
+    monkeypatch.setattr(words, "_reduced", counting)
+    assert len(build()) in (LONG, LONG + 2)
