@@ -14,7 +14,8 @@ composition is the ordered matrix product.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import reduce
+from itertools import permutations
 
 from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
 from nilpal.intlinalg import (
@@ -55,8 +56,8 @@ def _gamma2_is_abelian(basis):
     """Whether [gamma_2, gamma_2] = 1: it lies in gamma_4, which is trivial
     at step <= 3.  There the Hall coordinates of gamma_2 add, and `Endo`
     maps them linearly.  Decided by the step alone, never by whether the
-    basis has an exponent law, which `hallpoly.MAX_STEP` could grant above
-    step 3."""
+    basis has an exponent law, which `nilpotent.LAW_MAX_STEP` could grant
+    above step 3."""
     return basis.k <= 3
 
 
@@ -216,14 +217,13 @@ def _memo(basis, key, build):
 
 def _comm3(basis, a, b, c):
     """The element [x_a, x_b, x_c]."""
-    return _memo(basis, ("comm3", a, b, c), lambda: left_normed(
-        [basis.generator(a), basis.generator(b), basis.generator(c)]))
+    return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
 
 
 def _phi2_defect(basis, a, b, i):
     """[x_a,x_b,x_i] [x_a,x_b,x_b] [x_a,x_b,x_a]."""
-    return _memo(basis, ("phi2_defect", a, b, i), lambda: multiply(
-        multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)), _comm3(basis, a, b, a)))
+    return multiply(multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)),
+                    _comm3(basis, a, b, a))
 
 
 def _step3_table(basis):
@@ -319,6 +319,17 @@ def _witness_echelon(basis, i):
 # ---------------------------------------------------------------------------
 # palindromic witnesses
 
+def _defects(e):
+    """The defects x_i^-1 e(x_i), i = 1..n."""
+    basis = e.basis
+    return [multiply(invert(basis.generator(i)), img) for i, img in enumerate(e.images, 1)]
+
+
+def _palindromic_image(basis, i, q):
+    """bar(q) x_i q."""
+    return multiply(multiply(bar(q), basis.generator(i)), q)
+
+
 def solve_conjugator(g, i, min_weight=1):
     """Find q with weight(q) >= min_weight and bar(q) * x_i * q == g.
 
@@ -336,8 +347,6 @@ def solve_conjugator(g, i, min_weight=1):
         raise ValueError(f"index {i} out of range 1..{n}")
     if not 1 <= min_weight <= k:
         raise ValueError(f"min_weight must be in 1..{k}")
-    xi = basis.generator(i)
-
     ab = g.abelianization()
     doubled = [ab[j] - (1 if j == i - 1 else 0) for j in range(n)]
     if any(v % 2 for v in doubled):
@@ -346,7 +355,7 @@ def solve_conjugator(g, i, min_weight=1):
     if min_weight >= 2 and any(alpha):
         return None
     q1 = _linear_element(basis, alpha)
-    f0 = multiply(multiply(bar(q1), xi), q1)
+    f0 = _palindromic_image(basis, i, q1)
     if k == 1:
         q = q1
     elif f0.weight_block(2) != g.weight_block(2):
@@ -363,7 +372,7 @@ def solve_conjugator(g, i, min_weight=1):
         mask, delta = sol
         beta = [mask >> j & 1 for j in range(len(basis.by_weight[1]))]
         q = basis.from_exponents(tuple(alpha) + tuple(beta) + tuple(delta))
-    if multiply(multiply(bar(q), xi), q) != g:
+    if _palindromic_image(basis, i, q) != g:
         raise InternalError("witness verification failed",
                             n=n, k=k, i=i, min_weight=min_weight)
     if not (q.is_identity() or weight(q) >= min_weight):
@@ -392,15 +401,12 @@ def _linear_element(basis, coeffs):
 
 
 def _epa_linear_lift(basis, minv):
-    """Palindromic linear automorphism with abelianization matrix minv."""
-    n = basis.n
-    images = []
-    for i in range(1, n + 1):
-        # bar(q) x_i q with q = x_1^b_1 ... x_n^b_n
-        q = _linear_element(basis, [(minv[i - 1][j] - (1 if j == i - 1 else 0)) // 2
-                                    for j in range(n)])
-        images.append(multiply(multiply(bar(q), basis.generator(i)), q))
-    return Endo(basis, images)
+    """Palindromic linear automorphism with abelianization matrix minv:
+    x_i -> bar(q) x_i q with q = x_1^b_1 ... x_n^b_n, 2b = row i of minv - e_i."""
+    return Endo(basis, [
+        _palindromic_image(basis, i, _linear_element(
+            basis, [(v - (1 if j == i else 0)) // 2 for j, v in enumerate(row, 1)]))
+        for i, row in enumerate(minv, 1)])
 
 
 def _ordered_linear_lift(basis, minv):
@@ -432,16 +438,15 @@ def inverse_with_factors(e):
     phi = compose(e, psi)
     for level in range(2, k + 1):
         images = []
-        for i in range(1, n + 1):
-            if palindromic:
-                q = solve_conjugator(phi.images[i - 1], i, min_weight=level)
+        if palindromic:
+            for i, img in enumerate(phi.images, 1):
+                q = solve_conjugator(img, i, min_weight=level)
                 if q is None:
                     raise InternalError(f"missing level-{level} witness",
                                         n=n, k=k, i=i, level=level)
-                qinv = invert(q)
-                images.append(multiply(multiply(bar(qinv), basis.generator(i)), qinv))
-            else:
-                r = multiply(invert(basis.generator(i)), phi.images[i - 1])
+                images.append(_palindromic_image(basis, i, invert(q)))
+        else:
+            for i, r in enumerate(_defects(phi), 1):
                 if not r.is_identity() and weight(r) < level:
                     raise InternalError(f"residue escaped weight {level}",
                                         n=n, k=k, i=i, level=level)
@@ -452,10 +457,7 @@ def inverse_with_factors(e):
     if phi != identity_endo(basis):
         raise InternalError("inverse iteration did not terminate at the identity",
                             n=n, k=k, factors=len(factors))
-    inv = factors[0]
-    for f in factors[1:]:
-        inv = compose(inv, f)
-    return inv, factors
+    return reduce(compose, factors), factors
 
 
 def inverse(e):
@@ -532,19 +534,19 @@ def _base_generator(sym, basis):
         if not cond:
             raise ValueError(message)
 
+    def moving(i, image):
+        """The map that sends x_i to image and fixes the other generators."""
+        return Endo(basis, gens[:i - 1] + [image] + gens[i:])
+
     tag, p = sym.tag, sym.params
     if tag == "mu":
         i, j = p
         check(1 <= i <= n and 1 <= j <= n and i != j, f"mu needs distinct indices, got {p}")
-        images = list(gens)
-        images[i - 1] = multiply(multiply(gens[j - 1], gens[i - 1]), gens[j - 1])
-        return Endo(basis, images)
+        return moving(i, multiply(multiply(gens[j - 1], gens[i - 1]), gens[j - 1]))
     if tag == "t":
         (i,) = p
         check(1 <= i <= n, f"t index {i} out of range")
-        images = list(gens)
-        images[i - 1] = invert(gens[i - 1])
-        return Endo(basis, images)
+        return moving(i, invert(gens[i - 1]))
     if tag == "alpha":
         (j,) = p
         check(1 <= j <= n - 1, f"alpha index {j} out of range 1..{n - 1}")
@@ -558,23 +560,17 @@ def _base_generator(sym, basis):
         a, b, i = p
         check(all(1 <= v <= n for v in p), f"phi2 indices {p} out of range")
         check(a != b, "phi2 needs a != b")
-        images = list(gens)
-        images[i - 1] = multiply(gens[i - 1], _phi2_defect(basis, a, b, i))
-        return Endo(basis, images)
+        return moving(i, multiply(gens[i - 1], _phi2_defect(basis, a, b, i)))
     if tag == "phi3":
         a, b, c, i = p
         check(all(1 <= v <= n for v in p), f"phi3 indices {p} out of range")
         check(a != b, "phi3 needs a != b")
-        images = list(gens)
-        images[i - 1] = multiply(gens[i - 1], power(_comm3(basis, a, b, c), 2))
-        return Endo(basis, images)
+        return moving(i, multiply(gens[i - 1], power(_comm3(basis, a, b, c), 2)))
     if tag == "psi":
         a, i = p
         check(all(1 <= v <= n for v in p), f"psi indices {p} out of range")
         check(a != i, "psi needs a != i")
-        images = list(gens)
-        images[i - 1] = multiply(gens[i - 1], _comm3(basis, a, i, a))
-        return Endo(basis, images)
+        return moving(i, multiply(gens[i - 1], _comm3(basis, a, i, a)))
     if tag == "inner":
         (g,) = p
         check(isinstance(g, NilElement) and g.basis is basis,
@@ -607,11 +603,8 @@ def make_generator(sym, basis):
 
 
 def compose_symbols(symbols, basis):
-    out = None
-    for sym in symbols:
-        e = make_generator(sym, basis)
-        out = e if out is None else compose(out, e)
-    return identity_endo(basis) if out is None else out
+    endos = [make_generator(sym, basis) for sym in symbols]
+    return reduce(compose, endos) if endos else identity_endo(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -628,56 +621,15 @@ class AutoFlags:
 
 
 def _is_central(e):
-    basis = e.basis
-    for i in range(1, basis.n + 1):
-        defect = multiply(invert(basis.generator(i)), e.images[i - 1])
-        if not defect.is_identity() and weight(defect) < basis.k:
-            return False
-    return True
+    k = e.basis.k
+    return all(d.is_identity() or weight(d) >= k for d in _defects(e))
 
 
 def _mod2_permutation(matrix):
-    n = len(matrix)
-    perm = [0] * n
-    used = set()
-    for i in range(n):
-        odd = [j for j in range(n) if matrix[i][j] % 2]
-        if len(odd) != 1 or odd[0] in used:
-            return None
-        perm[i] = odd[0] + 1
-        used.add(odd[0])
-    return tuple(perm)
-
-
-def _signed_perm_endo(basis, perm, signs):
-    images = []
-    for i in range(basis.n):
-        g = basis.generator(perm[i])
-        images.append(g if signs[i] > 0 else invert(g))
-    return Endo(basis, images)
-
-
-def _palindromic_factorization(e):
-    """Split e = eps . omega with omega a signed permutation, if possible."""
-    basis = e.basis
-    n = basis.n
-    perm = _mod2_permutation(e.abel_matrix)
-    if perm is None:
-        return None
-    inv_perm = [0] * n
-    for i, v in enumerate(perm, start=1):
-        inv_perm[v - 1] = i
-    for signs in product((1, -1), repeat=n):
-        omega = _signed_perm_endo(basis, perm, signs)
-        inv_signs = [signs[inv_perm[j] - 1] for j in range(n)]
-        omega_inv = _signed_perm_endo(basis, tuple(inv_perm), inv_signs)
-        if compose(omega, omega_inv) != identity_endo(basis):
-            raise InternalError("signed permutation inversion failed",
-                                n=n, k=basis.k, perm=perm, signs=signs)
-        eps = compose(e, omega_inv)
-        if palindromic_witnesses(eps) is not None:
-            return eps, omega
-    return None
+    """The permutation (1-based images) whose matrix is `matrix` mod 2, or None."""
+    odd = [[j for j, v in enumerate(row, 1) if v % 2] for row in matrix]
+    perm = tuple(cols[0] for cols in odd if len(cols) == 1)
+    return perm if sorted(perm) == list(range(1, len(matrix) + 1)) else None
 
 
 def _pi_level(e):
@@ -699,28 +651,23 @@ def classify(e):
         raise NotAutomorphismError("not an automorphism")
     basis = e.basis
     n = basis.n
-    is_ia = all(
-        e.abel_matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-    )
+    is_ia = e.abel_matrix == identity_endo(basis).abel_matrix
     central = _is_central(e)
-    notes = []
     if basis.k > 3:
         return AutoFlags(is_ia, central, None, None, None,
                          ("palindromicity undecided for step > 3",))
-    witnesses = palindromic_witnesses(e)
-    epa = witnesses is not None
-    parity_ok = all(
-        (e.abel_matrix[i][j] - (1 if i == j else 0)) % 2 == 0
-        for i in range(n) for j in range(n)
-    )
-    if parity_ok and not epa:
-        notes.append("parity criterion holds but the weight-2/3 defect has no witness")
-    if epa:
-        palin = True
-    else:
-        palin = _palindromic_factorization(e) is not None
+    epa = palindromic_witnesses(e) is not None
+    perm, identity = _mod2_permutation(e.abel_matrix), tuple(range(1, n + 1))
+    notes = (("parity criterion holds but the weight-2/3 defect has no witness",)
+             if perm == identity and not epa else ())
+    # e is palindromic iff e = eps . omega, eps elementary palindromic and
+    # omega a signed permutation of perm.  The signs cannot matter: flipping
+    # one post-composes eps with some t_j, which commutes with bar and keeps
+    # the elementary form, as bar(q) x_j^-1 q = bar(x_j^-1 q) x_j (x_j^-1 q).
+    palin = epa or (perm not in (None, identity) and palindromic_witnesses(
+        compose(e, make_generator(sigma(perm, -1), basis))) is not None)
     pi_level = _pi_level(e) if epa else None
-    return AutoFlags(is_ia, central, epa, palin, pi_level, tuple(notes))
+    return AutoFlags(is_ia, central, epa, palin, pi_level, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +692,8 @@ def _weight3_defects(e):
     """Weight-3 blocks of the defects x_i^-1 e(x_i); PreconditionError
     unless every defect is central (weight >= 3, so its lifts lie in
     gamma_3 of the free group)."""
-    basis = e.basis
     out = []
-    for i in range(1, basis.n + 1):
-        defect = multiply(invert(basis.generator(i)), e.images[i - 1])
+    for defect in _defects(e):
         if not defect.is_identity() and weight(defect) < 3:
             raise PreconditionError("automorphism is not central")
         out.append(list(defect.weight_block(3)))
@@ -831,12 +776,9 @@ def decompose_central(e):
         if sol is None:
             diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(smith, defects[i - 1])))
             continue
-        for coeff, label in zip(sol, labels):
-            if coeff:
-                if label[0] == "phi2":
-                    factors.append(phi2(label[1], label[2], i, coeff))
-                else:
-                    factors.append(phi3(label[1], label[2], label[3], i, coeff))
+        # a label is a phi2 or phi3 symbol without its generator index i
+        factors.extend(GeneratorSymbol(label[0], label[1:] + (i,), coeff)
+                       for coeff, label in zip(sol, labels) if coeff)
     if diagnostics:
         return Decomposition((), False, tuple(diagnostics))
     dec = Decomposition(tuple(factors), True)
@@ -951,34 +893,27 @@ def verify_tame_factorization(which, basis, indices=None):
     if which == "identity":
         return True
     _require_step3(basis)
-    if indices is None:
-        if basis.n < 3:
-            raise ValueError("need rank >= 3 for the default indices")
-        a, b, i = 2, 3, 1
-    else:
-        a, b, i = indices
+    if indices is None and basis.n < 3:
+        raise ValueError("need rank >= 3 for the default indices")
+    a, b, i = (2, 3, 1) if indices is None else indices
     if len({a, b, i}) != 3:
         raise ValueError("indices must be distinct")
     xa, xb, xi = (basis.generator(v) for v in (a, b, i))
+    # one chain: phi2 runs it on x_a with a tail, phi3 on x_a^2 with none
     if which == "phi2":
         lhs = multiply(xi, _phi2_defect(basis, a, b, i))
-        c1 = left_normed([xa, invert(xb), invert(xi)])
         tail = commutator(commutator(xa, xb), multiply(xb, xa))
-        step2 = multiply(multiply(xi, c1), tail)
-        step3 = multiply(multiply(c1, xi), tail)
-        c2 = commutator(xa, invert(xb))
-        step4 = multiply(multiply(multiply(invert(c2), xi), c2), tail)
-        return lhs == step2 == step3 == step4
-    if which == "phi3":
+    elif which == "phi3":
         lhs = multiply(xi, power(_comm3(basis, a, b, i), 2))
-        xa2 = multiply(xa, xa)
-        c1 = left_normed([xa2, invert(xb), invert(xi)])
-        step2 = multiply(xi, c1)
-        step3 = multiply(c1, xi)
-        c2 = commutator(xa2, invert(xb))
-        step4 = multiply(multiply(invert(c2), xi), c2)
-        return lhs == step2 == step3 == step4
-    raise ValueError(f"unknown factorization {which!r}")
+        xa, tail = multiply(xa, xa), basis.one()
+    else:
+        raise ValueError(f"unknown factorization {which!r}")
+    c1 = left_normed([xa, invert(xb), invert(xi)])
+    step2 = multiply(multiply(xi, c1), tail)
+    step3 = multiply(multiply(c1, xi), tail)
+    c2 = commutator(xa, invert(xb))
+    step4 = multiply(multiply(multiply(invert(c2), xi), c2), tail)
+    return lhs == step2 == step3 == step4
 
 
 # ---------------------------------------------------------------------------
@@ -1090,10 +1025,7 @@ def decompose_bglm(e):
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
     fams, smith = _bglm_lattice(basis)
-    target = []
-    for vec in defects:
-        target.extend(vec)
-    sol = solve_from_smith(smith, target)
+    sol = solve_from_smith(smith, [v for vec in defects for v in vec])
     if sol is None:
         return Decomposition((), False, ("defect outside the generated lattice",))
     factors = []

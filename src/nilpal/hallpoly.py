@@ -38,8 +38,6 @@ from random import Random
 from nilpal import kernel
 from nilpal.nilpotent import InternalError
 
-# the paper's algorithms all run at step <= 3; higher steps keep the series
-MAX_STEP = 3
 CHECK_POINTS = 4
 
 
@@ -169,7 +167,8 @@ class HallLaw:
 
 def derive(basis):
     """The `HallLaw` of a basis, derived from and then checked against the
-    series model.  `HallBasis.law` asks for it only up to step MAX_STEP."""
+    series model.  `HallBasis.law` asks for it only up to step
+    `nilpotent.LAW_MAX_STEP`."""
     n, k = basis.n, basis.k
     m = len(basis.elements)
     weights = [c.weight for c in basis.elements]

@@ -60,45 +60,15 @@ def det(a):
 
 
 def inv_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Integer row reduction of [a | I]: Euclid's algorithm down each column
-    makes a triangular with pivots whose product is +-det(a), then back
-    substitution over the unit pivots clears the columns upward.
-    """
-    n = len(a)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    units = True
-    for col in range(n):
-        while True:
-            live = [r for r in range(col, n) if work[r][col]]
-            if not live:
-                raise ValueError("matrix is singular")
-            piv = min(live, key=lambda r: abs(work[r][col]))
-            work[col], work[piv] = work[piv], work[col]
-            prow = work[col]
-            done = True
-            for r in live:
-                x = work[r][col] if r != col else 0
-                if x:
-                    f = x // prow[col]
-                    work[r] = [u - f * v for u, v in zip(work[r], prow)]
-                    done = done and not work[r][col]
-            if done:
-                break
-        # a non-unit pivot: keep reducing, so that a singular matrix says so
-        units = units and abs(work[col][col]) == 1
-    if not units:
+    """Exact inverse of an integer matrix with determinant +-1, read from
+    its Smith form u a v = d: a is unimodular iff d is the identity, and
+    then a^-1 = v u."""
+    u, d, v = smith_normal_form(a)
+    if not all(d[i][i] for i in range(len(a))):
+        raise ValueError("matrix is singular")
+    if any(d[i][i] != 1 for i in range(len(a))):
         raise ValueError("matrix is not unimodular")
-    for col in range(n - 1, -1, -1):
-        prow = work[col]
-        if prow[col] < 0:
-            prow = work[col] = [-v for v in prow]
-        for r in range(col):
-            x = work[r][col]
-            if x:
-                work[r] = [u - x * v for u, v in zip(work[r], prow)]
-    return [row[n:] for row in work]
+    return mat_mul(v, u)
 
 
 def smith_normal_form(a):

@@ -24,6 +24,9 @@ from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
 from nilpal.words import Letter, Word, parse_word, word_commutator
 
+# the paper's algorithms all run at step <= 3; higher steps keep the series
+LAW_MAX_STEP = 3
+
 
 class InternalError(RuntimeError):
     """An internal invariant failed; indicates a bug, not bad input.
@@ -331,15 +334,13 @@ class HallBasis:
     @cached_property
     def law(self):
         """The group law on exponent vectors (`hallpoly.HallLaw`), derived
-        on first use and kept in `memo`; None above `hallpoly.MAX_STEP`."""
+        on first use and kept on the basis; None above `LAW_MAX_STEP`,
+        where `hallpoly` is not imported at all."""
+        if self.k > LAW_MAX_STEP:
+            return None
         from nilpal import hallpoly  # imported here: hallpoly imports this module
 
-        if self.k > hallpoly.MAX_STEP:
-            return None
-        law = self.memo.get(("hall_law",))
-        if law is None:
-            law = self.memo[("hall_law",)] = hallpoly.derive(self)
-        return law
+        return hallpoly.derive(self)
 
     @cached_property
     def _letter_vectors(self):

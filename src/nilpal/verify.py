@@ -11,6 +11,7 @@ from itertools import permutations, product
 
 from nilpal.autos import (
     _comm3,
+    _palindromic_image,
     compose_symbols,
     decompose_bglm,
     endo_power,
@@ -220,15 +221,9 @@ def suite_prop31(rank=4, step=None, seed=0, cases=60):
                 )
                 for _ in range(n)
             ]
-            e1 = Endo(basis, tuple(
-                multiply(multiply(bar(q), basis.generator(i + 1)), q)
-                for i, q in enumerate(qs)
-            ))
-            e2 = Endo(basis, tuple(
-                multiply(multiply(bar(multiply(q, c)), basis.generator(i + 1)),
-                         multiply(q, c))
-                for i, (q, c) in enumerate(zip(qs, shift))
-            ))
+            e1 = Endo(basis, [_palindromic_image(basis, i, q) for i, q in enumerate(qs, 1)])
+            e2 = Endo(basis, [_palindromic_image(basis, i, multiply(q, c))
+                              for i, (q, c) in enumerate(zip(qs, shift), 1)])
             result.cases += 1
             if e1.abel_matrix != e2.abel_matrix or e1 != e2:
                 result.failures.append(f"n={n} witnesses {[render_element(q) for q in qs]}")

@@ -7,10 +7,17 @@ expression grammar shared by the whole package:
     atom     := x<posint> | 1 | ( word ) | [ word, word, ... ]
     [u,v]    := u^-1 v^-1 u v, longer lists fold left-normed
 
-Commutator and grouping syntax is sugar expanded at parse time.
+Commutator and grouping syntax is sugar expanded at parse time.  No word
+built while parsing may exceed MAX_WORD_LETTERS letters, counted before free
+reduction: a power is checked before it is expanded, a commutator before it
+is built, and the running word after each factor is appended.
 """
 
+import operator
+from itertools import chain
 from typing import NamedTuple
+
+MAX_WORD_LETTERS = 10**6
 
 
 class Letter(NamedTuple):
@@ -34,9 +41,14 @@ class RankError(ValueError):
 
 
 def _reduced(letters):
+    if len(letters) < 2:
+        return letters
+    inverse = {let: let.inverse() for let in set(letters)}
+    if not any(map(operator.eq, letters[1:], map(inverse.__getitem__, letters))):
+        return letters  # no letter is followed by its inverse
     out = []
     for let in letters:
-        if out and out[-1].index == let.index and out[-1].sign == -let.sign:
+        if out and out[-1] == inverse[let]:
             out.pop()
         else:
             out.append(let)
@@ -50,7 +62,7 @@ class Word:
 
     def __init__(self, letters, rank):
         letters = tuple(letters)
-        for let in letters:
+        for let in set(letters):
             if not 1 <= let.index <= rank:
                 raise RankError(f"generator index {let.index} exceeds rank {rank}")
             if let.sign not in (1, -1):
@@ -96,13 +108,22 @@ def reverse_word(w):
 
 
 def invert_word(w):
-    return Word((let.inverse() for let in reversed(w.letters)), w.rank)
+    inverse = {let: let.inverse() for let in set(w.letters)}
+    return Word(map(inverse.__getitem__, reversed(w.letters)), w.rank)
 
 
-def concat(u, v):
-    if u.rank != v.rank:
-        raise RankError(f"rank mismatch: {u.rank} vs {v.rank}")
-    return Word(u.letters + v.letters, u.rank)
+def concat(u, *rest):
+    """The product of reduced words, which cancel only where two meet."""
+    letters = list(u.letters)
+    for v in rest:
+        if v.rank != u.rank:
+            raise RankError(f"rank mismatch: {u.rank} vs {v.rank}")
+        j = 0
+        while letters and j < len(v) and letters[-1] == v.letters[j].inverse():
+            letters.pop()
+            j += 1
+        letters.extend(v.letters[j:])
+    return Word(letters, u.rank)
 
 
 def is_word_palindrome(w):
@@ -118,7 +139,7 @@ def word_power(w, e):
 
 def word_commutator(u, v):
     """[u, v] = u^-1 v^-1 u v."""
-    return concat(concat(invert_word(u), invert_word(v)), concat(u, v))
+    return concat(invert_word(u), invert_word(v), u, v)
 
 
 def left_normed_commutator(parts):
@@ -214,18 +235,24 @@ class _Parser:
         return tok
 
     def parse_word(self, stop_kinds):
-        letters = []
+        factors, size = [], 0
         while True:
             kind, _, _ = self.peek()
             if kind in stop_kinds or kind == "END":
-                return Word(letters, self.rank)
-            letters.extend(self.parse_factor().letters)
+                return factors[0] if len(factors) == 1 else Word(
+                    chain.from_iterable(f.letters for f in factors), self.rank)
+            factors.append(self.parse_factor(size))
+            size += len(factors[-1])
+            # at the factor's last token: its `^`, `]` or `)`
+            _check_budget(size, self.tokens[self.pos - 1][2])
 
-    def parse_factor(self):
+    def parse_factor(self, used):
+        """The next factor, after `used` letters of the word it extends."""
         atom = self.parse_atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "EXP":
             self.take()
+            _check_budget(used + len(atom) * abs(value), pos)
             return word_power(atom, value)
         return atom
 
@@ -250,8 +277,19 @@ class _Parser:
             end = self.take("RBRACK")
             if len(parts) < 2:
                 raise WordSyntaxError("commutator needs at least two arguments", end[2])
-            return left_normed_commutator(parts)
+            acc = parts[0]
+            for nxt in parts[1:]:
+                # [u, v] = u^-1 v^-1 u v has 2(|u| + |v|) letters before reduction
+                _check_budget(2 * (len(acc) + len(nxt)), end[2])
+                acc = word_commutator(acc, nxt)
+            return acc
         raise WordSyntaxError(f"unexpected token {kind}", pos)
+
+
+def _check_budget(letters, position):
+    if letters > MAX_WORD_LETTERS:
+        raise WordSyntaxError(f"expression expands to more than MAX_WORD_LETTERS = "
+                              f"{MAX_WORD_LETTERS} letters", position)
 
 
 def parse_word(text, rank):

@@ -16,7 +16,10 @@ never runs on the law.  `ring_fox_derivative`, with the ring image
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
 `fraction_inv_unimodular` is Gauss-Jordan over Fractions, the reference
-for the integer row reduction of `intlinalg.inv_unimodular`.
+for the Smith-form inverse `intlinalg.inv_unimodular`.
+`signed_permutation_palindromic` searches all 2^n sign vectors of the
+signed permutation in e = eps . omega, the reference for the one
+candidate that `autos.classify` tries.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -205,6 +208,34 @@ def product_step3_rows(basis, i, alpha):
         fz_w3 = multiply(multiply(bar(q1z), xi), q1z).weight_block(3)
         rows.append([a - b for a, b in zip(fz_w3, f0_w3)])
     return rows
+
+
+def signed_permutation_palindromic(e):
+    """Whether e = eps . omega with eps elementary palindromic and omega a
+    signed permutation, trying every sign vector of omega.  The permutation
+    is the one that the abelianization of e is mod 2."""
+    from nilpal.autos import Endo, compose, identity_endo, palindromic_witnesses
+    from nilpal.nilpotent import invert
+
+    basis = e.basis
+    n = basis.n
+    odd = [[j for j, v in enumerate(row) if v % 2] for row in e.abel_matrix]
+    if any(len(cols) != 1 for cols in odd) or len({cols[0] for cols in odd}) != n:
+        return False
+    perm = [cols[0] + 1 for cols in odd]
+    inv_perm = [perm.index(j) + 1 for j in range(1, n + 1)]
+
+    def signed(p, signs):
+        gens = [basis.generator(v) for v in p]
+        return Endo(basis, [g if s > 0 else invert(g) for g, s in zip(gens, signs)])
+
+    for signs in product((1, -1), repeat=n):
+        omega = signed(perm, signs)
+        omega_inv = signed(inv_perm, [signs[v - 1] for v in inv_perm])
+        assert compose(omega, omega_inv) == identity_endo(basis)
+        if palindromic_witnesses(compose(e, omega_inv)) is not None:
+            return True
+    return False
 
 
 def gf2_rank(rows):

@@ -609,6 +609,27 @@ def test_classify_identity_levels():
     assert flags.pi_level == 3
 
 
+def test_classify_tries_one_signed_permutation(monkeypatch):
+    # the abelianization is a 4-cycle mod 2; the parent searched all 16
+    # signs of it, one palindromic_witnesses call each
+    basis = hall_basis(4, 3)
+    e = make_endo(basis, ["x2", "x3", "x4", "x1 [x2,x1]"])
+    assert classify(e).is_palindromic is False  # warms the generator memo
+    calls = []
+    real = autos.palindromic_witnesses
+    monkeypatch.setattr(autos, "palindromic_witnesses", lambda f: calls.append(f) or real(f))
+    flags = classify(e)
+    assert flags.is_palindromic is False and flags.is_elementary_palindromic is False
+    assert len(calls) <= 2
+
+
+def test_classify_palindromic_through_a_four_cycle():
+    basis = hall_basis(4, 3)
+    e = make_endo(basis, ["x2", "x3", "x4", "x1 x2^2 [x2,x1] [x2,x1,x2]"])
+    flags = classify(e)
+    assert flags.is_palindromic is True and flags.is_elementary_palindromic is False
+
+
 def test_parity_without_witness_is_flagged():
     basis = hall_basis(2, 2)
     e = make_endo(basis, ["x1 [x2,x1]", "x2"])

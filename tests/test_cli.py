@@ -40,6 +40,12 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+def test_word_over_the_letter_budget_exits_1(capsys):
+    code, out, err = run_cli(capsys, "--rank", "1", "--step", "2", "normalize", "x1^1000000000")
+    assert code == 1 and out == ""
+    assert "MAX_WORD_LETTERS = 1000000" in err and "position 2" in err
+
+
 def test_rank_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "--rank", "2", "normalize", "x5")
     assert code == 1

@@ -1,11 +1,15 @@
 """The exponent-vector group law at step <= 3 against the series model."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import series_apply, series_bar, series_invert, series_multiply, series_power
 
-from nilpal import hallpoly, kernel
+from nilpal import hallpoly, kernel, nilpotent
 from nilpal.autos import Endo, compose, make_generator, mu, phi2
 from nilpal.nilpotent import (
     HallBasis,
@@ -98,7 +102,7 @@ def test_endo_apply_above_step3_matches_the_series_model(n, k):
 
 def test_endo_apply_shortcut_is_gated_by_step_not_by_law(monkeypatch):
     # with a law at step 4, gamma_2 is not abelian: apply keeps the series
-    monkeypatch.setattr(hallpoly, "MAX_STEP", 4)
+    monkeypatch.setattr(nilpotent, "LAW_MAX_STEP", 4)
     basis = HallBasis(2, 4)
     assert basis.law is not None
     rng = random.Random(24)
@@ -126,9 +130,21 @@ def test_group_ops_run_no_series_product(monkeypatch):
 def test_law_is_kept_per_basis_and_gated_by_step():
     basis = HallBasis(2, 3)
     law = basis.law
-    assert basis.memo[("hall_law",)] is law
+    assert vars(basis)["law"] is law
     assert basis.law is law
     assert HallBasis(2, 4).law is None
+
+
+def test_collect_above_the_law_step_does_not_import_hallpoly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from nilpal.nilpotent import collect, hall_basis\n"
+            "from nilpal.words import parse_word\n"
+            "collect(parse_word('x1 x2^-1', 2), hall_basis(2, 4))\n"
+            "print('nilpal.hallpoly' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_elements_build_their_series_on_demand():

@@ -7,15 +7,22 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import ring_fox_derivative, series_collect, word_tameness_residue  # noqa: E402
+from oracles import (  # noqa: E402
+    ring_fox_derivative,
+    series_collect,
+    signed_permutation_palindromic,
+    word_tameness_residue,
+)
 
 from nilpal.autos import (  # noqa: E402
     Endo,
     GeneratorSymbol,
+    classify,
     compose,
     compose_symbols,
     identity_endo,
     inverse_with_factors,
+    make_generator,
     palindromic_witnesses,
     solve_conjugator,
     tameness_residue,
@@ -219,6 +226,43 @@ def test_symbols_then_reversed_negated_symbols_is_identity(case):
     back = [GeneratorSymbol(s.tag, s.params, -s.exponent) for s in reversed(syms)]
     e = compose_symbols(syms, basis)
     assert compose(e, compose_symbols(back, basis)) == identity_endo(basis)
+
+
+@st.composite
+def classification_cases(draw):
+    """At (2,2), (3,2), (2,3), (3,3) or (4,3), a product of up to three
+    generator symbols other than `inner` and one t, alpha or sigma, with up
+    to two transvections x_i -> x_i x_j^+-1, which are not palindromic, put
+    in among them."""
+    basis = hall_basis(*draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])))
+    n = basis.n
+    gens = [basis.generator(i) for i in range(1, n + 1)]
+    syms = draw(st.lists(symbols(n), max_size=3))
+    syms.insert(draw(st.integers(0, len(syms))), draw(symbols(n, ("t", "alpha", "sigma"))))
+    factors = [make_generator(sym, basis) for sym in syms]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        images = list(gens)
+        images[i - 1] = multiply(gens[i - 1], draw(st.sampled_from((gens[j - 1], invert(gens[j - 1])))))
+        factors.insert(draw(st.integers(0, len(factors))), Endo(basis, images))
+    e = identity_endo(basis)
+    for f in factors:
+        e = compose(e, f)
+    return e
+
+
+def test_classify_palindromic_matches_the_sign_search():
+    seen = set()
+
+    @given(classification_cases())
+    def check(e):
+        flags = classify(e)
+        assert flags.is_palindromic == signed_permutation_palindromic(e)
+        seen.add((flags.is_elementary_palindromic, flags.is_palindromic))
+
+    check()
+    # elementary palindromic, palindromic only, and not palindromic all occur
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @st.composite

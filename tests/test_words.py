@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -124,3 +125,28 @@ def test_long_words_are_reduced_in_linear_work(monkeypatch, build):
 
     monkeypatch.setattr(words, "_reduced", counting)
     assert len(build()) in (LONG, LONG + 2)
+
+
+BUDGET = words.MAX_WORD_LETTERS
+
+
+@pytest.mark.parametrize("text,offender", [
+    ("x1^1000000000", "^"),
+    ("[" + ", ".join(["x1", "x2"] * 20) + "]", "]"),
+    ("[x1, " * 39 + "x2" + "]" * 39, "]"),
+    (f"x1^{BUDGET // 2} x2^{BUDGET // 2} x1^-1", "^"),
+    (f"(x1^{BUDGET // 2}) x2 (x1^{BUDGET // 2})", ")"),
+], ids=["huge-power", "left-normed-40", "nested-40", "sum-of-powers", "sum-of-groups"])
+def test_expressions_over_the_letter_budget_are_refused_fast(text, offender):
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text, 2)
+    assert time.perf_counter() - start < 1
+    assert f"MAX_WORD_LETTERS = {BUDGET}" in str(err.value)
+    assert text[err.value.position] == offender
+
+
+def test_letter_budget_is_inclusive():
+    assert len(parse_word(f"x2^{BUDGET}", 2)) == BUDGET
+    with pytest.raises(WordSyntaxError):
+        parse_word(f"x2^-{BUDGET + 1}", 2)
