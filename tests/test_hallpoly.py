@@ -142,8 +142,8 @@ def test_collect_above_the_law_step_does_not_import_hallpoly():
             "from nilpal.words import parse_word\n"
             "collect(parse_word('x1 x2^-1', 2), hall_basis(2, 4))\n"
             "print('nilpal.hallpoly' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout == "False\n"
 
 

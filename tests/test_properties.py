@@ -243,7 +243,8 @@ def classification_cases(draw):
     for _ in range(draw(st.integers(0, 2))):
         i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         images = list(gens)
-        images[i - 1] = multiply(gens[i - 1], draw(st.sampled_from((gens[j - 1], invert(gens[j - 1])))))
+        xj = draw(st.sampled_from((gens[j - 1], invert(gens[j - 1]))))
+        images[i - 1] = multiply(gens[i - 1], xj)
         factors.insert(draw(st.integers(0, len(factors))), Endo(basis, images))
     e = identity_endo(basis)
     for f in factors:
