@@ -41,7 +41,7 @@ from nilpal.nilpotent import (
     render_element,
     weight,
 )
-from nilpal.words import Word, parse_word
+from nilpal.words import Letter, Word, parse_word
 
 
 class NotAutomorphismError(ValueError):
@@ -326,8 +326,9 @@ def _defects(e):
 
 
 def _palindromic_image(basis, i, q):
-    """bar(q) x_i q."""
-    return multiply(multiply(bar(q), basis.generator(i)), q)
+    """bar(q) x_i q on exponent tuples, by the basis's law (step <= 3)."""
+    law = basis.law
+    return law.mul(law.mul(law.bar(q), basis._letter_vectors[Letter(i, 1)]), q)
 
 
 def solve_conjugator(g, i, min_weight=1):
@@ -337,7 +338,8 @@ def solve_conjugator(g, i, min_weight=1):
     (the abelianization of g must be e_i mod 2); the weight-2 layer of the
     value is independent of the witness, so any mismatch is fatal; at step 3
     the remaining defect must fall in an explicit integer lattice.
-    Returns None when no witness exists.
+    Returns None when no witness exists.  Runs on exponent tuples and
+    builds an element only for the answer.
     """
     basis = g.basis
     n, k = basis.n, basis.k
@@ -347,34 +349,38 @@ def solve_conjugator(g, i, min_weight=1):
         raise ValueError(f"index {i} out of range 1..{n}")
     if not 1 <= min_weight <= k:
         raise ValueError(f"min_weight must be in 1..{k}")
-    ab = g.abelianization()
-    doubled = [ab[j] - (1 if j == i - 1 else 0) for j in range(n)]
+    exps = g.exponents
+    doubled = list(exps[:n])
+    doubled[i - 1] -= 1
     if any(v % 2 for v in doubled):
         return None
-    alpha = [v // 2 for v in doubled]
-    if min_weight >= 2 and any(alpha):
+    alpha = tuple(v // 2 for v in doubled)
+    tail = (0,) * (len(exps) - n)
+    if not any(alpha):
+        f0 = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
+    elif min_weight >= 2:
         return None
-    q1 = _linear_element(basis, alpha)
-    f0 = _palindromic_image(basis, i, q1)
-    if k == 1:
-        q = q1
-    elif f0.weight_block(2) != g.weight_block(2):
+    else:
+        f0 = _palindromic_image(basis, i, alpha + tail)
+    if k >= 2 and f0[basis.weight_slice(2)] != exps[basis.weight_slice(2)]:
         return None
-    elif k == 2:
-        q = q1
+    if k <= 2:
+        q = alpha + tail
     else:
         # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
         echelon = _witness_echelon(basis, i) if min_weight <= 2 else []
+        w3 = basis.weight_slice(3)
         sol = _solve_mod2(echelon, _step3_row(basis, i, alpha),
-                          vec_sub(list(g.weight_block(3)), list(f0.weight_block(3))))
+                          vec_sub(list(exps[w3]), list(f0[w3])))
         if sol is None:
             return None
         mask, delta = sol
-        beta = [mask >> j & 1 for j in range(len(basis.by_weight[1]))]
-        q = basis.from_exponents(tuple(alpha) + tuple(beta) + tuple(delta))
-    if _palindromic_image(basis, i, q) != g:
+        beta = tuple(mask >> j & 1 for j in range(len(basis.by_weight[1])))
+        q = alpha + beta + tuple(delta)
+    if _palindromic_image(basis, i, q) != exps:
         raise InternalError("witness verification failed",
                             n=n, k=k, i=i, min_weight=min_weight)
+    q = NilElement(basis, None, q)
     if not (q.is_identity() or weight(q) >= min_weight):
         raise InternalError("witness violates the weight bound",
                             n=n, k=k, i=i, min_weight=min_weight)
@@ -395,22 +401,31 @@ def palindromic_witnesses(e):
 # ---------------------------------------------------------------------------
 # inverse
 
-def _linear_element(basis, coeffs):
-    """x_1^c_1 ... x_n^c_n."""
-    return basis.from_exponents(tuple(coeffs) + (0,) * (len(basis.elements) - basis.n))
-
-
 def _epa_linear_lift(basis, minv):
     """Palindromic linear automorphism with abelianization matrix minv:
     x_i -> bar(q) x_i q with q = x_1^b_1 ... x_n^b_n, 2b = row i of minv - e_i."""
+    tail = (0,) * (len(basis.elements) - basis.n)
     return Endo(basis, [
-        _palindromic_image(basis, i, _linear_element(
-            basis, [(v - (1 if j == i else 0)) // 2 for j, v in enumerate(row, 1)]))
+        NilElement(basis, None, _palindromic_image(
+            basis, i, tuple((v - (j == i)) // 2 for j, v in enumerate(row, 1)) + tail))
         for i, row in enumerate(minv, 1)])
 
 
 def _ordered_linear_lift(basis, minv):
-    return Endo(basis, [_linear_element(basis, row) for row in minv])
+    """x_i -> x_1^c_1 ... x_n^c_n with c = row i of minv."""
+    tail = (0,) * (len(basis.elements) - basis.n)
+    return Endo(basis, [basis.from_exponents(tuple(row) + tail) for row in minv])
+
+
+def _level_witnesses(phi, level):
+    """Witnesses of weight >= level of the images of phi, in generator
+    order, up to and including the first None."""
+    out = []
+    for i, img in enumerate(phi.images, 1):
+        out.append(solve_conjugator(img, i, min_weight=level))
+        if out[-1] is None:
+            break
+    return out
 
 
 def inverse_with_factors(e):
@@ -422,29 +437,45 @@ def inverse_with_factors(e):
     first is the palindromic lift of the inverse abelianization matrix and
     the later ones conjugate by witnesses of increasing weight.
     """
-    if not is_automorphism(e):
-        raise NotAutomorphismError("abelianization matrix is not in GL(n, Z)")
     basis = e.basis
     n, k = basis.n, basis.k
-    minv = inv_unimodular([list(r) for r in e.abel_matrix])
-    palindromic = basis.k <= 3 and palindromic_witnesses(e) is not None
-    if palindromic:
+    try:
+        minv = inv_unimodular([list(r) for r in e.abel_matrix])
+    except ValueError:
+        raise NotAutomorphismError("abelianization matrix is not in GL(n, Z)") from None
+    witnesses = None
+    if k <= 3 and _mod2_permutation(e.abel_matrix) == tuple(range(1, n + 1)):
+        # Elementary palindromic (EPA) maps commute with bar, so e then f
+        # sends x_i to bar(r_i f(q_i)) x_i r_i f(q_i) when e and f have
+        # witnesses q_i and r_i, and they form a group (arXiv:1506.03195).
+        # psi is EPA, so e is EPA iff phi = e then psi is.  phi is IA, so
+        # its witnesses have alpha = 0 and weight >= 2: the level-2 solve
+        # decides it, and its witnesses give the level-2 factor.
         if any((minv[r][c] - (1 if r == c else 0)) % 2 for r in range(n) for c in range(n)):
             raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
-    else:
+        phi = compose(e, psi)
+        witnesses = _level_witnesses(phi, 2) if k >= 2 else []
+        if witnesses and witnesses[-1] is None:
+            if palindromic_witnesses(e) is not None:
+                raise InternalError("missing level-2 witness",
+                                    n=n, k=k, i=len(witnesses), level=2)
+            witnesses = None
+    if witnesses is None:
         psi = _ordered_linear_lift(basis, minv)
+        phi = compose(e, psi)
     factors = [psi]
-    phi = compose(e, psi)
     for level in range(2, k + 1):
         images = []
-        if palindromic:
-            for i, img in enumerate(phi.images, 1):
-                q = solve_conjugator(img, i, min_weight=level)
-                if q is None:
+        if witnesses is not None:
+            if level > 2:
+                witnesses = _level_witnesses(phi, level)
+                if witnesses[-1] is None:
                     raise InternalError(f"missing level-{level} witness",
-                                        n=n, k=k, i=i, level=level)
-                images.append(_palindromic_image(basis, i, invert(q)))
+                                        n=n, k=k, i=len(witnesses), level=level)
+            images = [NilElement(basis, None,
+                                 _palindromic_image(basis, i, basis.law.inv(q.exponents)))
+                      for i, q in enumerate(witnesses, 1)]
         else:
             for i, r in enumerate(_defects(phi), 1):
                 if not r.is_identity() and weight(r) < level:
@@ -589,16 +620,26 @@ def make_generator(sym, basis):
     the images it already computed.  The set of such symbols is finite,
     and a table holds at most one image per basis element (and, above
     step 3, one per inverse of a basis element).  A power other than +-1
-    is composed afresh on every call.
+    is built afresh on every call: at step <= 3 a central generator
+    (phi2, phi3, psi) moves only x_i, to x_i D with D in gamma_3, which
+    is central and fixed by the map, so its m-th power sends x_i to
+    x_i D^m; every other power is composed by `endo_power`.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
     else:
         key = (sym.tag, sym.params)
         forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
-        base = (forward if sym.exponent >= 0 else
+        m = sym.exponent
+        if m not in (1, -1) and sym.tag in ("phi2", "phi3", "psi") and basis.k <= 3:
+            i = sym.params[-1]
+            x = basis.generator(i)
+            images = list(forward.images)
+            images[i - 1] = multiply(x, power(multiply(invert(x), images[i - 1]), m))
+            return Endo(basis, images)
+        base = (forward if m >= 0 else
                 _memo(basis, ("generator_inverse",) + key, lambda: inverse(forward)))
-        exponent = abs(sym.exponent)
+        exponent = abs(m)
     return base if exponent == 1 else endo_power(base, exponent)
 
 

@@ -113,12 +113,12 @@ def poly_inv(a, shape):
 def poly_pow(a, e, shape):
     if e < 0:
         return poly_pow(poly_inv(a, shape), -e, shape)
-    out = {0: 1}
+    out = None
     sq = a
     while e:
         if e & 1:
-            out = poly_mul(out, sq, shape)
+            out = sq if out is None else poly_mul(out, sq, shape)
         e >>= 1
         if e:
             sq = poly_mul(sq, sq, shape)
-    return out
+    return {0: 1} if out is None else out

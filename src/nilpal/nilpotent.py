@@ -19,6 +19,7 @@ model once per basis (`HallBasis.law`).
 
 import operator
 from functools import cached_property, lru_cache, reduce
+from itertools import groupby
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
@@ -442,15 +443,21 @@ def _same_basis(a, b):
 
 def collect(word, basis):
     """Canonical normal form of the image of a free word: its letters
-    folded by the exponent law, or else by the series product and peeled."""
+    folded by the exponent law, or else each run of one letter raised to
+    its length as a series (O(log length) products), the runs multiplied
+    and peeled."""
     if word.rank != basis.n:
         raise ValueError(f"word rank {word.rank} != basis rank {basis.n}")
     law = basis.law
     if law is not None:
         vectors = map(basis._letter_vectors.__getitem__, word.letters)
         return NilElement(basis, None, reduce(law.mul, vectors, law.one))
-    lifts = (basis._lift(let.index - 1, let.sign < 0) for let in word.letters)
-    return basis.element_from_poly(reduce(basis.mul, lifts, {0: 1}))
+    runs = []
+    for let, run in groupby(word.letters):
+        lift = basis._lift(let.index - 1, let.sign < 0)
+        count = sum(1 for _ in run)
+        runs.append(lift if count == 1 else basis.pow(lift, count))
+    return basis.element_from_poly(basis._product(runs))
 
 
 def multiply(a, b):

@@ -221,9 +221,10 @@ def suite_prop31(rank=4, step=None, seed=0, cases=60):
                 )
                 for _ in range(n)
             ]
-            e1 = Endo(basis, [_palindromic_image(basis, i, q) for i, q in enumerate(qs, 1)])
-            e2 = Endo(basis, [_palindromic_image(basis, i, multiply(q, c))
-                              for i, (q, c) in enumerate(zip(qs, shift), 1)])
+            e1 = Endo(basis, [basis.from_exponents(_palindromic_image(basis, i, q.exponents))
+                              for i, q in enumerate(qs, 1)])
+            e2 = Endo(basis, [basis.from_exponents(_palindromic_image(
+                basis, i, multiply(q, c).exponents)) for i, (q, c) in enumerate(zip(qs, shift), 1)])
             result.cases += 1
             if e1.abel_matrix != e2.abel_matrix or e1 != e2:
                 result.failures.append(f"n={n} witnesses {[render_element(q) for q in qs]}")

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from oracles import gf2_rank, product_step3_rows, word_tameness_residue
@@ -54,6 +55,8 @@ from nilpal.nilpotent import (
     weight,
 )
 from nilpal.words import parse_word, word_from_ints
+
+GOLDEN_FIXTURES = Path(__file__).parent / "golden" / "fixtures"
 
 
 def rand_word(rng, n, max_len=8):
@@ -207,6 +210,40 @@ def test_negative_powers_match_fresh_inverses(n, k):
     for m in (1, 2, 3):
         for pos, neg in zip(all_symbols(n, m), all_symbols(n, -m)):
             assert make_generator(neg, basis) == inverse(make_generator(pos, basis)), neg
+
+
+def central_symbols(n, exponent):
+    return [sym for sym in all_symbols(n, exponent) if sym.tag in ("phi2", "phi3", "psi")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_central_generator_powers_scale_the_defect(monkeypatch, n):
+    # at step 3 the defect of phi2/phi3/psi is central and fixed, so a power
+    # is one element power; it must agree with composing by `endo_power`
+    basis = hall_basis(n, 3)
+    for m in (2, -2, 3, -3, 4):
+        want = [endo_power(make_generator(sym, basis), m) for sym in central_symbols(n, 1)]
+        calls = []
+        real = autos.compose
+        monkeypatch.setattr(autos, "compose", lambda e1, e2: calls.append(1) or real(e1, e2))
+        got = [make_generator(sym, basis) for sym in central_symbols(n, m)]
+        monkeypatch.undo()
+        assert calls == []
+        assert got == want, m
+
+
+def test_step4_central_generator_powers_compose(monkeypatch):
+    # above step 3 the defect is not central: powers are composed
+    basis = hall_basis(2, 4)
+    for sym in (phi2(2, 1, 1), phi3(2, 1, 2, 1), psi(1, 2)):
+        g = make_generator(sym, basis)
+        calls = []
+        real = autos.compose
+        monkeypatch.setattr(autos, "compose", lambda e1, e2: calls.append(1) or real(e1, e2))
+        got = make_generator(autos.GeneratorSymbol(sym.tag, sym.params, 2), basis)
+        monkeypatch.undo()
+        assert calls == [1]
+        assert got == compose(g, g)
 
 
 def test_generator_inverse_built_once_per_symbol(monkeypatch):
@@ -364,24 +401,38 @@ def _conjugate(q, i):
     return multiply(multiply(bar(q), q.basis.generator(i)), q)
 
 
+def _count_law_calls(monkeypatch, basis, names):
+    """Record each call of the named `basis.law` operations."""
+    calls = []
+    for name in names:
+        real = getattr(basis.law, name)
+        monkeypatch.setattr(basis.law, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
 def test_solve_conjugator_multiply_count(monkeypatch):
     # after warm-up a step-3 call builds no rows from group products: one
-    # multiply pair for f0 and one for the final check
+    # law.mul pair for f0 and one for the final check
     basis = hall_basis(3, 3)
     q = basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 7 + (1,))
     g = _conjugate(q, 2)
     assert solve_conjugator(g, 2) is not None
-    calls = []
-    real = nilpotent.multiply
-
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(autos, "multiply", counting)
-    monkeypatch.setattr(nilpotent, "multiply", counting)
+    calls = _count_law_calls(monkeypatch, basis, ("mul",))
     found = solve_conjugator(g, 2, min_weight=1)
     assert found is not None and len(calls) <= 4
+
+
+def test_prop33_reject_makes_no_law_calls(monkeypatch):
+    # at alpha = 0, f0 is x_i: the Prop 3.3 reject is a parity test and a
+    # look at the weight-2 block
+    basis = hall_basis(4, 2)
+    cases = [(i, multiply(basis.generator(i), basis.from_exponents((0,) * 4 + c)))
+             for i in (1, 4) for c in ((1, 0, 0, 0, 0, -2), (0, 3, 0, 0, 1, 0))]
+    calls = _count_law_calls(monkeypatch, basis, ("mul", "bar", "inv"))
+    for i, g in cases:
+        assert solve_conjugator(g, i, min_weight=2) is None
+    assert calls == []
 
 
 def test_solve_conjugator_verification_failure_context(monkeypatch):
@@ -494,6 +545,66 @@ def test_inverse_round_trip_epa():
         assert len(factors) == k
         for f in factors:
             assert palindromic_witnesses(f) is not None
+
+
+def _count_solves(monkeypatch):
+    """Record (i, min_weight) of each `solve_conjugator` call, and fail on
+    any `palindromic_witnesses` call."""
+    calls = []
+    real = autos.solve_conjugator
+
+    def counting(g, i, min_weight=1):
+        calls.append((i, min_weight))
+        return real(g, i, min_weight)
+
+    def refused(e):
+        raise AssertionError("palindromic_witnesses called")
+
+    monkeypatch.setattr(autos, "solve_conjugator", counting)
+    monkeypatch.setattr(autos, "palindromic_witnesses", refused)
+    return calls
+
+
+def test_inverse_of_epa_solves_each_level_once(monkeypatch):
+    # n solves at level 2, reused as the level-2 factor, and n at level 3;
+    # none for a separate palindromicity test
+    basis = hall_basis(3, 3)
+    e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
+    want = inverse_with_factors(e)
+    calls = _count_solves(monkeypatch)
+    inv, factors = inverse_with_factors(e)
+    assert (inv, factors) == want
+    assert calls == [(i, w) for w in (2, 3) for i in (1, 2, 3)]
+    assert compose(e, inv) == identity_endo(basis)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_of_non_palindromic_ia_map(n):
+    # parity holds but the weight-2 defect has no witness: the level-2
+    # solve fails at x1, palindromic_witnesses(e) confirms, and the ordered
+    # factors follow
+    text = (GOLDEN_FIXTURES / f"r{n}_ia_weight2.auto").read_text()
+    basis = hall_basis(n, 3)
+    e = autos.parse_endo_file(text, basis)
+    assert palindromic_witnesses(e) is None
+    inv, factors = inverse_with_factors(e)
+    assert factors[0] == autos._ordered_linear_lift(basis, [list(r) for r in e.abel_matrix])
+    assert len(factors) == 3
+    assert compose(e, inv) == identity_endo(basis) == compose(inv, e)
+    # the level-2 factor came from the defect route: it is not palindromic
+    assert palindromic_witnesses(factors[1]) is None
+
+
+def test_inverse_runs_one_elimination(monkeypatch):
+    # the Smith form of inv_unimodular tells GL(n, Z) apart; no determinant
+    basis = hall_basis(2, 3)
+    monkeypatch.setattr(autos, "det", None)
+    m12 = make_generator(mu(1, 2), basis)
+    assert compose(m12, inverse(m12)) == identity_endo(basis)
+    for images in (["x1 x1", "x2"], ["x1 x2", "x1 x2"], ["x1^3", "x2"]):
+        with pytest.raises(NotAutomorphismError,
+                           match=r"^abelianization matrix is not in GL\(n, Z\)$"):
+            inverse(make_endo(basis, images))
 
 
 def test_inverse_missing_witness_context(monkeypatch):

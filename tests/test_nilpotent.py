@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from nilpal import intlinalg
+from nilpal import intlinalg, kernel
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -23,7 +23,13 @@ from nilpal.nilpotent import (
 )
 from nilpal.words import concat, parse_word, reverse_word, word_from_ints
 
-from oracles import TruncatedWordRep, heisenberg_matrix, invariant_factors, series_bar
+from oracles import (
+    TruncatedWordRep,
+    heisenberg_matrix,
+    invariant_factors,
+    series_bar,
+    series_collect,
+)
 
 
 def rand_word(rng, n, max_len=12):
@@ -98,6 +104,45 @@ def test_collect_is_homomorphism():
         basis = hall_basis(n, k)
         u, v = rand_word(rng, n), rand_word(rng, n)
         assert collect(concat(u, v), basis) == multiply(collect(u, basis), collect(v, basis))
+
+
+def _count_series_products(monkeypatch):
+    calls = []
+    real = kernel.poly_mul
+    monkeypatch.setattr(kernel, "poly_mul",
+                        lambda a, b, shape: calls.append(1) or real(a, b, shape))
+    return calls
+
+
+def test_series_collect_powers_each_run_of_a_letter(monkeypatch):
+    # one series power per run: O(log e) products for x1^e, not e
+    basis = hall_basis(2, 4)
+    word = parse_word("x1^20000 x2", 2)
+    collect(parse_word("x2 x1", 2), basis)  # builds the lifts and peel solvers
+    calls = _count_series_products(monkeypatch)
+    g = collect(word, basis)
+    assert g.exponents == (20000, 1) + (0,) * (len(basis.elements) - 2)
+    assert len(calls) <= 4 * (20000).bit_length()
+
+
+def test_series_collect_costs_no_more_products_than_the_letter_fold(monkeypatch):
+    # against the oracle that multiplies one letter series at a time; both
+    # peel the same series, so the peel's products cancel
+    rng = random.Random(12)
+    calls = _count_series_products(monkeypatch)
+    for _ in range(40):
+        n, k = rng.randint(1, 3), rng.randint(4, 5)
+        basis = hall_basis(n, k)
+        ints = []
+        for _ in range(rng.randint(0, 5)):
+            ints += [rng.choice([i for i in range(-n, n + 1) if i])] * rng.randint(1, 7)
+        word = word_from_ints(ints, n)
+        del calls[:]
+        want = series_collect(word, basis)
+        fold = len(calls)
+        del calls[:]
+        assert collect(word, basis) == want
+        assert len(calls) <= fold
 
 
 def test_group_ops_examples():

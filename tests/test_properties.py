@@ -9,7 +9,9 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     ring_fox_derivative,
+    series_bar,
     series_collect,
+    series_multiply,
     signed_permutation_palindromic,
     word_tameness_residue,
 )
@@ -166,6 +168,34 @@ def test_witness_respects_min_weight(data, w):
     assert found is not None
     assert found.is_identity() or weight(found) >= w
     assert conjugate(found, i) == g
+
+
+def series_conjugate(q, i):
+    """bar(q) x_i q by the series oracles, which share no code with the law."""
+    return series_multiply(series_multiply(series_bar(q), q.basis.generator(i)), q)
+
+
+@st.composite
+def law_witness_cases(draw):
+    """(q, i, min_weight) at steps 2 and 3 of ranks 2-4, q's exponents in
+    [-2,2] and zero below weight min_weight."""
+    basis = hall_basis(*draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])))
+    min_weight = draw(st.integers(1, basis.k))
+    start = basis.weight_offset[min_weight - 1]
+    size = len(basis.elements) - start
+    tail = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    q = basis.from_exponents((0,) * start + tuple(tail))
+    return q, draw(st.integers(1, basis.n)), min_weight
+
+
+@given(law_witness_cases())
+def test_witness_reproduces_under_the_series_oracles(case):
+    q, i, w = case
+    g = series_conjugate(q, i)
+    found = solve_conjugator(g, i, min_weight=w)
+    assert found is not None
+    assert found.is_identity() or weight(found) >= w
+    assert series_conjugate(found, i) == g
 
 
 @given(witness_cases(), st.integers(1, 3))
