@@ -61,10 +61,13 @@ def _gamma2_is_abelian(basis):
     return basis.k <= 3
 
 
+_UNKNOWN = object()
+
+
 class Endo:
     """Endomorphism given by the images of the generators."""
 
-    __slots__ = ("basis", "images", "_abel", "_basis_images")
+    __slots__ = ("basis", "images", "_abel", "_basis_images", "_top")
 
     def __init__(self, basis, images):
         images = tuple(images)
@@ -77,6 +80,7 @@ class Endo:
         self.images = images
         self._abel = None
         self._basis_images = {}
+        self._top = _UNKNOWN
 
     @property
     def abel_matrix(self):
@@ -97,6 +101,30 @@ class Endo:
             f"x{i} -> {render_element(g)}" for i, g in enumerate(self.images, 1)
         )
         return f"Endo({body})"
+
+    def top_defects(self):
+        """The weight-k blocks of the defects D_i = x_i^-1 e(x_i), one
+        tuple per generator, when every D_i lies in gamma_k (the map is
+        top-central); None otherwise.  Cached.
+
+        The normal form of x_i d with d in gamma_k is e_i plus the top
+        block of d: the weight-k basis elements come last and are central.
+        So D_i lies in gamma_k iff the coordinates of image i below weight
+        k are e_i, and then its top block is D_i's: an O(m) test that
+        calls no law.  Needs k >= 2: at k = 1 the top block is the whole
+        vector and the test says nothing.
+        """
+        top = self._top
+        if top is _UNKNOWN:
+            basis = self.basis
+            start = basis.weight_offset[-1]
+            top = None
+            if basis.k >= 2 and all(
+                    g.exponents[i] == 1 and g.exponents[:start].count(0) == start - 1
+                    for i, g in enumerate(self.images)):
+                top = tuple(g.exponents[start:] for g in self.images)
+            self._top = top
+        return top
 
     def _vector_image(self, idx):
         """Exponent tuple of the image of basis element idx, where gamma_2
@@ -124,16 +152,32 @@ class Endo:
     def apply(self, g):
         """The image of g.
 
-        Where gamma_2 is abelian, g = x_1^g_1 ... x_n^g_n * t with t in
-        gamma_2 maps to the image of the head times the integer sum of
-        g_j * (image of basis element j) over j > n.  Elsewhere it is the
-        series of g with each basis element's series replaced by that of
-        its image (`HallBasis.exponents_poly`), peeled.
+        A top-central map (`top_defects`) adds sum_j g_j D_j to the
+        weight-k block of g, at every step: g is w(x) for some word w, and
+        e(w) = w(x_1 D_1, ..., x_n D_n) = g * prod_j D_j^g_j, because the
+        D_j are central and g_j is the exponent sum of x_j in w; a central
+        weight-k factor adds its exponents to the top block of g's normal
+        form.  Other maps, where gamma_2 is abelian, send
+        g = x_1^g_1 ... x_n^g_n * t with t in gamma_2 to the image of the
+        head times the integer sum of g_j * (image of basis element j) over
+        j > n.  Elsewhere the image is the series of g with each basis
+        element's series replaced by that of its image
+        (`HallBasis.exponents_poly`), peeled.
         """
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
         basis = self.basis
         exps = g.exponents
+        top = self.top_defects()
+        if top is not None:
+            terms = [(e, block) for e, block in zip(exps, top) if e and any(block)]
+            if not terms:
+                return g
+            start = basis.weight_offset[-1]
+            out = exps[start:]
+            for e, block in terms:
+                out = [v + e * d for v, d in zip(out, block)]
+            return NilElement(basis, None, exps[:start] + tuple(out))
         if not _gamma2_is_abelian(basis):
             return basis.element_from_poly(basis.exponents_poly(exps, self._series_image))
         law, n = basis.law, basis.n
@@ -620,10 +664,12 @@ def make_generator(sym, basis):
     the images it already computed.  The set of such symbols is finite,
     and a table holds at most one image per basis element (and, above
     step 3, one per inverse of a basis element).  A power other than +-1
-    is built afresh on every call: at step <= 3 a central generator
-    (phi2, phi3, psi) moves only x_i, to x_i D with D in gamma_3, which
-    is central and fixed by the map, so its m-th power sends x_i to
-    x_i D^m; every other power is composed by `endo_power`.
+    is built afresh on every call.  A top-central generator
+    (`Endo.top_defects`; phi2, phi3 and psi at step 3) sends each x_i to
+    x_i D_i with D_i in gamma_k, which is central and fixed by the map, so
+    its m-th power sends x_i to x_i D_i^m, whose normal form is e_i plus
+    m times the top block of D_i; every other power is composed by
+    `endo_power`.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
@@ -631,12 +677,13 @@ def make_generator(sym, basis):
         key = (sym.tag, sym.params)
         forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
         m = sym.exponent
-        if m not in (1, -1) and sym.tag in ("phi2", "phi3", "psi") and basis.k <= 3:
-            i = sym.params[-1]
-            x = basis.generator(i)
-            images = list(forward.images)
-            images[i - 1] = multiply(x, power(multiply(invert(x), images[i - 1]), m))
-            return Endo(basis, images)
+        top = forward.top_defects()
+        if m not in (1, -1) and top is not None:
+            start = basis.weight_offset[-1]
+            return Endo(basis, [
+                NilElement(basis, None, g.exponents[:start] + tuple([m * v for v in block]))
+                if any(block) else g
+                for g, block in zip(forward.images, top)])
         base = (forward if m >= 0 else
                 _memo(basis, ("generator_inverse",) + key, lambda: inverse(forward)))
         exponent = abs(m)
@@ -659,11 +706,6 @@ class AutoFlags:
     is_palindromic: bool | None
     pi_level: int | None
     notes: tuple = ()
-
-
-def _is_central(e):
-    k = e.basis.k
-    return all(d.is_identity() or weight(d) >= k for d in _defects(e))
 
 
 def _mod2_permutation(matrix):
@@ -693,7 +735,8 @@ def classify(e):
     basis = e.basis
     n = basis.n
     is_ia = e.abel_matrix == identity_endo(basis).abel_matrix
-    central = _is_central(e)
+    # every defect lies in gamma_k; at k = 1 all do
+    central = basis.k == 1 or e.top_defects() is not None
     if basis.k > 3:
         return AutoFlags(is_ia, central, None, None, None,
                          ("palindromicity undecided for step > 3",))
@@ -730,15 +773,14 @@ def _require_step3(basis):
 
 
 def _weight3_defects(e):
-    """Weight-3 blocks of the defects x_i^-1 e(x_i); PreconditionError
-    unless every defect is central (weight >= 3, so its lifts lie in
-    gamma_3 of the free group)."""
-    out = []
-    for defect in _defects(e):
-        if not defect.is_identity() and weight(defect) < 3:
-            raise PreconditionError("automorphism is not central")
-        out.append(list(defect.weight_block(3)))
-    return out
+    """Weight-3 blocks of the defects x_i^-1 e(x_i) at step 3, the top
+    blocks of the images (`Endo.top_defects`); PreconditionError unless
+    every defect is central (weight >= 3, so its lifts lie in gamma_3 of
+    the free group)."""
+    top = e.top_defects()
+    if top is None:
+        raise PreconditionError("automorphism is not central")
+    return [list(block) for block in top]
 
 
 def _central_lattice(basis, i):

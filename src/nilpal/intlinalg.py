@@ -26,6 +26,16 @@ def mat_vec(a, v):
     return [sum(map(operator.mul, row, v)) for row in a]
 
 
+def _mat_vec_sparse(a, v):
+    """`mat_vec(a, v)` as a sum of the columns of a at the nonzero entries
+    of v, one pass over the rows per entry."""
+    out = [0] * len(a)
+    for j, x in enumerate(v):
+        if x:
+            out = [o + row[j] * x for o, row in zip(out, a)]
+    return out
+
+
 def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
@@ -162,10 +172,12 @@ def solve_from_smith(factors, b):
     (u, d, v) = smith_normal_form(a), or None if none exists.
 
     Factor a once, then solve for as many right-hand sides as needed.
+    The products with u and v skip the zero entries of b and y, which are
+    most of them for the sparse defects the lattices in `autos` solve.
     """
     u, d, v = factors
     nrows, ncols = len(u), len(v)
-    c = mat_vec(u, b)
+    c = _mat_vec_sparse(u, b)
     y = [0] * ncols
     for i in range(min(nrows, ncols)):
         di = d[i][i]
@@ -177,7 +189,7 @@ def solve_from_smith(factors, b):
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     if any(c[i] != 0 for i in range(rank, nrows)):
         return None
-    return mat_vec(v, y)
+    return _mat_vec_sparse(v, y)
 
 
 def lattice_factors(rows):

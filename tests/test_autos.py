@@ -720,6 +720,19 @@ def test_classify_identity_levels():
     assert flags.pi_level == 3
 
 
+def test_step1_maps_are_central_but_never_top_central():
+    # at k = 1 the top block is the whole vector, so the top-central test
+    # would read x3 -> x3 x4^2 as x3 times a defect x3 x4^2
+    basis = hall_basis(4, 1)
+    e = make_endo(basis, ["x1", "x2", "x3 x4^2", "x4"])
+    assert e.top_defects() is None
+    assert e.apply(basis.generator(3)) == collect(parse_word("x3 x4^2", 4), basis)
+    maps = [e, identity_endo(basis)] + [
+        make_generator(sym, basis)
+        for sym in (mu(1, 2), mu(4, 3, -2), t(3), alpha(2), sigma((2, 3, 4, 1)), phi2(2, 1, 3))]
+    assert all(classify(f).is_central for f in maps)
+
+
 def test_classify_tries_one_signed_permutation(monkeypatch):
     # the abelianization is a 4-cycle mod 2; the parent searched all 16
     # signs of it, one palindromic_witnesses call each
@@ -1183,6 +1196,22 @@ def test_decompose_bglm_computes_defects_once(monkeypatch):
     monkeypatch.setattr(autos, "_weight3_defects", counting)
     assert decompose_bglm(e).residual_trivial
     assert len(calls) == 1
+
+
+def test_central_composes_and_defect_reads_make_no_law_calls(monkeypatch):
+    # once the generators are warm, every compose of central maps at step 3
+    # adds defect blocks, and the defects are read off the images
+    basis = hall_basis(3, 3)
+    syms = [phi2(2, 1, 3), phi3(3, 1, 2, 2, -2), psi(1, 2, -1)]
+    e = compose_symbols(syms, basis)
+    calls = _count_law_calls(monkeypatch, basis, ("mul", "comm"))
+    assert compose_symbols(syms, basis) == e
+    defects = autos._weight3_defects(e)
+    assert calls == []
+    monkeypatch.undo()
+    assert defects == [list(multiply(invert(basis.generator(i)), img).weight_block(3))
+                       for i, img in enumerate(e.images, 1)]
+    assert any(any(d) for d in defects)
 
 
 def test_warm_decompositions_run_no_smith_form(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     ring_fox_derivative,
+    series_apply,
     series_bar,
     series_collect,
     series_multiply,
@@ -111,6 +112,59 @@ def test_endo_apply_is_a_homomorphism(case):
 def test_compose_applies_first_then_second(case):
     (e1, e2), (g,) = case
     assert compose(e1, e2).apply(g) == e2.apply(e1.apply(g))
+
+
+# the law bases, and two series bases where the top-central path skips the
+# block product
+CENTRAL_BASES = LAW_BASES + [(2, 4), (3, 4)]
+
+
+@st.composite
+def top_central_cases(draw, near_miss=False):
+    """A map x_i -> x_i D_i with random D_i in gamma_k, at a basis drawn
+    from CENTRAL_BASES, and an element with at most four nonzero
+    exponents.  A near miss sends x_i to x_i D_i z_i with z_i in
+    gamma_{k-1}, and the weight-(k-1) block of some z_i is nonzero."""
+    basis = hall_basis(*draw(st.sampled_from(CENTRAL_BASES)))
+    n, k, size = basis.n, basis.k, len(basis.elements)
+
+    def block(w):
+        start, stop = basis.weight_slice(w).start, basis.weight_slice(w).stop
+        vec = [0] * size
+        vec[start:stop] = draw(st.lists(st.integers(-2, 2), min_size=stop - start,
+                                        max_size=stop - start))
+        return vec
+
+    images = []
+    for i in range(1, n + 1):
+        exps = block(k)
+        exps[i - 1] += 1
+        images.append(basis.from_exponents(exps))
+    if near_miss:
+        zs = [block(k - 1) for _ in range(n)]
+        i = draw(st.integers(0, n - 1))
+        pos = draw(st.sampled_from(range(size)[basis.weight_slice(k - 1)]))
+        zs[i][pos] = draw(st.sampled_from((-2, -1, 1, 2)))
+        images = [multiply(g, basis.from_exponents(z)) for g, z in zip(images, zs)]
+    g = [0] * size
+    for pos, v in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(-2, 2)),
+                                max_size=4)):
+        g[pos] = v
+    return Endo(basis, images), basis.from_exponents(g)
+
+
+@given(top_central_cases())
+def test_top_central_apply_matches_the_series_oracle(case):
+    e, g = case
+    assert e.top_defects() is not None
+    assert e.apply(g) == series_apply(e, g)
+
+
+@given(top_central_cases(near_miss=True))
+def test_near_miss_takes_the_general_path(case):
+    e, g = case
+    assert e.top_defects() is None
+    assert e.apply(g) == series_apply(e, g)
 
 
 @pytest.mark.parametrize("n,k", LAW_BASES)
