@@ -658,8 +658,9 @@ def _base_generator(sym, basis):
 def make_generator(sym, basis):
     """The automorphism of `sym` in `basis`.
 
-    A generator other than `inner`, and its inverse once asked for, are
-    kept in `basis.memo` per (tag, params) with their image tables, so
+    A generator other than `inner`, and its inverse once asked for
+    (unless it is top-central, below), are kept in `basis.memo` per
+    (tag, params) with their image tables, so
     `inverse` verifies each inverse once and every later `compose` reuses
     the images it already computed.  The set of such symbols is finite,
     and a table holds at most one image per basis element (and, above
@@ -667,8 +668,9 @@ def make_generator(sym, basis):
     is built afresh on every call.  A top-central generator
     (`Endo.top_defects`; phi2, phi3 and psi at step 3) sends each x_i to
     x_i D_i with D_i in gamma_k, which is central and fixed by the map, so
-    its m-th power sends x_i to x_i D_i^m, whose normal form is e_i plus
-    m times the top block of D_i; every other power is composed by
+    its m-th power, m = -1 included, sends x_i to x_i D_i^m, whose normal
+    form is e_i plus m times the top block of D_i; it is built afresh by
+    that rule and never inverted.  Every other power is composed by
     `endo_power`.
     """
     if sym.tag == "inner":
@@ -678,7 +680,7 @@ def make_generator(sym, basis):
         forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
         m = sym.exponent
         top = forward.top_defects()
-        if m not in (1, -1) and top is not None:
+        if m != 1 and top is not None:
             start = basis.weight_offset[-1]
             return Endo(basis, [
                 NilElement(basis, None, g.exponents[:start] + tuple([m * v for v in block]))

@@ -23,12 +23,9 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(map(operator.mul, row, v)) for row in a]
-
-
-def _mat_vec_sparse(a, v):
-    """`mat_vec(a, v)` as a sum of the columns of a at the nonzero entries
-    of v, one pass over the rows per entry."""
+    """a v, as a sum of the columns of a at the nonzero entries of v, one
+    pass over the rows per entry; the vectors solved for in `autos` are
+    mostly zero."""
     out = [0] * len(a)
     for j, x in enumerate(v):
         if x:
@@ -177,7 +174,7 @@ def solve_from_smith(factors, b):
     """
     u, d, v = factors
     nrows, ncols = len(u), len(v)
-    c = _mat_vec_sparse(u, b)
+    c = mat_vec(u, b)
     y = [0] * ncols
     for i in range(min(nrows, ncols)):
         di = d[i][i]
@@ -189,7 +186,7 @@ def solve_from_smith(factors, b):
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     if any(c[i] != 0 for i in range(rank, nrows)):
         return None
-    return _mat_vec_sparse(v, y)
+    return mat_vec(v, y)
 
 
 def lattice_factors(rows):

@@ -218,10 +218,11 @@ def central_symbols(n, exponent):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_central_generator_powers_scale_the_defect(monkeypatch, n):
-    # at step 3 the defect of phi2/phi3/psi is central and fixed, so a power
-    # is one element power; it must agree with composing by `endo_power`
+    # at step 3 the defect of phi2/phi3/psi is central and fixed, so a power,
+    # the inverse included, is one element power; it must agree with
+    # composing by `endo_power`
     basis = hall_basis(n, 3)
-    for m in (2, -2, 3, -3, 4):
+    for m in (2, -2, 3, -3, 4, -1):
         want = [endo_power(make_generator(sym, basis), m) for sym in central_symbols(n, 1)]
         calls = []
         real = autos.compose
@@ -260,9 +261,12 @@ def test_generator_inverse_built_once_per_symbol(monkeypatch):
     syms = [mu(1, 2, -1), phi2(2, 1, 3, -2), mu(1, 2, -3), psi(1, 2),
             phi2(2, 1, 3, -1), mu(2, 1, -1), mu(1, 2, -1)]
     e = compose_symbols(syms, basis)
-    assert len(calls) == 3
+    # mu(1, 2) and mu(2, 1) are inverted once each; the top-central phi2 is
+    # inverted by negating its defect, with no inverse_with_factors
+    assert len(calls) == 2
     assert compose_symbols(syms, basis) == e
-    assert len(calls) == 3
+    assert len(calls) == 2
+    assert ("generator_inverse", "phi2", (2, 1, 3)) not in basis.memo
 
 
 def test_generators_are_kept_with_their_image_tables():
