@@ -461,15 +461,17 @@ def _ordered_linear_lift(basis, minv):
     return Endo(basis, [basis.from_exponents(tuple(row) + tail) for row in minv])
 
 
-def _level_witnesses(phi, level):
-    """Witnesses of weight >= level of the images of phi, in generator
-    order, up to and including the first None."""
-    out = []
-    for i, img in enumerate(phi.images, 1):
-        out.append(solve_conjugator(img, i, min_weight=level))
-        if out[-1] is None:
-            break
-    return out
+def _top_central_power(e, m):
+    """The m-th power of a top-central map e (`Endo.top_defects`).  e sends
+    each x_i to x_i D_i with D_i in gamma_k, which is central and fixed by
+    e, so e^m sends x_i to x_i D_i^m, whose normal form is e_i plus m times
+    the top block of D_i."""
+    basis = e.basis
+    start = basis.weight_offset[-1]
+    return Endo(basis, [
+        NilElement(basis, None, g.exponents[:start] + tuple([m * v for v in block]))
+        if any(block) else g
+        for g, block in zip(e.images, e.top_defects())])
 
 
 def inverse_with_factors(e):
@@ -478,8 +480,16 @@ def inverse_with_factors(e):
     Composing e with the recorded factors left to right gives the identity,
     so their ordered product is the inverse.  For an elementary palindromic
     input (step <= 3) every factor is itself elementary palindromic: the
-    first is the palindromic lift of the inverse abelianization matrix and
-    the later ones conjugate by witnesses of increasing weight.
+    first is the palindromic lift of the inverse abelianization matrix, the
+    second conjugates by the witnesses of weight >= 2 of phi = e psi_1
+    (n solves), and at step 3 the third is read off the top defects of
+    what is left, with no solve.  A witness q of weight 3 is central with
+    bar(q) = q, so it sends x_i to x_i q^2: witnesses exist iff that map
+    is top-central with every block D_i even, and the factor
+    x_i -> x_i D_i^-1 is its inverse.  On a correct run the level-2
+    factor is top-central and fixes every q_i (ab(q_i) = 0), so phi is
+    the identity by level 3 and so is the third factor; the test of the
+    top defects is what checks it.
     """
     basis = e.basis
     n, k = basis.n, basis.k
@@ -499,34 +509,40 @@ def inverse_with_factors(e):
             raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
         phi = compose(e, psi)
-        witnesses = _level_witnesses(phi, 2) if k >= 2 else []
-        if witnesses and witnesses[-1] is None:
-            if palindromic_witnesses(e) is not None:
-                raise InternalError("missing level-2 witness",
-                                    n=n, k=k, i=len(witnesses), level=2)
-            witnesses = None
+        witnesses = []
+        for i, img in enumerate(phi.images if k >= 2 else (), 1):
+            q = solve_conjugator(img, i, min_weight=2)
+            if q is None:
+                if palindromic_witnesses(e) is not None:
+                    raise InternalError("missing level-2 witness", n=n, k=k, i=i, level=2)
+                witnesses = None
+                break
+            witnesses.append(q)
     if witnesses is None:
         psi = _ordered_linear_lift(basis, minv)
         phi = compose(e, psi)
     factors = [psi]
     for level in range(2, k + 1):
-        images = []
-        if witnesses is not None:
-            if level > 2:
-                witnesses = _level_witnesses(phi, level)
-                if witnesses[-1] is None:
-                    raise InternalError(f"missing level-{level} witness",
-                                        n=n, k=k, i=len(witnesses), level=level)
-            images = [NilElement(basis, None,
-                                 _palindromic_image(basis, i, basis.law.inv(q.exponents)))
-                      for i, q in enumerate(witnesses, 1)]
-        else:
+        if witnesses is None:
+            images = []
             for i, r in enumerate(_defects(phi), 1):
                 if not r.is_identity() and weight(r) < level:
                     raise InternalError(f"residue escaped weight {level}",
                                         n=n, k=k, i=i, level=level)
                 images.append(multiply(basis.generator(i), invert(r)))
-        psi = Endo(basis, images)
+            psi = Endo(basis, images)
+        elif level == 2:
+            psi = Endo(basis, [
+                NilElement(basis, None, _palindromic_image(basis, i, basis.law.inv(q.exponents)))
+                for i, q in enumerate(witnesses, 1)])
+        else:
+            # level 3 = k: the docstring's top-level rule
+            top = phi.top_defects()
+            if top is None or any(v % 2 for block in top for v in block):
+                i = next(i for i, r in enumerate(_defects(phi), 1)
+                         if weight(r) < k or any(v % 2 for v in r.weight_block(k)))
+                raise InternalError("missing level-3 witness", n=n, k=k, i=i, level=3)
+            psi = _top_central_power(phi, -1)
         factors.append(psi)
         phi = compose(phi, psi)
     if phi != identity_endo(basis):
@@ -666,12 +682,9 @@ def make_generator(sym, basis):
     and a table holds at most one image per basis element (and, above
     step 3, one per inverse of a basis element).  A power other than +-1
     is built afresh on every call.  A top-central generator
-    (`Endo.top_defects`; phi2, phi3 and psi at step 3) sends each x_i to
-    x_i D_i with D_i in gamma_k, which is central and fixed by the map, so
-    its m-th power, m = -1 included, sends x_i to x_i D_i^m, whose normal
-    form is e_i plus m times the top block of D_i; it is built afresh by
-    that rule and never inverted.  Every other power is composed by
-    `endo_power`.
+    (`Endo.top_defects`; phi2, phi3 and psi at step 3) has its m-th power,
+    m = -1 included, built afresh by `_top_central_power` and is never
+    inverted.  Every other power is composed by `endo_power`.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
@@ -679,13 +692,8 @@ def make_generator(sym, basis):
         key = (sym.tag, sym.params)
         forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
         m = sym.exponent
-        top = forward.top_defects()
-        if m != 1 and top is not None:
-            start = basis.weight_offset[-1]
-            return Endo(basis, [
-                NilElement(basis, None, g.exponents[:start] + tuple([m * v for v in block]))
-                if any(block) else g
-                for g, block in zip(forward.images, top)])
+        if m != 1 and forward.top_defects() is not None:
+            return _top_central_power(forward, m)
         base = (forward if m >= 0 else
                 _memo(basis, ("generator_inverse",) + key, lambda: inverse(forward)))
         exponent = abs(m)
@@ -717,21 +725,30 @@ def _mod2_permutation(matrix):
     return perm if sorted(perm) == list(range(1, len(matrix) + 1)) else None
 
 
-def _pi_level(e):
-    """Largest level with witnesses of that weight for every generator; e
-    already has witnesses (`palindromic_witnesses`), so the answer is >= 1."""
-    basis = e.basis
-    for level in range(basis.k, 1, -1):
-        if all(
-            solve_conjugator(e.images[i - 1], i, min_weight=level) is not None
-            for i in range(1, basis.n + 1)
-        ):
-            return level
-    return 1
+def _pi_level(witnesses, k):
+    """Largest level l such that every generator has a witness of weight
+    >= l, read off the canonical witnesses (`palindromic_witnesses`) as
+    min_i min(weight(q_i), k); the identity has weight k + 1, so it counts
+    as k.
+
+    The canonical witness of x_i has the largest weight that any witness
+    of x_i has.  Parity forces alpha (ab(bar(q) x_i q) = e_i + 2 ab(q)), so
+    every witness of x_i has the same alpha, and one of weight >= 2 exists
+    iff alpha = 0; at k <= 2 the canonical witness is x^alpha.  At k = 3,
+    with alpha = 0, `_solve_mod2` returns beta = 0 exactly when the
+    weight-3 target is even (an even target reduces by no echelon row; an
+    odd one uses some, and their combos are independent), and that is
+    exactly when a witness of weight >= 3 exists: at min_weight 3 the
+    lattice is 2Z^m3 alone.
+    """
+    return min(min(weight(q), k) for q in witnesses)
 
 
 def classify(e):
-    """Automorphism flags; palindromicity is decided only for step <= 3."""
+    """Automorphism flags; palindromicity is decided only for step <= 3.
+
+    The pi-level comes from the witnesses of the elementary palindromic
+    test (`_pi_level`), with no further solve."""
     if not is_automorphism(e):
         raise NotAutomorphismError("not an automorphism")
     basis = e.basis
@@ -742,7 +759,8 @@ def classify(e):
     if basis.k > 3:
         return AutoFlags(is_ia, central, None, None, None,
                          ("palindromicity undecided for step > 3",))
-    epa = palindromic_witnesses(e) is not None
+    witnesses = palindromic_witnesses(e)
+    epa = witnesses is not None
     perm, identity = _mod2_permutation(e.abel_matrix), tuple(range(1, n + 1))
     notes = (("parity criterion holds but the weight-2/3 defect has no witness",)
              if perm == identity and not epa else ())
@@ -752,7 +770,7 @@ def classify(e):
     # the elementary form, as bar(q) x_j^-1 q = bar(x_j^-1 q) x_j (x_j^-1 q).
     palin = epa or (perm not in (None, identity) and palindromic_witnesses(
         compose(e, make_generator(sigma(perm, -1), basis))) is not None)
-    pi_level = _pi_level(e) if epa else None
+    pi_level = _pi_level(witnesses, basis.k) if epa else None
     return AutoFlags(is_ia, central, epa, palin, pi_level, notes)
 
 

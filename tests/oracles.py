@@ -19,7 +19,10 @@ two-lift word path of the tameness residue, the references for
 for the Smith-form inverse `intlinalg.inv_unimodular`.
 `signed_permutation_palindromic` searches all 2^n sign vectors of the
 signed permutation in e = eps . omega, the reference for the one
-candidate that `autos.classify` tries.
+candidate that `autos.classify` tries, and `pi_level_by_search` solves
+level by level for the pi-level that `classify` reads off its witnesses.
+`fraction_combination` solves a lattice system over Fractions, the
+reference for `intlinalg.solve_from_smith`.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -70,6 +73,36 @@ def fraction_inv_unimodular(a):
             ints.append(int(x))
         out.append(ints)
     return out
+
+
+def fraction_combination(rows, target):
+    """(rank, x) for sum_j x_j rows[j] == target, by Gauss-Jordan over
+    Fractions: the rank of the rows over Q and, when the rows are linearly
+    independent, the unique rational solution x, or None when target is
+    outside their rational span.  x is None for dependent rows.  The
+    reference for `intlinalg.solve_from_smith`, with which it shares no
+    code."""
+    from fractions import Fraction
+
+    r = len(rows)
+    # one equation per coordinate c: sum_j rows[j][c] x_j == target[c]
+    work = [[Fraction(row[c]) for row in rows] + [Fraction(t)] for c, t in enumerate(target)]
+    rank = 0
+    for col in range(r):
+        piv = next((e for e in range(rank, len(work)) if work[e][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [v * inv for v in work[rank]]
+        for e in range(len(work)):
+            if e != rank and work[e][col]:
+                f = work[e][col]
+                work[e] = [a - f * b for a, b in zip(work[e], work[rank])]
+        rank += 1
+    if rank < r or any(work[e][r] for e in range(rank, len(work))):
+        return rank, None
+    return rank, [work[j][r] for j in range(r)]
 
 
 def solve_integer(a, b):
@@ -208,6 +241,21 @@ def product_step3_rows(basis, i, alpha):
         fz_w3 = multiply(multiply(bar(q1z), xi), q1z).weight_block(3)
         rows.append([a - b for a, b in zip(fz_w3, f0_w3)])
     return rows
+
+
+def pi_level_by_search(e):
+    """The pi-level of an elementary palindromic map by search, level by
+    level from k down: the largest level l such that every generator has a
+    witness of weight >= l (`solve_conjugator(image, i, min_weight=l)`),
+    and 1 when no level above 1 has them.  The reference for the level
+    that `autos.classify` reads off its canonical witnesses."""
+    from nilpal.autos import solve_conjugator
+
+    for level in range(e.basis.k, 1, -1):
+        if all(solve_conjugator(g, i, min_weight=level) is not None
+               for i, g in enumerate(e.images, 1)):
+            return level
+    return 1
 
 
 def signed_permutation_palindromic(e):

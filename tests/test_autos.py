@@ -570,15 +570,16 @@ def _count_solves(monkeypatch):
 
 
 def test_inverse_of_epa_solves_each_level_once(monkeypatch):
-    # n solves at level 2, reused as the level-2 factor, and n at level 3;
-    # none for a separate palindromicity test
+    # n solves at level 2, reused as the level-2 factor; the level-3 factor
+    # is read off the top defects, and nothing is solved for a separate
+    # palindromicity test
     basis = hall_basis(3, 3)
     e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
     want = inverse_with_factors(e)
     calls = _count_solves(monkeypatch)
     inv, factors = inverse_with_factors(e)
     assert (inv, factors) == want
-    assert calls == [(i, w) for w in (2, 3) for i in (1, 2, 3)]
+    assert calls == [(1, 2), (2, 2), (3, 2)]
     assert compose(e, inv) == identity_endo(basis)
 
 
@@ -629,8 +630,8 @@ def test_inverse_escaped_residue_context(monkeypatch):
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
-def test_inverse_nontermination_context(monkeypatch):
-    # witnesses of weight >= 2 replaced by the identity leave phi = e
+def _no_higher_witnesses(monkeypatch):
+    """Witnesses of weight >= 2 replaced by the identity."""
     real = autos.solve_conjugator
 
     def no_higher(g, i, min_weight=1):
@@ -638,10 +639,44 @@ def test_inverse_nontermination_context(monkeypatch):
             (0,) * len(g.basis.elements))
 
     monkeypatch.setattr(autos, "solve_conjugator", no_higher)
+
+
+def test_inverse_nontermination_context(monkeypatch):
+    # the defect route's residues read as the identity leave phi = e, a map
+    # with a weight-2 defect and no witness
+    monkeypatch.setattr(autos, "_defects", lambda phi: [phi.basis.one()] * phi.basis.n)
     basis = hall_basis(2, 3)
     with pytest.raises(InternalError, match="did not terminate") as err:
-        inverse_with_factors(make_generator(phi2(2, 1, 1), basis))
+        inverse_with_factors(make_endo(basis, ["x1 [x2,x1]", "x2"]))
     assert err.value.context == {"n": 2, "k": 3, "factors": 3}
+
+
+def test_inverse_missing_level_3_witness_context(monkeypatch):
+    # level-2 witnesses forced to the identity: phi2(2,1;1) reaches level 3
+    # with an odd top defect at x1, and mu(1,2) with a wrong linear lift
+    # reaches it as itself, which is not top-central
+    _no_higher_witnesses(monkeypatch)
+    basis = hall_basis(2, 3)
+    with pytest.raises(InternalError, match="missing level-3 witness") as err:
+        inverse_with_factors(make_generator(phi2(2, 1, 1), basis))
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 3}
+    monkeypatch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
+    e = make_generator(mu(1, 2), basis)
+    assert e.top_defects() is None
+    with pytest.raises(InternalError, match="missing level-3 witness") as err:
+        inverse_with_factors(e)
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 3}
+
+
+def test_inverse_level_3_factor_strips_an_even_top_defect(monkeypatch):
+    # on a correct run the level-3 factor is the identity; with the level-2
+    # witnesses forced to the identity, phi3(2,1,1;1) reaches level 3 whole,
+    # its top defect is even, and the level-3 factor is its inverse
+    _no_higher_witnesses(monkeypatch)
+    basis = hall_basis(2, 3)
+    inv, factors = inverse_with_factors(make_generator(phi3(2, 1, 1, 1), basis))
+    assert factors[1] == identity_endo(basis)
+    assert inv == factors[2] == make_generator(phi3(2, 1, 1, 1, -1), basis)
 
 
 def test_inverse_general_route():
@@ -675,10 +710,9 @@ def test_classify_mu():
 
 
 def test_classify_searches_level_1_once(monkeypatch):
-    # 3 level-1 witnesses, then one failed search each at levels 3 and 2;
-    # the level-1 witnesses are not searched again
+    # n level-1 witnesses give the pi-level at every level; no generator is
+    # solved again
     basis = hall_basis(3, 3)
-    e = make_generator(mu(1, 2), basis)
     calls = []
     real = autos.solve_conjugator
 
@@ -687,8 +721,12 @@ def test_classify_searches_level_1_once(monkeypatch):
         return real(g, i, min_weight)
 
     monkeypatch.setattr(autos, "solve_conjugator", counting)
-    assert classify(e).pi_level == 1
-    assert calls == [(1, 1), (2, 1), (3, 1), (1, 3), (1, 2)]
+    for symbols, level in (([mu(1, 2)], 1), ([phi2(2, 3, 1)], 2),
+                           ([phi3(2, 1, 1, 1)], 3), ([], 3)):
+        e = compose_symbols(symbols, basis)
+        calls.clear()
+        assert classify(e).pi_level == level
+        assert calls == [(1, 1), (2, 1), (3, 1)]
 
 
 def test_classify_pi_element():

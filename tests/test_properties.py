@@ -1,6 +1,7 @@
 """Properties of the group law, endomorphisms, the word grammar, the
-palindromic witness solver, the layered inverse, the generator symbols and
-the Fox-derivative tameness residue over generated inputs."""
+palindromic witness solver, the layered inverse, the generator symbols, the
+pi-level, the Fox-derivative tameness residue and the Smith-form lattice
+solve over generated inputs."""
 
 import pytest
 
@@ -8,6 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
+    fraction_combination,
+    pi_level_by_search,
     ring_fox_derivative,
     series_apply,
     series_bar,
@@ -31,6 +34,7 @@ from nilpal.autos import (  # noqa: E402
     tameness_residue,
 )
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
+from nilpal.intlinalg import lattice_factors, solve_from_smith  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
     bar,
     collect,
@@ -351,6 +355,28 @@ def test_classify_palindromic_matches_the_sign_search():
 
 
 @st.composite
+def epa_products(draw):
+    """At (2,1), (2,2), (3,2), (2,3), (3,3) or (4,3), a product of up to
+    four mu, phi2, phi3 and psi symbols, which is elementary palindromic."""
+    basis = hall_basis(*draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3)])))
+    syms = draw(st.lists(symbols(basis.n, families=("mu", "phi2", "phi3", "psi")), max_size=4))
+    return compose_symbols(syms, basis)
+
+
+def test_pi_level_matches_the_level_search():
+    seen = set()
+
+    @given(epa_products())
+    def check(e):
+        level = classify(e).pi_level
+        assert level == pi_level_by_search(e)
+        seen.add(level)
+
+    check()
+    assert seen == {1, 2, 3}
+
+
+@st.composite
 def central_automorphisms(draw):
     """A product of up to four phi2, phi3 and psi symbols at (2,3), (3,3) or
     (4,3), led half the time by a phi2(a, b, i) with i in {a, b}, whose
@@ -398,3 +424,48 @@ def test_in_gamma3_matches_collect(case):
     inside = _in_gamma3(w)
     assert inside == series_collect(w, hall_basis(w.rank, 2)).is_identity()
     assert inside or depth < 2
+
+
+@st.composite
+def lattice_cases(draw):
+    """(rows, target, combined) on small boxes: one to three rows of length
+    one to four, entries in [-3, 3].  When `combined`, target is an integer
+    combination of the rows with coefficients in [-3, 3]; otherwise its
+    entries are drawn from [-6, 6]."""
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                         min_size=1, max_size=3))
+    combined = draw(st.booleans())
+    if combined:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        target = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m)]
+    else:
+        target = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return rows, target, combined
+
+
+def test_solve_from_smith_matches_the_rational_solution():
+    seen = set()
+
+    @given(lattice_cases())
+    def check(case):
+        rows, target, combined = case
+        x = solve_from_smith(lattice_factors(rows), target)
+        if x is not None:
+            assert [sum(c * row[j] for c, row in zip(x, rows))
+                    for j in range(len(target))] == target
+        rank, exact = fraction_combination(rows, target)
+        independent = rank == len(rows)
+        if independent:
+            # the unique rational solution decides membership
+            if exact is not None and all(v.denominator == 1 for v in exact):
+                assert x == exact
+            else:
+                assert x is None
+        elif combined:
+            assert x is not None
+        seen.add((independent, x is not None))
+
+    check()
+    # independent and dependent rows, each with targets in and out of the lattice
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
