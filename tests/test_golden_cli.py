@@ -25,6 +25,7 @@ RANK2 = ("mu12", "witness", "swap", "transvection", "ia_weight2", "phi3", "inner
          "wild", "odd", "notauto", "bad_index")
 RANK3 = ("mu_phi2", "witness", "swap", "transvection", "ia_weight2", "phi2_tame",
          "phi2_wild", "phi3_psi", "odd")
+RANK3_DECOMPOSE = ("psi_pair", "phi3_pair", "bglm_mixed")
 
 
 def _cases():
@@ -35,6 +36,12 @@ def _cases():
                 cases[f"auto-{op}-r{rank}-{name}"] = [
                     "--rank", str(rank), "--step", "3", "--format", fmt,
                     "auto", op, f"fixtures/r{rank}_{name}.auto"]
+    # two-symbol BGLM families and symbols scaled by a negative coefficient
+    for name in RANK3_DECOMPOSE:
+        for op in ("decompose-bglm", "decompose-central"):
+            cases[f"auto-{op}-r3-{name}"] = [
+                "--rank", "3", "--step", "3", "--format", "kv",
+                "auto", op, f"fixtures/r3_{name}.auto"]
     cases["auto-classify-step4"] = [
         "--rank", "2", "--step", "4", "auto", "classify", "fixtures/r2_mu12.auto"]
     # eval and compose: words with negative exponents and weight-2 letters,
