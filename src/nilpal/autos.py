@@ -15,7 +15,7 @@ composition is the ordered matrix product.
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
 from nilpal.intlinalg import (
@@ -264,12 +264,6 @@ def _comm3(basis, a, b, c):
     return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
 
 
-def _phi2_defect(basis, a, b, i):
-    """[x_a,x_b,x_i] [x_a,x_b,x_b] [x_a,x_b,x_a]."""
-    return multiply(multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)),
-                    _comm3(basis, a, b, a))
-
-
 def _step3_table(basis):
     """(U, K) with U[j] = wt3(z_j bar(z_j)) and K[l][j] = wt3([x_{l+1}, z_j])
     over the weight-2 basis elements z_j, as lists of weight-3 exponents."""
@@ -413,9 +407,9 @@ def solve_conjugator(g, i, min_weight=1):
     else:
         # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
         echelon = _witness_echelon(basis, i) if min_weight <= 2 else []
-        w3 = basis.weight_slice(3)
+        block3 = basis.weight_slice(3)
         sol = _solve_mod2(echelon, _step3_row(basis, i, alpha),
-                          vec_sub(list(exps[w3]), list(f0[w3])))
+                          vec_sub(list(exps[block3]), list(f0[block3])))
         if sol is None:
             return None
         mask, delta = sol
@@ -651,7 +645,9 @@ def _base_generator(sym, basis):
         a, b, i = p
         check(all(1 <= v <= n for v in p), f"phi2 indices {p} out of range")
         check(a != b, "phi2 needs a != b")
-        return moving(i, multiply(gens[i - 1], _phi2_defect(basis, a, b, i)))
+        # the defect [x_a,x_b,x_i] [x_a,x_b,x_b] [x_a,x_b,x_a]
+        defect = reduce(multiply, (_comm3(basis, a, b, c) for c in (i, b, a)))
+        return moving(i, multiply(gens[i - 1], defect))
     if tag == "phi3":
         a, b, c, i = p
         check(all(1 <= v <= n for v in p), f"phi3 indices {p} out of range")
@@ -803,40 +799,50 @@ def _weight3_defects(e):
     return [list(block) for block in top]
 
 
+def _family_row(basis, family, blocks):
+    """Sum over the symbols of a family of the top defects of their maps
+    (`Endo.top_defects`), the listed blocks concatenated."""
+    vecs = [[v for j in blocks for v in make_generator(sym, basis).top_defects()[j]]
+            for sym in family]
+    return [sum(col) for col in zip(*vecs)]
+
+
+def _lattice(basis, families, blocks):
+    """(families, rows, Smith factors) of a decomposition lattice: a family
+    is a tuple of generator symbols that one coefficient scales together,
+    and its row is `_family_row`.  The factors serve `solve_from_smith` and
+    the diagnostics."""
+    rows = [_family_row(basis, fam, blocks) for fam in families]
+    return families, rows, lattice_factors(rows)
+
+
+def _scaled_factors(families, sol):
+    """The symbols of each family, their exponents times its coefficient."""
+    return [GeneratorSymbol(s.tag, s.params, coeff * s.exponent)
+            for coeff, fam in zip(sol, families) if coeff for s in fam]
+
+
 def _central_lattice(basis, i):
-    """(rows, labels, Smith factors) of the lattice of defects reachable at
-    generator i: the phi2 family and doubled weight-3 basis vectors (phi3
-    family).  The factors serve `solve_from_smith` and the diagnostics."""
+    """`_lattice` of the defects reachable at generator i: the families
+    phi2(a,b,i) with a > b, and phi3(a,b,c,i) for each weight-3 basis
+    element [x_a,x_b,x_c], each row the top defect of x_i alone."""
     def build():
-        m3 = len(basis.by_weight[2])
-        rows = []
-        labels = []
-        for a in range(1, basis.n + 1):
-            for b in range(1, a):
-                rows.append(list(_phi2_defect(basis, a, b, i).weight_block(3)))
-                labels.append(("phi2", a, b))
-        for j, c in enumerate(basis.by_weight[2]):
-            row = [0] * m3
-            row[j] = 2
-            rows.append(row)
-            labels.append(("phi3", c.left.left.gen, c.left.right.gen, c.right.gen))
-        return rows, labels, lattice_factors(rows)
+        fams = [(phi2(a, b, i),) for a in range(1, basis.n + 1) for b in range(1, a)]
+        fams += [(phi3(c.left.left.gen, c.left.right.gen, c.right.gen, i),)
+                 for c in basis.by_weight[2]]
+        return _lattice(basis, fams, [i - 1])
 
     return _memo(basis, ("central_lattice", i), build)
 
 
-def _central_rows(basis, i):
-    """Rows and labels of `_central_lattice(basis, i)`."""
-    return _central_lattice(basis, i)[:2]
-
-
 def _central_parity(basis, i):
-    """`_mod2_echelon` of `_central_rows(basis, i)`."""
-    return _memo(basis, ("central_parity", i), lambda: _mod2_echelon(_central_rows(basis, i)[0]))
+    """`_mod2_echelon` of the rows of `_central_lattice(basis, i)`."""
+    return _memo(basis, ("central_parity", i),
+                 lambda: _mod2_echelon(_central_lattice(basis, i)[1]))
 
 
 def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the lattice of `_central_rows(basis, i)`.  It
+    """Whether vec is in the lattice of `_central_lattice(basis, i)`.  It
     contains 2Z^m3 (the phi3 rows), so parity decides: vec is in it iff
     vec mod 2 is in the span of the rows mod 2."""
     return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))[0]
@@ -874,14 +880,12 @@ def decompose_central(e):
     factors = []
     diagnostics = []
     for i in range(1, basis.n + 1):
-        _, labels, smith = _central_lattice(basis, i)
+        fams, _, smith = _central_lattice(basis, i)
         sol = solve_from_smith(smith, defects[i - 1])
         if sol is None:
             diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(smith, defects[i - 1])))
             continue
-        # a label is a phi2 or phi3 symbol without its generator index i
-        factors.extend(GeneratorSymbol(label[0], label[1:] + (i,), coeff)
-                       for coeff, label in zip(sol, labels) if coeff)
+        factors.extend(_scaled_factors(fams, sol))
     if diagnostics:
         return Decomposition((), False, tuple(diagnostics))
     dec = Decomposition(tuple(factors), True)
@@ -1004,10 +1008,10 @@ def verify_tame_factorization(which, basis, indices=None):
     xa, xb, xi = (basis.generator(v) for v in (a, b, i))
     # one chain: phi2 runs it on x_a with a tail, phi3 on x_a^2 with none
     if which == "phi2":
-        lhs = multiply(xi, _phi2_defect(basis, a, b, i))
+        lhs = make_generator(phi2(a, b, i), basis).images[i - 1]
         tail = commutator(commutator(xa, xb), multiply(xb, xa))
     elif which == "phi3":
-        lhs = multiply(xi, power(_comm3(basis, a, b, i), 2))
+        lhs = make_generator(phi3(a, b, i, i), basis).images[i - 1]
         xa, tail = multiply(xa, xa), basis.one()
     else:
         raise ValueError(f"unknown factorization {which!r}")
@@ -1023,82 +1027,24 @@ def verify_tame_factorization(which, basis, indices=None):
 # decomposition over the tameness-compatible families
 
 def _bglm_lattice(basis):
-    """`_bglm_families(basis)` and the Smith factors of their stacked rows."""
-    def build():
-        fams = _bglm_families(basis)
-        return fams, lattice_factors([row for _, row, _ in fams])
-
-    return _memo(basis, ("bglm_lattice",), build)
+    """`_lattice` of `_bglm_families(basis)` on every block."""
+    return _memo(basis, ("bglm_lattice",),
+                 lambda: _lattice(basis, _bglm_families(basis), range(basis.n)))
 
 
 def _bglm_families(basis):
     """Canonical generator families spanning the obstruction-free central
-    palindromic automorphisms, with their per-generator weight-3 defects."""
+    palindromic automorphisms: a single inner square family at rank 2."""
     n = basis.n
-    m3 = len(basis.by_weight[2])
-    fams = []
-
-    def stacked(contribs):
-        row = [0] * (n * m3)
-        for i, vec in contribs:
-            row[(i - 1) * m3:i * m3] = vec
-        return row
-
-    def w3(g):
-        return list(g.weight_block(3))
-
-    def dbl(g):
-        return [2 * v for v in g.weight_block(3)]
-
+    idx = range(1, n + 1)
     if n == 2:
-        fams.append((
-            "inner-square",
-            stacked([(1, dbl(_comm3(basis, 2, 1, 1))), (2, dbl(_comm3(basis, 2, 1, 2)))]),
-            lambda m: [phi3(2, 1, 1, 1, m), phi3(2, 1, 2, 2, m)],
-        ))
-        return fams
-    for a, b, i in permutations(range(1, n + 1), 3):
-        if b < a:
-            fams.append((
-                f"phi2({a},{b};{i})",
-                stacked([(i, w3(_phi2_defect(basis, a, b, i)))]),
-                lambda m, a=a, b=b, i=i: [phi2(a, b, i, m)],
-            ))
-    for a, b, c, i in permutations(range(1, n + 1), 4):
-        if b < a:
-            fams.append((
-                f"phi3({a},{b},{c};{i})",
-                stacked([(i, dbl(_comm3(basis, a, b, c)))]),
-                lambda m, a=a, b=b, c=c, i=i: [phi3(a, b, c, i, m)],
-            ))
-    for a, b, i in permutations(range(1, n + 1), 3):
-        if b < a:
-            fams.append((
-                f"phi3({a},{b},{i};{i})",
-                stacked([(i, dbl(_comm3(basis, a, b, i)))]),
-                lambda m, a=a, b=b, i=i: [phi3(a, b, i, i, m)],
-            ))
-    for a in range(1, n + 1):
-        for i, j in permutations(range(1, n + 1), 2):
-            if i < j and a not in (i, j):
-                fams.append((
-                    f"psi({a},{i})psi({a},{j})^-1",
-                    stacked([
-                        (i, w3(_comm3(basis, a, i, a))),
-                        (j, [-v for v in w3(_comm3(basis, a, j, a))]),
-                    ]),
-                    lambda m, a=a, i=i, j=j: [psi(a, i, m), psi(a, j, -m)],
-                ))
-    for k_, u, v in permutations(range(1, n + 1), 3):
-        fams.append((
-            f"phi3({k_},{u},{v};{k_})phi3({v},{u},{u};{u})",
-            stacked([
-                (k_, dbl(_comm3(basis, k_, u, v))),
-                (u, dbl(_comm3(basis, v, u, u))),
-            ]),
-            lambda m, k_=k_, u=u, v=v: [phi3(k_, u, v, k_, m), phi3(v, u, u, u, m)],
-        ))
-    return fams
+        return [(phi3(2, 1, 1, 1), phi3(2, 1, 2, 2))]
+    return ([(phi2(a, b, i),) for a, b, i in permutations(idx, 3) if b < a]
+            + [(phi3(a, b, c, i),) for a, b, c, i in permutations(idx, 4) if b < a]
+            + [(phi3(a, b, i, i),) for a, b, i in permutations(idx, 3) if b < a]
+            + [(psi(a, i), psi(a, j, -1)) for a in idx
+               for i, j in combinations(idx, 2) if a not in (i, j)]
+            + [(phi3(h, u, v, h), phi3(v, u, u, u)) for h, u, v in permutations(idx, 3)])
 
 
 def decompose_bglm(e):
@@ -1127,14 +1073,11 @@ def decompose_bglm(e):
     ]
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
-    fams, smith = _bglm_lattice(basis)
+    fams, _, smith = _bglm_lattice(basis)
     sol = solve_from_smith(smith, [v for vec in defects for v in vec])
     if sol is None:
         return Decomposition((), False, ("defect outside the generated lattice",))
-    factors = []
-    for coeff, (_, _, emit) in zip(sol, fams):
-        if coeff:
-            factors.extend(emit(coeff))
+    factors = _scaled_factors(fams, sol)
     dec = Decomposition(tuple(factors), True)
     if dec.compose(basis) != e:
         raise InternalError("decomposition failed to recompose",

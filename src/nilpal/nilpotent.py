@@ -370,9 +370,6 @@ class HallBasis:
             raise ValueError("exponent vector has wrong length")
         return NilElement(self, None, exps)
 
-    def from_word(self, w):
-        return collect(w, self)
-
     def from_text(self, text):
         return collect(parse_word(text, self.n), self)
 

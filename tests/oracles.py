@@ -4,7 +4,10 @@ The matrix oracles deliberately share no code with the package engine: the
 representations are built from scratch with plain integer matrix loops, so
 agreement between the two paths is meaningful evidence of correctness.
 `product_step3_rows` uses the engine's group operations, but not the
-closed-form row table it checks.  The `series_*` functions are the group
+closed-form row table it checks.  `hand_central_lattice` and
+`hand_bglm_lattice` write the decomposition lattices' rows out from the
+commutators [x_a, x_b, x_c], not from the generator maps whose defects
+`autos` reads them off.  The `series_*` functions are the group
 operations of the truncated-series model, each result recovered by the
 self-checking peel: the path every basis of step > 3 runs, and the oracle
 for the exponent law of the lower steps.  `series_collect` folds a word's
@@ -241,6 +244,93 @@ def product_step3_rows(basis, i, alpha):
         fz_w3 = multiply(multiply(bar(q1z), xi), q1z).weight_block(3)
         rows.append([a - b for a, b in zip(fz_w3, f0_w3)])
     return rows
+
+
+def _comm3(basis, a, b, c):
+    """The element [x_a, x_b, x_c]."""
+    from nilpal.nilpotent import left_normed
+
+    return left_normed([basis.generator(v) for v in (a, b, c)])
+
+
+def _comm3_block(basis, a, b, c):
+    """Weight-3 block of [x_a, x_b, x_c]."""
+    return list(_comm3(basis, a, b, c).weight_block(3))
+
+
+def _phi2_block(basis, a, b, i):
+    """Weight-3 block of [x_a,x_b,x_i][x_a,x_b,x_b][x_a,x_b,x_a]."""
+    from nilpal.nilpotent import multiply
+
+    defect = multiply(multiply(_comm3(basis, a, b, i), _comm3(basis, a, b, b)),
+                      _comm3(basis, a, b, a))
+    return list(defect.weight_block(3))
+
+
+def hand_central_lattice(basis, i):
+    """(families, rows) of the central lattice of generator i at step 3,
+    written out by hand: phi2(a,b,i), a > b, has the weight-3 block of
+    [x_a,x_b,x_i][x_a,x_b,x_b][x_a,x_b,x_a], and the phi3 symbol of the
+    j-th weight-3 basis element has 2 e_j.  The reference for the rows
+    that `autos._central_lattice` reads off the generator maps."""
+    from nilpal.autos import phi2, phi3
+
+    m3 = len(basis.by_weight[2])
+    fams, rows = [], []
+    for a in range(1, basis.n + 1):
+        for b in range(1, a):
+            fams.append((phi2(a, b, i),))
+            rows.append(_phi2_block(basis, a, b, i))
+    for j, c in enumerate(basis.by_weight[2]):
+        fams.append((phi3(c.left.left.gen, c.left.right.gen, c.right.gen, i),))
+        rows.append([2 if col == j else 0 for col in range(m3)])
+    return fams, rows
+
+
+def hand_bglm_lattice(basis):
+    """(families, rows) of the obstruction-free central lattice at step 3,
+    written out by hand: a family's row stacks, per generator, the weight-3
+    blocks of the defects its symbols put there.  The reference for the
+    rows that `autos._bglm_lattice` reads off the generator maps."""
+    from itertools import combinations, permutations
+
+    from nilpal.autos import phi2, phi3, psi
+
+    n = basis.n
+    m3 = len(basis.by_weight[2])
+    idx = range(1, n + 1)
+    out = []
+
+    def add(family, contribs):
+        row = [0] * (n * m3)
+        for i, vec in contribs:
+            row[(i - 1) * m3:i * m3] = vec
+        out.append((family, row))
+
+    def dbl(a, b, c):
+        return [2 * v for v in _comm3_block(basis, a, b, c)]
+
+    if n == 2:
+        add((phi3(2, 1, 1, 1), phi3(2, 1, 2, 2)), [(1, dbl(2, 1, 1)), (2, dbl(2, 1, 2))])
+    else:
+        for a, b, i in permutations(idx, 3):
+            if b < a:
+                add((phi2(a, b, i),), [(i, _phi2_block(basis, a, b, i))])
+        for a, b, c, i in permutations(idx, 4):
+            if b < a:
+                add((phi3(a, b, c, i),), [(i, dbl(a, b, c))])
+        for a, b, i in permutations(idx, 3):
+            if b < a:
+                add((phi3(a, b, i, i),), [(i, dbl(a, b, i))])
+        for a in idx:
+            for i, j in combinations(idx, 2):
+                if a not in (i, j):
+                    add((psi(a, i), psi(a, j, -1)),
+                        [(i, _comm3_block(basis, a, i, a)),
+                         (j, [-v for v in _comm3_block(basis, a, j, a)])])
+        for h, u, v in permutations(idx, 3):
+            add((phi3(h, u, v, h), phi3(v, u, u, u)), [(h, dbl(h, u, v)), (u, dbl(v, u, u))])
+    return [fam for fam, _ in out], [row for _, row in out]
 
 
 def pi_level_by_search(e):

@@ -189,9 +189,9 @@ def test_criterion_07_central_decomposition():
             total += 1
     for n, q in ((2, 1), (3, 5), (4, 14)):
         assert quotient_rank_q(n) == q
-        from nilpal.autos import _central_rows
+        from nilpal.autos import _central_lattice
 
-        rows, _ = _central_rows(hall_basis(n, 3), n)
+        _, rows, _ = _central_lattice(hall_basis(n, 3), n)
         factors = invariant_factors(rows)
         assert factors.count(2) == q and set(factors) <= {1, 2}
     assert total >= 200

@@ -3,7 +3,13 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from oracles import gf2_rank, product_step3_rows, word_tameness_residue
+from oracles import (
+    gf2_rank,
+    hand_bglm_lattice,
+    hand_central_lattice,
+    product_step3_rows,
+    word_tameness_residue,
+)
 
 from nilpal import autos, intlinalg, nilpotent
 from nilpal.autos import (
@@ -41,7 +47,7 @@ from nilpal.autos import (
     verify_tame_factorization,
 )
 from nilpal.foxring import _TABLE_ROWS, PreconditionError, mul, ring_delta, ring_zero
-from nilpal.intlinalg import lattice_solve, solve_from_smith
+from nilpal.intlinalg import lattice_factors, lattice_solve, solve_from_smith
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -896,8 +902,8 @@ def test_phi2_rows_mod_2_have_rank_m3_minus_q(n):
     m3 = len(basis.by_weight[2])
     q = quotient_rank_q(n)
     for i in range(1, n + 1):
-        rows, labels = autos._central_rows(basis, i)
-        phi2_rows = [row for row, label in zip(rows, labels) if label[0] == "phi2"]
+        fams, rows, _ = autos._central_lattice(basis, i)
+        phi2_rows = [row for row, (sym,) in zip(rows, fams) if sym.tag == "phi2"]
         assert gf2_rank(phi2_rows) == m3 - q
         echelon = autos._central_parity(basis, i)
         assert len(echelon) == m3 - q
@@ -1026,13 +1032,28 @@ def test_decompose_bglm_rejects_non_palindromic(monkeypatch, n, texts, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n, families", [(2, 1), (3, 15), (4, 72)])
+def test_lattices_match_the_hand_built_rows(n, families):
+    # rows read off the generator maps equal the rows written out from the
+    # commutators, and so do their Smith factors
+    basis = hall_basis(n, 3)
+    for i in range(1, n + 1):
+        fams, rows, smith = autos._central_lattice(basis, i)
+        assert (fams, rows) == hand_central_lattice(basis, i)
+        assert smith == lattice_factors(hand_central_lattice(basis, i)[1])
+    fams, rows, smith = autos._bglm_lattice(basis)
+    assert len(fams) == families
+    assert (fams, rows) == hand_bglm_lattice(basis)
+    assert smith == lattice_factors(hand_bglm_lattice(basis)[1])
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_central_lattice_membership_matches_lattice_solve(n):
     basis = hall_basis(n, 3)
     m3 = len(basis.by_weight[2])
     rng = random.Random(n)
     for i in range(1, n + 1):
-        rows, _ = autos._central_rows(basis, i)
+        _, rows, _ = autos._central_lattice(basis, i)
         for trial in range(40):
             # lattice points, and lattice points moved by one unit vector
             coeffs = [rng.randint(-2, 2) for _ in rows]
@@ -1290,10 +1311,10 @@ def test_cached_lattice_solve_matches_lattice_solve():
     for n in (2, 3):
         basis = hall_basis(n, 3)
         for i in range(1, n + 1):
-            rows, _, smith = autos._central_lattice(basis, i)
+            _, rows, smith = autos._central_lattice(basis, i)
             lattices.append((rows, smith))
-        fams, smith = autos._bglm_lattice(basis)
-        lattices.append(([row for _, row, _ in fams], smith))
+        _, rows, smith = autos._bglm_lattice(basis)
+        lattices.append((rows, smith))
     for rows, factors in lattices:
         dim = len(rows[0])
         for trial in range(40):
