@@ -260,8 +260,10 @@ def _memo(basis, key, build):
 
 
 def _comm3(basis, a, b, c):
-    """The element [x_a, x_b, x_c]."""
-    return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
+    """The element [x_a, x_b, x_c], kept on the basis: the generator maps
+    `phi2`, `phi3` and `psi` share their triples (at most n^3 entries)."""
+    return _memo(basis, ("comm3", a, b, c), lambda: left_normed(
+        [basis.generator(a), basis.generator(b), basis.generator(c)]))
 
 
 def _step3_table(basis):

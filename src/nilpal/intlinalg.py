@@ -226,7 +226,7 @@ class PivotSolver:
     pivots on the entry of its shortest row, and the factors carry
     Fractions from there on.
 
-    `solve(t)` reads only the pivot entries of t and returns the unique x
+    `solve(t)` uses only the pivot entries of t and returns the unique x
     with (E x)_P == t_P.  It does not check the other rows: a caller that
     needs E x == t checks its residual.
     """
@@ -275,39 +275,55 @@ class PivotSolver:
             lcols.append(mults)
         step_of_row = {p: s for s, p in enumerate(self.rows)}
         step_of_col = {c: s for s, c in enumerate(self.cols)}
-        # Forward: step s subtracts f * t[s] from each later pivot row.
-        self._lower = [[(step_of_row[i], f) for i, f in mults if i in step_of_row]
-                       for mults in lcols]
-        # Backward, by column: x[cols[s]] feeds the earlier pivot rows.
-        self._upper = [[] for _ in self.rows]
+        lower = [[(step_of_row[i], f) for i, f in mults if i in step_of_row]
+                 for mults in lcols]
+        upper = [[] for _ in self.rows]
         for s, prow in enumerate(urows):
             for j, v in prow.items():
-                self._upper[step_of_col[j]].append((s, v))
+                upper[step_of_col[j]].append((s, v))
+        self._step_of_row = step_of_row
+        # Forward, in step order: step s subtracts f * t[s] from each later
+        # pivot row.  Backward, in reverse step order: x[cols[s]] feeds the
+        # earlier pivot rows.  Only the steps that carry entries are kept.
+        self._lower = [(s, fs) for s, fs in enumerate(lower) if fs]
+        self._upper = [(s, us) for s, us in reversed(list(enumerate(upper))) if us]
         self.nonunit_pivots = sum(1 for a in self.pivots if not _unit(a))
 
     def solve(self, t):
         """The x with (E x)_P == t_P, as ints, or None if x is not integral.
 
-        `t` maps rows to values; absent rows read as 0.
+        `t` maps rows to values; absent rows read as 0, and rows off the
+        pivot rows P are ignored.  The work follows the entries, since the
+        peel solves for a few coordinates out of hundreds: t is read entry
+        by entry, the sweeps visit only the steps with factor entries, and
+        only the nonzero x_j are divided and tested.
         """
-        v = [t.get(p, 0) for p in self.rows]
-        m = len(v)
-        for s in range(m):
-            vs = v[s]
+        step_of_row = self._step_of_row
+        v = {}
+        for i, c in t.items():
+            s = step_of_row.get(i)
+            if s is not None:
+                v[s] = c
+        for s, fs in self._lower:
+            vs = v.get(s)
             if vs:
-                for s2, f in self._lower[s]:
-                    v[s2] -= f * vs
-        x = [0] * m
-        for s in range(m - 1, -1, -1):
-            vs = v[s]
+                for s2, f in fs:
+                    v[s2] = v.get(s2, 0) - f * vs
+        pivots = self.pivots
+        for s, us in self._upper:
+            vs = v.get(s)
             if vs:
-                xs = _quotient(vs, self.pivots[s])
-                x[self.cols[s]] = xs
-                for s2, u in self._upper[s]:
-                    v[s2] -= u * xs
-        for j, xj in enumerate(x):
-            if type(xj) is not int:
-                if xj.denominator != 1:
-                    return None
-                x[j] = int(xj)
+                xs = _quotient(vs, pivots[s])
+                for s2, u in us:
+                    v[s2] = v.get(s2, 0) - u * xs
+        cols = self.cols
+        x = [0] * len(cols)
+        for s, vs in v.items():
+            if vs:
+                xs = _quotient(vs, pivots[s])
+                if type(xs) is not int:
+                    if xs.denominator != 1:
+                        return None
+                    xs = int(xs)
+                x[cols[s]] = xs
         return x

@@ -8,9 +8,14 @@ commutators, weight-major.
 Arithmetic runs in a faithful truncated-series model: x_i maps to 1 + X_i in
 integer polynomials over noncommuting X_1..X_n, discarding all terms of
 degree > k.  A word is trivial in the group iff its series is 1, so series
-equality decides group equality; normal-form exponents are recovered weight
-by weight, which doubles as a consistency check on every element built from
-a series.
+equality decides group equality.  Normal-form exponents are recovered weight
+by weight (`HallBasis.element_from_poly`, "the peel"), which doubles as a
+consistency check on every element built from a series: the remainder is
+kept as one dict per degree, each layer's coordinates are read off its
+lowest degree by a sparse pivot solve, and the remainder is divided on the
+left by each factor's positive power (a degree-by-degree solve, or a
+product for a negative exponent), or for 2w > k has the linear tail
+x_j (c_j - 1) subtracted in place.
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -155,6 +160,7 @@ class HallBasis:
             pos += len(level)
         self.shape = kernel.SeriesShape(n, k)
         self._lifts = {}
+        self._lift_blocks = {}
         self._peel = {}
         # derived values other modules compute once per basis, keyed by a
         # tuple that starts with the caller's name for them
@@ -212,30 +218,28 @@ class HallBasis:
             out = f if out is None else self.mul(out, f)
         return {0: 1} if out is None else out
 
-    def _add_linear(self, poly, start, coeffs, lift=None):
-        """poly + sum_j coeffs[j] * (lift(start+j, False) - 1)."""
-        lift = lift or self._lift
-        out = dict(poly)
-        for j, e in enumerate(coeffs):
-            if e:
-                for i, c in lift(start + j, False).items():
-                    if i:
-                        out[i] = out.get(i, 0) + e * c
-        return {i: c for i, c in out.items() if c}
-
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series: the columns of the
-        Lie-coordinate matrix, as dicts {monomial index: coefficient}."""
-        off, end = self.shape.offset[w], self.shape.offset[w + 1]
+        Lie-coordinate matrix, as dicts {monomial index: coefficient}.
+        They are the cached degree blocks of the lifts; read-only."""
         start = self.weight_offset[w - 1]
-        return [
-            {i: c for i, c in self._lift(start + j, False).items() if off <= i < end}
-            for j in range(len(self.by_weight[w - 1]))
-        ]
+        return [self._lift_by_degree(start + j)[w] for j in range(len(self.by_weight[w - 1]))]
 
-    def _degree_terms(self, poly, w):
-        off, end = self.shape.offset[w], self.shape.offset[w + 1]
-        return sum(1 for i in poly if off <= i < end)
+    def _by_degree(self, poly):
+        """poly as k+1 dicts, one per degree, keyed by monomial index."""
+        dr = self.shape.dr
+        out = [{} for _ in range(self.k + 1)]
+        for i, c in poly.items():
+            out[dr[i][0]][i] = c
+        return out
+
+    def _lift_by_degree(self, idx):
+        """The lift of basis element idx split by degree (`_by_degree`),
+        cached per basis element; read-only."""
+        blocks = self._lift_blocks.get(idx)
+        if blocks is None:
+            blocks = self._lift_blocks[idx] = self._by_degree(self._lift(idx, False))
+        return blocks
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -255,7 +259,13 @@ class HallBasis:
         lift = lift or self._lift
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
-            return self._add_linear({0: 1}, start, coeffs, lift)
+            out = {0: 1}
+            for j, e in enumerate(coeffs):
+                if e:
+                    for i, c in lift(start + j, False).items():
+                        if i:
+                            out[i] = out.get(i, 0) + e * c
+            return {i: c for i, c in out.items() if c}
         order = range(len(coeffs) - 1, -1, -1) if reverse else range(len(coeffs))
         factors = []
         for j in order:
@@ -295,42 +305,88 @@ class HallBasis:
     def element_from_poly(self, poly):
         """Recover Hall exponents of a group series; verifies exactness.
 
-        Weight by weight, the lowest remaining degree w of the series r is
-        a Lie element: its Hall coordinates x solve E x = t, with t the
-        degree-w part of r.  The pivot solver reads x off the pivot entries
-        of t, and r is divided on the left by the weight-w block.  That
-        leaves t - E x as the degree-w part of r, so an empty degree-w part
-        proves E x == t, and a non-Lie t can never pass.  For 2w > k any
-        product of two series of lowest degree >= w vanishes, so the block
-        is 1 + sum x_j (elt_j - 1) and dividing by it is a subtraction.
+        The remainder r is kept as k+1 dicts, one per degree.  Weight by
+        weight, its lowest remaining degree w is a Lie element: its Hall
+        coordinates x solve E x = t, with t = r[w].  The pivot solver reads
+        x off the pivot entries of t, and r is divided on the left by the
+        weight-w block c_1^x_1 ... c_m^x_m, one factor at a time.  That
+        leaves t - E x in r[w], so an empty r[w] proves E x == t, and a
+        non-Lie t can never pass.
+
+        Each factor is divided by its positive power P = c_j^|x_j|, whose
+        series is 1 plus terms of degree >= w: for x_j > 0, r becomes the
+        s with P s = r, degree by degree (s_d = r_d - sum_e P_e s_(d-e));
+        for x_j < 0, r becomes P r.  For 2w > k any product of two series
+        of lowest degree >= w vanishes, so the block is
+        1 + sum x_j (c_j - 1) and dividing by it subtracts
+        x_j (c_j - 1) from r.
         """
         n, k = self.n, self.k
         if poly.get(0) != 1:
             raise InternalError("series has constant term != 1",
                                 n=n, k=k, weight=0, residual_terms=len(poly))
         exps = [0] * len(self.elements)
-        r = poly
+        r = self._by_degree(poly)
         for w in range(1, k + 1):
-            x = self._peel_solver(w).solve(r)
+            x = self._peel_solver(w).solve(r[w])
             if x is None:
                 raise InternalError(f"degree-{w} coordinates are not integral",
-                                    n=n, k=k, weight=w, residual_terms=self._degree_terms(r, w))
+                                    n=n, k=k, weight=w, residual_terms=len(r[w]))
             start = self.weight_offset[w - 1]
             exps[start:start + len(x)] = x
-            if any(x):
-                neg = [-xj for xj in x]
+            for j, xj in enumerate(x):
+                if not xj:
+                    continue
                 if 2 * w > k:
-                    r = self._add_linear(r, start, neg)
+                    for d in range(w, k + 1):
+                        out = r[d]
+                        for i, c in self._lift_by_degree(start + j)[d].items():
+                            v = out.get(i, 0) - xj * c
+                            if v:
+                                out[i] = v
+                            else:
+                                del out[i]
                 else:
-                    r = self.mul(self.ordered_block_poly(w, neg, reverse=True), r)
-            residual = self._degree_terms(r, w)
-            if residual:
+                    p = (self._lift_by_degree(start + j) if xj in (1, -1) else
+                         self._by_degree(self.pow(self._lift(start + j, False), abs(xj))))
+                    self._left_divide(r, p, w, xj > 0)
+            if r[w]:
                 raise InternalError(f"degree-{w} component is not a Lie element",
-                                    n=n, k=k, weight=w, residual_terms=residual)
-        if r != {0: 1}:
+                                    n=n, k=k, weight=w, residual_terms=len(r[w]))
+        if r[0] != {0: 1} or any(r[1:]):
             raise InternalError("series does not collapse to the normal form",
-                                n=n, k=k, weight=k, residual_terms=len(r) - 1)
+                                n=n, k=k, weight=k, residual_terms=sum(map(len, r)) - 1)
         return NilElement(self, poly, tuple(exps))
+
+    def _left_divide(self, r, p, w, solve):
+        """r <- P^-1 r if `solve`, else P r, in place; r and P are split by
+        degree, and P - 1 has lowest degree >= w.  Solving walks the
+        degrees up, so that r[d - e] is already s_(d-e); multiplying walks
+        them down, so that it is still r_(d-e).  r[0] is the constant 1."""
+        k = self.k
+        rowbase, offset = self.shape.rowbase, self.shape.offset
+        sign = -1 if solve else 1
+        blocks = [(e, pe) for e, pe in enumerate(p) if e >= w and pe]
+        for d in range(w, k + 1) if solve else range(k, w - 1, -1):
+            out = r[d]
+            for e, pe in blocks:
+                if e > d:
+                    break
+                db = d - e
+                s = r[db]
+                if not s:
+                    continue
+                off = offset[db]
+                for ia, ca in pe.items():
+                    shift = rowbase[ia][db] - off
+                    ca *= sign
+                    for ib, cb in s.items():
+                        i = shift + ib
+                        v = out.get(i, 0) + ca * cb
+                        if v:
+                            out[i] = v
+                        else:
+                            del out[i]
 
     @cached_property
     def law(self):

@@ -25,7 +25,10 @@ signed permutation in e = eps . omega, the reference for the one
 candidate that `autos.classify` tries, and `pi_level_by_search` solves
 level by level for the pi-level that `classify` reads off its witnesses.
 `fraction_combination` solves a lattice system over Fractions, the
-reference for `intlinalg.solve_from_smith`.
+reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
+`peel_by_block_division` peels a flat series by dividing it by whole
+weight blocks built from inverse lifts, the reference for
+`HallBasis.element_from_poly`.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -390,6 +393,56 @@ def gf2_rank(rows):
                 rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def peel_by_block_division(basis, poly):
+    """Hall exponents of the group series `poly`, or the `InternalError`
+    of `HallBasis.element_from_poly`, by whole-block division: the
+    remainder is one flat series, and each weight-w layer divides it on
+    the left by the whole block's inverse, the product of the inverse
+    lifts' powers (`ordered_block_poly` with negated exponents), or for
+    2w > k subtracts sum_j x_j (c_j - 1) from a copy.  It shares the
+    pivot solvers, fed the degree-w part only, with the engine."""
+    from nilpal.nilpotent import InternalError
+
+    n, k = basis.n, basis.k
+    offset = basis.shape.offset
+
+    def degree_part(r, w):
+        return {i: c for i, c in r.items() if offset[w] <= i < offset[w + 1]}
+
+    if poly.get(0) != 1:
+        raise InternalError("series has constant term != 1",
+                            n=n, k=k, weight=0, residual_terms=len(poly))
+    exps = [0] * len(basis.elements)
+    r = poly
+    for w in range(1, k + 1):
+        x = basis._peel_solver(w).solve(degree_part(r, w))
+        if x is None:
+            raise InternalError(f"degree-{w} coordinates are not integral",
+                                n=n, k=k, weight=w, residual_terms=len(degree_part(r, w)))
+        start = basis.weight_offset[w - 1]
+        exps[start:start + len(x)] = x
+        if any(x):
+            neg = [-xj for xj in x]
+            if 2 * w > k:
+                out = dict(r)
+                for j, e in enumerate(neg):
+                    if e:
+                        for i, c in basis._lift(start + j, False).items():
+                            if i:
+                                out[i] = out.get(i, 0) + e * c
+                r = {i: c for i, c in out.items() if c}
+            else:
+                r = basis.mul(basis.ordered_block_poly(w, neg, reverse=True), r)
+        residual = len(degree_part(r, w))
+        if residual:
+            raise InternalError(f"degree-{w} component is not a Lie element",
+                                n=n, k=k, weight=w, residual_terms=residual)
+    if r != {0: 1}:
+        raise InternalError("series does not collapse to the normal form",
+                            n=n, k=k, weight=k, residual_terms=len(r) - 1)
+    return tuple(exps)
 
 
 def series_multiply(a, b):

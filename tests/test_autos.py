@@ -310,6 +310,28 @@ def test_step4_generators_are_kept_with_their_image_tables():
     assert inv._basis_images
 
 
+def test_each_commutator_triple_is_built_once_per_basis(monkeypatch):
+    # every phi2, psi and phi3 symbol on ordered pairs a != b at rank 3:
+    # 6 * 3 = 18 distinct triples [x_a, x_b, x_c] among their defects
+    basis = nilpotent.HallBasis(3, 3)
+    builds = []
+    real = autos.left_normed
+
+    def counting(elements):
+        builds.append(1)
+        return real(elements)
+
+    monkeypatch.setattr(autos, "left_normed", counting)
+    for a, b in permutations(range(1, 4), 2):
+        for c in range(1, 4):
+            make_generator(phi2(a, b, c), basis)
+            make_generator(psi(a, b), basis)
+            for i in range(1, 4):
+                make_generator(phi3(a, b, c, i), basis)
+    assert len(builds) == 18
+    assert len([key for key in basis.memo if key[0] == "comm3"]) == 18
+
+
 def test_invalid_negative_symbol_raises_every_time():
     basis = hall_basis(2, 3)
     for _ in range(2):

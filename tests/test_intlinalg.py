@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import fraction_inv_unimodular, invariant_factors, solve_integer
+from oracles import (
+    fraction_combination,
+    fraction_inv_unimodular,
+    invariant_factors,
+    solve_integer,
+)
 
 from nilpal.intlinalg import (
     PivotSolver,
@@ -192,6 +197,38 @@ def test_pivot_solver_recovers_integer_solutions():
         t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
         assert solver.solve(t) == x
     assert tried > 50
+
+
+def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
+    # Sparse columns with entries up to 3 in size, and targets E y with y
+    # rational (denominators 1..3): solve returns y when it is integral
+    # and None otherwise, reading t entry by entry.
+    rng = random.Random(23)
+    tried = nonunit = integral = 0
+    for _ in range(400):
+        rows, cols = rng.randint(2, 14), rng.randint(1, 7)
+        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        columns = [[row[j] for row in a] for j in range(cols)]
+        if fraction_combination(columns, [0] * rows)[0] < cols:
+            continue
+        tried += 1
+        solver = PivotSolver(_columns(a))
+        nonunit += solver.nonunit_pivots > 0
+        for _ in range(4):
+            y = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
+            target = [sum(c * v for c, v in zip(row, y)) for row in a]
+            _, exact = fraction_combination(columns, target)
+            assert exact == y
+            t = {i: v for i, v in enumerate(target) if v}
+            got = solver.solve(t)
+            if all(v.denominator == 1 for v in exact):
+                integral += 1
+                assert got == exact
+                assert all(type(v) is int for v in got)
+            else:
+                assert got is None
+    assert tried > 100 and nonunit > 20 and integral > 100
 
 
 def test_pivot_solver_fraction_path():

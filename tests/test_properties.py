@@ -1,7 +1,9 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
-pi-level, the Fox-derivative tameness residue and the Smith-form lattice
-solve over generated inputs."""
+pi-level, the Fox-derivative tameness residue, the Smith-form lattice
+solve and the peel over generated inputs."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     fraction_combination,
+    peel_by_block_division,
     pi_level_by_search,
     ring_fox_derivative,
     series_apply,
@@ -33,9 +36,11 @@ from nilpal.autos import (  # noqa: E402
     solve_conjugator,
     tameness_residue,
 )
+from nilpal import kernel  # noqa: E402
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
 from nilpal.intlinalg import lattice_factors, solve_from_smith  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
+    InternalError,
     bar,
     collect,
     hall_basis,
@@ -469,3 +474,69 @@ def test_solve_from_smith_matches_the_rational_solution():
     check()
     # independent and dependent rows, each with targets in and out of the lattice
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# series bases, up to the (4,5) of the wide-setup benchmark
+PEEL_BASES = [(2, 4), (3, 4), (3, 5), (4, 5)]
+
+
+@st.composite
+def group_series(draw):
+    """A group series at a basis drawn from PEEL_BASES: the product of the
+    letters of a short word (sparse), or of two elements with exponents
+    in [-3, 3] (dense), and maybe its monomials reversed (its `bar`)."""
+    basis = hall_basis(*draw(st.sampled_from(PEEL_BASES)))
+    if draw(st.booleans()):
+        n = basis.n
+        letters = draw(st.lists(st.integers(-n, n).filter(bool), max_size=6))
+        poly = basis._product(basis._lift(abs(i) - 1, i < 0) for i in letters)
+    else:
+        size = len(basis.elements)
+        vec = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+        a, b = (basis.from_exponents(draw(vec)) for _ in range(2))
+        poly = basis.mul(a.poly, b.poly)
+    if draw(st.booleans()):
+        poly = kernel.poly_reverse(poly, basis.shape)
+    return basis, poly
+
+
+def _peel_outcome(peel, poly):
+    """The exponents, or the message and context of the InternalError."""
+    try:
+        return peel(poly)
+    except InternalError as err:
+        return str(err), err.context
+
+
+@given(group_series(), st.data())
+def test_peel_matches_block_division(case, data):
+    basis, poly = case
+
+    def both(p):
+        got = _peel_outcome(lambda q: basis.element_from_poly(q).exponents, p)
+        assert got == _peel_outcome(lambda q: peel_by_block_division(basis, q), p)
+        return got
+
+    assert both(poly) == peel_by_block_division(basis, poly)
+    offset = basis.shape.offset
+    nonzero = st.integers(-3, 3).filter(bool)
+    # a stray monomial at each degree; one of degree >= 2 is never a Lie
+    # element, so it must be caught
+    for d in range(1, basis.k + 1):
+        i = data.draw(st.integers(offset[d], offset[d + 1] - 1))
+        bad = dict(poly)
+        bad[i] = bad.get(i, 0) + data.draw(nonzero)
+        bad = {j: c for j, c in bad.items() if c}
+        got = both(bad)
+        if d >= 2:
+            assert isinstance(got[0], str)
+    # half a Lie column at each weight: a Lie layer with a coordinate 1/2
+    for w in range(1, basis.k + 1):
+        column = data.draw(st.sampled_from(basis.lie_columns(w)))
+        bad = dict(poly)
+        for i, c in column.items():
+            bad[i] = bad.get(i, 0) + Fraction(c, 2)
+        got = both({j: c for j, c in bad.items() if c})
+        assert got[0].startswith(f"degree-{w} coordinates are not integral")
+    got = both({**poly, 0: data.draw(st.integers(-3, 3).filter(lambda c: c != 1))})
+    assert got[0].startswith("series has constant term != 1")
