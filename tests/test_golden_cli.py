@@ -79,12 +79,19 @@ def _cases():
     # series-path normal forms: inverted letters, letter powers (|x_j| > 1)
     # and a longer word at step 6
     for name, word in (("inverted", "x2 x1^-1 x3"), ("inverted4", "x4 x3^-1 x2 x1^-1"),
-                       ("powers", "x3^-2 x1 x2^3")):
+                       ("powers", "x3^-2 x1 x2^3"), ("inverted3", "x4^-1 x3^-1 x1^-1")):
         cases[f"normalize-r4-s5-{name}"] = [
             "--rank", "4", "--step", "5", "--format", "kv", "normalize", word]
     cases["normalize-r3-s6-long"] = [
         "--rank", "3", "--step", "6", "normalize",
         "x1 x2^-1 x3 x1^2 [x2,x1]^-1 x3^-1 x2 x1^-3 [x3,x2,x1] x2^2 x3^4 x1^-1 x2"]
+    # [x2,x1]^2 as a word: exponents of size 2 at weights 2 and 3 (2w <= k)
+    cases["normalize-r3-s6-square"] = [
+        "--rank", "3", "--step", "6", "normalize",
+        "x2^-1 x1^-1 x2 x1 x2^-1 x1^-1 x2 x1 x3^-1 x1 x3"]
+    # a long inverted run raised as one power
+    cases["normalize-r2-s8-long-run"] = [
+        "--rank", "2", "--step", "8", "--format", "kv", "normalize", "x1^-20000 x2^3 x1^2"]
     cases["verify-prop3.3-r3"] = ["verify", "prop3.3", "--rank", "3"]
     cases["verify-lemma2.5-r2-s5"] = ["--format", "kv", "verify", "lemma2.5",
                                       "--rank", "2", "--step", "5"]
