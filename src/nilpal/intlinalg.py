@@ -7,6 +7,7 @@ transforms, which is what the lattice-membership solvers need.
 
 import operator
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 Matrix = list
 
@@ -214,6 +215,14 @@ def _quotient(a, b):
     return a * b if _unit(b) else Fraction(a, b)
 
 
+def _integral_quotient(a, b):
+    """a / b as an int, or None if it is not an integer."""
+    q = a * b if b == 1 or b == -1 else Fraction(a, b)
+    if type(q) is int:
+        return q
+    return int(q) if q.denominator == 1 else None
+
+
 class PivotSolver:
     """Exact solver for a full-column-rank sparse system E x = t.
 
@@ -226,9 +235,9 @@ class PivotSolver:
     pivots on the entry of its shortest row, and the factors carry
     Fractions from there on.
 
-    `solve(t)` uses only the pivot entries of t and returns the unique x
-    with (E x)_P == t_P.  It does not check the other rows: a caller that
-    needs E x == t checks its residual.
+    `solve(t)` uses only the pivot entries of t and returns the nonzero
+    coordinates of the unique x with (E x)_P == t_P.  It does not check
+    the other rows: a caller that needs E x == t checks its residual.
     """
 
     def __init__(self, columns):
@@ -275,28 +284,31 @@ class PivotSolver:
             lcols.append(mults)
         step_of_row = {p: s for s, p in enumerate(self.rows)}
         step_of_col = {c: s for s, c in enumerate(self.cols)}
-        lower = [[(step_of_row[i], f) for i, f in mults if i in step_of_row]
-                 for mults in lcols]
-        upper = [[] for _ in self.rows]
+        # Forward: step s subtracts f * v[s] from the later pivot rows in
+        # lower[s].  Backward: x[cols[s]] feeds the earlier pivot rows in
+        # upper[s].  Only the steps that carry entries are keys.
+        lower = {s: [(step_of_row[i], f) for i, f in mults if i in step_of_row]
+                 for s, mults in enumerate(lcols)}
+        self._lower = {s: fs for s, fs in lower.items() if fs}
+        self._upper = {}
         for s, prow in enumerate(urows):
             for j, v in prow.items():
-                upper[step_of_col[j]].append((s, v))
+                self._upper.setdefault(step_of_col[j], []).append((s, v))
         self._step_of_row = step_of_row
-        # Forward, in step order: step s subtracts f * t[s] from each later
-        # pivot row.  Backward, in reverse step order: x[cols[s]] feeds the
-        # earlier pivot rows.  Only the steps that carry entries are kept.
-        self._lower = [(s, fs) for s, fs in enumerate(lower) if fs]
-        self._upper = [(s, us) for s, us in reversed(list(enumerate(upper))) if us]
         self.nonunit_pivots = sum(1 for a in self.pivots if not _unit(a))
 
     def solve(self, t):
-        """The x with (E x)_P == t_P, as ints, or None if x is not integral.
+        """The nonzero coordinates of the x with (E x)_P == t_P, as
+        {column: int}, or None if x is not integral.
 
         `t` maps rows to values; absent rows read as 0, and rows off the
         pivot rows P are ignored.  The work follows the entries, since the
         peel solves for a few coordinates out of hundreds: t is read entry
-        by entry, the sweeps visit only the steps with factor entries, and
-        only the nonzero x_j are divided and tested.
+        by entry, and each sweep pops from a heap of step numbers only the
+        steps that hold a value and carry factor entries.  Forward
+        substitution only adds values at later steps and back substitution
+        only at earlier ones, so each step is taken once, after every
+        update to it.
         """
         step_of_row = self._step_of_row
         v = {}
@@ -304,26 +316,44 @@ class PivotSolver:
             s = step_of_row.get(i)
             if s is not None:
                 v[s] = c
-        for s, fs in self._lower:
-            vs = v.get(s)
+        lower, upper = self._lower, self._upper
+        heap = [s for s in v if s in lower]
+        heapify(heap)
+        while heap:
+            s = heappop(heap)
+            vs = v[s]
             if vs:
-                for s2, f in fs:
-                    v[s2] = v.get(s2, 0) - f * vs
-        pivots = self.pivots
-        for s, us in self._upper:
-            vs = v.get(s)
+                for s2, f in lower[s]:
+                    if s2 in v:
+                        v[s2] -= f * vs
+                    else:
+                        v[s2] = -f * vs
+                        if s2 in lower:
+                            heappush(heap, s2)
+        pivots, cols = self.pivots, self.cols
+        x = {}
+        heap = [-s for s in v if s in upper]
+        heapify(heap)
+        while heap:
+            s = -heappop(heap)
+            vs = v.pop(s)
             if vs:
-                xs = _quotient(vs, pivots[s])
-                for s2, u in us:
-                    v[s2] = v.get(s2, 0) - u * xs
-        cols = self.cols
-        x = [0] * len(cols)
+                xs = _integral_quotient(vs, pivots[s])
+                if xs is None:
+                    return None
+                x[cols[s]] = xs
+                for s2, u in upper[s]:
+                    if s2 in v:
+                        v[s2] -= u * xs
+                    else:
+                        v[s2] = -u * xs
+                        if s2 in upper:
+                            heappush(heap, -s2)
+        # the steps left feed no earlier row, and every update has reached them
         for s, vs in v.items():
             if vs:
-                xs = _quotient(vs, pivots[s])
-                if type(xs) is not int:
-                    if xs.denominator != 1:
-                        return None
-                    xs = int(xs)
+                xs = _integral_quotient(vs, pivots[s])
+                if xs is None:
+                    return None
                 x[cols[s]] = xs
         return x

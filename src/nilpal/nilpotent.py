@@ -11,11 +11,15 @@ degree > k.  A word is trivial in the group iff its series is 1, so series
 equality decides group equality.  Normal-form exponents are recovered weight
 by weight (`HallBasis.element_from_poly`, "the peel"), which doubles as a
 consistency check on every element built from a series: the remainder is
-kept as one dict per degree, each layer's coordinates are read off its
-lowest degree by a sparse pivot solve, and the remainder is divided on the
-left by each factor's positive power (a degree-by-degree solve, or a
+kept as one dict per degree, each layer's nonzero coordinates are read off
+its lowest degree by a sparse pivot solve, and the remainder is divided on
+the left by each factor's positive power (a degree-by-degree solve, or a
 product for a negative exponent), or for 2w > k has the linear tail
-x_j (c_j - 1) subtracted in place.
+x_j (c_j - 1) subtracted in place.  Each lift is kept flat for the block
+products and once by degree for the peel; a power c_j^e is the binomial
+sum of cached powers of c_j - 1.  `collect` builds a word's series in the
+same per-degree layout, one binomial block per run of a letter, and
+peels it without a series product.
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -25,6 +29,7 @@ model once per basis (`HallBasis.law`).
 import operator
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
+from math import comb
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
@@ -160,7 +165,8 @@ class HallBasis:
             pos += len(level)
         self.shape = kernel.SeriesShape(n, k)
         self._lifts = {}
-        self._lift_blocks = {}
+        self._blocks = {}
+        self._powers = {}
         self._peel = {}
         # derived values other modules compute once per basis, keyed by a
         # tuple that starts with the caller's name for them
@@ -220,10 +226,11 @@ class HallBasis:
 
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series: the columns of the
-        Lie-coordinate matrix, as dicts {monomial index: coefficient}.
-        They are the cached degree blocks of the lifts; read-only."""
+        Lie-coordinate matrix, as fresh dicts {monomial index: coefficient}
+        built from the lowest degree block of each lift."""
         start = self.weight_offset[w - 1]
-        return [self._lift_by_degree(start + j)[w] for j in range(len(self.by_weight[w - 1]))]
+        return [dict(self._lift_blocks(start + j)[0][1])
+                for j in range(len(self.by_weight[w - 1]))]
 
     def _by_degree(self, poly):
         """poly as k+1 dicts, one per degree, keyed by monomial index."""
@@ -233,13 +240,50 @@ class HallBasis:
             out[dr[i][0]][i] = c
         return out
 
-    def _lift_by_degree(self, idx):
-        """The lift of basis element idx split by degree (`_by_degree`),
-        cached per basis element; read-only."""
-        blocks = self._lift_blocks.get(idx)
+    def _blocks_of(self, poly):
+        """poly - 1 for a series with constant term 1, as a tuple of
+        (degree, items) for its nonzero degrees, ascending, where items
+        are (monomial index, coefficient) pairs: the layout that
+        `_left_divide` and the linear tail of the peel read."""
+        dr = self.shape.dr
+        out = {}
+        for i, c in poly.items():
+            if i and c:
+                out.setdefault(dr[i][0], {})[i] = c
+        return tuple((d, tuple(out[d].items())) for d in sorted(out))
+
+    def _lift_blocks(self, idx):
+        """c_idx - 1 by degree (`_blocks_of`), cached per basis element;
+        read-only."""
+        blocks = self._blocks.get(idx)
         if blocks is None:
-            blocks = self._lift_blocks[idx] = self._by_degree(self._lift(idx, False))
+            blocks = self._blocks[idx] = self._blocks_of(self._lift(idx, False))
         return blocks
+
+    def _power_blocks(self, idx, e):
+        """c_idx^e - 1 by degree (`_blocks_of`), for e != 0 and c_idx of
+        weight w with 2w <= k: the binomial sum of C(e, i) L^i over
+        1 <= i <= k // w, with L = c_idx - 1 of lowest degree w, so that
+        L^i vanishes for larger i (for e < 0, C(e, i) is the generalized
+        binomial).  The powers L^i are cached per basis element, k // w
+        series each."""
+        powers = self._powers.get(idx)
+        if powers is None:
+            lift = self._lift_blocks(idx)
+            flat = {i: c for _, items in lift for i, c in items}
+            powers, power = [lift], flat
+            for _ in range(1, self.k // self.elements[idx].weight):
+                power = self.mul(power, flat)
+                powers.append(self._blocks_of(power))
+            powers = self._powers[idx] = tuple(powers)
+        out = {}
+        for i, blocks in enumerate(powers, start=1):
+            b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
+            for d, items in blocks:
+                od = out.setdefault(d, {})
+                for m, c in items:
+                    od[m] = od.get(m, 0) + b * c
+        return [(d, [(m, c) for m, c in od.items() if c]) for d, od in sorted(out.items())]
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -302,10 +346,12 @@ class HallBasis:
             if any(exps[self.weight_slice(w)])
         )
 
-    def element_from_poly(self, poly):
+    def element_from_poly(self, poly, r=None):
         """Recover Hall exponents of a group series; verifies exactness.
 
-        The remainder r is kept as k+1 dicts, one per degree.  Weight by
+        The remainder r is kept as k+1 dicts, one per degree: `poly` split
+        by degree, or the given `r`, which must be that split (`collect`
+        builds it degree by degree) and which the peel uses up.  Weight by
         weight, its lowest remaining degree w is a Lie element: its Hall
         coordinates x solve E x = t, with t = r[w].  The pivot solver reads
         x off the pivot entries of t, and r is divided on the left by the
@@ -314,9 +360,11 @@ class HallBasis:
         non-Lie t can never pass.
 
         Each factor is divided by its positive power P = c_j^|x_j|, whose
-        series is 1 plus terms of degree >= w: for x_j > 0, r becomes the
-        s with P s = r, degree by degree (s_d = r_d - sum_e P_e s_(d-e));
-        for x_j < 0, r becomes P r.  For 2w > k any product of two series
+        series is 1 plus terms of degree >= w (`_power_blocks`): for
+        x_j > 0, r becomes the s with P s = r, degree by degree
+        (s_d = r_d - sum_e P_e s_(d-e)); for x_j < 0, r becomes P r.  The
+        solver returns the nonzero x_j only, and the factors are taken in
+        ascending j.  For 2w > k any product of two series
         of lowest degree >= w vanishes, so the block is
         1 + sum x_j (c_j - 1) and dividing by it subtracts
         x_j (c_j - 1) from r.
@@ -326,30 +374,28 @@ class HallBasis:
             raise InternalError("series has constant term != 1",
                                 n=n, k=k, weight=0, residual_terms=len(poly))
         exps = [0] * len(self.elements)
-        r = self._by_degree(poly)
+        if r is None:
+            r = self._by_degree(poly)
         for w in range(1, k + 1):
             x = self._peel_solver(w).solve(r[w])
             if x is None:
                 raise InternalError(f"degree-{w} coordinates are not integral",
                                     n=n, k=k, weight=w, residual_terms=len(r[w]))
             start = self.weight_offset[w - 1]
-            exps[start:start + len(x)] = x
-            for j, xj in enumerate(x):
-                if not xj:
-                    continue
+            for j in sorted(x):
+                xj = exps[start + j] = x[j]
                 if 2 * w > k:
-                    for d in range(w, k + 1):
+                    for d, items in self._lift_blocks(start + j):
                         out = r[d]
-                        for i, c in self._lift_by_degree(start + j)[d].items():
+                        for i, c in items:
                             v = out.get(i, 0) - xj * c
                             if v:
                                 out[i] = v
                             else:
                                 del out[i]
                 else:
-                    p = (self._lift_by_degree(start + j) if xj in (1, -1) else
-                         self._by_degree(self.pow(self._lift(start + j, False), abs(xj))))
-                    self._left_divide(r, p, w, xj > 0)
+                    self._left_divide(r, self._lift_blocks(start + j) if xj in (1, -1)
+                                      else self._power_blocks(start + j, abs(xj)), xj > 0)
             if r[w]:
                 raise InternalError(f"degree-{w} component is not a Lie element",
                                     n=n, k=k, weight=w, residual_terms=len(r[w]))
@@ -358,15 +404,16 @@ class HallBasis:
                                 n=n, k=k, weight=k, residual_terms=sum(map(len, r)) - 1)
         return NilElement(self, poly, tuple(exps))
 
-    def _left_divide(self, r, p, w, solve):
-        """r <- P^-1 r if `solve`, else P r, in place; r and P are split by
-        degree, and P - 1 has lowest degree >= w.  Solving walks the
-        degrees up, so that r[d - e] is already s_(d-e); multiplying walks
-        them down, so that it is still r_(d-e).  r[0] is the constant 1."""
+    def _left_divide(self, r, blocks, solve):
+        """r <- P^-1 r if `solve`, else P r, in place; r is split by degree
+        and r[0] is the constant 1, and P - 1 is `blocks` (`_blocks_of`),
+        of lowest degree w.  Solving walks the degrees up, so that
+        r[d - e] is already s_(d-e); multiplying walks them down, so that
+        it is still r_(d-e)."""
         k = self.k
         rowbase, offset = self.shape.rowbase, self.shape.offset
         sign = -1 if solve else 1
-        blocks = [(e, pe) for e, pe in enumerate(p) if e >= w and pe]
+        w = blocks[0][0]
         for d in range(w, k + 1) if solve else range(k, w - 1, -1):
             out = r[d]
             for e, pe in blocks:
@@ -377,7 +424,7 @@ class HallBasis:
                 if not s:
                     continue
                 off = offset[db]
-                for ia, ca in pe.items():
+                for ia, ca in pe:
                     shift = rowbase[ia][db] - off
                     ca *= sign
                     for ib, cb in s.items():
@@ -398,6 +445,12 @@ class HallBasis:
         from nilpal import hallpoly  # imported here: hallpoly imports this module
 
         return hallpoly.derive(self)
+
+    @cached_property
+    def _letter_powers(self):
+        """Monomial index of X_i^d for d = 1..k, keyed by generator i."""
+        return {i: tuple(self.shape.index((i,) * d) for d in range(1, self.k + 1))
+                for i in range(1, self.n + 1)}
 
     @cached_property
     def _letter_vectors(self):
@@ -496,21 +549,28 @@ def _same_basis(a, b):
 
 def collect(word, basis):
     """Canonical normal form of the image of a free word: its letters
-    folded by the exponent law, or else each run of one letter raised to
-    its length as a series (O(log length) products), the runs multiplied
-    and peeled."""
+    folded by the exponent law, or else its series built by degree and
+    peeled.  The series starts at 1 and takes the runs right to left: a
+    run of c letters x_i multiplies it on the left by
+    (1 + X_i)^c = sum_d C(c, d) X_i^d, and a run of c letters x_i^-1
+    divides it by that power."""
     if word.rank != basis.n:
         raise ValueError(f"word rank {word.rank} != basis rank {basis.n}")
     law = basis.law
     if law is not None:
         vectors = map(basis._letter_vectors.__getitem__, word.letters)
         return NilElement(basis, None, reduce(law.mul, vectors, law.one))
-    runs = []
-    for let, run in groupby(word.letters):
-        lift = basis._lift(let.index - 1, let.sign < 0)
-        count = sum(1 for _ in run)
-        runs.append(lift if count == 1 else basis.pow(lift, count))
-    return basis.element_from_poly(basis._product(runs))
+    powers = basis._letter_powers
+    r = [{0: 1}] + [{} for _ in range(basis.k)]
+    runs = [(let, sum(1 for _ in run)) for let, run in groupby(word.letters)]
+    for let, count in reversed(runs):
+        blocks = [(d, ((i, comb(count, d)),))
+                  for d, i in enumerate(powers[let.index], start=1) if d <= count]
+        basis._left_divide(r, blocks, let.sign < 0)
+    poly = {}
+    for part in r:
+        poly.update(part)
+    return basis.element_from_poly(poly, r)
 
 
 def multiply(a, b):

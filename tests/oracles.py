@@ -26,6 +26,9 @@ candidate that `autos.classify` tries, and `pi_level_by_search` solves
 level by level for the pi-level that `classify` reads off its witnesses.
 `fraction_combination` solves a lattice system over Fractions, the
 reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
+`pivot_solve_by_sweep` substitutes through every step of a
+`PivotSolver`'s factors over Fractions, the reference for the sweeps of
+`PivotSolver.solve` that visit only the steps holding a value.
 `peel_by_block_division` peels a flat series by dividing it by whole
 weight blocks built from inverse lifts, the reference for
 `HallBasis.element_from_poly`.
@@ -109,6 +112,30 @@ def fraction_combination(rows, target):
     if rank < r or any(work[e][r] for e in range(rank, len(work))):
         return rank, None
     return rank, [work[j][r] for j in range(r)]
+
+
+def pivot_solve_by_sweep(solver, t):
+    """The x with (E x)_P == t_P as a dense list of ints, or None if x is
+    not integral, from the factors of the `intlinalg.PivotSolver`
+    `solver`: forward substitution through every step in order, then back
+    substitution through every step in reverse, all over Fractions, with
+    one integrality test at the end."""
+    from fractions import Fraction
+
+    steps = len(solver.rows)
+    v = [Fraction(t.get(i, 0)) for i in solver.rows]
+    for s in range(steps):
+        for s2, f in solver._lower.get(s, ()):
+            v[s2] -= f * v[s]
+    x = [Fraction(0)] * steps
+    for s in reversed(range(steps)):
+        xs = v[s] / solver.pivots[s]
+        for s2, u in solver._upper.get(s, ()):
+            v[s2] -= u * xs
+        x[solver.cols[s]] = xs
+    if any(xs.denominator != 1 for xs in x):
+        return None
+    return [int(xs) for xs in x]
 
 
 def solve_integer(a, b):
@@ -417,10 +444,11 @@ def peel_by_block_division(basis, poly):
     exps = [0] * len(basis.elements)
     r = poly
     for w in range(1, k + 1):
-        x = basis._peel_solver(w).solve(degree_part(r, w))
-        if x is None:
+        sol = basis._peel_solver(w).solve(degree_part(r, w))
+        if sol is None:
             raise InternalError(f"degree-{w} coordinates are not integral",
                                 n=n, k=k, weight=w, residual_terms=len(degree_part(r, w)))
+        x = [sol.get(j, 0) for j in range(len(basis.by_weight[w - 1]))]
         start = basis.weight_offset[w - 1]
         exps[start:start + len(x)] = x
         if any(x):

@@ -7,6 +7,7 @@ from oracles import (
     fraction_combination,
     fraction_inv_unimodular,
     invariant_factors,
+    pivot_solve_by_sweep,
     solve_integer,
 )
 
@@ -182,6 +183,11 @@ def _columns(a):
     return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(len(a[0]))]
 
 
+def _sparse(x):
+    """The nonzero coordinates of x, the form `PivotSolver.solve` returns."""
+    return {j: v for j, v in enumerate(x) if v}
+
+
 def test_pivot_solver_recovers_integer_solutions():
     rng = random.Random(11)
     tried = 0
@@ -195,7 +201,7 @@ def test_pivot_solver_recovers_integer_solutions():
         assert len(solver.rows) == cols
         x = [rng.randint(-5, 5) for _ in range(cols)]
         t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
-        assert solver.solve(t) == x
+        assert solver.solve(t) == _sparse(x)
     assert tried > 50
 
 
@@ -224,23 +230,73 @@ def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
             got = solver.solve(t)
             if all(v.denominator == 1 for v in exact):
                 integral += 1
-                assert got == exact
-                assert all(type(v) is int for v in got)
+                assert got == _sparse(exact)
+                assert all(type(v) is int for v in got.values())
             else:
                 assert got is None
     assert tried > 100 and nonunit > 20 and integral > 100
+
+
+def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
+    # 30%-dense systems with entries up to 3, so non-unit pivots occur.
+    # For every t, solve returns the nonzero coordinates of the unique
+    # rational x with (E x)_P == t_P when it is integral, else None: the
+    # same as the sweep through every step of the same factors, and as
+    # Gauss-Jordan over Fractions on the pivot rows alone.  The targets
+    # are E y for y integral and rational, random vectors, an empty t,
+    # and t with entries only off the pivot rows.
+    rng = random.Random(41)
+    entries = (-3, -2, -1, 1, 2, 3)
+    tried = nonunit = off_pivot = integral = rejected = 0
+    for _ in range(300):
+        rows, cols = rng.randint(2, 16), rng.randint(1, 8)
+        a = [[rng.choice(entries) if rng.random() < 0.3 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        columns = [[row[j] for row in a] for j in range(cols)]
+        if fraction_combination(columns, [0] * rows)[0] < cols:
+            continue
+        tried += 1
+        solver = PivotSolver(_columns(a))
+        nonunit += solver.nonunit_pivots > 0
+        targets = [{}]
+        off = [i for i in range(rows) if i not in solver.rows]
+        if off:
+            off_pivot += 1
+            picked = rng.sample(off, rng.randint(1, len(off)))
+            targets.append({i: rng.choice(entries) for i in picked})
+        for _ in range(3):
+            y = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
+            targets.append({i: v for i, row in enumerate(a)
+                            if (v := sum(c * yj for c, yj in zip(row, y)))})
+        picked = rng.sample(range(rows), rng.randint(1, rows))
+        targets.append({i: rng.randint(-5, 5) for i in picked})
+        pivot_columns = [[col[i] for i in solver.rows] for col in columns]
+        for t in targets:
+            _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in solver.rows])
+            got = solver.solve(t)
+            swept = pivot_solve_by_sweep(solver, t)
+            if all(v.denominator == 1 for v in exact):
+                integral += 1
+                assert swept == exact
+                assert got == _sparse(exact)
+                assert all(type(v) is int for v in got.values())
+            else:
+                rejected += 1
+                assert got is None and swept is None
+    assert tried > 150 and nonunit > 80 and off_pivot > 150
+    assert integral > 500 and rejected > 300
 
 
 def test_pivot_solver_fraction_path():
     # Pivots 2, then 2 - 4 * 4 / 2 = -6: the second step runs on Fractions.
     solver = PivotSolver(_columns([[2, 4], [4, 2]]))
     assert solver.nonunit_pivots == 2
-    assert solver.solve({0: 2 - 16, 1: 4 - 8}) == [1, -4]
+    assert solver.solve({0: 2 - 16, 1: 4 - 8}) == {0: 1, 1: -4}
     assert solver.solve({0: 1, 1: 0}) is None
     # x = 1/2 on a single column of 2s is rejected, not rounded.
     half = PivotSolver(_columns([[2], [2]]))
     assert half.solve({0: 1, 1: 1}) is None
-    assert half.solve({0: Fraction(4), 1: 4}) == [2]
+    assert half.solve({0: Fraction(4), 1: 4}) == {0: 2}
 
 
 def test_pivot_solver_prefers_unit_pivots():

@@ -1,8 +1,9 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
 pi-level, the Fox-derivative tameness residue, the Smith-form lattice
-solve and the peel over generated inputs."""
+solve, the peel and the series-path `collect` over generated inputs."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from nilpal import kernel  # noqa: E402
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
 from nilpal.intlinalg import lattice_factors, solve_from_smith  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
+    HallBasis,
     InternalError,
     bar,
     collect,
@@ -540,3 +542,92 @@ def test_peel_matches_block_division(case, data):
         assert got[0].startswith(f"degree-{w} coordinates are not integral")
     got = both({**poly, 0: data.draw(st.integers(-3, 3).filter(lambda c: c != 1))})
     assert got[0].startswith("series has constant term != 1")
+
+
+# series bases for collect: (2,4) and (3,5) below the wide-setup rung,
+# (4,5) at it, (2,6) with weight-3 factors divided by powers
+COLLECT_BASES = [(2, 4), (3, 5), (4, 5), (2, 6)]
+
+
+def _runs_to_ints(runs):
+    return [i for i, count in runs for _ in range(count)]
+
+
+@st.composite
+def run_words(draw):
+    """A basis from COLLECT_BASES and a word given as runs of one letter,
+    inverted or not, each repeated 1 to 7 times."""
+    basis = hall_basis(*draw(st.sampled_from(COLLECT_BASES)))
+    n = basis.n
+    runs = draw(st.lists(st.tuples(st.integers(-n, n).filter(bool), st.integers(1, 7)),
+                         max_size=4))
+    return basis, _runs_to_ints(runs)
+
+
+@given(run_words())
+def test_series_collect_matches_the_letter_fold_and_block_division(case):
+    # collect builds the series by degree, one binomial block per run;
+    # the oracles multiply the letters' series one at a time, and peel
+    # that series by the engine and by whole-block division
+    basis, ints = case
+    word = word_from_ints(ints, basis.n)
+    got = collect(word, basis)
+    assert got == series_collect(word, basis)
+    poly = basis._product(basis._lift(abs(i) - 1, i < 0) for i in ints)
+    assert got.exponents == peel_by_block_division(basis, poly)
+    assert got.poly == poly
+
+
+@pytest.mark.parametrize("n,k", COLLECT_BASES)
+def test_power_blocks_match_poly_pow(n, k):
+    # c_j^e - 1 as the binomial sum of cached powers of c_j - 1, against
+    # the kernel's repeated squaring, for every c_j with 2w <= k
+    basis = HallBasis(n, k)
+    for c in basis.elements:
+        if 2 * c.weight > k:
+            continue
+        lift = basis._lift(c.index, False)
+        for e in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
+            got = {0: 1}
+            for _, items in basis._power_blocks(c.index, e):
+                got.update(items)
+            assert got == kernel.poly_pow(lift, e, basis.shape)
+
+
+def test_collect_caches_stay_bounded_per_basis(monkeypatch):
+    # Once the lifts and solvers exist, 200 collects at (4,5) peel once
+    # each, take no series power, and run a series product only to fill
+    # the power cache: one block per basis element, and k // w powers of
+    # c_j - 1 for each c_j with 2w <= k.
+    basis = HallBasis(4, 5)
+    for w in range(1, basis.k + 1):
+        basis._peel_solver(w)
+    rng = random.Random(45)
+    letters = [i for i in range(-4, 5) if i]
+    words = [word_from_ints(_runs_to_ints((rng.choice(letters), rng.randint(1, 7))
+                                          for _ in range(rng.randint(1, 4))), 4)
+             for _ in range(200)]
+    calls = {"peel": 0, "mul": 0, "pow": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HallBasis, "element_from_poly",
+                        counted("peel", HallBasis.element_from_poly))
+    monkeypatch.setattr(kernel, "poly_mul", counted("mul", kernel.poly_mul))
+    monkeypatch.setattr(kernel, "poly_pow", counted("pow", kernel.poly_pow))
+    got = [collect(word, basis).exponents for word in words]
+    monkeypatch.undo()
+    assert got == [series_collect(word, hall_basis(4, 5)).exponents for word in words]
+    assert calls["peel"] == 200 and calls["pow"] == 0
+    k = basis.k
+    assert len(basis._blocks) <= len(basis.elements)
+    weights = {i: basis.elements[i].weight for i in basis._powers}
+    assert all(2 * w <= k for w in weights.values())
+    assert all(len(basis._powers[i]) == k // w for i, w in weights.items())
+    bound = sum(k // c.weight for c in basis.elements if 2 * c.weight <= k)
+    assert 0 < sum(map(len, basis._powers.values())) <= bound
+    assert calls["mul"] == sum(len(p) - 1 for p in basis._powers.values())
