@@ -68,6 +68,11 @@ def _cases():
     cases["auto-eval-step4"] = [
         "--rank", "2", "--step", "4", "auto", "eval", "fixtures/r2_mu12.auto",
         "x1^-1 [x1,x2,x2]^2 x2^3 [x2,x1]^-1 [x2,x1,x1,x1]"]
+    # step 5: images with inverted letters, and a word with negative
+    # exponents at weights 1 and 2, so inverse images are built
+    cases["auto-eval-step5-inverted"] = [
+        "--rank", "2", "--step", "5", "auto", "eval", "fixtures/r2_witness.auto",
+        "x1^-2 [x2,x1]^-3 x2^-1 [x2,x1,x1]^-1 x1 [x2,x1,x1,x2]^2"]
     cases["auto-compose-step4"] = [
         "--rank", "2", "--step", "4", "auto", "compose",
         "fixtures/r2_mu12.auto", "fixtures/r2_witness.auto", "fixtures/r2_wild.auto"]
@@ -89,6 +94,11 @@ def _cases():
     cases["normalize-r3-s6-square"] = [
         "--rank", "3", "--step", "6", "normalize",
         "x2^-1 x1^-1 x2 x1 x2^-1 x1^-1 x2 x1 x3^-1 x1 x3"]
+    # inverted three-letter words at the two largest rungs of the ladder
+    cases["normalize-r3-s7-inverted"] = [
+        "--rank", "3", "--step", "7", "normalize", "x3^-1 x1 x2^-1"]
+    cases["normalize-r4-s6-inverted"] = [
+        "--rank", "4", "--step", "6", "--format", "kv", "normalize", "x2^-1 x4 x1^-1"]
     # a long inverted run raised as one power
     cases["normalize-r2-s8-long-run"] = [
         "--rank", "2", "--step", "8", "--format", "kv", "normalize", "x1^-20000 x2^3 x1^2"]
