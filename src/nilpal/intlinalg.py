@@ -210,11 +210,6 @@ def _unit(a):
     return a == 1 or a == -1
 
 
-def _quotient(a, b):
-    """Exact a / b: an int when b is +-1, else a Fraction."""
-    return a * b if _unit(b) else Fraction(a, b)
-
-
 def _integral_quotient(a, b):
     """a / b as an int, or None if it is not an integer."""
     q = a * b if b == 1 or b == -1 else Fraction(a, b)
@@ -233,7 +228,12 @@ class PivotSolver:
     pivots on that entry in the shortest row, so that the factors stay
     integral.  When no remaining column has one, the sparsest column
     pivots on the entry of its shortest row, and the factors carry
-    Fractions from there on.
+    Fractions from there on.  Ties go to the lower column, then the lower
+    row.  The remaining columns wait in a heap of (row count, column):
+    an entry goes stale when its column is eliminated or its count
+    changes, and each column the step changes is pushed afresh, so a step
+    pops the columns in that order, passing over stale entries and
+    columns without a +-1 entry, which go back.
 
     `solve(t)` uses only the pivot entries of t and returns the nonzero
     coordinates of the unique x with (E x)_P == t_P.  It does not check
@@ -244,39 +244,65 @@ class PivotSolver:
         rows = {}
         for j, col in enumerate(columns):
             for i, v in col.items():
-                rows.setdefault(i, {})[j] = v
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: v}
+                else:
+                    row[j] = v
         holders = [set(col) for col in columns]  # column -> rows with an entry in it
         left = set(range(len(columns)))
+        # (row count, column) of the columns left, stale entries included
+        heap = [(len(h), j) for j, h in enumerate(holders)]
+        heapify(heap)
         self.rows, self.cols, self.pivots = [], [], []
         urows, lcols = [], []  # per step: rest of the pivot row; [(row, factor)]
         while left:
-            by_count = sorted(left, key=lambda j: (len(holders[j]), j))
-            if not holders[by_count[0]]:
-                raise ValueError("matrix does not have full column rank")
-            c = next((j for j in by_count if any(_unit(rows[i][j]) for i in holders[j])),
-                     by_count[0])
-            units = [i for i in holders[c] if _unit(rows[i][c])]
-            p = min(units or holders[c], key=lambda i: (len(rows[i]), i))
+            c, passed = None, []
+            while heap:
+                count, j = entry = heappop(heap)
+                if j not in left or count != len(holders[j]):
+                    continue
+                if not count:
+                    raise ValueError("matrix does not have full column rank")
+                passed.append(entry)
+                units = [i for i in holders[j] if _unit(rows[i][j])]
+                if units:
+                    c = j
+                    break
+            if c is None:
+                c, units = passed[0][1], []
+            for entry in passed:
+                if entry[1] != c:
+                    heappush(heap, entry)
+            p = min((len(rows[i]), i) for i in units or holders[c])[1]
             prow = rows.pop(p)
             a = prow.pop(c)
             for j in prow:
                 holders[j].discard(p)
             holders[c].discard(p)
-            mults = []
-            for i in holders[c]:
-                row = rows[i]
-                f = _quotient(row.pop(c), a)
-                mults.append((i, f))
-                for j, v in prow.items():
-                    nv = row.get(j, 0) - f * v
-                    if nv:
+            # most pivot rows hold no other column, so most steps only
+            # take column c out of its rows
+            mults = [(i, rows[i].pop(c)) for i in holders[c]]
+            if _unit(a):
+                mults = [(i, v * a) for i, v in mults]
+            else:
+                mults = [(i, Fraction(v, a)) for i, v in mults]
+            for j, v in prow.items():
+                holder = holders[j]
+                for i, f in mults:
+                    row = rows[i]
+                    if j not in row:
+                        row[j] = -f * v
+                        holder.add(i)
+                    elif nv := row[j] - f * v:
                         row[j] = nv
-                        holders[j].add(i)
-                    elif j in row:
+                    else:
                         del row[j]
-                        holders[j].discard(i)
+                        holder.discard(i)
             holders[c] = set()
             left.discard(c)
+            for j in prow:
+                heappush(heap, (len(holders[j]), j))
             self.rows.append(p)
             self.cols.append(c)
             self.pivots.append(a)

@@ -35,9 +35,14 @@ class SeriesShape:
         self.rowbase = [
             tuple(offset[d + e] + r * n**e for e in range(k - d + 1)) for d, r in self.dr
         ]
-        # the base-n digits of a rank are its letters; reverse their order
-        self.reverse = [offset[d] + sum(r // n**p % n * n ** (d - 1 - p) for p in range(d))
-                        for d, r in self.dr]
+        # the base-n digits of a rank are its letters: a rank q * n + c
+        # (last letter c) reverses to c * n^(d-1) + (q reversed)
+        self.reverse = [0]
+        ranks = [0]
+        for d in range(1, k + 1):
+            top = n ** (d - 1)
+            ranks = [c * top + q for q in ranks for c in range(n)]
+            self.reverse.extend(offset[d] + q for q in ranks)
 
     def index(self, letters):
         """Index of the monomial with the given letters (each in 1..n)."""

@@ -15,11 +15,19 @@ kept as one dict per degree, each layer's nonzero coordinates are read off
 its lowest degree by a sparse pivot solve, and the remainder is divided on
 the left by each factor's positive power (a degree-by-degree solve, or a
 product for a negative exponent), or for 2w > k has the linear tail
-x_j (c_j - 1) subtracted in place.  Each lift is kept flat for the block
-products and once by degree for the peel; a power c_j^e is the binomial
-sum of cached powers of c_j - 1.  `collect` builds a word's series in the
-same per-degree layout, one binomial block per run of a letter, and
-peels it without a series product.
+x_j (c_j - 1) subtracted in place.  A power c_j^e is the binomial sum of
+cached powers of c_j - 1.  `collect` builds a word's series in the same
+per-degree layout, one binomial block per run of a letter, and peels it
+without a series product.
+
+The lift of a bracket c = [a,b] comes from the lifts of its halves alone,
+A = a - 1 and B = b - 1: since ab = ba c, X = c - 1 solves
+(1 + A + B + BA) X = AB - BA, one left division up the degrees, and
+c^-1 = [b,a] solves the same with A and B swapped.  Each positive lift
+is stored once, by degree, in the layout the peel reads; the flat lifts
+and inverse lifts that the series products of `multiply`, `bar` and
+`invert` take are built from it on first use, so the peel and `collect`
+build neither.
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -188,10 +196,11 @@ class HallBasis:
         return kernel.poly_pow(a, e, self.shape)
 
     def bracket_series(self, idx, inverse, leaf, cache):
-        """Series of basis element idx, or of its inverse, from the series
-        `leaf(gen, inverse)` of the generators, kept in `cache`: its lift,
-        or its image under an endomorphism (`autos.Endo`).  No series
-        inverse is taken: [a,b] = a^-1 b^-1 a b and [a,b]^-1 = [b,a]."""
+        """Series of the image of basis element idx, or of its inverse,
+        under the endomorphism whose generator images have the series
+        `leaf(gen, inverse)` (`autos.Endo`), kept in `cache`.  A bracket's
+        image is built from the positive images of its halves
+        (`_bracket_degrees`), so no inverse image of a half is needed."""
         key = (idx, inverse)
         poly = cache.get(key)
         if poly is None:
@@ -199,23 +208,88 @@ class HallBasis:
             if c.gen is not None:
                 poly = leaf(c.gen, inverse)
             else:
-                left, right = (c.right, c.left) if inverse else (c.left, c.right)
-                a_inv, b_inv, a, b = [self.bracket_series(half.index, inv, leaf, cache)
-                                      for inv in (True, False) for half in (left, right)]
-                poly = self.mul(self.mul(a_inv, b_inv), self.mul(a, b))
+                a, b = (self._blocks_of(self.bracket_series(half.index, False, leaf, cache))
+                        for half in (c.left, c.right))
+                poly = _flat(self._bracket_degrees(a, b, c.weight, inverse))
             cache[key] = poly
         return poly
 
-    def _generator_series(self, gen, inverse):
-        """1 + X_i, or x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k."""
-        top, sign = (self.k, -1) if inverse else (1, 1)
-        return {self.shape.index((gen,) * d): sign**d for d in range(top + 1)}
+    def _bracket_degrees(self, a, b, w, inverse):
+        """[1+a, 1+b] - 1, or [1+b, 1+a] - 1 if `inverse`, split by degree
+        (the constant dict empty), for a and b in the `_blocks_of` layout
+        whose bracket has lowest degree >= w.
+
+        From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
+        (1 + S) X = D with D = ab - ba and S = a + b + ba, and
+        [1+b, 1+a] - 1 solves the same with a and b swapped: one left
+        division (`_left_divide`) up the degrees, from the two products of
+        the halves and no inverse series.  X has lowest degree >= w, so
+        only the degrees <= k - w of S take part."""
+        k = self.k
+        if inverse:
+            a, b = b, a
+        r = [{} for _ in range(k + 1)]
+        self._add_product(r, a, b, 1, k)
+        self._add_product(r, b, a, -1, k)
+        r = [{i: c for i, c in part.items() if c} for part in r]
+        top = k - w
+        s = [{} for _ in range(top + 1)]
+        for blocks in (a, b):
+            for d, items in blocks:
+                if d > top:
+                    break
+                sd = s[d]
+                for i, c in items:
+                    sd[i] = sd.get(i, 0) + c
+        self._add_product(s, b, a, 1, top)
+        s = [(d, [(i, c) for i, c in sd.items() if c]) for d, sd in enumerate(s)]
+        s = [(d, items) for d, items in s if items]
+        if s:
+            self._left_divide(r, s, True)
+        return r
+
+    def _add_product(self, out, a, b, sign, top):
+        """out += sign * a b up to degree `top`, in place, for a and b in
+        the `_blocks_of` layout and out split by degree; zero entries may
+        be left in out.  Monomial ia times monomial ib of degree db is
+        rowbase[ia][db] + ib - offset[db], one index shift per term of a
+        and degree of b."""
+        rowbase, offset = self.shape.rowbase, self.shape.offset
+        for da, pa in a:
+            for db, pb in b:
+                d = da + db
+                if d > top:
+                    break
+                out_d = out[d]
+                off = offset[db]
+                for ia, ca in pa:
+                    shift = rowbase[ia][db] - off
+                    ca *= sign
+                    for ib, cb in pb:
+                        i = shift + ib
+                        out_d[i] = out_d.get(i, 0) + ca * cb
 
     def _lift(self, idx, inverse):
-        """Series of basis element idx, or of its inverse, cached per basis.
-        The peel asks for lifts on every call, so a hit skips the recursion."""
-        return (self._lifts.get((idx, inverse))
-                or self.bracket_series(idx, inverse, self._generator_series, self._lifts))
+        """Flat series of basis element idx, or of its inverse, for the
+        series products (`exponents_poly`, `inverse_poly`), cached per
+        basis.  The positive lift is a copy of `_lift_blocks`; the peel
+        and `collect` read only those, so they build no flat lift."""
+        key = (idx, inverse)
+        poly = self._lifts.get(key)
+        if poly is None:
+            c = self.elements[idx]
+            if not inverse:
+                poly = _flat(items for _, items in self._lift_blocks(idx))
+            elif c.gen is not None:
+                # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
+                poly = {0: 1, **{i: (-1) ** d for d, i in
+                                 enumerate(self._letter_powers[c.gen], start=1)}}
+            else:
+                poly = _flat(self._bracket_degrees(
+                    self._lift_blocks(c.left.index), self._lift_blocks(c.right.index),
+                    c.weight, True))
+            self._lifts[key] = poly
+        return poly
 
     def _product(self, factors):
         """Product of the series in `factors`, left to right."""
@@ -254,10 +328,18 @@ class HallBasis:
 
     def _lift_blocks(self, idx):
         """c_idx - 1 by degree (`_blocks_of`), cached per basis element;
-        read-only."""
+        read-only.  The one stored layout of each positive lift; a
+        bracket's is built from its halves' (`_bracket_degrees`)."""
         blocks = self._blocks.get(idx)
         if blocks is None:
-            blocks = self._blocks[idx] = self._blocks_of(self._lift(idx, False))
+            c = self.elements[idx]
+            if c.gen is not None:
+                blocks = ((1, ((self._letter_powers[c.gen][0], 1),)),)
+            else:
+                r = self._bracket_degrees(self._lift_blocks(c.left.index),
+                                          self._lift_blocks(c.right.index), c.weight, False)
+                blocks = tuple((d, tuple(part.items())) for d, part in enumerate(r) if part)
+            self._blocks[idx] = blocks
         return blocks
 
     def _power_blocks(self, idx, e):
@@ -298,8 +380,11 @@ class HallBasis:
         `reverse` multiplies the factors in reverse order; `lift` gives
         their series (`exponents_poly`).  For 2w > k any product of two
         series of lowest degree >= w vanishes, so the block is the sum
-        1 + sum_j coeffs[j] * (series_j - 1) in either order.
+        1 + sum_j coeffs[j] * (series_j - 1) in either order.  Otherwise a
+        lift raised to |e| >= 2 is the binomial sum of its cached powers
+        (`_power_blocks`); a given `lift` is raised by the kernel.
         """
+        own = lift is None
         lift = lift or self._lift
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
@@ -314,9 +399,14 @@ class HallBasis:
         factors = []
         for j in order:
             e = coeffs[j]
-            if e:
-                poly = lift(start + j, e < 0)
-                factors.append(poly if abs(e) == 1 else self.pow(poly, abs(e)))
+            if not e:
+                continue
+            if abs(e) == 1:
+                factors.append(lift(start + j, e < 0))
+            elif own:
+                factors.append(_flat(items for _, items in self._power_blocks(start + j, e)))
+            else:
+                factors.append(self.pow(lift(start + j, e < 0), abs(e)))
         return self._product(factors)
 
     def exponents_poly(self, exps, lift=None):
@@ -405,11 +495,11 @@ class HallBasis:
         return NilElement(self, poly, tuple(exps))
 
     def _left_divide(self, r, blocks, solve):
-        """r <- P^-1 r if `solve`, else P r, in place; r is split by degree
-        and r[0] is the constant 1, and P - 1 is `blocks` (`_blocks_of`),
-        of lowest degree w.  Solving walks the degrees up, so that
-        r[d - e] is already s_(d-e); multiplying walks them down, so that
-        it is still r_(d-e)."""
+        """r <- P^-1 r if `solve`, else P r, in place; r is split by degree,
+        r[0] is the constant 1 or empty (a series with no constant term),
+        and P - 1 is `blocks` (`_blocks_of`), of lowest degree w.  Solving
+        walks the degrees up, so that r[d - e] is already s_(d-e);
+        multiplying walks them down, so that it is still r_(d-e)."""
         k = self.k
         rowbase, offset = self.shape.rowbase, self.shape.offset
         sign = -1 if solve else 1
@@ -481,6 +571,16 @@ class HallBasis:
 
     def from_text(self, text):
         return collect(parse_word(text, self.n), self)
+
+
+def _flat(parts):
+    """The flat series 1 + the terms of `parts`, each a dict or a sequence
+    of (monomial index, coefficient) pairs, with no index in two parts:
+    a series split by degree, or the items of a `_blocks_of` layout."""
+    poly = {0: 1}
+    for part in parts:
+        poly.update(part)
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -567,10 +667,7 @@ def collect(word, basis):
         blocks = [(d, ((i, comb(count, d)),))
                   for d, i in enumerate(powers[let.index], start=1) if d <= count]
         basis._left_divide(r, blocks, let.sign < 0)
-    poly = {}
-    for part in r:
-        poly.update(part)
-    return basis.element_from_poly(poly, r)
+    return basis.element_from_poly(_flat(r), r)
 
 
 def multiply(a, b):

@@ -29,9 +29,18 @@ reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
 `pivot_solve_by_sweep` substitutes through every step of a
 `PivotSolver`'s factors over Fractions, the reference for the sweeps of
 `PivotSolver.solve` that visit only the steps holding a value.
+`pivot_order_by_sort` runs the same sparse elimination as
+`PivotSolver`, sorting the remaining columns at every step, the
+reference for the order its heap picks pivots in.
 `peel_by_block_division` peels a flat series by dividing it by whole
 weight blocks built from inverse lifts, the reference for
 `HallBasis.element_from_poly`.
+`bracket_by_three_products` builds a bracket's series as a^-1 b^-1 a b
+from its halves and their inverses, the reference for the one left
+division of `HallBasis._bracket_degrees`; `lift_by_three_products` gives
+the lifts that way, and `exponents_series_by_fold` multiplies them into
+the series of an exponent vector one letter-sized factor at a time, the
+reference for `HallBasis.exponents_poly`.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -136,6 +145,52 @@ def pivot_solve_by_sweep(solver, t):
     if any(xs.denominator != 1 for xs in x):
         return None
     return [int(xs) for xs in x]
+
+
+def pivot_order_by_sort(columns):
+    """The (rows, cols, pivots) that `PivotSolver(columns)` picks, by its
+    elimination with the remaining columns sorted by (row count, column)
+    at every step: the sparsest column with a +-1 entry, or else the
+    sparsest column, pivots on its shortest +-1 row, or else its
+    shortest row.  Raises the same ValueError on a rank-deficient
+    system."""
+    from fractions import Fraction
+
+    def unit(a):
+        return a == 1 or a == -1
+
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    left = set(range(len(columns)))
+    picked = [[], [], []]
+    while left:
+        holders = {j: [i for i, row in rows.items() if j in row] for j in left}
+        by_count = sorted(left, key=lambda j: (len(holders[j]), j))
+        if not holders[by_count[0]]:
+            raise ValueError("matrix does not have full column rank")
+        c = next((j for j in by_count if any(unit(rows[i][j]) for i in holders[j])),
+                 by_count[0])
+        units = [i for i in holders[c] if unit(rows[i][c])]
+        p = min(units or holders[c], key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(p)
+        a = prow.pop(c)
+        for i in holders[c]:
+            if i == p:
+                continue
+            row = rows[i]
+            f = Fraction(row.pop(c), a)
+            for j, v in prow.items():
+                nv = row.get(j, 0) - f * v
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+        left.discard(c)
+        for out, value in zip(picked, (p, c, a)):
+            out.append(value)
+    return picked
 
 
 def solve_integer(a, b):
@@ -471,6 +526,51 @@ def peel_by_block_division(basis, poly):
         raise InternalError("series does not collapse to the normal form",
                             n=n, k=k, weight=k, residual_terms=len(r) - 1)
     return tuple(exps)
+
+
+def generator_series(basis, gen, inverse):
+    """1 + X_i, or x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k."""
+    top, sign = (basis.k, -1) if inverse else (1, 1)
+    return {basis.shape.index((gen,) * d): sign**d for d in range(top + 1)}
+
+
+def bracket_by_three_products(basis, idx, inverse, leaf, cache):
+    """Series of basis element idx, or of its inverse, from the series
+    `leaf(gen, inverse)` of the generators, kept in `cache`:
+    [a,b] = a^-1 b^-1 a b from the series of its halves and their
+    inverses, three series products, and [a,b]^-1 = [b,a]."""
+    key = (idx, inverse)
+    poly = cache.get(key)
+    if poly is None:
+        c = basis.elements[idx]
+        if c.gen is not None:
+            poly = leaf(c.gen, inverse)
+        else:
+            left, right = (c.right, c.left) if inverse else (c.left, c.right)
+            a_inv, b_inv, a, b = [bracket_by_three_products(basis, half.index, inv, leaf, cache)
+                                  for inv in (True, False) for half in (left, right)]
+            poly = basis.mul(basis.mul(a_inv, b_inv), basis.mul(a, b))
+        cache[key] = poly
+    return poly
+
+
+def lift_by_three_products(basis, idx, inverse, cache):
+    """The lift of basis element idx, or of its inverse, by
+    `bracket_by_three_products` from the generator series."""
+    return bracket_by_three_products(
+        basis, idx, inverse, lambda gen, inv: generator_series(basis, gen, inv), cache)
+
+
+def exponents_series_by_fold(basis, exps):
+    """Series of the element with Hall exponents `exps`: the lift of each
+    factor c_j, or of its inverse, multiplied in |e_j| times, in basis
+    order, with the lifts from `lift_by_three_products`."""
+    cache = {}
+    poly = {0: 1}
+    for idx, e in enumerate(exps):
+        for _ in range(abs(e)):
+            poly = basis.mul(poly, lift_by_three_products(basis, idx, e < 0, cache))
+    return poly
 
 
 def series_multiply(a, b):

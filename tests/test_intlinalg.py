@@ -7,10 +7,12 @@ from oracles import (
     fraction_combination,
     fraction_inv_unimodular,
     invariant_factors,
+    pivot_order_by_sort,
     pivot_solve_by_sweep,
     solve_integer,
 )
 
+from nilpal.nilpotent import HallBasis
 from nilpal.intlinalg import (
     PivotSolver,
     det,
@@ -285,6 +287,59 @@ def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
                 assert got is None and swept is None
     assert tried > 150 and nonunit > 80 and off_pivot > 150
     assert integral > 500 and rejected > 300
+
+
+def _pivot_order(columns):
+    """(rows, cols, pivots) of the solver, or the message it raises."""
+    try:
+        solver = PivotSolver(columns)
+    except ValueError as err:
+        return str(err)
+    return [solver.rows, solver.cols, solver.pivots]
+
+
+def test_pivot_solver_picks_the_pivots_of_the_sorting_reference():
+    # The heap of (row count, column) must pick the same pivot at every
+    # step as sorting the remaining columns: on 30%-dense systems, on
+    # systems where some columns hold no +-1 entry (so the heap passes
+    # over them, or falls back to the sparsest column), and on
+    # rank-deficient systems, which raise the same ValueError.
+    rng = random.Random(53)
+    seen = {"full": 0, "deficient": 0, "no_unit_column": 0, "nonunit_pivot": 0}
+    for _ in range(400):
+        rows, cols = rng.randint(1, 16), rng.randint(1, 9)
+        plain = (-3, -2, -1, 1, 2, 3)
+        columns = []
+        for _ in range(cols):
+            entries = (-3, -2, 2, 3) if rng.random() < 0.3 else plain
+            columns.append({i: rng.choice(entries) for i in range(rows)
+                            if rng.random() < 0.3})
+        if cols > 1 and rng.random() < 0.15:
+            # a column that is a multiple of another
+            f = rng.choice((-2, -1, 1, 2))
+            columns[-1] = {i: f * v for i, v in columns[0].items()}
+        got = _pivot_order(columns)
+        try:
+            want = pivot_order_by_sort(columns)
+        except ValueError as err:
+            want = str(err)
+        assert got == want
+        if isinstance(got, str):
+            seen["deficient"] += 1
+            continue
+        seen["full"] += 1
+        seen["no_unit_column"] += any(
+            col and all(abs(v) != 1 for v in col.values()) for col in columns)
+        seen["nonunit_pivot"] += any(abs(a) != 1 for a in got[2])
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (2, 6), (4, 4)])
+def test_peel_solvers_pick_the_pivots_of_the_sorting_reference(n, k):
+    basis = HallBasis(n, k)
+    for w in range(1, k + 1):
+        columns = basis.lie_columns(w)
+        assert _pivot_order(columns) == pivot_order_by_sort(columns)
 
 
 def test_pivot_solver_fraction_path():

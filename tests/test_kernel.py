@@ -41,7 +41,7 @@ def test_poly_mul_matches_table_oracle(n, k):
         assert poly_mul(a, b, shape) == table_poly_mul(a, b, table, m)
 
 
-@pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2), (2, 8), (4, 6)])
 def test_reverse_reverses_letters(n, k):
     shape = SeriesShape(n, k)
     for d in range(k + 1):

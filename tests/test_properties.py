@@ -1,7 +1,8 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
 pi-level, the Fox-derivative tameness residue, the Smith-form lattice
-solve, the peel and the series-path `collect` over generated inputs."""
+solve, the peel, the series-path `collect` and the bracket lifts over
+generated inputs."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
+    bracket_by_three_products,
+    exponents_series_by_fold,
     fraction_combination,
+    lift_by_three_products,
     peel_by_block_division,
     pi_level_by_search,
     ring_fox_derivative,
@@ -631,3 +635,111 @@ def test_collect_caches_stay_bounded_per_basis(monkeypatch):
     bound = sum(k // c.weight for c in basis.elements if 2 * c.weight <= k)
     assert 0 < sum(map(len, basis._powers.values())) <= bound
     assert calls["mul"] == sum(len(p) - 1 for p in basis._powers.values())
+
+
+# series bases for the bracket lifts, up to the wide-setup rung
+LIFT_BASES = [(2, 4), (3, 4), (3, 5), (4, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("n,k", LIFT_BASES)
+def test_lifts_match_the_three_product_recursion(n, k):
+    # every positive and inverse lift, one left division per bracket,
+    # against a^-1 b^-1 a b from the halves and their inverses; the flat
+    # positive lift and the stored blocks hold the same series
+    basis = HallBasis(n, k)
+    cache = {}
+    for idx in range(len(basis.elements)):
+        for inverse in (False, True):
+            assert basis._lift(idx, inverse) == lift_by_three_products(basis, idx, inverse, cache)
+        assert ([(d, dict(items)) for d, items in basis._lift_blocks(idx)]
+                == [(d, dict(items)) for d, items in basis._blocks_of(cache[(idx, False)])])
+
+
+@st.composite
+def bracket_halves(draw):
+    """A basis from LIFT_BASES and two series 1 + a and 1 + b with up to
+    eight terms, a of lowest degree >= wa and b of lowest degree >= wb,
+    wa + wb <= k."""
+    basis = hall_basis(*draw(st.sampled_from(LIFT_BASES)))
+    k, offset = basis.k, basis.shape.offset
+
+    def half(low):
+        terms = draw(st.lists(st.tuples(st.integers(offset[low], offset[k + 1] - 1),
+                                         st.integers(-3, 3).filter(bool)), max_size=8))
+        return {0: 1, **dict(terms)}
+
+    wa = draw(st.integers(1, k - 1))
+    wb = draw(st.integers(1, k - wa))
+    return basis, half(wa), half(wb), wa + wb
+
+
+@given(bracket_halves(), st.booleans())
+def test_bracket_recurrence_matches_three_products(case, inverse):
+    # (1 + S) X = D solved up the degrees, on series that are not lifts
+    basis, a, b, w = case
+    if inverse:
+        a, b = b, a
+    inv = [kernel.poly_inv(p, basis.shape) for p in (a, b)]
+    want = basis.mul(basis.mul(*inv), basis.mul(a, b))
+    if inverse:
+        a, b = b, a
+    parts = basis._bracket_degrees(basis._blocks_of(a), basis._blocks_of(b), w, inverse)
+    assert not parts[0]
+    got = {0: 1}
+    for part in parts:
+        got.update(part)
+    assert got == want
+
+
+@given(endo_cases([(2, 4), (3, 4)]))
+def test_endo_series_images_match_the_three_product_recursion(case):
+    # the images of the basis elements and of their inverses under a
+    # random map, through the same recurrence as the lifts
+    (e,), _ = case
+    cache = {}
+    for idx in range(len(e.basis.elements)):
+        for inverse in (False, True):
+            assert e._series_image(idx, inverse) == bracket_by_three_products(
+                e.basis, idx, inverse, e._generator_image, cache)
+
+
+@pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
+def test_element_series_raise_lifts_by_power_blocks(n, k, monkeypatch):
+    # exponents in [-3, 3]: each factor c_j^e with |e| >= 2 and 2w <= k is
+    # the binomial sum of the cached powers of c_j - 1, not a kernel power
+    basis = HallBasis(n, k)
+    rng = random.Random(10 * n + k)
+    pows = []
+    poly_pow = kernel.poly_pow
+    monkeypatch.setattr(kernel, "poly_pow", lambda *args: pows.append(args) or poly_pow(*args))
+    for _ in range(2):
+        exps = [rng.randint(-3, 3) for _ in basis.elements]
+        assert basis.from_exponents(exps).poly == exponents_series_by_fold(basis, exps)
+    assert pows == []
+
+
+def test_lifts_take_no_series_product(monkeypatch):
+    # Building every lift at (4,5) multiplies the halves of each bracket
+    # in the block layout, so no kernel product runs (two per bracket at
+    # most), and no inverse or flat lift is built.
+    basis = HallBasis(4, 5)
+    muls = []
+    poly_mul = kernel.poly_mul
+    monkeypatch.setattr(kernel, "poly_mul", lambda *args: muls.append(args) or poly_mul(*args))
+    for idx in range(len(basis.elements)):
+        basis._lift_blocks(idx)
+    assert muls == [] and basis._lifts == {}
+    assert len(basis._blocks) == len(basis.elements)
+
+
+def test_collect_builds_no_flat_or_inverse_lift():
+    # 200 collects on a fresh (4,5) basis read the lifts by degree only
+    basis = HallBasis(4, 5)
+    rng = random.Random(54)
+    letters = [i for i in range(-4, 5) if i]
+    for _ in range(200):
+        ints = _runs_to_ints((rng.choice(letters), rng.randint(1, 7))
+                             for _ in range(rng.randint(1, 4)))
+        collect(word_from_ints(ints, 4), basis)
+    assert basis._lifts == {}
+    assert len(basis._blocks) == len(basis.elements)
