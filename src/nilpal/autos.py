@@ -379,7 +379,9 @@ def solve_conjugator(g, i, min_weight=1):
     value is independent of the witness, so any mismatch is fatal; at step 3
     the remaining defect must fall in an explicit integer lattice.
     Returns None when no witness exists.  Runs on exponent tuples and
-    builds an element only for the answer.
+    builds an element only for the answer.  Three rejects read only
+    g.exponents, with d = ab(g) - e_i: an odd d; d != 0 at
+    min_weight >= 2; d = 0 and a nonzero weight-2 block.
     """
     basis = g.basis
     n, k = basis.n, basis.k
@@ -390,26 +392,30 @@ def solve_conjugator(g, i, min_weight=1):
     if not 1 <= min_weight <= k:
         raise ValueError(f"min_weight must be in 1..{k}")
     exps = g.exponents
-    doubled = list(exps[:n])
-    doubled[i - 1] -= 1
-    if any(v % 2 for v in doubled):
+    d = list(exps[:n])
+    d[i - 1] -= 1
+    for v in d:
+        if v % 2:
+            return None
+    if any(d):
+        if min_weight >= 2:
+            return None
+    elif k >= 2 and any(exps[basis.weight_slices[1]]):
         return None
-    alpha = tuple(v // 2 for v in doubled)
+    alpha = tuple(v // 2 for v in d)
     tail = (0,) * (len(exps) - n)
     if not any(alpha):
         f0 = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
-    elif min_weight >= 2:
-        return None
     else:
         f0 = _palindromic_image(basis, i, alpha + tail)
-    if k >= 2 and f0[basis.weight_slice(2)] != exps[basis.weight_slice(2)]:
+    if k >= 2 and f0[basis.weight_slices[1]] != exps[basis.weight_slices[1]]:
         return None
     if k <= 2:
         q = alpha + tail
     else:
         # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
         echelon = _witness_echelon(basis, i) if min_weight <= 2 else []
-        block3 = basis.weight_slice(3)
+        block3 = basis.weight_slices[2]
         sol = _solve_mod2(echelon, _step3_row(basis, i, alpha),
                           vec_sub(list(exps[block3]), list(f0[block3])))
         if sol is None:
@@ -518,6 +524,7 @@ def inverse_with_factors(e):
         psi = _ordered_linear_lift(basis, minv)
         phi = compose(e, psi)
     factors = [psi]
+    folded = k  # the leading factors whose product is the inverse
     for level in range(2, k + 1):
         if witnesses is None:
             images = []
@@ -538,13 +545,19 @@ def inverse_with_factors(e):
                 i = next(i for i, r in enumerate(_defects(phi), 1)
                          if weight(r) < k or any(v % 2 for v in r.weight_block(k)))
                 raise InternalError("missing level-3 witness", n=n, k=k, i=i, level=3)
+            if not any(map(any, top)):
+                # phi is the identity, as on every correct run: it is the
+                # factor, and nothing is composed with it
+                factors.append(phi)
+                folded = 2
+                continue
             psi = _top_central_power(phi, -1)
         factors.append(psi)
         phi = compose(phi, psi)
     if phi != identity_endo(basis):
         raise InternalError("inverse iteration did not terminate at the identity",
                             n=n, k=k, factors=len(factors))
-    return reduce(compose, factors), factors
+    return reduce(compose, factors[:folded]), factors
 
 
 def inverse(e):

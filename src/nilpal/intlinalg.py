@@ -212,10 +212,8 @@ def _unit(a):
 
 def _integral_quotient(a, b):
     """a / b as an int, or None if it is not an integer."""
-    q = a * b if b == 1 or b == -1 else Fraction(a, b)
-    if type(q) is int:
-        return q
-    return int(q) if q.denominator == 1 else None
+    q, r = divmod(a, b)
+    return None if r else q
 
 
 class PivotSolver:

@@ -171,6 +171,9 @@ class HallBasis:
         for level in self.by_weight:
             self.weight_offset.append(pos)
             pos += len(level)
+        self.weight_slices = tuple(
+            slice(start, start + len(level))
+            for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
         self._lifts = {}
         self._blocks = {}
@@ -184,8 +187,9 @@ class HallBasis:
         return f"HallBasis(n={self.n}, k={self.k}, size={len(self.elements)})"
 
     def weight_slice(self, w):
-        start = self.weight_offset[w - 1]
-        return slice(start, start + len(self.by_weight[w - 1]))
+        """The positions of the weight-w basis elements in an exponent
+        tuple: one of the k slices `weight_slices` built with the basis."""
+        return self.weight_slices[w - 1]
 
     # -- truncated-series machinery -------------------------------------
 
@@ -729,11 +733,11 @@ def bar(g):
 
 def weight(g):
     """Largest l with g in the weight-l filtration layer; k+1 for the identity."""
-    basis = g.basis
-    for w in range(1, basis.k + 1):
-        if any(g.exponents[basis.weight_slice(w)]):
+    exps = g.exponents
+    for w, block in enumerate(g.basis.weight_slices, 1):
+        if any(exps[block]):
             return w
-    return basis.k + 1
+    return g.basis.k + 1
 
 
 def verify_w2k(ys, k):

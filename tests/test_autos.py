@@ -467,6 +467,51 @@ def test_prop33_reject_makes_no_law_calls(monkeypatch):
     assert calls == []
 
 
+def _refuse(monkeypatch, target, names):
+    """Make each named attribute of `target` raise when called."""
+    def refused(*args, **kwargs):
+        raise AssertionError("called on a reject path")
+
+    for name in names:
+        monkeypatch.setattr(target, name, refused)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (3, 3)])
+def test_witness_rejects_read_only_the_exponents(monkeypatch, n, k):
+    # one case per early exit of solve_conjugator, with d = ab(g) - e_i:
+    # an odd entry of d; an even d != 0 at min_weight 2; and d = 0 with a
+    # nonzero weight-2 block.  No law op, step-3 row or echelon, palindromic
+    # image or letter vector is reached.
+    basis = hall_basis(n, k)
+    m = len(basis.elements)
+    i = 2
+
+    def element(linear, w2=()):
+        exps = [0] * m
+        exps[:n] = linear
+        exps[n:n + len(w2)] = w2
+        return basis.from_exponents(exps)
+
+    unit = [int(j == i) for j in range(1, n + 1)]
+    cases = [
+        (element([1] + unit[1:], (1, -2)), 1),
+        (element([1] + unit[1:], (1, -2)), 2),
+        (element([-2] + unit[1:]), 2),
+        (element(unit, (0, 3)), 1),
+        (element(unit, (0, 3)), 2),
+    ]
+    _refuse(monkeypatch, basis.law, ("mul", "bar", "inv", "pow", "comm"))
+    _refuse(monkeypatch, autos, ("_step3_row", "_witness_echelon", "_palindromic_image"))
+
+    def no_letter_vectors(self):
+        raise AssertionError("letter vectors read on a reject path")
+
+    # a data descriptor on the class wins over the value cached on the basis
+    monkeypatch.setattr(HallBasis, "_letter_vectors", property(no_letter_vectors))
+    for g, min_weight in cases:
+        assert solve_conjugator(g, i, min_weight=min_weight) is None
+
+
 def test_solve_conjugator_verification_failure_context(monkeypatch):
     basis = hall_basis(3, 3)
     g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
@@ -609,6 +654,24 @@ def test_inverse_of_epa_solves_each_level_once(monkeypatch):
     assert (inv, factors) == want
     assert calls == [(1, 2), (2, 2), (3, 2)]
     assert compose(e, inv) == identity_endo(basis)
+
+
+def test_inverse_of_epa_skips_the_identity_level_3_factor(monkeypatch):
+    # three composes: phi = e psi_1, phi psi_2, and the inverse psi_1 psi_2.
+    # The level-3 factor is phi, already the identity, and is neither
+    # composed with phi nor folded into the inverse.
+    basis = hall_basis(3, 3)
+    e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
+    want = inverse_with_factors(e)
+    calls = []
+    real = autos.compose
+    monkeypatch.setattr(autos, "compose", lambda e1, e2: calls.append(1) or real(e1, e2))
+    inv, factors = inverse_with_factors(e)
+    assert (inv, factors) == want
+    assert len(calls) == 3
+    assert len(factors) == 3 and factors[2] == identity_endo(basis)
+    assert real(e, inv) == identity_endo(basis)
+    assert inv == real(factors[0], factors[1])
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -15,6 +15,7 @@ from oracles import (
 from nilpal.nilpotent import HallBasis
 from nilpal.intlinalg import (
     PivotSolver,
+    _integral_quotient,
     det,
     eye,
     inv_unimodular,
@@ -340,6 +341,22 @@ def test_peel_solvers_pick_the_pivots_of_the_sorting_reference(n, k):
     for w in range(1, k + 1):
         columns = basis.lie_columns(w)
         assert _pivot_order(columns) == pivot_order_by_sort(columns)
+
+
+def test_integral_quotient_matches_fractions():
+    # unit divisors, |b| >= 2 and negative values on both sides; multiples
+    # of b are drawn too, so both answers occur
+    rng = random.Random(23)
+    divisors = [1, -1] + [s * m for s in (1, -1) for m in (2, 3, 7, 12, 10**20)]
+    for b in divisors:
+        for _ in range(60):
+            a = rng.randint(-10**6, 10**6)
+            if rng.random() < 0.5:
+                a *= b
+            q = Fraction(a, b)
+            want = q.numerator if q.denominator == 1 else None
+            got = _integral_quotient(a, b)
+            assert got == want and type(got) is type(want), (a, b)
 
 
 def test_pivot_solver_fraction_path():

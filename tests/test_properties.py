@@ -6,6 +6,8 @@ generated inputs."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -265,6 +267,70 @@ def test_witness_reproduces_under_the_series_oracles(case):
     assert found is not None
     assert found.is_identity() or weight(found) >= w
     assert series_conjugate(found, i) == g
+
+
+# The step-2 witness box: every q = x^alpha with each |alpha_j| <= 1.  At
+# step 2 the weight-2 part of q does not change bar(q) x_i q, so these q
+# reach every value a witness can, for g whose even d = ab(g) - e_i = 2 alpha
+# has alpha in the box.
+STEP2_BOX = 1
+
+
+@lru_cache(maxsize=None)
+def step2_box_values(n, i):
+    """{alpha: exponents of bar(q) x_i q} over the step-2 box, by the
+    series oracles."""
+    basis = hall_basis(n, 2)
+    tail = (0,) * (len(basis.elements) - n)
+    span = range(-STEP2_BOX, STEP2_BOX + 1)
+    return {a: series_conjugate(basis.from_exponents(a + tail), i).exponents
+            for a in product(span, repeat=n)}
+
+
+@st.composite
+def step2_conjugator_cases(draw):
+    """(g, i, min_weight) at step 2 of ranks 2-4.  With d = ab(g) - e_i, g
+    is drawn with an odd entry of d; with d = 2 alpha != 0 (alpha in the
+    box), the value of x^alpha with its weight-2 block shifted or not;
+    with d = 0 and a nonzero weight-2 block; or as the value of x^alpha
+    for alpha in the box, zero included."""
+    basis = hall_basis(draw(st.integers(2, 4)), 2)
+    n, m2 = basis.n, len(basis.by_weight[1])
+    i = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(("odd d", "even d", "zero d", "value")))
+    span = st.integers(-STEP2_BOX, STEP2_BOX)
+    alpha = tuple(draw(st.lists(span, min_size=n, max_size=n)))
+    if kind == "zero d":
+        alpha = (0,) * n
+    elif kind == "even d" and not any(alpha):
+        alpha = tuple(int(j == i % n) for j in range(n))
+    value = step2_box_values(n, i)[alpha]
+    linear, block = list(value[:n]), list(value[n:])
+    if kind == "odd d":
+        flips = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        linear = [v + f for v, f in zip(linear, flips)]
+    shift = st.lists(st.integers(-2, 2), min_size=m2, max_size=m2)
+    if kind == "zero d":
+        block = draw(shift.filter(any))
+    elif kind != "value":
+        block = [v + s for v, s in zip(block, draw(shift))]
+    return basis.from_exponents(linear + block), i, draw(st.integers(1, 2))
+
+
+@given(step2_conjugator_cases())
+def test_step2_witness_decision_matches_the_box_search(case):
+    g, i, min_weight = case
+    basis = g.basis
+    # a q of weight >= 2 has alpha = 0
+    reachable = any(value == g.exponents and (min_weight == 1 or not any(a))
+                    for a, value in step2_box_values(basis.n, i).items())
+    found = solve_conjugator(g, i, min_weight=min_weight)
+    assert (found is not None) == reachable
+    if min_weight == 2:
+        assert (found is None) == (g != basis.generator(i))
+    if found is not None:
+        assert found.is_identity() or weight(found) >= min_weight
+        assert series_conjugate(found, i) == g
 
 
 @given(witness_cases(), st.integers(1, 3))
