@@ -140,14 +140,14 @@ class Endo:
                                     self._vector_image(c.right.index)))
         return img
 
-    def _series_image(self, idx, inverse):
-        """Series of the image of basis element idx, or of its inverse,
-        from the series of the generator images and their inverses."""
+    def _series_image(self, idx, inverse=False):
+        """Series of the image of basis element idx, or of its inverse
+        (`HallBasis.bracket_series`)."""
         return self.basis.bracket_series(idx, inverse, self._generator_image, self._basis_images)
 
     def _generator_image(self, gen, inverse):
         g = self.images[gen - 1]
-        return self.basis.inverse_poly(g.exponents) if inverse else g.poly
+        return self.basis.inverse_poly(g.poly) if inverse else g.poly
 
     def apply(self, g):
         """The image of g.

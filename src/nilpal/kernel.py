@@ -1,11 +1,18 @@
 """Products of truncated noncommutative series (the Magnus model's kernel).
 
-A series is a dict mapping a monomial index to an exact integer
-coefficient.  A monomial of degree d in the letters 1..n has rank r, its
-letters minus 1 read base n (first letter most significant), and index
-offset[d] + r, where offset[d] counts the monomials of degree < d.  The
-concatenation of monomials (da, ra) and (db, rb) is the monomial
-(da + db, ra * n**db + rb), so a product needs index arithmetic only.
+A monomial of degree d in the letters 1..n has rank r, its letters minus 1
+read base n (first letter most significant), and index offset[d] + r, where
+offset[d] counts the monomials of degree < d.  The concatenation of
+monomials (da, ra) and (db, rb) is the monomial (da + db, ra * n**db + rb),
+so a product needs index arithmetic only.
+
+A series truncated above degree k is a list of k+1 dicts, one per degree:
+dict d maps the index of a monomial of degree d to its exact nonzero
+coefficient.  A group series has dict 0 equal to {0: 1} (`one`).  A factor
+is the read-only form of a series minus its constant term that products
+and divisions read: a tuple of (degree, items) for its nonzero degrees,
+ascending, items being (monomial index, coefficient) pairs (`factor`).
+This module is the only one that knows how the indices are laid out.
 """
 
 # The only kernel; `nilpal info` reports it.
@@ -17,9 +24,9 @@ class SeriesShape:
 
     `dr[i]` is the (degree, rank) of monomial i, and `rowbase[i][e]` is
     the index of monomial i followed by the rank-0 monomial of degree e,
-    for e <= k - degree: monomial i times monomial j is
-    rowbase[i][d_j] + r_j, and it is truncated when d_j >= len(rowbase[i]).
-    `reverse[i]` is the index of monomial i with its letters reversed.
+    for e <= k - degree: monomial i times monomial j of degree e is
+    rowbase[i][e] + j - offset[e].  `reverse[i]` is the index of monomial
+    i with its letters reversed.
     """
 
     __slots__ = ("n", "k", "offset", "dr", "rowbase", "reverse")
@@ -52,47 +59,127 @@ class SeriesShape:
         return self.offset[len(letters)] + r
 
 
-def poly_mul(a, b, shape):
-    """Product a * b truncated above degree shape.k.
+def one(shape):
+    """A fresh series 1."""
+    return [{0: 1}] + [{} for _ in range(shape.k)]
 
-    The constant terms are handled as whole-series copies.  The other
-    terms of b are walked in index order, which is degree-major, so the
-    walk for a term of a stops at the first term of b that would carry the
-    product above degree k.
-    """
-    dr = shape.dr
-    rowbase = shape.rowbase
-    a0 = a.get(0, 0)
-    bt = sorted(b.items())
-    b0 = 0
-    if bt and not bt[0][0]:
-        b0 = bt.pop(0)[1]
-    if a0 == 1:
-        out = b.copy()
-    elif a0:
-        out = {i: a0 * c for i, c in b.items()}
-    else:
-        out = {}
-    for ia, ca in a.items():
-        if ia:
-            if b0:
-                out[ia] = out.get(ia, 0) + ca * b0
-            row = rowbase[ia]
-            lim = len(row)
-            for ib, cb in bt:
-                db, rb = dr[ib]
-                if db >= lim:
-                    break
-                idx = row[db] + rb
-                out[idx] = out.get(idx, 0) + ca * cb
-    return {i: c for i, c in out.items() if c}
+
+def factor(a):
+    """The factor form of a - (constant term of a)."""
+    return tuple((d, tuple(part.items())) for d, part in enumerate(a) if d and part)
+
+
+def series(f, shape):
+    """The fresh series 1 + f, for a factor f."""
+    r = one(shape)
+    for d, items in f:
+        r[d] = dict(items)
+    return r
+
+
+def add_scaled(r, f, c):
+    """r += c * f in place, for a series r and a factor f; cancelled terms
+    are dropped."""
+    if not c:
+        return
+    for d, items in f:
+        out = r[d]
+        for i, v in items:
+            v = out.get(i, 0) + c * v
+            if v:
+                out[i] = v
+            else:
+                del out[i]
+
+
+def add_product(out, a, b, shape, sign=1, top=None):
+    """out += sign * a b up to degree `top` (default k), in place, for
+    factors a and b; zero entries may be left in out.  This is the
+    kernel's one product: monomial ia times monomial ib of degree db is
+    rowbase[ia][db] + ib - offset[db], one index shift per term of a and
+    degree of b."""
+    rowbase, offset = shape.rowbase, shape.offset
+    if top is None:
+        top = shape.k
+    for da, pa in a:
+        for db, pb in b:
+            d = da + db
+            if d > top:
+                break
+            out_d = out[d]
+            off = offset[db]
+            for ia, ca in pa:
+                shift = rowbase[ia][db] - off
+                ca *= sign
+                for ib, cb in pb:
+                    i = shift + ib
+                    out_d[i] = out_d.get(i, 0) + ca * cb
+
+
+def poly_mul(a, b, shape):
+    """Product a * b truncated above degree shape.k: the constant terms
+    scale copies of whole degrees, and `add_product` does the rest."""
+    a0 = a[0].get(0, 0)
+    b0 = b[0].get(0, 0)
+    out = [{0: a0 * b0} if a0 and b0 else {}]
+    for part_a, part_b in zip(a[1:], b[1:]):
+        part = (part_b.copy() if a0 == 1 else {i: a0 * c for i, c in part_b.items()}
+                if a0 else {})
+        if b0:
+            for i, c in part_a.items():
+                part[i] = part.get(i, 0) + c * b0
+        out.append(part)
+    add_product(out, factor(a), factor(b), shape)
+    return [{i: c for i, c in part.items() if c} for part in out]
+
+
+def left_divide(r, p, shape, solve):
+    """r <- P^-1 r if `solve`, else P r, in place, for a series r and
+    P = 1 + the factor p; cancelled terms are dropped.  The index shift
+    is `add_product`'s.  Solving walks the degrees up, so that r[d - e] is
+    already (P^-1 r)_(d-e); multiplying walks them down, so that it is
+    still r_(d-e)."""
+    if not p:
+        return
+    rowbase, offset = shape.rowbase, shape.offset
+    sign = -1 if solve else 1
+    w = p[0][0]
+    for d in range(w, shape.k + 1) if solve else range(shape.k, w - 1, -1):
+        out = r[d]
+        for e, pe in p:
+            if e > d:
+                break
+            db = d - e
+            s = r[db]
+            if not s:
+                continue
+            off = offset[db]
+            for ia, ca in pe:
+                shift = rowbase[ia][db] - off
+                ca *= sign
+                for ib, cb in s.items():
+                    i = shift + ib
+                    v = out.get(i, 0) + ca * cb
+                    if v:
+                        out[i] = v
+                    else:
+                        del out[i]
+
+
+def poly_div(a, b, shape):
+    """a^-1 b, for a series a with constant term 1: b divided on the left
+    by a, one `left_divide`; a^-1 itself for b = `one`."""
+    out = [part.copy() for part in b]
+    left_divide(out, factor(a), shape, True)
+    return out
 
 
 def poly_reverse(a, shape):
     """a with the letters of every monomial reversed.  Word reversal is an
-    anti-automorphism of the series ring that fixes each 1 + X_i."""
+    anti-automorphism of the series ring that fixes each 1 + X_i, and it
+    keeps the degree."""
     rev = shape.reverse
-    return {rev[i]: c for i, c in a.items()}
+    return [{rev[i]: c for i, c in part.items()} for part in a]
 
 
 def poly_inv(a, shape):
@@ -100,15 +187,15 @@ def poly_inv(a, shape):
 
     Geometric series truncated at degree k; requires constant term 1.
     """
-    if a.get(0) != 1:
+    if a[0] != {0: 1}:
         raise ValueError("not a unit with constant term 1")
-    r = {i: c for i, c in a.items() if i != 0}
-    out = {0: 1}
+    r = [{}] + a[1:]
+    out = one(shape)
     for _ in range(shape.k):
         # out <- 1 - r*out; r*out never has a constant term.  The j-th
         # iterate is sum_{i<=j} (-r)^i, fixed once (-r)^(j+1) truncates to 0.
-        nxt = {i: -c for i, c in poly_mul(r, out, shape).items()}
-        nxt[0] = 1
+        nxt = [{i: -c for i, c in part.items()} for part in poly_mul(r, out, shape)]
+        nxt[0] = {0: 1}
         if nxt == out:
             break
         out = nxt
@@ -116,8 +203,7 @@ def poly_inv(a, shape):
 
 
 def poly_pow(a, e, shape):
-    if e < 0:
-        return poly_pow(poly_inv(a, shape), -e, shape)
+    """a**e for e >= 0 by repeated squaring."""
     out = None
     sq = a
     while e:
@@ -126,4 +212,4 @@ def poly_pow(a, e, shape):
         e >>= 1
         if e:
             sq = poly_mul(sq, sq, shape)
-    return {0: 1} if out is None else out
+    return one(shape) if out is None else out

@@ -8,26 +8,30 @@ commutators, weight-major.
 Arithmetic runs in a faithful truncated-series model: x_i maps to 1 + X_i in
 integer polynomials over noncommuting X_1..X_n, discarding all terms of
 degree > k.  A word is trivial in the group iff its series is 1, so series
-equality decides group equality.  Normal-form exponents are recovered weight
-by weight (`HallBasis.element_from_poly`, "the peel"), which doubles as a
-consistency check on every element built from a series: the remainder is
-kept as one dict per degree, each layer's nonzero coordinates are read off
-its lowest degree by a sparse pivot solve, and the remainder is divided on
-the left by each factor's positive power (a degree-by-degree solve, or a
-product for a negative exponent), or for 2w > k has the linear tail
-x_j (c_j - 1) subtracted in place.  A power c_j^e is the binomial sum of
-cached powers of c_j - 1.  `collect` builds a word's series in the same
-per-degree layout, one binomial block per run of a letter, and peels it
-without a series product.
+equality decides group equality.  A series is kept as one dict per degree
+(`kernel`), and the series of elements, inverses, commutators and words
+come from one primitive: multiplying or dividing a running series on the
+left by a factor, the read-only form of c - 1 for a lift c
+(`kernel.left_divide`).  An element's
+series is 1 multiplied on the left by its factors c_j^e_j, the last first
+(`HallBasis.exponents_poly`); an inverse is 1 divided on the left by the
+element's series, and a commutator [a, b] is ab divided by ba.  A power
+c_j^e is the binomial sum of cached powers of c_j - 1.  `collect` builds a
+word's series the same way, one binomial block per run of a letter.
+
+Normal-form exponents are recovered weight by weight
+(`HallBasis.element_from_poly`, "the peel"), which doubles as a
+consistency check on every element built from a series: each layer's
+nonzero coordinates are read off the remainder's lowest degree by a sparse
+pivot solve, and the remainder is divided on the left by each factor's
+positive power (or multiplied by it, for a negative exponent), or for
+2w > k has the linear tail x_j (c_j - 1) subtracted in place.
 
 The lift of a bracket c = [a,b] comes from the lifts of its halves alone,
 A = a - 1 and B = b - 1: since ab = ba c, X = c - 1 solves
 (1 + A + B + BA) X = AB - BA, one left division up the degrees, and
-c^-1 = [b,a] solves the same with A and B swapped.  Each positive lift
-is stored once, by degree, in the layout the peel reads; the flat lifts
-and inverse lifts that the series products of `multiply`, `bar` and
-`invert` take are built from it on first use, so the peel and `collect`
-build neither.
+c^-1 = [b,a] solves the same with A and B swapped.  Each lift is stored
+once, as a factor, and no inverse lift is kept.
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -175,7 +179,6 @@ class HallBasis:
             slice(start, start + len(level))
             for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
-        self._lifts = {}
         self._blocks = {}
         self._powers = {}
         self._peel = {}
@@ -199,12 +202,19 @@ class HallBasis:
     def pow(self, a, e):
         return kernel.poly_pow(a, e, self.shape)
 
+    def div(self, a, b):
+        return kernel.poly_div(a, b, self.shape)
+
+    def inverse_poly(self, poly):
+        """Series of g^-1 from the series of g: 1 divided on the left by it."""
+        return self.div(poly, kernel.one(self.shape))
+
     def bracket_series(self, idx, inverse, leaf, cache):
         """Series of the image of basis element idx, or of its inverse,
         under the endomorphism whose generator images have the series
         `leaf(gen, inverse)` (`autos.Endo`), kept in `cache`.  A bracket's
         image is built from the positive images of its halves
-        (`_bracket_degrees`), so no inverse image of a half is needed."""
+        (`_bracket_series`), so no inverse image of a half is needed."""
         key = (idx, inverse)
         poly = cache.get(key)
         if poly is None:
@@ -212,95 +222,38 @@ class HallBasis:
             if c.gen is not None:
                 poly = leaf(c.gen, inverse)
             else:
-                a, b = (self._blocks_of(self.bracket_series(half.index, False, leaf, cache))
+                a, b = (kernel.factor(self.bracket_series(half.index, False, leaf, cache))
                         for half in (c.left, c.right))
-                poly = _flat(self._bracket_degrees(a, b, c.weight, inverse))
+                poly = self._bracket_series(a, b, c.weight, inverse)
             cache[key] = poly
         return poly
 
-    def _bracket_degrees(self, a, b, w, inverse):
-        """[1+a, 1+b] - 1, or [1+b, 1+a] - 1 if `inverse`, split by degree
-        (the constant dict empty), for a and b in the `_blocks_of` layout
-        whose bracket has lowest degree >= w.
+    def _bracket_series(self, a, b, w, inverse):
+        """The series of [1+a, 1+b], or of [1+b, 1+a] if `inverse`, for
+        factors a and b whose bracket has lowest degree >= w.
 
         From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
         (1 + S) X = D with D = ab - ba and S = a + b + ba, and
         [1+b, 1+a] - 1 solves the same with a and b swapped: one left
-        division (`_left_divide`) up the degrees, from the two products of
-        the halves and no inverse series.  X has lowest degree >= w, so
-        only the degrees <= k - w of S take part."""
-        k = self.k
+        division up the degrees, from the two products of the halves and
+        no inverse series.  X has lowest degree >= w, so only the degrees
+        <= k - w of S take part."""
+        k, shape = self.k, self.shape
         if inverse:
             a, b = b, a
         r = [{} for _ in range(k + 1)]
-        self._add_product(r, a, b, 1, k)
-        self._add_product(r, b, a, -1, k)
+        kernel.add_product(r, a, b, shape)
+        kernel.add_product(r, b, a, shape, -1)
         r = [{i: c for i, c in part.items() if c} for part in r]
         top = k - w
         s = [{} for _ in range(top + 1)]
-        for blocks in (a, b):
-            for d, items in blocks:
-                if d > top:
-                    break
-                sd = s[d]
-                for i, c in items:
-                    sd[i] = sd.get(i, 0) + c
-        self._add_product(s, b, a, 1, top)
-        s = [(d, [(i, c) for i, c in sd.items() if c]) for d, sd in enumerate(s)]
-        s = [(d, items) for d, items in s if items]
-        if s:
-            self._left_divide(r, s, True)
+        for f in (a, b):
+            kernel.add_scaled(s, [(d, items) for d, items in f if d <= top], 1)
+        kernel.add_product(s, b, a, shape, 1, top)
+        s = kernel.factor([{i: c for i, c in part.items() if c} for part in s])
+        kernel.left_divide(r, s, shape, True)
+        r[0] = {0: 1}
         return r
-
-    def _add_product(self, out, a, b, sign, top):
-        """out += sign * a b up to degree `top`, in place, for a and b in
-        the `_blocks_of` layout and out split by degree; zero entries may
-        be left in out.  Monomial ia times monomial ib of degree db is
-        rowbase[ia][db] + ib - offset[db], one index shift per term of a
-        and degree of b."""
-        rowbase, offset = self.shape.rowbase, self.shape.offset
-        for da, pa in a:
-            for db, pb in b:
-                d = da + db
-                if d > top:
-                    break
-                out_d = out[d]
-                off = offset[db]
-                for ia, ca in pa:
-                    shift = rowbase[ia][db] - off
-                    ca *= sign
-                    for ib, cb in pb:
-                        i = shift + ib
-                        out_d[i] = out_d.get(i, 0) + ca * cb
-
-    def _lift(self, idx, inverse):
-        """Flat series of basis element idx, or of its inverse, for the
-        series products (`exponents_poly`, `inverse_poly`), cached per
-        basis.  The positive lift is a copy of `_lift_blocks`; the peel
-        and `collect` read only those, so they build no flat lift."""
-        key = (idx, inverse)
-        poly = self._lifts.get(key)
-        if poly is None:
-            c = self.elements[idx]
-            if not inverse:
-                poly = _flat(items for _, items in self._lift_blocks(idx))
-            elif c.gen is not None:
-                # x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k
-                poly = {0: 1, **{i: (-1) ** d for d, i in
-                                 enumerate(self._letter_powers[c.gen], start=1)}}
-            else:
-                poly = _flat(self._bracket_degrees(
-                    self._lift_blocks(c.left.index), self._lift_blocks(c.right.index),
-                    c.weight, True))
-            self._lifts[key] = poly
-        return poly
-
-    def _product(self, factors):
-        """Product of the series in `factors`, left to right."""
-        out = None
-        for f in factors:
-            out = f if out is None else self.mul(out, f)
-        return {0: 1} if out is None else out
 
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series: the columns of the
@@ -310,66 +263,42 @@ class HallBasis:
         return [dict(self._lift_blocks(start + j)[0][1])
                 for j in range(len(self.by_weight[w - 1]))]
 
-    def _by_degree(self, poly):
-        """poly as k+1 dicts, one per degree, keyed by monomial index."""
-        dr = self.shape.dr
-        out = [{} for _ in range(self.k + 1)]
-        for i, c in poly.items():
-            out[dr[i][0]][i] = c
-        return out
-
-    def _blocks_of(self, poly):
-        """poly - 1 for a series with constant term 1, as a tuple of
-        (degree, items) for its nonzero degrees, ascending, where items
-        are (monomial index, coefficient) pairs: the layout that
-        `_left_divide` and the linear tail of the peel read."""
-        dr = self.shape.dr
-        out = {}
-        for i, c in poly.items():
-            if i and c:
-                out.setdefault(dr[i][0], {})[i] = c
-        return tuple((d, tuple(out[d].items())) for d in sorted(out))
-
     def _lift_blocks(self, idx):
-        """c_idx - 1 by degree (`_blocks_of`), cached per basis element;
-        read-only.  The one stored layout of each positive lift; a
-        bracket's is built from its halves' (`_bracket_degrees`)."""
+        """The factor c_idx - 1 (`kernel.factor`), cached per basis
+        element; read-only.  The one stored form of each lift; a bracket's
+        is built from its halves' (`_bracket_series`)."""
         blocks = self._blocks.get(idx)
         if blocks is None:
             c = self.elements[idx]
             if c.gen is not None:
                 blocks = ((1, ((self._letter_powers[c.gen][0], 1),)),)
             else:
-                r = self._bracket_degrees(self._lift_blocks(c.left.index),
-                                          self._lift_blocks(c.right.index), c.weight, False)
-                blocks = tuple((d, tuple(part.items())) for d, part in enumerate(r) if part)
+                blocks = kernel.factor(self._bracket_series(
+                    self._lift_blocks(c.left.index), self._lift_blocks(c.right.index),
+                    c.weight, False))
             self._blocks[idx] = blocks
         return blocks
 
     def _power_blocks(self, idx, e):
-        """c_idx^e - 1 by degree (`_blocks_of`), for e != 0 and c_idx of
-        weight w with 2w <= k: the binomial sum of C(e, i) L^i over
-        1 <= i <= k // w, with L = c_idx - 1 of lowest degree w, so that
-        L^i vanishes for larger i (for e < 0, C(e, i) is the generalized
-        binomial).  The powers L^i are cached per basis element, k // w
-        series each."""
+        """The factor c_idx^e - 1, for e != 0 and c_idx of weight w with
+        2w <= k: the binomial sum of C(e, i) L^i over 1 <= i <= k // w,
+        with L = c_idx - 1 of lowest degree w, so that L^i vanishes for
+        larger i (for e < 0, C(e, i) is the generalized binomial).  The
+        powers L^i are cached per basis element, k // w factors each."""
         powers = self._powers.get(idx)
         if powers is None:
             lift = self._lift_blocks(idx)
-            flat = {i: c for _, items in lift for i, c in items}
-            powers, power = [lift], flat
+            low = kernel.series(lift, self.shape)
+            low[0] = {}  # L alone, with no constant term
+            powers, power = [lift], low
             for _ in range(1, self.k // self.elements[idx].weight):
-                power = self.mul(power, flat)
-                powers.append(self._blocks_of(power))
+                power = self.mul(power, low)
+                powers.append(kernel.factor(power))
             powers = self._powers[idx] = tuple(powers)
-        out = {}
-        for i, blocks in enumerate(powers, start=1):
-            b = comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
-            for d, items in blocks:
-                od = out.setdefault(d, {})
-                for m, c in items:
-                    od[m] = od.get(m, 0) + b * c
-        return [(d, [(m, c) for m, c in od.items() if c]) for d, od in sorted(out.items())]
+        out = [{} for _ in range(self.k + 1)]
+        for i, f in enumerate(powers, start=1):
+            kernel.add_scaled(out, f, comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i))
+        return kernel.factor(out)
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -378,80 +307,62 @@ class HallBasis:
             solver = self._peel[w] = PivotSolver(self.lie_columns(w))
         return solver
 
-    def ordered_block_poly(self, w, coeffs, reverse=False, lift=None):
-        """Series of the ordered product of the weight-w block with exponents.
+    def ordered_block_poly(self, w, coeffs, r, lift=None):
+        """r <- B r in place, for B the ordered product of the weight-w
+        basis elements raised to `coeffs` and r 1 plus terms of degree > w.
 
-        `reverse` multiplies the factors in reverse order; `lift` gives
-        their series (`exponents_poly`).  For 2w > k any product of two
-        series of lowest degree >= w vanishes, so the block is the sum
-        1 + sum_j coeffs[j] * (series_j - 1) in either order.  Otherwise a
-        lift raised to |e| >= 2 is the binomial sum of its cached powers
-        (`_power_blocks`); a given `lift` is raised by the kernel.
-        """
-        own = lift is None
-        lift = lift or self._lift
+        The factors c_j^e, the last first, multiply r on the left by
+        P = c_j^|e|, or divide it for e < 0 (`kernel.left_divide`); P - 1
+        is the lift, the binomial sum of its cached powers
+        (`_power_blocks`), or for a given `lift(idx)` (`exponents_poly`)
+        the kernel's power of it.  For 2w > k any product of two series of
+        lowest degree >= w vanishes, and so does their product with r - 1:
+        B r is r plus sum_j e_j (c_j - 1)."""
+        shape = self.shape
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
-            out = {0: 1}
             for j, e in enumerate(coeffs):
                 if e:
-                    for i, c in lift(start + j, False).items():
-                        if i:
-                            out[i] = out.get(i, 0) + e * c
-            return {i: c for i, c in out.items() if c}
-        order = range(len(coeffs) - 1, -1, -1) if reverse else range(len(coeffs))
-        factors = []
-        for j in order:
+                    kernel.add_scaled(r, self._lift_blocks(start + j) if lift is None
+                                      else kernel.factor(lift(start + j)), e)
+            return r
+        for j in range(len(coeffs) - 1, -1, -1):
             e = coeffs[j]
             if not e:
                 continue
-            if abs(e) == 1:
-                factors.append(lift(start + j, e < 0))
-            elif own:
-                factors.append(_flat(items for _, items in self._power_blocks(start + j, e)))
+            if lift is not None:
+                p = kernel.factor(self.pow(lift(start + j), abs(e)))
+            elif e in (1, -1):
+                p = self._lift_blocks(start + j)
             else:
-                factors.append(self.pow(lift(start + j, e < 0), abs(e)))
-        return self._product(factors)
+                p = self._power_blocks(start + j, abs(e))
+            kernel.left_divide(r, p, shape, e < 0)
+        return r
 
     def exponents_poly(self, exps, lift=None):
-        """Series of the element with Hall exponents `exps`.
+        """Series of the element with Hall exponents `exps`: 1 multiplied
+        on the left by the weight blocks, the last first.
 
-        With `lift(idx, inverse)` the series of phi(c_idx)^(+-1) for an
-        endomorphism phi, it is the series of phi of that element: phi maps
-        gamma_w into gamma_w, so phi(c_j) - 1 has lowest degree >= w for
-        c_j of weight w, and for 2w > k the weight-w block of images is the
-        same linear sum that the peel subtracts.
-        """
-        return self._product(
-            self.ordered_block_poly(w, exps[self.weight_slice(w)], lift=lift)
-            for w in range(1, self.k + 1)
-            if any(exps[self.weight_slice(w)])
-        )
+        With `lift(idx)` the series of phi(c_idx) for an endomorphism phi,
+        it is the series of phi of that element: phi(c_j) - 1 has lowest
+        degree >= w for c_j of weight w, as `ordered_block_poly` needs."""
+        r = kernel.one(self.shape)
+        for w in range(self.k, 0, -1):
+            block = exps[self.weight_slice(w)]
+            if any(block):
+                self.ordered_block_poly(w, block, r, lift)
+        return r
 
-    def inverse_poly(self, exps):
-        """Series of the inverse of the element with Hall exponents `exps`.
-
-        The blocks in reverse order, each with its factors reversed and its
-        exponents negated, so no series inverse is taken.
-        """
-        return self._product(
-            self.ordered_block_poly(w, [-e for e in exps[self.weight_slice(w)]], reverse=True)
-            for w in range(self.k, 0, -1)
-            if any(exps[self.weight_slice(w)])
-        )
-
-    def element_from_poly(self, poly, r=None):
+    def element_from_poly(self, poly):
         """Recover Hall exponents of a group series; verifies exactness.
 
-        The remainder r is kept as k+1 dicts, one per degree: `poly` split
-        by degree, or the given `r`, which must be that split (`collect`
-        builds it degree by degree) and which the peel uses up.  Weight by
-        weight, its lowest remaining degree w is a Lie element: its Hall
-        coordinates x solve E x = t, with t = r[w].  The pivot solver reads
-        x off the pivot entries of t, and r is divided on the left by the
-        weight-w block c_1^x_1 ... c_m^x_m, one factor at a time.  That
-        leaves t - E x in r[w], so an empty r[w] proves E x == t, and a
-        non-Lie t can never pass.
+        The remainder r starts as a copy of `poly`, one dict per degree.
+        Weight by weight, its lowest remaining degree w is a Lie element:
+        its Hall coordinates x solve E x = t, with t = r[w].  The pivot
+        solver reads x off the pivot entries of t, and r is divided on the
+        left by the weight-w block c_1^x_1 ... c_m^x_m, one factor at a
+        time.  That leaves t - E x in r[w], so an empty r[w] proves
+        E x == t, and a non-Lie t can never pass.
 
         Each factor is divided by its positive power P = c_j^|x_j|, whose
         series is 1 plus terms of degree >= w (`_power_blocks`): for
@@ -464,12 +375,11 @@ class HallBasis:
         x_j (c_j - 1) from r.
         """
         n, k = self.n, self.k
-        if poly.get(0) != 1:
+        if poly[0] != {0: 1}:
             raise InternalError("series has constant term != 1",
-                                n=n, k=k, weight=0, residual_terms=len(poly))
+                                n=n, k=k, weight=0, residual_terms=sum(map(len, poly)))
         exps = [0] * len(self.elements)
-        if r is None:
-            r = self._by_degree(poly)
+        r = [dict(part) for part in poly]
         for w in range(1, k + 1):
             x = self._peel_solver(w).solve(r[w])
             if x is None:
@@ -479,17 +389,11 @@ class HallBasis:
             for j in sorted(x):
                 xj = exps[start + j] = x[j]
                 if 2 * w > k:
-                    for d, items in self._lift_blocks(start + j):
-                        out = r[d]
-                        for i, c in items:
-                            v = out.get(i, 0) - xj * c
-                            if v:
-                                out[i] = v
-                            else:
-                                del out[i]
+                    kernel.add_scaled(r, self._lift_blocks(start + j), -xj)
                 else:
-                    self._left_divide(r, self._lift_blocks(start + j) if xj in (1, -1)
-                                      else self._power_blocks(start + j, abs(xj)), xj > 0)
+                    kernel.left_divide(r, self._lift_blocks(start + j) if xj in (1, -1)
+                                       else self._power_blocks(start + j, abs(xj)),
+                                       self.shape, xj > 0)
             if r[w]:
                 raise InternalError(f"degree-{w} component is not a Lie element",
                                     n=n, k=k, weight=w, residual_terms=len(r[w]))
@@ -497,37 +401,6 @@ class HallBasis:
             raise InternalError("series does not collapse to the normal form",
                                 n=n, k=k, weight=k, residual_terms=sum(map(len, r)) - 1)
         return NilElement(self, poly, tuple(exps))
-
-    def _left_divide(self, r, blocks, solve):
-        """r <- P^-1 r if `solve`, else P r, in place; r is split by degree,
-        r[0] is the constant 1 or empty (a series with no constant term),
-        and P - 1 is `blocks` (`_blocks_of`), of lowest degree w.  Solving
-        walks the degrees up, so that r[d - e] is already s_(d-e);
-        multiplying walks them down, so that it is still r_(d-e)."""
-        k = self.k
-        rowbase, offset = self.shape.rowbase, self.shape.offset
-        sign = -1 if solve else 1
-        w = blocks[0][0]
-        for d in range(w, k + 1) if solve else range(k, w - 1, -1):
-            out = r[d]
-            for e, pe in blocks:
-                if e > d:
-                    break
-                db = d - e
-                s = r[db]
-                if not s:
-                    continue
-                off = offset[db]
-                for ia, ca in pe:
-                    shift = rowbase[ia][db] - off
-                    ca *= sign
-                    for ib, cb in s.items():
-                        i = shift + ib
-                        v = out.get(i, 0) + ca * cb
-                        if v:
-                            out[i] = v
-                        else:
-                            del out[i]
 
     @cached_property
     def law(self):
@@ -556,7 +429,7 @@ class HallBasis:
     # -- element builders -------------------------------------------------
 
     def one(self):
-        return NilElement(self, {0: 1}, (0,) * len(self.elements))
+        return NilElement(self, kernel.one(self.shape), (0,) * len(self.elements))
 
     def generator(self, i):
         if not 1 <= i <= self.n:
@@ -575,16 +448,6 @@ class HallBasis:
 
     def from_text(self, text):
         return collect(parse_word(text, self.n), self)
-
-
-def _flat(parts):
-    """The flat series 1 + the terms of `parts`, each a dict or a sequence
-    of (monomial index, coefficient) pairs, with no index in two parts:
-    a series split by degree, or the items of a `_blocks_of` layout."""
-    poly = {0: 1}
-    for part in parts:
-        poly.update(part)
-    return poly
 
 
 @lru_cache(maxsize=None)
@@ -665,13 +528,13 @@ def collect(word, basis):
         vectors = map(basis._letter_vectors.__getitem__, word.letters)
         return NilElement(basis, None, reduce(law.mul, vectors, law.one))
     powers = basis._letter_powers
-    r = [{0: 1}] + [{} for _ in range(basis.k)]
+    r = kernel.one(basis.shape)
     runs = [(let, sum(1 for _ in run)) for let, run in groupby(word.letters)]
     for let, count in reversed(runs):
         blocks = [(d, ((i, comb(count, d)),))
                   for d, i in enumerate(powers[let.index], start=1) if d <= count]
-        basis._left_divide(r, blocks, let.sign < 0)
-    return basis.element_from_poly(_flat(r), r)
+        kernel.left_divide(r, blocks, basis.shape, let.sign < 0)
+    return basis.element_from_poly(r)
 
 
 def multiply(a, b):
@@ -687,7 +550,7 @@ def invert(a):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.inv(a.exponents))
-    return basis.element_from_poly(basis.inverse_poly(a.exponents))
+    return basis.element_from_poly(basis.inverse_poly(a.poly))
 
 
 def power(a, e):
@@ -695,19 +558,18 @@ def power(a, e):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.pow(a.exponents, e))
-    poly = basis.inverse_poly(a.exponents) if e < 0 else a.poly
-    return basis.element_from_poly(basis.pow(poly, abs(e)))
+    poly = basis.pow(a.poly, abs(e))
+    return basis.element_from_poly(basis.inverse_poly(poly) if e < 0 else poly)
 
 
 def commutator(a, b):
-    """[a, b] = a^-1 b^-1 a b."""
+    """[a, b] = a^-1 b^-1 a b = (ba)^-1 ab."""
     basis = _same_basis(a, b)
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.comm(a.exponents, b.exponents))
-    return basis.element_from_poly(basis.mul(
-        basis.mul(basis.inverse_poly(a.exponents), basis.inverse_poly(b.exponents)),
-        basis.mul(a.poly, b.poly)))
+    return basis.element_from_poly(basis.div(basis.mul(b.poly, a.poly),
+                                             basis.mul(a.poly, b.poly)))
 
 
 def left_normed(elements):

@@ -24,6 +24,7 @@ from nilpal.autos import (
 )
 from nilpal.foxring import check_fox_table
 from nilpal.nilpotent import (
+    NilElement,
     bar,
     collect,
     commutator,
@@ -231,24 +232,30 @@ def suite_prop31(rank=4, step=None, seed=0, cases=60):
     return result
 
 
+def prop33_cases(n, bound=3):
+    """(i, c, g) for each case of `suite_prop33` at rank n: g = x_i c for
+    every nonzero weight-2 block c with entries in [-bound, bound].
+
+    At step 2 the basis is x_1..x_n and then the weight-2 block, which is
+    central and comes last in the Hall order, so x_i c is already in
+    normal form: its exponents are e_i followed by c, with no product."""
+    basis = hall_basis(n, 2)
+    m2 = len(basis.by_weight[1])
+    for i in range(1, n + 1):
+        head = basis.generator(i).exponents[:n]
+        for c in product(range(-bound, bound + 1), repeat=m2):
+            if any(c):
+                yield i, c, NilElement(basis, None, head + c)
+
+
 def suite_prop33(rank=4, step=None, seed=0, cases=None, bound=3):
     """No step-2 palindromic witness produces a nontrivial central defect."""
     result = SuiteResult("prop3.3", 0, info={"rank": rank, "bound": bound})
     for n in range(2, rank + 1):
-        basis = hall_basis(n, 2)
-        m2 = len(basis.by_weight[1])
-        nelem = len(basis.elements)
-        span = range(-bound, bound + 1)
-        for i in range(1, n + 1):
-            xi = basis.generator(i)
-            for c in product(span, repeat=m2):
-                if not any(c):
-                    continue
-                g = multiply(xi, basis.from_exponents(
-                    (0,) * n + tuple(c) + (0,) * (nelem - n - m2)))
-                result.cases += 1
-                if solve_conjugator(g, i, min_weight=2) is not None:
-                    result.failures.append(f"n={n} i={i} c={c}")
+        for i, c, g in prop33_cases(n, bound):
+            result.cases += 1
+            if solve_conjugator(g, i, min_weight=2) is not None:
+                result.failures.append(f"n={n} i={i} c={c}")
     return result
 
 

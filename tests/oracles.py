@@ -7,14 +7,32 @@ agreement between the two paths is meaningful evidence of correctness.
 closed-form row table it checks.  `hand_central_lattice` and
 `hand_bglm_lattice` write the decomposition lattices' rows out from the
 commutators [x_a, x_b, x_c], not from the generator maps whose defects
-`autos` reads them off.  The `series_*` functions are the group
-operations of the truncated-series model, each result recovered by the
-self-checking peel: the path every basis of step > 3 runs, and the oracle
-for the exponent law of the lower steps.  `series_collect` folds a word's
-letters by the series product, and `series_bar` runs it on the reversed
-free word of its input, so it shares no code with either `bar` path and
-never runs on the law.  `ring_fox_derivative`, with the ring image
-`embed` of a word, and
+`autos` reads them off.
+The series oracles keep a series as one flat dict {monomial index:
+coefficient} and share no product code with `nilpal.kernel`, which keeps
+one dict per degree: `flat_poly_mul` is the kernel's old flat product,
+`flatten` and `by_degree` convert between the two layouts,
+`generator_series` gives the letters and `word_series` their products.
+`bracket_by_three_products` builds a bracket's series as a^-1 b^-1 a b
+from its halves and their inverses, the reference for the one left
+division of `HallBasis._bracket_series`; `lift_by_three_products` gives
+the lifts that way, and
+`exponents_series_by_fold` multiplies them into the series of an exponent
+vector one letter-sized factor at a time, the reference for
+`HallBasis.exponents_poly`.  `element_series` and `inverse_series` build
+an element's series and its inverse's from lift powers, the inverse as
+the reversed product of inverse lifts.  `peel_by_block_division` peels a
+flat series by dividing it by whole weight blocks, the reference for
+`HallBasis.element_from_poly`; it shares only the pivot solvers
+(`_peel_solver`) with the engine.  The `series_*` functions are the group
+operations of the truncated-series model on these oracles alone: the path
+every basis of step > 3 runs, and the oracle for the exponent law of the
+lower steps.  `series_collect` folds a word's letters, and `series_bar`
+runs it on the reversed free word of its input, so it shares no code with
+either `bar` path and never runs on the law.
+`table_poly_mul` looks every monomial pair up in the table of
+`monomial_table`, the reference for `flat_poly_mul` and the kernel.
+`ring_fox_derivative`, with the ring image `embed` of a word, and
 `word_tameness_residue` are the ring-product Fox derivative and the
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
@@ -32,21 +50,13 @@ reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
 `pivot_order_by_sort` runs the same sparse elimination as
 `PivotSolver`, sorting the remaining columns at every step, the
 reference for the order its heap picks pivots in.
-`peel_by_block_division` peels a flat series by dividing it by whole
-weight blocks built from inverse lifts, the reference for
-`HallBasis.element_from_poly`.
-`bracket_by_three_products` builds a bracket's series as a^-1 b^-1 a b
-from its halves and their inverses, the reference for the one left
-division of `HallBasis._bracket_degrees`; `lift_by_three_products` gives
-the lifts that way, and `exponents_series_by_fold` multiplies them into
-the series of an exponent vector one letter-sized factor at a time, the
-reference for `HallBasis.exponents_poly`.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
 
 from array import array
 from itertools import product
+from weakref import WeakKeyDictionary
 
 
 def mat_eye(n):
@@ -477,18 +487,179 @@ def gf2_rank(rows):
     return rank
 
 
+def flat_poly_mul(a, b, shape):
+    """Product a * b of flat series, dicts {monomial index: coefficient},
+    truncated above degree shape.k.
+
+    The constant terms are handled as whole-series copies.  The other
+    terms of b are walked in index order, which is degree-major, so the
+    walk for a term of a stops at the first term of b that would carry the
+    product above degree k.  The series kernel's flat product before it
+    kept one dict per degree; it shares no code with `nilpal.kernel`.
+    """
+    dr = shape.dr
+    rowbase = shape.rowbase
+    a0 = a.get(0, 0)
+    bt = sorted(b.items())
+    b0 = 0
+    if bt and not bt[0][0]:
+        b0 = bt.pop(0)[1]
+    if a0 == 1:
+        out = b.copy()
+    elif a0:
+        out = {i: a0 * c for i, c in b.items()}
+    else:
+        out = {}
+    for ia, ca in a.items():
+        if ia:
+            if b0:
+                out[ia] = out.get(ia, 0) + ca * b0
+            row = rowbase[ia]
+            lim = len(row)
+            for ib, cb in bt:
+                db, rb = dr[ib]
+                if db >= lim:
+                    break
+                idx = row[db] + rb
+                out[idx] = out.get(idx, 0) + ca * cb
+    return {i: c for i, c in out.items() if c}
+
+
+def flat_poly_pow(a, e, shape):
+    """a**e for e >= 0 by repeated squaring with `flat_poly_mul`."""
+    out = {0: 1}
+    while e:
+        if e & 1:
+            out = flat_poly_mul(out, a, shape)
+        e >>= 1
+        if e:
+            a = flat_poly_mul(a, a, shape)
+    return out
+
+
+def flat_poly_inv(a, shape):
+    """Inverse of a flat series with constant term 1, by the geometric
+    series sum_i (1 - a)^i with `flat_poly_mul`."""
+    r = {i: -c for i, c in a.items() if i}
+    out, power = {0: 1}, {0: 1}
+    for _ in range(shape.k):
+        power = flat_poly_mul(power, r, shape)
+        out = {i: out.get(i, 0) + power.get(i, 0) for i in out.keys() | power.keys()}
+    return {i: c for i, c in out.items() if c}
+
+
+def flatten(series):
+    """The flat dict of a series kept as one dict per degree."""
+    out = {}
+    for part in series:
+        out.update(part)
+    return out
+
+
+def by_degree(poly, shape):
+    """A flat series as k+1 dicts, one per degree."""
+    out = [{} for _ in range(shape.k + 1)]
+    for i, c in poly.items():
+        out[shape.dr[i][0]][i] = c
+    return out
+
+
+def generator_series(basis, gen, inverse):
+    """1 + X_i, or x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k, flat."""
+    top, sign = (basis.k, -1) if inverse else (1, 1)
+    return {basis.shape.index((gen,) * d): sign**d for d in range(top + 1)}
+
+
+def bracket_by_three_products(basis, idx, inverse, leaf, cache):
+    """Flat series of basis element idx, or of its inverse, from the flat
+    series `leaf(gen, inverse)` of the generators, kept in `cache`:
+    [a,b] = a^-1 b^-1 a b from the series of its halves and their
+    inverses, three `flat_poly_mul`, and [a,b]^-1 = [b,a]."""
+    key = (idx, inverse)
+    poly = cache.get(key)
+    if poly is None:
+        c = basis.elements[idx]
+        if c.gen is not None:
+            poly = leaf(c.gen, inverse)
+        else:
+            left, right = (c.right, c.left) if inverse else (c.left, c.right)
+            a_inv, b_inv, a, b = [bracket_by_three_products(basis, half.index, inv, leaf, cache)
+                                  for inv in (True, False) for half in (left, right)]
+            shape = basis.shape
+            poly = flat_poly_mul(flat_poly_mul(a_inv, b_inv, shape),
+                                 flat_poly_mul(a, b, shape), shape)
+        cache[key] = poly
+    return poly
+
+
+def lift_by_three_products(basis, idx, inverse, cache):
+    """The flat lift of basis element idx, or of its inverse, by
+    `bracket_by_three_products` from the generator series."""
+    return bracket_by_three_products(
+        basis, idx, inverse, lambda gen, inv: generator_series(basis, gen, inv), cache)
+
+
+# the lifts of `lift_by_three_products` and their powers, one cache per
+# live basis
+_LIFTS = WeakKeyDictionary()
+
+
+def _lift(basis, idx, inverse, e=1):
+    """The e-th power of the lift of basis element idx or of its inverse."""
+    cache = _LIFTS.setdefault(basis, {})
+    key = (idx, inverse, e)
+    if key not in cache:
+        cache[key] = flat_poly_pow(lift_by_three_products(basis, idx, inverse, cache), e,
+                                   basis.shape)
+    return cache[key]
+
+
+def exponents_series_by_fold(basis, exps):
+    """Flat series of the element with Hall exponents `exps`: the lift of
+    each factor c_j, or of its inverse, multiplied in |e_j| times, in basis
+    order, with the lifts from `lift_by_three_products`."""
+    poly = {0: 1}
+    for idx, e in enumerate(exps):
+        for _ in range(abs(e)):
+            poly = flat_poly_mul(poly, _lift(basis, idx, e < 0), basis.shape)
+    return poly
+
+
+def element_series(basis, exps):
+    """Flat series of the element with Hall exponents `exps`: the product
+    of the lift powers c_j^e_j in basis order, each by repeated squaring
+    of the lift of c_j or of its inverse."""
+    poly = {0: 1}
+    for idx, e in enumerate(exps):
+        if e:
+            poly = flat_poly_mul(poly, _lift(basis, idx, e < 0, abs(e)), basis.shape)
+    return poly
+
+
+def inverse_series(basis, exps):
+    """Flat series of the inverse of the element with Hall exponents
+    `exps`: the reversed product of the inverse lift powers c_j^-e_j."""
+    poly = {0: 1}
+    for idx in reversed(range(len(exps))):
+        e = exps[idx]
+        if e:
+            poly = flat_poly_mul(poly, _lift(basis, idx, e > 0, abs(e)), basis.shape)
+    return poly
+
+
 def peel_by_block_division(basis, poly):
-    """Hall exponents of the group series `poly`, or the `InternalError`
-    of `HallBasis.element_from_poly`, by whole-block division: the
-    remainder is one flat series, and each weight-w layer divides it on
-    the left by the whole block's inverse, the product of the inverse
-    lifts' powers (`ordered_block_poly` with negated exponents), or for
-    2w > k subtracts sum_j x_j (c_j - 1) from a copy.  It shares the
-    pivot solvers, fed the degree-w part only, with the engine."""
+    """Hall exponents of the flat group series `poly`, or the
+    `InternalError` of `HallBasis.element_from_poly`, by whole-block
+    division: each weight-w layer divides the remainder on the left by the
+    whole block, multiplying it by the reversed product of the inverse
+    lift powers, or for 2w > k subtracts sum_j x_j (c_j - 1) from a copy.
+    It shares the pivot solvers, fed the degree-w part only, with the
+    engine, and no product code."""
     from nilpal.nilpotent import InternalError
 
     n, k = basis.n, basis.k
-    offset = basis.shape.offset
+    shape = basis.shape
+    offset = shape.offset
 
     def degree_part(r, w):
         return {i: c for i, c in r.items() if offset[w] <= i < offset[w + 1]}
@@ -507,17 +678,21 @@ def peel_by_block_division(basis, poly):
         start = basis.weight_offset[w - 1]
         exps[start:start + len(x)] = x
         if any(x):
-            neg = [-xj for xj in x]
             if 2 * w > k:
                 out = dict(r)
-                for j, e in enumerate(neg):
+                for j, e in enumerate(x):
                     if e:
-                        for i, c in basis._lift(start + j, False).items():
+                        for i, c in _lift(basis, start + j, False).items():
                             if i:
-                                out[i] = out.get(i, 0) + e * c
+                                out[i] = out.get(i, 0) - e * c
                 r = {i: c for i, c in out.items() if c}
             else:
-                r = basis.mul(basis.ordered_block_poly(w, neg, reverse=True), r)
+                block_inverse = {0: 1}
+                for j in reversed(range(len(x))):
+                    if x[j]:
+                        power = _lift(basis, start + j, x[j] > 0, abs(x[j]))
+                        block_inverse = flat_poly_mul(block_inverse, power, shape)
+                r = flat_poly_mul(block_inverse, r, shape)
         residual = len(degree_part(r, w))
         if residual:
             raise InternalError(f"degree-{w} component is not a Lie element",
@@ -528,92 +703,58 @@ def peel_by_block_division(basis, poly):
     return tuple(exps)
 
 
-def generator_series(basis, gen, inverse):
-    """1 + X_i, or x_i^-1 = 1 - X_i + X_i^2 - ... up to degree k."""
-    top, sign = (basis.k, -1) if inverse else (1, 1)
-    return {basis.shape.index((gen,) * d): sign**d for d in range(top + 1)}
-
-
-def bracket_by_three_products(basis, idx, inverse, leaf, cache):
-    """Series of basis element idx, or of its inverse, from the series
-    `leaf(gen, inverse)` of the generators, kept in `cache`:
-    [a,b] = a^-1 b^-1 a b from the series of its halves and their
-    inverses, three series products, and [a,b]^-1 = [b,a]."""
-    key = (idx, inverse)
-    poly = cache.get(key)
-    if poly is None:
-        c = basis.elements[idx]
-        if c.gen is not None:
-            poly = leaf(c.gen, inverse)
-        else:
-            left, right = (c.right, c.left) if inverse else (c.left, c.right)
-            a_inv, b_inv, a, b = [bracket_by_three_products(basis, half.index, inv, leaf, cache)
-                                  for inv in (True, False) for half in (left, right)]
-            poly = basis.mul(basis.mul(a_inv, b_inv), basis.mul(a, b))
-        cache[key] = poly
-    return poly
-
-
-def lift_by_three_products(basis, idx, inverse, cache):
-    """The lift of basis element idx, or of its inverse, by
-    `bracket_by_three_products` from the generator series."""
-    return bracket_by_three_products(
-        basis, idx, inverse, lambda gen, inv: generator_series(basis, gen, inv), cache)
-
-
-def exponents_series_by_fold(basis, exps):
-    """Series of the element with Hall exponents `exps`: the lift of each
-    factor c_j, or of its inverse, multiplied in |e_j| times, in basis
-    order, with the lifts from `lift_by_three_products`."""
-    cache = {}
-    poly = {0: 1}
-    for idx, e in enumerate(exps):
-        for _ in range(abs(e)):
-            poly = basis.mul(poly, lift_by_three_products(basis, idx, e < 0, cache))
-    return poly
+def _peeled(basis, poly):
+    return basis.from_exponents(peel_by_block_division(basis, poly))
 
 
 def series_multiply(a, b):
     basis = a.basis
-    return basis.element_from_poly(basis.mul(a.poly, b.poly))
+    return _peeled(basis, flat_poly_mul(element_series(basis, a.exponents),
+                                        element_series(basis, b.exponents), basis.shape))
 
 
 def series_invert(a):
-    basis = a.basis
-    return basis.element_from_poly(basis.inverse_poly(a.exponents))
+    return _peeled(a.basis, inverse_series(a.basis, a.exponents))
+
+
+def word_series(word, basis):
+    """Flat series of a word: its letters' series multiplied left to right."""
+    poly = {0: 1}
+    for let in word.letters:
+        poly = flat_poly_mul(poly, generator_series(basis, let.index, let.sign < 0), basis.shape)
+    return poly
 
 
 def series_collect(word, basis):
     """collect on the series path at every step: the letters' series
     multiplied left to right, then peeled."""
-    poly = {0: 1}
-    for let in word.letters:
-        poly = basis.mul(poly, basis._lift(let.index - 1, let.sign < 0))
-    return basis.element_from_poly(poly)
+    return _peeled(basis, word_series(word, basis))
 
 
 def series_bar(a):
     """bar by its definition: collect(reverse_word(element_as_word(a))).
 
     That word is the reversed words of the factors c_j^e_j of a in reverse
-    order; each factor is collected as the reversed word of c_j raised to
-    e_j, so large exponents build no long word.
+    order; the series of each factor is the |e_j|-th power of the series
+    of the reversed word of c_j, or of its inverse for e_j < 0, so large
+    exponents build no long word.
     """
     from nilpal.words import reverse_word
 
     basis = a.basis
-    out = basis.one()
+    poly = {0: 1}
     for c, e in reversed(list(zip(basis.elements, a.exponents))):
         if e:
-            rev = series_collect(reverse_word(c.as_word(basis.n)), basis)
-            out = series_multiply(out, series_power(rev, e))
-    return out
+            rev = reverse_word(c.as_word(basis.n))
+            rev = word_series(rev if e > 0 else rev.inverse(), basis)
+            poly = flat_poly_mul(poly, flat_poly_pow(rev, abs(e), basis.shape), basis.shape)
+    return _peeled(basis, poly)
 
 
 def series_power(a, e):
     basis = a.basis
-    poly = basis.inverse_poly(a.exponents) if e < 0 else a.poly
-    return basis.element_from_poly(basis.pow(poly, abs(e)))
+    base = (inverse_series if e < 0 else element_series)(basis, a.exponents)
+    return _peeled(basis, flat_poly_pow(base, abs(e), basis.shape))
 
 
 def series_apply(endo, g):
@@ -621,13 +762,13 @@ def series_apply(endo, g):
     from nilpal.nilpotent import element_as_word
 
     basis = g.basis
-    images = [img.poly for img in endo.images]
-    inverses = [basis.inverse_poly(img.exponents) for img in endo.images]
+    images = [element_series(basis, img.exponents) for img in endo.images]
+    inverses = [inverse_series(basis, img.exponents) for img in endo.images]
     poly = {0: 1}
     for let in element_as_word(g).letters:
         factor = images if let.sign > 0 else inverses
-        poly = basis.mul(poly, factor[let.index - 1])
-    return basis.element_from_poly(poly)
+        poly = flat_poly_mul(poly, factor[let.index - 1], basis.shape)
+    return _peeled(basis, poly)
 
 
 def _letter_elem(let, n):

@@ -1,21 +1,23 @@
-"""Series kernel: products against the monomial-table oracle, inverses, powers."""
+"""Series kernel: products against the monomial-table oracle, inverses,
+powers.  The tests build flat series, dicts {monomial index: coefficient},
+and hand the kernel their split by degree (`oracles.by_degree`)."""
 
 import random
 from itertools import product
 
 import pytest
 
-from oracles import monomial_table, table_poly_mul
+from oracles import by_degree, flatten, monomial_table, table_poly_mul
 
-from nilpal.kernel import BACKEND, SeriesShape, poly_inv, poly_mul, poly_pow, poly_reverse
+from nilpal.kernel import BACKEND, SeriesShape, one, poly_inv, poly_mul, poly_pow, poly_reverse
 from nilpal.nilpotent import hall_basis
 
 
-def rand_poly(rng, m, k, terms):
+def rand_poly(rng, shape, terms):
     poly = {0: 1}
     for _ in range(terms):
-        poly[rng.randrange(m)] = rng.randint(-50, 50)
-    return {i: c for i, c in poly.items() if c} | {0: 1}
+        poly[rng.randrange(shape.offset[-1])] = rng.randint(-50, 50)
+    return by_degree({i: c for i, c in poly.items() if c} | {0: 1}, shape)
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (4, 5), (2, 8)])
@@ -23,7 +25,7 @@ def test_poly_mul_matches_table_oracle(n, k):
     rng = random.Random(100 * n + k)
     monos, table = monomial_table(n, k)
     m = len(monos)
-    by_degree = [[i for i, mo in enumerate(monos) if len(mo) == d] for d in range(k + 1)]
+    of_degree = [[i for i, mo in enumerate(monos) if len(mo) == d] for d in range(k + 1)]
     shape = SeriesShape(n, k)
     assert [shape.index(mo) for mo in monos] == list(range(m))
 
@@ -32,13 +34,15 @@ def test_poly_mul_matches_table_oracle(n, k):
         # common; the constant term is 0, 1 or another integer.
         poly = {}
         for _ in range(rng.randint(0, 25)):
-            poly[rng.choice(by_degree[rng.randint(1, k)])] = rng.randint(-50, 50)
+            poly[rng.choice(of_degree[rng.randint(1, k)])] = rng.randint(-50, 50)
         poly[0] = rng.choice([0, 1, 1, -1, 2, -3])
         return {i: c for i, c in poly.items() if c}
 
     for _ in range(200):
         a, b = rand_series(), rand_series()
-        assert poly_mul(a, b, shape) == table_poly_mul(a, b, table, m)
+        assert flatten(by_degree(a, shape)) == a
+        assert flatten(poly_mul(by_degree(a, shape), by_degree(b, shape), shape)) == \
+            table_poly_mul(a, b, table, m)
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2), (2, 8), (4, 6)])
@@ -51,8 +55,8 @@ def test_reverse_reverses_letters(n, k):
     # reverses in the other order
     rng = random.Random(n + k)
     terms = min(5, len(shape.dr))
-    a = {i: rng.randint(1, 3) for i in rng.sample(range(len(shape.dr)), terms)}
-    b = {i: rng.randint(-3, -1) for i in rng.sample(range(len(shape.dr)), terms)}
+    a, b = (by_degree({i: rng.randint(lo, hi) for i in rng.sample(range(len(shape.dr)), terms)},
+                      shape) for lo, hi in ((1, 3), (-3, -1)))
     assert poly_reverse(poly_mul(a, b, shape), shape) == poly_mul(
         poly_reverse(b, shape), poly_reverse(a, shape), shape)
 
@@ -60,12 +64,11 @@ def test_reverse_reverses_letters(n, k):
 def test_inverse_is_two_sided():
     rng = random.Random(6)
     shape = hall_basis(2, 5).shape
-    m = shape.offset[-1]
     for _ in range(50):
-        a = rand_poly(rng, m, 5, rng.randint(0, 10))
+        a = rand_poly(rng, shape, rng.randint(0, 10))
         inv = poly_inv(a, shape)
-        assert poly_mul(a, inv, shape) == {0: 1}
-        assert poly_mul(inv, a, shape) == {0: 1}
+        assert poly_mul(a, inv, shape) == one(shape)
+        assert poly_mul(inv, a, shape) == one(shape)
 
 
 def test_inverse_stops_once_iterate_repeats(monkeypatch):
@@ -89,28 +92,29 @@ def test_inverse_stops_once_iterate_repeats(monkeypatch):
             a = {0: 1}
             for _ in range(rng.randint(1, 8)):
                 a[rng.randrange(low, m)] = rng.choice([-3, -2, -1, 1, 2, 3])
+            lowest = min(shape.dr[i][0] for i in a if i)
+            a = by_degree(a, shape)
             monkeypatch.setattr(kernel, "poly_mul", counting_mul)
             counted.clear()
             inv = kernel.poly_inv(a, shape)
             monkeypatch.undo()
-            assert poly_mul(a, inv, shape) == {0: 1}
-            assert poly_mul(inv, a, shape) == {0: 1}
-            lowest = min(shape.dr[i][0] for i in a if i)
+            assert poly_mul(a, inv, shape) == one(shape)
+            assert poly_mul(inv, a, shape) == one(shape)
             assert len(counted) == k // lowest + 1
 
 
 def test_pow_matches_iteration():
+    # poly_pow takes e >= 0; a negative e raises the inverse
     rng = random.Random(7)
     shape = hall_basis(2, 3).shape
-    m = shape.offset[-1]
     for _ in range(40):
-        a = rand_poly(rng, m, 3, rng.randint(0, 6))
+        a = rand_poly(rng, shape, rng.randint(0, 6))
         e = rng.randint(-6, 6)
-        expected = {0: 1}
+        expected = one(shape)
         base = a if e >= 0 else poly_inv(a, shape)
         for _ in range(abs(e)):
             expected = poly_mul(expected, base, shape)
-        assert poly_pow(a, e, shape) == expected
+        assert poly_pow(base, abs(e), shape) == expected
 
 
 def test_backend_reports():

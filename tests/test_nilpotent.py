@@ -23,8 +23,10 @@ from nilpal.nilpotent import (
 )
 from nilpal.words import concat, parse_word, reverse_word, word_from_ints
 
+import oracles
 from oracles import (
     TruncatedWordRep,
+    by_degree,
     heisenberg_matrix,
     invariant_factors,
     series_bar,
@@ -107,10 +109,12 @@ def test_collect_is_homomorphism():
 
 
 def _count_series_products(monkeypatch):
+    # the kernel's products, and the flat products of the oracles
     calls = []
-    real = kernel.poly_mul
-    monkeypatch.setattr(kernel, "poly_mul",
-                        lambda a, b, shape: calls.append(1) or real(a, b, shape))
+    for module, name in ((kernel, "poly_mul"), (oracles, "flat_poly_mul")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, b, shape, real=real:
+                            calls.append(1) or real(a, b, shape))
     return calls
 
 
@@ -126,8 +130,9 @@ def test_series_collect_powers_each_run_of_a_letter(monkeypatch):
 
 
 def test_series_collect_costs_no_more_products_than_the_letter_fold(monkeypatch):
-    # against the oracle that multiplies one letter series at a time; both
-    # peel the same series, so the peel's products cancel
+    # against the oracle fold that multiplies one letter series at a time,
+    # peeled by the engine: both peel the same series, so the peel's
+    # products cancel
     rng = random.Random(12)
     calls = _count_series_products(monkeypatch)
     for _ in range(40):
@@ -138,11 +143,12 @@ def test_series_collect_costs_no_more_products_than_the_letter_fold(monkeypatch)
             ints += [rng.choice([i for i in range(-n, n + 1) if i])] * rng.randint(1, 7)
         word = word_from_ints(ints, n)
         del calls[:]
-        want = series_collect(word, basis)
+        want = basis.element_from_poly(by_degree(oracles.word_series(word, basis), basis.shape))
         fold = len(calls)
         del calls[:]
         assert collect(word, basis) == want
         assert len(calls) <= fold
+        assert want == series_collect(word, basis)
 
 
 def test_group_ops_examples():
@@ -399,7 +405,7 @@ def test_peel_rejects_non_lie_layer(n, k, letters):
     # In rank 1 no basis element has weight 2 at all.
     basis = hall_basis(n, k)
     with pytest.raises(InternalError, match="degree-2 component is not a Lie element") as err:
-        basis.element_from_poly({0: 1, _mono(basis, *letters): 1})
+        basis.element_from_poly(by_degree({0: 1, _mono(basis, *letters): 1}, basis.shape))
     assert err.value.context == {"n": n, "k": k, "weight": 2, "residual_terms": 1}
     assert f"n={n}, k={k}, weight=2, residual_terms=1" in str(err.value)
 
@@ -409,7 +415,7 @@ def test_peel_rejects_non_lie_layer_above_weight_one():
     # a series whose lower layers peel normally.
     basis = hall_basis(2, 3)
     g = basis.from_text("x1^2 x2 [x2,x1]^-1")
-    bad = basis.mul(g.poly, {0: 1, _mono(basis, 1, 1, 2): 1})
+    bad = basis.mul(g.poly, by_degree({0: 1, _mono(basis, 1, 1, 2): 1}, basis.shape))
     with pytest.raises(InternalError) as err:
         basis.element_from_poly(bad)
     assert err.value.context["weight"] == 3
@@ -419,7 +425,7 @@ def test_peel_rejects_non_lie_layer_above_weight_one():
 def test_peel_rejects_constant_term():
     basis = hall_basis(2, 3)
     with pytest.raises(InternalError, match="constant term") as err:
-        basis.element_from_poly({0: 2, _mono(basis, 1): 1})
+        basis.element_from_poly(by_degree({0: 2, _mono(basis, 1): 1}, basis.shape))
     assert err.value.context == {"n": 2, "k": 3, "weight": 0, "residual_terms": 2}
 
 
@@ -431,7 +437,7 @@ def test_peel_rejects_non_integral_coordinates():
     basis = hall_basis(2, 3)
     half = {i: Fraction(c, 2) for i, c in basis.lie_columns(2)[0].items()}
     with pytest.raises(InternalError, match="not integral") as err:
-        basis.element_from_poly({0: 1, **half})
+        basis.element_from_poly(by_degree({0: 1, **half}, basis.shape))
     assert err.value.context == {"n": 2, "k": 3, "weight": 2, "residual_terms": 2}
 
 

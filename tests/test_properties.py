@@ -1,8 +1,9 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
 pi-level, the Fox-derivative tameness residue, the Smith-form lattice
-solve, the peel, the series-path `collect` and the bracket lifts over
-generated inputs."""
+solve, the peel, the series-path `collect`, the bracket lifts, the
+per-degree series kernel and the group operations above the law's step
+over generated inputs."""
 
 import random
 from fractions import Fraction
@@ -16,7 +17,11 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     bracket_by_three_products,
+    by_degree,
     exponents_series_by_fold,
+    flat_poly_inv,
+    flat_poly_mul,
+    flatten,
     fraction_combination,
     lift_by_three_products,
     peel_by_block_division,
@@ -25,8 +30,11 @@ from oracles import (  # noqa: E402
     series_apply,
     series_bar,
     series_collect,
+    series_invert,
     series_multiply,
+    series_power,
     signed_permutation_palindromic,
+    word_series,
     word_tameness_residue,
 )
 
@@ -51,9 +59,11 @@ from nilpal.nilpotent import (  # noqa: E402
     InternalError,
     bar,
     collect,
+    commutator,
     hall_basis,
     invert,
     multiply,
+    power,
     render_element,
     weight,
 )
@@ -554,21 +564,22 @@ PEEL_BASES = [(2, 4), (3, 4), (3, 5), (4, 5)]
 
 @st.composite
 def group_series(draw):
-    """A group series at a basis drawn from PEEL_BASES: the product of the
-    letters of a short word (sparse), or of two elements with exponents
-    in [-3, 3] (dense), and maybe its monomials reversed (its `bar`)."""
+    """A flat group series at a basis drawn from PEEL_BASES: the product of
+    the letters of a short word (sparse), or of two elements with
+    exponents in [-3, 3] (dense), and maybe its monomials reversed (its
+    `bar`)."""
     basis = hall_basis(*draw(st.sampled_from(PEEL_BASES)))
     if draw(st.booleans()):
         n = basis.n
-        letters = draw(st.lists(st.integers(-n, n).filter(bool), max_size=6))
-        poly = basis._product(basis._lift(abs(i) - 1, i < 0) for i in letters)
+        ints = draw(st.lists(st.integers(-n, n).filter(bool), max_size=6))
+        poly = word_series(word_from_ints(ints, n), basis)
     else:
         size = len(basis.elements)
         vec = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
         a, b = (basis.from_exponents(draw(vec)) for _ in range(2))
-        poly = basis.mul(a.poly, b.poly)
+        poly = flatten(basis.mul(a.poly, b.poly))
     if draw(st.booleans()):
-        poly = kernel.poly_reverse(poly, basis.shape)
+        poly = {basis.shape.reverse[i]: c for i, c in poly.items()}
     return basis, poly
 
 
@@ -585,7 +596,8 @@ def test_peel_matches_block_division(case, data):
     basis, poly = case
 
     def both(p):
-        got = _peel_outcome(lambda q: basis.element_from_poly(q).exponents, p)
+        got = _peel_outcome(
+            lambda q: basis.element_from_poly(by_degree(q, basis.shape)).exponents, p)
         assert got == _peel_outcome(lambda q: peel_by_block_division(basis, q), p)
         return got
 
@@ -643,9 +655,9 @@ def test_series_collect_matches_the_letter_fold_and_block_division(case):
     word = word_from_ints(ints, basis.n)
     got = collect(word, basis)
     assert got == series_collect(word, basis)
-    poly = basis._product(basis._lift(abs(i) - 1, i < 0) for i in ints)
+    poly = word_series(word, basis)
     assert got.exponents == peel_by_block_division(basis, poly)
-    assert got.poly == poly
+    assert flatten(got.poly) == poly
 
 
 @pytest.mark.parametrize("n,k", COLLECT_BASES)
@@ -653,15 +665,15 @@ def test_power_blocks_match_poly_pow(n, k):
     # c_j^e - 1 as the binomial sum of cached powers of c_j - 1, against
     # the kernel's repeated squaring, for every c_j with 2w <= k
     basis = HallBasis(n, k)
+    shape = basis.shape
     for c in basis.elements:
         if 2 * c.weight > k:
             continue
-        lift = basis._lift(c.index, False)
+        lift = kernel.series(basis._lift_blocks(c.index), shape)
         for e in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
-            got = {0: 1}
-            for _, items in basis._power_blocks(c.index, e):
-                got.update(items)
-            assert got == kernel.poly_pow(lift, e, basis.shape)
+            got = kernel.series(basis._power_blocks(c.index, e), shape)
+            base = lift if e > 0 else kernel.poly_inv(lift, shape)
+            assert got == kernel.poly_pow(base, abs(e), shape)
 
 
 def test_collect_caches_stay_bounded_per_basis(monkeypatch):
@@ -709,16 +721,25 @@ LIFT_BASES = [(2, 4), (3, 4), (3, 5), (4, 5), (2, 6)]
 
 @pytest.mark.parametrize("n,k", LIFT_BASES)
 def test_lifts_match_the_three_product_recursion(n, k):
-    # every positive and inverse lift, one left division per bracket,
-    # against a^-1 b^-1 a b from the halves and their inverses; the flat
-    # positive lift and the stored blocks hold the same series
+    # every positive and inverse lift, one left division per bracket
+    # (`bracket_series` on the generators' own series), against
+    # a^-1 b^-1 a b from the halves and their inverses; the stored factors
+    # hold the positive lifts
     basis = HallBasis(n, k)
-    cache = {}
+    shape = basis.shape
+
+    def leaf(gen, inverse):
+        g = kernel.series(basis._lift_blocks(gen - 1), shape)
+        return basis.inverse_poly(g) if inverse else g
+
+    engine, cache = {}, {}
     for idx in range(len(basis.elements)):
         for inverse in (False, True):
-            assert basis._lift(idx, inverse) == lift_by_three_products(basis, idx, inverse, cache)
+            assert (flatten(basis.bracket_series(idx, inverse, leaf, engine))
+                    == lift_by_three_products(basis, idx, inverse, cache))
         assert ([(d, dict(items)) for d, items in basis._lift_blocks(idx)]
-                == [(d, dict(items)) for d, items in basis._blocks_of(cache[(idx, False)])])
+                == [(d, dict(items))
+                    for d, items in kernel.factor(by_degree(cache[(idx, False)], shape))])
 
 
 @st.composite
@@ -743,18 +764,16 @@ def bracket_halves(draw):
 def test_bracket_recurrence_matches_three_products(case, inverse):
     # (1 + S) X = D solved up the degrees, on series that are not lifts
     basis, a, b, w = case
+    shape = basis.shape
     if inverse:
         a, b = b, a
-    inv = [kernel.poly_inv(p, basis.shape) for p in (a, b)]
-    want = basis.mul(basis.mul(*inv), basis.mul(a, b))
+    inv = [flat_poly_inv(p, shape) for p in (a, b)]
+    want = flat_poly_mul(flat_poly_mul(*inv, shape), flat_poly_mul(a, b, shape), shape)
     if inverse:
         a, b = b, a
-    parts = basis._bracket_degrees(basis._blocks_of(a), basis._blocks_of(b), w, inverse)
-    assert not parts[0]
-    got = {0: 1}
-    for part in parts:
-        got.update(part)
-    assert got == want
+    got = basis._bracket_series(kernel.factor(by_degree(a, shape)),
+                                kernel.factor(by_degree(b, shape)), w, inverse)
+    assert flatten(got) == want
 
 
 @given(endo_cases([(2, 4), (3, 4)]))
@@ -765,8 +784,9 @@ def test_endo_series_images_match_the_three_product_recursion(case):
     cache = {}
     for idx in range(len(e.basis.elements)):
         for inverse in (False, True):
-            assert e._series_image(idx, inverse) == bracket_by_three_products(
-                e.basis, idx, inverse, e._generator_image, cache)
+            assert flatten(e._series_image(idx, inverse)) == bracket_by_three_products(
+                e.basis, idx, inverse, lambda gen, inv: flatten(e._generator_image(gen, inv)),
+                cache)
 
 
 @pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
@@ -780,26 +800,25 @@ def test_element_series_raise_lifts_by_power_blocks(n, k, monkeypatch):
     monkeypatch.setattr(kernel, "poly_pow", lambda *args: pows.append(args) or poly_pow(*args))
     for _ in range(2):
         exps = [rng.randint(-3, 3) for _ in basis.elements]
-        assert basis.from_exponents(exps).poly == exponents_series_by_fold(basis, exps)
+        assert flatten(basis.from_exponents(exps).poly) == exponents_series_by_fold(basis, exps)
     assert pows == []
 
 
 def test_lifts_take_no_series_product(monkeypatch):
     # Building every lift at (4,5) multiplies the halves of each bracket
-    # in the block layout, so no kernel product runs (two per bracket at
-    # most), and no inverse or flat lift is built.
+    # as factors, so no kernel product runs (two per bracket at most).
     basis = HallBasis(4, 5)
     muls = []
     poly_mul = kernel.poly_mul
     monkeypatch.setattr(kernel, "poly_mul", lambda *args: muls.append(args) or poly_mul(*args))
     for idx in range(len(basis.elements)):
         basis._lift_blocks(idx)
-    assert muls == [] and basis._lifts == {}
+    assert muls == []
     assert len(basis._blocks) == len(basis.elements)
 
 
 def test_collect_builds_no_flat_or_inverse_lift():
-    # 200 collects on a fresh (4,5) basis read the lifts by degree only
+    # 200 collects on a fresh (4,5) basis keep one factor per lift
     basis = HallBasis(4, 5)
     rng = random.Random(54)
     letters = [i for i in range(-4, 5) if i]
@@ -807,5 +826,123 @@ def test_collect_builds_no_flat_or_inverse_lift():
         ints = _runs_to_ints((rng.choice(letters), rng.randint(1, 7))
                              for _ in range(rng.randint(1, 4)))
         collect(word_from_ints(ints, 4), basis)
-    assert basis._lifts == {}
     assert len(basis._blocks) == len(basis.elements)
+
+
+# -- the per-degree series layout against the flat oracles -----------------
+
+# series bases: (2,4) and (3,5) below the wide-setup rung, (4,5) at it,
+# and (2,6)
+KERNEL_BASES = [(2, 4), (3, 5), (4, 5), (2, 6)]
+
+
+def _reversed_index(shape, i):
+    """Index of monomial i with its letters reversed, from its base-n
+    digits, without `SeriesShape.reverse`."""
+    d, r = shape.dr[i]
+    digits = []
+    for _ in range(d):
+        r, c = divmod(r, shape.n)
+        digits.append(c)
+    rank = 0
+    for c in digits:
+        rank = rank * shape.n + c
+    return shape.offset[d] + rank
+
+
+@st.composite
+def flat_operand(draw, shape, constants):
+    """A flat series with terms of degree lo..hi only: sparse (up to six
+    monomials), or dense (every monomial there, coefficients from a
+    drawn seed), with a constant term drawn from `constants`."""
+    k, offset = shape.k, shape.offset
+    lo = draw(st.integers(1, k))
+    hi = draw(st.integers(lo, k))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.tuples(st.integers(offset[lo], offset[hi + 1] - 1),
+                                         st.integers(-5, 5).filter(bool)), max_size=6))
+        poly = dict(terms)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        poly = {i: rng.randint(-5, 5) for i in range(offset[lo], offset[hi + 1])}
+    poly[0] = draw(st.sampled_from(constants))
+    return {i: c for i, c in poly.items() if c}
+
+
+@st.composite
+def kernel_operands(draw):
+    """A basis from KERNEL_BASES and two flat operands, sparse, dense or
+    one of each, with terms up to any degree, so that products truncate
+    at every degree."""
+    basis = hall_basis(*draw(st.sampled_from(KERNEL_BASES)))
+    a = draw(flat_operand(basis.shape, (0, 1, 1, -1, 2)))
+    b = draw(flat_operand(basis.shape, (0, 1, 1, -1, 2)))
+    return basis, a, b
+
+
+@given(kernel_operands())
+def test_kernel_matches_the_flat_product(case):
+    basis, a, b = case
+    shape = basis.shape
+    sa, sb = by_degree(a, shape), by_degree(b, shape)
+    # the layout round trip
+    assert flatten(sa) == a
+    assert by_degree(flatten(sb), shape) == sb
+    assert all(shape.dr[i][0] == d for d, part in enumerate(sa) for i in part)
+    ab = kernel.poly_mul(sa, sb, shape)
+    assert flatten(ab) == flat_poly_mul(a, b, shape)
+    assert all(c for part in ab for c in part.values())
+    # the reverse of a product is the product of the reverses, swapped
+    flip = {i: _reversed_index(shape, i) for i in range(shape.offset[-1])}
+    assert flatten(kernel.poly_reverse(ab, shape)) == flat_poly_mul(
+        {flip[i]: c for i, c in b.items()}, {flip[i]: c for i, c in a.items()}, shape)
+    # left multiplication and division by P = 1 + (a - a_0), in place
+    unit = {**a, 0: 1}
+    p = kernel.factor(sa)
+    r = [part.copy() for part in sb]
+    kernel.left_divide(r, p, shape, False)
+    assert flatten(r) == flat_poly_mul(unit, b, shape)
+    r = [part.copy() for part in sb]
+    kernel.left_divide(r, p, shape, True)
+    assert flat_poly_mul(unit, flatten(r), shape) == b
+    assert r == kernel.poly_div(by_degree(unit, shape), sb, shape)
+    assert flatten(kernel.series(p, shape)) == unit
+
+
+# bases above the exponent law's step
+SERIES_OP_BASES = [(2, 4), (3, 4), (2, 5), (2, 6), (3, 5)]
+
+
+@st.composite
+def series_elements(draw, count):
+    """`count` elements of a basis from SERIES_OP_BASES with exponents in
+    [-3, 3]: made by `from_exponents` with no series yet, with their
+    series already built, or by `collect` of a word of up to eight
+    letters, which keeps its series."""
+    basis = hall_basis(*draw(st.sampled_from(SERIES_OP_BASES)))
+    size, n = len(basis.elements), basis.n
+    out = []
+    for _ in range(count):
+        how = draw(st.sampled_from(("fresh", "cached", "collect")))
+        if how == "collect":
+            ints = draw(st.lists(st.integers(-n, n).filter(bool), max_size=8))
+            out.append(collect(word_from_ints(ints, n), basis))
+            continue
+        g = basis.from_exponents(draw(st.lists(st.integers(-3, 3), min_size=size,
+                                               max_size=size)))
+        if how == "cached":
+            g.poly
+        out.append(g)
+    return out
+
+
+@given(series_elements(2), st.sampled_from((1, 2, 3, -1, -2, -3)))
+def test_series_ops_match_the_flat_oracles(gs, e):
+    g, h = gs
+    assert g.basis.law is None
+    assert multiply(g, h) == series_multiply(g, h)
+    assert invert(g) == series_invert(g)
+    assert power(h, e) == series_power(h, e)
+    assert commutator(g, h) == series_multiply(
+        series_multiply(series_invert(g), series_invert(h)), series_multiply(g, h))
+    assert bar(g) == series_bar(g)

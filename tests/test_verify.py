@@ -2,7 +2,8 @@
 
 import pytest
 
-from nilpal.verify import SUITES, run_suite
+from nilpal.nilpotent import hall_basis, multiply
+from nilpal.verify import SUITES, prop33_cases, run_suite
 
 
 @pytest.mark.parametrize(
@@ -58,3 +59,14 @@ def test_registry_complete():
         "lemma2.5", "prop2.8", "jacobi", "lemma4.2", "foxtable",
         "lemma5.3", "lemma5.4", "thm5.8-n2", "prop3.1", "prop3.3",
     }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prop33_cases_are_the_products(n):
+    # each case's exponent tuple is built directly, as e_i followed by c
+    basis = hall_basis(n, 2)
+    count = 0
+    for i, c, g in prop33_cases(n):
+        assert g == multiply(basis.generator(i), basis.from_exponents((0,) * n + c))
+        count += 1
+    assert count == n * (7 ** len(basis.by_weight[1]) - 1)
