@@ -73,6 +73,10 @@ def _cases():
     cases["auto-eval-step5-inverted"] = [
         "--rank", "2", "--step", "5", "auto", "eval", "fixtures/r2_witness.auto",
         "x1^-2 [x2,x1]^-3 x2^-1 [x2,x1,x1]^-1 x1 [x2,x1,x1,x2]^2"]
+    # images raised to powers |e| >= 2 at step 4, where gamma_2 is not abelian
+    cases["auto-eval-step4-powers"] = [
+        "--rank", "3", "--step", "4", "--format", "kv", "auto", "eval",
+        "fixtures/r3_step4_powers.auto", "x1^3 x2^-2 x3 [x2,x1]^2"]
     cases["auto-compose-step4"] = [
         "--rank", "2", "--step", "4", "auto", "compose",
         "fixtures/r2_mu12.auto", "fixtures/r2_witness.auto", "fixtures/r2_wild.auto"]
