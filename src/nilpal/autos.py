@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 
+from nilpal import kernel
 from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
 from nilpal.intlinalg import (
     det,
@@ -28,6 +29,7 @@ from nilpal.intlinalg import (
 )
 from nilpal.nilpotent import (
     InternalError,
+    Lifts,
     NilElement,
     bar,
     collect,
@@ -67,7 +69,7 @@ _UNKNOWN = object()
 class Endo:
     """Endomorphism given by the images of the generators."""
 
-    __slots__ = ("basis", "images", "_abel", "_basis_images", "_top")
+    __slots__ = ("basis", "images", "_abel", "_basis_images", "_lifts", "_top")
 
     def __init__(self, basis, images):
         images = tuple(images)
@@ -80,6 +82,7 @@ class Endo:
         self.images = images
         self._abel = None
         self._basis_images = {}
+        self._lifts = None
         self._top = _UNKNOWN
 
     @property
@@ -140,14 +143,14 @@ class Endo:
                                     self._vector_image(c.right.index)))
         return img
 
-    def _series_image(self, idx, inverse=False):
-        """Series of the image of basis element idx, or of its inverse
-        (`HallBasis.bracket_series`)."""
-        return self.basis.bracket_series(idx, inverse, self._generator_image, self._basis_images)
-
-    def _generator_image(self, gen, inverse):
-        g = self.images[gen - 1]
-        return self.basis.inverse_poly(g.poly) if inverse else g.poly
+    @property
+    def lifts(self):
+        """The factors of the images of the basis elements and of their
+        powers (`nilpotent.Lifts`), built from the images' series."""
+        if self._lifts is None:
+            images = self.images
+            self._lifts = Lifts(self.basis, lambda gen: kernel.factor(images[gen - 1].poly))
+        return self._lifts
 
     def apply(self, g):
         """The image of g.
@@ -162,7 +165,10 @@ class Endo:
         head times the integer sum of g_j * (image of basis element j) over
         j > n.  Elsewhere the image is the series of g with each basis
         element's series replaced by that of its image
-        (`HallBasis.exponents_poly`), peeled.
+        (`HallBasis.exponents_poly` on `lifts`), peeled.  A power c_j^e
+        with |e| >= 2 is the binomial sum of the cached powers of
+        L = phi(c_j) - 1, which is exact: phi maps gamma_w into gamma_w,
+        so L has lowest degree >= w and L^i = 0 for i > k // w.
         """
         if g.basis is not self.basis:
             raise ValueError("element lives in a different basis")
@@ -179,7 +185,7 @@ class Endo:
                 out = [v + e * d for v, d in zip(out, block)]
             return NilElement(basis, None, exps[:start] + tuple(out))
         if not _gamma2_is_abelian(basis):
-            return basis.element_from_poly(basis.exponents_poly(exps, self._series_image))
+            return basis.element_from_poly(basis.exponents_poly(exps, self.lifts))
         law, n = basis.law, basis.n
         out = None
         for idx in range(n):
@@ -690,8 +696,9 @@ def make_generator(sym, basis):
     (tag, params) with their image tables, so
     `inverse` verifies each inverse once and every later `compose` reuses
     the images it already computed.  The set of such symbols is finite,
-    and a table holds at most one image per basis element (and, above
-    step 3, one per inverse of a basis element).  A power other than +-1
+    and a table holds at most one image per basis element (above step 3,
+    `Endo.lifts`, plus k // w powers of each image of weight w raised to
+    a power).  A power other than +-1
     is built afresh on every call.  A top-central generator
     (`Endo.top_defects`; phi2, phi3 and psi at step 3) has its m-th power,
     m = -1 included, built afresh by `_top_central_power` and is never

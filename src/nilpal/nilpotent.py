@@ -29,9 +29,11 @@ positive power (or multiplied by it, for a negative exponent), or for
 
 The lift of a bracket c = [a,b] comes from the lifts of its halves alone,
 A = a - 1 and B = b - 1: since ab = ba c, X = c - 1 solves
-(1 + A + B + BA) X = AB - BA, one left division up the degrees, and
-c^-1 = [b,a] solves the same with A and B swapped.  Each lift is stored
-once, as a factor, and no inverse lift is kept.
+(1 + A + B + BA) X = AB - BA, one left division up the degrees
+(`_bracket_factor`).  The same identity builds the image of c under any
+endomorphism from the images of its halves.  One object, `Lifts`, builds
+and caches these factors and their powers, for the basis
+(`HallBasis.lifts`) and for each map (`autos.Endo`); no inverse is kept.
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -150,6 +152,89 @@ def _build_elements(n, k):
     return by_weight
 
 
+def _bracket_factor(a, b, w, shape):
+    """The factor of [1+a, 1+b], for factors a and b whose bracket has
+    lowest degree >= w.
+
+    From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
+    (1 + S) X = D with D = ab - ba and S = a + b + ba: one left division
+    up the degrees, from the two products of the halves and no inverse
+    series.  X has lowest degree >= w, so only the degrees <= k - w of S
+    take part."""
+    k = shape.k
+    r = [{} for _ in range(k + 1)]
+    kernel.add_product(r, a, b, shape)
+    kernel.add_product(r, b, a, shape, -1)
+    r = [{i: c for i, c in part.items() if c} for part in r]
+    top = k - w
+    s = [{} for _ in range(top + 1)]
+    for f in (a, b):
+        kernel.add_scaled(s, [(d, items) for d, items in f if d <= top], 1)
+    kernel.add_product(s, b, a, shape, 1, top)
+    s = kernel.factor([{i: c for i, c in part.items() if c} for part in s])
+    kernel.left_divide(r, s, shape, True)
+    return kernel.factor(r)
+
+
+class Lifts:
+    """The factors c - 1 (`kernel.factor`) of the images c of the basis
+    elements under one endomorphism, and of their powers, built on first
+    use and then read-only.  `leaf(gen)` is the factor of the image of
+    x_gen; `HallBasis.lifts` is the identity map's, whose images are the
+    lifts of the basis elements themselves.
+
+    An endomorphism maps gamma_w into gamma_w, so the image of a basis
+    element c of weight w has L = c - 1 of lowest degree >= w, and L^i
+    vanishes for i > k // w.  A bracket's image is built from its halves'
+    by one left division (`_bracket_factor`), and c^e is the binomial sum
+    of the k // w cached powers of L.  `factors` keeps one factor per
+    basis element, `powers` k // w per element raised to a power e >= 2.
+    """
+
+    __slots__ = ("basis", "leaf", "factors", "powers")
+
+    def __init__(self, basis, leaf):
+        self.basis = basis
+        self.leaf = leaf
+        self.factors = {}
+        self.powers = {}
+
+    def lift(self, idx):
+        """The factor c - 1 of the image c of basis element idx."""
+        f = self.factors.get(idx)
+        if f is None:
+            c = self.basis.elements[idx]
+            if c.gen is not None:
+                f = self.leaf(c.gen)
+            else:
+                f = _bracket_factor(self.lift(c.left.index), self.lift(c.right.index),
+                                    c.weight, self.basis.shape)
+            self.factors[idx] = f
+        return f
+
+    def power(self, idx, e):
+        """The factor c^e - 1, for e >= 1: sum C(e, i) L^i over
+        1 <= i <= k // w, with L = c - 1; the lift itself for e = 1."""
+        if e == 1:
+            return self.lift(idx)
+        basis = self.basis
+        shape, k = basis.shape, basis.k
+        powers = self.powers.get(idx)
+        if powers is None:
+            lift = self.lift(idx)
+            low = kernel.series(lift, shape)
+            low[0] = {}  # L alone, with no constant term
+            powers, power = [lift], low
+            for _ in range(1, k // basis.elements[idx].weight):
+                power = kernel.poly_mul(power, low, shape)
+                powers.append(kernel.factor(power))
+            powers = self.powers[idx] = tuple(powers)
+        out = [{} for _ in range(k + 1)]
+        for i, f in enumerate(powers, start=1):
+            kernel.add_scaled(out, f, comb(e, i))
+        return kernel.factor(out)
+
+
 class HallBasis:
     """The ordered basic commutators of weight <= k for rank n, plus the
     machinery of the truncated-series model (built lazily, then read-only)."""
@@ -179,8 +264,7 @@ class HallBasis:
             slice(start, start + len(level))
             for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
-        self._blocks = {}
-        self._powers = {}
+        self.lifts = Lifts(self, lambda gen: ((1, ((self.shape.index((gen,)), 1),)),))
         self._peel = {}
         # derived values other modules compute once per basis, keyed by a
         # tuple that starts with the caller's name for them
@@ -209,96 +293,13 @@ class HallBasis:
         """Series of g^-1 from the series of g: 1 divided on the left by it."""
         return self.div(poly, kernel.one(self.shape))
 
-    def bracket_series(self, idx, inverse, leaf, cache):
-        """Series of the image of basis element idx, or of its inverse,
-        under the endomorphism whose generator images have the series
-        `leaf(gen, inverse)` (`autos.Endo`), kept in `cache`.  A bracket's
-        image is built from the positive images of its halves
-        (`_bracket_series`), so no inverse image of a half is needed."""
-        key = (idx, inverse)
-        poly = cache.get(key)
-        if poly is None:
-            c = self.elements[idx]
-            if c.gen is not None:
-                poly = leaf(c.gen, inverse)
-            else:
-                a, b = (kernel.factor(self.bracket_series(half.index, False, leaf, cache))
-                        for half in (c.left, c.right))
-                poly = self._bracket_series(a, b, c.weight, inverse)
-            cache[key] = poly
-        return poly
-
-    def _bracket_series(self, a, b, w, inverse):
-        """The series of [1+a, 1+b], or of [1+b, 1+a] if `inverse`, for
-        factors a and b whose bracket has lowest degree >= w.
-
-        From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
-        (1 + S) X = D with D = ab - ba and S = a + b + ba, and
-        [1+b, 1+a] - 1 solves the same with a and b swapped: one left
-        division up the degrees, from the two products of the halves and
-        no inverse series.  X has lowest degree >= w, so only the degrees
-        <= k - w of S take part."""
-        k, shape = self.k, self.shape
-        if inverse:
-            a, b = b, a
-        r = [{} for _ in range(k + 1)]
-        kernel.add_product(r, a, b, shape)
-        kernel.add_product(r, b, a, shape, -1)
-        r = [{i: c for i, c in part.items() if c} for part in r]
-        top = k - w
-        s = [{} for _ in range(top + 1)]
-        for f in (a, b):
-            kernel.add_scaled(s, [(d, items) for d, items in f if d <= top], 1)
-        kernel.add_product(s, b, a, shape, 1, top)
-        s = kernel.factor([{i: c for i, c in part.items() if c} for part in s])
-        kernel.left_divide(r, s, shape, True)
-        r[0] = {0: 1}
-        return r
-
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series: the columns of the
         Lie-coordinate matrix, as fresh dicts {monomial index: coefficient}
         built from the lowest degree block of each lift."""
         start = self.weight_offset[w - 1]
-        return [dict(self._lift_blocks(start + j)[0][1])
+        return [dict(self.lifts.lift(start + j)[0][1])
                 for j in range(len(self.by_weight[w - 1]))]
-
-    def _lift_blocks(self, idx):
-        """The factor c_idx - 1 (`kernel.factor`), cached per basis
-        element; read-only.  The one stored form of each lift; a bracket's
-        is built from its halves' (`_bracket_series`)."""
-        blocks = self._blocks.get(idx)
-        if blocks is None:
-            c = self.elements[idx]
-            if c.gen is not None:
-                blocks = ((1, ((self._letter_powers[c.gen][0], 1),)),)
-            else:
-                blocks = kernel.factor(self._bracket_series(
-                    self._lift_blocks(c.left.index), self._lift_blocks(c.right.index),
-                    c.weight, False))
-            self._blocks[idx] = blocks
-        return blocks
-
-    def _power_blocks(self, idx, e):
-        """The factor c_idx^e - 1, for e != 0 and c_idx of weight w with
-        2w <= k: the binomial sum of C(e, i) L^i over 1 <= i <= k // w,
-        with L = c_idx - 1 of lowest degree w, so that L^i vanishes for
-        larger i (for e < 0, C(e, i) is the generalized binomial).  The
-        powers L^i are cached per basis element, k // w factors each."""
-        powers = self._powers.get(idx)
-        if powers is None:
-            lift = self._lift_blocks(idx)
-            low = kernel.series(lift, self.shape)
-            low[0] = {}  # L alone, with no constant term
-            powers, power = [lift], low
-            for _ in range(1, self.k // self.elements[idx].weight):
-                power = self.mul(power, low)
-                powers.append(kernel.factor(power))
-            powers = self._powers[idx] = tuple(powers)
-        out = [{} for _ in range(self.k + 1)]
-        for i, f in enumerate(powers, start=1):
-            kernel.add_scaled(out, f, comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i))
-        return kernel.factor(out)
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -307,50 +308,42 @@ class HallBasis:
             solver = self._peel[w] = PivotSolver(self.lie_columns(w))
         return solver
 
-    def ordered_block_poly(self, w, coeffs, r, lift=None):
-        """r <- B r in place, for B the ordered product of the weight-w
-        basis elements raised to `coeffs` and r 1 plus terms of degree > w.
+    def ordered_block_poly(self, w, coeffs, r, lifts=None):
+        """r <- B r in place, for B the ordered product of the images of
+        the weight-w basis elements raised to `coeffs`, under the map of
+        `lifts` (default the identity's, `self.lifts`), and r 1 plus terms
+        of degree > w.
 
         The factors c_j^e, the last first, multiply r on the left by
         P = c_j^|e|, or divide it for e < 0 (`kernel.left_divide`); P - 1
-        is the lift, the binomial sum of its cached powers
-        (`_power_blocks`), or for a given `lift(idx)` (`exponents_poly`)
-        the kernel's power of it.  For 2w > k any product of two series of
+        is `Lifts.power` of c_j and |e|.  For 2w > k any product of two series of
         lowest degree >= w vanishes, and so does their product with r - 1:
         B r is r plus sum_j e_j (c_j - 1)."""
-        shape = self.shape
+        if lifts is None:
+            lifts = self.lifts
         start = self.weight_offset[w - 1]
         if 2 * w > self.k:
             for j, e in enumerate(coeffs):
                 if e:
-                    kernel.add_scaled(r, self._lift_blocks(start + j) if lift is None
-                                      else kernel.factor(lift(start + j)), e)
+                    kernel.add_scaled(r, lifts.lift(start + j), e)
             return r
         for j in range(len(coeffs) - 1, -1, -1):
             e = coeffs[j]
-            if not e:
-                continue
-            if lift is not None:
-                p = kernel.factor(self.pow(lift(start + j), abs(e)))
-            elif e in (1, -1):
-                p = self._lift_blocks(start + j)
-            else:
-                p = self._power_blocks(start + j, abs(e))
-            kernel.left_divide(r, p, shape, e < 0)
+            if e:
+                kernel.left_divide(r, lifts.power(start + j, abs(e)), self.shape, e < 0)
         return r
 
-    def exponents_poly(self, exps, lift=None):
+    def exponents_poly(self, exps, lifts=None):
         """Series of the element with Hall exponents `exps`: 1 multiplied
         on the left by the weight blocks, the last first.
 
-        With `lift(idx)` the series of phi(c_idx) for an endomorphism phi,
-        it is the series of phi of that element: phi(c_j) - 1 has lowest
-        degree >= w for c_j of weight w, as `ordered_block_poly` needs."""
+        With the `Lifts` of an endomorphism phi, it is the series of phi
+        of that element."""
         r = kernel.one(self.shape)
         for w in range(self.k, 0, -1):
             block = exps[self.weight_slice(w)]
             if any(block):
-                self.ordered_block_poly(w, block, r, lift)
+                self.ordered_block_poly(w, block, r, lifts)
         return r
 
     def element_from_poly(self, poly):
@@ -365,7 +358,7 @@ class HallBasis:
         E x == t, and a non-Lie t can never pass.
 
         Each factor is divided by its positive power P = c_j^|x_j|, whose
-        series is 1 plus terms of degree >= w (`_power_blocks`): for
+        series is 1 plus terms of degree >= w (`Lifts.power`): for
         x_j > 0, r becomes the s with P s = r, degree by degree
         (s_d = r_d - sum_e P_e s_(d-e)); for x_j < 0, r becomes P r.  The
         solver returns the nonzero x_j only, and the factors are taken in
@@ -379,6 +372,7 @@ class HallBasis:
             raise InternalError("series has constant term != 1",
                                 n=n, k=k, weight=0, residual_terms=sum(map(len, poly)))
         exps = [0] * len(self.elements)
+        lifts = self.lifts
         r = [dict(part) for part in poly]
         for w in range(1, k + 1):
             x = self._peel_solver(w).solve(r[w])
@@ -389,11 +383,9 @@ class HallBasis:
             for j in sorted(x):
                 xj = exps[start + j] = x[j]
                 if 2 * w > k:
-                    kernel.add_scaled(r, self._lift_blocks(start + j), -xj)
+                    kernel.add_scaled(r, lifts.lift(start + j), -xj)
                 else:
-                    kernel.left_divide(r, self._lift_blocks(start + j) if xj in (1, -1)
-                                       else self._power_blocks(start + j, abs(xj)),
-                                       self.shape, xj > 0)
+                    kernel.left_divide(r, lifts.power(start + j, abs(xj)), self.shape, xj > 0)
             if r[w]:
                 raise InternalError(f"degree-{w} component is not a Lie element",
                                     n=n, k=k, weight=w, residual_terms=len(r[w]))
@@ -412,12 +404,6 @@ class HallBasis:
         from nilpal import hallpoly  # imported here: hallpoly imports this module
 
         return hallpoly.derive(self)
-
-    @cached_property
-    def _letter_powers(self):
-        """Monomial index of X_i^d for d = 1..k, keyed by generator i."""
-        return {i: tuple(self.shape.index((i,) * d) for d in range(1, self.k + 1))
-                for i in range(1, self.n + 1)}
 
     @cached_property
     def _letter_vectors(self):
@@ -519,21 +505,19 @@ def collect(word, basis):
     folded by the exponent law, or else its series built by degree and
     peeled.  The series starts at 1 and takes the runs right to left: a
     run of c letters x_i multiplies it on the left by
-    (1 + X_i)^c = sum_d C(c, d) X_i^d, and a run of c letters x_i^-1
-    divides it by that power."""
+    (1 + X_i)^c = sum_d C(c, d) X_i^d (`Lifts.power` of x_i), and a run of
+    c letters x_i^-1 divides it by that power."""
     if word.rank != basis.n:
         raise ValueError(f"word rank {word.rank} != basis rank {basis.n}")
     law = basis.law
     if law is not None:
         vectors = map(basis._letter_vectors.__getitem__, word.letters)
         return NilElement(basis, None, reduce(law.mul, vectors, law.one))
-    powers = basis._letter_powers
+    lifts = basis.lifts
     r = kernel.one(basis.shape)
     runs = [(let, sum(1 for _ in run)) for let, run in groupby(word.letters)]
     for let, count in reversed(runs):
-        blocks = [(d, ((i, comb(count, d)),))
-                  for d, i in enumerate(powers[let.index], start=1) if d <= count]
-        kernel.left_divide(r, blocks, basis.shape, let.sign < 0)
+        kernel.left_divide(r, lifts.power(let.index - 1, count), basis.shape, let.sign < 0)
     return basis.element_from_poly(r)
 
 

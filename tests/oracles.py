@@ -15,7 +15,7 @@ one dict per degree: `flat_poly_mul` is the kernel's old flat product,
 `generator_series` gives the letters and `word_series` their products.
 `bracket_by_three_products` builds a bracket's series as a^-1 b^-1 a b
 from its halves and their inverses, the reference for the one left
-division of `HallBasis._bracket_series`; `lift_by_three_products` gives
+division of `nilpotent._bracket_factor`; `lift_by_three_products` gives
 the lifts that way, and
 `exponents_series_by_fold` multiplies them into the series of an exponent
 vector one letter-sized factor at a time, the reference for

@@ -23,6 +23,7 @@ from oracles import (  # noqa: E402
     flat_poly_mul,
     flatten,
     fraction_combination,
+    generator_series,
     lift_by_three_products,
     peel_by_block_division,
     pi_level_by_search,
@@ -57,6 +58,8 @@ from nilpal.intlinalg import lattice_factors, solve_from_smith  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
     HallBasis,
     InternalError,
+    Lifts,
+    _bracket_factor,
     bar,
     collect,
     commutator,
@@ -666,14 +669,14 @@ def test_power_blocks_match_poly_pow(n, k):
     # the kernel's repeated squaring, for every c_j with 2w <= k
     basis = HallBasis(n, k)
     shape = basis.shape
+    lifts = basis.lifts
     for c in basis.elements:
         if 2 * c.weight > k:
             continue
-        lift = kernel.series(basis._lift_blocks(c.index), shape)
-        for e in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
-            got = kernel.series(basis._power_blocks(c.index, e), shape)
-            base = lift if e > 0 else kernel.poly_inv(lift, shape)
-            assert got == kernel.poly_pow(base, abs(e), shape)
+        lift = kernel.series(lifts.lift(c.index), shape)
+        for e in (1, 2, 3, 4, 5):
+            got = kernel.series(lifts.power(c.index, e), shape)
+            assert got == kernel.poly_pow(lift, e, shape)
 
 
 def test_collect_caches_stay_bounded_per_basis(monkeypatch):
@@ -705,39 +708,50 @@ def test_collect_caches_stay_bounded_per_basis(monkeypatch):
     monkeypatch.undo()
     assert got == [series_collect(word, hall_basis(4, 5)).exponents for word in words]
     assert calls["peel"] == 200 and calls["pow"] == 0
-    k = basis.k
-    assert len(basis._blocks) <= len(basis.elements)
-    weights = {i: basis.elements[i].weight for i in basis._powers}
+    k, lifts = basis.k, basis.lifts
+    assert len(lifts.factors) <= len(basis.elements)
+    weights = {i: basis.elements[i].weight for i in lifts.powers}
     assert all(2 * w <= k for w in weights.values())
-    assert all(len(basis._powers[i]) == k // w for i, w in weights.items())
+    assert all(len(lifts.powers[i]) == k // w for i, w in weights.items())
     bound = sum(k // c.weight for c in basis.elements if 2 * c.weight <= k)
-    assert 0 < sum(map(len, basis._powers.values())) <= bound
-    assert calls["mul"] == sum(len(p) - 1 for p in basis._powers.values())
+    assert 0 < sum(map(len, lifts.powers.values())) <= bound
+    assert calls["mul"] == sum(len(p) - 1 for p in lifts.powers.values())
 
 
 # series bases for the bracket lifts, up to the wide-setup rung
 LIFT_BASES = [(2, 4), (3, 4), (3, 5), (4, 5), (2, 6)]
 
 
+def _inverse_image(lifts, idx):
+    """Series of the inverse of the image of basis element idx under the
+    map of `lifts`: 1 divided by a generator's image, and for a bracket
+    [a, b] the bracket [b, a], `_bracket_factor` with its halves swapped."""
+    basis = lifts.basis
+    shape = basis.shape
+    c = basis.elements[idx]
+    if c.gen is not None:
+        return basis.inverse_poly(kernel.series(lifts.lift(idx), shape))
+    return kernel.series(_bracket_factor(lifts.lift(c.right.index), lifts.lift(c.left.index),
+                                         c.weight, shape), shape)
+
+
 @pytest.mark.parametrize("n,k", LIFT_BASES)
 def test_lifts_match_the_three_product_recursion(n, k):
-    # every positive and inverse lift, one left division per bracket
-    # (`bracket_series` on the generators' own series), against
-    # a^-1 b^-1 a b from the halves and their inverses; the stored factors
-    # hold the positive lifts
+    # every positive and inverse lift, one left division per bracket (a
+    # `Lifts` on the generators' own series, the inverse from the swapped
+    # halves), against a^-1 b^-1 a b from the halves and their inverses;
+    # the basis's stored factors hold the positive lifts
     basis = HallBasis(n, k)
     shape = basis.shape
-
-    def leaf(gen, inverse):
-        g = kernel.series(basis._lift_blocks(gen - 1), shape)
-        return basis.inverse_poly(g) if inverse else g
-
-    engine, cache = {}, {}
+    lifts = Lifts(basis, lambda gen: kernel.factor(
+        by_degree(generator_series(basis, gen, False), shape)))
+    cache = {}
     for idx in range(len(basis.elements)):
-        for inverse in (False, True):
-            assert (flatten(basis.bracket_series(idx, inverse, leaf, engine))
-                    == lift_by_three_products(basis, idx, inverse, cache))
-        assert ([(d, dict(items)) for d, items in basis._lift_blocks(idx)]
+        assert (flatten(kernel.series(lifts.lift(idx), shape))
+                == lift_by_three_products(basis, idx, False, cache))
+        assert (flatten(_inverse_image(lifts, idx))
+                == lift_by_three_products(basis, idx, True, cache))
+        assert ([(d, dict(items)) for d, items in basis.lifts.lift(idx)]
                 == [(d, dict(items))
                     for d, items in kernel.factor(by_degree(cache[(idx, False)], shape))])
 
@@ -762,18 +776,17 @@ def bracket_halves(draw):
 
 @given(bracket_halves(), st.booleans())
 def test_bracket_recurrence_matches_three_products(case, inverse):
-    # (1 + S) X = D solved up the degrees, on series that are not lifts
+    # (1 + S) X = D solved up the degrees, on series that are not lifts;
+    # the inverse bracket [b, a] is the same division with swapped halves
     basis, a, b, w = case
     shape = basis.shape
     if inverse:
         a, b = b, a
     inv = [flat_poly_inv(p, shape) for p in (a, b)]
     want = flat_poly_mul(flat_poly_mul(*inv, shape), flat_poly_mul(a, b, shape), shape)
-    if inverse:
-        a, b = b, a
-    got = basis._bracket_series(kernel.factor(by_degree(a, shape)),
-                                kernel.factor(by_degree(b, shape)), w, inverse)
-    assert flatten(got) == want
+    got = _bracket_factor(kernel.factor(by_degree(a, shape)),
+                          kernel.factor(by_degree(b, shape)), w, shape)
+    assert flatten(kernel.series(got, shape)) == want
 
 
 @given(endo_cases([(2, 4), (3, 4)]))
@@ -781,12 +794,18 @@ def test_endo_series_images_match_the_three_product_recursion(case):
     # the images of the basis elements and of their inverses under a
     # random map, through the same recurrence as the lifts
     (e,), _ = case
+    basis = e.basis
+
+    def leaf(gen, inverse):
+        g = e.images[gen - 1].poly
+        return flatten(basis.inverse_poly(g) if inverse else g)
+
     cache = {}
-    for idx in range(len(e.basis.elements)):
-        for inverse in (False, True):
-            assert flatten(e._series_image(idx, inverse)) == bracket_by_three_products(
-                e.basis, idx, inverse, lambda gen, inv: flatten(e._generator_image(gen, inv)),
-                cache)
+    for idx in range(len(basis.elements)):
+        assert (flatten(kernel.series(e.lifts.lift(idx), basis.shape))
+                == bracket_by_three_products(basis, idx, False, leaf, cache))
+        assert (flatten(_inverse_image(e.lifts, idx))
+                == bracket_by_three_products(basis, idx, True, leaf, cache))
 
 
 @pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
@@ -804,6 +823,34 @@ def test_element_series_raise_lifts_by_power_blocks(n, k, monkeypatch):
     assert pows == []
 
 
+@pytest.mark.parametrize("n,k", [(3, 4), (2, 5), (2, 6)])
+def test_endo_apply_raises_images_by_power_blocks(n, k, monkeypatch):
+    # above step 3, apply raises the image of c_j to e with |e| >= 2 by the
+    # binomial sum of the cached powers of phi(c_j) - 1, not a kernel
+    # power; the map keeps one factor per basis element and k // w powers
+    # only for elements with 2w <= k
+    basis = HallBasis(n, k)
+    rng = random.Random(100 * n + k)
+
+    def vec():
+        return basis.from_exponents(rng.randint(-3, 3) for _ in basis.elements)
+
+    e = Endo(basis, [vec() for _ in range(n)])
+    points = [vec() for _ in range(2)]
+    pows = []
+    poly_pow = kernel.poly_pow
+    monkeypatch.setattr(kernel, "poly_pow", lambda *args: pows.append(args) or poly_pow(*args))
+    got = [e.apply(g) for g in points]
+    monkeypatch.undo()
+    assert got == [series_apply(e, g) for g in points]
+    assert pows == []
+    lifts = e.lifts
+    assert e._basis_images == {} and lifts.powers
+    assert set(lifts.factors) <= set(range(len(basis.elements)))
+    weights = {i: basis.elements[i].weight for i in lifts.powers}
+    assert all(2 * w <= k and len(lifts.powers[i]) == k // w for i, w in weights.items())
+
+
 def test_lifts_take_no_series_product(monkeypatch):
     # Building every lift at (4,5) multiplies the halves of each bracket
     # as factors, so no kernel product runs (two per bracket at most).
@@ -812,9 +859,9 @@ def test_lifts_take_no_series_product(monkeypatch):
     poly_mul = kernel.poly_mul
     monkeypatch.setattr(kernel, "poly_mul", lambda *args: muls.append(args) or poly_mul(*args))
     for idx in range(len(basis.elements)):
-        basis._lift_blocks(idx)
+        basis.lifts.lift(idx)
     assert muls == []
-    assert len(basis._blocks) == len(basis.elements)
+    assert len(basis.lifts.factors) == len(basis.elements)
 
 
 def test_collect_builds_no_flat_or_inverse_lift():
@@ -826,7 +873,7 @@ def test_collect_builds_no_flat_or_inverse_lift():
         ints = _runs_to_ints((rng.choice(letters), rng.randint(1, 7))
                              for _ in range(rng.randint(1, 4)))
         collect(word_from_ints(ints, 4), basis)
-    assert len(basis._blocks) == len(basis.elements)
+    assert len(basis.lifts.factors) == len(basis.elements)
 
 
 # -- the per-degree series layout against the flat oracles -----------------
