@@ -26,6 +26,8 @@ RANK2 = ("mu12", "witness", "swap", "transvection", "ia_weight2", "phi3", "inner
 RANK3 = ("mu_phi2", "witness", "swap", "transvection", "ia_weight2", "phi2_tame",
          "phi2_wild", "phi3_psi", "odd")
 RANK3_DECOMPOSE = ("psi_pair", "phi3_pair", "bglm_mixed")
+RANK2_LOW_STEP = ("mu12", "witness", "swap", "transvection", "ia_weight2", "odd", "wild")
+RANK3_LOW_STEP = ("mu_phi2", "witness", "swap", "ia_weight2", "odd")
 
 
 def _cases():
@@ -36,6 +38,14 @@ def _cases():
                 cases[f"auto-{op}-r{rank}-{name}"] = [
                     "--rank", str(rank), "--step", "3", "--format", fmt,
                     "auto", op, f"fixtures/r{rank}_{name}.auto"]
+    # inverses at steps 1 and 2, where the elementary palindromic route
+    # has no weight-3 layer
+    for rank, names, fmt in ((2, RANK2_LOW_STEP, "text"), (3, RANK3_LOW_STEP, "kv")):
+        for name in names:
+            for step in (1, 2):
+                cases[f"auto-invert-r{rank}-s{step}-{name}"] = [
+                    "--rank", str(rank), "--step", str(step), "--format", fmt,
+                    "auto", "invert", f"fixtures/r{rank}_{name}.auto"]
     # two-symbol BGLM families and symbols scaled by a negative coefficient
     for name in RANK3_DECOMPOSE:
         for op in ("decompose-bglm", "decompose-central"):
