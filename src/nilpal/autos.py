@@ -66,6 +66,15 @@ def _gamma2_is_abelian(basis):
 _UNKNOWN = object()
 
 
+def _top_block(basis, i, g):
+    """The weight-k block of x_i^-1 g when that defect lies in gamma_k
+    (the coordinates of g below weight k are e_i), else None."""
+    exps, start = g.exponents, basis.weight_offset[-1]
+    if exps[i - 1] == 1 and exps[:start].count(0) == start - 1:
+        return exps[start:]
+    return None
+
+
 class Endo:
     """Endomorphism given by the images of the generators."""
 
@@ -120,12 +129,11 @@ class Endo:
         top = self._top
         if top is _UNKNOWN:
             basis = self.basis
-            start = basis.weight_offset[-1]
             top = None
-            if basis.k >= 2 and all(
-                    g.exponents[i] == 1 and g.exponents[:start].count(0) == start - 1
-                    for i, g in enumerate(self.images)):
-                top = tuple(g.exponents[start:] for g in self.images)
+            if basis.k >= 2:
+                top = tuple(_top_block(basis, i, g) for i, g in enumerate(self.images, 1))
+                if None in top:
+                    top = None
             self._top = top
         return top
 
@@ -224,7 +232,9 @@ def make_endo(basis, images):
 
 
 def identity_endo(basis):
-    return Endo(basis, tuple(basis.generator(i) for i in range(1, basis.n + 1)))
+    """The identity map of `basis`, one per basis, kept in `basis.memo`."""
+    return _memo(basis, ("identity",), lambda: Endo(
+        basis, tuple(basis.generator(i) for i in range(1, basis.n + 1))))
 
 
 def compose(e1, e2):
@@ -349,17 +359,50 @@ def _solve_mod2(echelon, row, target):
     rest, beta = _reduce_mod2(echelon, _parity_mask(target))
     if rest:
         return None
+    return beta, [v // 2 for v in _minus_rows(target, row, beta)]
+
+
+def _minus_rows(target, row, beta):
+    """target minus the rows row(j) whose bit j is set in beta."""
     for j in range(beta.bit_length()):
         if beta >> j & 1:
             target = vec_sub(target, row(j))
-    return beta, [v // 2 for v in target]
+    return target
+
+
+def _witness_rows(basis, i):
+    """The step-3 witness rows of generator i at alpha = 0, checked once
+    against the law.
+
+    On gamma_2 at step 3, q -> bar(q) x_i q is x_i h(q) with h additive:
+    bar(q) x_i q = x_i (bar(q) q) [bar(q), x_i], both factors central and
+    additive in q, and gamma_2 is abelian.  Row j (`_step3_row` at alpha =
+    0) is the weight-3 block of h(z_j), and h(c) = c^2 for each weight-3
+    c.  So for q = z^beta c^delta the top block of bar(q) x_i q is
+    sum_j beta_j row_j + 2 delta.  Each row, and each h(c), is compared
+    here with `_palindromic_image` of that basis element on the law."""
+    def build():
+        start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
+        size = len(basis.elements)
+        rows = list(map(_step3_row(basis, i, [0] * basis.n), range(start3 - start2)))
+        head = basis._letter_vectors[Letter(i, 1)][:start3]
+        for idx in range(start2, size):
+            top = ([2 * (c == idx) for c in range(start3, size)] if idx >= start3
+                   else rows[idx - start2])
+            if _palindromic_image(basis, i, tuple(int(c == idx) for c in range(size))) \
+                    != head + tuple(top):
+                raise InternalError("witness row disagrees with the law",
+                                    n=basis.n, k=basis.k, i=i, coordinate=idx)
+        return rows
+
+    return _memo(basis, ("witness_rows", i), build)
 
 
 def _witness_echelon(basis, i):
     """`_mod2_echelon` of the step-3 witness rows of generator i.  The
     rows mod 2 are U[j] + K[i-1][j] for every alpha, so alpha = 0 serves."""
-    return _memo(basis, ("witness_echelon", i), lambda: _mod2_echelon(
-        map(_step3_row(basis, i, [0] * basis.n), range(len(basis.by_weight[1])))))
+    return _memo(basis, ("witness_echelon", i),
+                 lambda: _mod2_echelon(_witness_rows(basis, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +525,55 @@ def _top_central_power(e, m):
         for g, block in zip(e.images, e.top_defects())])
 
 
+def _first_unwitnessed(phi):
+    """The first i at which an IA map phi at step <= 3 has no palindromic
+    witness, or None when phi is elementary palindromic.
+
+    By parity a witness q of an IA map has ab(q) = 0, so q lies in gamma_2
+    and bar(q) x_i q = x_i h(q) with h(q) central (`_witness_rows`): phi
+    must send x_i to x_i D_i with D_i in gamma_k.  At k = 2, h(q) = 1, so
+    D_i must be 1.  At k = 3 the top block of D_i must be
+    sum_j beta_j row_j + 2 delta, which the GF(2) echelon of the rows
+    decides.  A block it accepts, minus the rows its combo names, must be
+    even; that certificate reads the rows themselves, so it holds whatever
+    the echelon says, and InternalError with {n, k, i, level} is raised
+    when it fails.  At k = 1 an IA map is the identity."""
+    basis = phi.basis
+    n, k = basis.n, basis.k
+    if k == 1:
+        return None
+    for i, g in enumerate(phi.images, 1):
+        block = _top_block(basis, i, g)
+        if block is None or (k == 2 and any(block)):
+            return i
+        if k == 3:
+            rest, beta = _reduce_mod2(_witness_echelon(basis, i), _parity_mask(block))
+            if rest:
+                return i
+            if any(v % 2 for v in _minus_rows(
+                    list(block), _witness_rows(basis, i).__getitem__, beta)):
+                raise InternalError("witness certificate failed", n=n, k=k, i=i, level=2)
+    return None
+
+
 def inverse_with_factors(e):
     """Inverse automorphism together with its layer factors psi_1..psi_k.
 
     Composing e with the recorded factors left to right gives the identity,
     so their ordered product is the inverse.  For an elementary palindromic
-    input (step <= 3) every factor is itself elementary palindromic: the
-    first is the palindromic lift of the inverse abelianization matrix, the
-    second conjugates by the witnesses of weight >= 2 of phi = e psi_1
-    (n solves), and at step 3 the third is read off the top defects of
-    what is left, with no solve.  A witness q of weight 3 is central with
-    bar(q) = q, so it sends x_i to x_i q^2: witnesses exist iff that map
-    is top-central with every block D_i even, and the factor
-    x_i -> x_i D_i^-1 is its inverse.  On a correct run the level-2
-    factor is top-central and fixes every q_i (ab(q_i) = 0), so phi is
-    the identity by level 3 and so is the third factor; the test of the
-    top defects is what checks it.
+    (EPA) input at step <= 3 every factor is EPA: psi_1 is the palindromic
+    lift of the inverse abelianization matrix, which leaves phi = e psi_1
+    IA.  An IA map is EPA iff it is top-central with every top block in the
+    witness lattice (`_first_unwitnessed`), and then the level-2 factor is
+    phi^-1 = x_i -> x_i D_i^-1 (`_top_central_power(phi, -1)`), which
+    conjugates x_i by the inverse of its witness, since q -> bar(q) x_i q
+    is additive on gamma_2.  Nothing is left for level 3: the third factor
+    is the identity, phi psi_2, and only the first two factors are folded
+    into the inverse.  No witness is solved for.  When the EPA test fails,
+    `palindromic_witnesses(e)` must confirm that e has no witnesses (else
+    InternalError).  Such inputs, inputs above step 3 and inputs whose
+    abelianization is not the identity mod 2 take the ordered lift and
+    strip the defects of phi one weight at a time.
     """
     basis = e.basis
     n, k = basis.n, basis.k
@@ -505,65 +581,45 @@ def inverse_with_factors(e):
         minv = inv_unimodular([list(r) for r in e.abel_matrix])
     except ValueError:
         raise NotAutomorphismError("abelianization matrix is not in GL(n, Z)") from None
-    witnesses = None
+    factors = None
     if k <= 3 and _mod2_permutation(e.abel_matrix) == tuple(range(1, n + 1)):
-        # Elementary palindromic (EPA) maps commute with bar, so e then f
-        # sends x_i to bar(r_i f(q_i)) x_i r_i f(q_i) when e and f have
-        # witnesses q_i and r_i, and they form a group (arXiv:1506.03195).
-        # psi is EPA, so e is EPA iff phi = e then psi is.  phi is IA, so
-        # its witnesses have alpha = 0 and weight >= 2: the level-2 solve
-        # decides it, and its witnesses give the level-2 factor.
+        # EPA maps commute with bar, so e then f sends x_i to
+        # bar(r_i f(q_i)) x_i r_i f(q_i) when e and f have witnesses q_i
+        # and r_i, and they form a group (arXiv:1506.03195).  psi_1 is EPA,
+        # so e is EPA iff phi = e then psi_1 is.
         if any((minv[r][c] - (1 if r == c else 0)) % 2 for r in range(n) for c in range(n)):
             raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
         phi = compose(e, psi)
-        witnesses = []
-        for i, img in enumerate(phi.images if k >= 2 else (), 1):
-            q = solve_conjugator(img, i, min_weight=2)
-            if q is None:
-                if palindromic_witnesses(e) is not None:
-                    raise InternalError("missing level-2 witness", n=n, k=k, i=i, level=2)
-                witnesses = None
-                break
-            witnesses.append(q)
-    if witnesses is None:
+        i = _first_unwitnessed(phi)
+        if i is None:
+            factors = [psi]
+            if k >= 2:
+                factors.append(_top_central_power(phi, -1))
+                phi = compose(phi, factors[1])
+            if k == 3:
+                factors.append(phi)
+            folded = factors[:2]
+        elif palindromic_witnesses(e) is not None:
+            raise InternalError("missing level-2 witness", n=n, k=k, i=i, level=2)
+    if factors is None:
         psi = _ordered_linear_lift(basis, minv)
         phi = compose(e, psi)
-    factors = [psi]
-    folded = k  # the leading factors whose product is the inverse
-    for level in range(2, k + 1):
-        if witnesses is None:
+        factors = [psi]
+        for level in range(2, k + 1):
             images = []
             for i, r in enumerate(_defects(phi), 1):
                 if not r.is_identity() and weight(r) < level:
                     raise InternalError(f"residue escaped weight {level}",
                                         n=n, k=k, i=i, level=level)
                 images.append(multiply(basis.generator(i), invert(r)))
-            psi = Endo(basis, images)
-        elif level == 2:
-            psi = Endo(basis, [
-                NilElement(basis, None, _palindromic_image(basis, i, basis.law.inv(q.exponents)))
-                for i, q in enumerate(witnesses, 1)])
-        else:
-            # level 3 = k: the docstring's top-level rule
-            top = phi.top_defects()
-            if top is None or any(v % 2 for block in top for v in block):
-                i = next(i for i, r in enumerate(_defects(phi), 1)
-                         if weight(r) < k or any(v % 2 for v in r.weight_block(k)))
-                raise InternalError("missing level-3 witness", n=n, k=k, i=i, level=3)
-            if not any(map(any, top)):
-                # phi is the identity, as on every correct run: it is the
-                # factor, and nothing is composed with it
-                factors.append(phi)
-                folded = 2
-                continue
-            psi = _top_central_power(phi, -1)
-        factors.append(psi)
-        phi = compose(phi, psi)
+            factors.append(Endo(basis, images))
+            phi = compose(phi, factors[-1])
+        folded = factors
     if phi != identity_endo(basis):
         raise InternalError("inverse iteration did not terminate at the identity",
                             n=n, k=k, factors=len(factors))
-    return reduce(compose, factors[:folded]), factors
+    return reduce(compose, folded), factors
 
 
 def inverse(e):

@@ -68,15 +68,32 @@ def det(a):
 
 
 def inv_unimodular(a):
-    """Exact inverse of an integer matrix with determinant +-1, read from
-    its Smith form u a v = d: a is unimodular iff d is the identity, and
-    then a^-1 = v u."""
-    u, d, v = smith_normal_form(a)
-    if not all(d[i][i] for i in range(len(a))):
-        raise ValueError("matrix is singular")
-    if any(d[i][i] != 1 for i in range(len(a))):
+    """Exact inverse of an integer matrix with determinant +-1, by one
+    fraction-free (Bareiss) Gauss-Jordan pass over [a | I].
+
+    Step c scales every other row by the pivot p and subtracts the pivot
+    row times its column-c entry, then divides by the previous pivot; by
+    Sylvester's identity the division is exact.  At the end every diagonal
+    entry is d = +-det(a) and the right half is d a^-1.  A column with no
+    nonzero pivot means det(a) = 0; |d| > 1 means a^-1 is not integral."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            raise ValueError("matrix is singular")
+        m[c], m[r] = m[r], m[c]
+        pivot_row = m[c]
+        p = pivot_row[c]
+        for i in range(n):
+            if i != c:
+                row, f = m[i], m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    if prev not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return mat_mul(v, u)
+    return [[prev * x for x in row[n:]] for row in m]
 
 
 def smith_normal_form(a):

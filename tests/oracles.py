@@ -37,11 +37,15 @@ either `bar` path and never runs on the law.
 two-lift word path of the tameness residue, the references for
 `foxring.fox_derivative` and the per-basis table of `autos`.
 `fraction_inv_unimodular` is Gauss-Jordan over Fractions, the reference
-for the Smith-form inverse `intlinalg.inv_unimodular`.
+for the Bareiss inverse `intlinalg.inv_unimodular`.
 `signed_permutation_palindromic` searches all 2^n sign vectors of the
 signed permutation in e = eps . omega, the reference for the one
 candidate that `autos.classify` tries, and `pi_level_by_search` solves
 level by level for the pi-level that `classify` reads off its witnesses.
+`epa_inverse_by_witnesses` inverts an elementary palindromic map by
+solving for the witnesses of weight >= 2 and conjugating by their
+inverses, the reference for the solve-free EPA route of
+`autos.inverse_with_factors`.
 `fraction_combination` solves a lattice system over Fractions, the
 reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
 `pivot_solve_by_sweep` substitutes through every step of a
@@ -441,6 +445,44 @@ def pi_level_by_search(e):
                for i, g in enumerate(e.images, 1)):
             return level
     return 1
+
+
+def epa_inverse_by_witnesses(e):
+    """(inverse, factors) of an elementary palindromic automorphism e at
+    step <= 3 by witness solves, or None when e has no witnesses there.
+
+    The factors are the palindromic lift psi_1 of the inverse
+    abelianization matrix (inverted over Fractions), then
+    x_i -> bar(q_i^-1) x_i q_i^-1 over the witnesses q_i of weight >= 2 of
+    phi = e psi_1 (one `solve_conjugator` each, built by group products),
+    then at step 3 what is left of phi, which must be the identity; the
+    inverse is the product of the first two.  The reference for the EPA
+    route of `autos.inverse_with_factors`, which solves nothing."""
+    from functools import reduce
+
+    from nilpal.autos import Endo, _epa_linear_lift, compose, identity_endo, solve_conjugator
+    from nilpal.nilpotent import bar, invert, multiply
+
+    basis = e.basis
+    n, k = basis.n, basis.k
+    if any((v - (r == c)) % 2 for r, row in enumerate(e.abel_matrix) for c, v in enumerate(row)):
+        return None
+    factors = [_epa_linear_lift(basis, fraction_inv_unimodular([list(r) for r in e.abel_matrix]))]
+    phi = compose(e, factors[0])
+    if k >= 2:
+        images = []
+        for i, img in enumerate(phi.images, 1):
+            q = solve_conjugator(img, i, min_weight=2)
+            if q is None:
+                return None
+            q = invert(q)
+            images.append(multiply(multiply(bar(q), basis.generator(i)), q))
+        factors.append(Endo(basis, images))
+        phi = compose(phi, factors[1])
+    if k == 3:
+        factors.append(phi)
+    assert phi == identity_endo(basis)
+    return reduce(compose, factors[:2]), factors
 
 
 def signed_permutation_palindromic(e):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    epa_inverse_by_witnesses,
     gf2_rank,
     hand_bglm_lattice,
     hand_central_lattice,
@@ -643,17 +644,21 @@ def _count_solves(monkeypatch):
     return calls
 
 
-def test_inverse_of_epa_solves_each_level_once(monkeypatch):
-    # n solves at level 2, reused as the level-2 factor; the level-3 factor
-    # is read off the top defects, and nothing is solved for a separate
-    # palindromicity test
+def test_inverse_of_epa_solves_no_witness(monkeypatch):
+    # phi = e psi_1 is IA: e is EPA iff phi is top-central with every top
+    # block in the witness lattice, and the level-2 factor is phi^-1.  No
+    # witness is solved, no palindromicity test is run, no Smith form is
+    # taken, and the factors are those of the witness route
     basis = hall_basis(3, 3)
     e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
-    want = inverse_with_factors(e)
+    want = epa_inverse_by_witnesses(e)
     calls = _count_solves(monkeypatch)
+    smith = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: smith.append(1) or real(a))
     inv, factors = inverse_with_factors(e)
     assert (inv, factors) == want
-    assert calls == [(1, 2), (2, 2), (3, 2)]
+    assert calls == [] and smith == []
     assert compose(e, inv) == identity_endo(basis)
 
 
@@ -693,7 +698,8 @@ def test_inverse_of_non_palindromic_ia_map(n):
 
 
 def test_inverse_runs_one_elimination(monkeypatch):
-    # the Smith form of inv_unimodular tells GL(n, Z) apart; no determinant
+    # the one Bareiss pass of inv_unimodular tells GL(n, Z) apart; no
+    # determinant and no Smith form
     basis = hall_basis(2, 3)
     monkeypatch.setattr(autos, "det", None)
     m12 = make_generator(mu(1, 2), basis)
@@ -722,17 +728,6 @@ def test_inverse_escaped_residue_context(monkeypatch):
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
-def _no_higher_witnesses(monkeypatch):
-    """Witnesses of weight >= 2 replaced by the identity."""
-    real = autos.solve_conjugator
-
-    def no_higher(g, i, min_weight=1):
-        return real(g, i) if min_weight == 1 else g.basis.from_exponents(
-            (0,) * len(g.basis.elements))
-
-    monkeypatch.setattr(autos, "solve_conjugator", no_higher)
-
-
 def test_inverse_nontermination_context(monkeypatch):
     # the defect route's residues read as the identity leave phi = e, a map
     # with a weight-2 defect and no witness
@@ -743,32 +738,46 @@ def test_inverse_nontermination_context(monkeypatch):
     assert err.value.context == {"n": 2, "k": 3, "factors": 3}
 
 
-def test_inverse_missing_level_3_witness_context(monkeypatch):
-    # level-2 witnesses forced to the identity: phi2(2,1;1) reaches level 3
-    # with an odd top defect at x1, and mu(1,2) with a wrong linear lift
-    # reaches it as itself, which is not top-central
-    _no_higher_witnesses(monkeypatch)
+def test_inverse_wrong_sign_level_2_factor_context(monkeypatch):
+    # a level-2 factor x_i -> x_i D_i instead of x_i D_i^-1 leaves
+    # x_i -> x_i D_i^2, which the final identity check refuses
+    cases = [(2, [phi3(2, 1, 1, 1)]), (3, [mu(1, 2), phi2(2, 1, 3)])]
+    maps = [compose_symbols(symbols, hall_basis(n, 3)) for n, symbols in cases]
+    real = autos._top_central_power
+    monkeypatch.setattr(autos, "_top_central_power", lambda phi, m: real(phi, -m))
+    for (n, _), e in zip(cases, maps):
+        with pytest.raises(InternalError, match="did not terminate") as err:
+            inverse_with_factors(e)
+        assert err.value.context == {"n": n, "k": 3, "factors": 3}
+
+
+def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):
+    # an echelon that reduces every parity mask to 0 with no rows accepts
+    # the odd top defect of x1 -> x1 [x2,x1,x1]; that block minus no rows
+    # is odd, so the certificate fails before any factor is built
     basis = hall_basis(2, 3)
-    with pytest.raises(InternalError, match="missing level-3 witness") as err:
-        inverse_with_factors(make_generator(phi2(2, 1, 1), basis))
-    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 3}
-    monkeypatch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
-    e = make_generator(mu(1, 2), basis)
-    assert e.top_defects() is None
-    with pytest.raises(InternalError, match="missing level-3 witness") as err:
+    e = parse_endo_file((GOLDEN_FIXTURES / "r2_odd.auto").read_text(), basis)
+    assert palindromic_witnesses(e) is None
+    m3 = len(basis.by_weight[2])
+    monkeypatch.setattr(autos, "_witness_echelon",
+                        lambda b, i: [(1 << j, 0) for j in reversed(range(m3))])
+    with pytest.raises(InternalError, match="witness certificate failed") as err:
         inverse_with_factors(e)
-    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 3}
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
-def test_inverse_level_3_factor_strips_an_even_top_defect(monkeypatch):
-    # on a correct run the level-3 factor is the identity; with the level-2
-    # witnesses forced to the identity, phi3(2,1,1;1) reaches level 3 whole,
-    # its top defect is even, and the level-3 factor is its inverse
-    _no_higher_witnesses(monkeypatch)
-    basis = hall_basis(2, 3)
-    inv, factors = inverse_with_factors(make_generator(phi3(2, 1, 1, 1), basis))
-    assert factors[1] == identity_endo(basis)
-    assert inv == factors[2] == make_generator(phi3(2, 1, 1, 1, -1), basis)
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_rows_are_checked_against_the_law(monkeypatch, n):
+    # one entry of the step-3 table changed: the first inverse on a fresh
+    # memo compares each witness row with bar(z_j) x_i z_j on the law
+    basis = hall_basis(n, 3)
+    e = compose_symbols([mu(1, 2), phi2(2, 1, n)], basis)
+    monkeypatch.setattr(basis, "memo", {})
+    u = autos._step3_table(basis)[0]
+    u[0] = [v + 2 * (c == 0) for c, v in enumerate(u[0])]
+    with pytest.raises(InternalError, match="witness row disagrees with the law") as err:
+        inverse_with_factors(e)
+    assert err.value.context == {"n": n, "k": 3, "i": 1, "coordinate": n}
 
 
 def test_inverse_general_route():

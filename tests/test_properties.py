@@ -9,24 +9,29 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     bracket_by_three_products,
     by_degree,
+    epa_inverse_by_witnesses,
     exponents_series_by_fold,
     flat_poly_inv,
     flat_poly_mul,
     flatten,
     fraction_combination,
+    fraction_inv_unimodular,
     generator_series,
+    gf2_rank,
     lift_by_three_products,
     peel_by_block_division,
     pi_level_by_search,
+    product_step3_rows,
     ring_fox_derivative,
     series_apply,
     series_bar,
@@ -42,6 +47,7 @@ from oracles import (  # noqa: E402
 from nilpal.autos import (  # noqa: E402
     Endo,
     GeneratorSymbol,
+    _palindromic_image,
     classify,
     compose,
     compose_symbols,
@@ -49,12 +55,13 @@ from nilpal.autos import (  # noqa: E402
     inverse_with_factors,
     make_generator,
     palindromic_witnesses,
+    parse_endo_file,
     solve_conjugator,
     tameness_residue,
 )
 from nilpal import kernel  # noqa: E402
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
-from nilpal.intlinalg import lattice_factors, solve_from_smith  # noqa: E402
+from nilpal.intlinalg import inv_unimodular, lattice_factors, solve_from_smith  # noqa: E402
 from nilpal.nilpotent import (  # noqa: E402
     HallBasis,
     InternalError,
@@ -396,6 +403,130 @@ def test_inverse_round_trips_on_elementary_palindromic(case):
     assert len(factors) == basis.k
     for f in factors:
         assert palindromic_witnesses(f) is not None
+
+
+FIXTURES = Path(__file__).parent / "golden" / "fixtures"
+
+
+@st.composite
+def inverse_inputs(draw):
+    """At ranks 1-4 and steps 1-3: a product of up to four t, alpha, mu,
+    phi2, phi3 and psi symbols; the IA map with a weight-2 defect of the
+    rank-2 or rank-3 fixture; or, at step 3, a top-central map with one odd
+    top block outside the witness lattice (x_i -> x_i c^e for a weight-3
+    c whose parity vector the witness rows mod 2 do not span, e odd)."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    basis = hall_basis(n, k)
+    kind = draw(st.sampled_from(("symbols",) + ("fixture",) * (n in (2, 3))
+                                + ("odd_top",) * (k == 3 and n > 1)))
+    if kind == "fixture":
+        return parse_endo_file((FIXTURES / f"r{n}_ia_weight2.auto").read_text(), basis)
+    if kind == "odd_top":
+        start3, m3 = basis.weight_offset[2], len(basis.by_weight[2])
+        outside = []
+        for i in range(1, n + 1):
+            rows = product_step3_rows(basis, i, (0,) * n)
+            outside += [(i, c) for c in range(m3)
+                        if gf2_rank(rows + [[int(j == c) for j in range(m3)]]) > gf2_rank(rows)]
+        i, c = draw(st.sampled_from(outside))
+        exps = [0] * len(basis.elements)
+        exps[i - 1], exps[start3 + c] = 1, draw(st.sampled_from((-3, -1, 1, 3)))
+        images = [basis.generator(j) for j in range(1, n + 1)]
+        images[i - 1] = basis.from_exponents(exps)
+        return Endo(basis, images)
+    families = ("t", "alpha", "mu", "phi2", "phi3", "psi") if n > 1 else ("t",)
+    return compose_symbols(draw(st.lists(symbols(n, families), max_size=4)), basis)
+
+
+def test_inverse_matches_the_witness_route():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(inverse_inputs())
+    def check(e):
+        want = epa_inverse_by_witnesses(e)
+        inv, factors = inverse_with_factors(e)
+        one = identity_endo(e.basis)
+        assert compose(e, inv) == one == compose(inv, e)
+        assert len(factors) == e.basis.k
+        if want is None:
+            assert palindromic_witnesses(e) is None
+        else:
+            assert (inv, factors) == want
+            for f in factors:
+                assert palindromic_witnesses(f) is not None
+        seen.add((e.basis.n, e.basis.k, want is not None, e.top_defects() is not None))
+
+    check()
+    # every rank and step is reached, EPA inputs and others occur, and so
+    # do step-3 top-central maps with a top block outside the lattice
+    assert {case[:2] for case in seen} == set(product(range(1, 5), range(1, 4)))
+    assert {case[2] for case in seen} == {True, False}
+    assert any(k == 3 and not epa and top for _, k, epa, top in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(data=st.data())
+def test_palindromic_image_is_additive_on_gamma2(n, data):
+    # q = z^beta c^delta in gamma_2 at step 3: bar(q) x_i q has top block
+    # sum_j beta_j row_j + 2 delta, with the rows built by group products
+    basis = hall_basis(n, 3)
+    i = data.draw(st.integers(1, n))
+    m2, m3 = len(basis.by_weight[1]), len(basis.by_weight[2])
+    ints = st.integers(-5, 5)
+    beta = data.draw(st.lists(ints, min_size=m2, max_size=m2))
+    delta = data.draw(st.lists(ints, min_size=m3, max_size=m3))
+    rows = product_step3_rows(basis, i, (0,) * n)
+    top = [sum(b * row[c] for b, row in zip(beta, rows)) + 2 * d for c, d in enumerate(delta)]
+    want = tuple(int(j == i) for j in range(1, n + 1)) + (0,) * m2 + tuple(top)
+    assert _palindromic_image(basis, i, (0,) * n + tuple(beta) + tuple(delta)) == want
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n integer matrix, n in 1..5: entries in [-3, 3]; a product
+    of elementary row operations with one row negated (det +-1); that with
+    one row doubled (det +-2); or a matrix with one row a combination of
+    the others (singular)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("random", "unimodular", "det2", "singular")))
+    ints = st.integers(-3, 3)
+    if kind == "random":
+        return [[draw(ints) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        m = [[draw(ints) for _ in range(n)] for _ in range(n - 1)]
+        coeffs = [draw(ints) for _ in m]
+        row = [sum(c * r[j] for c, r in zip(coeffs, m)) for j in range(n)]
+        m.insert(draw(st.integers(0, n - 1)), row)
+        return m
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j, f = draw(index), draw(index), draw(ints)
+        if i != j:
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    i = draw(index)
+    m[i] = [(-2 if kind == "det2" else -1) * v for v in m[i]]
+    return m
+
+
+def test_inv_unimodular_matches_the_fraction_oracle():
+    seen = set()
+
+    def outcome(inv, m):
+        try:
+            return inv(m)
+        except ValueError as exc:
+            return str(exc)
+
+    @given(square_matrices())
+    def check(m):
+        got = outcome(inv_unimodular, m)
+        assert got == outcome(fraction_inv_unimodular, m)
+        seen.add(got if isinstance(got, str) else "inverse")
+
+    check()
+    assert seen == {"inverse", "matrix is singular", "matrix is not unimodular"}
 
 
 @given(symbol_lists())
