@@ -26,6 +26,7 @@ RANK2 = ("mu12", "witness", "swap", "transvection", "ia_weight2", "phi3", "inner
 RANK3 = ("mu_phi2", "witness", "swap", "transvection", "ia_weight2", "phi2_tame",
          "phi2_wild", "phi3_psi", "odd")
 RANK3_DECOMPOSE = ("psi_pair", "phi3_pair", "bglm_mixed")
+RANK4_DECOMPOSE = ("central_mixed", "outside")
 RANK2_LOW_STEP = ("mu12", "witness", "swap", "transvection", "ia_weight2", "odd", "wild")
 RANK3_LOW_STEP = ("mu_phi2", "witness", "swap", "ia_weight2", "odd")
 
@@ -52,6 +53,13 @@ def _cases():
             cases[f"auto-{op}-r3-{name}"] = [
                 "--rank", "3", "--step", "3", "--format", "kv",
                 "auto", op, f"fixtures/r3_{name}.auto"]
+    # rank 4: phi2, phi3 and psi-pair symbols with exponents +-1 and +-2,
+    # and a defect outside the lattice whose diagnostics are read from U
+    for name in RANK4_DECOMPOSE:
+        for op in ("decompose-bglm", "decompose-central"):
+            cases[f"auto-{op}-r4-{name}"] = [
+                "--rank", "4", "--step", "3", "--format", "kv",
+                "auto", op, f"fixtures/r4_{name}.auto"]
     cases["auto-classify-step4"] = [
         "--rank", "2", "--step", "4", "auto", "classify", "fixtures/r2_mu12.auto"]
     # eval and compose: words with negative exponents and weight-2 letters,
