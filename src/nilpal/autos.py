@@ -23,7 +23,6 @@ from nilpal.intlinalg import (
     det,
     inv_unimodular,
     lattice_factors,
-    mat_vec,
     solve_from_smith,
     vec_sub,
 )
@@ -512,17 +511,23 @@ def _ordered_linear_lift(basis, minv):
     return Endo(basis, [basis.from_exponents(tuple(row) + tail) for row in minv])
 
 
+def _central_map(basis, blocks):
+    """The top-central map x_i -> x_i D_i whose D_i in gamma_k have the
+    weight-k blocks `blocks` (k >= 2), with `Endo.top_defects` set: the
+    normal form of x_i D_i is e_i followed by the block of D_i."""
+    start = basis.weight_offset[-1]
+    blocks = tuple(map(tuple, blocks))
+    e = Endo(basis, [NilElement(basis, None, g.exponents[:start] + block) if any(block) else g
+                     for g, block in zip(identity_endo(basis).images, blocks)])
+    e._top = blocks
+    return e
+
+
 def _top_central_power(e, m):
     """The m-th power of a top-central map e (`Endo.top_defects`).  e sends
     each x_i to x_i D_i with D_i in gamma_k, which is central and fixed by
-    e, so e^m sends x_i to x_i D_i^m, whose normal form is e_i plus m times
-    the top block of D_i."""
-    basis = e.basis
-    start = basis.weight_offset[-1]
-    return Endo(basis, [
-        NilElement(basis, None, g.exponents[:start] + tuple([m * v for v in block]))
-        if any(block) else g
-        for g, block in zip(e.images, e.top_defects())])
+    e, so e^m sends x_i to x_i D_i^m: its blocks are m times e's."""
+    return _central_map(e.basis, [[m * v for v in block] for block in e.top_defects()])
 
 
 def _first_unwitnessed(phi):
@@ -744,6 +749,12 @@ def _base_generator(sym, basis):
     raise ValueError(f"unknown generator tag {tag!r}")
 
 
+def _forward_generator(sym, basis):
+    """The map of `sym` at exponent 1, kept in `basis.memo` per (tag,
+    params); `sym` is not `inner`."""
+    return _memo(basis, ("generator", sym.tag, sym.params), lambda: _base_generator(sym, basis))
+
+
 def make_generator(sym, basis):
     """The automorphism of `sym` in `basis`.
 
@@ -756,27 +767,53 @@ def make_generator(sym, basis):
     `Endo.lifts`, plus k // w powers of each image of weight w raised to
     a power).  A power other than +-1
     is built afresh on every call.  A top-central generator
-    (`Endo.top_defects`; phi2, phi3 and psi at step 3) has its m-th power,
-    m = -1 included, built afresh by `_top_central_power` and is never
-    inverted.  Every other power is composed by `endo_power`.
+    (`Endo.top_defects`; phi2, phi3 and psi at step 3) is never inverted:
+    its m-th power, m = -1 included, is the map `_central_map` builds
+    afresh from m times its blocks (`_top_central_power`), and
+    `compose_symbols` builds a run of such symbols the same way.  Every
+    other power is composed by `endo_power`.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
     else:
-        key = (sym.tag, sym.params)
-        forward = _memo(basis, ("generator",) + key, lambda: _base_generator(sym, basis))
+        forward = _forward_generator(sym, basis)
         m = sym.exponent
         if m != 1 and forward.top_defects() is not None:
             return _top_central_power(forward, m)
-        base = (forward if m >= 0 else
-                _memo(basis, ("generator_inverse",) + key, lambda: inverse(forward)))
+        base = (forward if m >= 0 else _memo(
+            basis, ("generator_inverse", sym.tag, sym.params), lambda: inverse(forward)))
         exponent = abs(m)
     return base if exponent == 1 else endo_power(base, exponent)
 
 
 def compose_symbols(symbols, basis):
-    endos = [make_generator(sym, basis) for sym in symbols]
-    return reduce(compose, endos) if endos else identity_endo(basis)
+    """The symbols' maps composed left to right.
+
+    Each run of consecutive top-central symbols (`Endo.top_defects`) is
+    one map, built once by `_central_map` from the sum of m times the
+    blocks of each symbol's generator.  That is exact: a top-central map
+    fixes gamma_k and sends x_i to x_i D_i, so composing such maps adds
+    their blocks (`Endo.apply`).  A run whose blocks sum to zero is the
+    identity and is left out; `compose` runs only between the other maps.
+    """
+    maps, run = [], None
+    for sym in symbols:
+        top = None if sym.tag == "inner" else _forward_generator(sym, basis).top_defects()
+        if top is None:
+            if run is not None and any(map(any, run)):
+                maps.append(_central_map(basis, run))
+            run = None
+            maps.append(make_generator(sym, basis))
+            continue
+        m = sym.exponent
+        if run is None:
+            run = [[m * v for v in block] for block in top]
+        else:
+            run = [[r + m * v for r, v in zip(acc, block)] if any(block) else acc
+                   for acc, block in zip(run, top)]
+    if run is not None and any(map(any, run)):
+        maps.append(_central_map(basis, run))
+    return reduce(compose, maps) if maps else identity_endo(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +925,9 @@ def _family_row(basis, family, blocks):
 def _lattice(basis, families, blocks):
     """(families, rows, Smith factors) of a decomposition lattice: a family
     is a tuple of generator symbols that one coefficient scales together,
-    and its row is `_family_row`.  The factors serve `solve_from_smith` and
-    the diagnostics."""
+    and its row is `_family_row`.  The factors, kept as the sparse
+    columns of `intlinalg.SmithFactors`, are built once with the lattice
+    and serve `solve_from_smith` and the diagnostics."""
     rows = [_family_row(basis, fam, blocks) for fam in families]
     return families, rows, lattice_factors(rows)
 
@@ -928,21 +966,15 @@ def _in_central_lattice(basis, i, vec):
 
 def _lattice_diagnostics(factors, target):
     """Why `target` is outside a lattice, read from its Smith factors
-    (u, d, v) = `lattice_factors(rows)`."""
-    u, d, v = factors
-    c = mat_vec(u, target)
-    out = []
-    ncols = len(v)
-    nrows = len(target)
-    r = min(nrows, ncols)
-    for j in range(r):
-        dj = d[j][j]
-        if dj and c[j] % dj:
-            out.append(f"class {j}: residue {c[j] % dj} mod {dj}")
-    rank = sum(1 for j in range(r) if d[j][j])
-    for j in range(rank, nrows):
-        if c[j]:
-            out.append(f"coordinate {j}: unreachable value {c[j]}")
+    `lattice_factors(rows)`: the classes j where d_j does not divide
+    (u target)_j, and the nonzero coordinates of u target from the rank
+    on."""
+    c = factors.u_times(target)
+    diag = factors.diag
+    out = [f"class {j}: residue {cj % dj} mod {dj}"
+           for j, (cj, dj) in enumerate(zip(c, diag)) if cj % dj]
+    out += [f"coordinate {j}: unreachable value {c[j]}"
+            for j in range(len(diag), len(c)) if c[j]]
     return tuple(out)
 
 

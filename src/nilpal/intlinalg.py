@@ -8,6 +8,7 @@ transforms, which is what the lattice-membership solvers need.
 import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 Matrix = list
 
@@ -182,35 +183,69 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def solve_from_smith(factors, b):
-    """One integer solution x of a*x == b from the Smith factors
-    (u, d, v) = smith_normal_form(a), or None if none exists.
+class SmithFactors(NamedTuple):
+    """Smith factors u a v = d of an integer matrix a, as the nonzero
+    entries (row, value) of each column of u and of v and the nonzero
+    diagonal entries of d, which come first.  Solving and explaining
+    a x = b read no more than that, and most entries of the factors of
+    the lattices in `autos` are zero."""
 
-    Factor a once, then solve for as many right-hand sides as needed.
-    The products with u and v skip the zero entries of b and y, which are
-    most of them for the sparse defects the lattices in `autos` solve.
+    ucols: tuple
+    diag: tuple
+    vcols: tuple
+
+    @classmethod
+    def of(cls, u, d, v):
+        """The sparse form of dense factors (u, d, v)."""
+        def columns(m):
+            return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+                         for j in range(len(m)))
+
+        diag = []
+        for i in range(min(len(u), len(v))):
+            if not d[i][i]:
+                break
+            diag.append(d[i][i])
+        return cls(columns(u), tuple(diag), columns(v))
+
+    def u_times(self, b):
+        """u b, as the sum of the columns of u at the nonzero entries of b."""
+        c = [0] * len(self.ucols)
+        for col, x in zip(self.ucols, b):
+            if x:
+                for i, w in col:
+                    c[i] += w * x
+        return c
+
+
+def solve_from_smith(factors, b):
+    """One integer solution x of a*x == b from the `SmithFactors` of a
+    (`lattice_factors`), or None if none exists.
+
+    Factor a once, then solve for as many right-hand sides as needed:
+    c = u b must be divisible by d on the rank rows and zero below them,
+    and x = v (c / d).  Both products go through the nonzero entries of
+    the factors at the nonzero entries of b and c / d only.
     """
-    u, d, v = factors
-    nrows, ncols = len(u), len(v)
-    c = mat_vec(u, b)
-    y = [0] * ncols
-    for i in range(min(nrows, ncols)):
-        di = d[i][i]
-        if di == 0:
-            break
-        if c[i] % di != 0:
-            return None
-        y[i] = c[i] // di
-    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    if any(c[i] != 0 for i in range(rank, nrows)):
+    c = factors.u_times(b)
+    diag = factors.diag
+    if any(c[len(diag):]):
         return None
-    return mat_vec(v, y)
+    x = [0] * len(factors.vcols)
+    for ci, di, col in zip(c, diag, factors.vcols):
+        if ci % di:
+            return None
+        y = ci // di
+        if y:
+            for r, w in col:
+                x[r] += w * y
+    return x
 
 
 def lattice_factors(rows):
-    """Smith factors of the nonempty `rows` taken as columns, the system
+    """`SmithFactors` of the nonempty `rows` taken as columns, the system
     that `lattice_solve(rows, target)` solves."""
-    return smith_normal_form(transpose(rows))
+    return SmithFactors.of(*smith_normal_form(transpose(rows)))
 
 
 def lattice_solve(rows, target):

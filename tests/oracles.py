@@ -46,8 +46,13 @@ level by level for the pi-level that `classify` reads off its witnesses.
 solving for the witnesses of weight >= 2 and conjugating by their
 inverses, the reference for the solve-free EPA route of
 `autos.inverse_with_factors`.
+`compose_symbols_by_chain` composes a symbol list one generator map at
+a time, the reference for `autos.compose_symbols`.
 `fraction_combination` solves a lattice system over Fractions, the
 reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
+`dense_smith_solve` and `dense_lattice_diagnostics` read dense Smith
+factors by full products, the references for `solve_from_smith` and
+`autos._lattice_diagnostics` on the sparse columns of the same factors.
 `pivot_solve_by_sweep` substitutes through every step of a
 `PivotSolver`'s factors over Fractions, the reference for the sweeps of
 `PivotSolver.solve` that visit only the steps holding a value.
@@ -209,11 +214,12 @@ def pivot_order_by_sort(columns):
 
 def solve_integer(a, b):
     """One integer solution x of a*x == b, or None if none exists."""
-    from nilpal.intlinalg import smith_normal_form, solve_from_smith
+    from nilpal.intlinalg import lattice_factors, solve_from_smith, transpose
 
     if not a:
         return [] if not any(b) else None
-    return solve_from_smith(smith_normal_form(a), b)
+    # the columns of a are the rows of its transpose
+    return solve_from_smith(lattice_factors(transpose(a)), b)
 
 
 def invariant_factors(a):
@@ -430,6 +436,48 @@ def hand_bglm_lattice(basis):
         for h, u, v in permutations(idx, 3):
             add((phi3(h, u, v, h), phi3(v, u, u, u)), [(h, dbl(h, u, v)), (u, dbl(v, u, u))])
     return [fam for fam, _ in out], [row for _, row in out]
+
+
+def compose_symbols_by_chain(symbols, basis):
+    """The symbols' maps composed left to right by one `compose` per
+    symbol, each map from `make_generator`: the reference for
+    `autos.compose_symbols`, which builds each run of top-central symbols
+    as one map."""
+    from functools import reduce
+
+    from nilpal.autos import compose, identity_endo, make_generator
+
+    return reduce(compose, [make_generator(s, basis) for s in symbols], identity_endo(basis))
+
+
+def dense_smith_solve(factors, b):
+    """One integer solution x of a x == b from dense Smith factors
+    (u, d, v) = `smith_normal_form(a)` by full matrix-vector products, or
+    None: the reference for `intlinalg.solve_from_smith` on the sparse
+    columns of the same factors."""
+    u, d, v = factors
+    c = mat_mul(u, [[x] for x in b])
+    r = min(len(u), len(v))
+    rank = sum(1 for i in range(r) if d[i][i])
+    if any(c[i][0] for i in range(rank, len(u))):
+        return None
+    if any(c[i][0] % d[i][i] for i in range(rank)):
+        return None
+    y = [[c[i][0] // d[i][i]] if i < rank else [0] for i in range(len(v))]
+    return [row[0] for row in mat_mul(v, y)]
+
+
+def dense_lattice_diagnostics(factors, target):
+    """`autos._lattice_diagnostics` read from dense Smith factors
+    (u, d, v) by a full product u target."""
+    u, d, v = factors
+    c = [row[0] for row in mat_mul(u, [[x] for x in target])]
+    r = min(len(u), len(v))
+    out = [f"class {j}: residue {c[j] % d[j][j]} mod {d[j][j]}"
+           for j in range(r) if d[j][j] and c[j] % d[j][j]]
+    rank = sum(1 for j in range(r) if d[j][j])
+    out += [f"coordinate {j}: unreachable value {c[j]}" for j in range(rank, len(u)) if c[j]]
+    return tuple(out)
 
 
 def pi_level_by_search(e):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    dense_lattice_diagnostics,
+    dense_smith_solve,
     epa_inverse_by_witnesses,
     gf2_rank,
     hand_bglm_lattice,
@@ -15,6 +17,7 @@ from oracles import (
 from nilpal import autos, intlinalg, nilpotent
 from nilpal.autos import (
     Endo,
+    GeneratorSymbol,
     NotAutomorphismError,
     UndecidedError,
     alpha,
@@ -1419,6 +1422,69 @@ def test_cached_lattice_solve_matches_lattice_solve():
             if trial % 2:
                 vec[rng.randrange(dim)] += 1
             assert solve_from_smith(factors, vec) == lattice_solve(rows, vec)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sparse_smith_solves_match_dense_products(n):
+    # every central and BGLM lattice keeps the nonzero entries of the
+    # columns of its Smith factors; solving and explaining through them
+    # gives what full products with the same dense factors give
+    basis = hall_basis(n, 3)
+    lattices = [autos._central_lattice(basis, i)[1:] for i in range(1, n + 1)]
+    lattices.append(autos._bglm_lattice(basis)[1:])
+    rng = random.Random(n)
+    seen = set()
+    for rows, factors in lattices:
+        u, d, v = dense = intlinalg.smith_normal_form(intlinalg.transpose(rows))
+        for sparse, full in ((factors.ucols, u), (factors.vcols, v)):
+            assert [[dict(col).get(i, 0) for col in sparse] for i in range(len(full))] == full
+        assert list(factors.diag) == [d[j][j] for j in range(min(len(u), len(v))) if d[j][j]]
+        dim = len(rows[0])
+        for trial in range(40):
+            # lattice points, and lattice points moved by one or two units
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
+            for _ in range(trial % 3):
+                vec[rng.randrange(dim)] += rng.choice((-1, 1))
+            x = solve_from_smith(factors, vec)
+            assert x == dense_smith_solve(dense, vec)
+            assert (x is None) == (lattice_solve(rows, vec) is None)
+            text = autos._lattice_diagnostics(factors, vec)
+            assert text == dense_lattice_diagnostics(dense, vec)
+            assert bool(text) == (x is None)
+            seen.update(line.split()[0] for line in text)
+            seen.add(x is None)
+    # both outcomes, and at n = 4 both kinds of diagnostic line
+    assert {True, False} <= seen
+    assert n < 4 or {"class", "coordinate"} <= seen
+
+
+def test_recompose_catches_a_corrupted_coefficient(monkeypatch):
+    # the exponent of one factor moved by one, whichever factor it is:
+    # the recomposed map differs from the input, and each decomposition
+    # refuses it with the same context
+    basis = hall_basis(4, 3)
+    e = parse_endo_file((GOLDEN_FIXTURES / "r4_central_mixed.auto").read_text(), basis)
+    real = autos._scaled_factors
+    for run in (decompose_central, decompose_bglm):
+        count = len(run(e).factors)
+        for pos in range(count):
+            seen = []
+
+            def corrupted(fams, sol, pos=pos, seen=seen):
+                out = real(fams, sol)
+                j = pos - len(seen)
+                seen.extend(out)
+                if 0 <= j < len(out):
+                    sym = out[j]
+                    out[j] = GeneratorSymbol(sym.tag, sym.params, sym.exponent + 1)
+                return out
+
+            monkeypatch.setattr(autos, "_scaled_factors", corrupted)
+            with pytest.raises(InternalError, match="failed to recompose") as err:
+                run(e)
+            assert err.value.context == {"n": 4, "k": 3, "factors": count}
+        monkeypatch.setattr(autos, "_scaled_factors", real)
 
 
 def test_doubled_central_normal_instance_is_palindromic():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     bracket_by_three_products,
     by_degree,
+    compose_symbols_by_chain,
     epa_inverse_by_witnesses,
     exponents_series_by_fold,
     flat_poly_inv,
@@ -54,9 +55,14 @@ from nilpal.autos import (  # noqa: E402
     identity_endo,
     inverse_with_factors,
     make_generator,
+    mu,
     palindromic_witnesses,
     parse_endo_file,
+    phi2,
+    phi3,
+    psi,
     solve_conjugator,
+    t,
     tameness_residue,
 )
 from nilpal import kernel  # noqa: E402
@@ -535,6 +541,100 @@ def test_symbols_then_reversed_negated_symbols_is_identity(case):
     back = [GeneratorSymbol(s.tag, s.params, -s.exponent) for s in reversed(syms)]
     e = compose_symbols(syms, basis)
     assert compose(e, compose_symbols(back, basis)) == identity_endo(basis)
+
+
+@st.composite
+def mixed_symbol_lists(draw):
+    """(basis, symbols) at ranks 2-4 and steps 2-4: up to five symbols
+    mixing phi2, phi3 and psi, exponents in +-1..+-3, with mu, t, sigma
+    and inner.  A central symbol is sometimes followed by one that cancels
+    it: its own inverse, or phi3(b,a,c;i) after phi3(a,b,c;i) with the
+    same exponent, since [x_b,x_a,x_c] = [x_a,x_b,x_c]^-1."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    basis = hall_basis(n, k)
+    idx = st.integers(1, n)
+    pair = st.lists(idx, min_size=2, max_size=2, unique=True)
+    exponent = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    syms = []
+    for _ in range(draw(st.integers(0, 5))):
+        tag = draw(st.sampled_from(("phi2", "phi3", "psi", "phi2", "phi3", "psi",
+                                    "mu", "t", "sigma", "inner")))
+        m = draw(exponent)
+        if tag == "mu" or tag == "psi":
+            params = tuple(draw(pair))
+        elif tag == "t":
+            params = (draw(idx),)
+        elif tag == "sigma":
+            params = tuple(draw(st.permutations(range(1, n + 1))))
+        elif tag == "inner":
+            size = len(basis.elements)
+            params = (basis.from_exponents(draw(st.lists(
+                st.integers(-1, 1), min_size=size, max_size=size))),)
+            m = draw(st.sampled_from((-2, -1, 1, 2)))
+        elif tag == "phi2":
+            params = (*draw(pair), draw(idx))
+        else:
+            params = (*draw(pair), draw(idx), draw(idx))
+        syms.append(GeneratorSymbol(tag, params, m))
+        if tag in ("phi2", "phi3", "psi") and draw(st.integers(0, 3)) == 0:
+            if tag == "phi3" and draw(st.booleans()):
+                a, b, c, i = params
+                syms.append(GeneratorSymbol(tag, (b, a, c, i), m))
+            else:
+                syms.append(GeneratorSymbol(tag, params, -m))
+    return basis, syms
+
+
+def _central_runs(syms, basis):
+    """The summed blocks of each maximal run of top-central symbols that
+    holds a nonzero block."""
+    runs, run = [], None
+    for sym in syms + [None]:
+        top = (None if sym is None or sym.tag == "inner"
+               else make_generator(GeneratorSymbol(sym.tag, sym.params), basis).top_defects())
+        if top is None:
+            if run is not None and run[1]:
+                runs.append(run[0])
+            run = None
+            continue
+        if run is None:
+            run = [[0] * len(b) for b in top], False
+        run = ([[r + sym.exponent * v for r, v in zip(acc, b)] for acc, b in zip(run[0], top)],
+               run[1] or any(map(any, top)))
+    return runs
+
+
+def test_compose_symbols_matches_the_chain():
+    seen = set()
+
+    @given(mixed_symbol_lists())
+    def check(case):
+        basis, syms = case
+        got = compose_symbols(syms, basis)
+        assert got == compose_symbols_by_chain(syms, basis)
+        # the blocks a central map is built with are the ones its images hold
+        assert got.top_defects() == Endo(basis, got.images).top_defects()
+        runs = _central_runs(syms, basis)
+        seen.add((basis.n, basis.k, bool(runs), any(not any(map(any, r)) for r in runs)))
+
+    check()
+    assert {case[:2] for case in seen} == set(product(range(2, 5), range(2, 5)))
+    # step 3 has central runs, some summing to zero; at step 4 nothing is
+    # top-central
+    assert any(k == 3 and zero for _, k, _, zero in seen)
+    assert not any(k == 4 and runs for _, k, runs, _ in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compose_symbols_edge_cases(n):
+    basis = hall_basis(n, 3)
+    one = identity_endo(basis)
+    assert compose_symbols([], basis) == one == compose_symbols_by_chain([], basis)
+    # central runs whose blocks sum to zero, alone and between other maps
+    zero = [phi2(2, 1, n, 2), phi3(1, 2, n, 1, -3), phi3(2, 1, n, 1, -3), phi2(2, 1, n, -2)]
+    assert compose_symbols(zero, basis) == one
+    mixed = [mu(1, 2), *zero, t(n), *zero, mu(1, 2, -1), psi(1, 2, 3)]
+    assert compose_symbols(mixed, basis) == compose_symbols_by_chain(mixed, basis)
 
 
 @st.composite
