@@ -26,8 +26,7 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     """a v, as a sum of the columns of a at the nonzero entries of v, one
-    pass over the rows per entry; the vectors solved for in `autos` are
-    mostly zero."""
+    pass over the rows per entry."""
     out = [0] * len(a)
     for j, x in enumerate(v):
         if x:
@@ -194,20 +193,6 @@ class SmithFactors(NamedTuple):
     diag: tuple
     vcols: tuple
 
-    @classmethod
-    def of(cls, u, d, v):
-        """The sparse form of dense factors (u, d, v)."""
-        def columns(m):
-            return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
-                         for j in range(len(m)))
-
-        diag = []
-        for i in range(min(len(u), len(v))):
-            if not d[i][i]:
-                break
-            diag.append(d[i][i])
-        return cls(columns(u), tuple(diag), columns(v))
-
     def u_times(self, b):
         """u b, as the sum of the columns of u at the nonzero entries of b."""
         c = [0] * len(self.ucols)
@@ -245,7 +230,14 @@ def solve_from_smith(factors, b):
 def lattice_factors(rows):
     """`SmithFactors` of the nonempty `rows` taken as columns, the system
     that `lattice_solve(rows, target)` solves."""
-    return SmithFactors.of(*smith_normal_form(transpose(rows)))
+    u, d, v = smith_normal_form(transpose(rows))
+
+    def columns(m):
+        return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+                     for j in range(len(m)))
+
+    return SmithFactors(columns(u), tuple(d[i][i] for i in range(min(len(u), len(v))) if d[i][i]),
+                        columns(v))
 
 
 def lattice_solve(rows, target):
