@@ -560,7 +560,7 @@ def mixed_symbol_lists(draw):
         tag = draw(st.sampled_from(("phi2", "phi3", "psi", "phi2", "phi3", "psi",
                                     "mu", "t", "sigma", "inner")))
         m = draw(exponent)
-        if tag == "mu" or tag == "psi":
+        if tag in ("mu", "psi"):
             params = tuple(draw(pair))
         elif tag == "t":
             params = (draw(idx),)
