@@ -30,7 +30,6 @@ from nilpal.nilpotent import (
     InternalError,
     Lifts,
     NilElement,
-    bar,
     collect,
     commutator,
     element_as_word,
@@ -281,49 +280,6 @@ def _comm3(basis, a, b, c):
         [basis.generator(a), basis.generator(b), basis.generator(c)]))
 
 
-def _step3_table(basis):
-    """(U, K) with U[j] = wt3(z_j bar(z_j)) and K[l][j] = wt3([x_{l+1}, z_j])
-    over the weight-2 basis elements z_j, as lists of weight-3 exponents."""
-    def build():
-        n, start = basis.n, basis.weight_offset[1]
-        zs = []
-        for j in range(len(basis.by_weight[1])):
-            exps = [0] * len(basis.elements)
-            exps[start + j] = 1
-            zs.append(basis.from_exponents(exps))
-        u = [list(multiply(z, bar(z)).weight_block(3)) for z in zs]
-        kk = [[list(commutator(basis.generator(l), z).weight_block(3)) for z in zs]
-              for l in range(1, n + 1)]
-        return u, kk
-
-    return _memo(basis, ("step3_table",), build)
-
-
-def _step3_row(basis, i, alpha):
-    """Lattice row j of the weight-2 witness exponents at step 3, as a
-    function of j.
-
-    With q1 = x^alpha and f0 = bar(q1) x_i q1, row j is
-    wt3(bar(q1 z_j) x_i q1 z_j) - wt3(f0).  Modulo gamma_3, bar(z_j) is
-    z_j^-1, so u_j = z_j bar(z_j) is central and
-    bar(q1 z_j) x_i q1 z_j = u_j f0 [f0, z_j].  The commutator is central
-    and bilinear in ab(f0) = e_i + 2 alpha, so row j is
-    U[j] + sum_l (delta_il + 2 alpha_l) K[l][j] over the per-basis table.
-    """
-    u, kk = _step3_table(basis)
-    coeffs = [2 * a for a in alpha]
-    coeffs[i - 1] += 1
-    terms = [(c, k_row) for c, k_row in zip(coeffs, kk) if c]
-
-    def row(j):
-        out = list(u[j])
-        for c, k_row in terms:
-            out = [r + c * v for r, v in zip(out, k_row[j])]
-        return out
-
-    return row
-
-
 def _parity_mask(vec):
     return sum(1 << j for j, v in enumerate(vec) if v % 2)
 
@@ -349,59 +305,44 @@ def _mod2_echelon(rows):
     return echelon
 
 
-def _solve_mod2(echelon, row, target):
-    """(beta, delta) with target = sum_j beta_j row(j) + 2 delta, or None
-    when target is outside the lattice of the rows and 2Z^m.  The echelon
-    is `_mod2_echelon` of rows congruent to the rows row(j) mod 2, and
-    beta, a bit mask, sums the combos of the echelon rows that reduce
-    target mod 2; only the rows whose bit is set are built."""
-    rest, beta = _reduce_mod2(echelon, _parity_mask(target))
-    if rest:
-        return None
-    return beta, [v // 2 for v in _minus_rows(target, row, beta)]
-
-
-def _minus_rows(target, row, beta):
-    """target minus the rows row(j) whose bit j is set in beta."""
-    for j in range(beta.bit_length()):
-        if beta >> j & 1:
-            target = vec_sub(target, row(j))
-    return target
-
-
-def _witness_rows(basis, i):
-    """The step-3 witness rows of generator i at alpha = 0, checked once
-    against the law.
+def _witness_lattice(basis, i):
+    """(rows, echelon) of the step-3 witness lattice of generator i: the
+    images h(z_j) of the weight-2 basis elements z_j, as weight-3 blocks,
+    and their `_mod2_echelon`.
 
     On gamma_2 at step 3, q -> bar(q) x_i q is x_i h(q) with h additive:
     bar(q) x_i q = x_i (bar(q) q) [bar(q), x_i], both factors central and
-    additive in q, and gamma_2 is abelian.  Row j (`_step3_row` at alpha =
-    0) is the weight-3 block of h(z_j), and h(c) = c^2 for each weight-3
-    c.  So for q = z^beta c^delta the top block of bar(q) x_i q is
-    sum_j beta_j row_j + 2 delta.  Each row, and each h(c), is compared
-    here with `_palindromic_image` of that basis element on the law."""
+    additive in q, and gamma_2 is abelian.  Row j is the weight-3 block of
+    `_palindromic_image` of z_j on the law, and h(c) = c^2 for each
+    weight-3 c.  So for q = z^beta c^delta the top block of bar(q) x_i q is
+    sum_j beta_j row_j + 2 delta.  Checked once, on the law: the image of
+    every basis element of gamma_2 keeps the head of x_i (its coordinates
+    below weight 3 are e_i), and each h(c) is c^2.
+
+    The lattice of the rows and 2Z^m3 is that of `_central_lattice(basis,
+    i)`: both contain 2Z^m3 (the phi3 rows are the 2 e_c), and the row of
+    phi2(a,b,i) is congruent mod 2 to h([x_a,x_b]) (Lemma 4.2: z x_i bar(z)
+    = x_i D with D its defect, and z x_i bar(z) = x_i h(bar(z)) with
+    bar(z) = z^-1 c, c in gamma_3, so D = -h(z) + 2c).  The phi2 rows come
+    in the order of the z_j and the phi3 rows are even, so the two echelons
+    are equal, mask and combo."""
     def build():
         start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
         size = len(basis.elements)
-        rows = list(map(_step3_row(basis, i, [0] * basis.n), range(start3 - start2)))
         head = basis._letter_vectors[Letter(i, 1)][:start3]
+        rows = []
         for idx in range(start2, size):
-            top = ([2 * (c == idx) for c in range(start3, size)] if idx >= start3
-                   else rows[idx - start2])
-            if _palindromic_image(basis, i, tuple(int(c == idx) for c in range(size))) \
-                    != head + tuple(top):
+            image = _palindromic_image(basis, i, tuple(int(c == idx) for c in range(size)))
+            top = list(image[start3:])
+            if idx < start3:
+                rows.append(top)
+            if image[:start3] != head or (
+                    idx >= start3 and top != [2 * (c == idx) for c in range(start3, size)]):
                 raise InternalError("witness row disagrees with the law",
                                     n=basis.n, k=basis.k, i=i, coordinate=idx)
-        return rows
+        return rows, _mod2_echelon(rows)
 
-    return _memo(basis, ("witness_rows", i), build)
-
-
-def _witness_echelon(basis, i):
-    """`_mod2_echelon` of the step-3 witness rows of generator i.  The
-    rows mod 2 are U[j] + K[i-1][j] for every alpha, so alpha = 0 serves."""
-    return _memo(basis, ("witness_echelon", i),
-                 lambda: _mod2_echelon(_witness_rows(basis, i)))
+    return _memo(basis, ("witness_lattice", i), build)
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +392,35 @@ def solve_conjugator(g, i, min_weight=1):
     elif k >= 2 and any(exps[basis.weight_slices[1]]):
         return None
     alpha = tuple(v // 2 for v in d)
-    tail = (0,) * (len(exps) - n)
+    q = alpha + (0,) * (len(exps) - n)
     if not any(alpha):
-        f0 = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
+        f = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
     else:
-        f0 = _palindromic_image(basis, i, alpha + tail)
-    if k >= 2 and f0[basis.weight_slices[1]] != exps[basis.weight_slices[1]]:
+        f = _palindromic_image(basis, i, q)
+    if k >= 2 and f[basis.weight_slices[1]] != exps[basis.weight_slices[1]]:
         return None
-    if k <= 2:
-        q = alpha + tail
-    else:
-        # at min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
-        echelon = _witness_echelon(basis, i) if min_weight <= 2 else []
-        block3 = basis.weight_slices[2]
-        sol = _solve_mod2(echelon, _step3_row(basis, i, alpha),
-                          vec_sub(list(exps[block3]), list(f0[block3])))
-        if sol is None:
+    if k == 3:
+        # the echelon at alpha = 0 serves every alpha: with x^alpha in front,
+        # row j moves by wt3([x^(2 alpha), z_j]), which is even.  At
+        # min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
+        start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
+        echelon = _witness_lattice(basis, i)[1] if min_weight <= 2 else []
+        residual = vec_sub(exps[start3:], f[start3:])
+        rest, beta = _reduce_mod2(echelon, _parity_mask(residual))
+        if rest:
             return None
-        mask, delta = sol
-        beta = tuple(mask >> j & 1 for j in range(len(basis.by_weight[1])))
-        q = alpha + beta + tuple(delta)
-    if _palindromic_image(basis, i, q) != exps:
+        if beta:
+            q = alpha + tuple(beta >> j & 1 for j in range(start3 - start2)) + q[start3:]
+            f = _palindromic_image(basis, i, q)
+            residual = vec_sub(exps[start3:], f[start3:])
+        # gamma_3 is central and bar(c) = c, so bar(q c^delta) x_i q c^delta
+        # is f c^(2 delta): g iff f agrees with g below weight 3 and the
+        # residual is 2 delta
+        if f[:start3] != exps[:start3] or any(v % 2 for v in residual):
+            raise InternalError("witness verification failed",
+                                n=n, k=k, i=i, min_weight=min_weight)
+        q = q[:start3] + tuple(v // 2 for v in residual)
+    elif f != exps:
         raise InternalError("witness verification failed",
                             n=n, k=k, i=i, min_weight=min_weight)
     q = NilElement(basis, None, q)
@@ -535,7 +484,7 @@ def _first_unwitnessed(phi):
     witness, or None when phi is elementary palindromic.
 
     By parity a witness q of an IA map has ab(q) = 0, so q lies in gamma_2
-    and bar(q) x_i q = x_i h(q) with h(q) central (`_witness_rows`): phi
+    and bar(q) x_i q = x_i h(q) with h(q) central (`_witness_lattice`): phi
     must send x_i to x_i D_i with D_i in gamma_k.  At k = 2, h(q) = 1, so
     D_i must be 1.  At k = 3 the top block of D_i must be
     sum_j beta_j row_j + 2 delta, which the GF(2) echelon of the rows
@@ -552,11 +501,14 @@ def _first_unwitnessed(phi):
         if block is None or (k == 2 and any(block)):
             return i
         if k == 3:
-            rest, beta = _reduce_mod2(_witness_echelon(basis, i), _parity_mask(block))
+            rows, echelon = _witness_lattice(basis, i)
+            rest, beta = _reduce_mod2(echelon, _parity_mask(block))
             if rest:
                 return i
-            if any(v % 2 for v in _minus_rows(
-                    list(block), _witness_rows(basis, i).__getitem__, beta)):
+            for j, row in enumerate(rows):
+                if beta >> j & 1:
+                    block = vec_sub(block, row)
+            if any(v % 2 for v in block):
                 raise InternalError("witness certificate failed", n=n, k=k, i=i, level=2)
     return None
 
@@ -846,9 +798,10 @@ def _pi_level(witnesses, k):
     of x_i has.  Parity forces alpha (ab(bar(q) x_i q) = e_i + 2 ab(q)), so
     every witness of x_i has the same alpha, and one of weight >= 2 exists
     iff alpha = 0; at k <= 2 the canonical witness is x^alpha.  At k = 3,
-    with alpha = 0, `_solve_mod2` returns beta = 0 exactly when the
-    weight-3 target is even (an even target reduces by no echelon row; an
-    odd one uses some, and their combos are independent), and that is
+    with alpha = 0, `solve_conjugator` takes beta = 0 exactly when the
+    weight-3 target is even (an even target reduces by no echelon row of
+    `_witness_lattice`; an odd one uses some, and their combos are
+    independent), and that is
     exactly when a witness of weight >= 3 exists: at min_weight 3 the
     lattice is 2Z^m3 alone.
     """
@@ -951,17 +904,12 @@ def _central_lattice(basis, i):
     return _memo(basis, ("central_lattice", i), build)
 
 
-def _central_parity(basis, i):
-    """`_mod2_echelon` of the rows of `_central_lattice(basis, i)`."""
-    return _memo(basis, ("central_parity", i),
-                 lambda: _mod2_echelon(_central_lattice(basis, i)[1]))
-
-
 def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the lattice of `_central_lattice(basis, i)`.  It
-    contains 2Z^m3 (the phi3 rows), so parity decides: vec is in it iff
-    vec mod 2 is in the span of the rows mod 2."""
-    return not _reduce_mod2(_central_parity(basis, i), _parity_mask(vec))[0]
+    """Whether vec is in the lattice of `_central_lattice(basis, i)`, which
+    is the witness lattice of generator i (`_witness_lattice`).  It
+    contains 2Z^m3, so parity decides: vec is in it iff vec mod 2 is in
+    the span of the witness rows mod 2."""
+    return not _reduce_mod2(_witness_lattice(basis, i)[1], _parity_mask(vec))[0]
 
 
 def _lattice_diagnostics(factors, target):
@@ -1010,14 +958,15 @@ def quotient_rank_q(n):
 
     Computed by the closed formula n(n^2-1)/3 - n(n-1)/2 and cross-checked
     against the lattice itself: it contains 2Z^m3, so its invariant factors
-    are m3 - q ones, one per row of its cached GF(2) echelon, and q twos.
+    are m3 - q ones, one per row of its GF(2) echelon (`_witness_lattice`),
+    and q twos.
     """
     if n < 2:
         raise ValueError("rank must be >= 2")
     q = n * (n * n - 1) // 3 - n * (n - 1) // 2
     basis = hall_basis(n, 3)
     m3 = len(basis.by_weight[2])
-    ones = len(_central_parity(basis, n))
+    ones = len(_witness_lattice(basis, n)[1])
     if ones != m3 - q:
         raise InternalError(f"lattice invariants 1^{ones} 2^{m3 - ones} disagree with q={q}",
                             n=n, k=3)

@@ -286,12 +286,14 @@ def bglm_residue(ws):
     residue is carried entirely by the quadratic part.
     """
     ws = list(ws)
+    if not ws:
+        raise ValueError("need one defect word per generator, got none")
     n = ws[0].rank
     if len(ws) != n:
         raise ValueError(f"need {n} words, got {len(ws)}")
+    if any(w.rank != n for w in ws):
+        raise ValueError("words have mixed ranks")
     for i, w in enumerate(ws, start=1):
-        if w.rank != n:
-            raise ValueError("words have mixed ranks")
         if not _in_gamma3(w):
             raise PreconditionError(
                 f"word {i} is not in the third lower-central term"

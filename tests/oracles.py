@@ -841,6 +841,11 @@ def series_bar(a):
     return _peeled(basis, poly)
 
 
+def series_conjugate(q, i):
+    """bar(q) x_i q by the series oracles, which share no code with the law."""
+    return series_multiply(series_multiply(series_bar(q), q.basis.generator(i)), q)
+
+
 def series_power(a, e):
     basis = a.basis
     base = (inverse_series if e < 0 else element_series)(basis, a.exponents)

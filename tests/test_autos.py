@@ -11,6 +11,7 @@ from oracles import (
     hand_bglm_lattice,
     hand_central_lattice,
     product_step3_rows,
+    series_conjugate,
     word_tameness_residue,
 )
 
@@ -414,28 +415,43 @@ def test_solve_conjugator_min_weight():
     assert solve_conjugator(g, 1, min_weight=2) is None
 
 
-def step3_rows(basis, i, alpha):
-    """Every row of `autos._step3_row(basis, i, alpha)`."""
-    return list(map(autos._step3_row(basis, i, alpha), range(len(basis.by_weight[1]))))
-
-
-def test_step3_rows_match_products():
-    # the closed-form rows against the direct group-product construction,
-    # for every i and every alpha in a box
-    for n, r in ((2, 2), (3, 2), (4, 1)):
-        basis = hall_basis(n, 3)
-        for i in range(1, n + 1):
-            for a in product(range(-r, r + 1), repeat=n):
-                assert step3_rows(basis, i, list(a)) == product_step3_rows(basis, i, a)
-    # rank 1: no weight-2 elements, so the table and the rows are empty
-    basis = hall_basis(1, 3)
-    assert autos._step3_table(basis) == ([], [[]])
-    for a in range(-2, 3):
-        assert step3_rows(basis, 1, [a]) == product_step3_rows(basis, 1, (a,)) == []
-
-
 def _conjugate(q, i):
     return multiply(multiply(bar(q), q.basis.generator(i)), q)
+
+
+def test_solve_conjugator_decides_the_step3_lattice():
+    # g is f0 = bar(x^alpha) x_i x^alpha with its weight-3 block moved by an
+    # integer combination of the rows built by group products and 2I, and
+    # by one unit vector more: the solve returns None exactly when
+    # lattice_solve finds no solution, and every witness reproduces g
+    # under the series oracles, for every i and alpha in a box
+    for n, r in ((2, 2), (3, 2), (4, 1)):
+        basis = hall_basis(n, 3)
+        start3, m3 = basis.weight_offset[2], len(basis.by_weight[2])
+        doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
+        rng = random.Random(n)
+        for i in range(1, n + 1):
+            assert autos._witness_lattice(basis, i)[0] == product_step3_rows(basis, i, (0,) * n)
+            for a in product(range(-r, r + 1), repeat=n):
+                rows = product_step3_rows(basis, i, a)
+                q1 = basis.from_exponents(a + (0,) * (len(basis.elements) - n))
+                f0 = _conjugate(q1, i).exponents
+                for shift in (False, True):
+                    coeffs = [rng.randint(-2, 2) for _ in rows + doubled]
+                    move = [sum(c * row[j] for c, row in zip(coeffs, rows + doubled))
+                            for j in range(m3)]
+                    if shift:
+                        move[rng.randrange(m3)] += 1
+                    g = basis.from_exponents(
+                        f0[:start3] + tuple(v + w for v, w in zip(f0[start3:], move)))
+                    found = solve_conjugator(g, i)
+                    assert (found is None) == (lattice_solve(rows + doubled, move) is None)
+                    assert found is not None or shift
+                    if found is not None:
+                        assert series_conjugate(found, i) == g
+    # rank 1: no weight-2 elements, so the rows are empty
+    basis = hall_basis(1, 3)
+    assert autos._witness_lattice(basis, 1)[0] == product_step3_rows(basis, 1, (0,)) == []
 
 
 def _count_law_calls(monkeypatch, basis, names):
@@ -450,7 +466,7 @@ def _count_law_calls(monkeypatch, basis, names):
 
 def test_solve_conjugator_multiply_count(monkeypatch):
     # after warm-up a step-3 call builds no rows from group products: one
-    # law.mul pair for f0 and one for the final check
+    # law.mul pair for f0 and one for the image of (alpha, beta, 0)
     basis = hall_basis(3, 3)
     q = basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 7 + (1,))
     g = _conjugate(q, 2)
@@ -485,7 +501,7 @@ def _refuse(monkeypatch, target, names):
 def test_witness_rejects_read_only_the_exponents(monkeypatch, n, k):
     # one case per early exit of solve_conjugator, with d = ab(g) - e_i:
     # an odd entry of d; an even d != 0 at min_weight 2; and d = 0 with a
-    # nonzero weight-2 block.  No law op, step-3 row or echelon, palindromic
+    # nonzero weight-2 block.  No law op, witness lattice, palindromic
     # image or letter vector is reached.
     basis = hall_basis(n, k)
     m = len(basis.elements)
@@ -506,7 +522,7 @@ def test_witness_rejects_read_only_the_exponents(monkeypatch, n, k):
         (element(unit, (0, 3)), 2),
     ]
     _refuse(monkeypatch, basis.law, ("mul", "bar", "inv", "pow", "comm"))
-    _refuse(monkeypatch, autos, ("_step3_row", "_witness_echelon", "_palindromic_image"))
+    _refuse(monkeypatch, autos, ("_witness_lattice", "_palindromic_image"))
 
     def no_letter_vectors(self):
         raise AssertionError("letter vectors read on a reject path")
@@ -520,50 +536,37 @@ def test_witness_rejects_read_only_the_exponents(monkeypatch, n, k):
 def test_solve_conjugator_verification_failure_context(monkeypatch):
     basis = hall_basis(3, 3)
     g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
-    real = autos._solve_mod2
+    assert solve_conjugator(g, 2) is not None  # builds the echelon unpatched
+    real = autos._reduce_mod2
 
-    def wrong(echelon, row, target):
+    def wrong(echelon, mask, combo=0):
         # flipping beta_1 moves the value by the first row, which is odd
-        beta, delta = real(echelon, row, target)
-        return beta ^ 1, delta
+        rest, beta = real(echelon, mask, combo)
+        return rest, beta ^ 1
 
-    monkeypatch.setattr(autos, "_solve_mod2", wrong)
+    monkeypatch.setattr(autos, "_reduce_mod2", wrong)
     with pytest.raises(InternalError, match="witness verification failed") as err:
         solve_conjugator(g, 2)
     assert err.value.context == {"n": 3, "k": 3, "i": 2, "min_weight": 1}
 
 
-def test_witness_mod2_solve_matches_lattice_solve():
-    # the mod-2 solve over the echelon built at alpha = 0 against a Smith
-    # form solve of rows + 2I, on lattice points and points moved by one
-    # unit vector, for every i and alpha in a box
-    for n, r in ((2, 2), (3, 2), (4, 1)):
-        basis = hall_basis(n, 3)
-        m3 = len(basis.by_weight[2])
-        rng = random.Random(n)
-        for i in range(1, n + 1):
-            echelon = autos._witness_echelon(basis, i)
-            parity = [autos._parity_mask(row) for row in step3_rows(basis, i, [0] * n)]
-            for a in product(range(-r, r + 1), repeat=n):
-                rows = step3_rows(basis, i, list(a))
-                assert [autos._parity_mask(row) for row in rows] == parity
-                doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
-                for shift in (False, True):
-                    coeffs = [rng.randint(-2, 2) for _ in rows + doubled]
-                    vec = [sum(c * row[j] for c, row in zip(coeffs, rows + doubled))
-                           for j in range(m3)]
-                    if shift:
-                        vec[rng.randrange(m3)] += 1
-                    sol = autos._solve_mod2(echelon, rows.__getitem__, vec)
-                    found = lattice_solve(rows + doubled, vec) is not None
-                    assert (sol is not None) == found
-                    assert found or shift
-                    if sol is not None:
-                        beta, delta = sol
-                        assert beta >> len(rows) == 0
-                        picked = [row for j, row in enumerate(rows) if beta >> j & 1]
-                        assert [sum(row[j] for row in picked) + 2 * d
-                                for j, d in enumerate(delta)] == vec
+def test_solve_conjugator_checks_the_blocks_below_weight_3(monkeypatch):
+    # the image of (alpha, beta, 0) moved in its weight-2 block: its top
+    # block still gives an even residual, so only the lower blocks differ
+    basis = hall_basis(3, 3)
+    g = _conjugate(basis.from_exponents((1, 0, -1, 2, 0, 1) + (0,) * 8), 2)
+    assert solve_conjugator(g, 2) is not None
+    real = autos._palindromic_image
+
+    def wrong(basis, i, q):
+        image = list(real(basis, i, q))
+        image[basis.n] += any(q[basis.weight_slices[1]])
+        return tuple(image)
+
+    monkeypatch.setattr(autos, "_palindromic_image", wrong)
+    with pytest.raises(InternalError, match="witness verification failed") as err:
+        solve_conjugator(g, 2)
+    assert err.value.context == {"n": 3, "k": 3, "i": 2, "min_weight": 1}
 
 
 def test_warm_solve_conjugator_runs_no_smith_form(monkeypatch):
@@ -762,25 +765,52 @@ def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):
     e = parse_endo_file((GOLDEN_FIXTURES / "r2_odd.auto").read_text(), basis)
     assert palindromic_witnesses(e) is None
     m3 = len(basis.by_weight[2])
-    monkeypatch.setattr(autos, "_witness_echelon",
-                        lambda b, i: [(1 << j, 0) for j in reversed(range(m3))])
+    real = autos._witness_lattice
+    monkeypatch.setattr(autos, "_witness_lattice",
+                        lambda b, i: (real(b, i)[0], [(1 << j, 0) for j in reversed(range(m3))]))
     with pytest.raises(InternalError, match="witness certificate failed") as err:
         inverse_with_factors(e)
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
+def _corrupt_bar(monkeypatch, basis, idx, change):
+    """Make `basis.law.bar` add `change` to its value on basis element idx."""
+    real, size = basis.law.bar, len(basis.elements)
+    unit = tuple(int(c == idx) for c in range(size))
+
+    def wrong(q):
+        out = real(q)
+        return tuple(v + d for v, d in zip(out, change)) if tuple(q) == unit else out
+
+    monkeypatch.setattr(basis.law, "bar", wrong)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_witness_rows_are_checked_against_the_law(monkeypatch, n):
-    # one entry of the step-3 table changed: the first inverse on a fresh
-    # memo compares each witness row with bar(z_j) x_i z_j on the law
+    # bar(z_1) on the law moved by z_1 in its weight-2 block: the first
+    # inverse on a fresh memo finds that bar(z_1) x_1 z_1 loses the head
+    # of x_1
     basis = hall_basis(n, 3)
     e = compose_symbols([mu(1, 2), phi2(2, 1, n)], basis)
     monkeypatch.setattr(basis, "memo", {})
-    u = autos._step3_table(basis)[0]
-    u[0] = [v + 2 * (c == 0) for c, v in enumerate(u[0])]
+    _corrupt_bar(monkeypatch, basis, n, [int(c == n) for c in range(len(basis.elements))])
     with pytest.raises(InternalError, match="witness row disagrees with the law") as err:
         inverse_with_factors(e)
     assert err.value.context == {"n": n, "k": 3, "i": 1, "coordinate": n}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_lattice_checks_h_of_a_weight3_element(monkeypatch, n):
+    # bar(c) = c^-1 on the first weight-3 c: bar(c) x_1 c is x_1, not
+    # x_1 c^2, so the check of h(c) = c^2 fails at c
+    basis = hall_basis(n, 3)
+    e = compose_symbols([mu(1, 2), phi2(2, 1, n)], basis)
+    monkeypatch.setattr(basis, "memo", {})
+    c = basis.weight_offset[2]
+    _corrupt_bar(monkeypatch, basis, c, [-2 * (j == c) for j in range(len(basis.elements))])
+    with pytest.raises(InternalError, match="witness row disagrees with the law") as err:
+        inverse_with_factors(e)
+    assert err.value.context == {"n": n, "k": 3, "i": 1, "coordinate": c}
 
 
 def test_inverse_general_route():
@@ -976,10 +1006,21 @@ def test_quotient_rank():
 
 
 def test_quotient_rank_invariants_context(monkeypatch):
-    monkeypatch.setattr(autos, "_central_parity", lambda basis, i: [])
+    monkeypatch.setattr(autos, "_witness_lattice", lambda basis, i: ([], []))
     with pytest.raises(InternalError, match="disagree with q=1") as err:
         quotient_rank_q(2)
     assert err.value.context == {"n": 2, "k": 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cold_quotient_rank_runs_no_smith_form(monkeypatch, n):
+    # the invariants come from the witness echelon, which no Smith form builds
+    monkeypatch.setattr(hall_basis(n, 3), "memo", {})
+    calls = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: calls.append(1) or real(a))
+    assert quotient_rank_q(n) == n * (n * n - 1) // 3 - n * (n - 1) // 2
+    assert calls == []
 
 
 def test_warm_quotient_rank_runs_no_smith_form(monkeypatch):
@@ -1003,12 +1044,22 @@ def test_phi2_rows_mod_2_have_rank_m3_minus_q(n):
         fams, rows, _ = autos._central_lattice(basis, i)
         phi2_rows = [row for row, (sym,) in zip(rows, fams) if sym.tag == "phi2"]
         assert gf2_rank(phi2_rows) == m3 - q
-        echelon = autos._central_parity(basis, i)
+        rows, echelon = autos._witness_lattice(basis, i)
         assert len(echelon) == m3 - q
         # each echelon row is the parity of the sum of the rows it records
         for mask, combo in echelon:
             picked = [row for j, row in enumerate(rows) if combo >> j & 1]
             assert autos._parity_mask([sum(col) for col in zip(*picked)]) == mask
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_central_and_witness_echelons_are_equal(n):
+    # the phi2 rows are congruent mod 2 to the witness rows, in the same
+    # order, and the phi3 rows are even: one lattice, one echelon
+    basis = hall_basis(n, 3)
+    for i in range(1, n + 1):
+        central = autos._mod2_echelon(autos._central_lattice(basis, i)[1])
+        assert central == autos._witness_lattice(basis, i)[1]
 
 
 # -- tameness -----------------------------------------------------------------------

@@ -147,6 +147,10 @@ def test_verify_with_no_cases_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "suite prop3.3 ran no cases at rank=1" in err
+    code, out, err = run_cli(capsys, "--format", "kv", "verify", "jacobi", "--step", "7")
+    assert code == 1
+    assert out == ""
+    assert "suite jacobi ran no cases at rank=None step=7 cases=None; it runs at step 3 only" in err
 
 
 def test_missing_file(capsys):

@@ -155,3 +155,11 @@ def test_bglm_precondition():
 def test_render_ring():
     assert render_ring(ring_zero(2)) == "0"
     assert render_ring(mul(ring_delta(1, 2), ring_delta(2, 2))) == "(1,2): 1"
+
+
+def test_bglm_residue_refuses_malformed_word_lists():
+    with pytest.raises(ValueError, match="got none"):
+        bglm_residue([])
+    # the first word is outside gamma_3, but the ranks are checked first
+    with pytest.raises(ValueError, match="words have mixed ranks"):
+        bglm_residue([parse_word("x1", 2), parse_word("1", 3)])

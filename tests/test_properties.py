@@ -37,6 +37,7 @@ from oracles import (  # noqa: E402
     series_apply,
     series_bar,
     series_collect,
+    series_conjugate,
     series_invert,
     series_multiply,
     series_power,
@@ -265,11 +266,6 @@ def test_witness_respects_min_weight(data, w):
     assert found is not None
     assert found.is_identity() or weight(found) >= w
     assert conjugate(found, i) == g
-
-
-def series_conjugate(q, i):
-    """bar(q) x_i q by the series oracles, which share no code with the law."""
-    return series_multiply(series_multiply(series_bar(q), q.basis.generator(i)), q)
 
 
 @st.composite

@@ -47,11 +47,29 @@ def test_unknown_suite():
         ("lemma4.2", {"rank": 1}, "rank=1 step=None cases=None"),
         ("prop3.1", {"cases": 0}, "rank=None step=None cases=0"),
         ("foxtable", {"rank": 0}, "rank=0 step=None cases=None"),
+        # a step or rank the suite does not run at
+        ("jacobi", {"step": 7}, "rank=None step=7 cases=None; it runs at step 3 only"),
+        ("lemma4.2", {"step": 2}, "rank=None step=2 cases=None; it runs at step 3 only"),
+        ("lemma5.3", {"step": 4}, "rank=None step=4 cases=None; it runs at step 3 only"),
+        ("lemma5.4", {"step": 2}, "rank=None step=2 cases=None; it runs at step 3 only"),
+        ("thm5.8-n2", {"step": 4}, "rank=None step=4 cases=None; it runs at step 3 only"),
+        ("thm5.8-n2", {"rank": 5}, "rank=5 step=None cases=None; it runs at rank 2 only"),
+        ("prop3.1", {"step": 3}, "rank=None step=3 cases=None; it runs at step 2 only"),
+        ("prop3.3", {"step": 3, "rank": 2},
+         "rank=2 step=3 cases=None; it runs at step 2 only"),
+        ("foxtable", {"step": 3}, "rank=None step=3 cases=None; it has no step"),
     ],
 )
 def test_suite_with_no_cases_is_refused(name, kwargs, given):
     with pytest.raises(ValueError, match=f"suite {name} ran no cases at {given}"):
         run_suite(name, **kwargs)
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("jacobi", {"step": 3}), ("prop3.3", {"rank": 2, "step": 2}), ("thm5.8-n2", {"rank": 2}),
+])
+def test_suite_at_its_own_fixed_flag_runs(name, kwargs):
+    assert run_suite(name, **kwargs).ok
 
 
 def test_registry_complete():
