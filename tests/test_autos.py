@@ -419,6 +419,57 @@ def _conjugate(q, i):
     return multiply(multiply(bar(q), q.basis.generator(i)), q)
 
 
+def test_step3_rows_match_products():
+    # the witness-lattice rows, built once at alpha = 0, against the direct
+    # group-product construction; for every i and every alpha in a box the
+    # product rows at alpha keep the parity of those at alpha = 0, which is
+    # why one echelon serves every alpha
+    for n, r in ((2, 2), (3, 2), (4, 1)):
+        basis = hall_basis(n, 3)
+        for i in range(1, n + 1):
+            rows = autos._witness_lattice(basis, i)[0]
+            assert rows == product_step3_rows(basis, i, (0,) * n)
+            parity = [autos._parity_mask(row) for row in rows]
+            for a in product(range(-r, r + 1), repeat=n):
+                moved = product_step3_rows(basis, i, a)
+                assert [autos._parity_mask(row) for row in moved] == parity
+    # rank 1: no weight-2 elements, so the rows and the echelon are empty
+    basis = hall_basis(1, 3)
+    assert autos._witness_lattice(basis, 1) == ([], [])
+    for a in range(-2, 3):
+        assert product_step3_rows(basis, 1, (a,)) == []
+
+
+def test_witness_mod2_solve_matches_lattice_solve():
+    # the mod-2 reduction over the echelon built at alpha = 0 against a
+    # Smith form solve of rows + 2I, on lattice points and points moved by
+    # one unit vector, for every i and alpha in a box
+    for n, r in ((2, 2), (3, 2), (4, 1)):
+        basis = hall_basis(n, 3)
+        m3 = len(basis.by_weight[2])
+        doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
+        rng = random.Random(n)
+        for i in range(1, n + 1):
+            echelon = autos._witness_lattice(basis, i)[1]
+            for a in product(range(-r, r + 1), repeat=n):
+                rows = product_step3_rows(basis, i, a)
+                for shift in (False, True):
+                    coeffs = [rng.randint(-2, 2) for _ in rows + doubled]
+                    vec = [sum(c * row[j] for c, row in zip(coeffs, rows + doubled))
+                           for j in range(m3)]
+                    if shift:
+                        vec[rng.randrange(m3)] += 1
+                    rest, beta = autos._reduce_mod2(echelon, autos._parity_mask(vec))
+                    found = lattice_solve(rows + doubled, vec) is not None
+                    assert (rest == 0) == found
+                    assert found or shift
+                    if found:
+                        assert beta >> len(rows) == 0
+                        picked = [row for j, row in enumerate(rows) if beta >> j & 1]
+                        delta = [v - sum(row[j] for row in picked) for j, v in enumerate(vec)]
+                        assert all(d % 2 == 0 for d in delta)
+
+
 def test_solve_conjugator_decides_the_step3_lattice():
     # g is f0 = bar(x^alpha) x_i x^alpha with its weight-3 block moved by an
     # integer combination of the rows built by group products and 2I, and
