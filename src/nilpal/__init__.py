@@ -1,7 +1,7 @@
 """Exact arithmetic and palindromic automorphisms of free nilpotent groups.
 
-Modules: `words`, `kernel` (the per-degree series layout and its
-products), `nilpotent` (Hall bases, the series model, the peel, group
+Modules: `words`, `kernel` (the per-degree series layout, which no other
+module reads), `nilpotent` (Hall bases, the series model, the peel, group
 arithmetic), `hallpoly` (the exponent law at step <= 3), `intlinalg`,
 `foxring`, `autos` (automorphisms), `verify` (named suites) and `cli`.
 """

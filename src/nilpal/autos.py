@@ -1162,7 +1162,7 @@ def parse_endo_file(text, basis):
             raise ValueError(f"line {lineno}: expected `x<i> -> <word>`")
         lhs, rhs = line.split("->", 1)
         lhs = lhs.strip()
-        if not lhs.startswith("x") or not lhs[1:].isdigit():
+        if not lhs.startswith("x") or not (lhs[1:].isascii() and lhs[1:].isdigit()):
             raise ValueError(f"line {lineno}: bad generator {lhs!r}")
         i = int(lhs[1:])
         if not 1 <= i <= basis.n:

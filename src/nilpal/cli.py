@@ -70,7 +70,7 @@ def _global_flags(parser):
     parser.add_argument("--format", dest="fmt", choices=("text", "kv"), default=sup)
 
 
-_FLAG_DEFAULTS = (("rank", None), ("step", None), ("seed", 0), ("cases", None), ("fmt", "text"))
+_FLAG_DEFAULTS = (("rank", None), ("step", None), ("seed", None), ("cases", None), ("fmt", "text"))
 
 
 def build_parser():

@@ -369,18 +369,18 @@ class PivotSolver:
         """The nonzero coordinates of the x with (E x)_P == t_P, as
         {column: int}, or None if x is not integral.
 
-        `t` maps rows to values; absent rows read as 0, and rows off the
-        pivot rows P are ignored.  The work follows the entries, since the
-        peel solves for a few coordinates out of hundreds: t is read entry
-        by entry, and each sweep pops from a heap of step numbers only the
-        steps that hold a value and carry factor entries.  Forward
-        substitution only adds values at later steps and back substitution
-        only at earlier ones, so each step is taken once, after every
-        update to it.
+        `t` is an iterable of (row, value) pairs, each row at most once;
+        absent rows read as 0, and rows off the pivot rows P are ignored.
+        The work follows the entries, since the peel solves for a few
+        coordinates out of hundreds: t is read pair by pair, and each sweep
+        pops from a heap of step numbers only the steps that hold a value
+        and carry factor entries.  Forward substitution only adds values at
+        later steps and back substitution only at earlier ones, so each
+        step is taken once, after every update to it.
         """
         step_of_row = self._step_of_row
         v = {}
-        for i, c in t.items():
+        for i, c in t:
             s = step_of_row.get(i)
             if s is not None:
                 v[s] = c

@@ -1,4 +1,4 @@
-"""Products of truncated noncommutative series (the Magnus model's kernel).
+"""Truncated noncommutative series (the Magnus model's kernel).
 
 A monomial of degree d in the letters 1..n has rank r, its letters minus 1
 read base n (first letter most significant), and index offset[d] + r, where
@@ -12,7 +12,7 @@ coefficient.  A group series has dict 0 equal to {0: 1} (`one`).  A factor
 is the read-only form of a series minus its constant term that products
 and divisions read: a tuple of (degree, items) for its nonzero degrees,
 ascending, items being (monomial index, coefficient) pairs (`factor`).
-This module is the only one that knows how the indices are laid out.
+Only this module knows that layout; the others go through its functions.
 """
 
 # The only kernel; `nilpal info` reports it.
@@ -77,6 +77,36 @@ def series(f, shape):
     return r
 
 
+def letter(gen, shape):
+    """The factor of the series 1 + X_gen of the letter x_gen."""
+    return ((1, ((shape.index((gen,)), 1),)),)
+
+
+def copy(a):
+    """A fresh copy of the series a."""
+    return [part.copy() for part in a]
+
+
+def is_one(a, top=None):
+    """Whether the series a is 1 up to degree `top` (default k)."""
+    return a[0] == {0: 1} and not any(a[1:None if top is None else top + 1])
+
+
+def terms(a, d):
+    """The (monomial index, coefficient) pairs of degree d of the series a."""
+    return a[d].items()
+
+
+def term_count(a, d=None):
+    """The number of terms of the series a, or of its degree-d part."""
+    return sum(map(len, a)) if d is None else len(a[d])
+
+
+def lowest_terms(f):
+    """The lowest-degree terms of the nonzero factor f, as a fresh dict."""
+    return dict(f[0][1])
+
+
 def add_scaled(r, f, c):
     """r += c * f in place, for a series r and a factor f; cancelled terms
     are dropped."""
@@ -133,6 +163,26 @@ def poly_mul(a, b, shape):
     return [{i: c for i, c in part.items() if c} for part in out]
 
 
+def factor_powers(f, count, shape):
+    """The factors of L, L^2, ..., L^count, for L the series of the factor
+    f with no constant term; `poly_mul` takes each power from the last."""
+    low = series(f, shape)
+    low[0] = {}
+    out, power = [f], low
+    for _ in range(1, count):
+        power = poly_mul(power, low, shape)
+        out.append(factor(power))
+    return tuple(out)
+
+
+def factor_sum(pairs, shape):
+    """The factor of sum c f over the (integer c, factor f) `pairs`."""
+    out = [{} for _ in range(shape.k + 1)]
+    for c, f in pairs:
+        add_scaled(out, f, c)
+    return factor(out)
+
+
 def left_divide(r, p, shape, solve):
     """r <- P^-1 r if `solve`, else P r, in place, for a series r and
     P = 1 + the factor p; cancelled terms are dropped.  The index shift
@@ -166,10 +216,32 @@ def left_divide(r, p, shape, solve):
                         del out[i]
 
 
+def bracket_factor(a, b, w, shape):
+    """The factor of [1+a, 1+b], for factors a and b whose bracket has
+    lowest degree >= w.
+
+    From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
+    (1 + S) X = D with D = ab - ba and S = a + b + ba: one left division
+    up the degrees, from the two products of the halves and no inverse
+    series.  X has lowest degree >= w, so only the degrees <= k - w of S
+    take part."""
+    r = [{} for _ in range(shape.k + 1)]
+    add_product(r, a, b, shape)
+    add_product(r, b, a, shape, -1)
+    r = [{i: c for i, c in part.items() if c} for part in r]
+    top = shape.k - w
+    s = [{} for _ in range(top + 1)]
+    for f in (a, b):
+        add_scaled(s, [(d, items) for d, items in f if d <= top], 1)
+    add_product(s, b, a, shape, 1, top)
+    left_divide(r, factor([{i: c for i, c in part.items() if c} for part in s]), shape, True)
+    return factor(r)
+
+
 def poly_div(a, b, shape):
     """a^-1 b, for a series a with constant term 1: b divided on the left
     by a, one `left_divide`; a^-1 itself for b = `one`."""
-    out = [part.copy() for part in b]
+    out = copy(b)
     left_divide(out, factor(a), shape, True)
     return out
 

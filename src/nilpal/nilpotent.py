@@ -8,32 +8,18 @@ commutators, weight-major.
 Arithmetic runs in a faithful truncated-series model: x_i maps to 1 + X_i in
 integer polynomials over noncommuting X_1..X_n, discarding all terms of
 degree > k.  A word is trivial in the group iff its series is 1, so series
-equality decides group equality.  A series is kept as one dict per degree
-(`kernel`), and the series of elements, inverses, commutators and words
-come from one primitive: multiplying or dividing a running series on the
-left by a factor, the read-only form of c - 1 for a lift c
-(`kernel.left_divide`).  An element's
-series is 1 multiplied on the left by its factors c_j^e_j, the last first
-(`HallBasis.exponents_poly`); an inverse is 1 divided on the left by the
-element's series, and a commutator [a, b] is ab divided by ba.  A power
-c_j^e is the binomial sum of cached powers of c_j - 1.  `collect` builds a
-word's series the same way, one binomial block per run of a letter.
-
-Normal-form exponents are recovered weight by weight
-(`HallBasis.element_from_poly`, "the peel"), which doubles as a
-consistency check on every element built from a series: each layer's
-nonzero coordinates are read off the remainder's lowest degree by a sparse
-pivot solve, and the remainder is divided on the left by each factor's
-positive power (or multiplied by it, for a negative exponent), or for
-2w > k has the linear tail x_j (c_j - 1) subtracted in place.
-
-The lift of a bracket c = [a,b] comes from the lifts of its halves alone,
-A = a - 1 and B = b - 1: since ab = ba c, X = c - 1 solves
-(1 + A + B + BA) X = AB - BA, one left division up the degrees
-(`_bracket_factor`).  The same identity builds the image of c under any
-endomorphism from the images of its halves.  One object, `Lifts`, builds
-and caches these factors and their powers, for the basis
-(`HallBasis.lifts`) and for each map (`autos.Endo`); no inverse is kept.
+equality decides group equality.  `kernel` owns the series layout; this
+module only calls its operations.  The series of elements and words come
+from one of them: multiplying or dividing a running series on the left by
+a factor, the read-only form of c - 1 for a lift c (`kernel.left_divide`).
+An element's series is 1 multiplied on the left by its factors c_j^e_j,
+the last first (`HallBasis.exponents_poly`), and `collect` builds a word's
+series the same way, one binomial block per run of a letter.  Normal-form
+exponents are recovered weight by weight (`HallBasis.element_from_poly`,
+"the peel"), which doubles as a consistency check on every element built
+from a series.  `Lifts` builds and caches the factors of the basis
+elements' images and their powers, for the basis (`HallBasis.lifts`) and
+for each map (`autos.Endo`).
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -152,43 +138,16 @@ def _build_elements(n, k):
     return by_weight
 
 
-def _bracket_factor(a, b, w, shape):
-    """The factor of [1+a, 1+b], for factors a and b whose bracket has
-    lowest degree >= w.
-
-    From (1+a)(1+b) = (1+b)(1+a) [1+a, 1+b], X = [1+a, 1+b] - 1 solves
-    (1 + S) X = D with D = ab - ba and S = a + b + ba: one left division
-    up the degrees, from the two products of the halves and no inverse
-    series.  X has lowest degree >= w, so only the degrees <= k - w of S
-    take part."""
-    k = shape.k
-    r = [{} for _ in range(k + 1)]
-    kernel.add_product(r, a, b, shape)
-    kernel.add_product(r, b, a, shape, -1)
-    r = [{i: c for i, c in part.items() if c} for part in r]
-    top = k - w
-    s = [{} for _ in range(top + 1)]
-    for f in (a, b):
-        kernel.add_scaled(s, [(d, items) for d, items in f if d <= top], 1)
-    kernel.add_product(s, b, a, shape, 1, top)
-    s = kernel.factor([{i: c for i, c in part.items() if c} for part in s])
-    kernel.left_divide(r, s, shape, True)
-    return kernel.factor(r)
-
-
 class Lifts:
     """The factors c - 1 (`kernel.factor`) of the images c of the basis
     elements under one endomorphism, and of their powers, built on first
     use and then read-only.  `leaf(gen)` is the factor of the image of
-    x_gen; `HallBasis.lifts` is the identity map's, whose images are the
-    lifts of the basis elements themselves.
-
-    An endomorphism maps gamma_w into gamma_w, so the image of a basis
-    element c of weight w has L = c - 1 of lowest degree >= w, and L^i
-    vanishes for i > k // w.  A bracket's image is built from its halves'
-    by one left division (`_bracket_factor`), and c^e is the binomial sum
-    of the k // w cached powers of L.  `factors` keeps one factor per
-    basis element, `powers` k // w per element raised to a power e >= 2.
+    x_gen; `HallBasis.lifts` is the identity map's.  A bracket's image
+    comes from its halves' by one left division (`kernel.bracket_factor`).
+    The image of a basis element c of weight w has L = c - 1 of lowest
+    degree >= w, so L^i vanishes for i > k // w: `factors` keeps one
+    factor per basis element, `powers` the k // w powers of L for each
+    element raised to a power e >= 2.
     """
 
     __slots__ = ("basis", "leaf", "factors", "powers")
@@ -207,8 +166,8 @@ class Lifts:
             if c.gen is not None:
                 f = self.leaf(c.gen)
             else:
-                f = _bracket_factor(self.lift(c.left.index), self.lift(c.right.index),
-                                    c.weight, self.basis.shape)
+                f = kernel.bracket_factor(self.lift(c.left.index), self.lift(c.right.index),
+                                          c.weight, self.basis.shape)
             self.factors[idx] = f
         return f
 
@@ -218,21 +177,12 @@ class Lifts:
         if e == 1:
             return self.lift(idx)
         basis = self.basis
-        shape, k = basis.shape, basis.k
         powers = self.powers.get(idx)
         if powers is None:
-            lift = self.lift(idx)
-            low = kernel.series(lift, shape)
-            low[0] = {}  # L alone, with no constant term
-            powers, power = [lift], low
-            for _ in range(1, k // basis.elements[idx].weight):
-                power = kernel.poly_mul(power, low, shape)
-                powers.append(kernel.factor(power))
-            powers = self.powers[idx] = tuple(powers)
-        out = [{} for _ in range(k + 1)]
-        for i, f in enumerate(powers, start=1):
-            kernel.add_scaled(out, f, comb(e, i))
-        return kernel.factor(out)
+            powers = self.powers[idx] = kernel.factor_powers(
+                self.lift(idx), basis.k // basis.elements[idx].weight, basis.shape)
+        return kernel.factor_sum(((comb(e, i), f) for i, f in enumerate(powers, start=1)),
+                                 basis.shape)
 
 
 class HallBasis:
@@ -255,16 +205,13 @@ class HallBasis:
         self.elements = [c for level in self.by_weight for c in level]
         for i, c in enumerate(self.elements):
             c.index = i
-        self.weight_offset = []
-        pos = 0
-        for level in self.by_weight:
-            self.weight_offset.append(pos)
-            pos += len(level)
-        self.weight_slices = tuple(
-            slice(start, start + len(level))
-            for start, level in zip(self.weight_offset, self.by_weight))
+        self.weight_offset = [0]
+        for level in self.by_weight[:-1]:
+            self.weight_offset.append(self.weight_offset[-1] + len(level))
+        self.weight_slices = tuple(slice(start, start + len(level))
+                                   for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
-        self.lifts = Lifts(self, lambda gen: ((1, ((self.shape.index((gen,)), 1),)),))
+        self.lifts = Lifts(self, lambda gen: kernel.letter(gen, self.shape))
         self._peel = {}
         # derived values other modules compute once per basis, keyed by a
         # tuple that starts with the caller's name for them
@@ -280,26 +227,11 @@ class HallBasis:
 
     # -- truncated-series machinery -------------------------------------
 
-    def mul(self, a, b):
-        return kernel.poly_mul(a, b, self.shape)
-
-    def pow(self, a, e):
-        return kernel.poly_pow(a, e, self.shape)
-
-    def div(self, a, b):
-        return kernel.poly_div(a, b, self.shape)
-
-    def inverse_poly(self, poly):
-        """Series of g^-1 from the series of g: 1 divided on the left by it."""
-        return self.div(poly, kernel.one(self.shape))
-
     def lie_columns(self, w):
-        """Degree-w parts of the weight-w basis series: the columns of the
-        Lie-coordinate matrix, as fresh dicts {monomial index: coefficient}
-        built from the lowest degree block of each lift."""
-        start = self.weight_offset[w - 1]
-        return [dict(self.lifts.lift(start + j)[0][1])
-                for j in range(len(self.by_weight[w - 1]))]
+        """Degree-w parts of the weight-w basis series, the lowest-degree
+        terms of their lifts: the columns of the Lie-coordinate matrix."""
+        return [kernel.lowest_terms(self.lifts.lift(i))
+                for i in range(len(self.elements))[self.weight_slice(w)]]
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -349,36 +281,29 @@ class HallBasis:
     def element_from_poly(self, poly):
         """Recover Hall exponents of a group series; verifies exactness.
 
-        The remainder r starts as a copy of `poly`, one dict per degree.
-        Weight by weight, its lowest remaining degree w is a Lie element:
-        its Hall coordinates x solve E x = t, with t = r[w].  The pivot
-        solver reads x off the pivot entries of t, and r is divided on the
-        left by the weight-w block c_1^x_1 ... c_m^x_m, one factor at a
-        time.  That leaves t - E x in r[w], so an empty r[w] proves
-        E x == t, and a non-Lie t can never pass.
-
-        Each factor is divided by its positive power P = c_j^|x_j|, whose
-        series is 1 plus terms of degree >= w (`Lifts.power`): for
-        x_j > 0, r becomes the s with P s = r, degree by degree
-        (s_d = r_d - sum_e P_e s_(d-e)); for x_j < 0, r becomes P r.  The
-        solver returns the nonzero x_j only, and the factors are taken in
-        ascending j.  For 2w > k any product of two series
-        of lowest degree >= w vanishes, so the block is
-        1 + sum x_j (c_j - 1) and dividing by it subtracts
+        The remainder r starts as a copy of `poly`.  Weight by weight, its
+        degree-w terms t are a Lie element: the pivot solver reads the
+        nonzero Hall coordinates x of E x = t off the pivot entries of t,
+        and r is divided on the left by each factor c_j^x_j in ascending j,
+        that is by its positive power (`Lifts.power`), or multiplied by it
+        for x_j < 0.  That leaves t - E x as r's degree-w terms, so none
+        left proves E x == t, and a non-Lie t can never pass.  For 2w > k
+        any product of two series of lowest degree >= w vanishes, so the
+        block is 1 + sum x_j (c_j - 1), and dividing by it subtracts
         x_j (c_j - 1) from r.
         """
         n, k = self.n, self.k
-        if poly[0] != {0: 1}:
+        if not kernel.is_one(poly, 0):
             raise InternalError("series has constant term != 1",
-                                n=n, k=k, weight=0, residual_terms=sum(map(len, poly)))
+                                n=n, k=k, weight=0, residual_terms=kernel.term_count(poly))
         exps = [0] * len(self.elements)
         lifts = self.lifts
-        r = [dict(part) for part in poly]
+        r = kernel.copy(poly)
         for w in range(1, k + 1):
-            x = self._peel_solver(w).solve(r[w])
+            x = self._peel_solver(w).solve(kernel.terms(r, w))
             if x is None:
                 raise InternalError(f"degree-{w} coordinates are not integral",
-                                    n=n, k=k, weight=w, residual_terms=len(r[w]))
+                                    n=n, k=k, weight=w, residual_terms=kernel.term_count(r, w))
             start = self.weight_offset[w - 1]
             for j in sorted(x):
                 xj = exps[start + j] = x[j]
@@ -386,12 +311,12 @@ class HallBasis:
                     kernel.add_scaled(r, lifts.lift(start + j), -xj)
                 else:
                     kernel.left_divide(r, lifts.power(start + j, abs(xj)), self.shape, xj > 0)
-            if r[w]:
+            if left := kernel.term_count(r, w):
                 raise InternalError(f"degree-{w} component is not a Lie element",
-                                    n=n, k=k, weight=w, residual_terms=len(r[w]))
-        if r[0] != {0: 1} or any(r[1:]):
+                                    n=n, k=k, weight=w, residual_terms=left)
+        if not kernel.is_one(r):
             raise InternalError("series does not collapse to the normal form",
-                                n=n, k=k, weight=k, residual_terms=sum(map(len, r)) - 1)
+                                n=n, k=k, weight=k, residual_terms=kernel.term_count(r) - 1)
         return NilElement(self, poly, tuple(exps))
 
     @cached_property
@@ -526,7 +451,7 @@ def multiply(a, b):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.mul(a.exponents, b.exponents))
-    return basis.element_from_poly(basis.mul(a.poly, b.poly))
+    return basis.element_from_poly(kernel.poly_mul(a.poly, b.poly, basis.shape))
 
 
 def invert(a):
@@ -534,7 +459,7 @@ def invert(a):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.inv(a.exponents))
-    return basis.element_from_poly(basis.inverse_poly(a.poly))
+    return basis.element_from_poly(kernel.poly_div(a.poly, kernel.one(basis.shape), basis.shape))
 
 
 def power(a, e):
@@ -542,8 +467,9 @@ def power(a, e):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.pow(a.exponents, e))
-    poly = basis.pow(a.poly, abs(e))
-    return basis.element_from_poly(basis.inverse_poly(poly) if e < 0 else poly)
+    shape = basis.shape
+    base = kernel.poly_div(a.poly, kernel.one(shape), shape) if e < 0 else a.poly
+    return basis.element_from_poly(kernel.poly_pow(base, abs(e), shape))
 
 
 def commutator(a, b):
@@ -552,8 +478,9 @@ def commutator(a, b):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.comm(a.exponents, b.exponents))
-    return basis.element_from_poly(basis.div(basis.mul(b.poly, a.poly),
-                                             basis.mul(a.poly, b.poly)))
+    shape = basis.shape
+    return basis.element_from_poly(kernel.poly_div(kernel.poly_mul(b.poly, a.poly, shape),
+                                                   kernel.poly_mul(a.poly, b.poly, shape), shape))
 
 
 def left_normed(elements):

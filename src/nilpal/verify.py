@@ -273,38 +273,37 @@ SUITES = {
 }
 
 
-# The step a suite runs at whatever its step flag says (None: it has no
-# step), and the rank of thm5.8-n2.  At another value the suite runs no
-# case, instead of checking its own group and reporting PASS.
+# The step a suite runs at whatever its step flag says, and the rank of
+# thm5.8-n2; None marks a flag the suite does not take, such as the seed
+# and case count of a suite with no random cases.  At another value the
+# suite runs no case, instead of ignoring the flag and reporting PASS.
+_NOT_RANDOM = {"seed": None, "cases": None}
 FIXED_FLAGS = {
-    "jacobi": {"step": 3},
+    "lemma2.5": _NOT_RANDOM,
+    "jacobi": {"step": 3, **_NOT_RANDOM},
     "lemma4.2": {"step": 3},
-    "foxtable": {"step": None},
-    "lemma5.3": {"step": 3},
-    "lemma5.4": {"step": 3},
-    "thm5.8-n2": {"rank": 2, "step": 3},
+    "foxtable": {"step": None, **_NOT_RANDOM},
+    "lemma5.3": {"step": 3, **_NOT_RANDOM},
+    "lemma5.4": {"step": 3, **_NOT_RANDOM},
+    "thm5.8-n2": {"rank": 2, "step": 3, **_NOT_RANDOM},
     "prop3.1": {"step": 2},
-    "prop3.3": {"step": 2},
+    "prop3.3": {"step": 2, **_NOT_RANDOM},
 }
 
 
-def run_suite(name, rank=None, step=None, seed=0, cases=None):
+def run_suite(name, rank=None, step=None, seed=None, cases=None):
+    """Run suite `name`; a flag left None takes the suite's default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    given = {"rank": rank, "step": step}
+    given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
     fixed = [(flag, want) for flag, want in FIXED_FLAGS.get(name, {}).items()
              if given[flag] not in (None, want)]
-    kwargs = {"seed": seed}
-    if rank is not None:
-        kwargs["rank"] = rank
-    if step is not None:
-        kwargs["step"] = step
-    if cases is not None:
-        kwargs["cases"] = cases
+    kwargs = {flag: value for flag, value in given.items() if value is not None}
     result = SuiteResult(name, 0) if fixed else SUITES[name](**kwargs)
     if not result.cases:
         # a suite that checks nothing must not report PASS
-        why = "".join(f"; it has no {flag}" if want is None else f"; it runs at {flag} {want} only"
+        why = "".join(f"; it has no {'case count' if flag == 'cases' else flag}"
+                      if want is None else f"; it runs at {flag} {want} only"
                       for flag, want in fixed)
         raise ValueError(f"suite {name} ran no cases at rank={rank} step={step} cases={cases}{why}")
     return result

@@ -174,6 +174,9 @@ def render_word(w):
 # parser
 
 _TOKEN_CHARS = {"(": "LPAR", ")": "RPAR", "[": "LBRACK", "]": "RBRACK", ",": "COMMA"}
+# indices and exponents are ASCII digits; str.isdigit also takes other scripts'
+# digits and superscripts, which int() then misreads or refuses
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text):
@@ -189,7 +192,7 @@ def _tokenize(text):
             i += 1
         elif ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError("expected generator index after 'x'", i)
@@ -206,7 +209,7 @@ def _tokenize(text):
             if j < n and text[j] == "-":
                 j += 1
             start_digits = j
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == start_digits:
                 raise WordSyntaxError("expected integer exponent after '^'", i)

@@ -15,7 +15,7 @@ one dict per degree: `flat_poly_mul` is the kernel's old flat product,
 `generator_series` gives the letters and `word_series` their products.
 `bracket_by_three_products` builds a bracket's series as a^-1 b^-1 a b
 from its halves and their inverses, the reference for the one left
-division of `nilpotent._bracket_factor`; `lift_by_three_products` gives
+division of `kernel.bracket_factor`; `lift_by_three_products` gives
 the lifts that way, and
 `exponents_series_by_fold` multiplies them into the series of an exponent
 vector one letter-sized factor at a time, the reference for
@@ -760,7 +760,7 @@ def peel_by_block_division(basis, poly):
     exps = [0] * len(basis.elements)
     r = poly
     for w in range(1, k + 1):
-        sol = basis._peel_solver(w).solve(degree_part(r, w))
+        sol = basis._peel_solver(w).solve(degree_part(r, w).items())
         if sol is None:
             raise InternalError(f"degree-{w} coordinates are not integral",
                                 n=n, k=k, weight=w, residual_terms=len(degree_part(r, w)))

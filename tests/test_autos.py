@@ -1287,6 +1287,16 @@ def test_endo_file_defaults_and_errors():
         parse_endo_file("x1 = x1", basis)
 
 
+@pytest.mark.parametrize("text,line,generator", [
+    ("x\u0662 -> x1 x2 x1", 1, "x\u0662"),  # an Arabic-Indic 2 is not x2
+    ("x1 -> x1\nx\uff12 -> x2", 2, "x\uff12"),  # nor is a fullwidth 2
+    ("x\u00b2 -> x1", 1, "x\u00b2"),  # a superscript 2 is no index at all
+])
+def test_endo_file_generators_are_ascii_digits(text, line, generator):
+    with pytest.raises(ValueError, match=f"^line {line}: bad generator '{generator}'$"):
+        parse_endo_file(text, hall_basis(2, 2))
+
+
 # -- further structural properties --------------------------------------------
 
 def test_abelian_rigidity_pointwise_witnesses():

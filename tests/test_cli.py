@@ -153,6 +153,42 @@ def test_verify_with_no_cases_exits_1(capsys):
     assert "suite jacobi ran no cases at rank=None step=7 cases=None; it runs at step 3 only" in err
 
 
+@pytest.mark.parametrize("argv,why", [
+    (("verify", "jacobi", "--cases", "5"), "cases=5; it has no case count"),
+    (("--seed", "0", "verify", "lemma5.3"), "cases=None; it has no seed"),
+    (("verify", "prop3.3", "--rank", "2", "--seed", "3"), "cases=None; it has no seed"),
+])
+def test_verify_refuses_an_ignored_seed_or_case_count(capsys, argv, why):
+    code, out, err = run_cli(capsys, "--format", "kv", *argv)
+    assert code == 1 and out == ""
+    assert f"suite {argv[argv.index('verify') + 1]} ran no cases at " in err and why in err
+
+
+@pytest.mark.parametrize("word,message,position", [
+    ("x\uff11 x2", "expected generator index after 'x'", 0),  # fullwidth 1
+    ("x\u00b2 x2", "expected generator index after 'x'", 0),  # superscript 2
+    ("x1^\u00b2", "expected integer exponent after '^'", 2),
+    ("x1 x2^-\u0662", "expected integer exponent after '^'", 5),  # Arabic-Indic 2
+])
+def test_normalize_refuses_non_ascii_digits(capsys, word, message, position):
+    code, out, err = run_cli(capsys, "--rank", "2", "--step", "2", "--format", "kv",
+                             "normalize", word)
+    assert code == 1 and out == ""
+    assert f"parse error: {message} (at position {position})" in err
+
+
+@pytest.mark.parametrize("text,line", [
+    ("x\u0662 -> x1 x2 x1\n", 1),  # an Arabic-Indic 2 is not x2
+    ("x1 -> x1\nx\uff12 -> x2 x1\n", 2),  # nor is a fullwidth 2
+])
+def test_auto_file_refuses_non_ascii_generator_digits(tmp_path, capsys, text, line):
+    path = tmp_path / "digits.auto"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "--rank", "2", "--step", "2", "auto", "classify", str(path))
+    assert code == 1 and out == ""
+    assert f"line {line}: bad generator" in err
+
+
 def test_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "--rank", "2", "auto", "classify", "/does/not/exist")

@@ -204,7 +204,7 @@ def test_pivot_solver_recovers_integer_solutions():
         assert len(solver.rows) == cols
         x = [rng.randint(-5, 5) for _ in range(cols)]
         t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
-        assert solver.solve(t) == _sparse(x)
+        assert solver.solve(t.items()) == _sparse(x)
     assert tried > 50
 
 
@@ -230,7 +230,7 @@ def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
             _, exact = fraction_combination(columns, target)
             assert exact == y
             t = {i: v for i, v in enumerate(target) if v}
-            got = solver.solve(t)
+            got = solver.solve(t.items())
             if all(v.denominator == 1 for v in exact):
                 integral += 1
                 assert got == _sparse(exact)
@@ -276,7 +276,7 @@ def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
         pivot_columns = [[col[i] for i in solver.rows] for col in columns]
         for t in targets:
             _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in solver.rows])
-            got = solver.solve(t)
+            got = solver.solve(t.items())
             swept = pivot_solve_by_sweep(solver, t)
             if all(v.denominator == 1 for v in exact):
                 integral += 1
@@ -359,16 +359,39 @@ def test_integral_quotient_matches_fractions():
             assert got == want and type(got) is type(want), (a, b)
 
 
+def test_pivot_solver_takes_any_iterable_of_pairs():
+    # solve reads t once, pair by pair: a dict's items, a list and a
+    # one-shot generator give the same x, off-pivot rows included
+    rng = random.Random(57)
+    tried = 0
+    for _ in range(60):
+        rows, cols = rng.randint(2, 9), rng.randint(1, 5)
+        a = rand_matrix(rng, rows, cols, span=3)
+        if len(invariant_factors(a)) < cols:
+            continue
+        tried += 1
+        solver = PivotSolver(_columns(a))
+        x = [rng.randint(-5, 5) for _ in range(cols)]
+        t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
+        pairs = list(t.items())
+        rng.shuffle(pairs)
+        assert solver.solve(t.items()) == _sparse(x)
+        assert solver.solve(pairs) == _sparse(x)
+        assert solver.solve(pair for pair in pairs) == _sparse(x)
+        assert solver.solve(iter(())) == {}
+    assert tried > 20
+
+
 def test_pivot_solver_fraction_path():
     # Pivots 2, then 2 - 4 * 4 / 2 = -6: the second step runs on Fractions.
     solver = PivotSolver(_columns([[2, 4], [4, 2]]))
     assert solver.nonunit_pivots == 2
-    assert solver.solve({0: 2 - 16, 1: 4 - 8}) == {0: 1, 1: -4}
-    assert solver.solve({0: 1, 1: 0}) is None
+    assert solver.solve({0: 2 - 16, 1: 4 - 8}.items()) == {0: 1, 1: -4}
+    assert solver.solve({0: 1, 1: 0}.items()) is None
     # x = 1/2 on a single column of 2s is rejected, not rounded.
     half = PivotSolver(_columns([[2], [2]]))
-    assert half.solve({0: 1, 1: 1}) is None
-    assert half.solve({0: Fraction(4), 1: 4}) == {0: 2}
+    assert half.solve({0: 1, 1: 1}.items()) is None
+    assert half.solve({0: Fraction(4), 1: 4}.items()) == {0: 2}
 
 
 def test_pivot_solver_prefers_unit_pivots():

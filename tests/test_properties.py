@@ -20,15 +20,18 @@ from oracles import (  # noqa: E402
     bracket_by_three_products,
     by_degree,
     compose_symbols_by_chain,
+    element_series,
     epa_inverse_by_witnesses,
     exponents_series_by_fold,
     flat_poly_inv,
     flat_poly_mul,
+    flat_poly_pow,
     flatten,
     fraction_combination,
     fraction_inv_unimodular,
     generator_series,
     gf2_rank,
+    inverse_series,
     lift_by_three_products,
     peel_by_block_division,
     pi_level_by_search,
@@ -73,7 +76,6 @@ from nilpal.nilpotent import (  # noqa: E402
     HallBasis,
     InternalError,
     Lifts,
-    _bracket_factor,
     bar,
     collect,
     commutator,
@@ -807,7 +809,7 @@ def group_series(draw):
         size = len(basis.elements)
         vec = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
         a, b = (basis.from_exponents(draw(vec)) for _ in range(2))
-        poly = flatten(basis.mul(a.poly, b.poly))
+        poly = flatten(kernel.poly_mul(a.poly, b.poly, basis.shape))
     if draw(st.booleans()):
         poly = {basis.shape.reverse[i]: c for i, c in poly.items()}
     return basis, poly
@@ -952,14 +954,14 @@ LIFT_BASES = [(2, 4), (3, 4), (3, 5), (4, 5), (2, 6)]
 def _inverse_image(lifts, idx):
     """Series of the inverse of the image of basis element idx under the
     map of `lifts`: 1 divided by a generator's image, and for a bracket
-    [a, b] the bracket [b, a], `_bracket_factor` with its halves swapped."""
+    [a, b] the bracket [b, a], `kernel.bracket_factor` with its halves swapped."""
     basis = lifts.basis
     shape = basis.shape
     c = basis.elements[idx]
     if c.gen is not None:
-        return basis.inverse_poly(kernel.series(lifts.lift(idx), shape))
-    return kernel.series(_bracket_factor(lifts.lift(c.right.index), lifts.lift(c.left.index),
-                                         c.weight, shape), shape)
+        return kernel.poly_div(kernel.series(lifts.lift(idx), shape), kernel.one(shape), shape)
+    return kernel.series(kernel.bracket_factor(lifts.lift(c.right.index),
+                                               lifts.lift(c.left.index), c.weight, shape), shape)
 
 
 @pytest.mark.parametrize("n,k", LIFT_BASES)
@@ -1011,8 +1013,8 @@ def test_bracket_recurrence_matches_three_products(case, inverse):
         a, b = b, a
     inv = [flat_poly_inv(p, shape) for p in (a, b)]
     want = flat_poly_mul(flat_poly_mul(*inv, shape), flat_poly_mul(a, b, shape), shape)
-    got = _bracket_factor(kernel.factor(by_degree(a, shape)),
-                          kernel.factor(by_degree(b, shape)), w, shape)
+    got = kernel.bracket_factor(kernel.factor(by_degree(a, shape)),
+                                kernel.factor(by_degree(b, shape)), w, shape)
     assert flatten(kernel.series(got, shape)) == want
 
 
@@ -1025,7 +1027,7 @@ def test_endo_series_images_match_the_three_product_recursion(case):
 
     def leaf(gen, inverse):
         g = e.images[gen - 1].poly
-        return flatten(basis.inverse_poly(g) if inverse else g)
+        return flatten(kernel.poly_div(g, kernel.one(basis.shape), basis.shape) if inverse else g)
 
     cache = {}
     for idx in range(len(basis.elements)):
@@ -1181,6 +1183,90 @@ def test_kernel_matches_the_flat_product(case):
     assert flat_poly_mul(unit, flatten(r), shape) == b
     assert r == kernel.poly_div(by_degree(unit, shape), sb, shape)
     assert flatten(kernel.series(p, shape)) == unit
+
+
+@given(kernel_operands())
+def test_kernel_reads_and_sums_match_the_flat_oracles(case):
+    # the operations other modules read and build series through: copy,
+    # is_one, terms, term_count, lowest_terms, letter, factor_powers and
+    # factor_sum, against the flat layout
+    basis, a, b = case
+    shape, k = basis.shape, basis.k
+    sa = by_degree(a, shape)
+
+    def part(poly, d):
+        return {i: c for i, c in poly.items() if shape.dr[i][0] == d}
+
+    copied = kernel.copy(sa)
+    kernel.add_scaled(copied, kernel.letter(1, shape), 1)
+    assert flatten(sa) == a
+    assert flatten(copied) == {i: c for i, c in {**a, 1: a.get(1, 0) + 1}.items() if c}
+    for d in range(k + 1):
+        assert dict(kernel.terms(sa, d)) == part(a, d)
+        assert kernel.term_count(sa, d) == len(part(a, d))
+    assert kernel.term_count(sa) == len(a)
+    for top in (*range(k + 1), None):
+        low = {i: c for i, c in a.items() if top is None or shape.dr[i][0] <= top}
+        assert kernel.is_one(sa, top) == (low == {0: 1})
+    for gen in range(1, basis.n + 1):
+        assert (flatten(kernel.series(kernel.letter(gen, shape), shape))
+                == generator_series(basis, gen, False))
+    # L = a - a_0, its powers L^i and the sum of c_i L^i
+    tail = {i: c for i, c in a.items() if i}
+    fa = kernel.factor(sa)
+    if tail:
+        assert kernel.lowest_terms(fa) == part(tail, min(shape.dr[i][0] for i in tail))
+    powers = kernel.factor_powers(fa, k, shape)
+    coeffs = [b.get(i, 0) - 2 for i in range(1, k + 1)]
+    total = {}
+    for i, (c, p) in enumerate(zip(coeffs, powers), start=1):
+        power = flat_poly_pow(tail, i, shape)
+        assert flatten(kernel.series(p, shape)) == {0: 1, **power}
+        for m, v in power.items():
+            total[m] = total.get(m, 0) + c * v
+    got = kernel.factor_sum(zip(coeffs, powers), shape)
+    assert flatten(kernel.series(got, shape)) == {0: 1, **{m: v for m, v in total.items() if v}}
+
+
+# bracket bases from (2,4) up to the wide-setup rung (4,5)
+BRACKET_BASES = [(2, 4), (3, 4), (2, 5), (3, 5), (4, 5)]
+
+
+@st.composite
+def sparse_element_pairs(draw):
+    """Two elements of a basis from BRACKET_BASES, each with up to four
+    nonzero exponents in [-3, 3], so that the flat oracles stay cheap at
+    (4,5)."""
+    basis = hall_basis(*draw(st.sampled_from(BRACKET_BASES)))
+    size = len(basis.elements)
+    out = []
+    for _ in range(2):
+        exps = [0] * size
+        for i, e in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(-3, 3).filter(bool)), max_size=4)):
+            exps[i] = e
+        out.append(basis.from_exponents(exps))
+    return out
+
+
+@given(sparse_element_pairs())
+def test_bracket_factor_matches_the_series_commutator_oracle(gs):
+    # [g, h] by the kernel's one left division, with w the sum of the
+    # filtration weights of g and h, against the flat series g^-1 h^-1 g h
+    # and the commutator of the series_* oracles
+    g, h = gs
+    basis = g.basis
+    shape = basis.shape
+    w = weight(g) + weight(h)
+    got = kernel.series(kernel.bracket_factor(kernel.factor(g.poly), kernel.factor(h.poly),
+                                              w, shape), shape)
+    inv = flat_poly_mul(inverse_series(basis, g.exponents), inverse_series(basis, h.exponents),
+                        shape)
+    assert flatten(got) == flat_poly_mul(
+        inv, flat_poly_mul(element_series(basis, g.exponents),
+                           element_series(basis, h.exponents), shape), shape)
+    assert basis.element_from_poly(got) == series_multiply(
+        series_multiply(series_invert(g), series_invert(h)), series_multiply(g, h))
 
 
 # bases above the exponent law's step

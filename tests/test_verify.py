@@ -58,6 +58,21 @@ def test_unknown_suite():
         ("prop3.3", {"step": 3, "rank": 2},
          "rank=2 step=3 cases=None; it runs at step 2 only"),
         ("foxtable", {"step": 3}, "rank=None step=3 cases=None; it has no step"),
+        # a seed or case count of a suite with no random cases, 0 included
+        ("lemma2.5", {"cases": 5}, "rank=None step=None cases=5; it has no case count"),
+        ("lemma2.5", {"seed": 2}, "rank=None step=None cases=None; it has no seed"),
+        ("jacobi", {"cases": 5}, "rank=None step=None cases=5; it has no case count"),
+        ("jacobi", {"seed": 0}, "rank=None step=None cases=None; it has no seed"),
+        ("prop3.3", {"rank": 2, "cases": 3},
+         "rank=2 step=None cases=3; it has no case count"),
+        ("prop3.3", {"rank": 2, "seed": 1}, "rank=2 step=None cases=None; it has no seed"),
+        ("foxtable", {"seed": 1, "cases": 2},
+         "rank=None step=None cases=2; it has no seed; it has no case count"),
+        ("lemma5.3", {"seed": 4}, "rank=None step=None cases=None; it has no seed"),
+        ("lemma5.4", {"cases": 0}, "rank=None step=None cases=0; it has no case count"),
+        ("thm5.8-n2", {"cases": 1}, "rank=None step=None cases=1; it has no case count"),
+        ("thm5.8-n2", {"step": 4, "seed": 1},
+         "rank=None step=4 cases=None; it runs at step 3 only; it has no seed"),
     ],
 )
 def test_suite_with_no_cases_is_refused(name, kwargs, given):
@@ -70,6 +85,16 @@ def test_suite_with_no_cases_is_refused(name, kwargs, given):
 ])
 def test_suite_at_its_own_fixed_flag_runs(name, kwargs):
     assert run_suite(name, **kwargs).ok
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("prop2.8", {"rank": 2, "step": 3, "seed": 5, "cases": 3}),
+    ("lemma4.2", {"rank": 2, "seed": 0, "cases": 2}),
+    ("prop3.1", {"rank": 2, "seed": 7, "cases": 4}),
+])
+def test_random_suites_take_a_seed_and_case_count(name, kwargs):
+    result = run_suite(name, **kwargs)
+    assert result.ok and result.info["seed"] == kwargs["seed"]
 
 
 def test_registry_complete():

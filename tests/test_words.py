@@ -55,6 +55,22 @@ def test_parse_errors_carry_position():
         parse_word("x5", 2)
 
 
+@pytest.mark.parametrize("text,position", [
+    ("x\uff11 x2", 0),  # fullwidth 1
+    ("x\u00b2 x2", 0),  # superscript 2
+    ("x1 x\u0662", 3),  # Arabic-Indic 2
+    ("x1^\u00b2", 2),
+    ("x1^-\uff13 x2", 2),
+    ("(x1 x2)^\u0663", 7),
+])
+def test_indices_and_exponents_are_ascii_digits(text, position):
+    # str.isdigit takes these too; int() would misread or refuse them
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text, 2)
+    assert err.value.position == position
+    assert text[position] in "x^"
+
+
 def test_reduce_examples():
     assert w([1, 2, -2]) == w([1])
     assert w([]) == Word((), 3)
