@@ -205,11 +205,14 @@ class HallBasis:
         self.elements = [c for level in self.by_weight for c in level]
         for i, c in enumerate(self.elements):
             c.index = i
-        self.weight_offset = [0]
-        for level in self.by_weight[:-1]:
-            self.weight_offset.append(self.weight_offset[-1] + len(level))
-        self.weight_slices = tuple(slice(start, start + len(level))
-                                   for start, level in zip(self.weight_offset, self.by_weight))
+        self.weight_offset = []
+        pos = 0
+        for level in self.by_weight:
+            self.weight_offset.append(pos)
+            pos += len(level)
+        self.weight_slices = tuple(
+            slice(start, start + len(level))
+            for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
         self.lifts = Lifts(self, lambda gen: kernel.letter(gen, self.shape))
         self._peel = {}
@@ -467,9 +470,10 @@ def power(a, e):
     law = basis.law
     if law is not None:
         return NilElement(basis, None, law.pow(a.exponents, e))
-    shape = basis.shape
-    base = kernel.poly_div(a.poly, kernel.one(shape), shape) if e < 0 else a.poly
-    return basis.element_from_poly(kernel.poly_pow(base, abs(e), shape))
+    poly = kernel.poly_pow(a.poly, abs(e), basis.shape)
+    if e < 0:
+        poly = kernel.poly_div(poly, kernel.one(basis.shape), basis.shape)
+    return basis.element_from_poly(poly)
 
 
 def commutator(a, b):

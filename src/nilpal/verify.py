@@ -5,6 +5,7 @@ case counts included.  The CLI `verify` command and the acceptance tests are
 thin wrappers around these functions.
 """
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from itertools import permutations, product
@@ -58,7 +59,7 @@ def _random_word(rng, n, max_len):
     )
 
 
-def suite_lemma25(rank=3, step=5, seed=0, cases=None):
+def suite_lemma25(rank=3, step=5):
     """bar of a weight-k commutator of generators is its (-1)^(k+1) power."""
     if step < 2:
         raise ValueError("suite needs step >= 2")
@@ -98,7 +99,7 @@ def suite_prop28(rank=3, step=3, seed=0, cases=100):
     return result
 
 
-def suite_jacobi(rank=4, step=None, seed=0, cases=None):
+def suite_jacobi(rank=4, step=None):
     """Product of the three cyclic left-normed triples is trivial at step 3."""
     result = SuiteResult("jacobi", 0, info={"rank": rank})
     for n in range(3, rank + 1):
@@ -143,7 +144,7 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
     return result
 
 
-def suite_foxtable(rank=3, step=None, seed=0, cases=None):
+def suite_foxtable(rank=3):
     report = check_fox_table(rank)
     result = SuiteResult("foxtable", 0, info={"rank": rank, "rows": len(report.rows)})
     for name, row_cases, failures in report.rows:
@@ -152,7 +153,7 @@ def suite_foxtable(rank=3, step=None, seed=0, cases=None):
     return result
 
 
-def suite_lemma53(rank=4, step=None, seed=0, cases=None):
+def suite_lemma53(rank=4, step=None):
     """tameness_necessary on the phi2 family matches its classification."""
     result = SuiteResult("lemma5.3", 0, info={"rank": rank})
     for n in range(2, rank + 1):
@@ -167,7 +168,7 @@ def suite_lemma53(rank=4, step=None, seed=0, cases=None):
     return result
 
 
-def suite_lemma54(rank=4, step=None, seed=0, cases=None):
+def suite_lemma54(rank=4, step=None):
     """tameness_necessary on the phi3 family matches its classification."""
     result = SuiteResult("lemma5.4", 0, info={"rank": rank})
     for n in range(2, rank + 1):
@@ -183,7 +184,7 @@ def suite_lemma54(rank=4, step=None, seed=0, cases=None):
     return result
 
 
-def suite_thm58_n2(rank=None, step=None, seed=0, cases=None):
+def suite_thm58_n2(rank=None, step=None):
     """Rank-2 case: the single obstruction-free generator is the inner
     conjugation by the doubled commutator, and its powers decompose back."""
     basis = hall_basis(2, 3)
@@ -248,7 +249,7 @@ def prop33_cases(n, bound=3):
                 yield i, c, NilElement(basis, None, head + c)
 
 
-def suite_prop33(rank=4, step=None, seed=0, cases=None, bound=3):
+def suite_prop33(rank=4, step=None, bound=3):
     """No step-2 palindromic witness produces a nontrivial central defect."""
     result = SuiteResult("prop3.3", 0, info={"rank": rank, "bound": bound})
     for n in range(2, rank + 1):
@@ -274,20 +275,17 @@ SUITES = {
 
 
 # The step a suite runs at whatever its step flag says, and the rank of
-# thm5.8-n2; None marks a flag the suite does not take, such as the seed
-# and case count of a suite with no random cases.  At another value the
+# thm5.8-n2.  At another value, or given a flag its function does not take
+# (such as the seed and case count of a suite with no random cases), the
 # suite runs no case, instead of ignoring the flag and reporting PASS.
-_NOT_RANDOM = {"seed": None, "cases": None}
 FIXED_FLAGS = {
-    "lemma2.5": _NOT_RANDOM,
-    "jacobi": {"step": 3, **_NOT_RANDOM},
+    "jacobi": {"step": 3},
     "lemma4.2": {"step": 3},
-    "foxtable": {"step": None, **_NOT_RANDOM},
-    "lemma5.3": {"step": 3, **_NOT_RANDOM},
-    "lemma5.4": {"step": 3, **_NOT_RANDOM},
-    "thm5.8-n2": {"rank": 2, "step": 3, **_NOT_RANDOM},
+    "lemma5.3": {"step": 3},
+    "lemma5.4": {"step": 3},
+    "thm5.8-n2": {"rank": 2, "step": 3},
     "prop3.1": {"step": 2},
-    "prop3.3": {"step": 2, **_NOT_RANDOM},
+    "prop3.3": {"step": 2},
 }
 
 
@@ -295,15 +293,17 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     """Run suite `name`; a flag left None takes the suite's default."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    suite, fixed = SUITES[name], FIXED_FLAGS.get(name, {})
+    takes = inspect.signature(suite).parameters
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
-    fixed = [(flag, want) for flag, want in FIXED_FLAGS.get(name, {}).items()
-             if given[flag] not in (None, want)]
     kwargs = {flag: value for flag, value in given.items() if value is not None}
-    result = SuiteResult(name, 0) if fixed else SUITES[name](**kwargs)
+    refused = [(flag, fixed.get(flag)) for flag, value in kwargs.items()
+               if flag not in takes or fixed.get(flag, value) != value]
+    result = SuiteResult(name, 0) if refused else suite(**kwargs)
     if not result.cases:
         # a suite that checks nothing must not report PASS
         why = "".join(f"; it has no {'case count' if flag == 'cases' else flag}"
                       if want is None else f"; it runs at {flag} {want} only"
-                      for flag, want in fixed)
+                      for flag, want in refused)
         raise ValueError(f"suite {name} ran no cases at rank={rank} step={step} cases={cases}{why}")
     return result

@@ -174,9 +174,6 @@ def render_word(w):
 # parser
 
 _TOKEN_CHARS = {"(": "LPAR", ")": "RPAR", "[": "LBRACK", "]": "RBRACK", ",": "COMMA"}
-# indices and exponents are ASCII digits; str.isdigit also takes other scripts'
-# digits and superscripts, which int() then misreads or refuses
-_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text):
@@ -192,7 +189,8 @@ def _tokenize(text):
             i += 1
         elif ch == "x":
             j = i + 1
-            while j < n and text[j] in _DIGITS:
+            # ASCII only: str.isdigit alone also takes other scripts' digits
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             if j == i + 1:
                 raise WordSyntaxError("expected generator index after 'x'", i)
@@ -209,7 +207,7 @@ def _tokenize(text):
             if j < n and text[j] == "-":
                 j += 1
             start_digits = j
-            while j < n and text[j] in _DIGITS:
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             if j == start_digits:
                 raise WordSyntaxError("expected integer exponent after '^'", i)
