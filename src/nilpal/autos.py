@@ -41,7 +41,7 @@ from nilpal.nilpotent import (
     render_element,
     weight,
 )
-from nilpal.words import Letter, Word, parse_word
+from nilpal.words import Letter, RankError, Word, WordSyntaxError, parse_word
 
 
 class NotAutomorphismError(ValueError):
@@ -1169,7 +1169,12 @@ def parse_endo_file(text, basis):
             raise ValueError(f"line {lineno}: generator index {i} out of range")
         if i in images:
             raise ValueError(f"line {lineno}: duplicate image for x{i}")
-        images[i] = collect(parse_word(rhs.strip(), basis.n), basis)
+        try:
+            word = parse_word(rhs.strip(), basis.n)
+        except (WordSyntaxError, RankError) as exc:
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
+        images[i] = collect(word, basis)
     return Endo(basis, tuple(
         images.get(i, basis.generator(i)) for i in range(1, basis.n + 1)
     ))

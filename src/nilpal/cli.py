@@ -71,6 +71,13 @@ def _global_flags(parser):
 
 
 _FLAG_DEFAULTS = (("rank", None), ("step", None), ("seed", None), ("cases", None), ("fmt", "text"))
+# the flags each command reads; it refuses the others
+_COMMAND_FLAGS = {
+    "normalize": ("rank", "step", "fmt"),
+    "auto": ("rank", "step", "fmt"),
+    "verify": ("rank", "step", "seed", "cases", "fmt"),
+    "info": ("fmt",),
+}
 
 
 def build_parser():
@@ -219,6 +226,8 @@ def main(argv=None):
     for key, default in _FLAG_DEFAULTS:
         if not hasattr(ns, key):
             setattr(ns, key, default)
+        elif key not in _COMMAND_FLAGS[ns.command]:
+            return _usage(f"{ns.command} does not take --{key}")
     handlers = {
         "normalize": cmd_normalize,
         "auto": cmd_auto,

@@ -14,6 +14,7 @@ here whenever the automorphism lifts to the free group; that is the tameness
 obstruction computed by `bglm_condition`.
 """
 
+from nilpal.nilpotent import InternalError, collect, hall_basis
 from nilpal.words import Letter, Word, left_normed_commutator
 
 
@@ -273,8 +274,6 @@ def check_fox_table(n):
 def _in_gamma3(w):
     """Exact membership of a free word in the third lower-central term: its
     image in the step-2 group is trivial."""
-    from nilpal.nilpotent import collect, hall_basis
-
     return collect(w, hall_basis(w.rank, 2)).is_identity()
 
 
@@ -302,7 +301,10 @@ def bglm_residue(ws):
     for i, w in enumerate(ws, start=1):
         total = add(total, fox_derivative(w, i))
     if total.const != 0 or any(total.lin):
-        raise RuntimeError("constant/linear parts must vanish on valid input")
+        raise InternalError(
+            "constant/linear parts of the residue must vanish on words in the"
+            " third lower-central term", n=n, const=total.const,
+            lin={i: c for i, c in enumerate(total.lin, start=1) if c})
     return total
 
 

@@ -266,16 +266,12 @@ class PivotSolver:
     `columns` are the columns of E as dicts {row: nonzero int}.  Sparse
     Gaussian elimination, run once, picks one pivot row per column and
     keeps the factors L and U of the square submatrix E_P on those rows.
-    Each step takes the sparsest remaining column that has a +-1 entry and
-    pivots on that entry in the shortest row, so that the factors stay
-    integral.  When no remaining column has one, the sparsest column
-    pivots on the entry of its shortest row, and the factors carry
-    Fractions from there on.  Ties go to the lower column, then the lower
-    row.  The remaining columns wait in a heap of (row count, column):
-    an entry goes stale when its column is eliminated or its count
-    changes, and each column the step changes is pushed afresh, so a step
-    pops the columns in that order, passing over stale entries and
-    columns without a +-1 entry, which go back.
+    The columns pivot in one order, fixed before the first step by their
+    starting entry counts, ties to the lower column.  Each pivots on a
+    +-1 entry in the shortest remaining row that holds one, so that the
+    factors stay integral, or, when it has no +-1 entry left, on its
+    entry in the shortest row, and the factors carry Fractions from
+    there on.  Ties go to the lower row.
 
     `solve(t)` uses only the pivot entries of t and returns the nonzero
     coordinates of the unique x with (E x)_P == t_P.  It does not check
@@ -292,30 +288,12 @@ class PivotSolver:
                 else:
                     row[j] = v
         holders = [set(col) for col in columns]  # column -> rows with an entry in it
-        left = set(range(len(columns)))
-        # (row count, column) of the columns left, stale entries included
-        heap = [(len(h), j) for j, h in enumerate(holders)]
-        heapify(heap)
         self.rows, self.cols, self.pivots = [], [], []
         urows, lcols = [], []  # per step: rest of the pivot row; [(row, factor)]
-        while left:
-            c, passed = None, []
-            while heap:
-                count, j = entry = heappop(heap)
-                if j not in left or count != len(holders[j]):
-                    continue
-                if not count:
-                    raise ValueError("matrix does not have full column rank")
-                passed.append(entry)
-                units = [i for i in holders[j] if _unit(rows[i][j])]
-                if units:
-                    c = j
-                    break
-            if c is None:
-                c, units = passed[0][1], []
-            for entry in passed:
-                if entry[1] != c:
-                    heappush(heap, entry)
+        for c in sorted(range(len(columns)), key=lambda j: (len(columns[j]), j)):
+            if not holders[c]:
+                raise ValueError("matrix does not have full column rank")
+            units = [i for i in holders[c] if _unit(rows[i][c])]
             p = min((len(rows[i]), i) for i in units or holders[c])[1]
             prow = rows.pop(p)
             a = prow.pop(c)
@@ -341,10 +319,6 @@ class PivotSolver:
                     else:
                         del row[j]
                         holder.discard(i)
-            holders[c] = set()
-            left.discard(c)
-            for j in prow:
-                heappush(heap, (len(holders[j]), j))
             self.rows.append(p)
             self.cols.append(c)
             self.pivots.append(a)

@@ -57,8 +57,8 @@ factors by full products, the references for `solve_from_smith` and
 `PivotSolver`'s factors over Fractions, the reference for the sweeps of
 `PivotSolver.solve` that visit only the steps holding a value.
 `pivot_order_by_sort` runs the same sparse elimination as
-`PivotSolver`, sorting the remaining columns at every step, the
-reference for the order its heap picks pivots in.
+`PivotSolver` on dense row scans, with the columns sorted once by entry
+count, the reference for the pivots it picks.
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -168,11 +168,10 @@ def pivot_solve_by_sweep(solver, t):
 
 def pivot_order_by_sort(columns):
     """The (rows, cols, pivots) that `PivotSolver(columns)` picks, by its
-    elimination with the remaining columns sorted by (row count, column)
-    at every step: the sparsest column with a +-1 entry, or else the
-    sparsest column, pivots on its shortest +-1 row, or else its
-    shortest row.  Raises the same ValueError on a rank-deficient
-    system."""
+    elimination with the columns sorted once by (entry count, column):
+    each column in turn pivots on its shortest +-1 row, or else its
+    shortest row, reading the rows it holds afresh from the matrix left.
+    Raises the same ValueError on a rank-deficient system."""
     from fractions import Fraction
 
     def unit(a):
@@ -182,20 +181,16 @@ def pivot_order_by_sort(columns):
     for j, col in enumerate(columns):
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-    left = set(range(len(columns)))
     picked = [[], [], []]
-    while left:
-        holders = {j: [i for i, row in rows.items() if j in row] for j in left}
-        by_count = sorted(left, key=lambda j: (len(holders[j]), j))
-        if not holders[by_count[0]]:
+    for c in sorted(range(len(columns)), key=lambda j: (len(columns[j]), j)):
+        holders = [i for i, row in rows.items() if c in row]
+        if not holders:
             raise ValueError("matrix does not have full column rank")
-        c = next((j for j in by_count if any(unit(rows[i][j]) for i in holders[j])),
-                 by_count[0])
-        units = [i for i in holders[c] if unit(rows[i][c])]
-        p = min(units or holders[c], key=lambda i: (len(rows[i]), i))
+        units = [i for i in holders if unit(rows[i][c])]
+        p = min(units or holders, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(p)
         a = prow.pop(c)
-        for i in holders[c]:
+        for i in holders:
             if i == p:
                 continue
             row = rows[i]
@@ -206,7 +201,6 @@ def pivot_order_by_sort(columns):
                     row[j] = nv
                 else:
                     row.pop(j, None)
-        left.discard(c)
         for out, value in zip(picked, (p, c, a)):
             out.append(value)
     return picked

@@ -189,6 +189,19 @@ def test_auto_file_refuses_non_ascii_generator_digits(tmp_path, capsys, text, li
     assert f"line {line}: bad generator" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x1 -> x1\nx2 -> x1 (x1\n", "line 2: expected RPAR, found END (at position 6)"),
+    ("# x1 fixed\nx1 -> x1\n\nx2 -> x3 x1\n",
+     "line 4: generator index 3 exceeds rank 2 (at position 0)"),
+])
+def test_auto_file_names_the_line_of_a_bad_image(tmp_path, capsys, text, message):
+    path = tmp_path / "image.auto"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "--rank", "2", "--step", "2", "auto", "classify", str(path))
+    assert code == 1 and out == ""
+    assert err == f"nilpal: parse error: {message}\n"
+
+
 def test_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "--rank", "2", "auto", "classify", "/does/not/exist")
@@ -211,3 +224,30 @@ def test_info_reports_pure_kernel(capsys):
     code, out, _ = run_cli(capsys, "info")
     assert code == 0
     assert out == "kernel: pure\n"
+
+
+# Two values of each global flag; a command that reads the flag prints
+# something else for each.  --rank 1 refuses the letter x2.
+_FLAG_VALUES = {"rank": ("1", "2"), "step": ("1", "2"), "seed": ("1", "2"),
+                "cases": ("1", "2"), "format": ("text", "kv")}
+_READ_FLAGS = {"normalize": ("rank", "step", "format"),
+               "auto": ("rank", "step", "format"), "info": ("format",)}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command in _READ_FLAGS for flag in _FLAG_VALUES])
+def test_commands_refuse_the_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    path = tmp_path / "mu.auto"
+    path.write_text("x1 -> x1 x2\n")
+    args = {"normalize": ("normalize", "x2 x1"),
+            "auto": ("auto", "eval", str(path), "x2 x1"), "info": ("info",)}[command]
+    fixed = () if flag == "format" else ("--format", "kv")
+    runs = [run_cli(capsys, *fixed, f"--{flag}", value, *args)
+            for value in _FLAG_VALUES[flag]]
+    if flag in _READ_FLAGS[command]:
+        assert runs[0] != runs[1]
+        assert runs[1][0] == 0
+    else:
+        for code, out, err in runs:
+            assert code == 1 and out == ""
+            assert err == f"nilpal: error: {command} does not take --{flag}\n"

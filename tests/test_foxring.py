@@ -3,6 +3,7 @@ import random
 import pytest
 from oracles import embed
 
+from nilpal import foxring
 from nilpal.foxring import (
     PreconditionError,
     RingElemModR,
@@ -19,6 +20,7 @@ from nilpal.foxring import (
     ring_one,
     ring_zero,
 )
+from nilpal.nilpotent import InternalError
 from nilpal.words import concat, parse_word, word_from_ints
 
 
@@ -163,3 +165,12 @@ def test_bglm_residue_refuses_malformed_word_lists():
     # the first word is outside gamma_3, but the ranks are checked first
     with pytest.raises(ValueError, match="words have mixed ranks"):
         bglm_residue([parse_word("x1", 2), parse_word("1", 3)])
+
+
+def test_bglm_residue_reports_a_failed_precondition_check(monkeypatch):
+    # With the gamma_3 test forced to pass, x1 and x2 reach the sum, whose
+    # constant part 1 + 1 must not vanish: an internal error with context.
+    monkeypatch.setattr(foxring, "_in_gamma3", lambda w: True)
+    with pytest.raises(InternalError, match=r"n=2, const=2, lin=\{\}") as err:
+        bglm_residue([parse_word("x1", 2), parse_word("x2", 2)])
+    assert err.value.context == {"n": 2, "const": 2, "lin": {}}

@@ -300,10 +300,10 @@ def _pivot_order(columns):
 
 
 def test_pivot_solver_picks_the_pivots_of_the_sorting_reference():
-    # The heap of (row count, column) must pick the same pivot at every
-    # step as sorting the remaining columns: on 30%-dense systems, on
-    # systems where some columns hold no +-1 entry (so the heap passes
-    # over them, or falls back to the sparsest column), and on
+    # The solver's sparse elimination must pick the same pivot at every
+    # step as the dense reference with the columns sorted once: on
+    # 30%-dense systems, on systems where some columns hold no +-1 entry
+    # (so their pivot falls back to the shortest row), and on
     # rank-deficient systems, which raise the same ValueError.
     rng = random.Random(53)
     seen = {"full": 0, "deficient": 0, "no_unit_column": 0, "nonunit_pivot": 0}

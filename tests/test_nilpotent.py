@@ -474,14 +474,22 @@ def _round_trips(basis, rng, cases):
 def test_round_trips_at_3_6():
     basis = hall_basis(3, 6)
     _round_trips(basis, random.Random(36), 6)
-    # With unit pivots first, no layer of this rung needs a Fraction.
-    assert all(basis._peel_solver(w).nonunit_pivots == 0 for w in range(1, 7))
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 5), (4, 4), (4, 5), (3, 6),
+                                 (2, 8), (3, 7), (4, 6)])
+def test_peel_pivots_are_units_on_the_ladder(n, k):
+    # Columns pivot in the order of their starting entry counts, each on
+    # a +-1 entry where it has one: on every rung of the ladder that is
+    # enough, and no layer needs a Fraction.
+    basis = HallBasis(n, k)
+    assert all(basis._peel_solver(w).nonunit_pivots == 0 for w in range(1, k + 1))
 
 
 def test_round_trips_through_fraction_pivots(monkeypatch):
     # With unit pivots preferred no rung of the ladder needs a non-unit
     # one.  Built while no entry counts as a unit, the solvers of (2,7)
-    # take the shortest row of the sparsest column instead, which puts
+    # take the shortest row of each column instead, which puts
     # entries other than +-1 on the weight-7 diagonal, so every peel of a
     # series with a weight-7 part runs the Fraction path.
     basis = HallBasis(2, 7)
