@@ -13,9 +13,9 @@ abelianization matrix follows the row convention, so the matrix of a
 composition is the ordered matrix product.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from nilpal import kernel
 from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
@@ -586,8 +586,7 @@ def inverse(e):
 # ---------------------------------------------------------------------------
 # generator symbols
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
+class GeneratorSymbol(NamedTuple):
     """A named automorphism generator with an integer exponent."""
 
     tag: str
@@ -771,8 +770,7 @@ def compose_symbols(symbols, basis):
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class AutoFlags:
+class AutoFlags(NamedTuple):
     is_ia: bool
     is_central: bool
     is_elementary_palindromic: bool | None
@@ -841,8 +839,7 @@ def classify(e):
 # ---------------------------------------------------------------------------
 # central decompositions
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     factors: tuple
     residual_trivial: bool
     diagnostics: tuple = ()

@@ -6,7 +6,6 @@ transforms, which is what the lattice-membership solvers need.
 """
 
 import operator
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -306,6 +305,7 @@ class PivotSolver:
             if _unit(a):
                 mults = [(i, v * a) for i, v in mults]
             else:
+                from fractions import Fraction  # imported here: no peel rung pivots off +-1
                 mults = [(i, Fraction(v, a)) for i, v in mults]
             for j, v in prow.items():
                 holder = holders[j]

@@ -59,6 +59,18 @@ class SeriesShape:
         return self.offset[len(letters)] + r
 
 
+def shape_entries(n, k, stop):
+    """The index entries of SeriesShape(n, k), k - d + 1 in `rowbase` for
+    each of the n^d monomials of degree d <= k, summed up by degree until
+    the sum passes `stop`, so that an oversized (n, k) costs a few products."""
+    total = 0
+    for d in range(k + 1):
+        total += n**d * (k - d + 1)
+        if total > stop:
+            break
+    return total
+
+
 def one(shape):
     """A fresh series 1."""
     return [{0: 1}] + [{} for _ in range(shape.k)]

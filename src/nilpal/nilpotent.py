@@ -33,7 +33,7 @@ from math import comb
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
-from nilpal.words import Letter, Word, parse_word, word_commutator
+from nilpal.words import MAX_SERIES_ENTRIES, Letter, Word, parse_word, word_commutator
 
 # the paper's algorithms all run at step <= 3; higher steps keep the series
 LAW_MAX_STEP = 3
@@ -192,6 +192,11 @@ class HallBasis:
     def __init__(self, n, k):
         if n < 1 or k < 1:
             raise ValueError(f"rank and step must be positive, got n={n}, k={k}")
+        # refused before anything is built: at rank 1 the shape grows as k^2
+        entries = kernel.shape_entries(n, k, MAX_SERIES_ENTRIES)
+        if entries > MAX_SERIES_ENTRIES:
+            raise ValueError(f"group too large: n={n}, k={k} needs at least {entries} series "
+                             f"index entries, over MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
         self.n = n
         self.k = k
         self.by_weight = _build_elements(n, k)

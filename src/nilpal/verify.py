@@ -5,9 +5,7 @@ case counts included.  The CLI `verify` command and the acceptance tests are
 thin wrappers around these functions.
 """
 
-import inspect
 import random
-from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from nilpal.autos import (
@@ -40,12 +38,16 @@ from nilpal.nilpotent import (
 from nilpal.words import word_from_ints
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    cases: int
-    failures: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    """What a suite checked; it counts `cases` and appends `failures` as it runs."""
+
+    __slots__ = ("suite", "cases", "failures", "info")
+
+    def __init__(self, suite, cases, info=None):
+        self.suite = suite
+        self.cases = cases
+        self.failures = []
+        self.info = {} if info is None else info
 
     @property
     def ok(self):
@@ -294,7 +296,7 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite, fixed = SUITES[name], FIXED_FLAGS.get(name, {})
-    takes = inspect.signature(suite).parameters
+    takes = suite.__code__.co_varnames[:suite.__code__.co_argcount]
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
     kwargs = {flag: value for flag, value in given.items() if value is not None}
     refused = [(flag, fixed.get(flag)) for flag, value in kwargs.items()

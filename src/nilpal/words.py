@@ -18,6 +18,11 @@ from itertools import chain
 from typing import NamedTuple
 
 MAX_WORD_LETTERS = 10**6
+# The largest group, counted as the index entries of its series shape
+# (`kernel.shape_entries`), that `nilpotent.HallBasis` builds.  (4,8) has
+# 116,505 and builds in about 4 s and 380 MB on a 2-CPU Xeon; (9,9) would
+# need 490 million.
+MAX_SERIES_ENTRIES = 2 * 10**5
 
 
 class Letter(NamedTuple):

@@ -947,6 +947,29 @@ def test_classify_identity_levels():
     assert flags.pi_level == 3
 
 
+def test_records_keep_their_repr_equality_defaults_and_immutability():
+    # the auto-step3 benchmark digest renders repr(classify(...))
+    basis = hall_basis(3, 3)
+    e = compose(make_generator(mu(1, 2), basis), make_generator(phi2(2, 1, 3), basis))
+    flags = classify(e)
+    assert repr(flags) == ("AutoFlags(is_ia=False, is_central=False, is_elementary_palindromic=True, "
+                           "is_palindromic=True, pi_level=1, notes=())")
+    assert repr(classify(identity_endo(hall_basis(2, 4)))) == (
+        "AutoFlags(is_ia=True, is_central=True, is_elementary_palindromic=None, "
+        "is_palindromic=None, pi_level=None, notes=('palindromicity undecided for step > 3',))")
+    dec = decompose_central(make_generator(phi2(2, 1, 3, 2), basis))
+    assert repr(dec) == ("Decomposition(factors=(GeneratorSymbol(tag='phi2', params=(2, 1, 3), "
+                         "exponent=2),), residual_trivial=True, diagnostics=())")
+    a, b = mu(1, 2), GeneratorSymbol("mu", (1, 2))
+    assert b.exponent == 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != mu(2, 1) and a != mu(1, 2, -1)
+    assert str(mu(1, 2, -1)) == "mu(1,2)^-1"
+    for record, name in ((a, "exponent"), (flags, "pi_level"), (dec, "residual_trivial")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
 def test_step1_maps_are_central_but_never_top_central():
     # at k = 1 the top block is the whole vector, so the top-central test
     # would read x3 -> x3 x4^2 as x3 times a defect x3 x4^2

@@ -46,6 +46,14 @@ def test_word_over_the_letter_budget_exits_1(capsys):
     assert "MAX_WORD_LETTERS = 1000000" in err and "position 2" in err
 
 
+@pytest.mark.parametrize("rank,step", [("1", "100000"), ("9", "9")])
+def test_group_over_the_series_cap_exits_1(capsys, rank, step):
+    code, out, err = run_cli(capsys, "normalize", "--rank", rank, "--step", step, "x1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"nilpal: error: group too large: n={rank}, k={step} needs at least ")
+    assert err.endswith(" series index entries, over MAX_SERIES_ENTRIES = 200000\n")
+
+
 def test_rank_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "--rank", "2", "normalize", "x5")
     assert code == 1

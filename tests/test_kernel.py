@@ -9,7 +9,16 @@ import pytest
 
 from oracles import by_degree, flatten, monomial_table, table_poly_mul
 
-from nilpal.kernel import BACKEND, SeriesShape, one, poly_inv, poly_mul, poly_pow, poly_reverse
+from nilpal.kernel import (
+    BACKEND,
+    SeriesShape,
+    one,
+    poly_inv,
+    poly_mul,
+    poly_pow,
+    poly_reverse,
+    shape_entries,
+)
 from nilpal.nilpotent import hall_basis
 
 
@@ -43,6 +52,22 @@ def test_poly_mul_matches_table_oracle(n, k):
         assert flatten(by_degree(a, shape)) == a
         assert flatten(poly_mul(by_degree(a, shape), by_degree(b, shape), shape)) == \
             table_poly_mul(a, b, table, m)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 9), (2, 4), (3, 3), (4, 2), (2, 8), (4, 6)])
+def test_shape_entries_counts_the_shape_it_estimates(n, k):
+    shape = SeriesShape(n, k)
+    entries = sum(map(len, shape.rowbase))
+    assert shape_entries(n, k, entries) == entries
+    # past `stop` the sum returns early, with a lower bound above it
+    assert entries - 1 < shape_entries(n, k, entries - 1) <= entries
+
+
+def test_shape_entries_stops_early_on_huge_groups():
+    # the full sums are about 5 * 10^9, 4.9 * 10^8 and 3^(10^9); none is formed
+    assert shape_entries(1, 100_000, 10**5) == 100_001
+    assert shape_entries(9, 9, 10**5) == 340_453
+    assert shape_entries(3, 10**9, 10**5) == 10**9 + 1
 
 
 @pytest.mark.parametrize("n,k", [(1, 3), (2, 4), (3, 3), (4, 2), (2, 8), (4, 6)])

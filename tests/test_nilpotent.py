@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from nilpal import intlinalg, kernel
+from nilpal import intlinalg, kernel, nilpotent
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -21,7 +21,7 @@ from nilpal.nilpotent import (
     weight,
     witt_count,
 )
-from nilpal.words import concat, parse_word, reverse_word, word_from_ints
+from nilpal.words import MAX_SERIES_ENTRIES, concat, parse_word, reverse_word, word_from_ints
 
 import oracles
 from oracles import (
@@ -76,6 +76,27 @@ def test_basis_validation():
         hall_basis(0, 2)
     with pytest.raises(ValueError):
         hall_basis(2, 0)
+
+
+def test_oversized_groups_are_refused_before_anything_is_built(monkeypatch):
+    def build(n, k):
+        raise AssertionError(f"built the elements of ({n}, {k})")
+
+    monkeypatch.setattr(nilpotent, "_build_elements", build)
+    for n, k, entries in ((1, 100_000, 200_001), (9, 9, 340_453), (2, 16, 262_125)):
+        with pytest.raises(ValueError) as err:
+            HallBasis(n, k)
+        assert str(err.value) == (
+            f"group too large: n={n}, k={k} needs at least {entries} series index "
+            f"entries, over MAX_SERIES_ENTRIES = {MAX_SERIES_ENTRIES}")
+
+
+def test_series_cap_admits_every_ladder_rung():
+    # estimates only: the rungs that tests, CI and the ROADMAP ladder build
+    rungs = [(2, 3), (3, 3), (4, 3), (3, 5), (4, 4), (4, 5), (3, 6), (2, 8), (3, 7), (4, 6),
+             (5, 5), (2, 10), (3, 8), (4, 7)]
+    for n, k in rungs:
+        assert kernel.shape_entries(n, k, MAX_SERIES_ENTRIES) <= MAX_SERIES_ENTRIES
 
 
 def test_witt_count_mismatch_context(monkeypatch):
