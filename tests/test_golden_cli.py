@@ -60,6 +60,13 @@ def _cases():
             cases[f"auto-{op}-r4-{name}"] = [
                 "--rank", "4", "--step", "3", "--format", "kv",
                 "auto", op, f"fixtures/r4_{name}.auto"]
+    # inverses whose linear lift is palindromic but whose input is not
+    # elementary palindromic: mu(1,2) then a weight-2 defect, and an IA map
+    # whose top defect lies outside the witness lattice
+    for rank, name in ((3, "mu_weight2"), (4, "mu_weight2"), (4, "outside")):
+        cases[f"auto-invert-r{rank}-{name}"] = [
+            "--rank", str(rank), "--step", "3", "--format", "kv",
+            "auto", "invert", f"fixtures/r{rank}_{name}.auto"]
     cases["auto-classify-step4"] = [
         "--rank", "2", "--step", "4", "auto", "classify", "fixtures/r2_mu12.auto"]
     # eval and compose: words with negative exponents and weight-2 letters,
