@@ -64,15 +64,6 @@ def _gamma2_is_abelian(basis):
 _UNKNOWN = object()
 
 
-def _top_block(basis, i, g):
-    """The weight-k block of x_i^-1 g when that defect lies in gamma_k
-    (the coordinates of g below weight k are e_i), else None."""
-    exps, start = g.exponents, basis.weight_offset[-1]
-    if exps[i - 1] == 1 and exps[:start].count(0) == start - 1:
-        return exps[start:]
-    return None
-
-
 class Endo:
     """Endomorphism given by the images of the generators."""
 
@@ -126,12 +117,12 @@ class Endo:
         """
         top = self._top
         if top is _UNKNOWN:
-            basis = self.basis
+            start = self.basis.weight_offset[-1]
             top = None
-            if basis.k >= 2:
-                top = tuple(_top_block(basis, i, g) for i, g in enumerate(self.images, 1))
-                if None in top:
-                    top = None
+            if self.basis.k >= 2 and all(
+                    g.exponents[i] == 1 and g.exponents[:start].count(0) == start - 1
+                    for i, g in enumerate(self.images)):
+                top = tuple(g.exponents[start:] for g in self.images)
             self._top = top
         return top
 
@@ -479,58 +470,26 @@ def _top_central_power(e, m):
     return _central_map(e.basis, [[m * v for v in block] for block in e.top_defects()])
 
 
-def _first_unwitnessed(phi):
-    """The first i at which an IA map phi at step <= 3 has no palindromic
-    witness, or None when phi is elementary palindromic.
-
-    By parity a witness q of an IA map has ab(q) = 0, so q lies in gamma_2
-    and bar(q) x_i q = x_i h(q) with h(q) central (`_witness_lattice`): phi
-    must send x_i to x_i D_i with D_i in gamma_k.  At k = 2, h(q) = 1, so
-    D_i must be 1.  At k = 3 the top block of D_i must be
-    sum_j beta_j row_j + 2 delta, which the GF(2) echelon of the rows
-    decides.  A block it accepts, minus the rows its combo names, must be
-    even; that certificate reads the rows themselves, so it holds whatever
-    the echelon says, and InternalError with {n, k, i, level} is raised
-    when it fails.  At k = 1 an IA map is the identity."""
-    basis = phi.basis
-    n, k = basis.n, basis.k
-    if k == 1:
-        return None
-    for i, g in enumerate(phi.images, 1):
-        block = _top_block(basis, i, g)
-        if block is None or (k == 2 and any(block)):
-            return i
-        if k == 3:
-            rows, echelon = _witness_lattice(basis, i)
-            rest, beta = _reduce_mod2(echelon, _parity_mask(block))
-            if rest:
-                return i
-            for j, row in enumerate(rows):
-                if beta >> j & 1:
-                    block = vec_sub(block, row)
-            if any(v % 2 for v in block):
-                raise InternalError("witness certificate failed", n=n, k=k, i=i, level=2)
-    return None
-
-
 def inverse_with_factors(e):
     """Inverse automorphism together with its layer factors psi_1..psi_k.
 
     Composing e with the recorded factors left to right gives the identity,
-    so their ordered product is the inverse.  For an elementary palindromic
-    (EPA) input at step <= 3 every factor is EPA: psi_1 is the palindromic
-    lift of the inverse abelianization matrix, which leaves phi = e psi_1
-    IA.  An IA map is EPA iff it is top-central with every top block in the
-    witness lattice (`_first_unwitnessed`), and then the level-2 factor is
-    phi^-1 = x_i -> x_i D_i^-1 (`_top_central_power(phi, -1)`), which
-    conjugates x_i by the inverse of its witness, since q -> bar(q) x_i q
-    is additive on gamma_2.  Nothing is left for level 3: the third factor
-    is the identity, phi psi_2, and only the first two factors are folded
-    into the inverse.  No witness is solved for.  When the EPA test fails,
-    `palindromic_witnesses(e)` must confirm that e has no witnesses (else
-    InternalError).  Such inputs, inputs above step 3 and inputs whose
-    abelianization is not the identity mod 2 take the ordered lift and
-    strip the defects of phi one weight at a time.
+    so their ordered product is the inverse, and the final check that
+    e psi_1 ... psi_k is the identity certifies it.  psi_1 lifts the
+    inverse abelianization matrix, so phi = e psi_1 is IA, and level l
+    strips the defects D_i = x_i^-1 phi(x_i), which lie in gamma_l, by the
+    factor x_i -> x_i D_i^-1 (a defect below weight l raises
+    InternalError).  A top-central phi (`Endo.top_defects`) gets that
+    factor as phi^-1 (`_top_central_power(phi, -1)`), with no group
+    product.  Once phi is the identity, the list is padded to k entries
+    with it, and the padding is neither composed nor folded.
+
+    At step <= 3, when the abelianization is the identity mod 2, psi_1 is
+    the palindromic lift (`_epa_linear_lift`), else the ordered one.
+    Elementary palindromic (EPA) maps form a group (arXiv:1506.03195), so
+    for an EPA input phi is EPA and IA, hence top-central, and the level-2
+    factor phi^-1 is EPA too: every factor is EPA, and no witness is
+    solved for.
     """
     basis = e.basis
     n, k = basis.n, basis.k
@@ -538,32 +497,21 @@ def inverse_with_factors(e):
         minv = inv_unimodular([list(r) for r in e.abel_matrix])
     except ValueError:
         raise NotAutomorphismError("abelianization matrix is not in GL(n, Z)") from None
-    factors = None
     if k <= 3 and _mod2_permutation(e.abel_matrix) == tuple(range(1, n + 1)):
-        # EPA maps commute with bar, so e then f sends x_i to
-        # bar(r_i f(q_i)) x_i r_i f(q_i) when e and f have witnesses q_i
-        # and r_i, and they form a group (arXiv:1506.03195).  psi_1 is EPA,
-        # so e is EPA iff phi = e then psi_1 is.
         if any((minv[r][c] - (1 if r == c else 0)) % 2 for r in range(n) for c in range(n)):
             raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
-        phi = compose(e, psi)
-        i = _first_unwitnessed(phi)
-        if i is None:
-            factors = [psi]
-            if k >= 2:
-                factors.append(_top_central_power(phi, -1))
-                phi = compose(phi, factors[1])
-            if k == 3:
-                factors.append(phi)
-            folded = factors[:2]
-        elif palindromic_witnesses(e) is not None:
-            raise InternalError("missing level-2 witness", n=n, k=k, i=i, level=2)
-    if factors is None:
+    else:
         psi = _ordered_linear_lift(basis, minv)
-        phi = compose(e, psi)
-        factors = [psi]
-        for level in range(2, k + 1):
+    identity = identity_endo(basis)
+    phi = compose(e, psi)
+    factors = [psi]
+    for level in range(2, k + 1):
+        if phi == identity:
+            break
+        if phi.top_defects() is not None:
+            factors.append(_top_central_power(phi, -1))
+        else:
             images = []
             for i, r in enumerate(_defects(phi), 1):
                 if not r.is_identity() and weight(r) < level:
@@ -571,12 +519,11 @@ def inverse_with_factors(e):
                                         n=n, k=k, i=i, level=level)
                 images.append(multiply(basis.generator(i), invert(r)))
             factors.append(Endo(basis, images))
-            phi = compose(phi, factors[-1])
-        folded = factors
-    if phi != identity_endo(basis):
+        phi = compose(phi, factors[-1])
+    if phi != identity:
         raise InternalError("inverse iteration did not terminate at the identity",
                             n=n, k=k, factors=len(factors))
-    return reduce(compose, folded), factors
+    return reduce(compose, factors), factors + [phi] * (k - len(factors))
 
 
 def inverse(e):

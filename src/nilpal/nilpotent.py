@@ -33,7 +33,14 @@ from math import comb
 
 from nilpal import kernel
 from nilpal.intlinalg import PivotSolver
-from nilpal.words import MAX_SERIES_ENTRIES, Letter, Word, parse_word, word_commutator
+from nilpal.words import (
+    MAX_LAW_VALUES,
+    MAX_SERIES_ENTRIES,
+    Letter,
+    Word,
+    parse_word,
+    word_commutator,
+)
 
 # the paper's algorithms all run at step <= 3; higher steps keep the series
 LAW_MAX_STEP = 3
@@ -72,6 +79,21 @@ def witt_count(n, w):
     """Rank of the weight-w layer of the lower central series of F_n."""
     total = sum(_mobius(d) * n ** (w // d) for d in range(1, w + 1) if w % d == 0)
     return total // w
+
+
+def law_values(n, k):
+    """The size of the value table that `hallpoly` fits the product law
+    from: its sample points, the exponent vectors over the 2m variables of
+    (x, y) of weighted degree <= k, times the m coordinates of each value.
+    The points are the coefficients up to t^k of prod_w (1 - t^w)^-v_w,
+    v_w = 2 W(n, w) being the variables of weight w."""
+    counts = [1] + [0] * k
+    for w in range(1, k + 1):
+        v = 2 * witt_count(n, w)
+        if v:
+            counts = [sum(comb(v + j - 1, j) * counts[d - w * j] for j in range(d // w + 1))
+                      for d in range(k + 1)]
+    return sum(counts) * sum(witt_count(n, w) for w in range(1, k + 1))
 
 
 class BasicCommutator:
@@ -207,6 +229,12 @@ class HallBasis:
                     f"weight-{w} layer has {len(level)} elements, expected {expected}",
                     n=n, k=k, weight=w,
                 )
+        # refused once the layers have confirmed the Witt counts it reads,
+        # before the series shape and the law
+        values = law_values(n, k) if k <= LAW_MAX_STEP else 0
+        if values > MAX_LAW_VALUES:
+            raise ValueError(f"group too large: n={n}, k={k} needs {values} law sample values, "
+                             f"over MAX_LAW_VALUES = {MAX_LAW_VALUES}")
         self.elements = [c for level in self.by_weight for c in level]
         for i, c in enumerate(self.elements):
             c.index = i

@@ -44,8 +44,8 @@ candidate that `autos.classify` tries, and `pi_level_by_search` solves
 level by level for the pi-level that `classify` reads off its witnesses.
 `epa_inverse_by_witnesses` inverts an elementary palindromic map by
 solving for the witnesses of weight >= 2 and conjugating by their
-inverses, the reference for the solve-free EPA route of
-`autos.inverse_with_factors`.
+inverses, the reference for the factors that
+`autos.inverse_with_factors` gives an EPA input without a solve.
 `compose_symbols_by_chain` composes a symbol list one generator map at
 a time, the reference for `autos.compose_symbols`.
 `fraction_combination` solves a lattice system over Fractions, the
@@ -498,8 +498,9 @@ def epa_inverse_by_witnesses(e):
     x_i -> bar(q_i^-1) x_i q_i^-1 over the witnesses q_i of weight >= 2 of
     phi = e psi_1 (one `solve_conjugator` each, built by group products),
     then at step 3 what is left of phi, which must be the identity; the
-    inverse is the product of the first two.  The reference for the EPA
-    route of `autos.inverse_with_factors`, which solves nothing."""
+    inverse is the product of the first two.  The reference for the
+    factors of an EPA input in `autos.inverse_with_factors`, which solves
+    nothing."""
     from functools import reduce
 
     from nilpal.autos import Endo, _epa_linear_lift, compose, identity_endo, solve_conjugator

@@ -702,8 +702,8 @@ def _count_solves(monkeypatch):
 
 
 def test_inverse_of_epa_solves_no_witness(monkeypatch):
-    # phi = e psi_1 is IA: e is EPA iff phi is top-central with every top
-    # block in the witness lattice, and the level-2 factor is phi^-1.  No
+    # phi = e psi_1 is IA and, e being EPA, top-central, so the level-2
+    # factor is phi^-1.  No
     # witness is solved, no palindromicity test is run, no Smith form is
     # taken, and the factors are those of the witness route
     basis = hall_basis(3, 3)
@@ -739,9 +739,9 @@ def test_inverse_of_epa_skips_the_identity_level_3_factor(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_inverse_of_non_palindromic_ia_map(n):
-    # parity holds but the weight-2 defect has no witness: the level-2
-    # solve fails at x1, palindromic_witnesses(e) confirms, and the ordered
-    # factors follow
+    # parity holds but the weight-2 defect has no witness: the linear lift
+    # is the identity, and the level-2 factor strips that defect by group
+    # products
     text = (GOLDEN_FIXTURES / f"r{n}_ia_weight2.auto").read_text()
     basis = hall_basis(n, 3)
     e = autos.parse_endo_file(text, basis)
@@ -765,16 +765,6 @@ def test_inverse_runs_one_elimination(monkeypatch):
         with pytest.raises(NotAutomorphismError,
                            match=r"^abelianization matrix is not in GL\(n, Z\)$"):
             inverse(make_endo(basis, images))
-
-
-def test_inverse_missing_witness_context(monkeypatch):
-    # a wrong palindromic linear lift leaves phi = e, and e's weight-1
-    # defect has no weight-2 witness
-    basis = hall_basis(2, 3)
-    monkeypatch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
-    with pytest.raises(InternalError, match="missing level-2 witness") as err:
-        inverse_with_factors(make_generator(mu(1, 2), basis))
-    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
 
 
 def test_inverse_escaped_residue_context(monkeypatch):
@@ -808,20 +798,50 @@ def test_inverse_wrong_sign_level_2_factor_context(monkeypatch):
         assert err.value.context == {"n": n, "k": 3, "factors": 3}
 
 
-def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):
-    # an echelon that reduces every parity mask to 0 with no rows accepts
-    # the odd top defect of x1 -> x1 [x2,x1,x1]; that block minus no rows
-    # is odd, so the certificate fails before any factor is built
+def test_inverse_catches_the_faults_of_a_wrong_epa_decision(monkeypatch):
+    # A palindromic lift that leaves phi = e keeps the weight-1 defect of
+    # mu(1,2), which the level-2 strip refuses.
     basis = hall_basis(2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
+        with pytest.raises(InternalError, match="residue escaped weight 2") as err:
+            inverse_with_factors(make_generator(mu(1, 2), basis))
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
+    # An echelon that accepts every parity mask, the odd top defect of
+    # x1 -> x1 [x2,x1,x1] among them, does not reach the inverse.
     e = parse_endo_file((GOLDEN_FIXTURES / "r2_odd.auto").read_text(), basis)
-    assert palindromic_witnesses(e) is None
+    want = inverse_with_factors(e)
     m3 = len(basis.by_weight[2])
     real = autos._witness_lattice
-    monkeypatch.setattr(autos, "_witness_lattice",
-                        lambda b, i: (real(b, i)[0], [(1 << j, 0) for j in reversed(range(m3))]))
-    with pytest.raises(InternalError, match="witness certificate failed") as err:
+    with monkeypatch.context() as patch:
+        patch.setattr(autos, "_witness_lattice",
+                      lambda b, i: (real(b, i)[0], [(1 << j, 0) for j in reversed(range(m3))]))
+        assert inverse_with_factors(e) == want
+    assert compose(e, want[0]) == identity_endo(basis)
+    # A level-2 factor built from a witness c^delta of that odd block, with
+    # 2 delta in place of the block, leaves phi a nonidentity map at every
+    # level, and the final check refuses it.
+    monkeypatch.setattr(autos, "_top_central_power", lambda phi, m: autos._central_map(
+        phi.basis, [[m * 2 * (v // 2) for v in block] for block in phi.top_defects()]))
+    with pytest.raises(InternalError, match="did not terminate") as err:
         inverse_with_factors(e)
-    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
+    assert err.value.context == {"n": 2, "k": 3, "factors": 3}
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in GOLDEN_FIXTURES.glob("*.auto") if p.stem != "r2_bad_index"))
+def test_inverse_solves_no_witness_on_the_golden_fixtures(monkeypatch, name):
+    # one route for every input: no palindromicity test, EPA or not
+    basis = hall_basis(int(name[1]), 3)
+    e = parse_endo_file((GOLDEN_FIXTURES / f"{name}.auto").read_text(), basis)
+    calls = _count_solves(monkeypatch)
+    try:
+        inv, _ = inverse_with_factors(e)
+    except NotAutomorphismError:
+        assert name == "r2_notauto"
+    else:
+        assert compose(e, inv) == identity_endo(basis)
+    assert calls == []
 
 
 def _corrupt_bar(monkeypatch, basis, idx, change):
@@ -839,14 +859,13 @@ def _corrupt_bar(monkeypatch, basis, idx, change):
 @pytest.mark.parametrize("n", [2, 3])
 def test_witness_rows_are_checked_against_the_law(monkeypatch, n):
     # bar(z_1) on the law moved by z_1 in its weight-2 block: the first
-    # inverse on a fresh memo finds that bar(z_1) x_1 z_1 loses the head
-    # of x_1
+    # step-3 solve at x_1 on a fresh memo finds that bar(z_1) x_1 z_1 loses
+    # the head of x_1
     basis = hall_basis(n, 3)
-    e = compose_symbols([mu(1, 2), phi2(2, 1, n)], basis)
     monkeypatch.setattr(basis, "memo", {})
     _corrupt_bar(monkeypatch, basis, n, [int(c == n) for c in range(len(basis.elements))])
     with pytest.raises(InternalError, match="witness row disagrees with the law") as err:
-        inverse_with_factors(e)
+        solve_conjugator(basis.generator(1), 1)
     assert err.value.context == {"n": n, "k": 3, "i": 1, "coordinate": n}
 
 
@@ -855,12 +874,11 @@ def test_witness_lattice_checks_h_of_a_weight3_element(monkeypatch, n):
     # bar(c) = c^-1 on the first weight-3 c: bar(c) x_1 c is x_1, not
     # x_1 c^2, so the check of h(c) = c^2 fails at c
     basis = hall_basis(n, 3)
-    e = compose_symbols([mu(1, 2), phi2(2, 1, n)], basis)
     monkeypatch.setattr(basis, "memo", {})
     c = basis.weight_offset[2]
     _corrupt_bar(monkeypatch, basis, c, [-2 * (j == c) for j in range(len(basis.elements))])
     with pytest.raises(InternalError, match="witness row disagrees with the law") as err:
-        inverse_with_factors(e)
+        solve_conjugator(basis.generator(1), 1)
     assert err.value.context == {"n": n, "k": 3, "i": 1, "coordinate": c}
 
 

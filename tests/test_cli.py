@@ -54,6 +54,26 @@ def test_group_over_the_series_cap_exits_1(capsys, rank, step):
     assert err.endswith(" series index entries, over MAX_SERIES_ENTRIES = 200000\n")
 
 
+def test_law_derivation_over_the_budget_exits_1(capsys):
+    code, out, err = run_cli(capsys, "normalize", "--rank", "20", "--step", "3", "x1 x2")
+    assert code == 1 and out == ""
+    assert err == ("nilpal: error: group too large: n=20, k=3 needs 95401670 law sample "
+                   "values, over MAX_LAW_VALUES = 2000000\n")
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    # residues read as the identity leave the weight-2 defect in place
+    from nilpal import autos
+
+    monkeypatch.setattr(autos, "_defects", lambda phi: [phi.basis.one()] * phi.basis.n)
+    path = tmp_path / "weight2.auto"
+    path.write_text("x1 -> x1 [x2,x1]\n")
+    code, out, err = run_cli(capsys, "--rank", "2", "--step", "3", "auto", "invert", str(path))
+    assert code == 3 and out == ""
+    assert err == ("nilpal: internal error: inverse iteration did not terminate at the "
+                   "identity (n=2, k=3, factors=3)\n")
+
+
 def test_rank_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "--rank", "2", "normalize", "x5")
     assert code == 1

@@ -17,11 +17,12 @@ from nilpal.nilpotent import (
     multiply,
     power,
     render_element,
+    law_values,
     verify_w2k,
     weight,
     witt_count,
 )
-from nilpal.words import MAX_SERIES_ENTRIES, concat, parse_word, reverse_word, word_from_ints
+from nilpal.words import MAX_LAW_VALUES, MAX_SERIES_ENTRIES, concat, parse_word, reverse_word, word_from_ints
 
 import oracles
 from oracles import (
@@ -97,6 +98,37 @@ def test_series_cap_admits_every_ladder_rung():
              (5, 5), (2, 10), (3, 8), (4, 7)]
     for n, k in rungs:
         assert kernel.shape_entries(n, k, MAX_SERIES_ENTRIES) <= MAX_SERIES_ENTRIES
+
+
+def test_law_values_counts_the_fit_it_estimates():
+    from nilpal import hallpoly
+
+    for n, k in ((1, 1), (1, 3), (2, 1), (3, 2), (2, 3), (4, 3)):
+        basis = hall_basis(n, k)
+        weights = [c.weight for c in basis.elements]
+        assert law_values(n, k) == len(hallpoly._points(weights * 2, k)) * len(basis.elements)
+
+
+def test_oversized_law_derivations_are_refused_before_the_series_shape(monkeypatch):
+    def build(n, k):
+        raise AssertionError(f"built the series shape of ({n}, {k})")
+
+    monkeypatch.setattr(kernel, "SeriesShape", build)
+    for n, k, values in ((12, 3, 4_789_850), (20, 3, 95_401_670), (40, 2, 4_002_420),
+                         (2000, 1, 8_002_000)):
+        with pytest.raises(ValueError) as err:
+            HallBasis(n, k)
+        assert str(err.value) == (
+            f"group too large: n={n}, k={k} needs {values} law sample values, "
+            f"over MAX_LAW_VALUES = {MAX_LAW_VALUES}")
+
+
+def test_law_cap_admits_the_groups_in_use():
+    # estimates only: tests, CI and the benchmark derive laws up to rank 4,
+    # and the cap admits ranks up to 10, 33 and 999 at steps 3, 2 and 1
+    assert law_values(4, 3) == 9_390
+    for k, n in ((3, 10), (2, 33), (1, 999)):
+        assert law_values(n, k) <= MAX_LAW_VALUES < law_values(n + 1, k)
 
 
 def test_witt_count_mismatch_context(monkeypatch):
