@@ -26,7 +26,7 @@ MAX_SERIES_ENTRIES = 2 * 10**5
 # The largest law derivation, counted as the values that `hallpoly` fits the
 # product from (`nilpotent.law_values`), that `nilpotent.HallBasis` admits
 # at step <= 3.  (10,3) needs 1.66 million and derives in about 4 s and
-# 45 MB; (12,3) would need 4.79 million (7 s, 94 MB), (20,3) 95 million.
+# 41 MB; (12,3) would need 4.79 million (7 s, 94 MB), (20,3) 95 million.
 MAX_LAW_VALUES = 2 * 10**6
 
 

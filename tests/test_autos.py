@@ -703,9 +703,9 @@ def _count_solves(monkeypatch):
 
 def test_inverse_of_epa_solves_no_witness(monkeypatch):
     # phi = e psi_1 is IA and, e being EPA, top-central, so the level-2
-    # factor is phi^-1.  No
-    # witness is solved, no palindromicity test is run, no Smith form is
-    # taken, and the factors are those of the witness route
+    # factor is phi^-1.  No witness is solved, no palindromicity test is
+    # run, no Smith form is taken, and the factors are those of the
+    # witness route
     basis = hall_basis(3, 3)
     e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
     want = epa_inverse_by_witnesses(e)

@@ -13,16 +13,23 @@ from nilpal.nilpotent import (
     element_as_word,
     hall_basis,
     invert,
+    law_values,
     left_normed,
     multiply,
     power,
     render_element,
-    law_values,
     verify_w2k,
     weight,
     witt_count,
 )
-from nilpal.words import MAX_LAW_VALUES, MAX_SERIES_ENTRIES, concat, parse_word, reverse_word, word_from_ints
+from nilpal.words import (
+    MAX_LAW_VALUES,
+    MAX_SERIES_ENTRIES,
+    concat,
+    parse_word,
+    reverse_word,
+    word_from_ints,
+)
 
 import oracles
 from oracles import (
