@@ -798,17 +798,20 @@ def test_inverse_wrong_sign_level_2_factor_context(monkeypatch):
         assert err.value.context == {"n": n, "k": 3, "factors": 3}
 
 
-def test_inverse_catches_the_faults_of_a_wrong_epa_decision(monkeypatch):
-    # A palindromic lift that leaves phi = e keeps the weight-1 defect of
-    # mu(1,2), which the level-2 strip refuses.
+def test_inverse_missing_witness_context(monkeypatch):
+    # a wrong palindromic linear lift leaves phi = e; e's weight-1 defect
+    # has no weight-2 witness, and the level-2 strip refuses it
     basis = hall_basis(2, 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
-        with pytest.raises(InternalError, match="residue escaped weight 2") as err:
-            inverse_with_factors(make_generator(mu(1, 2), basis))
+    monkeypatch.setattr(autos, "_epa_linear_lift", lambda b, minv: identity_endo(b))
+    with pytest.raises(InternalError, match="residue escaped weight 2") as err:
+        inverse_with_factors(make_generator(mu(1, 2), basis))
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
+
+
+def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):
     # An echelon that accepts every parity mask, the odd top defect of
     # x1 -> x1 [x2,x1,x1] among them, does not reach the inverse.
+    basis = hall_basis(2, 3)
     e = parse_endo_file((GOLDEN_FIXTURES / "r2_odd.auto").read_text(), basis)
     want = inverse_with_factors(e)
     m3 = len(basis.by_weight[2])
