@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from nilpal import kernel
-from nilpal.foxring import PreconditionError, RingElemModR, fox_derivative
+from nilpal.foxring import RingElemModR, fox_derivative
 from nilpal.intlinalg import (
     det,
     inv_unimodular,
@@ -30,6 +30,9 @@ from nilpal.nilpotent import (
     InternalError,
     Lifts,
     NilElement,
+    NotAutomorphismError,
+    PreconditionError,
+    UndecidedError,
     collect,
     commutator,
     element_as_word,
@@ -42,14 +45,6 @@ from nilpal.nilpotent import (
     weight,
 )
 from nilpal.words import Letter, RankError, Word, WordSyntaxError, parse_word
-
-
-class NotAutomorphismError(ValueError):
-    pass
-
-
-class UndecidedError(ValueError):
-    """The requested decision procedure is only complete for step <= 3."""
 
 
 def _gamma2_is_abelian(basis):
@@ -297,9 +292,9 @@ def _mod2_echelon(rows):
 
 
 def _witness_lattice(basis, i):
-    """(rows, echelon) of the step-3 witness lattice of generator i: the
-    images h(z_j) of the weight-2 basis elements z_j, as weight-3 blocks,
-    and their `_mod2_echelon`.
+    """`_mod2_echelon` of the step-3 witness lattice rows of generator i,
+    the images h(z_j) of the weight-2 basis elements z_j as weight-3
+    blocks; the rows themselves are checked, then dropped.
 
     On gamma_2 at step 3, q -> bar(q) x_i q is x_i h(q) with h additive:
     bar(q) x_i q = x_i (bar(q) q) [bar(q), x_i], both factors central and
@@ -331,7 +326,7 @@ def _witness_lattice(basis, i):
                     idx >= start3 and top != [2 * (c == idx) for c in range(start3, size)]):
                 raise InternalError("witness row disagrees with the law",
                                     n=basis.n, k=basis.k, i=i, coordinate=idx)
-        return rows, _mod2_echelon(rows)
+        return _mod2_echelon(rows)
 
     return _memo(basis, ("witness_lattice", i), build)
 
@@ -395,7 +390,7 @@ def solve_conjugator(g, i, min_weight=1):
         # row j moves by wt3([x^(2 alpha), z_j]), which is even.  At
         # min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
         start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
-        echelon = _witness_lattice(basis, i)[1] if min_weight <= 2 else []
+        echelon = _witness_lattice(basis, i) if min_weight <= 2 else []
         residual = vec_sub(exps[start3:], f[start3:])
         rest, beta = _reduce_mod2(echelon, _parity_mask(residual))
         if rest:
@@ -820,13 +815,12 @@ def _family_row(basis, family, blocks):
 
 
 def _lattice(basis, families, blocks):
-    """(families, rows, Smith factors) of a decomposition lattice: a family
-    is a tuple of generator symbols that one coefficient scales together,
-    and its row is `_family_row`.  The factors, kept as the sparse
-    columns of `intlinalg.SmithFactors`, are built once with the lattice
-    and serve `solve_from_smith` and the diagnostics."""
-    rows = [_family_row(basis, fam, blocks) for fam in families]
-    return families, rows, lattice_factors(rows)
+    """(families, Smith factors) of a decomposition lattice: a family is a
+    tuple of generator symbols that one coefficient scales together, and
+    its row is `_family_row`.  The factors, kept as the sparse columns of
+    `intlinalg.SmithFactors`, are built once from the rows and serve
+    `solve_from_smith` and the diagnostics; the rows are not kept."""
+    return families, lattice_factors([_family_row(basis, fam, blocks) for fam in families])
 
 
 def _scaled_factors(families, sol):
@@ -853,7 +847,7 @@ def _in_central_lattice(basis, i, vec):
     is the witness lattice of generator i (`_witness_lattice`).  It
     contains 2Z^m3, so parity decides: vec is in it iff vec mod 2 is in
     the span of the witness rows mod 2."""
-    return not _reduce_mod2(_witness_lattice(basis, i)[1], _parity_mask(vec))[0]
+    return not _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
 
 
 def _lattice_diagnostics(factors, target):
@@ -882,7 +876,7 @@ def decompose_central(e):
     factors = []
     diagnostics = []
     for i in range(1, basis.n + 1):
-        fams, _, smith = _central_lattice(basis, i)
+        fams, smith = _central_lattice(basis, i)
         sol = solve_from_smith(smith, defects[i - 1])
         if sol is None:
             diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(smith, defects[i - 1])))
@@ -910,7 +904,7 @@ def quotient_rank_q(n):
     q = n * (n * n - 1) // 3 - n * (n - 1) // 2
     basis = hall_basis(n, 3)
     m3 = len(basis.by_weight[2])
-    ones = len(_witness_lattice(basis, n)[1])
+    ones = len(_witness_lattice(basis, n))
     if ones != m3 - q:
         raise InternalError(f"lattice invariants 1^{ones} 2^{m3 - ones} disagree with q={q}",
                             n=n, k=3)
@@ -1070,13 +1064,13 @@ def decompose_bglm(e):
             "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
         )
     diagnostics = [
-        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[2], defect))
+        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[1], defect))
         for i, defect in enumerate(defects, start=1)
         if not _in_central_lattice(basis, i, defect)
     ]
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
-    fams, _, smith = _bglm_lattice(basis)
+    fams, smith = _bglm_lattice(basis)
     sol = solve_from_smith(smith, [v for vec in defects for v in vec])
     if sol is None:
         return Decomposition((), False, ("defect outside the generated lattice",))

@@ -14,12 +14,8 @@ here whenever the automorphism lifts to the free group; that is the tameness
 obstruction computed by `bglm_condition`.
 """
 
-from nilpal.nilpotent import InternalError, collect, hall_basis
+from nilpal.nilpotent import InternalError, PreconditionError, collect, hall_basis
 from nilpal.words import Letter, Word, left_normed_commutator
-
-
-class PreconditionError(ValueError):
-    """An operation's mathematical precondition failed on the given input."""
 
 
 class RingElemModR:

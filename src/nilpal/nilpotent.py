@@ -60,6 +60,18 @@ class InternalError(RuntimeError):
         super().__init__(message)
 
 
+class NotAutomorphismError(ValueError):
+    """Not an automorphism: a mathematical negative (CLI exit 2), as are the two below."""
+
+
+class UndecidedError(ValueError):
+    """The requested decision procedure is only complete for step <= 3."""
+
+
+class PreconditionError(ValueError):
+    """An operation's mathematical precondition failed on the given input."""
+
+
 def _mobius(d):
     out = 1
     p = 2

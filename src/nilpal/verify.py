@@ -299,13 +299,15 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     takes = suite.__code__.co_varnames[:suite.__code__.co_argcount]
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
     kwargs = {flag: value for flag, value in given.items() if value is not None}
-    refused = [(flag, fixed.get(flag)) for flag, value in kwargs.items()
+    refused = [f"; it runs at {flag} {fixed[flag]} only" if flag in fixed
+               else f"; it has no {'case count' if flag == 'cases' else flag}"
+               for flag, value in kwargs.items()
                if flag not in takes or fixed.get(flag, value) != value]
+    if cases is not None and cases < 1:  # prop2.8 would run its exhaustive cases
+        refused.append("; the case count is below 1")
     result = SuiteResult(name, 0) if refused else suite(**kwargs)
     if not result.cases:
         # a suite that checks nothing must not report PASS
-        why = "".join(f"; it has no {'case count' if flag == 'cases' else flag}"
-                      if want is None else f"; it runs at {flag} {want} only"
-                      for flag, want in refused)
+        why = "".join(refused)
         raise ValueError(f"suite {name} ran no cases at rank={rank} step={step} cases={cases}{why}")
     return result

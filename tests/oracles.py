@@ -371,7 +371,7 @@ def hand_central_lattice(basis, i):
     written out by hand: phi2(a,b,i), a > b, has the weight-3 block of
     [x_a,x_b,x_i][x_a,x_b,x_b][x_a,x_b,x_a], and the phi3 symbol of the
     j-th weight-3 basis element has 2 e_j.  The reference for the rows
-    that `autos._central_lattice` reads off the generator maps."""
+    that `autos._family_row` reads off the generator maps."""
     from nilpal.autos import phi2, phi3
 
     m3 = len(basis.by_weight[2])
@@ -390,7 +390,7 @@ def hand_bglm_lattice(basis):
     """(families, rows) of the obstruction-free central lattice at step 3,
     written out by hand: a family's row stacks, per generator, the weight-3
     blocks of the defects its symbols put there.  The reference for the
-    rows that `autos._bglm_lattice` reads off the generator maps."""
+    rows that `autos._family_row` reads off the generator maps."""
     from itertools import combinations, permutations
 
     from nilpal.autos import phi2, phi3, psi

@@ -189,9 +189,10 @@ def test_criterion_07_central_decomposition():
             total += 1
     for n, q in ((2, 1), (3, 5), (4, 14)):
         assert quotient_rank_q(n) == q
-        from nilpal.autos import _central_lattice
+        from nilpal.autos import _central_lattice, _family_row
 
-        _, rows, _ = _central_lattice(hall_basis(n, 3), n)
+        basis = hall_basis(n, 3)
+        rows = [_family_row(basis, fam, [n - 1]) for fam in _central_lattice(basis, n)[0]]
         factors = invariant_factors(rows)
         assert factors.count(2) == q and set(factors) <= {1, 2}
     assert total >= 200

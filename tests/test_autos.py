@@ -427,15 +427,15 @@ def test_step3_rows_match_products():
     for n, r in ((2, 2), (3, 2), (4, 1)):
         basis = hall_basis(n, 3)
         for i in range(1, n + 1):
-            rows = autos._witness_lattice(basis, i)[0]
-            assert rows == product_step3_rows(basis, i, (0,) * n)
+            rows = product_step3_rows(basis, i, (0,) * n)
+            assert autos._witness_lattice(basis, i) == autos._mod2_echelon(rows)
             parity = [autos._parity_mask(row) for row in rows]
             for a in product(range(-r, r + 1), repeat=n):
                 moved = product_step3_rows(basis, i, a)
                 assert [autos._parity_mask(row) for row in moved] == parity
     # rank 1: no weight-2 elements, so the rows and the echelon are empty
     basis = hall_basis(1, 3)
-    assert autos._witness_lattice(basis, 1) == ([], [])
+    assert autos._witness_lattice(basis, 1) == []
     for a in range(-2, 3):
         assert product_step3_rows(basis, 1, (a,)) == []
 
@@ -450,7 +450,8 @@ def test_witness_mod2_solve_matches_lattice_solve():
         doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
         rng = random.Random(n)
         for i in range(1, n + 1):
-            echelon = autos._witness_lattice(basis, i)[1]
+            echelon = autos._witness_lattice(basis, i)
+            assert echelon == autos._mod2_echelon(product_step3_rows(basis, i, (0,) * n))
             for a in product(range(-r, r + 1), repeat=n):
                 rows = product_step3_rows(basis, i, a)
                 for shift in (False, True):
@@ -482,7 +483,8 @@ def test_solve_conjugator_decides_the_step3_lattice():
         doubled = [[2 * (j == c) for j in range(m3)] for c in range(m3)]
         rng = random.Random(n)
         for i in range(1, n + 1):
-            assert autos._witness_lattice(basis, i)[0] == product_step3_rows(basis, i, (0,) * n)
+            assert autos._witness_lattice(basis, i) == autos._mod2_echelon(
+                product_step3_rows(basis, i, (0,) * n))
             for a in product(range(-r, r + 1), repeat=n):
                 rows = product_step3_rows(basis, i, a)
                 q1 = basis.from_exponents(a + (0,) * (len(basis.elements) - n))
@@ -500,9 +502,10 @@ def test_solve_conjugator_decides_the_step3_lattice():
                     assert found is not None or shift
                     if found is not None:
                         assert series_conjugate(found, i) == g
-    # rank 1: no weight-2 elements, so the rows are empty
+    # rank 1: no weight-2 elements, so the rows and the echelon are empty
     basis = hall_basis(1, 3)
-    assert autos._witness_lattice(basis, 1)[0] == product_step3_rows(basis, 1, (0,)) == []
+    assert autos._witness_lattice(basis, 1) == autos._mod2_echelon(
+        product_step3_rows(basis, 1, (0,))) == []
 
 
 def _count_law_calls(monkeypatch, basis, names):
@@ -815,10 +818,9 @@ def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):
     e = parse_endo_file((GOLDEN_FIXTURES / "r2_odd.auto").read_text(), basis)
     want = inverse_with_factors(e)
     m3 = len(basis.by_weight[2])
-    real = autos._witness_lattice
     with monkeypatch.context() as patch:
         patch.setattr(autos, "_witness_lattice",
-                      lambda b, i: (real(b, i)[0], [(1 << j, 0) for j in reversed(range(m3))]))
+                      lambda b, i: [(1 << j, 0) for j in reversed(range(m3))])
         assert inverse_with_factors(e) == want
     assert compose(e, want[0]) == identity_endo(basis)
     # A level-2 factor built from a witness c^delta of that odd block, with
@@ -1101,7 +1103,7 @@ def test_quotient_rank():
 
 
 def test_quotient_rank_invariants_context(monkeypatch):
-    monkeypatch.setattr(autos, "_witness_lattice", lambda basis, i: ([], []))
+    monkeypatch.setattr(autos, "_witness_lattice", lambda basis, i: [])
     with pytest.raises(InternalError, match="disagree with q=1") as err:
         quotient_rank_q(2)
     assert err.value.context == {"n": 2, "k": 3}
@@ -1136,10 +1138,11 @@ def test_phi2_rows_mod_2_have_rank_m3_minus_q(n):
     m3 = len(basis.by_weight[2])
     q = quotient_rank_q(n)
     for i in range(1, n + 1):
-        fams, rows, _ = autos._central_lattice(basis, i)
+        fams, rows = hand_central_lattice(basis, i)
         phi2_rows = [row for row, (sym,) in zip(rows, fams) if sym.tag == "phi2"]
         assert gf2_rank(phi2_rows) == m3 - q
-        rows, echelon = autos._witness_lattice(basis, i)
+        rows, echelon = product_step3_rows(basis, i, (0,) * n), autos._witness_lattice(basis, i)
+        assert echelon == autos._mod2_echelon(rows)
         assert len(echelon) == m3 - q
         # each echelon row is the parity of the sum of the rows it records
         for mask, combo in echelon:
@@ -1153,8 +1156,9 @@ def test_central_and_witness_echelons_are_equal(n):
     # order, and the phi3 rows are even: one lattice, one echelon
     basis = hall_basis(n, 3)
     for i in range(1, n + 1):
-        central = autos._mod2_echelon(autos._central_lattice(basis, i)[1])
-        assert central == autos._witness_lattice(basis, i)[1]
+        fams, _ = autos._central_lattice(basis, i)
+        central = autos._mod2_echelon([autos._family_row(basis, fam, [i - 1]) for fam in fams])
+        assert central == autos._witness_lattice(basis, i)
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -1282,10 +1286,12 @@ def test_lattices_match_the_hand_built_rows(n, families):
     # commutators, and so do their Smith factors
     basis = hall_basis(n, 3)
     for i in range(1, n + 1):
-        fams, rows, smith = autos._central_lattice(basis, i)
+        fams, smith = autos._central_lattice(basis, i)
+        rows = [autos._family_row(basis, fam, [i - 1]) for fam in fams]
         assert (fams, rows) == hand_central_lattice(basis, i)
         assert smith == lattice_factors(hand_central_lattice(basis, i)[1])
-    fams, rows, smith = autos._bglm_lattice(basis)
+    fams, smith = autos._bglm_lattice(basis)
+    rows = [autos._family_row(basis, fam, range(n)) for fam in fams]
     assert len(fams) == families
     assert (fams, rows) == hand_bglm_lattice(basis)
     assert smith == lattice_factors(hand_bglm_lattice(basis)[1])
@@ -1297,7 +1303,7 @@ def test_central_lattice_membership_matches_lattice_solve(n):
     m3 = len(basis.by_weight[2])
     rng = random.Random(n)
     for i in range(1, n + 1):
-        _, rows, _ = autos._central_lattice(basis, i)
+        _, rows = hand_central_lattice(basis, i)
         for trial in range(40):
             # lattice points, and lattice points moved by one unit vector
             coeffs = [rng.randint(-2, 2) for _ in rows]
@@ -1565,10 +1571,9 @@ def test_cached_lattice_solve_matches_lattice_solve():
     for n in (2, 3):
         basis = hall_basis(n, 3)
         for i in range(1, n + 1):
-            _, rows, smith = autos._central_lattice(basis, i)
-            lattices.append((rows, smith))
-        _, rows, smith = autos._bglm_lattice(basis)
-        lattices.append((rows, smith))
+            lattices.append((hand_central_lattice(basis, i)[1],
+                             autos._central_lattice(basis, i)[1]))
+        lattices.append((hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]))
     for rows, factors in lattices:
         dim = len(rows[0])
         for trial in range(40):
@@ -1586,8 +1591,9 @@ def test_sparse_smith_solves_match_dense_products(n):
     # columns of its Smith factors; solving and explaining through them
     # gives what full products with the same dense factors give
     basis = hall_basis(n, 3)
-    lattices = [autos._central_lattice(basis, i)[1:] for i in range(1, n + 1)]
-    lattices.append(autos._bglm_lattice(basis)[1:])
+    lattices = [(hand_central_lattice(basis, i)[1], autos._central_lattice(basis, i)[1])
+                for i in range(1, n + 1)]
+    lattices.append((hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]))
     rng = random.Random(n)
     seen = set()
     for rows, factors in lattices:

@@ -181,6 +181,23 @@ def test_verify_with_no_cases_exits_1(capsys):
     assert "suite jacobi ran no cases at rank=None step=7 cases=None; it runs at step 3 only" in err
 
 
+def test_verify_unknown_suite_exits_1(capsys):
+    # the suite name is checked once, by run_suite, not by the parser
+    code, out, err = run_cli(capsys, "verify", "nope")
+    assert code == 1 and out == ""
+    assert err == ("nilpal: error: unknown suite 'nope'; choose from ['foxtable', 'jacobi', "
+                   "'lemma2.5', 'lemma4.2', 'lemma5.3', 'lemma5.4', 'prop2.8', 'prop3.1', "
+                   "'prop3.3', 'thm5.8-n2']\n")
+
+
+def test_verify_refuses_a_case_count_below_1(capsys):
+    for cases in ("0", "-1"):
+        code, out, err = run_cli(capsys, "--format", "kv", "verify", "prop2.8", "--cases", cases)
+        assert code == 1 and out == ""
+        assert err == (f"nilpal: error: suite prop2.8 ran no cases at rank=None step=None "
+                       f"cases={cases}; the case count is below 1\n")
+
+
 @pytest.mark.parametrize("argv,why", [
     (("verify", "jacobi", "--cases", "5"), "cases=5; it has no case count"),
     (("--seed", "0", "verify", "lemma5.3"), "cases=None; it has no seed"),

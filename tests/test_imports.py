@@ -24,3 +24,18 @@ def test_package_imports_load_no_unused_stdlib_modules():
     added = set(out.stdout.split())
     assert "nilpal.hallpoly" in added
     assert not added & UNUSED, sorted(added & UNUSED)
+
+
+def test_normalize_and_info_load_no_automorphism_module():
+    # the CLI imports autos, foxring and verify inside the commands that run them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from nilpal import cli\n"
+            "assert cli.main(['normalize', 'x2 x1']) == 0\n"
+            "assert cli.main(['info']) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('nilpal.')), file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    loaded = set(out.stderr.split())
+    assert "nilpal.cli" in loaded
+    assert not loaded & {"nilpal.autos", "nilpal.foxring", "nilpal.verify"}, sorted(loaded)

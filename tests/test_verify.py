@@ -73,6 +73,9 @@ def test_unknown_suite():
         ("thm5.8-n2", {"cases": 1}, "rank=None step=None cases=1; it has no case count"),
         ("thm5.8-n2", {"step": 4, "seed": 1},
          "rank=None step=4 cases=None; it runs at step 3 only; it has no seed"),
+        # a case count below 1, which prop2.8's exhaustive cases would ignore
+        ("prop2.8", {"cases": 0}, "rank=None step=None cases=0; the case count is below 1"),
+        ("prop2.8", {"cases": -1}, "rank=None step=None cases=-1; the case count is below 1"),
     ],
 )
 def test_suite_with_no_cases_is_refused(name, kwargs, given):
