@@ -14,7 +14,7 @@ composition is the ordered matrix product.
 """
 
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from typing import NamedTuple
 
 from nilpal import kernel
@@ -663,8 +663,8 @@ def make_generator(sym, basis):
     (`Endo.top_defects`; phi2, phi3 and psi at step 3) is never inverted:
     its m-th power, m = -1 included, is the map `_central_map` builds
     afresh from m times its blocks (`_top_central_power`), and
-    `compose_symbols` builds a run of such symbols the same way.  Every
-    other power is composed by `endo_power`.
+    `compose_symbols` builds a run of such symbols from `_central_sum`.
+    Every other power is composed by `endo_power`.
     """
     if sym.tag == "inner":
         base, exponent = _base_generator(sym, basis), sym.exponent
@@ -679,33 +679,61 @@ def make_generator(sym, basis):
     return base if exponent == 1 else endo_power(base, exponent)
 
 
+def _top_entries(basis, sym):
+    """The nonzero entries (position, value) of the top blocks
+    (`Endo.top_defects`) of `sym`'s map at exponent 1, laid end to end,
+    or None when that map is not top-central; kept in `basis.memo` per
+    (tag, params), None included (which `_memo` would rebuild).  `inner`
+    counts as not top-central and is never kept: its parameter is an
+    element, so its keys would be unbounded."""
+    if sym.tag == "inner":
+        return None
+    key = ("top_entries", sym.tag, sym.params)
+    entries = basis.memo.get(key, _UNKNOWN)
+    if entries is _UNKNOWN:
+        top = _forward_generator(sym, basis).top_defects()
+        entries = basis.memo[key] = None if top is None else tuple(
+            (pos, v) for pos, v in enumerate(v for block in top for v in block) if v)
+    return entries
+
+
+def _central_sum(basis, symbols):
+    """The top blocks of the composite of top-central symbols: the sum of
+    m times the blocks of each symbol's map, m its exponent, as n tuples.
+    Exact: a top-central map fixes gamma_k and sends x_i to x_i D_i, so
+    composing such maps adds their blocks (`Endo.apply`), and the m-th
+    power of one has m times its blocks (`_top_central_power`).  This is
+    the only sum of generator blocks; InternalError on a symbol that is
+    not top-central."""
+    size = len(basis.elements) - basis.weight_offset[-1]
+    flat = [0] * (basis.n * size)
+    for sym in symbols:
+        entries = _top_entries(basis, sym)
+        if entries is None:
+            raise InternalError("symbol is not top-central", n=basis.n, k=basis.k,
+                                symbol=render_symbol(sym))
+        m = sym.exponent
+        for pos, v in entries:
+            flat[pos] += m * v
+    return tuple(tuple(flat[j:j + size]) for j in range(0, len(flat), size))
+
+
 def compose_symbols(symbols, basis):
     """The symbols' maps composed left to right.
 
-    Each run of consecutive top-central symbols (`Endo.top_defects`) is
-    one map, built once by `_central_map` from the sum of m times the
-    blocks of each symbol's generator.  That is exact: a top-central map
-    fixes gamma_k and sends x_i to x_i D_i, so composing such maps adds
-    their blocks (`Endo.apply`).  A run whose blocks sum to zero is the
-    identity and is left out; `compose` runs only between the other maps.
+    Each run of consecutive top-central symbols (`_top_entries`) is one
+    map, built once by `_central_map` from their `_central_sum`.  A run
+    whose blocks sum to zero is the identity and is left out; `compose`
+    runs only between the other maps.
     """
-    maps, run = [], None
-    for sym in symbols:
-        top = None if sym.tag == "inner" else _forward_generator(sym, basis).top_defects()
-        if top is None:
-            if run is not None and any(map(any, run)):
-                maps.append(_central_map(basis, run))
-            run = None
-            maps.append(make_generator(sym, basis))
+    maps = []
+    for central, run in groupby(symbols, key=lambda s: _top_entries(basis, s) is not None):
+        if not central:
+            maps.extend(make_generator(sym, basis) for sym in run)
             continue
-        m = sym.exponent
-        if run is None:
-            run = [[m * v for v in block] for block in top]
-        else:
-            run = [[r + m * v for r, v in zip(acc, block)] if any(block) else acc
-                   for acc, block in zip(run, top)]
-    if run is not None and any(map(any, run)):
-        maps.append(_central_map(basis, run))
+        blocks = _central_sum(basis, run)
+        if any(map(any, blocks)):
+            maps.append(_central_map(basis, blocks))
     return reduce(compose, maps) if maps else identity_endo(basis)
 
 
@@ -807,11 +835,10 @@ def _weight3_defects(e):
 
 
 def _family_row(basis, family, blocks):
-    """Sum over the symbols of a family of the top defects of their maps
-    (`Endo.top_defects`), the listed blocks concatenated."""
-    vecs = [[v for j in blocks for v in make_generator(sym, basis).top_defects()[j]]
-            for sym in family]
-    return [sum(col) for col in zip(*vecs)]
+    """The `_central_sum` of a family's symbols, the listed blocks
+    concatenated."""
+    top = _central_sum(basis, family)
+    return [v for j in blocks for v in top[j]]
 
 
 def _lattice(basis, families, blocks):
@@ -869,6 +896,14 @@ def decompose_central(e):
 
     Returns residual_trivial=False with lattice diagnostics when the defect
     of some generator falls outside the palindromic lattice.
+
+    The factors are certified by their `_central_sum` against e's top
+    blocks.  That is the recompose check `Decomposition.compose(basis) ==
+    e` restated: every factor is top-central, so `compose_symbols` returns
+    `_central_map` of exactly this sum (the identity when it is zero); e
+    is top-central (`_weight3_defects`); and two top-central maps are
+    equal iff their blocks are, their images being e_i followed by the
+    block.  `decompose_bglm` is certified the same way.
     """
     basis = e.basis
     _require_step3(basis)
@@ -885,7 +920,7 @@ def decompose_central(e):
     if diagnostics:
         return Decomposition((), False, tuple(diagnostics))
     dec = Decomposition(tuple(factors), True)
-    if dec.compose(basis) != e:
+    if _central_sum(basis, dec.factors) != e.top_defects():
         raise InternalError("central decomposition failed to recompose",
                             n=basis.n, k=basis.k, factors=len(factors))
     return dec
@@ -1047,6 +1082,7 @@ def _bglm_families(basis):
 def decompose_bglm(e):
     """Factor an obstruction-free central palindromic automorphism over the
     canonical generator families (a single inner square generator at rank 2).
+    The factors are certified as in `decompose_central`.
     """
     basis = e.basis
     _require_step3(basis)
@@ -1076,7 +1112,7 @@ def decompose_bglm(e):
         return Decomposition((), False, ("defect outside the generated lattice",))
     factors = _scaled_factors(fams, sol)
     dec = Decomposition(tuple(factors), True)
-    if dec.compose(basis) != e:
+    if _central_sum(basis, dec.factors) != e.top_defects():
         raise InternalError("decomposition failed to recompose",
                             n=basis.n, k=basis.k, factors=len(factors))
     return dec

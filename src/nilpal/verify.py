@@ -80,12 +80,16 @@ def suite_lemma25(rank=3, step=5):
 
 
 def suite_prop28(rank=3, step=3, seed=0, cases=100):
-    """The central product z * bar(z) matches the recursive word."""
+    """The central product z * bar(z) matches the recursive word.
+
+    `cases` is a floor per rank: a rank with at most 256 tuples runs all
+    of them, then random tuples pad it to `cases`."""
     if step % 2 == 0 or step < 3:
         raise ValueError("suite needs an odd step >= 3")
     half = (step - 1) // 2
     rng = random.Random(seed)
-    result = SuiteResult("prop2.8", 0, info={"rank": rank, "step": step, "seed": seed})
+    result = SuiteResult("prop2.8", 0, info={"rank": rank, "step": step, "seed": seed,
+                                             "cases_per_rank": cases})
     for n in range(2, rank + 1):
         basis = hall_basis(n, step)
         gens = [basis.generator(i) for i in range(1, n + 1)]

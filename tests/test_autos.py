@@ -299,7 +299,10 @@ def test_generators_are_kept_with_their_image_tables():
     x = basis.generator(1)
     assert make_generator(inner(x), basis) is not make_generator(inner(x), basis)
     assert make_generator(inner(x, -1), basis) == inverse(make_generator(inner(x), basis))
-    assert not any(key[1] == "inner" for key in basis.memo if key[0].startswith("generator"))
+    # nor does compose_symbols keep an inner symbol's blocks
+    compose_symbols([inner(x), phi2(2, 1, 3), inner(x, -1)], basis)
+    assert ("top_entries", "phi2", (2, 1, 3)) in basis.memo
+    assert not any(key[1:2] == ("inner",) for key in basis.memo)
 
 
 def test_step4_generators_are_kept_with_their_image_tables():
@@ -1077,12 +1080,16 @@ def test_decompose_central_round_trip_random():
 def test_recompose_failure_context(monkeypatch):
     basis = hall_basis(2, 3)
     e = compose_symbols([phi2(2, 1, 1), phi3(2, 1, 2, 2)], basis)
-    monkeypatch.setattr(autos, "compose_symbols", lambda syms, b: identity_endo(b))
+    # the inner-square generator is obstruction-free: two bglm factors
+    inner_square = make_endo(basis, ["x1 [x2,x1,x1]^2", "x2 [x2,x1,x2]^2"])
+    # the lattice rows are memoized first, so the fault reaches only the
+    # check of the factors: they sum to the identity's blocks
+    decompose_central(e)
+    decompose_bglm(inner_square)
+    monkeypatch.setattr(autos, "_central_sum", lambda b, syms: identity_endo(b).top_defects())
     with pytest.raises(InternalError, match="central decomposition failed") as err:
         decompose_central(e)
     assert err.value.context == {"n": 2, "k": 3, "factors": 2}
-    # the inner-square generator is obstruction-free: two bglm factors
-    inner_square = make_endo(basis, ["x1 [x2,x1,x1]^2", "x2 [x2,x1,x2]^2"])
     with pytest.raises(InternalError, match="^decomposition failed") as err:
         decompose_bglm(inner_square)
     assert err.value.context == {"n": 2, "k": 3, "factors": 2}

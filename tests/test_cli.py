@@ -190,6 +190,15 @@ def test_verify_unknown_suite_exits_1(capsys):
                    "'prop3.3', 'thm5.8-n2']\n")
 
 
+def test_verify_prop28_reports_its_case_floor_per_rank(capsys):
+    # --cases is a floor per rank: ranks 2 and 3 run their 4 and 9
+    # exhaustive tuples, and the report shows the count asked for
+    code, out, err = run_cli(capsys, "--format", "kv", "verify", "prop2.8", "--cases", "1")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "cases_per_rank=1" in lines and "cases=13" in lines
+
+
 def test_verify_refuses_a_case_count_below_1(capsys):
     for cases in ("0", "-1"):
         code, out, err = run_cli(capsys, "--format", "kv", "verify", "prop2.8", "--cases", cases)

@@ -8,7 +8,7 @@ over generated inputs."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import pytest
@@ -52,6 +52,7 @@ from oracles import (  # noqa: E402
 from nilpal.autos import (  # noqa: E402
     Endo,
     GeneratorSymbol,
+    _central_sum,
     _palindromic_image,
     classify,
     compose,
@@ -613,6 +614,12 @@ def test_compose_symbols_matches_the_chain():
         # the blocks a central map is built with are the ones its images hold
         assert got.top_defects() == Endo(basis, got.images).top_defects()
         runs = _central_runs(syms, basis)
+        # each central run's block sum is the one the chain of its maps holds
+        for central, run in groupby(syms, key=lambda s: s.tag != "inner" and make_generator(
+                GeneratorSymbol(s.tag, s.params), basis).top_defects() is not None):
+            run = list(run)
+            assert not central or (_central_sum(basis, run)
+                                   == compose_symbols_by_chain(run, basis).top_defects())
         seen.add((basis.n, basis.k, bool(runs), any(not any(map(any, r)) for r in runs)))
 
     check()
@@ -633,6 +640,10 @@ def test_compose_symbols_edge_cases(n):
     assert compose_symbols(zero, basis) == one
     mixed = [mu(1, 2), *zero, t(n), *zero, mu(1, 2, -1), psi(1, 2, 3)]
     assert compose_symbols(mixed, basis) == compose_symbols_by_chain(mixed, basis)
+    # the block sum refuses a map that is not top-central
+    with pytest.raises(InternalError, match="not top-central") as err:
+        _central_sum(basis, [*zero, mu(1, 2)])
+    assert err.value.context == {"n": n, "k": 3, "symbol": "mu(1,2)"}
 
 
 @st.composite
