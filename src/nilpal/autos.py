@@ -334,12 +334,6 @@ def _witness_lattice(basis, i):
 # ---------------------------------------------------------------------------
 # palindromic witnesses
 
-def _defects(e):
-    """The defects x_i^-1 e(x_i), i = 1..n."""
-    basis = e.basis
-    return [multiply(invert(basis.generator(i)), img) for i, img in enumerate(e.images, 1)]
-
-
 def _palindromic_image(basis, i, q):
     """bar(q) x_i q on exponent tuples, by the basis's law (step <= 3)."""
     law = basis.law
@@ -473,11 +467,14 @@ def inverse_with_factors(e):
     e psi_1 ... psi_k is the identity certifies it.  psi_1 lifts the
     inverse abelianization matrix, so phi = e psi_1 is IA, and level l
     strips the defects D_i = x_i^-1 phi(x_i), which lie in gamma_l, by the
-    factor x_i -> x_i D_i^-1 (a defect below weight l raises
-    InternalError).  A top-central phi (`Endo.top_defects`) gets that
-    factor as phi^-1 (`_top_central_power(phi, -1)`), with no group
-    product.  Once phi is the identity, the list is padded to k entries
-    with it, and the padding is neither composed nor folded.
+    factor x_i -> x_i D_i^-1.  For D in gamma_2, x_i D is in normal form
+    (the generators come first in the Hall order): its exponents are e_i
+    followed by D's past weight 1.  So level l reads D_i off phi(x_i) with
+    no group product, and raises InternalError unless the coordinates of
+    phi(x_i) below weight l are e_i's.  A top-central phi
+    (`Endo.top_defects`) gets the factor as phi^-1 (`_top_central_power`),
+    with no group product.  Once phi is the identity, the list is padded
+    to k entries with it, and the padding is neither composed nor folded.
 
     At step <= 3, when the abelianization is the identity mod 2, psi_1 is
     the palindromic lift (`_epa_linear_lift`), else the ordered one.
@@ -507,12 +504,14 @@ def inverse_with_factors(e):
         if phi.top_defects() is not None:
             factors.append(_top_central_power(phi, -1))
         else:
+            start = basis.weight_offset[level - 1]
             images = []
-            for i, r in enumerate(_defects(phi), 1):
-                if not r.is_identity() and weight(r) < level:
+            for i, (x, g) in enumerate(zip(identity.images, phi.images), 1):
+                if g.exponents[:start] != x.exponents[:start]:
                     raise InternalError(f"residue escaped weight {level}",
                                         n=n, k=k, i=i, level=level)
-                images.append(multiply(basis.generator(i), invert(r)))
+                d = NilElement(basis, None, (0,) * n + g.exponents[n:])
+                images.append(multiply(x, invert(d)))
             factors.append(Endo(basis, images))
         phi = compose(phi, factors[-1])
     if phi != identity:
@@ -715,7 +714,7 @@ def _central_sum(basis, symbols):
         m = sym.exponent
         for pos, v in entries:
             flat[pos] += m * v
-    return tuple(tuple(flat[j:j + size]) for j in range(0, len(flat), size))
+    return tuple(tuple(flat[j * size:(j + 1) * size]) for j in range(basis.n))
 
 
 def compose_symbols(symbols, basis):

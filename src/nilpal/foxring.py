@@ -15,7 +15,7 @@ obstruction computed by `bglm_condition`.
 """
 
 from nilpal.nilpotent import InternalError, PreconditionError, collect, hall_basis
-from nilpal.words import Letter, Word, left_normed_commutator
+from nilpal.words import left_normed_commutator, word_from_ints
 
 
 class RingElemModR:
@@ -200,12 +200,8 @@ def render_quadratic(a):
 # ---------------------------------------------------------------------------
 # the fixed derivative table for weight-3 commutators
 
-def _gen_word(i, n):
-    return Word((Letter(i, 1),), n)
-
-
 def _comm_word(indices, n):
-    return left_normed_commutator([_gen_word(i, n) for i in indices])
+    return left_normed_commutator([word_from_ints([i], n) for i in indices])
 
 
 _TABLE_ROWS = (
@@ -220,26 +216,9 @@ _TABLE_ROWS = (
 )
 
 
-class FoxTableReport:
-    def __init__(self, n, rows):
-        self.n = n
-        self.rows = rows  # list of (name, cases, failures)
-
-    @property
-    def ok(self):
-        return all(not failures for _, _, failures in self.rows)
-
-    def lines(self):
-        out = []
-        for name, cases, failures in self.rows:
-            status = "PASS" if not failures else "FAIL"
-            out.append(f"{name}: {status} ({cases} cases)")
-            out.extend(f"  counterexample {c}" for c in failures)
-        return out
-
-
 def check_fox_table(n):
-    """Evaluate every derivative-table row over all distinct-index assignments."""
+    """Evaluate every derivative-table row over all distinct-index
+    assignments: a (name, cases, failures) row per table row."""
     from itertools import permutations
 
     rows = []
@@ -261,7 +240,7 @@ def check_fox_table(n):
             if got != want:
                 failures.append(f"{name} with {env}: got {render_ring(got)}")
         rows.append((name, cases, failures))
-    return FoxTableReport(n, rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

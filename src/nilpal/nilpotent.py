@@ -255,6 +255,8 @@ class HallBasis:
         for level in self.by_weight:
             self.weight_offset.append(pos)
             pos += len(level)
+        # weight_slices[w - 1]: the positions of the weight-w elements in an
+        # exponent tuple
         self.weight_slices = tuple(
             slice(start, start + len(level))
             for start, level in zip(self.weight_offset, self.by_weight))
@@ -268,18 +270,13 @@ class HallBasis:
     def __repr__(self):
         return f"HallBasis(n={self.n}, k={self.k}, size={len(self.elements)})"
 
-    def weight_slice(self, w):
-        """The positions of the weight-w basis elements in an exponent
-        tuple: one of the k slices `weight_slices` built with the basis."""
-        return self.weight_slices[w - 1]
-
     # -- truncated-series machinery -------------------------------------
 
     def lie_columns(self, w):
         """Degree-w parts of the weight-w basis series, the lowest-degree
         terms of their lifts: the columns of the Lie-coordinate matrix."""
         return [kernel.lowest_terms(self.lifts.lift(i))
-                for i in range(len(self.elements))[self.weight_slice(w)]]
+                for i in range(len(self.elements))[self.weight_slices[w - 1]]]
 
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix."""
@@ -321,7 +318,7 @@ class HallBasis:
         of that element."""
         r = kernel.one(self.shape)
         for w in range(self.k, 0, -1):
-            block = exps[self.weight_slice(w)]
+            block = exps[self.weight_slices[w - 1]]
             if any(block):
                 self.ordered_block_poly(w, block, r, lifts)
         return r
@@ -464,7 +461,7 @@ class NilElement:
         return self.exponents[: self.basis.n]
 
     def weight_block(self, w):
-        return self.exponents[self.basis.weight_slice(w)]
+        return self.exponents[self.basis.weight_slices[w - 1]]
 
 
 def _same_basis(a, b):

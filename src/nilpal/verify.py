@@ -6,7 +6,7 @@ thin wrappers around these functions.
 """
 
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from nilpal.autos import (
     _comm3,
@@ -83,29 +83,28 @@ def suite_prop28(rank=3, step=3, seed=0, cases=100):
     """The central product z * bar(z) matches the recursive word.
 
     `cases` is a floor per rank: a rank with at most 256 tuples runs all
-    of them, then random tuples pad it to `cases`."""
+    of them, then random tuples pad it to `cases`, drawn one at a time."""
     if step % 2 == 0 or step < 3:
         raise ValueError("suite needs an odd step >= 3")
     half = (step - 1) // 2
+    width = 2 * half
     rng = random.Random(seed)
     result = SuiteResult("prop2.8", 0, info={"rank": rank, "step": step, "seed": seed,
                                              "cases_per_rank": cases})
     for n in range(2, rank + 1):
         basis = hall_basis(n, step)
         gens = [basis.generator(i) for i in range(1, n + 1)]
-        tuples = []
-        if n ** (2 * half) <= 256:
-            tuples.extend(product(range(n), repeat=2 * half))
-        while cases is not None and len(tuples) < cases:
-            tuples.append(tuple(rng.randrange(n) for _ in range(2 * half)))
-        for tup in tuples:
+        exhaustive = n ** width if n ** width <= 256 else 0
+        padding = (tuple(rng.randrange(n) for _ in range(width))
+                   for _ in range((cases or 0) - exhaustive))
+        for tup in chain(product(range(n), repeat=width) if exhaustive else (), padding):
             result.cases += 1
             if not verify_w2k([gens[j] for j in tup], half):
                 result.failures.append(f"n={n} tuple={tup}")
     return result
 
 
-def suite_jacobi(rank=4, step=None):
+def suite_jacobi(rank=4):
     """Product of the three cyclic left-normed triples is trivial at step 3."""
     result = SuiteResult("jacobi", 0, info={"rank": rank})
     for n in range(3, rank + 1):
@@ -122,7 +121,7 @@ def suite_jacobi(rank=4, step=None):
     return result
 
 
-def suite_lemma42(rank=3, step=None, seed=0, cases=50):
+def suite_lemma42(rank=3, seed=0, cases=50):
     """Conjugation-by-reversal formula for weight-2 products at step 3."""
     rng = random.Random(seed)
     result = SuiteResult("lemma4.2", 0, info={"rank": rank, "seed": seed})
@@ -151,15 +150,15 @@ def suite_lemma42(rank=3, step=None, seed=0, cases=50):
 
 
 def suite_foxtable(rank=3):
-    report = check_fox_table(rank)
-    result = SuiteResult("foxtable", 0, info={"rank": rank, "rows": len(report.rows)})
-    for name, row_cases, failures in report.rows:
+    rows = check_fox_table(rank)
+    result = SuiteResult("foxtable", 0, info={"rank": rank, "rows": len(rows)})
+    for name, row_cases, failures in rows:
         result.cases += row_cases
         result.failures.extend(f"{name}: {f}" for f in failures)
     return result
 
 
-def suite_lemma53(rank=4, step=None):
+def suite_lemma53(rank=4):
     """tameness_necessary on the phi2 family matches its classification."""
     result = SuiteResult("lemma5.3", 0, info={"rank": rank})
     for n in range(2, rank + 1):
@@ -174,7 +173,7 @@ def suite_lemma53(rank=4, step=None):
     return result
 
 
-def suite_lemma54(rank=4, step=None):
+def suite_lemma54(rank=4):
     """tameness_necessary on the phi3 family matches its classification."""
     result = SuiteResult("lemma5.4", 0, info={"rank": rank})
     for n in range(2, rank + 1):
@@ -190,7 +189,7 @@ def suite_lemma54(rank=4, step=None):
     return result
 
 
-def suite_thm58_n2(rank=None, step=None):
+def suite_thm58_n2():
     """Rank-2 case: the single obstruction-free generator is the inner
     conjugation by the doubled commutator, and its powers decompose back."""
     basis = hall_basis(2, 3)
@@ -210,7 +209,7 @@ def suite_thm58_n2(rank=None, step=None):
     return result
 
 
-def suite_prop31(rank=4, step=None, seed=0, cases=60):
+def suite_prop31(rank=4, seed=0, cases=60):
     """At step 2, palindromic maps with equal abelianization are equal."""
     rng = random.Random(seed)
     result = SuiteResult("prop3.1", 0, info={"rank": rank, "seed": seed})
@@ -239,9 +238,12 @@ def suite_prop31(rank=4, step=None, seed=0, cases=60):
     return result
 
 
-def prop33_cases(n, bound=3):
+PROP33_BOUND = 3  # the largest size of an entry of a prop3.3 weight-2 block
+
+
+def prop33_cases(n):
     """(i, c, g) for each case of `suite_prop33` at rank n: g = x_i c for
-    every nonzero weight-2 block c with entries in [-bound, bound].
+    every nonzero weight-2 block c with entries at most PROP33_BOUND in size.
 
     At step 2 the basis is x_1..x_n and then the weight-2 block, which is
     central and comes last in the Hall order, so x_i c is already in
@@ -250,16 +252,16 @@ def prop33_cases(n, bound=3):
     m2 = len(basis.by_weight[1])
     for i in range(1, n + 1):
         head = basis.generator(i).exponents[:n]
-        for c in product(range(-bound, bound + 1), repeat=m2):
+        for c in product(range(-PROP33_BOUND, PROP33_BOUND + 1), repeat=m2):
             if any(c):
                 yield i, c, NilElement(basis, None, head + c)
 
 
-def suite_prop33(rank=4, step=None, bound=3):
+def suite_prop33(rank=4):
     """No step-2 palindromic witness produces a nontrivial central defect."""
-    result = SuiteResult("prop3.3", 0, info={"rank": rank, "bound": bound})
+    result = SuiteResult("prop3.3", 0, info={"rank": rank, "bound": PROP33_BOUND})
     for n in range(2, rank + 1):
-        for i, c, g in prop33_cases(n, bound):
+        for i, c, g in prop33_cases(n):
             result.cases += 1
             if solve_conjugator(g, i, min_weight=2) is not None:
                 result.failures.append(f"n={n} i={i} c={c}")
@@ -281,7 +283,8 @@ SUITES = {
 
 
 # The step a suite runs at whatever its step flag says, and the rank of
-# thm5.8-n2.  At another value, or given a flag its function does not take
+# thm5.8-n2.  `run_suite` takes such a flag at this value and does not pass
+# it on.  At another value, or given a flag its function does not take
 # (such as the seed and case count of a suite with no random cases), the
 # suite runs no case, instead of ignoring the flag and reporting PASS.
 FIXED_FLAGS = {
@@ -302,14 +305,15 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     suite, fixed = SUITES[name], FIXED_FLAGS.get(name, {})
     takes = suite.__code__.co_varnames[:suite.__code__.co_argcount]
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
-    kwargs = {flag: value for flag, value in given.items() if value is not None}
+    given = {flag: value for flag, value in given.items() if value is not None}
     refused = [f"; it runs at {flag} {fixed[flag]} only" if flag in fixed
                else f"; it has no {'case count' if flag == 'cases' else flag}"
-               for flag, value in kwargs.items()
-               if flag not in takes or fixed.get(flag, value) != value]
+               for flag, value in given.items()
+               if fixed.get(flag, value) != value or flag not in (*takes, *fixed)]
     if cases is not None and cases < 1:  # prop2.8 would run its exhaustive cases
         refused.append("; the case count is below 1")
-    result = SuiteResult(name, 0) if refused else suite(**kwargs)
+    result = SuiteResult(name, 0) if refused else suite(
+        **{flag: value for flag, value in given.items() if flag not in fixed})
     if not result.cases:
         # a suite that checks nothing must not report PASS
         why = "".join(refused)

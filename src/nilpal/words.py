@@ -100,11 +100,6 @@ class Word:
         return invert_word(self)
 
 
-def reduce(letters, rank):
-    """Free reduction of a raw letter sequence."""
-    return Word(letters, rank)
-
-
 def word_from_ints(ints, rank):
     """Build a word from signed generator indices (3 means x3, -3 its inverse)."""
     return Word((Letter(abs(i), 1 if i > 0 else -1) for i in ints), rank)

@@ -17,6 +17,7 @@ from oracles import (
 
 from nilpal import autos, intlinalg, nilpotent
 from nilpal.autos import (
+    Decomposition,
     Endo,
     GeneratorSymbol,
     NotAutomorphismError,
@@ -782,13 +783,24 @@ def test_inverse_escaped_residue_context(monkeypatch):
 
 
 def test_inverse_nontermination_context(monkeypatch):
-    # the defect route's residues read as the identity leave phi = e, a map
-    # with a weight-2 defect and no witness
-    monkeypatch.setattr(autos, "_defects", lambda phi: [phi.basis.one()] * phi.basis.n)
+    # level factors that leave phi unchanged: e's weight-3 defect passes
+    # every level's weight check and is never stripped.  (A weight-2 defect
+    # left in place fails the level-3 check instead.)
+    monkeypatch.setattr(autos, "_top_central_power", lambda phi, m: identity_endo(phi.basis))
     basis = hall_basis(2, 3)
     with pytest.raises(InternalError, match="did not terminate") as err:
-        inverse_with_factors(make_endo(basis, ["x1 [x2,x1]", "x2"]))
+        inverse_with_factors(make_endo(basis, ["x1 [x2,x1,x1]", "x2"]))
     assert err.value.context == {"n": 2, "k": 3, "factors": 3}
+
+
+def test_inverse_stuck_level_factor_context(monkeypatch):
+    # level factors x_i -> x_i D_i^-1 with D_i^-1 read as the identity leave
+    # phi = e, whose weight-2 defect the level-3 check refuses
+    monkeypatch.setattr(autos, "invert", lambda g: g.basis.one())
+    basis = hall_basis(2, 3)
+    with pytest.raises(InternalError, match="residue escaped weight 3") as err:
+        inverse_with_factors(make_endo(basis, ["x1 [x2,x1]", "x2"]))
+    assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 3}
 
 
 def test_inverse_wrong_sign_level_2_factor_context(monkeypatch):
@@ -1041,9 +1053,10 @@ def test_parity_without_witness_is_flagged():
 # -- central decomposition ---------------------------------------------------------
 
 def test_decompose_central_examples():
+    # rank 1 has no weight-3 element: the identity is its one central map
+    for n in (1, 2):
+        assert decompose_central(identity_endo(hall_basis(n, 3))) == Decomposition((), True)
     basis = hall_basis(2, 3)
-    dec = decompose_central(identity_endo(basis))
-    assert dec.residual_trivial and dec.factors == ()
 
     e = compose_symbols([phi2(2, 1, 1), phi3(2, 1, 2, 2)], basis)
     dec = decompose_central(e)
@@ -1059,10 +1072,11 @@ def test_decompose_central_examples():
 def test_decompose_central_round_trip_random():
     rng = random.Random(35)
     for _ in range(60):
-        n = rng.randint(2, 3)
+        n = rng.randint(1, 3)
         basis = hall_basis(n, 3)
         syms = []
-        for _ in range(rng.randint(0, 5)):
+        # phi2 and phi3 need two generators: rank 1 draws the empty product
+        for _ in range(rng.randint(0, 5) if n > 1 else 0):
             a, b = rng.sample(range(1, n + 1), 2)
             if b > a:
                 a, b = b, a

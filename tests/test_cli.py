@@ -62,12 +62,13 @@ def test_law_derivation_over_the_budget_exits_1(capsys):
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    # residues read as the identity leave the weight-2 defect in place
+    # level factors that leave the map unchanged leave its weight-3 defect
+    # in place
     from nilpal import autos
 
-    monkeypatch.setattr(autos, "_defects", lambda phi: [phi.basis.one()] * phi.basis.n)
-    path = tmp_path / "weight2.auto"
-    path.write_text("x1 -> x1 [x2,x1]\n")
+    monkeypatch.setattr(autos, "_top_central_power", lambda phi, m: autos.identity_endo(phi.basis))
+    path = tmp_path / "weight3.auto"
+    path.write_text("x1 -> x1 [x2,x1,x1]\n")
     code, out, err = run_cli(capsys, "--rank", "2", "--step", "3", "auto", "invert", str(path))
     assert code == 3 and out == ""
     assert err == ("nilpal: internal error: inverse iteration did not terminate at the "

@@ -60,6 +60,11 @@ def _cases():
             cases[f"auto-{op}-r4-{name}"] = [
                 "--rank", "4", "--step", "3", "--format", "kv",
                 "auto", op, f"fixtures/r4_{name}.auto"]
+    # rank 1, where the top blocks are empty: the identity is the only
+    # central map and decomposes into no factor
+    cases["auto-decompose-central-r1-identity"] = [
+        "--rank", "1", "--step", "3", "auto", "decompose-central",
+        "fixtures/r1_identity.auto"]
     # inverses whose linear lift is palindromic but whose input is not
     # elementary palindromic: mu(1,2) then a weight-2 defect, and an IA map
     # whose top defect lies outside the witness lattice

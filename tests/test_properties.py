@@ -176,7 +176,8 @@ def top_central_cases(draw, near_miss=False):
     n, k, size = basis.n, basis.k, len(basis.elements)
 
     def block(w):
-        start, stop = basis.weight_slice(w).start, basis.weight_slice(w).stop
+        span = basis.weight_slices[w - 1]
+        start, stop = span.start, span.stop
         vec = [0] * size
         vec[start:stop] = draw(st.lists(st.integers(-2, 2), min_size=stop - start,
                                         max_size=stop - start))
@@ -190,7 +191,7 @@ def top_central_cases(draw, near_miss=False):
     if near_miss:
         zs = [block(k - 1) for _ in range(n)]
         i = draw(st.integers(0, n - 1))
-        pos = draw(st.sampled_from(range(size)[basis.weight_slice(k - 1)]))
+        pos = draw(st.sampled_from(range(size)[basis.weight_slices[k - 2]]))
         zs[i][pos] = draw(st.sampled_from((-2, -1, 1, 2)))
         images = [multiply(g, basis.from_exponents(z)) for g, z in zip(images, zs)]
     g = [0] * size

@@ -1,9 +1,12 @@
 """Quick runs of the verification suites at reduced scale."""
 
+import tracemalloc
+
 import pytest
 
+from nilpal import verify
 from nilpal.nilpotent import hall_basis, multiply
-from nilpal.verify import SUITES, prop33_cases, run_suite
+from nilpal.verify import SUITES, prop33_cases, run_suite, suite_prop28
 
 
 @pytest.mark.parametrize(
@@ -116,3 +119,17 @@ def test_prop33_cases_are_the_products(n):
         assert g == multiply(basis.generator(i), basis.from_exponents((0,) * n + c))
         count += 1
     assert count == n * (7 ** len(basis.by_weight[1]) - 1)
+
+
+def test_prop28_draws_its_cases_one_at_a_time(monkeypatch):
+    # a case list would take about 6 MB per 100,000 cases before the first check
+    monkeypatch.setattr(verify, "verify_w2k", lambda factors, half: True)
+    suite_prop28(rank=2, step=3, cases=1)  # builds the basis outside the trace
+    tracemalloc.start()
+    try:
+        result = suite_prop28(rank=2, step=3, cases=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cases == 200_000 and result.ok
+    assert peak < 2 ** 20

@@ -110,14 +110,6 @@ def test_word_properties_random():
         assert parse_word(render_word(u), 3) == u
 
 
-def test_reduce_function():
-    from nilpal.words import reduce
-
-    letters = [Letter(1, 1), Letter(2, 1), Letter(2, -1)]
-    assert reduce(letters, 2) == w([1], 2)
-    assert reduce([], 2) == w([], 2)
-
-
 LONG = 50000
 
 
