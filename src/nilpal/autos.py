@@ -15,6 +15,7 @@ composition is the ordered matrix product.
 
 from functools import reduce
 from itertools import combinations, groupby, permutations
+from operator import add
 from typing import NamedTuple
 
 from nilpal import kernel
@@ -24,7 +25,6 @@ from nilpal.intlinalg import (
     inv_unimodular,
     lattice_factors,
     solve_from_smith,
-    vec_sub,
 )
 from nilpal.nilpotent import (
     InternalError,
@@ -168,36 +168,43 @@ class Endo:
         exps = g.exponents
         top = self.top_defects()
         if top is not None:
-            terms = [(e, block) for e, block in zip(exps, top) if e and any(block)]
-            if not terms:
-                return g
-            start = basis.weight_offset[-1]
-            out = exps[start:]
-            for e, block in terms:
-                out = [v + e * d for v, d in zip(out, block)]
-            return NilElement(basis, None, exps[:start] + tuple(out))
+            out = _top_central_image(exps, top, basis.weight_offset[-1])
+            return g if out is exps else NilElement(basis, None, out)
         if not _gamma2_is_abelian(basis):
             return basis.element_from_poly(basis.exponents_poly(exps, self.lifts))
         law, n = basis.law, basis.n
         out = None
-        for idx in range(n):
-            e = exps[idx]
+        for e, image in zip(exps, self.images):
             if e:
-                f = law.pow(self._vector_image(idx), e)
+                f = image.exponents if e == 1 else law.pow(image.exponents, e)
                 out = f if out is None else law.mul(out, f)
         tail = None
         for idx in range(n, len(exps)):
             e = exps[idx]
             if e:
                 img = self._vector_image(idx)
-                tail = ([e * v for v in img] if tail is None
-                        else [t + e * v for t, v in zip(tail, img)])
+                if tail is not None:
+                    tail = [t + e * v for t, v in zip(tail, img)]
+                else:
+                    tail = img if e == 1 else [e * v for v in img]
         if tail is not None:
             out = tuple(tail) if out is None else law.mul(out, tail)
         return basis.one() if out is None else NilElement(basis, None, out)
 
     def __call__(self, g):
         return self.apply(g)
+
+
+def _top_central_image(exps, top, start):
+    """The exponents exps with sum_j exps[j] * top[j] added to the weight-k
+    block, which starts at position start: the image of the element with
+    exponents exps under the top-central map whose blocks are top
+    (`Endo.apply`).  exps itself when nothing is added."""
+    out = None
+    for e, block in zip(exps, top):
+        if e and any(block):
+            out = [v + e * d for v, d in zip(exps[start:] if out is None else out, block)]
+    return exps if out is None else exps[:start] + tuple(out)
 
 
 def make_endo(basis, images):
@@ -229,7 +236,7 @@ def compose(e1, e2):
 
 
 def is_automorphism(e):
-    return det([list(r) for r in e.abel_matrix]) in (1, -1)
+    return det(e.abel_matrix) in (1, -1)
 
 
 def endo_power(e, m):
@@ -267,7 +274,11 @@ def _comm3(basis, a, b, c):
 
 
 def _parity_mask(vec):
-    return sum(1 << j for j, v in enumerate(vec) if v % 2)
+    mask = 0
+    for j, v in enumerate(vec):
+        if v & 1:
+            mask |= 1 << j
+    return mask
 
 
 def _reduce_mod2(echelon, mask, combo=0):
@@ -350,7 +361,9 @@ def solve_conjugator(g, i, min_weight=1):
     Returns None when no witness exists.  Runs on exponent tuples and
     builds an element only for the answer.  Three rejects read only
     g.exponents, with d = ab(g) - e_i: an odd d; d != 0 at
-    min_weight >= 2; d = 0 and a nonzero weight-2 block.
+    min_weight >= 2; d = 0 and a nonzero weight-2 block.  With d = 0 and
+    a zero weight-2 block, the value of x^0 is x_i, which agrees with g
+    below weight 3 with no law call.
     """
     basis = g.basis
     n, k = basis.n, basis.k
@@ -364,47 +377,48 @@ def solve_conjugator(g, i, min_weight=1):
     d = list(exps[:n])
     d[i - 1] -= 1
     for v in d:
-        if v % 2:
+        if v & 1:
             return None
     if any(d):
         if min_weight >= 2:
             return None
+        q = tuple([v >> 1 for v in d]) + (0,) * (len(exps) - n)
+        f = _palindromic_image(basis, i, q)
+        if k >= 2 and f[basis.weight_slices[1]] != exps[basis.weight_slices[1]]:
+            return None
     elif k >= 2 and any(exps[basis.weight_slices[1]]):
         return None
-    alpha = tuple(v // 2 for v in d)
-    q = alpha + (0,) * (len(exps) - n)
-    if not any(alpha):
-        f = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
     else:
-        f = _palindromic_image(basis, i, q)
-    if k >= 2 and f[basis.weight_slices[1]] != exps[basis.weight_slices[1]]:
-        return None
+        q = (0,) * len(exps)
+        f = basis._letter_vectors[Letter(i, 1)]  # bar(1) x_i 1
     if k == 3:
         # the echelon at alpha = 0 serves every alpha: with x^alpha in front,
         # row j moves by wt3([x^(2 alpha), z_j]), which is even.  At
         # min_weight 3 the lattice is 2Z^m3 alone: no rows, beta = 0
         start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
-        echelon = _witness_lattice(basis, i) if min_weight <= 2 else []
-        residual = vec_sub(exps[start3:], f[start3:])
-        rest, beta = _reduce_mod2(echelon, _parity_mask(residual))
+        target = exps[start3:]
+        residual = [u - v for u, v in zip(target, f[start3:])]
+        rest, beta = _reduce_mod2(_witness_lattice(basis, i) if min_weight <= 2 else [],
+                                  _parity_mask(residual))
         if rest:
             return None
         if beta:
-            q = alpha + tuple(beta >> j & 1 for j in range(start3 - start2)) + q[start3:]
+            q = q[:start2] + tuple([beta >> j & 1 for j in range(start3 - start2)]) + q[start3:]
             f = _palindromic_image(basis, i, q)
-            residual = vec_sub(exps[start3:], f[start3:])
+            residual = [u - v for u, v in zip(target, f[start3:])]
         # gamma_3 is central and bar(c) = c, so bar(q c^delta) x_i q c^delta
         # is f c^(2 delta): g iff f agrees with g below weight 3 and the
         # residual is 2 delta
-        if f[:start3] != exps[:start3] or any(v % 2 for v in residual):
+        if f[:start3] != exps[:start3] or _parity_mask(residual):
             raise InternalError("witness verification failed",
                                 n=n, k=k, i=i, min_weight=min_weight)
-        q = q[:start3] + tuple(v // 2 for v in residual)
+        q = q[:start3] + tuple([v >> 1 for v in residual])
     elif f != exps:
         raise InternalError("witness verification failed",
                             n=n, k=k, i=i, min_weight=min_weight)
     q = NilElement(basis, None, q)
-    if not (q.is_identity() or weight(q) >= min_weight):
+    # every element has weight >= 1
+    if min_weight > 1 and not q.is_identity() and weight(q) < min_weight:
         raise InternalError("witness violates the weight bound",
                             n=n, k=k, i=i, min_weight=min_weight)
     return q
@@ -426,12 +440,15 @@ def palindromic_witnesses(e):
 
 def _epa_linear_lift(basis, minv):
     """Palindromic linear automorphism with abelianization matrix minv:
-    x_i -> bar(q) x_i q with q = x_1^b_1 ... x_n^b_n, 2b = row i of minv - e_i."""
+    x_i -> bar(q) x_i q with q = x_1^b_1 ... x_n^b_n, 2b = row i of minv - e_i.
+    A row e_i gives q = 1 and x_i itself, with no law call."""
     tail = (0,) * (len(basis.elements) - basis.n)
-    return Endo(basis, [
-        NilElement(basis, None, _palindromic_image(
-            basis, i, tuple((v - (j == i)) // 2 for j, v in enumerate(row, 1)) + tail))
-        for i, row in enumerate(minv, 1)])
+    images = list(identity_endo(basis).images)
+    for i, row in enumerate(minv, 1):
+        b = [(v - (j == i)) >> 1 for j, v in enumerate(row, 1)]
+        if any(b):
+            images[i - 1] = NilElement(basis, None, _palindromic_image(basis, i, tuple(b) + tail))
+    return Endo(basis, images)
 
 
 def _ordered_linear_lift(basis, minv):
@@ -471,26 +488,35 @@ def inverse_with_factors(e):
     (the generators come first in the Hall order): its exponents are e_i
     followed by D's past weight 1.  So level l reads D_i off phi(x_i) with
     no group product, and raises InternalError unless the coordinates of
-    phi(x_i) below weight l are e_i's.  A top-central phi
-    (`Endo.top_defects`) gets the factor as phi^-1 (`_top_central_power`),
-    with no group product.  Once phi is the identity, the list is padded
-    to k entries with it, and the padding is neither composed nor folded.
+    phi(x_i) below weight l are e_i's.
+
+    Once phi is top-central (`Endo.top_defects`), its level is the last
+    one, and it runs on exponent tuples alone.  The factor is phi^-1
+    (`_top_central_power`).  Two top-central maps compose by adding their
+    blocks (`Endo.apply`), so phi followed by the factor is the identity
+    iff their blocks cancel, and that block sum is the final check.  The
+    fold of the factor into the product of the earlier ones adds, to each
+    image, its exponent sums times the factor's blocks
+    (`_top_central_image`).  The list is padded to k entries with the
+    identity, which is neither composed nor folded.  The final check
+    names the k layers in its `factors` context.
 
     At step <= 3, when the abelianization is the identity mod 2, psi_1 is
     the palindromic lift (`_epa_linear_lift`), else the ordered one.
     Elementary palindromic (EPA) maps form a group (arXiv:1506.03195), so
     for an EPA input phi is EPA and IA, hence top-central, and the level-2
-    factor phi^-1 is EPA too: every factor is EPA, and no witness is
-    solved for.
+    factor phi^-1 is EPA too: every factor is EPA, no witness is solved
+    for, and the law runs only for psi_1 and phi.
     """
     basis = e.basis
     n, k = basis.n, basis.k
+    matrix = e.abel_matrix
     try:
-        minv = inv_unimodular([list(r) for r in e.abel_matrix])
+        minv = inv_unimodular(matrix)
     except ValueError:
         raise NotAutomorphismError("abelianization matrix is not in GL(n, Z)") from None
-    if k <= 3 and _mod2_permutation(e.abel_matrix) == tuple(range(1, n + 1)):
-        if any((minv[r][c] - (1 if r == c else 0)) % 2 for r in range(n) for c in range(n)):
+    if k <= 3 and not _odd_off_identity(matrix):
+        if _odd_off_identity(minv):
             raise InternalError("inverse matrix lost the parity structure", n=n, k=k)
         psi = _epa_linear_lift(basis, minv)
     else:
@@ -498,26 +524,36 @@ def inverse_with_factors(e):
     identity = identity_endo(basis)
     phi = compose(e, psi)
     factors = [psi]
+    top = None
     for level in range(2, k + 1):
-        if phi == identity:
+        top = phi.top_defects()
+        if top is not None:
             break
-        if phi.top_defects() is not None:
-            factors.append(_top_central_power(phi, -1))
-        else:
-            start = basis.weight_offset[level - 1]
-            images = []
-            for i, (x, g) in enumerate(zip(identity.images, phi.images), 1):
-                if g.exponents[:start] != x.exponents[:start]:
-                    raise InternalError(f"residue escaped weight {level}",
-                                        n=n, k=k, i=i, level=level)
-                d = NilElement(basis, None, (0,) * n + g.exponents[n:])
-                images.append(multiply(x, invert(d)))
-            factors.append(Endo(basis, images))
+        start = basis.weight_offset[level - 1]
+        images = []
+        for i, (x, g) in enumerate(zip(identity.images, phi.images), 1):
+            if g.exponents[:start] != x.exponents[:start]:
+                raise InternalError(f"residue escaped weight {level}",
+                                    n=n, k=k, i=i, level=level)
+            d = NilElement(basis, None, (0,) * n + g.exponents[n:])
+            images.append(multiply(x, invert(d)))
+        factors.append(Endo(basis, images))
         phi = compose(phi, factors[-1])
-    if phi != identity:
+    inv = reduce(compose, factors)
+    if top is not None and any(map(any, top)):
+        last = _top_central_power(phi, -1)
+        blocks = last.top_defects()
+        if blocks is None or any(any(map(add, pb, lb)) for pb, lb in zip(top, blocks)):
+            raise InternalError("inverse iteration did not terminate at the identity",
+                                n=n, k=k, factors=k)
+        start = basis.weight_offset[-1]
+        inv = Endo(basis, [NilElement(basis, None, _top_central_image(g.exponents, blocks, start))
+                           for g in inv.images])
+        factors.append(last)
+    elif top is None and phi != identity:
         raise InternalError("inverse iteration did not terminate at the identity",
-                            n=n, k=k, factors=len(factors))
-    return reduce(compose, factors), factors + [phi] * (k - len(factors))
+                            n=n, k=k, factors=k)
+    return inv, factors + [identity] * (k - len(factors))
 
 
 def inverse(e):
@@ -748,6 +784,15 @@ class AutoFlags(NamedTuple):
     notes: tuple = ()
 
 
+def _odd_off_identity(matrix):
+    """Whether matrix differs from the identity mod 2."""
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            if (v - (r == c)) & 1:
+                return True
+    return False
+
+
 def _mod2_permutation(matrix):
     """The permutation (1-based images) whose matrix is `matrix` mod 2, or None."""
     odd = [[j for j, v in enumerate(row, 1) if v % 2] for row in matrix]
@@ -783,7 +828,6 @@ def classify(e):
     if not is_automorphism(e):
         raise NotAutomorphismError("not an automorphism")
     basis = e.basis
-    n = basis.n
     is_ia = e.abel_matrix == identity_endo(basis).abel_matrix
     # every defect lies in gamma_k; at k = 1 all do
     central = basis.k == 1 or e.top_defects() is not None
@@ -791,18 +835,19 @@ def classify(e):
         return AutoFlags(is_ia, central, None, None, None,
                          ("palindromicity undecided for step > 3",))
     witnesses = palindromic_witnesses(e)
-    epa = witnesses is not None
-    perm, identity = _mod2_permutation(e.abel_matrix), tuple(range(1, n + 1))
-    notes = (("parity criterion holds but the weight-2/3 defect has no witness",)
-             if perm == identity and not epa else ())
+    if witnesses is not None:
+        return AutoFlags(is_ia, central, True, True, _pi_level(witnesses, basis.k))
+    perm = _mod2_permutation(e.abel_matrix)
+    if perm == tuple(range(1, basis.n + 1)):
+        return AutoFlags(is_ia, central, False, False, None,
+                         ("parity criterion holds but the weight-2/3 defect has no witness",))
     # e is palindromic iff e = eps . omega, eps elementary palindromic and
     # omega a signed permutation of perm.  The signs cannot matter: flipping
     # one post-composes eps with some t_j, which commutes with bar and keeps
     # the elementary form, as bar(q) x_j^-1 q = bar(x_j^-1 q) x_j (x_j^-1 q).
-    palin = epa or (perm not in (None, identity) and palindromic_witnesses(
-        compose(e, make_generator(sigma(perm, -1), basis))) is not None)
-    pi_level = _pi_level(witnesses, basis.k) if epa else None
-    return AutoFlags(is_ia, central, epa, palin, pi_level, notes)
+    palin = perm is not None and palindromic_witnesses(
+        compose(e, make_generator(sigma(perm, -1), basis))) is not None
+    return AutoFlags(is_ia, central, False, palin, None)
 
 
 # ---------------------------------------------------------------------------

@@ -72,27 +72,36 @@ def inv_unimodular(a):
 
     Step c scales every other row by the pivot p and subtracts the pivot
     row times its column-c entry, then divides by the previous pivot; by
-    Sylvester's identity the division is exact.  At the end every diagonal
-    entry is d = +-det(a) and the right half is d a^-1.  A column with no
-    nonzero pivot means det(a) = 0; |d| > 1 means a^-1 is not integral."""
+    Sylvester's identity the division is exact.  A row whose column-c
+    entry is 0 is only scaled, and is kept as it is when p equals the
+    previous pivot.  At the end every diagonal entry is d = +-det(a) and
+    the right half is d a^-1.  A column with no nonzero pivot means
+    det(a) = 0; |d| > 1 means a^-1 is not integral."""
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for c in range(n):
-        r = next((r for r in range(c, n) if m[r][c]), None)
-        if r is None:
+        for r in range(c, n):
+            if m[r][c]:
+                break
+        else:
             raise ValueError("matrix is singular")
         m[c], m[r] = m[r], m[c]
         pivot_row = m[c]
         p = pivot_row[c]
         for i in range(n):
-            if i != c:
-                row, f = m[i], m[i][c]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            row = m[i]
+            f = row[c]
+            if i == c or not f and p == prev:
+                continue
+            m[i] = ([(p * x - f * y) // prev for x, y in zip(row, pivot_row)] if f
+                    else [p * x // prev for x in row])
         prev = p
-    if prev not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [[prev * x for x in row[n:]] for row in m]
+    if prev == 1:
+        return [row[n:] for row in m]
+    if prev == -1:
+        return [[-x for x in row[n:]] for row in m]
+    raise ValueError("matrix is not unimodular")
 
 
 def smith_normal_form(a):

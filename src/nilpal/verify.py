@@ -298,6 +298,14 @@ FIXED_FLAGS = {
 }
 
 
+# The largest --cases each suite with a case count accepts.  At the
+# suite's default rank and step a unit of the count cost 18 us (prop2.8,
+# both ranks), 250 us (lemma4.2) and 190 us (prop3.1) on a 2-CPU x86 host,
+# and a count at the cap ran for 40, 39 and 34 s there, so within about
+# 60 s on a host 1.5x slower.  A larger rank or step costs more per case.
+CASE_CAPS = {"prop2.8": 2_000_000, "lemma4.2": 150_000, "prop3.1": 200_000}
+
+
 def run_suite(name, rank=None, step=None, seed=None, cases=None):
     """Run suite `name`; a flag left None takes the suite's default."""
     if name not in SUITES:
@@ -312,6 +320,8 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
                if fixed.get(flag, value) != value or flag not in (*takes, *fixed)]
     if cases is not None and cases < 1:  # prop2.8 would run its exhaustive cases
         refused.append("; the case count is below 1")
+    elif cases is not None and cases > CASE_CAPS.get(name, cases):
+        refused.append(f"; the case count is over the cap of {CASE_CAPS[name]} for this suite")
     result = SuiteResult(name, 0) if refused else suite(
         **{flag: value for flag, value in given.items() if flag not in fixed})
     if not result.cases:

@@ -727,8 +727,9 @@ def test_inverse_of_epa_solves_no_witness(monkeypatch):
 
 
 def test_inverse_of_epa_skips_the_identity_level_3_factor(monkeypatch):
-    # three composes: phi = e psi_1, phi psi_2, and the inverse psi_1 psi_2.
-    # The level-3 factor is phi, already the identity, and is neither
+    # one compose, phi = e psi_1: the level-2 factor psi_2 = phi^-1, the
+    # check that phi psi_2 is the identity and the inverse psi_1 psi_2 are
+    # block sums.  The level-3 factor is the identity, and is neither
     # composed with phi nor folded into the inverse.
     basis = hall_basis(3, 3)
     e = compose_symbols([mu(1, 2), phi2(2, 1, 3), mu(3, 1, -1), phi3(3, 2, 1, 2)], basis)
@@ -738,7 +739,7 @@ def test_inverse_of_epa_skips_the_identity_level_3_factor(monkeypatch):
     monkeypatch.setattr(autos, "compose", lambda e1, e2: calls.append(1) or real(e1, e2))
     inv, factors = inverse_with_factors(e)
     assert (inv, factors) == want
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert len(factors) == 3 and factors[2] == identity_endo(basis)
     assert real(e, inv) == identity_endo(basis)
     assert inv == real(factors[0], factors[1])
@@ -824,6 +825,38 @@ def test_inverse_missing_witness_context(monkeypatch):
     with pytest.raises(InternalError, match="residue escaped weight 2") as err:
         inverse_with_factors(make_generator(mu(1, 2), basis))
     assert err.value.context == {"n": 2, "k": 3, "i": 1, "level": 2}
+
+
+def test_inverse_parity_guard_context(monkeypatch):
+    # A is the identity mod 2, so A^-1 must be too; an inverse matrix that
+    # is unimodular but swaps the generators mod 2 is refused before any
+    # lift is built
+    basis = hall_basis(2, 3)
+    e = make_generator(mu(1, 2), basis)
+    monkeypatch.setattr(autos, "inv_unimodular", lambda a: [[0, 1], [1, 0]])
+    monkeypatch.setattr(autos, "_epa_linear_lift", None)
+    with pytest.raises(InternalError, match="^inverse matrix lost the parity structure") as err:
+        inverse_with_factors(e)
+    assert err.value.context == {"n": 2, "k": 3}
+
+
+def test_law_calls_of_the_inverse_and_classify(monkeypatch):
+    # x1 -> x2 x1 x2 [x2,x3,x1] [x2,x3,x3] [x2,x3,x2], x2 -> x3 x2 x3,
+    # x3 -> x3.  The inverse evaluates the law for psi_1 and phi = e psi_1
+    # only: two rows of A^-1 other than e_i take a bar and two products
+    # each, and phi takes 6 products and 8 commutators.  The level-2
+    # factor, its check and the fold are block sums.  classify solves two
+    # witnesses with alpha != 0 and re-images one with beta != 0, a bar and
+    # two products each.  A compose or solve more would change the counts.
+    basis = hall_basis(3, 3)
+    e = parse_endo_file((GOLDEN_FIXTURES / "r3_mu_phi2.auto").read_text(), basis)
+    want = inverse_with_factors(e), classify(e)  # builds the witness lattices
+    calls = _count_law_calls(monkeypatch, basis, ("mul", "comm", "bar", "inv"))
+    assert inverse_with_factors(e) == want[0]
+    assert sorted(calls) == ["bar"] * 2 + ["comm"] * 8 + ["mul"] * 10
+    calls.clear()
+    assert classify(e) == want[1]
+    assert sorted(calls) == ["bar"] * 3 + ["mul"] * 6
 
 
 def test_inverse_certificate_rejects_an_odd_top_defect(monkeypatch):

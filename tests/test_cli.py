@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from nilpal.cli import main
+from nilpal.verify import CASE_CAPS
 
 MU12 = "x1 -> x2 x1 x2\nx2 -> x2\n"
 WILD = "x1 -> x1 [x1,x2,x1]\nx2 -> x2\n"
@@ -206,6 +207,18 @@ def test_verify_refuses_a_case_count_below_1(capsys):
         assert code == 1 and out == ""
         assert err == (f"nilpal: error: suite prop2.8 ran no cases at rank=None step=None "
                        f"cases={cases}; the case count is below 1\n")
+
+
+@pytest.mark.parametrize("suite,cap", sorted(CASE_CAPS.items()))
+def test_verify_refuses_a_case_count_over_the_cap(capsys, suite, cap):
+    # a count past the cap exits 1 before any case runs; the message names
+    # the cap
+    for cases in (cap + 1, 1_000_000_000):
+        code, out, err = run_cli(capsys, "--format", "kv", "verify", suite, "--cases", str(cases))
+        assert code == 1 and out == ""
+        assert err == (f"nilpal: error: suite {suite} ran no cases at rank=None step=None "
+                       f"cases={cases}; the case count is over the cap of {cap} "
+                       f"for this suite\n")
 
 
 @pytest.mark.parametrize("argv,why", [
