@@ -33,10 +33,6 @@ def mat_vec(a, v):
     return out
 
 
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
 def transpose(a):
     return [list(row) for row in zip(*a)] if a else []
 
