@@ -1103,9 +1103,25 @@ def verify_tame_factorization(which, basis, indices=None):
 # decomposition over the tameness-compatible families
 
 def _bglm_lattice(basis):
-    """`_lattice` of `_bglm_families(basis)` on every block."""
-    return _memo(basis, ("bglm_lattice",),
-                 lambda: _lattice(basis, _bglm_families(basis), range(basis.n)))
+    """`_lattice` of `_bglm_families(basis)` on every block, built once per
+    basis after checking that each family's `_central_sum` meets both
+    preconditions of `decompose_bglm`; InternalError names a family that
+    fails one."""
+    def build():
+        fams = _bglm_families(basis)
+        for fam in fams:
+            top = _central_sum(basis, fam)
+            if not _residue_of_defects(basis, top).is_zero():
+                why = "has a nonzero tameness residue"
+            elif not all(_in_central_lattice(basis, i, b) for i, b in enumerate(top, start=1)):
+                why = "is not central palindromic"
+            else:
+                continue
+            raise InternalError(f"BGLM family {why}", n=basis.n, k=basis.k,
+                                family=" ".join(map(render_symbol, fam)))
+        return _lattice(basis, fams, range(basis.n))
+
+    return _memo(basis, ("bglm_lattice",), build)
 
 
 def _bglm_families(basis):
@@ -1126,33 +1142,42 @@ def _bglm_families(basis):
 def decompose_bglm(e):
     """Factor an obstruction-free central palindromic automorphism over the
     canonical generator families (a single inner square generator at rank 2).
-    The factors are certified as in `decompose_central`.
+
+    The defects are solved for over the cached `_bglm_lattice` first, and
+    a solution is certified as in `decompose_central`.  The two
+    preconditions are checked only when the solve fails, to word the
+    refusal: a nonzero tameness obstruction, then a defect outside the
+    palindromic lattice of its generator, then a defect outside the
+    lattice the families generate.  A solved input needs neither check:
+    the residue is a linear form in the defects (`tameness_residue`), each
+    palindromic lattice is a lattice, and `_bglm_lattice` checked once
+    that every family meets both, so every integer combination does.
     """
     basis = e.basis
     _require_step3(basis)
     if basis.n < 2:
         raise ValueError("need rank >= 2")
     defects = _weight3_defects(e)
-    residue = _residue_of_defects(basis, defects)
-    if not residue.is_zero():
-        diag = [f"square defect (x{i}-1)^2: {residue.pair(i, i)}"
-                for i in range(1, basis.n + 1) if residue.pair(i, i)]
-        mixed = [f"mixed defect ({i},{j}): {residue.pair(i, j)}"
-                 for i in range(1, basis.n + 1) for j in range(i + 1, basis.n + 1)
-                 if residue.pair(i, j)]
-        raise PreconditionError(
-            "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
-        )
-    diagnostics = [
-        f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[1], defect))
-        for i, defect in enumerate(defects, start=1)
-        if not _in_central_lattice(basis, i, defect)
-    ]
-    if diagnostics:
-        raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
     fams, smith = _bglm_lattice(basis)
     sol = solve_from_smith(smith, [v for vec in defects for v in vec])
     if sol is None:
+        residue = _residue_of_defects(basis, defects)
+        if not residue.is_zero():
+            diag = [f"square defect (x{i}-1)^2: {residue.pair(i, i)}"
+                    for i in range(1, basis.n + 1) if residue.pair(i, i)]
+            mixed = [f"mixed defect ({i},{j}): {residue.pair(i, j)}"
+                     for i in range(1, basis.n + 1) for j in range(i + 1, basis.n + 1)
+                     if residue.pair(i, j)]
+            raise PreconditionError(
+                "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
+            )
+        diagnostics = [
+            f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[1], defect))
+            for i, defect in enumerate(defects, start=1)
+            if not _in_central_lattice(basis, i, defect)
+        ]
+        if diagnostics:
+            raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
         return Decomposition((), False, ("defect outside the generated lattice",))
     factors = _scaled_factors(fams, sol)
     dec = Decomposition(tuple(factors), True)

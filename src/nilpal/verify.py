@@ -6,6 +6,7 @@ thin wrappers around these functions.
 """
 
 import random
+from inspect import signature
 from itertools import chain, permutations, product
 
 from nilpal.autos import (
@@ -22,7 +23,10 @@ from nilpal.autos import (
     tameness_necessary,
 )
 from nilpal.foxring import check_fox_table
+from nilpal.kernel import shape_entries
 from nilpal.nilpotent import (
+    LAW_MAX_STEP,
+    MAX_SERIES_ENTRIES,
     NilElement,
     bar,
     collect,
@@ -298,12 +302,59 @@ FIXED_FLAGS = {
 }
 
 
-# The largest --cases each suite with a case count accepts.  At the
-# suite's default rank and step a unit of the count cost 18 us (prop2.8,
-# both ranks), 250 us (lemma4.2) and 190 us (prop3.1) on a 2-CPU x86 host,
-# and a count at the cap ran for 40, 39 and 34 s there, so within about
-# 60 s on a host 1.5x slower.  A larger rank or step costs more per case.
+# The largest --cases each suite with a case count accepts at its default
+# rank and step.  There a unit of the count cost 18 us (prop2.8, both
+# ranks), 250 us (lemma4.2) and 190 us (prop3.1) on a 2-CPU x86 host, and
+# a count at the cap ran for 40, 39 and 34 s there, so within about 60 s
+# on a host 1.5x slower.  `case_cap` scales a cap to other ranks and steps.
 CASE_CAPS = {"prop2.8": 2_000_000, "lemma4.2": 150_000, "prop3.1": 200_000}
+
+# The group operations a unit of each capped suite's count runs at rank n
+# and step k: prop2.8's identity takes about k products and commutators,
+# lemma4.2 moves n + 1 targets past each of the n(n-1)/2 weight-2
+# factors, and prop3.1 builds n images.
+CASE_OPS = {
+    "prop2.8": lambda n, k: k,
+    "lemma4.2": lambda n, k: n * (n + 1) * (n - 1) // 2,
+    "prop3.1": lambda n, k: n,
+}
+# How much more an operation on the series costs than one on the exponent
+# law, per series index entry.  Per entry of its group, a prop2.8 case
+# took 0.35 us at step 3 (ranks 3-6) and 1-20 us above it (steps 5-11,
+# ranks 2-4), the most at rank 2; at 16, by those times, a count at the
+# cap costs no more than one at the default cap at each of them.
+SERIES_PRICE = 16
+
+
+def _unit_price(name, rank, step):
+    """The cost of a unit of suite `name`'s count, summed over its ranks
+    2..rank: its `CASE_OPS` at each, each operation priced by the series
+    index entries of the group (`kernel.shape_entries`), `SERIES_PRICE`
+    times over above the law's step.  A rank whose group `hall_basis`
+    refuses ends the sum, as it ends the suite."""
+    total = 0
+    for n in range(2, rank + 1):
+        entries = shape_entries(n, step, MAX_SERIES_ENTRIES)
+        if entries > MAX_SERIES_ENTRIES:
+            break
+        total += CASE_OPS[name](n, step) * entries * (1 if step <= LAW_MAX_STEP else SERIES_PRICE)
+    return total
+
+
+def case_cap(name, rank=None, step=None):
+    """The largest --cases suite `name` accepts at (rank, step), a flag left
+    None taking the suite's default: `CASE_CAPS[name]` times the price of a
+    unit of the count at the defaults over its price here, so a count at
+    the cap costs about what one at the default cap does.  None when the
+    suite has no cap or the price is zero (no rank to run)."""
+    if name not in CASE_CAPS:
+        return None
+    flags = {flag: p.default for flag, p in signature(SUITES[name]).parameters.items()}
+    flags |= FIXED_FLAGS.get(name, {})
+    default = _unit_price(name, flags["rank"], flags["step"])
+    price = _unit_price(name, flags["rank"] if rank is None else rank,
+                        flags["step"] if step is None else step)
+    return CASE_CAPS[name] * default // price if price else None
 
 
 def run_suite(name, rank=None, step=None, seed=None, cases=None):
@@ -311,7 +362,7 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite, fixed = SUITES[name], FIXED_FLAGS.get(name, {})
-    takes = suite.__code__.co_varnames[:suite.__code__.co_argcount]
+    takes = signature(suite).parameters
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
     given = {flag: value for flag, value in given.items() if value is not None}
     refused = [f"; it runs at {flag} {fixed[flag]} only" if flag in fixed
@@ -320,8 +371,9 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
                if fixed.get(flag, value) != value or flag not in (*takes, *fixed)]
     if cases is not None and cases < 1:  # prop2.8 would run its exhaustive cases
         refused.append("; the case count is below 1")
-    elif cases is not None and cases > CASE_CAPS.get(name, cases):
-        refused.append(f"; the case count is over the cap of {CASE_CAPS[name]} for this suite")
+    elif (cap := case_cap(name, rank, step)) is not None and (cases or takes["cases"].default) > cap:
+        # the default count too: at a large rank it can cost hours
+        refused.append(f"; the case count is over the cap of {cap} for this suite")
     result = SuiteResult(name, 0) if refused else suite(
         **{flag: value for flag, value in given.items() if flag not in fixed})
     if not result.cases:

@@ -48,6 +48,9 @@ inverses, the reference for the factors that
 `autos.inverse_with_factors` gives an EPA input without a solve.
 `compose_symbols_by_chain` composes a symbol list one generator map at
 a time, the reference for `autos.compose_symbols`.
+`bglm_by_preconditions` checks the tameness residue and the
+palindromic lattices before it solves over the BGLM lattice, the
+reference for `autos.decompose_bglm`, which solves first.
 `fraction_combination` solves a lattice system over Fractions, the
 reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
 `dense_smith_solve` and `dense_lattice_diagnostics` read dense Smith
@@ -430,6 +433,46 @@ def hand_bglm_lattice(basis):
         for h, u, v in permutations(idx, 3):
             add((phi3(h, u, v, h), phi3(v, u, u, u)), [(h, dbl(h, u, v)), (u, dbl(v, u, u))])
     return [fam for fam, _ in out], [row for _, row in out]
+
+
+def bglm_by_preconditions(e):
+    """`autos.decompose_bglm` with its preconditions checked first: the
+    tameness residue, then membership of each defect in its generator's
+    palindromic lattice, and only then the solve over the BGLM lattice.
+    The reference for the order that `decompose_bglm` runs, which solves
+    first and checks the preconditions only to word a refusal."""
+    from nilpal import autos
+    from nilpal.intlinalg import solve_from_smith
+    from nilpal.nilpotent import InternalError, PreconditionError
+
+    basis = e.basis
+    autos._require_step3(basis)
+    if basis.n < 2:
+        raise ValueError("need rank >= 2")
+    defects = autos._weight3_defects(e)
+    residue = autos._residue_of_defects(basis, defects)
+    if not residue.is_zero():
+        n = basis.n
+        diag = [f"square defect (x{i}-1)^2: {residue.pair(i, i)}"
+                for i in range(1, n + 1) if residue.pair(i, i)]
+        mixed = [f"mixed defect ({i},{j}): {residue.pair(i, j)}"
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1) if residue.pair(i, j)]
+        raise PreconditionError("tameness obstruction is nonzero: " + "; ".join(diag + mixed))
+    diagnostics = [
+        f"x{i}: " + "; ".join(autos._lattice_diagnostics(autos._central_lattice(basis, i)[1], d))
+        for i, d in enumerate(defects, start=1) if not autos._in_central_lattice(basis, i, d)
+    ]
+    if diagnostics:
+        raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
+    fams, smith = autos._bglm_lattice(basis)
+    sol = solve_from_smith(smith, [v for vec in defects for v in vec])
+    if sol is None:
+        return autos.Decomposition((), False, ("defect outside the generated lattice",))
+    factors = autos._scaled_factors(fams, sol)
+    if autos._central_sum(basis, factors) != e.top_defects():
+        raise InternalError("decomposition failed to recompose",
+                            n=basis.n, k=basis.k, factors=len(factors))
+    return autos.Decomposition(tuple(factors), True)
 
 
 def compose_symbols_by_chain(symbols, basis):

@@ -1575,6 +1575,54 @@ def test_decompose_bglm_computes_defects_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_solved_decompose_bglm_checks_no_precondition(monkeypatch):
+    # on an obstruction-free palindromic input the solve succeeds, and the
+    # family check made once with the lattice stands for both
+    # preconditions; a refused input still runs them, residue first
+    basis = hall_basis(3, 3)
+    tame = compose_symbols([phi2(2, 1, 3), phi3(3, 1, 2, 2, -2), psi(1, 2), psi(1, 3, -1)], basis)
+    outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
+    autos._bglm_lattice(basis)
+    calls = []
+    for name in ("_residue_of_defects", "_in_central_lattice"):
+        def counting(*args, real=getattr(autos, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(autos, name, counting)
+    dec = decompose_bglm(tame)
+    assert dec.residual_trivial and dec.compose(basis) == tame
+    assert calls == []
+    with pytest.raises(PreconditionError, match="^not central palindromic"):
+        decompose_bglm(outside)
+    assert calls == ["_residue_of_defects"] + ["_in_central_lattice"] * 3
+
+
+def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
+    # a family put among the BGLM families that is obstructed, or that is
+    # obstruction-free but not central palindromic, stops the lattice
+    # build, so no integer combination of a bad family is ever accepted
+    # unchecked
+    basis = hall_basis(3, 3)
+    outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
+    assert tameness_residue(outside).is_zero()
+    # a made-up top-central symbol whose map is `outside`
+    monkeypatch.setitem(basis.memo, ("generator", "outside", ()), outside)
+    monkeypatch.setitem(basis.memo, ("top_entries", "outside", ()), autos._UNKNOWN)
+    real = autos._bglm_families
+    for family, why in [((phi2(2, 1, 1),), "has a nonzero tameness residue"),
+                        ((GeneratorSymbol("outside", (), 1),), "is not central palindromic")]:
+        monkeypatch.delitem(basis.memo, ("bglm_lattice",), raising=False)
+        monkeypatch.setattr(autos, "_bglm_families", lambda b, family=family: real(b) + [family])
+        for build in (autos._bglm_lattice, lambda b: decompose_bglm(identity_endo(b))):
+            with pytest.raises(InternalError, match=f"^BGLM family {why}") as err:
+                build(basis)
+            assert err.value.context == {"n": 3, "k": 3, "family": render_symbol(family[0])}
+            assert ("bglm_lattice",) not in basis.memo
+    monkeypatch.undo()
+    assert len(autos._bglm_lattice(basis)[0]) == 15
+
+
 def test_central_composes_and_defect_reads_make_no_law_calls(monkeypatch):
     # once the generators are warm, every compose of central maps at step 3
     # adds defect blocks, and the defects are read off the images

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from nilpal.cli import main
-from nilpal.verify import CASE_CAPS
+from nilpal.verify import CASE_CAPS, case_cap
 
 MU12 = "x1 -> x2 x1 x2\nx2 -> x2\n"
 WILD = "x1 -> x1 [x1,x2,x1]\nx2 -> x2\n"
@@ -219,6 +219,24 @@ def test_verify_refuses_a_case_count_over_the_cap(capsys, suite, cap):
         assert err == (f"nilpal: error: suite {suite} ran no cases at rank=None step=None "
                        f"cases={cases}; the case count is over the cap of {cap} "
                        f"for this suite\n")
+
+
+@pytest.mark.parametrize("suite,flag,value", [
+    ("prop2.8", "step", 7), ("lemma4.2", "rank", 4), ("prop3.1", "rank", 6),
+])
+def test_verify_prices_the_cap_by_rank_and_step(capsys, suite, flag, value):
+    # a case costs more at a larger rank or step, so the cap there is
+    # smaller; a count past it exits 1 before any case runs
+    cap = case_cap(suite, **{flag: value})
+    assert cap < CASE_CAPS[suite]
+    cases = cap + 1
+    code, out, err = run_cli(capsys, "--format", "kv", "verify", suite, f"--{flag}", str(value),
+                             "--cases", str(cases))
+    assert code == 1 and out == ""
+    given = {"rank": None, "step": None, flag: value}
+    assert err == (f"nilpal: error: suite {suite} ran no cases at rank={given['rank']} "
+                   f"step={given['step']} cases={cases}; the case count is over the cap "
+                   f"of {cap} for this suite\n")
 
 
 @pytest.mark.parametrize("argv,why", [

@@ -1,9 +1,9 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
 pi-level, the Fox-derivative tameness residue, the Smith-form lattice
-solve, the peel, the series-path `collect`, the bracket lifts, the
-per-degree series kernel and the group operations above the law's step
-over generated inputs."""
+solve, the order of the BGLM decomposition's checks, the peel, the
+series-path `collect`, the bracket lifts, the per-degree series kernel and
+the group operations above the law's step over generated inputs."""
 
 import random
 from fractions import Fraction
@@ -17,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
+    bglm_by_preconditions,
     bracket_by_three_products,
     by_degree,
     compose_symbols_by_chain,
@@ -49,6 +50,7 @@ from oracles import (  # noqa: E402
     word_tameness_residue,
 )
 
+from nilpal import autos  # noqa: E402
 from nilpal.autos import (  # noqa: E402
     Endo,
     GeneratorSymbol,
@@ -57,6 +59,7 @@ from nilpal.autos import (  # noqa: E402
     classify,
     compose,
     compose_symbols,
+    decompose_bglm,
     identity_endo,
     inverse_with_factors,
     make_generator,
@@ -724,6 +727,58 @@ def central_automorphisms(draw):
 @given(central_automorphisms())
 def test_tameness_residue_matches_the_free_word_path(e):
     assert tameness_residue(e) == word_tameness_residue(e)
+
+
+@st.composite
+def bglm_inputs(draw):
+    """At (2,3), (3,3) or (4,3): an integer combination of up to four BGLM
+    families, the same map with one top entry moved by +-1, or a product
+    of up to four phi2, phi3 and psi symbols."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    basis = hall_basis(n, 3)
+    kind = draw(st.sampled_from(("families", "moved", "symbols")))
+    if kind == "symbols":
+        syms = draw(st.lists(symbols(n, families=("phi2", "phi3", "psi")), max_size=4))
+        return kind, compose_symbols(syms, basis)
+    fams = autos._bglm_families(basis)
+    picks = draw(st.lists(st.tuples(st.sampled_from(fams), st.integers(-3, 3)), max_size=4))
+    e = compose_symbols([GeneratorSymbol(s.tag, s.params, m * s.exponent)
+                         for fam, m in picks for s in fam], basis)
+    if kind == "moved":
+        blocks = [list(block) for block in e.top_defects()]
+        block = blocks[draw(st.integers(0, n - 1))]
+        block[draw(st.integers(0, len(block) - 1))] += draw(st.sampled_from((-1, 1)))
+        e = autos._central_map(basis, blocks)
+    return kind, e
+
+
+def _decompose_or_refuse(run, e):
+    """(residual_trivial, the Decomposition), or the class and text of the
+    refusal."""
+    try:
+        dec = run(e)
+    except ValueError as exc:  # PreconditionError is a ValueError
+        return type(exc), str(exc)
+    return dec.residual_trivial, dec
+
+
+def test_decompose_bglm_matches_the_precondition_order():
+    seen = set()
+
+    @given(bglm_inputs())
+    def check(case):
+        kind, e = case
+        got = _decompose_or_refuse(decompose_bglm, e)
+        assert got == _decompose_or_refuse(bglm_by_preconditions, e)
+        seen.add((kind, got[0] if isinstance(got[0], bool) else got[1].split(":")[0]))
+
+    check()
+    # combinations of the families decompose; a moved entry meets both
+    # refusals; products of the generators are palindromic, and some are
+    # obstructed, some decompose and some lie outside the generated lattice
+    assert {("families", True), ("moved", "tameness obstruction is nonzero"),
+            ("moved", "not central palindromic"), ("symbols", True), ("symbols", False),
+            ("symbols", "tameness obstruction is nonzero")} <= seen
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(

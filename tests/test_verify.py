@@ -6,7 +6,7 @@ import pytest
 
 from nilpal import verify
 from nilpal.nilpotent import hall_basis, multiply
-from nilpal.verify import SUITES, prop33_cases, run_suite, suite_prop28
+from nilpal.verify import CASE_CAPS, SUITES, case_cap, prop33_cases, run_suite, suite_prop28
 
 
 @pytest.mark.parametrize(
@@ -28,6 +28,28 @@ def test_suite_passes(name, kwargs):
     result = run_suite(name, **kwargs)
     assert result.ok, result.failures[:3]
     assert result.cases > 0
+
+
+def test_case_caps_fall_as_the_rank_and_step_rise():
+    # at the defaults the cap is the listed one; each larger rank or step
+    # prices a case higher, and a suite with no case count has no cap
+    for name, cap in CASE_CAPS.items():
+        assert case_cap(name) == cap
+    steps = [case_cap("prop2.8", step=k) for k in (3, 5, 7, 9)]
+    ranks = {name: [case_cap(name, rank=n) for n in range(2, 7)]
+             for name in ("prop2.8", "lemma4.2", "prop3.1")}
+    for caps in (steps, *ranks.values()):
+        assert caps == sorted(caps, reverse=True) and len(set(caps)) == len(caps)
+    assert case_cap("jacobi") is None
+    # no rank to run: no price, so no cap; the suite refuses the run itself
+    assert case_cap("lemma4.2", rank=1) is None
+
+
+def test_default_case_count_over_the_cap_is_refused():
+    # lemma4.2's default 50 cases at rank 13 would run for minutes
+    assert case_cap("lemma4.2", rank=13) < 50
+    with pytest.raises(ValueError, match="over the cap of"):
+        run_suite("lemma4.2", rank=13)
 
 
 def test_suites_are_deterministic():
