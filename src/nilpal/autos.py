@@ -316,13 +316,14 @@ def _witness_lattice(basis, i):
     every basis element of gamma_2 keeps the head of x_i (its coordinates
     below weight 3 are e_i), and each h(c) is c^2.
 
-    The lattice of the rows and 2Z^m3 is that of `_central_lattice(basis,
-    i)`: both contain 2Z^m3 (the phi3 rows are the 2 e_c), and the row of
-    phi2(a,b,i) is congruent mod 2 to h([x_a,x_b]) (Lemma 4.2: z x_i bar(z)
-    = x_i D with D its defect, and z x_i bar(z) = x_i h(bar(z)) with
-    bar(z) = z^-1 c, c in gamma_3, so D = -h(z) + 2c).  The phi2 rows come
-    in the order of the z_j and the phi3 rows are even, so the two echelons
-    are equal, mask and combo."""
+    The lattice of the rows and 2Z^m3 is that of the families of
+    `_central_lattice(basis, i)`: both contain 2Z^m3 (the phi3 rows are the
+    2 e_c), and the row of phi2(a,b,i) is congruent mod 2 to h([x_a,x_b])
+    (Lemma 4.2: z x_i bar(z) = x_i D with D its defect, and z x_i bar(z) =
+    x_i h(bar(z)) with bar(z) = z^-1 c, c in gamma_3, so D = -h(z) + 2c).
+    The phi2 families come in the order of the z_j and the phi3 rows are
+    even, so this is their echelon too, mask and combo: bit j of a combo
+    names phi2 family j (`decompose_central`)."""
     def build():
         start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
         size = len(basis.elements)
@@ -885,15 +886,6 @@ def _family_row(basis, family, blocks):
     return [v for j in blocks for v in top[j]]
 
 
-def _lattice(basis, families, blocks):
-    """(families, Smith factors) of a decomposition lattice: a family is a
-    tuple of generator symbols that one coefficient scales together, and
-    its row is `_family_row`.  The factors, kept as the sparse columns of
-    `intlinalg.SmithFactors`, are built once from the rows and serve
-    `solve_from_smith` and the diagnostics; the rows are not kept."""
-    return families, lattice_factors([_family_row(basis, fam, blocks) for fam in families])
-
-
 def _scaled_factors(families, sol):
     """The symbols of each family, their exponents times its coefficient."""
     return [GeneratorSymbol(s.tag, s.params, coeff * s.exponent)
@@ -901,66 +893,75 @@ def _scaled_factors(families, sol):
 
 
 def _central_lattice(basis, i):
-    """`_lattice` of the defects reachable at generator i: the families
-    phi2(a,b,i) with a > b, and phi3(a,b,c,i) for each weight-3 basis
-    element [x_a,x_b,x_c], each row the top defect of x_i alone."""
+    """(families, phi2 rows, echelon) of the defects reachable at generator
+    i: phi2(a,b,i) per weight-2 basis element [x_a,x_b], in their order,
+    then phi3(a,b,c,i) per weight-3 basis element [x_a,x_b,x_c].  A row is
+    block i of a family's `_central_sum`: the phi2 rows kept as entries
+    (position, value), the phi3 rows 2 e_c.  The echelon is the rows' mod
+    2, which is `_witness_lattice(basis, i)`."""
     def build():
-        fams = [(phi2(a, b, i),) for a in range(1, basis.n + 1) for b in range(1, a)]
+        fams = [(phi2(z.left.gen, z.right.gen, i),) for z in basis.by_weight[1]]
+        rows = [[(j, v) for j, v in enumerate(_central_sum(basis, fam)[i - 1]) if v]
+                for fam in fams]
         fams += [(phi3(c.left.left.gen, c.left.right.gen, c.right.gen, i),)
                  for c in basis.by_weight[2]]
-        return _lattice(basis, fams, [i - 1])
+        return fams, rows, _witness_lattice(basis, i)
 
     return _memo(basis, ("central_lattice", i), build)
 
 
 def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the lattice of `_central_lattice(basis, i)`, which
-    is the witness lattice of generator i (`_witness_lattice`).  It
-    contains 2Z^m3, so parity decides: vec is in it iff vec mod 2 is in
-    the span of the witness rows mod 2."""
+    """Whether vec is in the central lattice of generator i.  It is the
+    witness lattice, which contains 2Z^m3, so parity decides: vec mod 2
+    must reduce to zero by `_witness_lattice(basis, i)`."""
     return not _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
 
 
-def _lattice_diagnostics(factors, target):
-    """Why `target` is outside a lattice, read from its Smith factors
-    `lattice_factors(rows)`: the classes j where d_j does not divide
-    (u target)_j, and the nonzero coordinates of u target from the rank
-    on."""
-    c = factors.u_times(target)
-    diag = factors.diag
-    out = [f"class {j}: residue {cj % dj} mod {dj}"
-           for j, (cj, dj) in enumerate(zip(c, diag)) if cj % dj]
-    out += [f"coordinate {j}: unreachable value {c[j]}"
-            for j in range(len(diag), len(c)) if c[j]]
-    return tuple(out)
+def _odd_diagnostic(basis, i, vec):
+    """`x{i}: odd at` the weight-3 basis elements at the set bits of the
+    rest of vec's parity mask reduced by `_witness_lattice(basis, i)`.
+    The rest is zero at every pivot bit, the one such member of vec's
+    coset mod the lattice, so the text depends only on that coset."""
+    rest = _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
+    return f"x{i}: odd at " + " ".join(
+        str(c) for j, c in enumerate(basis.by_weight[2]) if rest >> j & 1)
 
 
 def decompose_central(e):
     """Write a central palindromic automorphism over the phi2/phi3 families.
 
-    Returns residual_trivial=False with lattice diagnostics when the defect
-    of some generator falls outside the palindromic lattice.
+    Per generator i with a nonzero defect, its parity mask is reduced by
+    the echelon of `_central_lattice(basis, i)`.  A nonzero rest is a
+    refusal: residual_trivial=False, with an `_odd_diagnostic` per such
+    generator.  Else bit j of the combo names phi2 family j at exponent 1;
+    the defect less those rows is even, and its half gives the phi3
+    exponents.  The echelon has one row per phi2 family, so this is the
+    only factor list whose phi2 exponents are all 0 or 1.
 
     The factors are certified by their `_central_sum` against e's top
-    blocks.  That is the recompose check `Decomposition.compose(basis) ==
-    e` restated: every factor is top-central, so `compose_symbols` returns
-    `_central_map` of exactly this sum (the identity when it is zero); e
-    is top-central (`_weight3_defects`); and two top-central maps are
-    equal iff their blocks are, their images being e_i followed by the
-    block.  `decompose_bglm` is certified the same way.
+    blocks: the recompose check `Decomposition.compose(basis) == e`
+    restated, as every factor and e are top-central (`compose_symbols`,
+    `_weight3_defects`), and two such maps are equal iff their blocks
+    are, their images being e_i followed by the block.  `decompose_bglm`
+    is certified the same way.
     """
     basis = e.basis
     _require_step3(basis)
     defects = _weight3_defects(e)
     factors = []
     diagnostics = []
-    for i in range(1, basis.n + 1):
-        fams, smith = _central_lattice(basis, i)
-        sol = solve_from_smith(smith, defects[i - 1])
-        if sol is None:
-            diagnostics.append(f"x{i}: " + "; ".join(_lattice_diagnostics(smith, defects[i - 1])))
+    for i, defect in enumerate(defects, start=1):
+        if not any(defect):
             continue
-        factors.extend(_scaled_factors(fams, sol))
+        fams, rows, echelon = _central_lattice(basis, i)
+        rest, combo = _reduce_mod2(echelon, _parity_mask(defect))
+        if rest:
+            diagnostics.append(_odd_diagnostic(basis, i, defect))
+            continue
+        sol = [combo >> j & 1 for j in range(len(rows))]
+        for j, v in (entry for bit, row in zip(sol, rows) if bit for entry in row):
+            defect[j] -= v
+        factors.extend(_scaled_factors(fams, sol + [v >> 1 for v in defect]))
     if diagnostics:
         return Decomposition((), False, tuple(diagnostics))
     dec = Decomposition(tuple(factors), True)
@@ -1103,10 +1104,10 @@ def verify_tame_factorization(which, basis, indices=None):
 # decomposition over the tameness-compatible families
 
 def _bglm_lattice(basis):
-    """`_lattice` of `_bglm_families(basis)` on every block, built once per
-    basis after checking that each family's `_central_sum` meets both
-    preconditions of `decompose_bglm`; InternalError names a family that
-    fails one."""
+    """(families, Smith factors) of `_bglm_families(basis)`, rows
+    `_family_row` on every block and not kept, built once per basis after
+    checking that each family's `_central_sum` meets both preconditions
+    of `decompose_bglm`; InternalError names a family that fails one."""
     def build():
         fams = _bglm_families(basis)
         for fam in fams:
@@ -1119,7 +1120,7 @@ def _bglm_lattice(basis):
                 continue
             raise InternalError(f"BGLM family {why}", n=basis.n, k=basis.k,
                                 family=" ".join(map(render_symbol, fam)))
-        return _lattice(basis, fams, range(basis.n))
+        return fams, lattice_factors([_family_row(basis, fam, range(basis.n)) for fam in fams])
 
     return _memo(basis, ("bglm_lattice",), build)
 
@@ -1171,11 +1172,9 @@ def decompose_bglm(e):
             raise PreconditionError(
                 "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
             )
-        diagnostics = [
-            f"x{i}: " + "; ".join(_lattice_diagnostics(_central_lattice(basis, i)[1], defect))
-            for i, defect in enumerate(defects, start=1)
-            if not _in_central_lattice(basis, i, defect)
-        ]
+        diagnostics = [_odd_diagnostic(basis, i, defect)
+                       for i, defect in enumerate(defects, start=1)
+                       if not _in_central_lattice(basis, i, defect)]
         if diagnostics:
             raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
         return Decomposition((), False, ("defect outside the generated lattice",))

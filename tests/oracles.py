@@ -51,11 +51,15 @@ a time, the reference for `autos.compose_symbols`.
 `bglm_by_preconditions` checks the tameness residue and the
 palindromic lattices before it solves over the BGLM lattice, the
 reference for `autos.decompose_bglm`, which solves first.
+`odd_rest_by_hand` reduces a defect mod 2 by its own elimination of the
+`hand_central_lattice` rows, the reference for the odd rest that
+`autos` reads off the witness echelon, and `odd_diagnostic_by_hand`
+names it as `autos` does.
 `fraction_combination` solves a lattice system over Fractions, the
 reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
-`dense_smith_solve` and `dense_lattice_diagnostics` read dense Smith
-factors by full products, the references for `solve_from_smith` and
-`autos._lattice_diagnostics` on the sparse columns of the same factors.
+`dense_smith_solve` reads dense Smith factors by full products, the
+reference for `solve_from_smith` on the sparse columns of the same
+factors, and for membership of the central lattices.
 `pivot_solve_by_sweep` substitutes through every step of a
 `PivotSolver`'s factors over Fractions, the reference for the sweeps of
 `PivotSolver.solve` that visit only the steps holding a value.
@@ -435,12 +439,45 @@ def hand_bglm_lattice(basis):
     return [fam for fam, _ in out], [row for _, row in out]
 
 
+def odd_rest_by_hand(basis, i, vec):
+    """The positions where the canonical odd rest of vec at generator i is
+    odd: vec mod 2 reduced modulo the span mod 2 of the
+    `hand_central_lattice(basis, i)` rows to the one member of its coset
+    that is zero at every position that is the highest of some nonzero
+    vector of that span.  Elimination on sets of positions, pivoting on
+    the highest one; empty iff vec is in the lattice, which contains
+    2Z^m3."""
+    pivots = {}
+
+    def reduce(bits):
+        for p in sorted(pivots, reverse=True):
+            if p in bits:
+                bits = bits ^ pivots[p]
+        return bits
+
+    for row in hand_central_lattice(basis, i)[1]:
+        bits = reduce({j for j, v in enumerate(row) if v % 2})
+        if bits:
+            pivots[max(bits)] = bits
+    return reduce({j for j, v in enumerate(vec) if v % 2})
+
+
+def odd_diagnostic_by_hand(basis, i, vec):
+    """`x{i}: odd at` the weight-3 basis elements [x_a,x_b,x_c] at the
+    positions of `odd_rest_by_hand`, in basis order."""
+    cs = basis.by_weight[2]
+    return f"x{i}: odd at " + " ".join(
+        f"[x{cs[j].left.left.gen},x{cs[j].left.right.gen},x{cs[j].right.gen}]"
+        for j in sorted(odd_rest_by_hand(basis, i, vec)))
+
+
 def bglm_by_preconditions(e):
     """`autos.decompose_bglm` with its preconditions checked first: the
     tameness residue, then membership of each defect in its generator's
-    palindromic lattice, and only then the solve over the BGLM lattice.
-    The reference for the order that `decompose_bglm` runs, which solves
-    first and checks the preconditions only to word a refusal."""
+    palindromic lattice, decided and worded by `odd_diagnostic_by_hand`,
+    and only then the solve over the BGLM lattice.  The reference for the
+    order that `decompose_bglm` runs, which solves first and checks the
+    preconditions only to word a refusal."""
     from nilpal import autos
     from nilpal.intlinalg import solve_from_smith
     from nilpal.nilpotent import InternalError, PreconditionError
@@ -458,10 +495,8 @@ def bglm_by_preconditions(e):
         mixed = [f"mixed defect ({i},{j}): {residue.pair(i, j)}"
                  for i in range(1, n + 1) for j in range(i + 1, n + 1) if residue.pair(i, j)]
         raise PreconditionError("tameness obstruction is nonzero: " + "; ".join(diag + mixed))
-    diagnostics = [
-        f"x{i}: " + "; ".join(autos._lattice_diagnostics(autos._central_lattice(basis, i)[1], d))
-        for i, d in enumerate(defects, start=1) if not autos._in_central_lattice(basis, i, d)
-    ]
+    diagnostics = [odd_diagnostic_by_hand(basis, i, d)
+                   for i, d in enumerate(defects, start=1) if odd_rest_by_hand(basis, i, d)]
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
     fams, smith = autos._bglm_lattice(basis)
@@ -502,19 +537,6 @@ def dense_smith_solve(factors, b):
         return None
     y = [[c[i][0] // d[i][i]] if i < rank else [0] for i in range(len(v))]
     return [row[0] for row in mat_mul(v, y)]
-
-
-def dense_lattice_diagnostics(factors, target):
-    """`autos._lattice_diagnostics` read from dense Smith factors
-    (u, d, v) by a full product u target."""
-    u, d, v = factors
-    c = [row[0] for row in mat_mul(u, [[x] for x in target])]
-    r = min(len(u), len(v))
-    out = [f"class {j}: residue {c[j] % d[j][j]} mod {d[j][j]}"
-           for j in range(r) if d[j][j] and c[j] % d[j][j]]
-    rank = sum(1 for j in range(r) if d[j][j])
-    out += [f"coordinate {j}: unreachable value {c[j]}" for j in range(rank, len(u)) if c[j]]
-    return tuple(out)
 
 
 def pi_level_by_search(e):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 from oracles import (
-    dense_lattice_diagnostics,
     dense_smith_solve,
     epa_inverse_by_witnesses,
     gf2_rank,
@@ -1028,9 +1027,13 @@ def test_records_keep_their_repr_equality_defaults_and_immutability():
     assert repr(classify(identity_endo(hall_basis(2, 4)))) == (
         "AutoFlags(is_ia=True, is_central=True, is_elementary_palindromic=None, "
         "is_palindromic=None, pi_level=None, notes=('palindromicity undecided for step > 3',))")
+    # phi2(2,1;3)^2 has an even defect: in the canonical form it is the
+    # phi3 factors of half of it
     dec = decompose_central(make_generator(phi2(2, 1, 3, 2), basis))
-    assert repr(dec) == ("Decomposition(factors=(GeneratorSymbol(tag='phi2', params=(2, 1, 3), "
-                         "exponent=2),), residual_trivial=True, diagnostics=())")
+    assert repr(dec) == ("Decomposition(factors=(GeneratorSymbol(tag='phi3', params=(2, 1, 1, 3), "
+                         "exponent=1), GeneratorSymbol(tag='phi3', params=(2, 1, 2, 3), exponent=1), "
+                         "GeneratorSymbol(tag='phi3', params=(2, 1, 3, 3), exponent=1)), "
+                         "residual_trivial=True, diagnostics=())")
     a, b = mu(1, 2), GeneratorSymbol("mu", (1, 2))
     assert b.exponent == 1
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
@@ -1210,9 +1213,9 @@ def test_central_and_witness_echelons_are_equal(n):
     # order, and the phi3 rows are even: one lattice, one echelon
     basis = hall_basis(n, 3)
     for i in range(1, n + 1):
-        fams, _ = autos._central_lattice(basis, i)
+        fams, _, echelon = autos._central_lattice(basis, i)
         central = autos._mod2_echelon([autos._family_row(basis, fam, [i - 1]) for fam in fams])
-        assert central == autos._witness_lattice(basis, i)
+        assert central == echelon == autos._witness_lattice(basis, i)
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -1311,9 +1314,9 @@ def test_decompose_bglm_rejects_obstructed():
 
 @pytest.mark.parametrize("n,texts,message", [
     (2, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]"],
-     "not central palindromic: x1: class 1: residue 1 mod 2; x2: class 1: residue 1 mod 2"),
+     "not central palindromic: x1: odd at [x2,x1,x1]; x2: odd at [x2,x1,x2]"),
     (3, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"],
-     "not central palindromic: x1: class 5: residue 1 mod 2; x2: class 3: residue 1 mod 2"),
+     "not central palindromic: x1: odd at [x2,x1,x1]; x2: odd at [x2,x1,x2]"),
 ])
 def test_decompose_bglm_rejects_non_palindromic(monkeypatch, n, texts, message):
     # obstruction-free but outside the palindromic lattice: the message
@@ -1337,13 +1340,14 @@ def test_decompose_bglm_rejects_non_palindromic(monkeypatch, n, texts, message):
 @pytest.mark.parametrize("n, families", [(2, 1), (3, 15), (4, 72)])
 def test_lattices_match_the_hand_built_rows(n, families):
     # rows read off the generator maps equal the rows written out from the
-    # commutators, and so do their Smith factors
+    # commutators; so do the kept phi2 rows, and the BGLM Smith factors
     basis = hall_basis(n, 3)
+    m2 = len(basis.by_weight[1])
     for i in range(1, n + 1):
-        fams, smith = autos._central_lattice(basis, i)
+        fams, phi2_rows, _ = autos._central_lattice(basis, i)
         rows = [autos._family_row(basis, fam, [i - 1]) for fam in fams]
         assert (fams, rows) == hand_central_lattice(basis, i)
-        assert smith == lattice_factors(hand_central_lattice(basis, i)[1])
+        assert phi2_rows == [[(j, v) for j, v in enumerate(row) if v] for row in rows[:m2]]
     fams, smith = autos._bglm_lattice(basis)
     rows = [autos._family_row(basis, fam, range(n)) for fam in fams]
     assert len(fams) == families
@@ -1644,7 +1648,7 @@ def test_warm_decompositions_run_no_smith_form(monkeypatch):
     central = compose_symbols([phi2(2, 1, 3, 2), phi3(3, 1, 2, 1, -1)], basis)
     tame = compose_symbols([phi2(2, 1, 3), phi3(3, 1, 2, 2)], basis)
     outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
-    message = "not central palindromic: x1: class 5: residue 1 mod 2; x2: class 3: residue 1 mod 2"
+    message = "not central palindromic: x1: odd at [x2,x1,x1]; x2: odd at [x2,x1,x2]"
 
     def run():
         assert decompose_central(central).compose(basis) == central
@@ -1667,15 +1671,29 @@ def test_warm_decompositions_run_no_smith_form(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decompose_central_runs_no_smith_form(monkeypatch, n):
+    # from a cleared memo and again warm: the parity route builds the
+    # witness echelons and the phi2 rows, and no Smith form
+    basis = hall_basis(n, 3)
+    monkeypatch.setattr(basis, "memo", {})
+    calls = []
+    real = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: calls.append(1) or real(a))
+    central = compose_symbols([phi2(2, 1, n, -1), phi3(2, 1, 2, 1, 3), phi2(2, 1, 1)], basis)
+    outside = autos._central_map(basis, [[1] + [0] * (len(block) - 1)
+                                         for block in central.top_defects()])
+    for _ in range(2):
+        dec = decompose_central(central)
+        assert dec.residual_trivial and dec.compose(basis) == central
+        assert not decompose_central(outside).residual_trivial
+    assert calls == []
+
+
 def test_cached_lattice_solve_matches_lattice_solve():
     rng = random.Random(7)
-    lattices = []
-    for n in (2, 3):
-        basis = hall_basis(n, 3)
-        for i in range(1, n + 1):
-            lattices.append((hand_central_lattice(basis, i)[1],
-                             autos._central_lattice(basis, i)[1]))
-        lattices.append((hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]))
+    lattices = [(hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1])
+                for basis in (hall_basis(2, 3), hall_basis(3, 3))]
     for rows, factors in lattices:
         dim = len(rows[0])
         for trial in range(40):
@@ -1689,38 +1707,30 @@ def test_cached_lattice_solve_matches_lattice_solve():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sparse_smith_solves_match_dense_products(n):
-    # every central and BGLM lattice keeps the nonzero entries of the
-    # columns of its Smith factors; solving and explaining through them
-    # gives what full products with the same dense factors give
+    # the BGLM lattice keeps the nonzero entries of the columns of its
+    # Smith factors; solving through them gives what full products with
+    # the same dense factors give
     basis = hall_basis(n, 3)
-    lattices = [(hand_central_lattice(basis, i)[1], autos._central_lattice(basis, i)[1])
-                for i in range(1, n + 1)]
-    lattices.append((hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]))
+    rows, factors = hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]
     rng = random.Random(n)
     seen = set()
-    for rows, factors in lattices:
-        u, d, v = dense = intlinalg.smith_normal_form(intlinalg.transpose(rows))
-        for sparse, full in ((factors.ucols, u), (factors.vcols, v)):
-            assert [[dict(col).get(i, 0) for col in sparse] for i in range(len(full))] == full
-        assert list(factors.diag) == [d[j][j] for j in range(min(len(u), len(v))) if d[j][j]]
-        dim = len(rows[0])
-        for trial in range(40):
-            # lattice points, and lattice points moved by one or two units
-            coeffs = [rng.randint(-2, 2) for _ in rows]
-            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
-            for _ in range(trial % 3):
-                vec[rng.randrange(dim)] += rng.choice((-1, 1))
-            x = solve_from_smith(factors, vec)
-            assert x == dense_smith_solve(dense, vec)
-            assert (x is None) == (lattice_solve(rows, vec) is None)
-            text = autos._lattice_diagnostics(factors, vec)
-            assert text == dense_lattice_diagnostics(dense, vec)
-            assert bool(text) == (x is None)
-            seen.update(line.split()[0] for line in text)
-            seen.add(x is None)
-    # both outcomes, and at n = 4 both kinds of diagnostic line
-    assert {True, False} <= seen
-    assert n < 4 or {"class", "coordinate"} <= seen
+    u, d, v = dense = intlinalg.smith_normal_form(intlinalg.transpose(rows))
+    for sparse, full in ((factors.ucols, u), (factors.vcols, v)):
+        assert [[dict(col).get(i, 0) for col in sparse] for i in range(len(full))] == full
+    assert list(factors.diag) == [d[j][j] for j in range(min(len(u), len(v))) if d[j][j]]
+    dim = len(rows[0])
+    for trial in range(40):
+        # lattice points, and lattice points moved by one or two units
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
+        for _ in range(trial % 3):
+            vec[rng.randrange(dim)] += rng.choice((-1, 1))
+        x = solve_from_smith(factors, vec)
+        assert x == dense_smith_solve(dense, vec)
+        assert (x is None) == (lattice_solve(rows, vec) is None)
+        seen.add(x is None)
+    # both outcomes
+    assert seen == {True, False}
 
 
 def test_recompose_catches_a_corrupted_coefficient(monkeypatch):

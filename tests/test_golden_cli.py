@@ -54,7 +54,7 @@ def _cases():
                 "--rank", "3", "--step", "3", "--format", "kv",
                 "auto", op, f"fixtures/r3_{name}.auto"]
     # rank 4: phi2, phi3 and psi-pair symbols with exponents +-1 and +-2,
-    # and a defect outside the lattice whose diagnostics are read from U
+    # and a defect outside the lattice whose diagnostic names its odd rest
     for name in RANK4_DECOMPOSE:
         for op in ("decompose-bglm", "decompose-central"):
             cases[f"auto-{op}-r4-{name}"] = [

@@ -1,9 +1,10 @@
 """Properties of the group law, endomorphisms, the word grammar, the
 palindromic witness solver, the layered inverse, the generator symbols, the
 pi-level, the Fox-derivative tameness residue, the Smith-form lattice
-solve, the order of the BGLM decomposition's checks, the peel, the
-series-path `collect`, the bracket lifts, the per-degree series kernel and
-the group operations above the law's step over generated inputs."""
+solve, the order of the BGLM decomposition's checks, the parity route of
+the central decomposition, the peel, the series-path `collect`, the
+bracket lifts, the per-degree series kernel and the group operations
+above the law's step over generated inputs."""
 
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from oracles import (  # noqa: E402
     bracket_by_three_products,
     by_degree,
     compose_symbols_by_chain,
+    dense_smith_solve,
     element_series,
     epa_inverse_by_witnesses,
     exponents_series_by_fold,
@@ -32,6 +34,7 @@ from oracles import (  # noqa: E402
     fraction_inv_unimodular,
     generator_series,
     gf2_rank,
+    hand_central_lattice,
     inverse_series,
     lift_by_three_products,
     peel_by_block_division,
@@ -60,6 +63,7 @@ from nilpal.autos import (  # noqa: E402
     compose,
     compose_symbols,
     decompose_bglm,
+    decompose_central,
     identity_endo,
     inverse_with_factors,
     make_generator,
@@ -75,7 +79,13 @@ from nilpal.autos import (  # noqa: E402
 )
 from nilpal import kernel  # noqa: E402
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
-from nilpal.intlinalg import inv_unimodular, lattice_factors, solve_from_smith  # noqa: E402
+from nilpal.intlinalg import (  # noqa: E402
+    inv_unimodular,
+    lattice_factors,
+    smith_normal_form,
+    solve_from_smith,
+    transpose,
+)
 from nilpal.nilpotent import (  # noqa: E402
     HallBasis,
     InternalError,
@@ -779,6 +789,64 @@ def test_decompose_bglm_matches_the_precondition_order():
     assert {("families", True), ("moved", "tameness obstruction is nonzero"),
             ("moved", "not central palindromic"), ("symbols", True), ("symbols", False),
             ("symbols", "tameness obstruction is nonzero")} <= seen
+
+
+@lru_cache(maxsize=None)
+def _hand_central(n, i):
+    """(rows, dense Smith factors of their transpose) of
+    `hand_central_lattice` at (n,3), generator i."""
+    rows = hand_central_lattice(hall_basis(n, 3), i)[1]
+    return rows, smith_normal_form(transpose(rows))
+
+
+@st.composite
+def central_lattice_points(draw):
+    """(kind, basis, blocks) at (2,3), (3,3) or (4,3): per generator, an
+    integer combination of its `hand_central_lattice` rows with
+    coefficients in [-2, 2]; when kind is "moved", one entry of each block
+    is then moved by +-1."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    basis = hall_basis(n, 3)
+    blocks = []
+    for i in range(1, n + 1):
+        rows = _hand_central(n, i)[0]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        blocks.append([sum(c * row[j] for c, row in zip(coeffs, rows))
+                       for j in range(len(rows[0]))])
+    kind = draw(st.sampled_from(("inside", "moved")))
+    if kind == "moved":
+        for block in blocks:
+            block[draw(st.integers(0, len(block) - 1))] += draw(st.sampled_from((-1, 1)))
+    return kind, basis, blocks
+
+
+def test_decompose_central_matches_the_smith_oracle():
+    seen = set()
+
+    @given(central_lattice_points())
+    def check(case):
+        kind, basis, blocks = case
+        n = basis.n
+        e = autos._central_map(basis, blocks)
+        dec = decompose_central(e)
+        inside = all(dense_smith_solve(_hand_central(n, i)[1], block) is not None
+                     for i, block in enumerate(blocks, 1))
+        assert dec.residual_trivial == inside
+        if inside:
+            assert all(f.exponent == 1 for f in dec.factors if f.tag == "phi2")
+            assert dec.compose(basis) == e
+        else:
+            # the text names the coset of each defect, not the defect
+            for i in range(1, n + 1):
+                for row in _hand_central(n, i)[0]:
+                    moved = [list(block) for block in blocks]
+                    moved[i - 1] = [v + r for v, r in zip(moved[i - 1], row)]
+                    assert decompose_central(autos._central_map(basis, moved)) == dec
+        seen.add((n, kind, inside))
+
+    check()
+    # at each rank, lattice points decompose and moved entries are refused
+    assert {(n, kind, kind == "inside") for n in (2, 3, 4) for kind in ("inside", "moved")} <= seen
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
