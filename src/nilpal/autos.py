@@ -20,12 +20,7 @@ from typing import NamedTuple
 
 from nilpal import kernel
 from nilpal.foxring import RingElemModR, fox_derivative
-from nilpal.intlinalg import (
-    det,
-    inv_unimodular,
-    lattice_factors,
-    solve_from_smith,
-)
+from nilpal.intlinalg import RowEchelon, det, inv_unimodular
 from nilpal.nilpotent import (
     InternalError,
     Lifts,
@@ -1104,23 +1099,30 @@ def verify_tame_factorization(which, basis, indices=None):
 # decomposition over the tameness-compatible families
 
 def _bglm_lattice(basis):
-    """(families, Smith factors) of `_bglm_families(basis)`, rows
-    `_family_row` on every block and not kept, built once per basis after
-    checking that each family's `_central_sum` meets both preconditions
-    of `decompose_bglm`; InternalError names a family that fails one."""
+    """(kept families, echelon) of the `RowEchelon` of the rows of
+    `_bglm_families(basis)`, in list order.  The rest are integer
+    combinations of the kept ones, so only these are checked for both
+    preconditions of `decompose_bglm`; InternalError names a family that
+    fails one, or meets a pivot that does not divide it."""
+    def refusal(fam, why):
+        return InternalError(f"BGLM family {why}", n=basis.n, k=basis.k,
+                             family=" ".join(map(render_symbol, fam)))
+
     def build():
-        fams = _bglm_families(basis)
+        fams, echelon = [], RowEchelon()
+        for fam in _bglm_families(basis):
+            try:
+                if echelon.add(_family_row(basis, fam, range(basis.n))):
+                    fams.append(fam)
+            except ValueError:
+                raise refusal(fam, "meets a pivot that does not divide it") from None
         for fam in fams:
             top = _central_sum(basis, fam)
             if not _residue_of_defects(basis, top).is_zero():
-                why = "has a nonzero tameness residue"
-            elif not all(_in_central_lattice(basis, i, b) for i, b in enumerate(top, start=1)):
-                why = "is not central palindromic"
-            else:
-                continue
-            raise InternalError(f"BGLM family {why}", n=basis.n, k=basis.k,
-                                family=" ".join(map(render_symbol, fam)))
-        return fams, lattice_factors([_family_row(basis, fam, range(basis.n)) for fam in fams])
+                raise refusal(fam, "has a nonzero tameness residue")
+            if not all(_in_central_lattice(basis, i, b) for i, b in enumerate(top, start=1)):
+                raise refusal(fam, "is not central palindromic")
+        return fams, echelon
 
     return _memo(basis, ("bglm_lattice",), build)
 
@@ -1137,7 +1139,9 @@ def _bglm_families(basis):
             + [(phi3(a, b, i, i),) for a, b, i in permutations(idx, 3) if b < a]
             + [(psi(a, i), psi(a, j, -1)) for a in idx
                for i, j in combinations(idx, 2) if a not in (i, j)]
-            + [(phi3(h, u, v, h), phi3(v, u, u, u)) for h, u, v in permutations(idx, 3)])
+            + [(phi3(h, u, v, h), phi3(v, u, u, u)) for h, u, v in permutations(idx, 3)]
+            + [(phi3(a, b, c, i),) for a, b, i in permutations(idx, 3) if b < a
+               for c in (a, b)])
 
 
 def decompose_bglm(e):
@@ -1152,15 +1156,15 @@ def decompose_bglm(e):
     lattice the families generate.  A solved input needs neither check:
     the residue is a linear form in the defects (`tameness_residue`), each
     palindromic lattice is a lattice, and `_bglm_lattice` checked once
-    that every family meets both, so every integer combination does.
+    that every kept family meets both, so every integer combination does.
     """
     basis = e.basis
     _require_step3(basis)
     if basis.n < 2:
         raise ValueError("need rank >= 2")
     defects = _weight3_defects(e)
-    fams, smith = _bglm_lattice(basis)
-    sol = solve_from_smith(smith, [v for vec in defects for v in vec])
+    fams, echelon = _bglm_lattice(basis)
+    sol = echelon.solve([v for vec in defects for v in vec])
     if sol is None:
         residue = _residue_of_defects(basis, defects)
         if not residue.is_zero():

@@ -1,15 +1,11 @@
-"""Exact integer linear algebra.
-
-Everything here works on plain lists of Python ints, so all results are
-exact at arbitrary precision.  The Smith normal form carries its unimodular
-transforms, which is what the lattice-membership solvers need.
+"""Exact integer linear algebra on plain lists of Python ints, so all
+results are exact at arbitrary precision.  No package path runs the Smith
+normal form, or the dense `lattice_solve` that reads it.
 """
 
 import operator
+from bisect import insort
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
-
-Matrix = list
 
 
 def eye(n):
@@ -186,72 +182,71 @@ def smith_normal_form(a):
     return u, d, v
 
 
-class SmithFactors(NamedTuple):
-    """Smith factors u a v = d of an integer matrix a, as the nonzero
-    entries (row, value) of each column of u and of v and the nonzero
-    diagonal entries of d, which come first.  Solving and explaining
-    a x = b read no more than that, and most entries of the factors of
-    the lattices in `autos` are zero."""
-
-    ucols: tuple
-    diag: tuple
-    vcols: tuple
-
-    def u_times(self, b):
-        """u b, as the sum of the columns of u at the nonzero entries of b."""
-        c = [0] * len(self.ucols)
-        for col, x in zip(self.ucols, b):
-            if x:
-                for i, w in col:
-                    c[i] += w * x
-        return c
-
-
-def solve_from_smith(factors, b):
-    """One integer solution x of a*x == b from the `SmithFactors` of a
-    (`lattice_factors`), or None if none exists.
-
-    Factor a once, then solve for as many right-hand sides as needed:
-    c = u b must be divisible by d on the rank rows and zero below them,
-    and x = v (c / d).  Both products go through the nonzero entries of
-    the factors at the nonzero entries of b and c / d only.
-    """
-    c = factors.u_times(b)
-    diag = factors.diag
-    if any(c[len(diag):]):
-        return None
-    x = [0] * len(factors.vcols)
-    for ci, di, col in zip(c, diag, factors.vcols):
-        if ci % di:
-            return None
-        y = ci // di
-        if y:
-            for r, w in col:
-                x[r] += w * y
-    return x
-
-
-def lattice_factors(rows):
-    """`SmithFactors` of the nonempty `rows` taken as columns, the system
-    that `lattice_solve(rows, target)` solves."""
-    u, d, v = smith_normal_form(transpose(rows))
-
-    def columns(m):
-        return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
-                     for j in range(len(m)))
-
-    return SmithFactors(columns(u), tuple(d[i][i] for i in range(min(len(u), len(v))) if d[i][i]),
-                        columns(v))
-
-
 def lattice_solve(rows, target):
-    """Coefficients t with sum(t[i]*rows[i]) == target, or None.
-
-    Decides membership of target in the integer row span of `rows`.
-    """
+    """Coefficients t with sum(t[i]*rows[i]) == target, or None, by the
+    Smith form u a v = d of the rows as columns: t = v (u target / d)."""
     if not rows:
         return [] if not any(target) else None
-    return solve_from_smith(lattice_factors(rows), target)
+    u, d, v = smith_normal_form(transpose(rows))
+    c = mat_vec(u, target)
+    diag = [d[i][i] if i < len(v) else 0 for i in range(len(c))]
+    if any(ci % di if di else ci for ci, di in zip(c, diag)):
+        return None
+    return mat_vec(v, [ci // di if di else 0 for ci, di in zip(c, diag)])
+
+
+class RowEchelon:
+    """Integer row echelon of the rows given to `add`, in order.  A row is
+    reduced by the kept rows in pivot order, each by the exact multiple
+    that clears its pivot.  A row left nonzero raises the rank and is kept,
+    reduced, its leading entry the pivot; a row left zero is an integer
+    combination of the kept rows and is dropped, so the kept rows are a
+    basis of the lattice of all rows.  A pivot that does not divide the
+    entry it meets raises ValueError (the row is off the kept rows'
+    lattice); no gcd step is taken."""
+
+    def __init__(self):
+        self._steps = []  # (pivot column, kept position, reduced entries), by column
+        self._mults = []  # per kept row: (position, multiple) its reduction took
+
+    def _reduce(self, t):
+        """Clear t at the pivot columns, in place; the multiples of the
+        reduced rows taken, or None where a pivot does not divide t."""
+        y = [0] * len(self._mults)
+        for col, pos, entries in self._steps:
+            if t[col]:
+                y[pos], r = divmod(t[col], entries[0][1])
+                if r:
+                    return None
+                for j, w in entries:
+                    t[j] -= y[pos] * w
+        return y
+
+    def add(self, row):
+        """Whether the row raises the rank, and is kept."""
+        t = list(row)
+        y = self._reduce(t)
+        if y is None:
+            raise ValueError("a pivot does not divide the entry it meets")
+        entries = [(j, v) for j, v in enumerate(t) if v]
+        if entries:
+            insort(self._steps, (entries[0][0], len(self._mults), entries))
+            self._mults.append([(pos, q) for pos, q in enumerate(y) if q])
+        return bool(entries)
+
+    def solve(self, target):
+        """The unique x with sum x[i] * row[i] == target over the kept rows,
+        in the order kept, or None.  The pass gives multiples of the reduced
+        rows; a kept row is its reduced row plus the multiples its reduction
+        took, so those are taken back, last row first."""
+        t = list(target)
+        x = self._reduce(t)
+        if x is None or any(t):
+            return None
+        for pos in reversed(range(len(x))):
+            for j, q in self._mults[pos]:
+                x[j] -= x[pos] * q
+        return x
 
 
 def _unit(a):

@@ -51,15 +51,20 @@ a time, the reference for `autos.compose_symbols`.
 `bglm_by_preconditions` checks the tameness residue and the
 palindromic lattices before it solves over the BGLM lattice, the
 reference for `autos.decompose_bglm`, which solves first.
+`bglm_kernel_hermite` computes the lattice K that the paper's closing
+result determines, the central palindromic defects with zero tameness
+residue, by integer elimination with the residue read off
+`ring_fox_derivative`, as a `hermite_form`: the reference for the
+lattice the BGLM families span.
 `odd_rest_by_hand` reduces a defect mod 2 by its own elimination of the
 `hand_central_lattice` rows, the reference for the odd rest that
 `autos` reads off the witness echelon, and `odd_diagnostic_by_hand`
 names it as `autos` does.
 `fraction_combination` solves a lattice system over Fractions, the
-reference for `intlinalg.solve_from_smith` and `intlinalg.PivotSolver`.
+reference for `intlinalg.RowEchelon` ranks and `intlinalg.PivotSolver`.
 `dense_smith_solve` reads dense Smith factors by full products, the
-reference for `solve_from_smith` on the sparse columns of the same
-factors, and for membership of the central lattices.
+membership reference for `intlinalg.RowEchelon` and the central
+lattices.
 `pivot_solve_by_sweep` substitutes through every step of a
 `PivotSolver`'s factors over Fractions, the reference for the sweeps of
 `PivotSolver.solve` that visit only the steps holding a value.
@@ -123,9 +128,8 @@ def fraction_combination(rows, target):
     """(rank, x) for sum_j x_j rows[j] == target, by Gauss-Jordan over
     Fractions: the rank of the rows over Q and, when the rows are linearly
     independent, the unique rational solution x, or None when target is
-    outside their rational span.  x is None for dependent rows.  The
-    reference for `intlinalg.solve_from_smith`, with which it shares no
-    code."""
+    outside their rational span.  x is None for dependent rows.  It
+    shares no code with the integer solvers of `intlinalg`."""
     from fractions import Fraction
 
     r = len(rows)
@@ -215,12 +219,10 @@ def pivot_order_by_sort(columns):
 
 def solve_integer(a, b):
     """One integer solution x of a*x == b, or None if none exists."""
-    from nilpal.intlinalg import lattice_factors, solve_from_smith, transpose
+    from nilpal.intlinalg import lattice_solve, transpose
 
-    if not a:
-        return [] if not any(b) else None
     # the columns of a are the rows of its transpose
-    return solve_from_smith(lattice_factors(transpose(a)), b)
+    return lattice_solve(transpose(a), b)
 
 
 def invariant_factors(a):
@@ -436,6 +438,11 @@ def hand_bglm_lattice(basis):
                          (j, [-v for v in _comm3_block(basis, a, j, a)])])
         for h, u, v in permutations(idx, 3):
             add((phi3(h, u, v, h), phi3(v, u, u, u)), [(h, dbl(h, u, v)), (u, dbl(v, u, u))])
+        # the paper's phi3(a,b,c;i) with i outside {a,b,c} whose c repeats a or b
+        for a, b, i in permutations(idx, 3):
+            if b < a:
+                for c in (a, b):
+                    add((phi3(a, b, c, i),), [(i, dbl(a, b, c))])
     return [fam for fam, _ in out], [row for _, row in out]
 
 
@@ -479,7 +486,6 @@ def bglm_by_preconditions(e):
     order that `decompose_bglm` runs, which solves first and checks the
     preconditions only to word a refusal."""
     from nilpal import autos
-    from nilpal.intlinalg import solve_from_smith
     from nilpal.nilpotent import InternalError, PreconditionError
 
     basis = e.basis
@@ -499,8 +505,8 @@ def bglm_by_preconditions(e):
                    for i, d in enumerate(defects, start=1) if odd_rest_by_hand(basis, i, d)]
     if diagnostics:
         raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
-    fams, smith = autos._bglm_lattice(basis)
-    sol = solve_from_smith(smith, [v for vec in defects for v in vec])
+    fams, echelon = autos._bglm_lattice(basis)
+    sol = echelon.solve([v for vec in defects for v in vec])
     if sol is None:
         return autos.Decomposition((), False, ("defect outside the generated lattice",))
     factors = autos._scaled_factors(fams, sol)
@@ -508,6 +514,62 @@ def bglm_by_preconditions(e):
         raise InternalError("decomposition failed to recompose",
                             n=basis.n, k=basis.k, factors=len(factors))
     return autos.Decomposition(tuple(factors), True)
+
+
+def hermite_form(rows):
+    """The row Hermite normal form of the integer rows, zero rows dropped:
+    the one basis of their lattice in echelon form with positive pivots
+    and the entries above each pivot in [0, pivot).  Column by column, the
+    rows holding the column are reduced by the one with the least nonzero
+    entry there until one is left."""
+    work = [list(row) for row in rows if any(row)]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        while holders := [row for row in work if row[col]]:
+            p = min(holders, key=lambda row: abs(row[col]))
+            if len(holders) == 1:
+                work.remove(p)
+                if p[col] < 0:
+                    p = [-x for x in p]
+                for row in out:
+                    q = row[col] // p[col]
+                    row[:] = [x - q * y for x, y in zip(row, p)]
+                out.append(p)
+                break
+            for row in holders:
+                if row is not p:
+                    q = row[col] // p[col]
+                    row[:] = [x - q * y for x, y in zip(row, p)]
+            work = [row for row in work if any(row)]
+    return out
+
+
+def bglm_kernel_hermite(basis):
+    """`hermite_form` of K at step 3: the defects, one weight-3 block per
+    generator, that lie in P, the sum of the `hand_central_lattice`
+    lattices, and have zero tameness residue.  Entry j of block i adds the
+    quadratic part of the i-th `ring_fox_derivative` of the free word of
+    the j-th weight-3 basis element to the residue.  K is the image of the
+    integer kernel of the residue on P's rows, read off the Hermite form
+    of the rows [residue | unit vector]."""
+    n = basis.n
+    words = [c.as_word(n) for c in basis.by_weight[2]]
+    m3 = len(words)
+    # per block position: the residue of a unit entry there, flattened
+    unit_residues = [[v for q in ring_fox_derivative(w, i).quad for v in q]
+                     for i in range(1, n + 1) for w in words]
+    p_rows = []
+    for i in range(n):
+        for row in hand_central_lattice(basis, i + 1)[1]:
+            p_rows.append([0] * (i * m3) + row + [0] * ((n - i - 1) * m3))
+    augmented = []
+    for r, row in enumerate(p_rows):
+        residue = [sum(e * unit[t] for e, unit in zip(row, unit_residues) if e)
+                   for t in range(n * n)]
+        augmented.append(residue + [int(r == s) for s in range(len(p_rows))])
+    kernel = [row[n * n:] for row in hermite_form(augmented) if not any(row[:n * n])]
+    return hermite_form([[sum(c * row[j] for c, row in zip(coeffs, p_rows) if c)
+                          for j in range(n * m3)] for coeffs in kernel])
 
 
 def compose_symbols_by_chain(symbols, basis):
@@ -525,8 +587,8 @@ def compose_symbols_by_chain(symbols, basis):
 def dense_smith_solve(factors, b):
     """One integer solution x of a x == b from dense Smith factors
     (u, d, v) = `smith_normal_form(a)` by full matrix-vector products, or
-    None: the reference for `intlinalg.solve_from_smith` on the sparse
-    columns of the same factors."""
+    None: the membership reference for `intlinalg.RowEchelon` and the
+    central lattices."""
     u, d, v = factors
     c = mat_mul(u, [[x] for x in b])
     r = min(len(u), len(v))

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 from oracles import (
-    dense_smith_solve,
+    bglm_kernel_hermite,
     epa_inverse_by_witnesses,
     gf2_rank,
     hand_bglm_lattice,
     hand_central_lattice,
+    hermite_form,
     product_step3_rows,
     series_conjugate,
     word_tameness_residue,
@@ -52,7 +53,7 @@ from nilpal.autos import (
     verify_tame_factorization,
 )
 from nilpal.foxring import _TABLE_ROWS, PreconditionError, mul, ring_delta, ring_zero
-from nilpal.intlinalg import lattice_factors, lattice_solve, solve_from_smith
+from nilpal.intlinalg import lattice_solve
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -1337,10 +1338,11 @@ def test_decompose_bglm_rejects_non_palindromic(monkeypatch, n, texts, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("n, families", [(2, 1), (3, 15), (4, 72)])
+@pytest.mark.parametrize("n, families", [(2, 1), (3, 21), (4, 96)])
 def test_lattices_match_the_hand_built_rows(n, families):
     # rows read off the generator maps equal the rows written out from the
-    # commutators; so do the kept phi2 rows, and the BGLM Smith factors
+    # commutators; so do the kept phi2 rows.  The BGLM echelon keeps the
+    # families whose rows raise the rank, in list order
     basis = hall_basis(n, 3)
     m2 = len(basis.by_weight[1])
     for i in range(1, n + 1):
@@ -1348,11 +1350,46 @@ def test_lattices_match_the_hand_built_rows(n, families):
         rows = [autos._family_row(basis, fam, [i - 1]) for fam in fams]
         assert (fams, rows) == hand_central_lattice(basis, i)
         assert phi2_rows == [[(j, v) for j, v in enumerate(row) if v] for row in rows[:m2]]
-    fams, smith = autos._bglm_lattice(basis)
+    fams = autos._bglm_families(basis)
     rows = [autos._family_row(basis, fam, range(n)) for fam in fams]
     assert len(fams) == families
     assert (fams, rows) == hand_bglm_lattice(basis)
-    assert smith == lattice_factors(hand_bglm_lattice(basis)[1])
+    basis_fams = autos._bglm_lattice(basis)[0]
+    assert basis_fams == [fam for fam in fams if fam in basis_fams]
+    assert len(basis_fams) == {2: 1, 3: 18, 4: 70}[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bglm_families_span_the_paper_lattice(n):
+    # the paper's closing result: the BGLM families span K, the central
+    # palindromic defects with zero tameness residue, found by elimination
+    # with the ring-product Fox derivatives; the kept families are a basis
+    basis = hall_basis(n, 3)
+    fams = autos._bglm_lattice(basis)[0]
+    kernel = bglm_kernel_hermite(basis)
+    assert hermite_form([autos._family_row(basis, fam, range(n)) for fam in fams]) == kernel
+    assert hermite_form(hand_bglm_lattice(basis)[1]) == kernel
+    assert len(kernel) == len(fams)
+
+
+@pytest.mark.parametrize("n, free", [(2, 0), (3, 30), (4, 144)])
+def test_every_obstruction_free_generator_decomposes(n, free):
+    # each single phi2 or phi3 symbol and each psi pair psi(a,i) psi(b,j)^-1
+    # with a zero tameness residue decomposes over the BGLM families
+    basis = hall_basis(n, 3)
+    idx = range(1, n + 1)
+    cases = ([(phi2(a, b, i),) for a, b in permutations(idx, 2) for i in idx]
+             + [(phi3(a, b, c, i),) for a, b in permutations(idx, 2) for c in idx for i in idx]
+             + [(psi(a, i), psi(b, j, -1))
+                for (a, i), (b, j) in permutations(permutations(idx, 2), 2)])
+    decomposed = 0
+    for syms in cases:
+        e = compose_symbols(syms, basis)
+        if tameness_residue(e).is_zero():
+            dec = decompose_bglm(e)
+            assert dec.residual_trivial and dec.compose(basis) == e, syms
+            decomposed += 1
+    assert decomposed == free
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1606,7 +1643,8 @@ def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
     # a family put among the BGLM families that is obstructed, or that is
     # obstruction-free but not central palindromic, stops the lattice
     # build, so no integer combination of a bad family is ever accepted
-    # unchecked
+    # unchecked.  Put last, the second is off the lattice of the others
+    # but in its rational span, so it meets a pivot that does not divide it
     basis = hall_basis(3, 3)
     outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
     assert tameness_residue(outside).is_zero()
@@ -1614,17 +1652,21 @@ def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
     monkeypatch.setitem(basis.memo, ("generator", "outside", ()), outside)
     monkeypatch.setitem(basis.memo, ("top_entries", "outside", ()), autos._UNKNOWN)
     real = autos._bglm_families
-    for family, why in [((phi2(2, 1, 1),), "has a nonzero tameness residue"),
-                        ((GeneratorSymbol("outside", (), 1),), "is not central palindromic")]:
+    outside_fam = (GeneratorSymbol("outside", (), 1),)
+    for family, first, why in [((phi2(2, 1, 1),), False, "has a nonzero tameness residue"),
+                               (outside_fam, True, "is not central palindromic"),
+                               (outside_fam, False, "meets a pivot that does not divide it")]:
         monkeypatch.delitem(basis.memo, ("bglm_lattice",), raising=False)
-        monkeypatch.setattr(autos, "_bglm_families", lambda b, family=family: real(b) + [family])
+        monkeypatch.setattr(autos, "_bglm_families", lambda b, family=family, first=first:
+                            [family] + real(b) if first else real(b) + [family])
         for build in (autos._bglm_lattice, lambda b: decompose_bglm(identity_endo(b))):
             with pytest.raises(InternalError, match=f"^BGLM family {why}") as err:
                 build(basis)
             assert err.value.context == {"n": 3, "k": 3, "family": render_symbol(family[0])}
             assert ("bglm_lattice",) not in basis.memo
     monkeypatch.undo()
-    assert len(autos._bglm_lattice(basis)[0]) == 15
+    assert len(autos._bglm_families(basis)) == 21
+    assert len(autos._bglm_lattice(basis)[0]) == 18
 
 
 def test_central_composes_and_defect_reads_make_no_law_calls(monkeypatch):
@@ -1688,49 +1730,6 @@ def test_decompose_central_runs_no_smith_form(monkeypatch, n):
         assert dec.residual_trivial and dec.compose(basis) == central
         assert not decompose_central(outside).residual_trivial
     assert calls == []
-
-
-def test_cached_lattice_solve_matches_lattice_solve():
-    rng = random.Random(7)
-    lattices = [(hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1])
-                for basis in (hall_basis(2, 3), hall_basis(3, 3))]
-    for rows, factors in lattices:
-        dim = len(rows[0])
-        for trial in range(40):
-            # lattice points, and lattice points moved by one unit vector
-            coeffs = [rng.randint(-2, 2) for _ in rows]
-            vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
-            if trial % 2:
-                vec[rng.randrange(dim)] += 1
-            assert solve_from_smith(factors, vec) == lattice_solve(rows, vec)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_sparse_smith_solves_match_dense_products(n):
-    # the BGLM lattice keeps the nonzero entries of the columns of its
-    # Smith factors; solving through them gives what full products with
-    # the same dense factors give
-    basis = hall_basis(n, 3)
-    rows, factors = hand_bglm_lattice(basis)[1], autos._bglm_lattice(basis)[1]
-    rng = random.Random(n)
-    seen = set()
-    u, d, v = dense = intlinalg.smith_normal_form(intlinalg.transpose(rows))
-    for sparse, full in ((factors.ucols, u), (factors.vcols, v)):
-        assert [[dict(col).get(i, 0) for col in sparse] for i in range(len(full))] == full
-    assert list(factors.diag) == [d[j][j] for j in range(min(len(u), len(v))) if d[j][j]]
-    dim = len(rows[0])
-    for trial in range(40):
-        # lattice points, and lattice points moved by one or two units
-        coeffs = [rng.randint(-2, 2) for _ in rows]
-        vec = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(dim)]
-        for _ in range(trial % 3):
-            vec[rng.randrange(dim)] += rng.choice((-1, 1))
-        x = solve_from_smith(factors, vec)
-        assert x == dense_smith_solve(dense, vec)
-        assert (x is None) == (lattice_solve(rows, vec) is None)
-        seen.add(x is None)
-    # both outcomes
-    assert seen == {True, False}
 
 
 def test_recompose_catches_a_corrupted_coefficient(monkeypatch):

@@ -25,7 +25,7 @@ RANK2 = ("mu12", "witness", "swap", "transvection", "ia_weight2", "phi3", "inner
          "wild", "odd", "notauto", "bad_index")
 RANK3 = ("mu_phi2", "witness", "swap", "transvection", "ia_weight2", "phi2_tame",
          "phi2_wild", "phi3_psi", "odd")
-RANK3_DECOMPOSE = ("psi_pair", "phi3_pair", "bglm_mixed")
+RANK3_DECOMPOSE = ("psi_pair", "phi3_pair", "bglm_mixed", "phi3_repeat")
 RANK4_DECOMPOSE = ("central_mixed", "outside")
 RANK2_LOW_STEP = ("mu12", "witness", "swap", "transvection", "ia_weight2", "odd", "wild")
 RANK3_LOW_STEP = ("mu_phi2", "witness", "swap", "ia_weight2", "odd")
@@ -47,7 +47,8 @@ def _cases():
                 cases[f"auto-invert-r{rank}-s{step}-{name}"] = [
                     "--rank", str(rank), "--step", str(step), "--format", fmt,
                     "auto", "invert", f"fixtures/r{rank}_{name}.auto"]
-    # two-symbol BGLM families and symbols scaled by a negative coefficient
+    # two-symbol BGLM families, symbols scaled by a negative coefficient,
+    # and phi3(2,1,1;3), one of the families with c in {a,b} and i outside
     for name in RANK3_DECOMPOSE:
         for op in ("decompose-bglm", "decompose-central"):
             cases[f"auto-{op}-r3-{name}"] = [

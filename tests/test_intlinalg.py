@@ -15,6 +15,7 @@ from oracles import (
 from nilpal.nilpotent import HallBasis
 from nilpal.intlinalg import (
     PivotSolver,
+    RowEchelon,
     _integral_quotient,
     det,
     eye,
@@ -175,6 +176,22 @@ def test_lattice_solve():
     assert lattice_solve(rows, [0, 1]) is None
     assert lattice_solve([], [0, 0]) == []
     assert lattice_solve([], [1]) is None
+
+
+def test_row_echelon_keeps_a_basis_and_solves_over_it():
+    echelon = RowEchelon()
+    # (0,2,2) is kept with pivot 2; (1,2,0) raises the rank at column 0;
+    # (2,6,2) is (0,2,2) + 2 (1,2,0) and is dropped
+    assert [echelon.add(row) for row in ([0, 2, 2], [1, 2, 0], [2, 6, 2])] == [True, True, False]
+    # coefficients over the kept rows in the order added, unique
+    assert echelon.solve([2, 6, 2]) == [1, 2]
+    assert echelon.solve([0, 0, 0]) == [0, 0]
+    assert echelon.solve([0, 1, 1]) is None  # the pivot 2 does not divide 1
+    assert echelon.solve([0, 0, 1]) is None  # off the rational span
+    # a pivot that does not divide the entry it meets raises
+    with pytest.raises(ValueError, match="does not divide"):
+        echelon.add([0, 1, 1])
+    assert echelon.solve([1, 4, 2]) == [1, 1]
 
 
 def test_invariant_factors():

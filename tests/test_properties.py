@@ -34,6 +34,7 @@ from oracles import (  # noqa: E402
     fraction_inv_unimodular,
     generator_series,
     gf2_rank,
+    hand_bglm_lattice,
     hand_central_lattice,
     inverse_series,
     lift_by_three_products,
@@ -80,10 +81,9 @@ from nilpal.autos import (  # noqa: E402
 from nilpal import kernel  # noqa: E402
 from nilpal.foxring import _in_gamma3, fox_derivative  # noqa: E402
 from nilpal.intlinalg import (  # noqa: E402
+    RowEchelon,
     inv_unimodular,
-    lattice_factors,
     smith_normal_form,
-    solve_from_smith,
     transpose,
 )
 from nilpal.nilpotent import (  # noqa: E402
@@ -785,10 +785,12 @@ def test_decompose_bglm_matches_the_precondition_order():
     check()
     # combinations of the families decompose; a moved entry meets both
     # refusals; products of the generators are palindromic, and some are
-    # obstructed, some decompose and some lie outside the generated lattice
+    # obstructed and some decompose.  The families span every defect that
+    # meets both preconditions, so none lies outside the generated lattice
     assert {("families", True), ("moved", "tameness obstruction is nonzero"),
-            ("moved", "not central palindromic"), ("symbols", True), ("symbols", False),
+            ("moved", "not central palindromic"), ("symbols", True),
             ("symbols", "tameness obstruction is nonzero")} <= seen
+    assert not any(outcome is False for _, outcome in seen)
 
 
 @lru_cache(maxsize=None)
@@ -880,49 +882,89 @@ def test_in_gamma3_matches_collect(case):
     assert inside or depth < 2
 
 
+@lru_cache(maxsize=None)
+def _hand_bglm(n):
+    """(rows, dense Smith factors of their transpose) of `hand_bglm_lattice`
+    at (n,3)."""
+    rows = hand_bglm_lattice(hall_basis(n, 3))[1]
+    return rows, smith_normal_form(transpose(rows))
+
+
 @st.composite
-def lattice_cases(draw):
-    """(rows, target, combined) on small boxes: one to three rows of length
-    one to four, entries in [-3, 3].  When `combined`, target is an integer
-    combination of the rows with coefficients in [-3, 3]; otherwise its
-    entries are drawn from [-6, 6]."""
-    m = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
-                         min_size=1, max_size=3))
-    combined = draw(st.booleans())
-    if combined:
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-        target = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m)]
+def echelon_cases(draw):
+    """(n, rows, targets): n = 0 and one to four small rows of length one
+    to four, entries in [-2, 2], or the `hand_bglm_lattice` rows at rank n
+    = 2, 3 or 4, in list order.  Each of up to four targets is an integer
+    combination of the rows with coefficients in [-2, 2], with up to two
+    entries then moved by +-1."""
+    n = draw(st.sampled_from((0, 2, 3, 4)))
+    if n:
+        rows = _hand_bglm(n)[0]
     else:
-        target = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
-    return rows, target, combined
+        m = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                             min_size=1, max_size=4))
+    m = len(rows[0])
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        target = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m)]
+        for _ in range(draw(st.integers(0, 2))):
+            target[draw(st.integers(0, m - 1))] += draw(st.sampled_from((-1, 1)))
+        targets.append(target)
+    return n, rows, targets
 
 
-def test_solve_from_smith_matches_the_rational_solution():
+def _dense_member(rows, target):
+    """Whether target is an integer combination of rows, by
+    `dense_smith_solve`."""
+    if not rows:
+        return not any(target)
+    return dense_smith_solve(smith_normal_form(transpose(rows)), target) is not None
+
+
+def test_row_echelon_decides_lattice_membership():
     seen = set()
 
-    @given(lattice_cases())
+    @settings(max_examples=300)
+    @given(echelon_cases())
     def check(case):
-        rows, target, combined = case
-        x = solve_from_smith(lattice_factors(rows), target)
-        if x is not None:
-            assert [sum(c * row[j] for c, row in zip(x, rows))
-                    for j in range(len(target))] == target
-        rank, exact = fraction_combination(rows, target)
-        independent = rank == len(rows)
-        if independent:
-            # the unique rational solution decides membership
-            if exact is not None and all(v.denominator == 1 for v in exact):
-                assert x == exact
-            else:
-                assert x is None
-        elif combined:
-            assert x is not None
-        seen.add((independent, x is not None))
+        n, rows, targets = case
+        source = "bglm" if n else "small"
+        echelon, kept = RowEchelon(), []
+        for j, row in enumerate(rows):
+            try:
+                added = echelon.add(row)
+            except ValueError:
+                # a pivot that does not divide its entry: the row is off the
+                # lattice of the rows before it, and it may raise the rank
+                assert not n and not _dense_member(rows[:j], row)
+                seen.add((source, "raised", fraction_combination(kept, row)[1] is None))
+                return
+            if not n:
+                # kept exactly when the rank rises; dropped only when the
+                # reduction wrote it over the kept rows
+                assert added == (fraction_combination(kept, row)[1] is None)
+                assert added or _dense_member(rows[:j], row)
+            if added:
+                kept.append(row)
+            seen.add((source, "kept" if added else "dropped"))
+        factors = _hand_bglm(n)[1] if n else smith_normal_form(transpose(rows))
+        for target in targets:
+            x = echelon.solve(target)
+            inside = dense_smith_solve(factors, target) is not None
+            assert (x is not None) == inside
+            if x is not None:
+                assert [sum(c * row[j] for c, row in zip(x, kept))
+                        for j in range(len(target))] == target
+            seen.add((source, inside))
 
     check()
-    # independent and dependent rows, each with targets in and out of the lattice
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # small rows meet every outcome, a row stopped by a pivot both inside
+    # and outside the rational span; the BGLM rows meet no such pivot
+    assert {("small", "kept"), ("small", "dropped"), ("small", "raised", True),
+            ("small", "raised", False), ("small", True), ("small", False),
+            ("bglm", "kept"), ("bglm", "dropped"), ("bglm", True), ("bglm", False)} <= seen
 
 
 # series bases, up to the (4,5) of the wide-setup benchmark
