@@ -254,9 +254,10 @@ def endo_power(e, m):
 # per-basis derived values
 
 def _memo(basis, key, build):
-    """Value kept on the basis under `key`; `build()` makes it on first use."""
-    value = basis.memo.get(key)
-    if value is None:
+    """Value kept on the basis under `key`, None included; `build()` makes
+    it on first use."""
+    value = basis.memo.get(key, _UNKNOWN)
+    if value is _UNKNOWN:
         value = basis.memo[key] = build()
     return value
 
@@ -714,18 +715,17 @@ def _top_entries(basis, sym):
     """The nonzero entries (position, value) of the top blocks
     (`Endo.top_defects`) of `sym`'s map at exponent 1, laid end to end,
     or None when that map is not top-central; kept in `basis.memo` per
-    (tag, params), None included (which `_memo` would rebuild).  `inner`
-    counts as not top-central and is never kept: its parameter is an
-    element, so its keys would be unbounded."""
+    (tag, params).  `inner` counts as not top-central and is never kept:
+    its parameter is an element, so its keys would be unbounded."""
     if sym.tag == "inner":
         return None
-    key = ("top_entries", sym.tag, sym.params)
-    entries = basis.memo.get(key, _UNKNOWN)
-    if entries is _UNKNOWN:
+
+    def build():
         top = _forward_generator(sym, basis).top_defects()
-        entries = basis.memo[key] = None if top is None else tuple(
+        return None if top is None else tuple(
             (pos, v) for pos, v in enumerate(v for block in top for v in block) if v)
-    return entries
+
+    return _memo(basis, ("top_entries", sym.tag, sym.params), build)
 
 
 def _central_sum(basis, symbols):

@@ -131,15 +131,13 @@ class HallLaw:
     """The group law of one basis on exponent tuples.
 
     `mul`, `inv`, `bar` and `comm` ([x, y] = x^-1 y^-1 x y) are compiled
-    polynomials, added one at a time by `add`; `source` holds their Python
-    text.
+    polynomials, added one at a time by `add`.
     """
 
     def __init__(self, basis):
         m = len(basis.elements)
         self._names = {"x": [f"x{i}" for i in range(m)], "y": [f"y{i}" for i in range(m)]}
         self._label = f"<hall law n={basis.n} k={basis.k}>"
-        self.source = ""
         self.one = (0,) * m
 
     def add(self, name, args, terms):
@@ -149,7 +147,6 @@ class HallLaw:
         namespace = {}
         exec(compile(text, self._label, "exec"), namespace)
         setattr(self, name, namespace[name])
-        self.source += ("\n\n" if self.source else "") + text
 
     def pow(self, x, e):
         """x^e by repeated squaring."""

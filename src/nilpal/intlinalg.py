@@ -1,6 +1,10 @@
-"""Exact integer linear algebra on plain lists of Python ints, so all
-results are exact at arbitrary precision.  No package path runs the Smith
-normal form, or the dense `lattice_solve` that reads it.
+"""Exact integer linear algebra on plain lists and dicts of Python ints,
+so all results are exact at arbitrary precision, with no fractions.  Two
+integer echelons serve the package: `RowEchelon` of the BGLM rows, whose
+pivots are 1 or 2 up to sign and which decides lattice membership, and
+`PivotSolver` of the peel's Lie columns, whose pivots are all +-1.  No
+package path runs the Smith normal form, or the dense `lattice_solve`
+that reads it.
 """
 
 import operator
@@ -249,10 +253,6 @@ class RowEchelon:
         return x
 
 
-def _unit(a):
-    return a == 1 or a == -1
-
-
 def _integral_quotient(a, b):
     """a / b as an int, or None if it is not an integer."""
     q, r = divmod(a, b)
@@ -260,17 +260,17 @@ def _integral_quotient(a, b):
 
 
 class PivotSolver:
-    """Exact solver for a full-column-rank sparse system E x = t.
+    """Exact solver for a full-column-rank sparse system E x = t whose
+    integer echelon has unit pivots.
 
-    `columns` are the columns of E as dicts {row: nonzero int}.  Sparse
-    Gaussian elimination, run once, picks one pivot row per column and
-    keeps the factors L and U of the square submatrix E_P on those rows.
-    The columns pivot in one order, fixed before the first step by their
-    starting entry counts, ties to the lower column.  Each pivots on a
-    +-1 entry in the shortest remaining row that holds one, so that the
-    factors stay integral, or, when it has no +-1 entry left, on its
-    entry in the shortest row, and the factors carry Fractions from
-    there on.  Ties go to the lower row.
+    `columns` are the columns of E as dicts {row: nonzero int}.  Each
+    column, in order, is reduced by the kept reduced columns in ascending
+    pivot-row order, each time by the exact multiple that clears the pivot
+    of the lowest row holding a value; the rows holding a value come off a
+    heap.  It is kept with that lowest row as its pivot row, together with
+    its combination over the given columns.  A column reduced to zero
+    (rank deficiency) or a pivot other than +-1 raises ValueError.  The
+    peel's Lie lattices pivot on the Lyndon words, each with +-1 (README).
 
     `solve(t)` uses only the pivot entries of t and returns the nonzero
     coordinates of the unique x with (E x)_P == t_P.  It does not check
@@ -278,66 +278,43 @@ class PivotSolver:
     """
 
     def __init__(self, columns):
-        rows = {}
+        kept = {}  # pivot row -> (reduced column, column, its combination)
         for j, col in enumerate(columns):
-            for i, v in col.items():
-                row = rows.get(i)
-                if row is None:
-                    rows[i] = {j: v}
-                else:
-                    row[j] = v
-        holders = [set(col) for col in columns]  # column -> rows with an entry in it
-        self.rows, self.cols, self.pivots = [], [], []
-        urows, lcols = [], []  # per step: rest of the pivot row; [(row, factor)]
-        for c in sorted(range(len(columns)), key=lambda j: (len(columns[j]), j)):
-            if not holders[c]:
-                raise ValueError("matrix does not have full column rank")
-            units = [i for i in holders[c] if _unit(rows[i][c])]
-            p = min((len(rows[i]), i) for i in units or holders[c])[1]
-            prow = rows.pop(p)
-            a = prow.pop(c)
-            for j in prow:
-                holders[j].discard(p)
-            holders[c].discard(p)
-            # most pivot rows hold no other column, so most steps only
-            # take column c out of its rows
-            mults = [(i, rows[i].pop(c)) for i in holders[c]]
-            if _unit(a):
-                mults = [(i, v * a) for i, v in mults]
-            else:
-                from fractions import Fraction  # imported here: no peel rung pivots off +-1
-                mults = [(i, Fraction(v, a)) for i, v in mults]
-            for j, v in prow.items():
-                holder = holders[j]
-                for i, f in mults:
-                    row = rows[i]
-                    if j not in row:
-                        row[j] = -f * v
-                        holder.add(i)
-                    elif nv := row[j] - f * v:
-                        row[j] = nv
+            red, combo = dict(col), {j: 1}
+            heap = list(red)
+            heapify(heap)
+            while heap:
+                i = heappop(heap)
+                v = red.get(i)
+                if not v:
+                    continue
+                if i not in kept:
+                    break
+                rcol, _, rcombo = kept[i]
+                q = v * rcol[i]  # v / pivot, the pivot being +-1
+                for r, u in rcol.items():
+                    if r not in red:
+                        red[r] = -q * u
+                        heappush(heap, r)
+                    elif nv := red[r] - q * u:
+                        red[r] = nv
                     else:
-                        del row[j]
-                        holder.discard(i)
-            self.rows.append(p)
-            self.cols.append(c)
-            self.pivots.append(a)
-            urows.append(prow)
-            lcols.append(mults)
-        step_of_row = {p: s for s, p in enumerate(self.rows)}
-        step_of_col = {c: s for s, c in enumerate(self.cols)}
-        # Forward: step s subtracts f * v[s] from the later pivot rows in
-        # lower[s].  Backward: x[cols[s]] feeds the earlier pivot rows in
-        # upper[s].  Only the steps that carry entries are keys.
-        lower = {s: [(step_of_row[i], f) for i, f in mults if i in step_of_row]
-                 for s, mults in enumerate(lcols)}
-        self._lower = {s: fs for s, fs in lower.items() if fs}
-        self._upper = {}
-        for s, prow in enumerate(urows):
-            for j, v in prow.items():
-                self._upper.setdefault(step_of_col[j], []).append((s, v))
-        self._step_of_row = step_of_row
-        self.nonunit_pivots = sum(1 for a in self.pivots if not _unit(a))
+                        del red[r]
+                for c, u in rcombo.items():
+                    combo[c] = combo.get(c, 0) - q * u
+            else:
+                raise ValueError("matrix does not have full column rank")
+            if red[i] not in (1, -1):
+                raise ValueError(f"pivot {red[i]} at row {i} is not a unit")
+            kept[i] = (red, j, combo)
+        # per pivot row: its pivot, the later pivot rows its reduced column
+        # holds, its column, and the rest of its combination (coefficient 1
+        # at its own column, the others at earlier columns)
+        self.pivots = {i: red[i] for i, (red, _, _) in kept.items()}
+        self._steps = {
+            i: (red[i], [(r, u) for r, u in red.items() if r != i and r in kept], j,
+                [(c, u) for c, u in combo.items() if u and c != j])
+            for i, (red, j, combo) in kept.items()}
 
     def solve(self, t):
         """The nonzero coordinates of the x with (E x)_P == t_P, as
@@ -346,56 +323,38 @@ class PivotSolver:
         `t` is an iterable of (row, value) pairs, each row at most once;
         absent rows read as 0, and rows off the pivot rows P are ignored.
         The work follows the entries, since the peel solves for a few
-        coordinates out of hundreds: t is read pair by pair, and each sweep
-        pops from a heap of step numbers only the steps that hold a value
-        and carry factor entries.  Forward substitution only adds values at
-        later steps and back substitution only at earlier ones, so each
-        step is taken once, after every update to it.
+        coordinates out of hundreds: one ascending sweep pops from a heap
+        only the pivot rows that hold a value.  A reduced column only adds
+        values at later pivot rows, so each row is taken once, after every
+        update to it.  Its multiple y, the value over the pivot (refused
+        where it is not an integer), is the coordinate of its
+        own column, and the rest of its combination adds multiples of y to
+        other columns once the sweep is done.
         """
-        step_of_row = self._step_of_row
-        v = {}
-        for i, c in t:
-            s = step_of_row.get(i)
-            if s is not None:
-                v[s] = c
-        lower, upper = self._lower, self._upper
-        heap = [s for s in v if s in lower]
+        steps = self._steps
+        v = {i: c for i, c in t if i in steps}
+        heap = list(v)
         heapify(heap)
+        x, rests = {}, []
         while heap:
-            s = heappop(heap)
-            vs = v[s]
-            if vs:
-                for s2, f in lower[s]:
-                    if s2 in v:
-                        v[s2] -= f * vs
-                    else:
-                        v[s2] = -f * vs
-                        if s2 in lower:
-                            heappush(heap, s2)
-        pivots, cols = self.pivots, self.cols
-        x = {}
-        heap = [-s for s in v if s in upper]
-        heapify(heap)
-        while heap:
-            s = -heappop(heap)
-            vs = v.pop(s)
-            if vs:
-                xs = _integral_quotient(vs, pivots[s])
-                if xs is None:
+            i = heappop(heap)
+            if vi := v[i]:
+                pivot, later, col, rest = steps[i]
+                y = _integral_quotient(vi, pivot)
+                if y is None:
                     return None
-                x[cols[s]] = xs
-                for s2, u in upper[s]:
-                    if s2 in v:
-                        v[s2] -= u * xs
+                for r, u in later:
+                    if r in v:
+                        v[r] -= u * y
                     else:
-                        v[s2] = -u * xs
-                        if s2 in upper:
-                            heappush(heap, -s2)
-        # the steps left feed no earlier row, and every update has reached them
-        for s, vs in v.items():
-            if vs:
-                xs = _integral_quotient(vs, pivots[s])
-                if xs is None:
-                    return None
-                x[cols[s]] = xs
+                        v[r] = -u * y
+                        heappush(heap, r)
+                x[col] = y
+                if rest:
+                    rests.append((rest, y))
+        for rest, y in rests:
+            for c, u in rest:
+                x[c] = x.get(c, 0) + u * y
+        if rests and 0 in x.values():
+            return {c: xc for c, xc in x.items() if xc}
         return x

@@ -279,10 +279,15 @@ class HallBasis:
                 for i in range(len(self.elements))[self.weight_slices[w - 1]]]
 
     def _peel_solver(self, w):
-        """Pivot solver of the degree-w Lie-coordinate matrix."""
+        """Pivot solver of the degree-w Lie-coordinate matrix, on its
+        echelon whose pivot rows are the Lyndon words."""
         solver = self._peel.get(w)
         if solver is None:
-            solver = self._peel[w] = PivotSolver(self.lie_columns(w))
+            try:
+                solver = self._peel[w] = PivotSolver(self.lie_columns(w))
+            except ValueError as err:
+                raise InternalError(f"degree-{w} Lie lattice: {err}",
+                                    n=self.n, k=self.k, weight=w) from err
         return solver
 
     def ordered_block_poly(self, w, coeffs, r, lifts=None):

@@ -6,7 +6,6 @@ thin wrappers around these functions.
 """
 
 import random
-from inspect import signature
 from itertools import chain, permutations, product
 
 from nilpal.autos import (
@@ -341,6 +340,13 @@ def _unit_price(name, rank, step):
     return total
 
 
+def _flags(suite):
+    """{flag: default} of a suite, read off its code object: every suite
+    takes plain positional-or-keyword parameters, each with a default."""
+    code = suite.__code__
+    return dict(zip(code.co_varnames[:code.co_argcount], suite.__defaults__ or ()))
+
+
 def case_cap(name, rank=None, step=None):
     """The largest --cases suite `name` accepts at (rank, step), a flag left
     None taking the suite's default: `CASE_CAPS[name]` times the price of a
@@ -349,8 +355,7 @@ def case_cap(name, rank=None, step=None):
     suite has no cap or the price is zero (no rank to run)."""
     if name not in CASE_CAPS:
         return None
-    flags = {flag: p.default for flag, p in signature(SUITES[name]).parameters.items()}
-    flags |= FIXED_FLAGS.get(name, {})
+    flags = _flags(SUITES[name]) | FIXED_FLAGS.get(name, {})
     default = _unit_price(name, flags["rank"], flags["step"])
     price = _unit_price(name, flags["rank"] if rank is None else rank,
                         flags["step"] if step is None else step)
@@ -362,7 +367,7 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     suite, fixed = SUITES[name], FIXED_FLAGS.get(name, {})
-    takes = signature(suite).parameters
+    takes = _flags(suite)
     given = {"rank": rank, "step": step, "seed": seed, "cases": cases}
     given = {flag: value for flag, value in given.items() if value is not None}
     refused = [f"; it runs at {flag} {fixed[flag]} only" if flag in fixed
@@ -371,7 +376,7 @@ def run_suite(name, rank=None, step=None, seed=None, cases=None):
                if fixed.get(flag, value) != value or flag not in (*takes, *fixed)]
     if cases is not None and cases < 1:  # prop2.8 would run its exhaustive cases
         refused.append("; the case count is below 1")
-    elif (cap := case_cap(name, rank, step)) is not None and (cases or takes["cases"].default) > cap:
+    elif (cap := case_cap(name, rank, step)) is not None and (cases or takes["cases"]) > cap:
         # the default count too: at a large rank it can cost hours
         refused.append(f"; the case count is over the cap of {cap} for this suite")
     result = SuiteResult(name, 0) if refused else suite(

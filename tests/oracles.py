@@ -65,12 +65,10 @@ reference for `intlinalg.RowEchelon` ranks and `intlinalg.PivotSolver`.
 `dense_smith_solve` reads dense Smith factors by full products, the
 membership reference for `intlinalg.RowEchelon` and the central
 lattices.
-`pivot_solve_by_sweep` substitutes through every step of a
-`PivotSolver`'s factors over Fractions, the reference for the sweeps of
-`PivotSolver.solve` that visit only the steps holding a value.
-`pivot_order_by_sort` runs the same sparse elimination as
-`PivotSolver` on dense row scans, with the columns sorted once by entry
-count, the reference for the pivots it picks.
+`unit_echelon_rows` decides, by rational ranks and unimodular minors,
+which systems `PivotSolver` builds and on which pivot rows, and
+`lyndon_words` lists the Lyndon words by Duval's algorithm, the pivot
+rows of the peel's solvers (Chen-Fox-Lyndon).
 `solve_integer` and `invariant_factors` are Smith-form solves and
 invariants built on `intlinalg.smith_normal_form`, for the tests only.
 """
@@ -153,68 +151,54 @@ def fraction_combination(rows, target):
     return rank, [work[j][r] for j in range(r)]
 
 
-def pivot_solve_by_sweep(solver, t):
-    """The x with (E x)_P == t_P as a dense list of ints, or None if x is
-    not integral, from the factors of the `intlinalg.PivotSolver`
-    `solver`: forward substitution through every step in order, then back
-    substitution through every step in reverse, all over Fractions, with
-    one integrality test at the end."""
-    from fractions import Fraction
-
-    steps = len(solver.rows)
-    v = [Fraction(t.get(i, 0)) for i in solver.rows]
-    for s in range(steps):
-        for s2, f in solver._lower.get(s, ()):
-            v[s2] -= f * v[s]
-    x = [Fraction(0)] * steps
-    for s in reversed(range(steps)):
-        xs = v[s] / solver.pivots[s]
-        for s2, u in solver._upper.get(s, ()):
-            v[s2] -= u * xs
-        x[solver.cols[s]] = xs
-    if any(xs.denominator != 1 for xs in x):
-        return None
-    return [int(xs) for xs in x]
-
-
-def pivot_order_by_sort(columns):
-    """The (rows, cols, pivots) that `PivotSolver(columns)` picks, by its
-    elimination with the columns sorted once by (entry count, column):
-    each column in turn pivots on its shortest +-1 row, or else its
-    shortest row, reading the rows it holds afresh from the matrix left.
-    Raises the same ValueError on a rank-deficient system."""
-    from fractions import Fraction
-
-    def unit(a):
-        return a == 1 or a == -1
-
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    picked = [[], [], []]
-    for c in sorted(range(len(columns)), key=lambda j: (len(columns[j]), j)):
-        holders = [i for i, row in rows.items() if c in row]
-        if not holders:
+def unit_echelon_rows(columns):
+    """The pivot rows, ascending, that `intlinalg.PivotSolver(columns)`
+    keeps, or None where it must refuse: the lattice spanned by some
+    prefix of the columns has a leading-entry echelon with a pivot other
+    than +-1.  The leading rows of a prefix's lattice are the rows that
+    raise the rational rank, scanned in ascending order; its echelon has
+    unit pivots exactly when the square minor on those rows is +-1 (their
+    product, up to sign), which `fraction_inv_unimodular` decides.
+    Raises the same ValueError as the solver on a rank-deficient system."""
+    rows = sorted({i for col in columns for i in col})
+    lead = []
+    for j in range(1, len(columns) + 1):
+        prefix = columns[:j]
+        lead = []
+        for i in rows:
+            vectors = [[col.get(r, 0) for col in prefix] for r in lead + [i]]
+            if fraction_combination(vectors, [0] * j)[0] == len(vectors):
+                lead.append(i)
+                if len(lead) == j:
+                    break
+        if len(lead) < j:
             raise ValueError("matrix does not have full column rank")
-        units = [i for i in holders if unit(rows[i][c])]
-        p = min(units or holders, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(p)
-        a = prow.pop(c)
-        for i in holders:
-            if i == p:
-                continue
-            row = rows[i]
-            f = Fraction(row.pop(c), a)
-            for j, v in prow.items():
-                nv = row.get(j, 0) - f * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-        for out, value in zip(picked, (p, c, a)):
-            out.append(value)
-    return picked
+        try:
+            fraction_inv_unimodular([[col.get(i, 0) for col in prefix] for i in lead])
+        except ValueError:
+            return None
+    return lead
+
+
+def lyndon_words(n, w):
+    """The Lyndon words of length w over the letters 1..n, in
+    lexicographic order, by Duval's algorithm: the next word of length
+    at most w repeats the current one up to length w, drops its trailing
+    letters n and raises its last letter.  The reference for the pivot
+    rows of the peel's solvers."""
+    out = []
+    word = [1]
+    while word:
+        if len(word) == w:
+            out.append(tuple(word))
+        period = len(word)
+        while len(word) < w:
+            word.append(word[len(word) - period])
+        while word and word[-1] == n:
+            word.pop()
+        if word:
+            word[-1] += 1
+    return out
 
 
 def solve_integer(a, b):

@@ -134,6 +134,9 @@ def _cases():
         "--rank", "3", "--step", "7", "normalize", "x3^-1 x1 x2^-1"]
     cases["normalize-r4-s6-inverted"] = [
         "--rank", "4", "--step", "6", "--format", "kv", "normalize", "x2^-1 x4 x1^-1"]
+    # rank 5, off the ladder: an inverted letter squared among four
+    cases["normalize-r5-s4-inverted"] = [
+        "--rank", "5", "--step", "4", "--format", "kv", "normalize", "x5^-1 x3 x1^-2 x4"]
     # a long inverted run raised as one power
     cases["normalize-r2-s8-long-run"] = [
         "--rank", "2", "--step", "8", "--format", "kv", "normalize", "x1^-20000 x2^3 x1^2"]

@@ -14,10 +14,12 @@ def test_package_imports_load_no_unused_stdlib_modules():
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import nilpal, nilpal.autos, nilpal.foxring, nilpal.hallpoly, nilpal.cli\n"
+            "import nilpal.verify\n"
             "from nilpal.nilpotent import collect, hall_basis\n"
             "from nilpal.words import parse_word\n"
             "collect(parse_word('x2 x1^-1 x3', 4), hall_basis(4, 5))\n"
             "assert hall_basis(3, 3).law is not None\n"
+            "assert nilpal.verify.case_cap('prop2.8')\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)

@@ -7,12 +7,10 @@ from oracles import (
     fraction_combination,
     fraction_inv_unimodular,
     invariant_factors,
-    pivot_order_by_sort,
-    pivot_solve_by_sweep,
     solve_integer,
+    unit_echelon_rows,
 )
 
-from nilpal.nilpotent import HallBasis
 from nilpal.intlinalg import (
     PivotSolver,
     RowEchelon,
@@ -208,80 +206,79 @@ def _sparse(x):
     return {j: v for j, v in enumerate(x) if v}
 
 
+def _combination(columns, x):
+    """E x for E given by its sparse columns, as {row: nonzero value}."""
+    t = {}
+    for col, xj in zip(columns, x):
+        for i, v in col.items():
+            t[i] = t.get(i, 0) + v * xj
+    return {i: v for i, v in t.items() if v}
+
+
+def _unit_echelon_columns(rng, rows, cols, span):
+    """(pivot rows, columns) of a system that `PivotSolver` builds: each
+    column has +-1 at its own random pivot row and entries up to `span`
+    in size below it only, and then gains random multiples of the columns
+    before it, so every prefix spans a lattice with a unit echelon."""
+    pivots = rng.sample(range(rows), cols)
+    columns = []
+    for p in pivots:
+        col = {p: rng.choice((-1, 1))}
+        for i in range(p + 1, rows):
+            if v := rng.randint(-span, span):
+                col[i] = v
+        for prev in columns:
+            f = rng.randint(-2, 2)
+            for i, v in prev.items():
+                col[i] = col.get(i, 0) + f * v
+        columns.append({i: v for i, v in col.items() if v})
+    return sorted(pivots), columns
+
+
 def test_pivot_solver_recovers_integer_solutions():
     rng = random.Random(11)
-    tried = 0
     for _ in range(200):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 4)
-        a = rand_matrix(rng, rows, cols, span=3)
-        if len(invariant_factors(a)) < cols:
-            continue
-        tried += 1
-        solver = PivotSolver(_columns(a))
-        assert len(solver.rows) == cols
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
+        rows = rng.randint(1, 7)
+        pivots, columns = _unit_echelon_columns(rng, rows, rng.randint(1, rows), 3)
+        solver = PivotSolver(columns)
+        assert sorted(solver.pivots) == pivots
+        x = [rng.randint(-5, 5) for _ in columns]
+        t = _combination(columns, x)
         assert solver.solve(t.items()) == _sparse(x)
-    assert tried > 50
 
 
 def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
-    # Sparse columns with entries up to 3 in size, and targets E y with y
-    # rational (denominators 1..3): solve returns y when it is integral
-    # and None otherwise, reading t entry by entry.
-    rng = random.Random(23)
-    tried = nonunit = integral = 0
-    for _ in range(400):
-        rows, cols = rng.randint(2, 14), rng.randint(1, 7)
-        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3 else 0
-              for _ in range(cols)] for _ in range(rows)]
-        columns = [[row[j] for row in a] for j in range(cols)]
-        if fraction_combination(columns, [0] * rows)[0] < cols:
-            continue
-        tried += 1
-        solver = PivotSolver(_columns(a))
-        nonunit += solver.nonunit_pivots > 0
-        for _ in range(4):
-            y = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
-            target = [sum(c * v for c, v in zip(row, y)) for row in a]
-            _, exact = fraction_combination(columns, target)
-            assert exact == y
-            t = {i: v for i, v in enumerate(target) if v}
-            got = solver.solve(t.items())
-            if all(v.denominator == 1 for v in exact):
-                integral += 1
-                assert got == _sparse(exact)
-                assert all(type(v) is int for v in got.values())
-            else:
-                assert got is None
-    assert tried > 100 and nonunit > 20 and integral > 100
-
-
-def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
-    # 30%-dense systems with entries up to 3, so non-unit pivots occur.
-    # For every t, solve returns the nonzero coordinates of the unique
-    # rational x with (E x)_P == t_P when it is integral, else None: the
-    # same as the sweep through every step of the same factors, and as
+    # Sparse columns with entries up to 3 in size.  The solver builds
+    # exactly the systems whose every column prefix spans a lattice with
+    # unit echelon pivots, on the rows the reference names.  For every t
+    # it returns the nonzero coordinates of the unique rational x with
+    # (E x)_P == t_P when that x is integral, else None: the same as
     # Gauss-Jordan over Fractions on the pivot rows alone.  The targets
     # are E y for y integral and rational, random vectors, an empty t,
     # and t with entries only off the pivot rows.
-    rng = random.Random(41)
-    entries = (-3, -2, -1, 1, 2, 3)
-    tried = nonunit = off_pivot = integral = rejected = 0
-    for _ in range(300):
-        rows, cols = rng.randint(2, 16), rng.randint(1, 8)
+    rng = random.Random(23)
+    entries = (-3, -2, -1, -1, 1, 1, 2, 3)
+    seen = {"built": 0, "refused": 0, "off_pivot": 0, "integral": 0, "rejected": 0}
+    for _ in range(1200):
+        rows, cols = rng.randint(2, 14), rng.randint(1, 7)
         a = [[rng.choice(entries) if rng.random() < 0.3 else 0 for _ in range(cols)]
              for _ in range(rows)]
         columns = [[row[j] for row in a] for j in range(cols)]
         if fraction_combination(columns, [0] * rows)[0] < cols:
             continue
-        tried += 1
-        solver = PivotSolver(_columns(a))
-        nonunit += solver.nonunit_pivots > 0
+        pivots = unit_echelon_rows(_columns(a))
+        try:
+            solver = PivotSolver(_columns(a))
+        except ValueError:
+            assert pivots is None
+            seen["refused"] += 1
+            continue
+        assert sorted(solver.pivots) == pivots
+        seen["built"] += 1
         targets = [{}]
-        off = [i for i in range(rows) if i not in solver.rows]
+        off = [i for i in range(rows) if i not in pivots]
         if off:
-            off_pivot += 1
+            seen["off_pivot"] += 1
             picked = rng.sample(off, rng.randint(1, len(off)))
             targets.append({i: rng.choice(entries) for i in picked})
         for _ in range(3):
@@ -290,74 +287,70 @@ def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
                             if (v := sum(c * yj for c, yj in zip(row, y)))})
         picked = rng.sample(range(rows), rng.randint(1, rows))
         targets.append({i: rng.randint(-5, 5) for i in picked})
-        pivot_columns = [[col[i] for i in solver.rows] for col in columns]
+        pivot_columns = [[col[i] for i in pivots] for col in columns]
         for t in targets:
-            _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in solver.rows])
+            _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in pivots])
             got = solver.solve(t.items())
-            swept = pivot_solve_by_sweep(solver, t)
             if all(v.denominator == 1 for v in exact):
-                integral += 1
-                assert swept == exact
+                seen["integral"] += 1
                 assert got == _sparse(exact)
                 assert all(type(v) is int for v in got.values())
             else:
-                rejected += 1
-                assert got is None and swept is None
-    assert tried > 150 and nonunit > 80 and off_pivot > 150
-    assert integral > 500 and rejected > 300
+                seen["rejected"] += 1
+                assert got is None
+    assert min(seen.values()) > 80, seen
 
 
-def _pivot_order(columns):
-    """(rows, cols, pivots) of the solver, or the message it raises."""
+def _pivot_rows(columns):
+    """The solver's pivot rows, ascending, None if it refuses a non-unit
+    pivot, or the message of a rank-deficient system."""
     try:
-        solver = PivotSolver(columns)
+        return sorted(PivotSolver(columns).pivots)
     except ValueError as err:
-        return str(err)
-    return [solver.rows, solver.cols, solver.pivots]
+        if "full column rank" in str(err):
+            return str(err)
+        return None
 
 
-def test_pivot_solver_picks_the_pivots_of_the_sorting_reference():
-    # The solver's sparse elimination must pick the same pivot at every
-    # step as the dense reference with the columns sorted once: on
-    # 30%-dense systems, on systems where some columns hold no +-1 entry
-    # (so their pivot falls back to the shortest row), and on
-    # rank-deficient systems, which raise the same ValueError.
+def test_pivot_solver_refuses_exactly_the_nonunit_prefix_lattices():
+    # On 30%-dense systems, some with columns holding no +-1 entry, on
+    # unit-echelon systems with one entry moved by 1 or not, and on
+    # systems with a column a multiple of another, the solver keeps the
+    # reference's pivot rows, refuses where a prefix lattice has a
+    # non-unit echelon pivot, and raises the same ValueError on
+    # rank-deficient systems.
     rng = random.Random(53)
-    seen = {"full": 0, "deficient": 0, "no_unit_column": 0, "nonunit_pivot": 0}
+    seen = {"built": 0, "refused": 0, "deficient": 0}
     for _ in range(400):
         rows, cols = rng.randint(1, 16), rng.randint(1, 9)
-        plain = (-3, -2, -1, 1, 2, 3)
-        columns = []
-        for _ in range(cols):
-            entries = (-3, -2, 2, 3) if rng.random() < 0.3 else plain
-            columns.append({i: rng.choice(entries) for i in range(rows)
-                            if rng.random() < 0.3})
+        if rng.random() < 0.5:
+            _, columns = _unit_echelon_columns(rng, rows, min(rows, cols), 3)
+            if rng.random() < 0.5:
+                col = rng.choice(columns)
+                i = rng.randrange(rows)
+                if v := col.get(i, 0) + rng.choice((-1, 1)):
+                    col[i] = v
+                else:
+                    del col[i]
+        else:
+            plain = (-3, -2, -1, 1, 2, 3)
+            columns = []
+            for _ in range(cols):
+                entries = (-3, -2, 2, 3) if rng.random() < 0.3 else plain
+                columns.append({i: rng.choice(entries) for i in range(rows)
+                                if rng.random() < 0.3})
         if cols > 1 and rng.random() < 0.15:
             # a column that is a multiple of another
             f = rng.choice((-2, -1, 1, 2))
             columns[-1] = {i: f * v for i, v in columns[0].items()}
-        got = _pivot_order(columns)
+        got = _pivot_rows(columns)
         try:
-            want = pivot_order_by_sort(columns)
+            want = unit_echelon_rows(columns)
         except ValueError as err:
             want = str(err)
         assert got == want
-        if isinstance(got, str):
-            seen["deficient"] += 1
-            continue
-        seen["full"] += 1
-        seen["no_unit_column"] += any(
-            col and all(abs(v) != 1 for v in col.values()) for col in columns)
-        seen["nonunit_pivot"] += any(abs(a) != 1 for a in got[2])
+        seen["deficient" if isinstance(got, str) else "refused" if got is None else "built"] += 1
     assert min(seen.values()) > 20, seen
-
-
-@pytest.mark.parametrize("n,k", [(3, 5), (2, 6), (4, 4)])
-def test_peel_solvers_pick_the_pivots_of_the_sorting_reference(n, k):
-    basis = HallBasis(n, k)
-    for w in range(1, k + 1):
-        columns = basis.lie_columns(w)
-        assert _pivot_order(columns) == pivot_order_by_sort(columns)
 
 
 def test_integral_quotient_matches_fractions():
@@ -380,41 +373,33 @@ def test_pivot_solver_takes_any_iterable_of_pairs():
     # solve reads t once, pair by pair: a dict's items, a list and a
     # one-shot generator give the same x, off-pivot rows included
     rng = random.Random(57)
-    tried = 0
     for _ in range(60):
-        rows, cols = rng.randint(2, 9), rng.randint(1, 5)
-        a = rand_matrix(rng, rows, cols, span=3)
-        if len(invariant_factors(a)) < cols:
-            continue
-        tried += 1
-        solver = PivotSolver(_columns(a))
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        t = {i: v for i, v in enumerate(mat_vec(a, x)) if v}
+        rows = rng.randint(2, 9)
+        _, columns = _unit_echelon_columns(rng, rows, rng.randint(1, min(rows, 5)), 3)
+        solver = PivotSolver(columns)
+        x = [rng.randint(-5, 5) for _ in columns]
+        t = _combination(columns, x)
         pairs = list(t.items())
         rng.shuffle(pairs)
         assert solver.solve(t.items()) == _sparse(x)
         assert solver.solve(pairs) == _sparse(x)
         assert solver.solve(pair for pair in pairs) == _sparse(x)
         assert solver.solve(iter(())) == {}
-    assert tried > 20
 
 
-def test_pivot_solver_fraction_path():
-    # Pivots 2, then 2 - 4 * 4 / 2 = -6: the second step runs on Fractions.
-    solver = PivotSolver(_columns([[2, 4], [4, 2]]))
-    assert solver.nonunit_pivots == 2
-    assert solver.solve({0: 2 - 16, 1: 4 - 8}.items()) == {0: 1, 1: -4}
-    assert solver.solve({0: 1, 1: 0}.items()) is None
-    # x = 1/2 on a single column of 2s is rejected, not rounded.
-    half = PivotSolver(_columns([[2], [2]]))
-    assert half.solve({0: 1, 1: 1}.items()) is None
-    assert half.solve({0: Fraction(4), 1: 4}.items()) == {0: 2}
-
-
-def test_pivot_solver_prefers_unit_pivots():
-    # The shortest row of column 0 holds a 2; the unit in row 1 wins.
-    a = [[2, 0], [1, 1], [0, 1]]
-    assert PivotSolver(_columns(a)).nonunit_pivots == 0
+def test_pivot_solver_refuses_nonunit_pivots():
+    # A pivot of 2 is refused, not run on Fractions: in the first column,
+    # after one step, and where a later column would bring the lattice a
+    # unit pivot, since the columns are taken in order.
+    for a in ([[2, 4], [4, 2]], [[2], [2]], [[2, 0], [1, 1], [0, 1]], [[2, 1], [1, 0]],
+              [[1, 1], [1, -1]]):
+        with pytest.raises(ValueError, match="not a unit"):
+            PivotSolver(_columns(a))
+    # the same lattice in the other order, and a non-integral x refused
+    solver = PivotSolver(_columns([[1, 2], [0, 1]]))
+    assert solver.solve({0: 4, 1: 1}.items()) == {0: 2, 1: 1}
+    assert solver.solve({0: Fraction(1, 2)}.items()) is None
+    assert solver.solve({0: Fraction(4), 1: 1}.items()) == {0: 2, 1: 1}
 
 
 def test_pivot_solver_rejects_rank_deficient():

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from nilpal import intlinalg, kernel, nilpotent
+from nilpal import kernel, nilpotent
 from nilpal.nilpotent import (
     HallBasis,
     InternalError,
@@ -536,30 +536,34 @@ def test_round_trips_at_3_6():
     _round_trips(basis, random.Random(36), 6)
 
 
+def _assert_lyndon_pivots(n, k):
+    # The degree-w Lie lattice has the Lyndon basis P_l = l + (words
+    # lexicographically above l), so its echelon in the kernel's monomial
+    # order pivots on the Lyndon words, each with +-1
+    basis = HallBasis(n, k)
+    for w in range(1, k + 1):
+        solver = basis._peel_solver(w)
+        assert sorted(solver.pivots) == [basis.shape.index(word)
+                                         for word in oracles.lyndon_words(n, w)]
+        assert all(a in (1, -1) for a in solver.pivots.values())
+
+
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 5), (4, 4), (4, 5), (3, 6),
                                  (2, 8), (3, 7), (4, 6)])
 def test_peel_pivots_are_units_on_the_ladder(n, k):
-    # Columns pivot in the order of their starting entry counts, each on
-    # a +-1 entry where it has one: on every rung of the ladder that is
-    # enough, and no layer needs a Fraction.
-    basis = HallBasis(n, k)
-    assert all(basis._peel_solver(w).nonunit_pivots == 0 for w in range(1, k + 1))
+    _assert_lyndon_pivots(n, k)
 
 
-def test_round_trips_through_fraction_pivots(monkeypatch):
-    # With unit pivots preferred no rung of the ladder needs a non-unit
-    # one.  Built while no entry counts as a unit, the solvers of (2,7)
-    # take the shortest row of each column instead, which puts
-    # entries other than +-1 on the weight-7 diagonal, so every peel of a
-    # series with a weight-7 part runs the Fraction path.
-    basis = HallBasis(2, 7)
-    monkeypatch.setattr(intlinalg, "_unit", lambda a: False)
-    for w in range(1, 8):
-        basis._peel_solver(w)
-    monkeypatch.undo()
-    assert any(abs(a) != 1 for a in basis._peel[7].pivots)
-    _round_trips(basis, random.Random(27), 12)
-    for word in ("x1 x2^-1 x1 x2 x2 x1^-1 x2", "[x1,x2,x2,x1,x1,x2,x1]^3"):
-        g = basis.from_text(word)
-        assert any(g.weight_block(7))
-        assert basis.from_exponents(g.exponents) == g
+@pytest.mark.parametrize("n,k", [(5, 4), (6, 3), (2, 10)])
+def test_peel_pivots_are_the_lyndon_words_off_the_ladder(n, k):
+    _assert_lyndon_pivots(n, k)
+
+
+def test_peel_solver_refusal_names_the_layer(monkeypatch):
+    # a Lie lattice that pivoted off +-1 would be a bug: the solver's
+    # ValueError reaches the caller as an InternalError naming the layer
+    basis = HallBasis(2, 3)
+    monkeypatch.setattr(basis, "lie_columns", lambda w: [{basis.shape.offset[w]: 2}])
+    with pytest.raises(InternalError, match="^degree-2 Lie lattice: pivot 2 ") as err:
+        basis._peel_solver(2)
+    assert err.value.context == {"n": 2, "k": 3, "weight": 2}

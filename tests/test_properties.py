@@ -38,6 +38,7 @@ from oracles import (  # noqa: E402
     hand_central_lattice,
     inverse_series,
     lift_by_three_products,
+    lyndon_words,
     peel_by_block_division,
     pi_level_by_search,
     product_step3_rows,
@@ -1033,6 +1034,73 @@ def test_peel_matches_block_division(case, data):
         assert got[0].startswith(f"degree-{w} coordinates are not integral")
     got = both({**poly, 0: data.draw(st.integers(-3, 3).filter(lambda c: c != 1))})
     assert got[0].startswith("series has constant term != 1")
+
+
+# Lie layers (n, w) with at most 81 degree-w monomials, so that Gauss-Jordan
+# over Fractions on every row stays cheap
+LIE_LAYERS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+              (4, 2), (4, 3), (5, 2)]
+
+
+@st.composite
+def lie_targets(draw):
+    """(basis, w, kind, t): t is a degree-w Lie element with integral
+    coordinates in [-3, 3], or with coordinates of denominator up to 3
+    (at least one not integral), or an integral one with up to three
+    monomials moved by +-1 to 3, which mostly leaves the Lie lattice."""
+    n, w = draw(st.sampled_from(LIE_LAYERS))
+    basis = hall_basis(n, w)
+    columns = basis.lie_columns(w)
+    kind = draw(st.sampled_from(("integral", "fraction", "off")))
+    y = draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+    if kind == "fraction":
+        y = [Fraction(c, draw(st.integers(1, 3))) for c in y]
+        y[draw(st.integers(0, len(y) - 1))] = Fraction(draw(st.sampled_from((-1, 1))), 2)
+    t = {}
+    for col, c in zip(columns, y):
+        for i, v in col.items():
+            t[i] = t.get(i, 0) + c * v
+    if kind == "off":
+        offset = basis.shape.offset
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(offset[w], offset[w + 1] - 1))
+            t[i] = t.get(i, 0) + draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return basis, w, kind, {i: c for i, c in t.items() if c}
+
+
+def test_peel_solver_matches_fraction_combination():
+    # The solver returns the unique x with (E x)_P == t_P on the Lyndon
+    # rows P when it is integral, and None otherwise, as Gauss-Jordan over
+    # Fractions on those rows does; E x == t then holds exactly when t is
+    # in the rational span of the Lie columns.
+    seen = set()
+
+    @given(lie_targets())
+    def check(case):
+        basis, w, kind, t = case
+        columns = basis.lie_columns(w)
+        lyndon = [basis.shape.index(word) for word in lyndon_words(basis.n, w)]
+        _, x = fraction_combination([[col.get(i, 0) for i in lyndon] for col in columns],
+                                    [t.get(i, 0) for i in lyndon])
+        got = basis._peel_solver(w).solve(t.items())
+        if any(v.denominator != 1 for v in x):
+            assert got is None
+            seen.add((kind, "refused"))
+            return
+        assert got == {j: int(v) for j, v in enumerate(x) if v}
+        residual = dict(t)
+        for j, c in got.items():
+            for i, v in columns[j].items():
+                residual[i] = residual.get(i, 0) - c * v
+        offset = basis.shape.offset
+        rows = range(offset[w], offset[w + 1])
+        _, inside = fraction_combination([[col.get(i, 0) for i in rows] for col in columns],
+                                         [t.get(i, 0) for i in rows])
+        assert (not any(residual.values())) == (inside is not None)
+        seen.add((kind, "solved" if inside is not None else "residual"))
+
+    check()
+    assert {("integral", "solved"), ("fraction", "refused"), ("off", "residual")} <= seen
 
 
 # series bases for collect: (2,4) and (3,5) below the wide-setup rung,

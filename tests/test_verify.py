@@ -1,12 +1,21 @@
 """Quick runs of the verification suites at reduced scale."""
 
+import inspect
 import tracemalloc
 
 import pytest
 
 from nilpal import verify
 from nilpal.nilpotent import hall_basis, multiply
-from nilpal.verify import CASE_CAPS, SUITES, case_cap, prop33_cases, run_suite, suite_prop28
+from nilpal.verify import (
+    CASE_CAPS,
+    SUITES,
+    _flags,
+    case_cap,
+    prop33_cases,
+    run_suite,
+    suite_prop28,
+)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +139,16 @@ def test_registry_complete():
         "lemma2.5", "prop2.8", "jacobi", "lemma4.2", "foxtable",
         "lemma5.3", "lemma5.4", "thm5.8-n2", "prop3.1", "prop3.3",
     }
+
+
+def test_suite_flags_are_read_off_the_code_objects():
+    # `_flags` holds only for plain positional-or-keyword parameters, each
+    # with a default; it must agree with `inspect` on every suite
+    for name, suite in SUITES.items():
+        params = inspect.signature(suite).parameters
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is not p.empty
+                   for p in params.values()), name
+        assert _flags(suite) == {flag: p.default for flag, p in params.items()}, name
 
 
 @pytest.mark.parametrize("n", [2, 3])
