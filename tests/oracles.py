@@ -65,6 +65,9 @@ reference for `intlinalg.RowEchelon` ranks and `intlinalg.PivotSolver`.
 `dense_smith_solve` reads dense Smith factors by full products, the
 membership reference for `intlinalg.RowEchelon` and the central
 lattices.
+`pivot_solve_by_sweep` substitutes through every pivot row of a
+`PivotSolver`'s steps over Fractions, the reference for the sweep of
+`PivotSolver.solve` that visits only the rows holding a value.
 `unit_echelon_rows` decides, by rational ranks and unimodular minors,
 which systems `PivotSolver` builds and on which pivot rows, and
 `lyndon_words` lists the Lyndon words by Duval's algorithm, the pivot
@@ -149,6 +152,31 @@ def fraction_combination(rows, target):
     if rank < r or any(work[e][r] for e in range(rank, len(work))):
         return rank, None
     return rank, [work[j][r] for j in range(r)]
+
+
+def pivot_solve_by_sweep(solver, t):
+    """The x with (E x)_P == t_P as a dense list of ints, or None if x is
+    not integral, from the steps of the `intlinalg.PivotSolver` `solver`:
+    substitution through every pivot row in ascending order, whether it
+    holds a value or not, each multiple mapped through its whole
+    combination at once, all over Fractions, with one integrality test
+    at the end."""
+    from fractions import Fraction
+
+    steps = solver._steps
+    v = {i: Fraction(t.get(i, 0)) for i in steps}
+    x = [Fraction(0)] * len(steps)
+    for i in sorted(steps):
+        pivot, later, col, rest = steps[i]
+        y = v[i] / pivot
+        for r, u in later:
+            v[r] -= u * y
+        x[col] += y
+        for c, u in rest:
+            x[c] += u * y
+    if any(xc.denominator != 1 for xc in x):
+        return None
+    return [int(xc) for xc in x]
 
 
 def unit_echelon_rows(columns):

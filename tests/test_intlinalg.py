@@ -7,6 +7,7 @@ from oracles import (
     fraction_combination,
     fraction_inv_unimodular,
     invariant_factors,
+    pivot_solve_by_sweep,
     solve_integer,
     unit_echelon_rows,
 )
@@ -247,24 +248,36 @@ def test_pivot_solver_recovers_integer_solutions():
         assert solver.solve(t.items()) == _sparse(x)
 
 
+def _sparse_system(rng, entries):
+    """A 30%-dense system with full rational column rank, as its rows,
+    or None where the draw is rank-deficient."""
+    rows, cols = rng.randint(2, 14), rng.randint(1, 7)
+    a = [[rng.choice(entries) if rng.random() < 0.3 else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    columns = [[row[j] for row in a] for j in range(cols)]
+    if fraction_combination(columns, [0] * rows)[0] < cols:
+        return None
+    return a
+
+
+def _rational_target(rng, a):
+    """(E y, y) for a random y with denominators 1..3, E y as {row: value}."""
+    y = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in a[0]]
+    return {i: v for i, row in enumerate(a) if (v := sum(c * yj for c, yj in zip(row, y)))}, y
+
+
 def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
     # Sparse columns with entries up to 3 in size.  The solver builds
     # exactly the systems whose every column prefix spans a lattice with
-    # unit echelon pivots, on the rows the reference names.  For every t
-    # it returns the nonzero coordinates of the unique rational x with
-    # (E x)_P == t_P when that x is integral, else None: the same as
-    # Gauss-Jordan over Fractions on the pivot rows alone.  The targets
-    # are E y for y integral and rational, random vectors, an empty t,
-    # and t with entries only off the pivot rows.
+    # unit echelon pivots, on the rows the reference names.  For targets
+    # E y with y rational (denominators 1..3) it returns y when y is
+    # integral and None otherwise, as Gauss-Jordan over Fractions finds.
     rng = random.Random(23)
     entries = (-3, -2, -1, -1, 1, 1, 2, 3)
-    seen = {"built": 0, "refused": 0, "off_pivot": 0, "integral": 0, "rejected": 0}
+    seen = {"built": 0, "refused": 0, "integral": 0, "rejected": 0}
     for _ in range(1200):
-        rows, cols = rng.randint(2, 14), rng.randint(1, 7)
-        a = [[rng.choice(entries) if rng.random() < 0.3 else 0 for _ in range(cols)]
-             for _ in range(rows)]
-        columns = [[row[j] for row in a] for j in range(cols)]
-        if fraction_combination(columns, [0] * rows)[0] < cols:
+        a = _sparse_system(rng, entries)
+        if a is None:
             continue
         pivots = unit_echelon_rows(_columns(a))
         try:
@@ -275,29 +288,64 @@ def test_pivot_solver_matches_gauss_jordan_on_sparse_systems():
             continue
         assert sorted(solver.pivots) == pivots
         seen["built"] += 1
-        targets = [{}]
-        off = [i for i in range(rows) if i not in pivots]
-        if off:
-            seen["off_pivot"] += 1
-            picked = rng.sample(off, rng.randint(1, len(off)))
-            targets.append({i: rng.choice(entries) for i in picked})
+        columns = [[row[j] for row in a] for j in range(len(a[0]))]
         for _ in range(3):
-            y = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(cols)]
-            targets.append({i: v for i, row in enumerate(a)
-                            if (v := sum(c * yj for c, yj in zip(row, y)))})
-        picked = rng.sample(range(rows), rng.randint(1, rows))
-        targets.append({i: rng.randint(-5, 5) for i in picked})
-        pivot_columns = [[col[i] for i in pivots] for col in columns]
-        for t in targets:
-            _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in pivots])
+            t, y = _rational_target(rng, a)
+            _, exact = fraction_combination(columns, [t.get(i, 0) for i in range(len(a))])
+            assert exact == y
             got = solver.solve(t.items())
-            if all(v.denominator == 1 for v in exact):
+            if all(v.denominator == 1 for v in y):
                 seen["integral"] += 1
-                assert got == _sparse(exact)
+                assert got == _sparse(y)
                 assert all(type(v) is int for v in got.values())
             else:
                 seen["rejected"] += 1
                 assert got is None
+    assert min(seen.values()) > 80, seen
+
+
+def test_pivot_solver_sweeps_match_the_full_sweep_and_gauss_jordan():
+    # For every t, solve returns the nonzero coordinates of the unique
+    # rational x with (E x)_P == t_P when it is integral, else None: the
+    # same as the sweep through every pivot row of the same steps, and as
+    # Gauss-Jordan over Fractions on the pivot rows alone.  The targets
+    # are an empty t, t with entries only off the pivot rows, E y for y
+    # rational, and random vectors.
+    rng = random.Random(41)
+    entries = (-3, -2, -1, -1, 1, 1, 2, 3)
+    seen = {"built": 0, "off_pivot": 0, "integral": 0, "rejected": 0}
+    for _ in range(1600):
+        a = _sparse_system(rng, entries)
+        if a is None:
+            continue
+        try:
+            solver = PivotSolver(_columns(a))
+        except ValueError:
+            continue
+        seen["built"] += 1
+        pivots = sorted(solver.pivots)
+        targets = [{}]
+        off = [i for i in range(len(a)) if i not in pivots]
+        if off:
+            seen["off_pivot"] += 1
+            picked = rng.sample(off, rng.randint(1, len(off)))
+            targets.append({i: rng.choice(entries) for i in picked})
+        targets.extend(_rational_target(rng, a)[0] for _ in range(3))
+        picked = rng.sample(range(len(a)), rng.randint(1, len(a)))
+        targets.append({i: rng.randint(-5, 5) for i in picked})
+        pivot_columns = [[a[i][j] for i in pivots] for j in range(len(a[0]))]
+        for t in targets:
+            _, exact = fraction_combination(pivot_columns, [t.get(i, 0) for i in pivots])
+            got = solver.solve(t.items())
+            swept = pivot_solve_by_sweep(solver, t)
+            if all(v.denominator == 1 for v in exact):
+                seen["integral"] += 1
+                assert swept == exact
+                assert got == _sparse(exact)
+                assert all(type(v) is int for v in got.values())
+            else:
+                seen["rejected"] += 1
+                assert got is None and swept is None
     assert min(seen.values()) > 80, seen
 
 
@@ -387,19 +435,46 @@ def test_pivot_solver_takes_any_iterable_of_pairs():
         assert solver.solve(iter(())) == {}
 
 
+def test_pivot_solver_fraction_path():
+    # The solver runs on ints and has no Fraction path: the system whose
+    # second pivot was 2 - 4 * 4 / 2 = -6 is refused, and Fraction values
+    # in t are taken exactly, an integral x coming back as ints and
+    # x = 1/2 refused, not rounded.
+    with pytest.raises(ValueError, match="not a unit"):
+        PivotSolver(_columns([[2, 4], [4, 2]]))
+    solver = PivotSolver(_columns([[1, 2], [0, 1]]))
+    assert solver.solve({0: Fraction(1, 2)}.items()) is None
+    got = solver.solve({0: Fraction(4), 1: 1}.items())
+    assert got == {0: 2, 1: 1} and all(type(v) is int for v in got.values())
+    ones = PivotSolver(_columns([[1], [1]]))
+    assert ones.solve({0: Fraction(1, 2), 1: Fraction(1, 2)}.items()) is None
+    got = ones.solve({0: Fraction(4), 1: 4}.items())
+    assert got == {0: 4} and type(got[0]) is int
+
+
+def test_pivot_solver_prefers_unit_pivots():
+    # There is no search for a unit: each reduced column pivots on its
+    # lowest row, kept with its sign when that entry is +-1.  The matrix
+    # whose column 0 holds 2 above a unit is refused; with the unit row
+    # first and the 2 moved last, the same columns build on units.
+    assert PivotSolver(_columns([[-1, 0], [3, -1]])).pivots == {0: -1, 1: -1}
+    with pytest.raises(ValueError, match="pivot 2 at row 0 is not a unit"):
+        PivotSolver(_columns([[2, 0], [1, 1], [0, 1]]))
+    solver = PivotSolver(_columns([[1, 1], [0, 1], [2, 0]]))
+    assert solver.pivots == {0: 1, 1: 1}
+    assert solver.solve({0: 1, 1: -2, 2: 6}.items()) == {0: 3, 1: -2}
+
+
 def test_pivot_solver_refuses_nonunit_pivots():
     # A pivot of 2 is refused, not run on Fractions: in the first column,
     # after one step, and where a later column would bring the lattice a
     # unit pivot, since the columns are taken in order.
-    for a in ([[2, 4], [4, 2]], [[2], [2]], [[2, 0], [1, 1], [0, 1]], [[2, 1], [1, 0]],
-              [[1, 1], [1, -1]]):
+    for a in ([[2], [2]], [[2, 1], [1, 0]], [[1, 1], [1, -1]]):
         with pytest.raises(ValueError, match="not a unit"):
             PivotSolver(_columns(a))
-    # the same lattice in the other order, and a non-integral x refused
+    # the same lattice in the other order
     solver = PivotSolver(_columns([[1, 2], [0, 1]]))
     assert solver.solve({0: 4, 1: 1}.items()) == {0: 2, 1: 1}
-    assert solver.solve({0: Fraction(1, 2)}.items()) is None
-    assert solver.solve({0: Fraction(4), 1: 1}.items()) == {0: 2, 1: 1}
 
 
 def test_pivot_solver_rejects_rank_deficient():
