@@ -10,7 +10,8 @@ must satisfy.
 
 Maps compose left to right: `compose(e1, e2)` applies e1 first.  The cached
 abelianization matrix follows the row convention, so the matrix of a
-composition is the ordered matrix product.
+composition is the ordered matrix product.  Values that depend on the
+basis alone are kept by `nilpotent.per_basis`.
 """
 
 from functools import reduce
@@ -26,6 +27,7 @@ from nilpal.nilpotent import (
     Lifts,
     NilElement,
     NotAutomorphismError,
+    UNKNOWN,
     PreconditionError,
     UndecidedError,
     collect,
@@ -35,6 +37,7 @@ from nilpal.nilpotent import (
     invert,
     left_normed,
     multiply,
+    per_basis,
     power,
     render_element,
     weight,
@@ -49,9 +52,6 @@ def _gamma2_is_abelian(basis):
     basis has an exponent law, which `nilpotent.LAW_MAX_STEP` could grant
     above step 3."""
     return basis.k <= 3
-
-
-_UNKNOWN = object()
 
 
 class Endo:
@@ -71,7 +71,7 @@ class Endo:
         self._abel = None
         self._basis_images = {}
         self._lifts = None
-        self._top = _UNKNOWN
+        self._top = UNKNOWN
 
     @property
     def abel_matrix(self):
@@ -106,7 +106,7 @@ class Endo:
         vector and the test says nothing.
         """
         top = self._top
-        if top is _UNKNOWN:
+        if top is UNKNOWN:
             start = self.basis.weight_offset[-1]
             top = None
             if self.basis.k >= 2 and all(
@@ -217,10 +217,10 @@ def make_endo(basis, images):
     return Endo(basis, coerced)
 
 
+@per_basis("identity")
 def identity_endo(basis):
-    """The identity map of `basis`, one per basis, kept in `basis.memo`."""
-    return _memo(basis, ("identity",), lambda: Endo(
-        basis, tuple(basis.generator(i) for i in range(1, basis.n + 1))))
+    """The identity map of `basis`, one per basis."""
+    return Endo(basis, tuple(basis.generator(i) for i in range(1, basis.n + 1)))
 
 
 def compose(e1, e2):
@@ -253,20 +253,11 @@ def endo_power(e, m):
 # ---------------------------------------------------------------------------
 # per-basis derived values
 
-def _memo(basis, key, build):
-    """Value kept on the basis under `key`, None included; `build()` makes
-    it on first use."""
-    value = basis.memo.get(key, _UNKNOWN)
-    if value is _UNKNOWN:
-        value = basis.memo[key] = build()
-    return value
-
-
+@per_basis("comm3")
 def _comm3(basis, a, b, c):
-    """The element [x_a, x_b, x_c], kept on the basis: the generator maps
+    """The element [x_a, x_b, x_c], one per basis: the generator maps
     `phi2`, `phi3` and `psi` share their triples (at most n^3 entries)."""
-    return _memo(basis, ("comm3", a, b, c), lambda: left_normed(
-        [basis.generator(a), basis.generator(b), basis.generator(c)]))
+    return left_normed([basis.generator(a), basis.generator(b), basis.generator(c)])
 
 
 def _parity_mask(vec):
@@ -298,6 +289,7 @@ def _mod2_echelon(rows):
     return echelon
 
 
+@per_basis("witness_lattice")
 def _witness_lattice(basis, i):
     """`_mod2_echelon` of the step-3 witness lattice rows of generator i,
     the images h(z_j) of the weight-2 basis elements z_j as weight-3
@@ -320,23 +312,20 @@ def _witness_lattice(basis, i):
     The phi2 families come in the order of the z_j and the phi3 rows are
     even, so this is their echelon too, mask and combo: bit j of a combo
     names phi2 family j (`decompose_central`)."""
-    def build():
-        start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
-        size = len(basis.elements)
-        head = basis._letter_vectors[Letter(i, 1)][:start3]
-        rows = []
-        for idx in range(start2, size):
-            image = _palindromic_image(basis, i, tuple(int(c == idx) for c in range(size)))
-            top = list(image[start3:])
-            if idx < start3:
-                rows.append(top)
-            if image[:start3] != head or (
-                    idx >= start3 and top != [2 * (c == idx) for c in range(start3, size)]):
-                raise InternalError("witness row disagrees with the law",
-                                    n=basis.n, k=basis.k, i=i, coordinate=idx)
-        return _mod2_echelon(rows)
-
-    return _memo(basis, ("witness_lattice", i), build)
+    start2, start3 = basis.weight_offset[1], basis.weight_offset[2]
+    size = len(basis.elements)
+    head = basis._letter_vectors[Letter(i, 1)][:start3]
+    rows = []
+    for idx in range(start2, size):
+        image = _palindromic_image(basis, i, tuple(int(c == idx) for c in range(size)))
+        top = list(image[start3:])
+        if idx < start3:
+            rows.append(top)
+        if image[:start3] != head or (
+                idx >= start3 and top != [2 * (c == idx) for c in range(start3, size)]):
+            raise InternalError("witness row disagrees with the law",
+                                n=basis.n, k=basis.k, i=i, coordinate=idx)
+    return _mod2_echelon(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +607,7 @@ def render_symbol(sym):
     return body
 
 
-def _base_generator(sym, basis):
+def _base_generator(basis, tag, p):
     n = basis.n
     gens = [basis.generator(i) for i in range(1, n + 1)]
 
@@ -630,7 +619,6 @@ def _base_generator(sym, basis):
         """The map that sends x_i to image and fixes the other generators."""
         return Endo(basis, gens[:i - 1] + [image] + gens[i:])
 
-    tag, p = sym.tag, sym.params
     if tag == "mu":
         i, j = p
         check(1 <= i <= n and 1 <= j <= n and i != j, f"mu needs distinct indices, got {p}")
@@ -674,10 +662,16 @@ def _base_generator(sym, basis):
     raise ValueError(f"unknown generator tag {tag!r}")
 
 
-def _forward_generator(sym, basis):
-    """The map of `sym` at exponent 1, kept in `basis.memo` per (tag,
-    params); `sym` is not `inner`."""
-    return _memo(basis, ("generator", sym.tag, sym.params), lambda: _base_generator(sym, basis))
+@per_basis("generator")
+def _forward_generator(basis, tag, params):
+    """The map of a symbol (tag, params) at exponent 1; the tag is not `inner`."""
+    return _base_generator(basis, tag, params)
+
+
+@per_basis("generator_inverse")
+def _inverse_generator(basis, tag, params):
+    """The inverse of `_forward_generator(basis, tag, params)`, one per basis."""
+    return inverse(_forward_generator(basis, tag, params))
 
 
 def make_generator(sym, basis):
@@ -699,14 +693,13 @@ def make_generator(sym, basis):
     Every other power is composed by `endo_power`.
     """
     if sym.tag == "inner":
-        base, exponent = _base_generator(sym, basis), sym.exponent
+        base, exponent = _base_generator(basis, sym.tag, sym.params), sym.exponent
     else:
-        forward = _forward_generator(sym, basis)
+        forward = _forward_generator(basis, sym.tag, sym.params)
         m = sym.exponent
         if m != 1 and forward.top_defects() is not None:
             return _top_central_power(forward, m)
-        base = (forward if m >= 0 else _memo(
-            basis, ("generator_inverse", sym.tag, sym.params), lambda: inverse(forward)))
+        base = forward if m >= 0 else _inverse_generator(basis, sym.tag, sym.params)
         exponent = abs(m)
     return base if exponent == 1 else endo_power(base, exponent)
 
@@ -714,18 +707,17 @@ def make_generator(sym, basis):
 def _top_entries(basis, sym):
     """The nonzero entries (position, value) of the top blocks
     (`Endo.top_defects`) of `sym`'s map at exponent 1, laid end to end,
-    or None when that map is not top-central; kept in `basis.memo` per
-    (tag, params).  `inner` counts as not top-central and is never kept:
-    its parameter is an element, so its keys would be unbounded."""
-    if sym.tag == "inner":
-        return None
+    or None when that map is not top-central; one per basis and (tag,
+    params).  `inner` counts as not top-central and is never kept: its
+    parameter is an element, so its keys would be unbounded."""
+    return None if sym.tag == "inner" else _generator_top_entries(basis, sym.tag, sym.params)
 
-    def build():
-        top = _forward_generator(sym, basis).top_defects()
-        return None if top is None else tuple(
-            (pos, v) for pos, v in enumerate(v for block in top for v in block) if v)
 
-    return _memo(basis, ("top_entries", sym.tag, sym.params), build)
+@per_basis("top_entries")
+def _generator_top_entries(basis, tag, params):
+    top = _forward_generator(basis, tag, params).top_defects()
+    return None if top is None else tuple(
+        (pos, v) for pos, v in enumerate(v for block in top for v in block) if v)
 
 
 def _central_sum(basis, symbols):
@@ -887,37 +879,32 @@ def _scaled_factors(families, sol):
             for coeff, fam in zip(sol, families) if coeff for s in fam]
 
 
+@per_basis("central_lattice")
 def _central_lattice(basis, i):
-    """(families, phi2 rows, echelon) of the defects reachable at generator
-    i: phi2(a,b,i) per weight-2 basis element [x_a,x_b], in their order,
-    then phi3(a,b,c,i) per weight-3 basis element [x_a,x_b,x_c].  A row is
+    """(families, phi2 rows) of the defects reachable at generator i:
+    phi2(a,b,i) per weight-2 basis element [x_a,x_b], in their order, then
+    phi3(a,b,c,i) per weight-3 basis element [x_a,x_b,x_c].  A row is
     block i of a family's `_central_sum`: the phi2 rows kept as entries
-    (position, value), the phi3 rows 2 e_c.  The echelon is the rows' mod
-    2, which is `_witness_lattice(basis, i)`."""
-    def build():
-        fams = [(phi2(z.left.gen, z.right.gen, i),) for z in basis.by_weight[1]]
-        rows = [[(j, v) for j, v in enumerate(_central_sum(basis, fam)[i - 1]) if v]
-                for fam in fams]
-        fams += [(phi3(c.left.left.gen, c.left.right.gen, c.right.gen, i),)
-                 for c in basis.by_weight[2]]
-        return fams, rows, _witness_lattice(basis, i)
-
-    return _memo(basis, ("central_lattice", i), build)
+    (position, value), the phi3 rows 2 e_c.  The rows' echelon mod 2 is
+    `_witness_lattice(basis, i)`."""
+    fams = [(phi2(z.left.gen, z.right.gen, i),) for z in basis.by_weight[1]]
+    rows = [[(j, v) for j, v in enumerate(_central_sum(basis, fam)[i - 1]) if v]
+            for fam in fams]
+    fams += [(phi3(c.left.left.gen, c.left.right.gen, c.right.gen, i),)
+             for c in basis.by_weight[2]]
+    return fams, rows
 
 
-def _in_central_lattice(basis, i, vec):
-    """Whether vec is in the central lattice of generator i.  It is the
-    witness lattice, which contains 2Z^m3, so parity decides: vec mod 2
-    must reduce to zero by `_witness_lattice(basis, i)`."""
-    return not _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
+def _odd_rest(basis, i, vec):
+    """vec's parity mask reduced by `_witness_lattice(basis, i)`, zero iff vec
+    is in the central lattice of generator i (the witness lattice, which
+    contains 2Z^m3): the member of vec's coset that is zero at every pivot bit."""
+    return _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
 
 
-def _odd_diagnostic(basis, i, vec):
-    """`x{i}: odd at` the weight-3 basis elements at the set bits of the
-    rest of vec's parity mask reduced by `_witness_lattice(basis, i)`.
-    The rest is zero at every pivot bit, the one such member of vec's
-    coset mod the lattice, so the text depends only on that coset."""
-    rest = _reduce_mod2(_witness_lattice(basis, i), _parity_mask(vec))[0]
+def _odd_diagnostic(basis, i, rest):
+    """`x{i}: odd at` the weight-3 basis elements at the set bits of an
+    `_odd_rest` of generator i, so the text depends only on the coset."""
     return f"x{i}: odd at " + " ".join(
         str(c) for j, c in enumerate(basis.by_weight[2]) if rest >> j & 1)
 
@@ -926,12 +913,13 @@ def decompose_central(e):
     """Write a central palindromic automorphism over the phi2/phi3 families.
 
     Per generator i with a nonzero defect, its parity mask is reduced by
-    the echelon of `_central_lattice(basis, i)`.  A nonzero rest is a
-    refusal: residual_trivial=False, with an `_odd_diagnostic` per such
-    generator.  Else bit j of the combo names phi2 family j at exponent 1;
-    the defect less those rows is even, and its half gives the phi3
-    exponents.  The echelon has one row per phi2 family, so this is the
-    only factor list whose phi2 exponents are all 0 or 1.
+    `_witness_lattice(basis, i)`, the echelon of the rows of
+    `_central_lattice(basis, i)`.  A nonzero rest is a refusal:
+    residual_trivial=False, with an `_odd_diagnostic` per such generator.
+    Else bit j of the combo names phi2 family j at exponent 1; the defect
+    less those rows is even, and its half gives the phi3 exponents.  The
+    echelon has one row per phi2 family, so this is the only factor list
+    whose phi2 exponents are all 0 or 1.
 
     The factors are certified by their `_central_sum` against e's top
     blocks: the recompose check `Decomposition.compose(basis) == e`
@@ -948,10 +936,10 @@ def decompose_central(e):
     for i, defect in enumerate(defects, start=1):
         if not any(defect):
             continue
-        fams, rows, echelon = _central_lattice(basis, i)
-        rest, combo = _reduce_mod2(echelon, _parity_mask(defect))
+        fams, rows = _central_lattice(basis, i)
+        rest, combo = _reduce_mod2(_witness_lattice(basis, i), _parity_mask(defect))
         if rest:
-            diagnostics.append(_odd_diagnostic(basis, i, defect))
+            diagnostics.append(_odd_diagnostic(basis, i, rest))
             continue
         sol = [combo >> j & 1 for j in range(len(rows))]
         for j, v in (entry for bit, row in zip(sol, rows) if bit for entry in row):
@@ -999,6 +987,7 @@ def tameness_necessary(e):
     return tameness_residue(e).is_zero()
 
 
+@per_basis("fox_table")
 def _fox_table(basis):
     """T[i-1][j]: the i-th Fox derivative of the free word of the weight-3
     basis element c_j, as sparse entries (r, s, v) of its quadratic part.
@@ -1008,31 +997,28 @@ def _fox_table(basis):
     (the product of every c_j) the derivative of the lift in basis order
     and of the lift in reversed order both equal the column sum of T.
     """
-    def build():
-        n, k = basis.n, basis.k
-        cs = basis.by_weight[2]
-        table = []
-        for i in range(1, n + 1):
-            row = []
-            for j, c in enumerate(cs):
-                d = fox_derivative(c.as_word(n), i)
-                if d.const or any(d.lin):
-                    raise InternalError("Fox derivative of a weight-3 basis element "
-                                        "has a constant or linear part",
-                                        n=n, k=k, i=i, coordinate=basis.weight_offset[2] + j)
-                row.append(d.quad)
-            table.append(row)
-        ones = basis.from_exponents((0,) * basis.weight_offset[2] + (1,) * len(cs))
-        lifts = (element_as_word(ones), element_as_word(ones, reverse=True))
-        for i, row in enumerate(table, start=1):
-            total = RingElemModR(n, quad=[[sum(q[r][s] for q in row) for s in range(n)]
-                                          for r in range(n)])
-            if any(fox_derivative(w, i) != total for w in lifts):
-                raise InternalError("obstruction depends on the free lift", n=n, k=k, i=i)
-        return [[[(r, s, v) for r, qr in enumerate(q) for s, v in enumerate(qr) if v]
-                 for q in row] for row in table]
-
-    return _memo(basis, ("fox_table",), build)
+    n, k = basis.n, basis.k
+    cs = basis.by_weight[2]
+    table = []
+    for i in range(1, n + 1):
+        row = []
+        for j, c in enumerate(cs):
+            d = fox_derivative(c.as_word(n), i)
+            if d.const or any(d.lin):
+                raise InternalError("Fox derivative of a weight-3 basis element "
+                                    "has a constant or linear part",
+                                    n=n, k=k, i=i, coordinate=basis.weight_offset[2] + j)
+            row.append(d.quad)
+        table.append(row)
+    ones = basis.from_exponents((0,) * basis.weight_offset[2] + (1,) * len(cs))
+    lifts = (element_as_word(ones), element_as_word(ones, reverse=True))
+    for i, row in enumerate(table, start=1):
+        total = RingElemModR(n, quad=[[sum(q[r][s] for q in row) for s in range(n)]
+                                      for r in range(n)])
+        if any(fox_derivative(w, i) != total for w in lifts):
+            raise InternalError("obstruction depends on the free lift", n=n, k=k, i=i)
+    return [[[(r, s, v) for r, qr in enumerate(q) for s, v in enumerate(qr) if v]
+             for q in row] for row in table]
 
 
 def _residue_of_defects(basis, defects):
@@ -1098,6 +1084,7 @@ def verify_tame_factorization(which, basis, indices=None):
 # ---------------------------------------------------------------------------
 # decomposition over the tameness-compatible families
 
+@per_basis("bglm_lattice")
 def _bglm_lattice(basis):
     """(kept families, echelon) of the `RowEchelon` of the rows of
     `_bglm_families(basis)`, in list order.  The rest are integer
@@ -1108,23 +1095,20 @@ def _bglm_lattice(basis):
         return InternalError(f"BGLM family {why}", n=basis.n, k=basis.k,
                              family=" ".join(map(render_symbol, fam)))
 
-    def build():
-        fams, echelon = [], RowEchelon()
-        for fam in _bglm_families(basis):
-            try:
-                if echelon.add(_family_row(basis, fam, range(basis.n))):
-                    fams.append(fam)
-            except ValueError:
-                raise refusal(fam, "meets a pivot that does not divide it") from None
-        for fam in fams:
-            top = _central_sum(basis, fam)
-            if not _residue_of_defects(basis, top).is_zero():
-                raise refusal(fam, "has a nonzero tameness residue")
-            if not all(_in_central_lattice(basis, i, b) for i, b in enumerate(top, start=1)):
-                raise refusal(fam, "is not central palindromic")
-        return fams, echelon
-
-    return _memo(basis, ("bglm_lattice",), build)
+    fams, echelon = [], RowEchelon()
+    for fam in _bglm_families(basis):
+        try:
+            if echelon.add(_family_row(basis, fam, range(basis.n))):
+                fams.append(fam)
+        except ValueError:
+            raise refusal(fam, "meets a pivot that does not divide it") from None
+    for fam in fams:
+        top = _central_sum(basis, fam)
+        if not _residue_of_defects(basis, top).is_zero():
+            raise refusal(fam, "has a nonzero tameness residue")
+        if any(_odd_rest(basis, i, b) for i, b in enumerate(top, start=1)):
+            raise refusal(fam, "is not central palindromic")
+    return fams, echelon
 
 
 def _bglm_families(basis):
@@ -1176,9 +1160,9 @@ def decompose_bglm(e):
             raise PreconditionError(
                 "tameness obstruction is nonzero: " + "; ".join(diag + mixed)
             )
-        diagnostics = [_odd_diagnostic(basis, i, defect)
-                       for i, defect in enumerate(defects, start=1)
-                       if not _in_central_lattice(basis, i, defect)]
+        rests = [_odd_rest(basis, i, defect) for i, defect in enumerate(defects, start=1)]
+        diagnostics = [_odd_diagnostic(basis, i, rest)
+                       for i, rest in enumerate(rests, start=1) if rest]
         if diagnostics:
             raise PreconditionError("not central palindromic: " + "; ".join(diagnostics))
         return Decomposition((), False, ("defect outside the generated lattice",))

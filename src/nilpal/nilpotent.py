@@ -19,7 +19,8 @@ exponents are recovered weight by weight (`HallBasis.element_from_poly`,
 "the peel"), which doubles as a consistency check on every element built
 from a series.  `Lifts` builds and caches the factors of the basis
 elements' images and their powers, for the basis (`HallBasis.lifts`) and
-for each map (`autos.Endo`).
+for each map (`autos.Endo`).  The `per_basis` decorator keeps the values
+derived once per basis (the peel's solvers, and those of `autos`).
 
 At step <= 3 the group operations and `collect` run on exponent vectors
 instead, by the Hall polynomials that `hallpoly` derives from the series
@@ -27,7 +28,7 @@ model once per basis (`HallBasis.law`).
 """
 
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from itertools import groupby
 from math import comb
 
@@ -219,6 +220,24 @@ class Lifts:
                                  basis.shape)
 
 
+UNKNOWN = object()  # a value not yet computed, where None is a value
+
+
+def per_basis(name):
+    """Keep `fn(basis, *args)` in `basis.memo` under `(name, *args)`, None
+    included, built on first use; a build that raises keeps nothing."""
+    def decorate(fn):
+        @wraps(fn)
+        def cached(basis, *args):
+            key = (name, *args)
+            value = basis.memo.get(key, UNKNOWN)
+            if value is UNKNOWN:
+                value = basis.memo[key] = fn(basis, *args)
+            return value
+        return cached
+    return decorate
+
+
 class HallBasis:
     """The ordered basic commutators of weight <= k for rank n, plus the
     machinery of the truncated-series model (built lazily, then read-only)."""
@@ -262,9 +281,8 @@ class HallBasis:
             for start, level in zip(self.weight_offset, self.by_weight))
         self.shape = kernel.SeriesShape(n, k)
         self.lifts = Lifts(self, lambda gen: kernel.letter(gen, self.shape))
-        self._peel = {}
-        # derived values other modules compute once per basis, keyed by a
-        # tuple that starts with the caller's name for them
+        # derived values computed once per basis (`per_basis`), keyed by a
+        # tuple that starts with their name
         self.memo = {}
 
     def __repr__(self):
@@ -278,17 +296,15 @@ class HallBasis:
         return [kernel.lowest_terms(self.lifts.lift(i))
                 for i in range(len(self.elements))[self.weight_slices[w - 1]]]
 
+    @per_basis("peel")
     def _peel_solver(self, w):
         """Pivot solver of the degree-w Lie-coordinate matrix, on its
         echelon whose pivot rows are the Lyndon words."""
-        solver = self._peel.get(w)
-        if solver is None:
-            try:
-                solver = self._peel[w] = PivotSolver(self.lie_columns(w))
-            except ValueError as err:
-                raise InternalError(f"degree-{w} Lie lattice: {err}",
-                                    n=self.n, k=self.k, weight=w) from err
-        return solver
+        try:
+            return PivotSolver(self.lie_columns(w))
+        except ValueError as err:
+            raise InternalError(f"degree-{w} Lie lattice: {err}",
+                                n=self.n, k=self.k, weight=w) from err
 
     def ordered_block_poly(self, w, coeffs, r, lifts=None):
         """r <- B r in place, for B the ordered product of the images of

@@ -161,35 +161,32 @@ def suite_foxtable(rank=3):
     return result
 
 
-def suite_lemma53(rank=4):
-    """tameness_necessary on the phi2 family matches its classification."""
-    result = SuiteResult("lemma5.3", 0, info={"rank": rank})
+def _tameness_suite(name, rank, classified):
+    """tameness_necessary on each (symbol, tame) of classified(n), at step
+    3 and ranks 2..rank, against its classification."""
+    result = SuiteResult(name, 0, info={"rank": rank})
     for n in range(2, rank + 1):
         basis = hall_basis(n, 3)
-        for a, b in permutations(range(1, n + 1), 2):
-            for i in range(1, n + 1):
-                e = make_generator(phi2(a, b, i), basis)
-                want = i not in (a, b)
-                result.cases += 1
-                if tameness_necessary(e) != want:
-                    result.failures.append(f"n={n} phi2({a},{b};{i})")
+        for sym, tame in classified(n):
+            result.cases += 1
+            if tameness_necessary(make_generator(sym, basis)) != tame:
+                result.failures.append(f"n={n} {sym}")
     return result
+
+
+def suite_lemma53(rank=4):
+    """tameness_necessary on the phi2 family matches its classification."""
+    return _tameness_suite("lemma5.3", rank, lambda n: (
+        (phi2(a, b, i), i not in (a, b))
+        for a, b in permutations(range(1, n + 1), 2) for i in range(1, n + 1)))
 
 
 def suite_lemma54(rank=4):
     """tameness_necessary on the phi3 family matches its classification."""
-    result = SuiteResult("lemma5.4", 0, info={"rank": rank})
-    for n in range(2, rank + 1):
-        basis = hall_basis(n, 3)
-        for a, b in permutations(range(1, n + 1), 2):
-            for c in range(1, n + 1):
-                for i in range(1, n + 1):
-                    e = make_generator(phi3(a, b, c, i), basis)
-                    want = i not in (a, b, c) or (c == i and i not in (a, b))
-                    result.cases += 1
-                    if tameness_necessary(e) != want:
-                        result.failures.append(f"n={n} phi3({a},{b},{c};{i})")
-    return result
+    return _tameness_suite("lemma5.4", rank, lambda n: (
+        (phi3(a, b, c, i), i not in (a, b, c) or (c == i and i not in (a, b)))
+        for a, b in permutations(range(1, n + 1), 2)
+        for c in range(1, n + 1) for i in range(1, n + 1)))
 
 
 def suite_thm58_n2():

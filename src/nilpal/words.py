@@ -299,10 +299,7 @@ def _check_budget(letters, position):
 
 
 def parse_word(text, rank):
-    """Parse an expression in the word grammar to a reduced word of the rank."""
-    parser = _Parser(_tokenize(text), rank, len(text))
-    word = parser.parse_word(set())
-    tok = parser.peek()
-    if tok[0] != "END":
-        raise WordSyntaxError(f"trailing input {tok[0]}", tok[2])
-    return word
+    """Parse an expression in the word grammar to a reduced word of the rank.
+    With no stop token the parser returns only at the end of the input: a
+    stray `)`, `]`, `,` or `^` fails as an unexpected token."""
+    return _Parser(_tokenize(text), rank, len(text)).parse_word(set())

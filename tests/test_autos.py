@@ -342,6 +342,49 @@ def test_each_commutator_triple_is_built_once_per_basis(monkeypatch):
     assert len([key for key in basis.memo if key[0] == "comm3"]) == 18
 
 
+def test_per_basis_values_are_built_once_under_their_keys(monkeypatch):
+    basis = nilpotent.HallBasis(3, 3)
+    builds = []
+    for name in ("_base_generator", "inverse", "left_normed", "_palindromic_image",
+                 "fox_derivative", "_bglm_families"):
+        def counting(*args, real=getattr(autos, name), name=name):
+            builds.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(autos, name, counting)
+    reads = [(("identity",), lambda: identity_endo(basis)),
+             (("comm3", 2, 1, 3), lambda: autos._comm3(basis, 2, 1, 3)),
+             (("generator", "mu", (1, 2)), lambda: make_generator(mu(1, 2), basis)),
+             (("generator_inverse", "mu", (1, 2)), lambda: make_generator(mu(1, 2, -1), basis)),
+             (("top_entries", "phi2", (2, 1, 3)),
+              lambda: autos._top_entries(basis, phi2(2, 1, 3))),
+             (("witness_lattice", 2), lambda: autos._witness_lattice(basis, 2)),
+             (("central_lattice", 2), lambda: autos._central_lattice(basis, 2)),
+             (("fox_table",), lambda: autos._fox_table(basis)),
+             (("bglm_lattice",), lambda: autos._bglm_lattice(basis))]
+    for key, read in reads:
+        value = read()
+        assert basis.memo[key] is value
+        cold = list(builds)
+        assert all(read() is value for _ in range(3)), key
+        assert builds == cold, key
+    assert builds.count("inverse") == builds.count("_bglm_families") == 1
+
+
+def test_a_kept_none_is_read_without_a_rebuild(monkeypatch):
+    # mu(1,2) is not top-central: its top entries are None, kept as such;
+    # an inner symbol is never kept
+    basis = nilpotent.HallBasis(3, 3)
+    assert autos._top_entries(basis, mu(1, 2)) is None
+    assert basis.memo[("top_entries", "mu", (1, 2))] is None
+    calls = []
+    monkeypatch.setattr(autos, "_forward_generator", lambda *args: calls.append(args))
+    assert autos._top_entries(basis, mu(1, 2)) is None
+    assert autos._top_entries(basis, inner(basis.generator(1))) is None
+    assert calls == []
+    assert not any(key[1:2] == ("inner",) for key in basis.memo)
+
+
 def test_invalid_negative_symbol_raises_every_time():
     basis = hall_basis(2, 3)
     for _ in range(2):
@@ -1214,9 +1257,9 @@ def test_central_and_witness_echelons_are_equal(n):
     # order, and the phi3 rows are even: one lattice, one echelon
     basis = hall_basis(n, 3)
     for i in range(1, n + 1):
-        fams, _, echelon = autos._central_lattice(basis, i)
+        fams, _ = autos._central_lattice(basis, i)
         central = autos._mod2_echelon([autos._family_row(basis, fam, [i - 1]) for fam in fams])
-        assert central == echelon == autos._witness_lattice(basis, i)
+        assert central == autos._witness_lattice(basis, i)
 
 
 # -- tameness -----------------------------------------------------------------------
@@ -1346,7 +1389,7 @@ def test_lattices_match_the_hand_built_rows(n, families):
     basis = hall_basis(n, 3)
     m2 = len(basis.by_weight[1])
     for i in range(1, n + 1):
-        fams, phi2_rows, _ = autos._central_lattice(basis, i)
+        fams, phi2_rows = autos._central_lattice(basis, i)
         rows = [autos._family_row(basis, fam, [i - 1]) for fam in fams]
         assert (fams, rows) == hand_central_lattice(basis, i)
         assert phi2_rows == [[(j, v) for j, v in enumerate(row) if v] for row in rows[:m2]]
@@ -1407,7 +1450,7 @@ def test_central_lattice_membership_matches_lattice_solve(n):
                 vec[rng.randrange(m3)] += 1
             inside = lattice_solve(rows, vec) is not None
             assert inside or trial % 2
-            assert autos._in_central_lattice(basis, i, vec) == inside
+            assert (not autos._odd_rest(basis, i, vec)) == inside
 
 
 # -- files ------------------------------------------------------------------------------
@@ -1625,7 +1668,7 @@ def test_solved_decompose_bglm_checks_no_precondition(monkeypatch):
     outside = make_endo(basis, ["x1 [x2,x1,x1]", "x2 [x2,x1,x2]", "x3"])
     autos._bglm_lattice(basis)
     calls = []
-    for name in ("_residue_of_defects", "_in_central_lattice"):
+    for name in ("_residue_of_defects", "_odd_rest"):
         def counting(*args, real=getattr(autos, name), name=name):
             calls.append(name)
             return real(*args)
@@ -1636,7 +1679,7 @@ def test_solved_decompose_bglm_checks_no_precondition(monkeypatch):
     assert calls == []
     with pytest.raises(PreconditionError, match="^not central palindromic"):
         decompose_bglm(outside)
-    assert calls == ["_residue_of_defects"] + ["_in_central_lattice"] * 3
+    assert calls == ["_residue_of_defects"] + ["_odd_rest"] * 3
 
 
 def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
@@ -1650,7 +1693,6 @@ def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
     assert tameness_residue(outside).is_zero()
     # a made-up top-central symbol whose map is `outside`
     monkeypatch.setitem(basis.memo, ("generator", "outside", ()), outside)
-    monkeypatch.setitem(basis.memo, ("top_entries", "outside", ()), autos._UNKNOWN)
     real = autos._bglm_families
     outside_fam = (GeneratorSymbol("outside", (), 1),)
     for family, first, why in [((phi2(2, 1, 1),), False, "has a nonzero tameness residue"),
@@ -1665,6 +1707,7 @@ def test_bglm_lattice_refuses_a_family_that_breaks_a_precondition(monkeypatch):
             assert err.value.context == {"n": 3, "k": 3, "family": render_symbol(family[0])}
             assert ("bglm_lattice",) not in basis.memo
     monkeypatch.undo()
+    del basis.memo[("top_entries", "outside", ())]
     assert len(autos._bglm_families(basis)) == 21
     assert len(autos._bglm_lattice(basis)[0]) == 18
 

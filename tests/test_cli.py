@@ -294,6 +294,19 @@ def test_missing_file(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["normalize"], ["--rank", "x", "normalize", "x1"],
+                                  ["auto", "frob", "a.auto"], ["nope"]])
+def test_argument_errors_exit_1_after_the_usage(capsys, argv):
+    # the shape only, not argparse's wording: usage first, the error last
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert exc.value.code == 1 and out.out == ""
+    assert lines[0].startswith("usage: nilpal")
+    assert lines[-1].startswith("nilpal") and ": error: " in lines[-1]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "nilpal.cli", "info"],

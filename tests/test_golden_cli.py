@@ -140,6 +140,20 @@ def _cases():
     # a long inverted run raised as one power
     cases["normalize-r2-s8-long-run"] = [
         "--rank", "2", "--step", "8", "--format", "kv", "normalize", "x1^-20000 x2^3 x1^2"]
+    # refusals: a generator index 0, a stray `)` and an exponent with no
+    # base; a file count an operation does not take; BGLM at rank 1 (exit
+    # 1) and the tameness test at step 2 (exit 2)
+    for name, word in (("index0", "x0"), ("rparen", "x1)"), ("bare-exponent", "^2")):
+        cases[f"normalize-refused-{name}"] = ["--rank", "2", "--step", "3", "normalize", word]
+    cases["auto-compose-usage"] = [
+        "--rank", "2", "--step", "3", "auto", "compose", "fixtures/r2_mu12.auto"]
+    cases["auto-classify-usage"] = [
+        "--rank", "2", "--step", "3", "auto", "classify",
+        "fixtures/r2_mu12.auto", "fixtures/r2_witness.auto"]
+    cases["auto-decompose-bglm-r1"] = [
+        "--rank", "1", "--step", "3", "auto", "decompose-bglm", "fixtures/r1_identity.auto"]
+    cases["auto-tame-check-s2"] = [
+        "--rank", "2", "--step", "2", "auto", "tame-check", "fixtures/r2_mu12.auto"]
     cases["verify-prop3.3-r3"] = ["verify", "prop3.3", "--rank", "3"]
     cases["verify-lemma2.5-r2-s5"] = ["--format", "kv", "verify", "lemma2.5",
                                       "--rank", "2", "--step", "5"]

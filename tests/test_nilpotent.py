@@ -567,3 +567,49 @@ def test_peel_solver_refusal_names_the_layer(monkeypatch):
     with pytest.raises(InternalError, match="^degree-2 Lie lattice: pivot 2 ") as err:
         basis._peel_solver(2)
     assert err.value.context == {"n": 2, "k": 3, "weight": 2}
+    assert ("peel", 2) not in basis.memo
+
+
+def test_peel_solvers_are_kept_per_weight():
+    basis = HallBasis(2, 5)
+    collect(parse_word("x2^-1 x1^3 x2", 2), basis)
+    assert sorted(key for key in basis.memo if key[0] == "peel") == [("peel", w)
+                                                                    for w in range(1, 6)]
+    assert all(basis._peel_solver(w) is basis.memo[("peel", w)] for w in range(1, 6))
+
+
+def test_per_basis_builds_each_key_once_and_keeps_none():
+    builds = []
+
+    @nilpotent.per_basis("probe")
+    def probe(basis, x):
+        """A probe."""
+        builds.append((basis.n, x))
+        return None if x == 0 else [x]
+
+    assert (probe.__name__, probe.__doc__) == ("probe", "A probe.")
+    b2, b3 = HallBasis(2, 2), HallBasis(3, 2)
+    for _ in range(3):
+        assert probe(b2, 0) is None
+        assert probe(b2, 1) is b2.memo[("probe", 1)] == [1]
+        assert probe(b3, 1) is b3.memo[("probe", 1)]
+    assert b2.memo[("probe", 0)] is None
+    assert builds == [(2, 0), (2, 1), (3, 1)]
+
+
+def test_per_basis_keeps_nothing_when_the_build_raises():
+    builds = []
+
+    @nilpotent.per_basis("probe")
+    def probe(basis, x):
+        builds.append(x)
+        if len(builds) == 1:
+            raise ValueError("first build fails")
+        return x
+
+    basis = HallBasis(2, 2)
+    with pytest.raises(ValueError, match="first build fails"):
+        probe(basis, 7)
+    assert ("probe", 7) not in basis.memo
+    assert probe(basis, 7) == probe(basis, 7) == 7
+    assert builds == [7, 7]
